@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, NumericalFailure, SingularEvaluation
 from .logreal import SignedLogReal
@@ -24,12 +25,53 @@ __all__ = [
     "hermite", "laguerre", "jacobi", "gegenbauer",
     "eval_poly", "eval_log", "eval_derivative", "derivative_family",
     "norm_constant_log", "coefficients", "weight_log",
-    "weight_log_derivative", "gegenbauer_jacobi_factor_log",
+    "weight_log_derivative", "gegenbauer_jacobi_factor_log", "Weight",
+    "log_derivative_numerator",
 ]
 
 _RESCALE_HI = 1e280
 _RESCALE_LO = 1e-280
 _COEFF_DEGREE_CAP = 60
+
+
+# core log-weights and their derivatives; module-level so families pickle
+def _flat(x: float) -> float:
+    return 0.0
+
+
+def _gauss(x: float) -> float:
+    return -x * x
+
+
+def _gauss_prime(x: float) -> float:
+    return -2.0 * x
+
+
+def _exp(x: float) -> float:
+    return -x
+
+
+def _exp_prime(x: float) -> float:
+    return -1.0
+
+
+class Weight(NamedTuple):
+    """h(x) = exp(core(x)) (x - lo)^e_lo (hi - x)^e_hi on (lo, hi).
+
+    An infinite endpoint has exponent 0, so a nonzero exponent always sits
+    at a finite endpoint.
+    """
+
+    lo: float
+    hi: float
+    e_lo: float
+    e_hi: float
+    core: Callable[[float], float] = _flat
+    core_prime: Callable[[float], float] = _flat
+
+    @property
+    def is_flat(self) -> bool:
+        return self.core is _flat and self.e_lo == 0.0 and self.e_hi == 0.0
 
 
 @dataclass(frozen=True)
@@ -54,13 +96,20 @@ class PolynomialFamily:
         else:
             raise DomainError(f"unknown family kind {self.kind!r}")
 
+    @cached_property
+    def weight(self) -> Weight:
+        if self.kind == "hermite":
+            return Weight(-math.inf, math.inf, 0.0, 0.0, _gauss, _gauss_prime)
+        if self.kind == "laguerre":
+            return Weight(0.0, math.inf, self.alpha, 0.0, _exp, _exp_prime)
+        if self.kind == "jacobi":
+            return Weight(-1.0, 1.0, self.beta, self.alpha)
+        a = self.lam - 0.5
+        return Weight(-1.0, 1.0, a, a)
+
     @property
     def support(self) -> tuple[float, float]:
-        if self.kind == "hermite":
-            return (-math.inf, math.inf)
-        if self.kind == "laguerre":
-            return (0.0, math.inf)
-        return (-1.0, 1.0)
+        return self.weight.lo, self.weight.hi
 
     def label(self) -> str:
         if self.kind == "hermite":
@@ -108,72 +157,68 @@ class CoefficientList:
         return acc
 
 
-def _p01(fam: PolynomialFamily, x: float) -> tuple[float, float]:
-    """(p_0, p_1) in the family standardisation."""
-    if fam.kind == "hermite":
-        return 1.0, 2.0 * x
-    if fam.kind == "laguerre":
-        return 1.0, fam.alpha + 1.0 - x
-    if fam.kind == "jacobi":
-        a, b = fam.alpha, fam.beta
-        return 1.0, 0.5 * (a + b + 2.0) * x + 0.5 * (a - b)
-    return 1.0, 2.0 * fam.lam * x
+@lru_cache(maxsize=64)
+def _recurrence(fam: PolynomialFamily, n: int) -> tuple[tuple[float, float, float], ...]:
+    """Rows (A_k, B_k, C_k), k < n, of p_{k+1} = (A_k x + B_k) p_k - C_k p_{k-1},
+    with p_{-1} = 0 and p_0 = 1 (Gautschi 2004, ch. 1)."""
+    rows = []
+    for k in range(n):
+        if fam.kind == "hermite":
+            rows.append((2.0, 0.0, 2.0 * k))
+        elif fam.kind == "laguerre":
+            a = fam.alpha
+            rows.append((-1.0 / (k + 1.0), (2.0 * k + a + 1.0) / (k + 1.0), (k + a) / (k + 1.0)))
+        elif fam.kind == "jacobi":
+            a, b = fam.alpha, fam.beta
+            if k == 0:  # the general row divides by (a + b)(a + b + 1)
+                rows.append((0.5 * (a + b + 2.0), 0.5 * (a - b), 0.0))
+                continue
+            s = 2.0 * k + a + b
+            den = 2.0 * (k + 1.0) * (k + a + b + 1.0) * s
+            rows.append(((s + 1.0) * (s + 2.0) * s / den, (s + 1.0) * (a * a - b * b) / den,
+                         2.0 * (k + a) * (k + b) * (s + 2.0) / den))
+        else:
+            lam = fam.lam
+            rows.append((2.0 * (k + lam) / (k + 1.0), 0.0, (k + 2.0 * lam - 1.0) / (k + 1.0)))
+    return tuple(rows)
 
 
-def _step(fam: PolynomialFamily, k: int, x: float, pk: float, pkm1: float) -> float:
-    """p_{k+1} from (p_k, p_{k-1}); valid for k >= 1."""
-    if fam.kind == "hermite":
-        return 2.0 * x * pk - 2.0 * k * pkm1
-    if fam.kind == "laguerre":
-        a = fam.alpha
-        return ((2.0 * k + a + 1.0 - x) * pk - (k + a) * pkm1) / (k + 1.0)
-    if fam.kind == "jacobi":
-        a, b = fam.alpha, fam.beta
-        s = 2.0 * k + a + b
-        c0 = 2.0 * (k + 1.0) * (k + a + b + 1.0) * s
-        c1 = (s + 1.0) * ((s + 2.0) * s * x + a * a - b * b)
-        c2 = 2.0 * (k + a) * (k + b) * (s + 2.0)
-        return (c1 * pk - c2 * pkm1) / c0
-    lam = fam.lam
-    return (2.0 * (k + lam) * x * pk - (k + 2.0 * lam - 1.0) * pkm1) / (k + 1.0)
+def _eval_scaled(fam: PolynomialFamily, n: int, x: float) -> tuple[float, float]:
+    """(v, s) with p_n(x) = v e^s; the recurrence is rescaled whenever its
+    values leave [1e-280, 1e280], and s == 0.0 when it never was."""
+    if n < 0:
+        raise DomainError("degree must be nonnegative")
+    p0, p1, scale = 0.0, 1.0, 0.0
+    for A, B, C in _recurrence(fam, n):
+        p0, p1 = p1, (A * x + B) * p1 - C * p0
+        if not _RESCALE_LO < abs(p1) < _RESCALE_HI:
+            mag = max(abs(p0), abs(p1))
+            if mag > _RESCALE_HI or (0.0 < mag < _RESCALE_LO):
+                p0 /= mag
+                p1 /= mag
+                scale += math.log(mag)
+    return p1, scale
 
 
 def eval_poly(fam: PolynomialFamily, n: int, x: float) -> float:
-    """p_n(x) by forward recurrence in native floats.
-
-    Internal fast path; overflows for extreme degree/parameter/argument
-    combinations.  Use :func:`eval_log` for guaranteed range.
-    """
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
-    p0, p1 = _p01(fam, x)
-    if n == 0:
-        return p0
-    for k in range(1, n):
-        p0, p1 = p1, _step(fam, k, x, p1, p0)
-    return p1
+    """p_n(x) as a float: exact recurrence output while it stays in range,
+    +-inf where |p_n(x)| overflows.  Use :func:`eval_log` for full range."""
+    v, scale = _eval_scaled(fam, n, x)
+    return v if scale == 0.0 else _logreal(v, scale).to_float()
 
 
 def eval_log(fam: PolynomialFamily, n: int, x: float) -> SignedLogReal:
     """p_n(x) as a SignedLogReal; recurrence rescaled to avoid overflow."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
-    p0, p1 = _p01(fam, x)
-    if n == 0:
-        return SignedLogReal.from_float(p0)
-    scale = 0.0
-    for k in range(1, n):
-        p0, p1 = p1, _step(fam, k, x, p1, p0)
-        mag = max(abs(p0), abs(p1))
-        if mag > _RESCALE_HI or (0.0 < mag < _RESCALE_LO):
-            p0 /= mag
-            p1 /= mag
-            scale += math.log(mag)
-    if p1 == 0.0:
+    return _logreal(*_eval_scaled(fam, n, x))
+
+
+def _logreal(v: float, scale: float) -> SignedLogReal:
+    if v == 0.0:
         return SignedLogReal.zero()
-    return SignedLogReal(1 if p1 > 0 else -1, math.log(abs(p1)) + scale)
+    return SignedLogReal(1 if v > 0 else -1, math.log(abs(v)) + scale)
 
 
+@lru_cache(maxsize=64)
 def derivative_family(fam: PolynomialFamily, n: int) -> tuple[Optional[PolynomialFamily], int, float]:
     """p_n' expressed as factor * q_{n-1} for a shifted-parameter family.
 
@@ -198,13 +243,6 @@ def eval_derivative(fam: PolynomialFamily, n: int, x: float) -> float:
     if dfam is None:
         return 0.0
     return factor * eval_poly(dfam, dn, x)
-
-
-def eval_derivative_log(fam: PolynomialFamily, n: int, x: float) -> SignedLogReal:
-    dfam, dn, factor = derivative_family(fam, n)
-    if dfam is None:
-        return SignedLogReal.zero()
-    return eval_log(dfam, dn, x).scaled(factor)
 
 
 def norm_constant_log(fam: PolynomialFamily, n: int) -> SignedLogReal:
@@ -232,41 +270,13 @@ def coefficients(fam: PolynomialFamily, n: int) -> CoefficientList:
         raise DomainError("degree must be nonnegative")
     if n > _COEFF_DEGREE_CAP:
         raise DomainError(f"coefficient extraction capped at degree {_COEFF_DEGREE_CAP}")
-    if fam.kind == "hermite":
-        c0, c1 = [1.0], [0.0, 2.0]
-    elif fam.kind == "laguerre":
-        c0, c1 = [1.0], [fam.alpha + 1.0, -1.0]
-    elif fam.kind == "jacobi":
-        a, b = fam.alpha, fam.beta
-        c0, c1 = [1.0], [0.5 * (a - b), 0.5 * (a + b + 2.0)]
-    else:
-        c0, c1 = [1.0], [0.0, 2.0 * fam.lam]
-    if n == 0:
-        return CoefficientList(0, tuple(c0))
-    prev, cur = c0, c1
-    for k in range(1, n):
-        nxt = [0.0] * (k + 2)
-        # p_{k+1} = (A x + B) p_k + C p_{k-1}, from the same recurrence step
-        if fam.kind == "hermite":
-            A, B, C = 2.0, 0.0, -2.0 * k
-        elif fam.kind == "laguerre":
-            a = fam.alpha
-            A, B, C = -1.0 / (k + 1.0), (2.0 * k + a + 1.0) / (k + 1.0), -(k + a) / (k + 1.0)
-        elif fam.kind == "jacobi":
-            a, b = fam.alpha, fam.beta
-            s = 2.0 * k + a + b
-            c0r = 2.0 * (k + 1.0) * (k + a + b + 1.0) * s
-            A = (s + 1.0) * (s + 2.0) * s / c0r
-            B = (s + 1.0) * (a * a - b * b) / c0r
-            C = -2.0 * (k + a) * (k + b) * (s + 2.0) / c0r
-        else:
-            lam = fam.lam
-            A, B, C = 2.0 * (k + lam) / (k + 1.0), 0.0, -(k + 2.0 * lam - 1.0) / (k + 1.0)
+    prev, cur = [], [1.0]
+    for A, B, C in _recurrence(fam, n):
+        nxt = [B * c for c in cur] + [0.0]
         for j, c in enumerate(cur):
             nxt[j + 1] += A * c
-            nxt[j] += B * c
         for j, c in enumerate(prev):
-            nxt[j] += C * c
+            nxt[j] -= C * c
         prev, cur = cur, nxt
     return CoefficientList(n, tuple(cur))
 
@@ -274,67 +284,71 @@ def coefficients(fam: PolynomialFamily, n: int) -> CoefficientList:
 def weight_log(fam: PolynomialFamily, x: float) -> SignedLogReal:
     """ln h(x); signals SingularEvaluation where h vanishes with a
     negative exponent (endpoint poles)."""
-    if fam.kind == "hermite":
-        return SignedLogReal(1, -x * x)
-    if fam.kind == "laguerre":
-        a = fam.alpha
-        if x < 0:
-            raise DomainError("laguerre weight defined on [0, inf)")
-        if x == 0.0:
-            if a < 0:
-                raise SingularEvaluation("weight pole at x = 0")
-            return SignedLogReal.zero() if a > 0 else SignedLogReal(1, 0.0)
-        return SignedLogReal(1, a * math.log(x) - x)
-    if fam.kind == "jacobi":
-        a, b = fam.alpha, fam.beta
-    else:
-        a = b = fam.lam - 0.5
-    if not -1.0 <= x <= 1.0:
-        raise DomainError("weight defined on [-1, 1]")
-    if x == 1.0:
-        if a < 0:
-            raise SingularEvaluation("weight pole at x = 1")
-        if a > 0:
+    w = fam.weight
+    if not w.lo <= x <= w.hi:
+        raise DomainError(f"{fam.label()} weight defined on [{w.lo:g}, {w.hi:g}]")
+    g = w.core(x)
+    for e, dist in ((w.e_lo, x - w.lo), (w.e_hi, w.hi - x)):
+        if e == 0.0:
+            continue
+        if dist == 0.0:
+            if e < 0:
+                raise SingularEvaluation(f"weight pole at x = {x:g}")
             return SignedLogReal.zero()
-        return SignedLogReal(1, b * math.log1p(x))
-    if x == -1.0:
-        if b < 0:
-            raise SingularEvaluation("weight pole at x = -1")
-        if b > 0:
-            return SignedLogReal.zero()
-        return SignedLogReal(1, a * math.log1p(-x))
-    return SignedLogReal(1, a * math.log1p(-x) + b * math.log1p(x))
+        g += e * math.log(dist)
+    return SignedLogReal(1, g)
 
 
 def weight_log_derivative(fam: PolynomialFamily, x: float) -> float:
     """h'(x)/h(x) at interior points."""
-    if fam.kind == "hermite":
-        return -2.0 * x
-    if fam.kind == "laguerre":
-        if x == 0.0 and fam.alpha != 0.0:
-            raise SingularEvaluation("h'/h pole at x = 0")
-        if x == 0.0:
-            return -1.0
-        return fam.alpha / x - 1.0
-    if fam.kind == "jacobi":
-        a, b = fam.alpha, fam.beta
-    else:
-        a = b = fam.lam - 0.5
-    if abs(x) == 1.0:
-        raise SingularEvaluation("h'/h pole at x = +-1")
-    return -a / (1.0 - x) + b / (1.0 + x)
+    w = fam.weight
+    if (w.e_lo != 0.0 and x == w.lo) or (w.e_hi != 0.0 and x == w.hi):
+        raise SingularEvaluation(f"h'/h pole at x = {x:g}")
+    v = w.core_prime(x)
+    if w.e_lo != 0.0:
+        v += w.e_lo / (x - w.lo)
+    if w.e_hi != 0.0:
+        v -= w.e_hi / (w.hi - x)
+    return v
 
 
 def weight_exponents(fam: PolynomialFamily) -> tuple[float, float]:
     """Endpoint exponents (left, right) of the weight; 0 for infinite ends."""
-    if fam.kind == "hermite":
-        return 0.0, 0.0
-    if fam.kind == "laguerre":
-        return fam.alpha, 0.0
-    if fam.kind == "jacobi":
-        return fam.beta, fam.alpha  # left endpoint is -1 -> (1+x)^beta
-    a = fam.lam - 0.5
-    return a, a
+    return fam.weight.e_lo, fam.weight.e_hi
+
+
+def log_derivative_numerator(fam: PolynomialFamily, n: int, x: float) -> SignedLogReal:
+    """N = d (2 p_n' + p_n h'/h), with d the product of the distances to the
+    endpoints where h has a nonzero exponent.
+
+    N is a polynomial, so it has no poles at the zeros of p_n or at the
+    endpoints, and the log-derivative of the density p_n^2 h is N / (d p_n).
+    N changes sign exactly at the critical points of the density away from
+    the zeros of p_n; when every finite-endpoint exponent is positive these
+    are its n + 1 maxima, one between each pair of neighbouring zeros of
+    p_n or ends of the support.
+    """
+    w = fam.weight
+    d_lo = x - w.lo if w.e_lo != 0.0 else 1.0
+    d_hi = w.hi - x if w.e_hi != 0.0 else 1.0
+    d = d_lo * d_hi
+    r = d * w.core_prime(x) + w.e_lo * d_hi - w.e_hi * d_lo
+    p = eval_log(fam, n, x)
+    dfam, dn, factor = derivative_family(fam, n)
+    if dfam is None:
+        return p.scaled(r)
+    # N = c_q q_{n-1} + c_p p_n (p_n' = factor q_{n-1}), summed as floats at
+    # the larger of the two log scales
+    q = eval_log(dfam, dn, x)
+    c_q = 2.0 * d * factor * q.sign
+    c_p = r * p.sign
+    if c_p == 0.0:
+        return q.scaled(2.0 * d * factor)
+    ref = max(q.log_abs, p.log_abs) if c_q != 0.0 else p.log_abs
+    v = c_p * math.exp(p.log_abs - ref)
+    if c_q != 0.0:
+        v += c_q * math.exp(q.log_abs - ref)
+    return _logreal(v, ref)
 
 
 def gegenbauer_jacobi_factor_log(n: int, lam: float) -> float:

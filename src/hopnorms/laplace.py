@@ -5,7 +5,8 @@ f(x) = ln h(x) + ln p_n(x)^2,
 
     W_q ~ (number of global maximizers) * e^{q f(x0)} sqrt(2 pi / (-q f''(x0))).
 
-The maximizer solves p'/p = -h'/(2h); f'' has closed forms per family.
+The maximizer is a sign change of the polynomial numerator N of f' (see
+:func:`families.log_derivative_numerator`); f'' has closed forms per family.
 Unweighted norms: Watson-type endpoint expansion, available for the
 bounded-support families only (|H_n| and |L_n| have no global maximum on
 their supports, so no leading term exists there).
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalFailure, UnsupportedAsymptotics
-from .families import (PolynomialFamily, derivative_family, eval_log,
-                       gegenbauer_jacobi_factor_log, weight_log, weight_log_derivative)
+from .families import (PolynomialFamily, eval_log, gegenbauer_jacobi_factor_log,
+                       log_derivative_numerator, weight_log)
 from .logreal import SignedLogReal
 from .norms import NormResult
 from .special import log_gamma, log_pochhammer
@@ -44,20 +45,6 @@ def _f_value(fam: PolynomialFamily, n: int, x: float) -> float:
     if v.sign == 0:
         return -math.inf
     return weight_log(fam, x).log_abs + 2.0 * v.log_abs
-
-
-def _f_prime(fam: PolynomialFamily, n: int, x: float) -> float:
-    """f' = h'/h + 2 p'/p; NaN at zeros of p (poles)."""
-    p = eval_log(fam, n, x)
-    if p.sign == 0:
-        return math.nan
-    dfam, dn, factor = derivative_family(fam, n)
-    if dfam is None:
-        ratio = 0.0
-    else:
-        d = eval_log(dfam, dn, x)
-        ratio = 0.0 if d.sign == 0 else factor * d.sign * p.sign * math.exp(d.log_abs - p.log_abs)
-    return weight_log_derivative(fam, x) + 2.0 * ratio
 
 
 def _f_second(fam: PolynomialFamily, n: int, x0: float) -> float:
@@ -89,21 +76,22 @@ def _scan_window(fam: PolynomialFamily, n: int) -> tuple[float, float, bool]:
 
 
 def _check_preconditions(fam: PolynomialFamily) -> None:
-    if fam.kind == "laguerre" and not fam.alpha > 0:
-        raise DomainError("laplace route requires alpha > 0 for laguerre "
-                          "(interior maximum of the density)")
-    if fam.kind == "jacobi" and not (fam.alpha > 0 and fam.beta > 0):
-        raise DomainError("laplace route requires alpha, beta > 0 for jacobi")
-    if fam.kind == "gegenbauer" and not fam.lam > 0.5:
-        raise DomainError("laplace route requires lambda > 1/2 for gegenbauer")
+    w = fam.weight
+    for end, e in ((w.lo, w.e_lo), (w.hi, w.e_hi)):
+        if math.isfinite(end) and not e > 0:
+            raise DomainError(
+                f"laplace route requires weight exponents > 0 at finite endpoints, i.e. "
+                f"alpha > 0 for laguerre, alpha, beta > 0 for jacobi, lambda > 1/2 for "
+                f"gegenbauer (interior maximum of the density); {fam.label()} has {e:g} "
+                f"at x = {end:g}")
 
 
 def locate_density_maximum(fam: PolynomialFamily, n: int) -> LaplacePoint:
     """All interior critical points of f; returns the global maximum.
 
-    Brackets sign changes of f' on a scan of 8(n+2) points.  Sign changes
-    from + to - through a root are maxima; changes - to + occur only
-    through the poles of f' at zeros of p_n and are skipped.
+    Brackets the sign changes of the numerator N of f' on a scan of
+    8(n+2) points.  N is a polynomial with no poles whose every sign
+    change, in either direction, is a maximum of the density.
     """
     _check_preconditions(fam)
     lo, hi, cheb = _scan_window(fam, n)
@@ -113,19 +101,17 @@ def locate_density_maximum(fam: PolynomialFamily, n: int) -> LaplacePoint:
               for j in range(m - 1, -1, -1)]
     else:
         xs = [lo + (hi - lo) * j / (m - 1) for j in range(m)]
-    vals = [_f_prime(fam, n, x) for x in xs]
 
     crits: list[float] = []
     prev = None
-    for x, v in zip(xs, vals):
-        if v != v:  # NaN at a pole
-            prev = None
-            continue
-        if prev is not None:
-            xp, vp = prev
-            if vp > 0.0 >= v:
-                crits.append(brentq(lambda t: _f_prime(fam, n, t), xp, x,
-                                    xtol=1e-15, rtol=8.9e-16))
+    for x in xs:
+        v = log_derivative_numerator(fam, n, x)
+        if v.sign == 0:
+            crits.append(x)
+        elif prev is not None and prev[1].sign == -v.sign:
+            ref = max(v.log_abs, prev[1].log_abs)
+            crits.append(brentq(lambda t: _scaled_float(log_derivative_numerator(fam, n, t), ref),
+                                prev[0], x, xtol=1e-15, rtol=8.9e-16))
         prev = (x, v)
     if not crits:
         raise NumericalFailure(f"no interior critical point found for {fam.label()} n={n}")
@@ -139,6 +125,11 @@ def locate_density_maximum(fam: PolynomialFamily, n: int) -> LaplacePoint:
         raise NumericalFailure(f"second derivative not negative at x0={x0}")
     return LaplacePoint(x0=x0, f_at_x0=fmax, f2_at_x0=f2,
                         multiplicity=len(winners), maximizers=tuple(sorted(winners)))
+
+
+def _scaled_float(v: SignedLogReal, ref: float) -> float:
+    """v e^{-ref} as a float, for root finding on values beyond float range."""
+    return v.sign * math.exp(v.log_abs - ref)
 
 
 def weighted_norm_q_asym(fam: PolynomialFamily, n: int, q: float) -> NormResult:

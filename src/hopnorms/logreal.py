@@ -84,7 +84,8 @@ class SignedLogReal:
         # opposite signs: log-sum-exp with cancellation
         if hi.log_abs == lo.log_abs:
             return SignedLogReal(0, 0.0)
-        diff = math.log1p(-math.exp(lo.log_abs - hi.log_abs))
+        # log(-expm1(d)) stays finite where exp(d) rounds to 1.0
+        diff = math.log(-math.expm1(lo.log_abs - hi.log_abs))
         return SignedLogReal(hi.sign, hi.log_abs + diff)
 
     def __sub__(self, other: "SignedLogReal") -> "SignedLogReal":

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .families import (PolynomialFamily, derivative_family, eval_log, eval_poly,
-                       norm_constant_log, polynomial_zeros, weight_exponents)
+from .families import (PolynomialFamily, eval_log, log_derivative_numerator,
+                       norm_constant_log, polynomial_zeros, weight_log)
 from .logreal import SignedLogReal
 from .norms import density_integral, weighted_norm_quad, unweighted_norm_quad
 from .quadrature import DEFAULT_CONFIG, LogIntegrand, QuadratureConfig, log_integral
@@ -69,7 +69,6 @@ def shannon_entropy(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
         v = eval_log(fam, n, x)
         if v.sign == 0:
             return 0.0
-        from .families import weight_log
         return -(2.0 * v.log_abs + weight_log(fam, x).log_abs - shift)
 
     res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi=phi, cfg=cfg)
@@ -127,8 +126,6 @@ def functional_E(fam: PolynomialFamily, n: int, method: str = "quadrature",
 
 def functional_I_log(fam: PolynomialFamily, n: int,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> SignedLogReal:
-    from .families import weight_log
-
     def phi(x: float) -> float:
         return -weight_log(fam, x).log_abs
 
@@ -140,7 +137,7 @@ def functional_I_log(fam: PolynomialFamily, n: int,
 
 def functional_I(fam: PolynomialFamily, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """I[p_n] = -int p^2 h ln(h) dx (identically zero for the flat weight)."""
-    if fam.kind == "jacobi" and fam.alpha == 0.0 and fam.beta == 0.0:
+    if fam.weight.is_flat:
         return 0.0
     return functional_I_log(fam, n, cfg).to_float()
 
@@ -148,84 +145,36 @@ def functional_I(fam: PolynomialFamily, n: int, cfg: QuadratureConfig = DEFAULT_
 def fisher_information(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """F = int rho'^2 / rho dx for the unit-mass density.
 
-    rho'^2/rho = h (2 p' + p h'/h)^2 / kappa.  Endpoints where the weight
-    exponent a lies in (0, 1] make the integrand non-integrable
-    (exponent a - 2 <= -1); such parameter ranges are rejected rather
-    than silently truncated.
+    rho'^2/rho = h N^2 / (d^2 kappa) with N = d (2 p' + p h'/h) the
+    polynomial of :func:`families.log_derivative_numerator`.  At an endpoint
+    where the weight exponent a is nonzero the integrand behaves like
+    (x - end)^(a - 2), which is not integrable for a in (-1, 0) or (0, 1];
+    such parameter ranges are rejected rather than silently truncated.
     """
     if not d.normalized:
         raise DomainError("fisher information is defined for the unit-mass density")
     fam, n = d.family, d.n
-    a_l, a_r = weight_exponents(fam)
-    lo, hi = fam.support
-    for a, side in ((a_l, "lower"), (a_r, "upper")):
-        if math.isfinite(lo if side == "lower" else hi) and 0.0 < a <= 1.0:
+    w = fam.weight
+    for a, side in ((w.e_lo, "lower"), (w.e_hi, "upper")):
+        if -1.0 < a < 0.0 or 0.0 < a <= 1.0:
             raise DomainError(
                 f"{fam.label()}: Fisher integrand has endpoint exponent {a - 2.0:g} <= -1 "
                 f"at the {side} endpoint; integral diverges")
 
     shift = norm_constant_log(fam, n).log_abs
-    dfam, dn, dfactor = derivative_family(fam, n)
-
-    def p(x: float) -> float:
-        return eval_poly(fam, n, x)
-
-    def dp(x: float) -> float:
-        return 0.0 if dfam is None else dfactor * eval_poly(dfam, dn, x)
-
-    # w = 2 p' + p h'/h, regularised by the endpoint distances where h'/h has poles
-    if fam.kind == "hermite":
-        w_reg = lambda x: 2.0 * dp(x) - 2.0 * x * p(x)
-        e_l = e_r = 0.0
-        core = lambda x: -x * x
-    elif fam.kind == "laguerre":
-        al = fam.alpha
-        if al > 0:
-            w_reg = lambda x: 2.0 * x * dp(x) + p(x) * (al - x)
-            e_l = al - 2.0
-        else:
-            w_reg = lambda x: 2.0 * dp(x) - p(x)
-            e_l = 0.0
-        e_r = 0.0
-        core = lambda x: -x
-    else:
-        if fam.kind == "jacobi":
-            aa, bb = fam.alpha, fam.beta
-        else:
-            aa = bb = fam.lam - 0.5
-        s_r = 1 if aa > 0 else 0  # pole at +1
-        s_l = 1 if bb > 0 else 0  # pole at -1
-        def w_reg(x, aa=aa, bb=bb, s_l=s_l, s_r=s_r):
-            v = 2.0 * dp(x)
-            t = p(x)
-            if s_r and s_l:
-                return v * (1.0 - x * x) + t * (bb * (1.0 - x) - aa * (1.0 + x))
-            if s_r:
-                return v * (1.0 - x) + t * (bb * (1.0 - x) / (1.0 + x) - aa)
-            if s_l:
-                return v * (1.0 + x) + t * (bb - aa * (1.0 + x) / (1.0 - x))
-            return v
-        e_r = aa - 2.0 * s_r
-        e_l = bb - 2.0 * s_l
-        core = lambda x: 0.0
+    core = w.core
 
     def g_core(x: float) -> float:
-        w = w_reg(x)
-        if w == 0.0:
+        v = log_derivative_numerator(fam, n, x)
+        if v.sign == 0:
             return -math.inf
-        return core(x) + 2.0 * math.log(abs(w)) - shift
+        return core(x) + 2.0 * v.log_abs - shift
 
-    zeros = polynomial_zeros(fam, n)
-    if fam.kind == "hermite":
-        seed = math.sqrt(2.0 * n + 2.0) + 1.0
-        seeds = (-seed, seed)
-    elif fam.kind == "laguerre":
-        seeds = (None, 4.0 * n + 2.0 * fam.alpha + 6.0)
-    else:
-        seeds = (None, None)
-    spec = LogIntegrand(a=lo, b=hi, g_core=g_core, e_left=e_l, e_right=e_r,
-                        breakpoints=tuple(zeros),
-                        tail_seed_left=seeds[0], tail_seed_right=seeds[1])
+    # the 1/d^2 of the integrand lowers each nonzero endpoint exponent by 2
+    spec = LogIntegrand(a=w.lo, b=w.hi, g_core=g_core,
+                        e_left=w.e_lo - 2.0 if w.e_lo else 0.0,
+                        e_right=w.e_hi - 2.0 if w.e_hi else 0.0,
+                        breakpoints=tuple(polynomial_zeros(fam, n)))
     res = log_integral(spec, cfg)
     return math.exp(res.log_abs)
 

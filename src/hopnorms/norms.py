@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError
-from .families import (PolynomialFamily, eval_log, norm_constant_log,
-                       polynomial_zeros, weight_exponents)
+from .families import PolynomialFamily, eval_log, norm_constant_log, polynomial_zeros
 from .logreal import SignedLogReal
 from .quadrature import DEFAULT_CONFIG, LogIntegrand, LogQuadResult, QuadratureConfig, log_integral
 from .special import gauss_2f1_neg1, log_gamma
@@ -47,10 +46,10 @@ def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_pow
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    lo, hi = fam.support
-    e_l, e_r = weight_exponents(fam)
-    e_l *= weight_power
-    e_r *= weight_power
+    w = fam.weight
+    lo, hi = w.lo, w.hi
+    e_l = weight_power * w.e_lo
+    e_r = weight_power * w.e_hi
     for e, side in ((e_l, "lower"), (e_r, "upper")):
         if math.isfinite(lo if side == "lower" else hi) and e <= -1.0:
             raise DomainError(
@@ -59,20 +58,18 @@ def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_pow
     zeros = polynomial_zeros(fam, n)
 
     if fam.kind == "hermite":
-        core_weight = lambda x: -weight_power * x * x
         seed = math.sqrt(max(pol_power * n, 2.0 * n + 2.0) / max(2.0 * weight_power, 1e-6)) + 1.0
         seeds = (-seed, seed)
     elif fam.kind == "laguerre":
-        core_weight = lambda x: -weight_power * x
         seeds = (None, (e_l + pol_power * n) / weight_power + 1.0)
     else:
-        core_weight = lambda x: 0.0
         seeds = (None, None)
+    core = w.core
 
     def g_core(x: float) -> float:
         v = eval_log(fam, n, x)
         lp = -math.inf if v.sign == 0 else v.log_abs
-        return pol_power * lp + core_weight(x)
+        return pol_power * lp + weight_power * core(x)
 
     spec = LogIntegrand(a=lo, b=hi, g_core=g_core, e_left=e_l, e_right=e_r,
                         breakpoints=tuple(zeros) + tuple(extra_breakpoints), phi=phi,

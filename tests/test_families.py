@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from scipy import special
 
 from hopnorms.errors import DomainError, SingularEvaluation
 from hopnorms.families import (CoefficientList, coefficients, eval_derivative, eval_log,
@@ -11,6 +12,17 @@ from hopnorms.families import (CoefficientList, coefficients, eval_derivative, e
 from hopnorms.special import log_gamma
 
 from .helpers import FAMILY_CONFIGS
+
+
+def reference_value(fam, n, x):
+    """p_n(x) from scipy.special, independent of the package's recurrence."""
+    if fam.kind == "hermite":
+        return float(special.eval_hermite(n, x))
+    if fam.kind == "laguerre":
+        return float(special.eval_genlaguerre(n, fam.alpha, x))
+    if fam.kind == "jacobi":
+        return float(special.eval_jacobi(n, fam.alpha, fam.beta, x))
+    return float(special.eval_gegenbauer(n, fam.lam, x))
 
 
 def test_eval_anchor_values():
@@ -40,12 +52,13 @@ def test_eval_log_agrees_with_eval():
         for n in (0, 1, 4, 9):
             for _ in range(20):
                 x = rng.uniform(lo, hi)
-                direct = eval_poly(fam, n, x)
+                want = reference_value(fam, n, x)
                 v = eval_log(fam, n, x)
-                if 1e-300 < abs(direct) < 1e300:
-                    assert v.sign == (1 if direct > 0 else -1 if direct < 0 else 0)
+                assert eval_poly(fam, n, x) == pytest.approx(want, rel=1e-11)
+                if 1e-300 < abs(want) < 1e300:
+                    assert v.sign == (1 if want > 0 else -1 if want < 0 else 0)
                     if v.sign != 0:
-                        assert v.to_float() == pytest.approx(direct, rel=1e-11)
+                        assert v.to_float() == pytest.approx(want, rel=1e-11)
 
 
 def test_eval_log_extreme_parameters():
@@ -79,8 +92,20 @@ def test_coefficients_match_horner():
             for _ in range(50):
                 x = rng.uniform(lo, hi)
                 got = cl.horner(x)
-                want = eval_poly(fam, n, x)
+                want = reference_value(fam, n, x)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_eval_poly_overflow_is_signed_inf():
+    # |H_300(25)| and |H_400(5)| exceed the double range: the float paths
+    # saturate to +-inf with the log-space sign instead of returning nan
+    fam = hermite()
+    for n, x in ((300, 25.0), (400, 5.0)):
+        v = eval_log(fam, n, x)
+        assert v.log_abs > 710.0
+        assert eval_poly(fam, n, x) == math.copysign(math.inf, v.sign)
+        dv = eval_log(fam, n - 1, x)
+        assert eval_derivative(fam, n, x) == math.copysign(math.inf, dv.sign)
 
 
 def test_coefficients_known():
@@ -138,6 +163,13 @@ def test_weight_log_derivative():
         weight_log_derivative(jacobi(1.0, 1.0), 1.0)
 
 
+def test_family_pickles_after_weight_use():
+    import pickle
+    for fam in FAMILY_CONFIGS:
+        weight_log(fam, 0.5)  # fills the cached weight description
+        assert pickle.loads(pickle.dumps(fam)) == fam
+
+
 def test_family_domain_validation():
     with pytest.raises(DomainError):
         laguerre(-1.0)
@@ -186,5 +218,5 @@ def test_polynomial_zeros():
             for z in zs:
                 assert lo < z < hi
                 # each zero is a sign change of a simple root
-                assert abs(eval_poly(fam, n, z)) < 1e-6 * max(
-                    abs(eval_poly(fam, n, z - 1e-4)), 1.0)
+                assert abs(reference_value(fam, n, z)) < 1e-6 * max(
+                    abs(reference_value(fam, n, z - 1e-4)), 1.0)

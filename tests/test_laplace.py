@@ -4,7 +4,7 @@ import pytest
 
 from hopnorms.errors import DomainError, UnsupportedAsymptotics
 from hopnorms.families import (eval_log, gegenbauer, hermite, jacobi, laguerre,
-                               weight_log)
+                               polynomial_zeros, weight_log)
 from hopnorms.laplace import (locate_density_maximum, unweighted_norm_q_asym,
                               unweighted_norm_q_asym_jacobi, weighted_norm_q_asym)
 from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
@@ -39,6 +39,19 @@ def test_laguerre_n1_closed_forms():
         assert pt.x0 == pytest.approx(0.5 * (2 * a + 3 - s), rel=1e-12)
         assert pt.f2_at_x0 == pytest.approx((3 * s - 8 * a - 9) / (s - 2 * a - 3) ** 2,
                                             rel=1e-12)
+
+
+def test_laguerre_maximum_left_of_first_zero():
+    # the global maximum of x^0.5 e^-x L_5^(0.5)(x)^2 lies in (0, first zero)
+    fam, n = laguerre(0.5), 5
+    pt = locate_density_maximum(fam, n)
+    z1 = polynomial_zeros(fam, n)[0]
+    assert z1 == pytest.approx(0.4314, abs=1e-4)
+    assert 0.0 < pt.x0 < z1
+    assert pt.x0 == pytest.approx(0.05915, abs=1e-5)
+    assert pt.f_at_x0 == pytest.approx(0.10222, abs=1e-5)
+    grid = [1e-3 * j for j in range(1, 40001)]
+    assert pt.f_at_x0 >= max(f_value(fam, n, x) for x in grid if eval_log(fam, n, x).sign)
 
 
 def test_stationarity_residual():

@@ -52,6 +52,15 @@ def test_zero_handling():
         x / z
 
 
+def test_add_near_total_cancellation():
+    # exp(lo - hi) rounds to 1.0 here, yet the difference is a tiny nonzero value
+    a, b = SignedLogReal(1, 0.1), SignedLogReal(1, math.nextafter(0.1, 0.0))
+    want = math.exp(0.1) * (0.1 - math.nextafter(0.1, 0.0))
+    assert (a - b).sign == 1
+    assert (a - b).to_float() == pytest.approx(want, rel=1e-6)
+    assert (b - a).to_float() == pytest.approx(-want, rel=1e-6)
+
+
 def test_zero_log_abs_canonical():
     assert SignedLogReal(0, 123.0).log_abs == 0.0
     assert SignedLogReal(0, 123.0) == SignedLogReal.zero()

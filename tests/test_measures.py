@@ -108,6 +108,8 @@ def test_unnormalized_density_entropy():
 def test_fisher_cross_checks():
     # H1 density: rho = 4x^2 e^{-x^2}/(2 sqrt(pi)); F = 6 by moment algebra
     assert fisher_information(DensityHandle(hermite(), 1, True)) == pytest.approx(6.0, rel=1e-9)
+    # Hermite closed form F = 4n + 2; H_200 overflows doubles on the support
+    assert fisher_information(DensityHandle(hermite(), 200, True)) == pytest.approx(802.0, rel=1e-9)
     with pytest.raises(DomainError):
         fisher_information(DensityHandle(hermite(), 1, False))
 
@@ -118,6 +120,11 @@ def test_fisher_divergence_rejection():
             fisher_information(DensityHandle(gegenbauer(lam), 0, True))
     with pytest.raises(DomainError):
         fisher_information(DensityHandle(laguerre(0.5), 1, True))
+    # endpoint exponent in (-1, 0): the integrand behaves like (x - end)^(a - 2)
+    for fam, n in ((laguerre(-0.5), 0), (gegenbauer(0.25), 0), (jacobi(-0.5, 2.0), 0),
+                   (jacobi(-0.5, 2.0), 1), (jacobi(-0.5, 2.0), 2)):
+        with pytest.raises(DomainError):
+            fisher_information(DensityHandle(fam, n, True))
     # exponent 0 (flat) and > 1 are fine
     fisher_information(DensityHandle(jacobi(0.0, 0.0), 1, True))
     fisher_information(DensityHandle(gegenbauer(3.5), 1, True))
