@@ -169,6 +169,8 @@ def _base_record(fam: PolynomialFamily, args) -> dict:
 
 
 def _finish_record(rec: dict, sign: int, log_value: float, method: str, err: float) -> dict:
+    if not math.isfinite(log_value):
+        raise NumericalFailure(f"non-finite result: log_value = {log_value}")
     rec["sign"] = sign
     rec["log_value"] = log_value
     rec["value"] = sign * math.exp(log_value) if abs(log_value) < _LINEAR_CAP else None
@@ -198,6 +200,8 @@ def cmd_compute(args) -> int:
                        res.error_estimate)
     elif args.op in MEASURE_OPS:
         v = _measure_dispatch(args.op, fam, args.n, args, cfg)
+        if not math.isfinite(v):
+            raise NumericalFailure(f"non-finite result: value = {v}")
         rec["engine"] = "quadrature"
         sign = 0 if v == 0.0 else (1 if v > 0 else -1)
         rec["sign"] = sign

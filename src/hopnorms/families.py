@@ -16,21 +16,26 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from .errors import DomainError, NumericalFailure, SingularEvaluation
+import numpy as np
+from scipy.linalg import eigh_tridiagonal
+
+from .errors import DomainError, SingularEvaluation
 from .logreal import SignedLogReal
 from .special import log_gamma
 
 __all__ = [
     "PolynomialFamily", "CoefficientList",
     "hermite", "laguerre", "jacobi", "gegenbauer",
-    "eval_poly", "eval_log", "eval_derivative", "derivative_family",
-    "norm_constant_log", "coefficients", "weight_log",
+    "eval_poly", "eval_log", "eval_log_many", "eval_derivative", "derivative_family",
+    "norm_constant_log", "coefficients", "weight_log", "weight_log_many",
     "weight_log_derivative", "gegenbauer_jacobi_factor_log", "Weight",
-    "log_derivative_numerator",
+    "log_derivative_numerator", "log_derivative_numerator_many",
 ]
 
 _RESCALE_HI = 1e280
 _RESCALE_LO = 1e-280
+_RESCALE_EVERY = 16  # steps between the power-of-two rescales of eval_log_many
+_LN2 = math.log(2.0)
 _COEFF_DEGREE_CAP = 60
 
 
@@ -218,6 +223,45 @@ def _logreal(v: float, scale: float) -> SignedLogReal:
     return SignedLogReal(1 if v > 0 else -1, math.log(abs(v)) + scale)
 
 
+def eval_log_many(fam: PolynomialFamily, n: int, xs) -> tuple[np.ndarray, np.ndarray]:
+    """p_n at every point of xs as (signs, log_abs) arrays; a zero gives
+    sign 0 and log_abs -inf.
+
+    The recurrence of :func:`eval_log` runs over the whole array and is
+    rescaled by exact powers of two every 16 steps.  Its cost is dominated
+    by the per-step overhead, so it pays off over batches of many points.
+    """
+    if n < 0:
+        raise DomainError("degree must be nonnegative")
+    x = np.asarray(xs, dtype=float)
+    p0, p1, t = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
+    scale = np.zeros_like(x)  # binary exponent taken out of p0, p1
+    for k, (A, B, C) in enumerate(_recurrence(fam, n), 1):
+        # t = (A x + B) p1 - C p0, in place: the loop is bound by numpy's
+        # per-call overhead, not by the arithmetic
+        np.multiply(x, A, out=t)
+        if B != 0.0:
+            t += B
+        t *= p1
+        if C != 0.0:
+            p0 *= C
+            t -= p0
+        p0, p1, t = p1, t, p0
+        if k % _RESCALE_EVERY == 0:
+            _, ex = np.frexp(np.maximum(np.abs(p0), np.abs(p1)))
+            p0, p1 = np.ldexp(p0, -ex), np.ldexp(p1, -ex)
+            scale += ex
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(p1)) + scale * _LN2
+    signs = np.sign(p1)
+    bad = ~np.isfinite(p1)
+    if bad.any():  # overflow inside one block of 16 steps: redo those points
+        for i in np.flatnonzero(bad):
+            v = eval_log(fam, n, float(x.flat[i]))
+            signs.flat[i], log_abs.flat[i] = v.sign, v.log_abs
+    return signs.astype(int), log_abs
+
+
 @lru_cache(maxsize=64)
 def derivative_family(fam: PolynomialFamily, n: int) -> tuple[Optional[PolynomialFamily], int, float]:
     """p_n' expressed as factor * q_{n-1} for a shifted-parameter family.
@@ -299,6 +343,19 @@ def weight_log(fam: PolynomialFamily, x: float) -> SignedLogReal:
     return SignedLogReal(1, g)
 
 
+def weight_log_many(fam: PolynomialFamily, xs) -> np.ndarray:
+    """ln h at every point of xs in the support: -inf where h vanishes at an
+    endpoint, +inf at an endpoint pole."""
+    w = fam.weight
+    x = np.asarray(xs, dtype=float)
+    g = w.core(x) + np.zeros_like(x)
+    with np.errstate(divide="ignore"):
+        for e, dist in ((w.e_lo, x - w.lo), (w.e_hi, w.hi - x)):
+            if e != 0.0:
+                g += e * np.log(dist)
+    return g
+
+
 def weight_log_derivative(fam: PolynomialFamily, x: float) -> float:
     """h'(x)/h(x) at interior points."""
     w = fam.weight
@@ -317,6 +374,15 @@ def weight_exponents(fam: PolynomialFamily) -> tuple[float, float]:
     return fam.weight.e_lo, fam.weight.e_hi
 
 
+def _numerator_factors(w: Weight, x):
+    """(d, r) with d the product of the distances to the endpoints where h
+    has a nonzero exponent and r = d h'/h; for floats and arrays alike."""
+    d_lo = x - w.lo if w.e_lo != 0.0 else 1.0
+    d_hi = w.hi - x if w.e_hi != 0.0 else 1.0
+    d = d_lo * d_hi
+    return d, d * w.core_prime(x) + w.e_lo * d_hi - w.e_hi * d_lo
+
+
 def log_derivative_numerator(fam: PolynomialFamily, n: int, x: float) -> SignedLogReal:
     """N = d (2 p_n' + p_n h'/h), with d the product of the distances to the
     endpoints where h has a nonzero exponent.
@@ -328,11 +394,7 @@ def log_derivative_numerator(fam: PolynomialFamily, n: int, x: float) -> SignedL
     are its n + 1 maxima, one between each pair of neighbouring zeros of
     p_n or ends of the support.
     """
-    w = fam.weight
-    d_lo = x - w.lo if w.e_lo != 0.0 else 1.0
-    d_hi = w.hi - x if w.e_hi != 0.0 else 1.0
-    d = d_lo * d_hi
-    r = d * w.core_prime(x) + w.e_lo * d_hi - w.e_hi * d_lo
+    d, r = _numerator_factors(fam.weight, x)
     p = eval_log(fam, n, x)
     dfam, dn, factor = derivative_family(fam, n)
     if dfam is None:
@@ -351,6 +413,28 @@ def log_derivative_numerator(fam: PolynomialFamily, n: int, x: float) -> SignedL
     return _logreal(v, ref)
 
 
+def log_derivative_numerator_many(fam: PolynomialFamily, n: int,
+                                  xs) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`log_derivative_numerator` at every point of xs, as the
+    (signs, log_abs) arrays of :func:`eval_log_many`."""
+    x = np.asarray(xs, dtype=float)
+    d, r = (np.broadcast_to(v, x.shape) for v in _numerator_factors(fam.weight, x))
+    sp, lp = eval_log_many(fam, n, x)
+    dfam, dn, factor = derivative_family(fam, n)
+    if dfam is None:
+        c_q, lq = np.zeros_like(x), lp
+    else:
+        sq, lq = eval_log_many(dfam, dn, x)
+        c_q = 2.0 * d * factor * sq
+    c_p = r * sp
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref = np.where(c_q != 0.0, np.maximum(lq, lp), lp)
+        v = (np.where(c_p != 0.0, c_p * np.exp(lp - ref), 0.0)
+             + np.where(c_q != 0.0, c_q * np.exp(lq - ref), 0.0))
+    with np.errstate(divide="ignore"):
+        return np.sign(v).astype(int), np.log(np.abs(v)) + ref
+
+
 def gegenbauer_jacobi_factor_log(n: int, lam: float) -> float:
     """ln c with C_n^(lambda) = c * P_n^(lam-1/2, lam-1/2)."""
     return (log_gamma(lam + 0.5) - log_gamma(2.0 * lam)
@@ -358,61 +442,24 @@ def gegenbauer_jacobi_factor_log(n: int, lam: float) -> float:
 
 
 def polynomial_zeros(fam: PolynomialFamily, n: int) -> list[float]:
-    """All n real zeros of p_n, ascending.  Internal helper.
+    """All n real zeros of p_n, ascending (a fresh list).  Internal helper."""
+    if n < 0:
+        raise DomainError("degree must be nonnegative")
+    return list(_zeros(fam, n))
 
-    Sign-change bisection on a Chebyshev-spaced scan; all zeros of these
-    families are real, simple and interior to the support.
-    """
+
+@lru_cache(maxsize=64)
+def _zeros(fam: PolynomialFamily, n: int) -> tuple[float, ...]:
+    """Golub-Welsch: the zeros are the eigenvalues of the symmetric Jacobi
+    matrix of the recurrence rows, with diagonal -B_k/A_k and off-diagonal
+    sqrt(C_k / (A_{k-1} A_k)) (Golub & Welsch, Math. Comp. 23, 1969),
+    followed by one Newton step x - p_n/p_n' taken in log space."""
     if n == 0:
-        return []
-    lo, hi = _zero_window(fam, n)
-    m = max(4 * n, 16)
-    while True:
-        xs = [0.5 * (lo + hi) + 0.5 * (hi - lo) * math.cos(math.pi * (j + 0.5) / m)
-              for j in range(m, 0, -1)]
-        signs = [eval_log(fam, n, x).sign for x in xs]
-        brackets = []
-        prev_i = None
-        for i, s in enumerate(signs):
-            if s == 0:
-                brackets.append((xs[i], xs[i]))
-                prev_i = None
-                continue
-            if prev_i is not None and s != signs[prev_i]:
-                brackets.append((xs[prev_i], xs[i]))
-            prev_i = i
-        if len(brackets) == n:
-            break
-        if m > 4096 * max(n, 1):
-            raise NumericalFailure(
-                f"zero scan for {fam.label()} degree {n} found {len(brackets)} sign changes")
-        m *= 4
-    roots = []
-    for a, b in brackets:
-        if a == b:
-            roots.append(a)
-            continue
-        sa = eval_log(fam, n, a).sign
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break
-            sm = eval_log(fam, n, mid).sign
-            if sm == 0:
-                a = b = mid
-                break
-            if sm == sa:
-                a = mid
-            else:
-                b = mid
-        roots.append(0.5 * (a + b))
-    return roots
-
-
-def _zero_window(fam: PolynomialFamily, n: int) -> tuple[float, float]:
-    if fam.kind == "hermite":
-        r = math.sqrt(2.0 * n + 2.0)
-        return -r, r
-    if fam.kind == "laguerre":
-        return 1e-12, 4.0 * n + 2.0 * abs(fam.alpha) + 6.0
-    return -1.0 + 1e-12, 1.0 - 1e-12
+        return ()
+    A, B, C = np.array(_recurrence(fam, n)).T
+    x = eigh_tridiagonal(-B / A, np.sqrt(C[1:] / (A[:-1] * A[1:])), eigvals_only=True)
+    dfam, dn, factor = derivative_family(fam, n)
+    sp, lp = eval_log_many(fam, n, x)
+    sq, lq = eval_log_many(dfam, dn, x)
+    step = sp * sq * math.copysign(1.0, factor) * np.exp(lp - lq - math.log(abs(factor)))
+    return tuple((x - np.where(sq != 0, step, 0.0)).tolist())

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalFailure, UnsupportedAsymptotics
 from .families import (PolynomialFamily, eval_log, gegenbauer_jacobi_factor_log,
-                       log_derivative_numerator, weight_log)
+                       log_derivative_numerator, log_derivative_numerator_many, weight_log)
 from .logreal import SignedLogReal
 from .norms import NormResult
 from .special import log_gamma, log_pochhammer
@@ -86,12 +87,14 @@ def _check_preconditions(fam: PolynomialFamily) -> None:
                 f"at x = {end:g}")
 
 
+@lru_cache(maxsize=64)
 def locate_density_maximum(fam: PolynomialFamily, n: int) -> LaplacePoint:
     """All interior critical points of f; returns the global maximum.
 
     Brackets the sign changes of the numerator N of f' on a scan of
-    8(n+2) points.  N is a polynomial with no poles whose every sign
-    change, in either direction, is a maximum of the density.
+    8(n+2) points, evaluated as one batch.  N is a polynomial with no poles
+    whose every sign change, in either direction, is a maximum of the
+    density.  Memoised per (family, n).
     """
     _check_preconditions(fam)
     lo, hi, cheb = _scan_window(fam, n)
@@ -102,17 +105,15 @@ def locate_density_maximum(fam: PolynomialFamily, n: int) -> LaplacePoint:
     else:
         xs = [lo + (hi - lo) * j / (m - 1) for j in range(m)]
 
+    signs, logs = (a.tolist() for a in log_derivative_numerator_many(fam, n, xs))
     crits: list[float] = []
-    prev = None
-    for x in xs:
-        v = log_derivative_numerator(fam, n, x)
-        if v.sign == 0:
+    for i, x in enumerate(xs):
+        if signs[i] == 0:
             crits.append(x)
-        elif prev is not None and prev[1].sign == -v.sign:
-            ref = max(v.log_abs, prev[1].log_abs)
+        elif i > 0 and signs[i - 1] == -signs[i]:
+            ref = max(logs[i], logs[i - 1])
             crits.append(brentq(lambda t: _scaled_float(log_derivative_numerator(fam, n, t), ref),
-                                prev[0], x, xtol=1e-15, rtol=8.9e-16))
-        prev = (x, v)
+                                xs[i - 1], x, xtol=1e-15, rtol=8.9e-16))
     if not crits:
         raise NumericalFailure(f"no interior critical point found for {fam.label()} n={n}")
 

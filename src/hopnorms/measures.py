@@ -18,9 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .families import (PolynomialFamily, eval_log, log_derivative_numerator,
-                       norm_constant_log, polynomial_zeros, weight_log)
+from .families import (PolynomialFamily, eval_log_many, log_derivative_numerator,
+                       log_derivative_numerator_many, norm_constant_log, polynomial_zeros,
+                       weight_log_many)
 from .logreal import SignedLogReal
 from .norms import density_integral, weighted_norm_quad, unweighted_norm_quad
 from .quadrature import DEFAULT_CONFIG, LogIntegrand, QuadratureConfig, log_integral
@@ -65,24 +68,22 @@ def shannon_entropy(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     fam, n = d.family, d.n
     shift = _log_norm_shift(d)
 
-    def phi(x: float) -> float:
-        v = eval_log(fam, n, x)
-        if v.sign == 0:
-            return 0.0
-        return -(2.0 * v.log_abs + weight_log(fam, x).log_abs - shift)
+    def phi_many(xs: np.ndarray) -> np.ndarray:
+        signs, log_abs = eval_log_many(fam, n, xs)
+        return np.where(signs == 0, 0.0, -(2.0 * log_abs + weight_log_many(fam, xs) - shift))
 
-    res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi=phi, cfg=cfg)
+    res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi_many=phi_many, cfg=cfg)
     return res.sign * math.exp(res.log_abs - shift) if res.sign != 0 else 0.0
 
 
 def functional_E_log(fam: PolynomialFamily, n: int,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> SignedLogReal:
     """-int p^2 h ln(p^2) dx as a SignedLogReal (survives huge parameters)."""
-    def phi(x: float) -> float:
-        v = eval_log(fam, n, x)
-        return 0.0 if v.sign == 0 else -2.0 * v.log_abs
+    def phi_many(xs: np.ndarray) -> np.ndarray:
+        signs, log_abs = eval_log_many(fam, n, xs)
+        return np.where(signs == 0, 0.0, -2.0 * log_abs)
 
-    res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi=phi, cfg=cfg)
+    res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi_many=phi_many, cfg=cfg)
     if res.sign == 0:
         return SignedLogReal.zero()
     return SignedLogReal(res.sign, res.log_abs)
@@ -126,10 +127,10 @@ def functional_E(fam: PolynomialFamily, n: int, method: str = "quadrature",
 
 def functional_I_log(fam: PolynomialFamily, n: int,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> SignedLogReal:
-    def phi(x: float) -> float:
-        return -weight_log(fam, x).log_abs
+    def phi_many(xs: np.ndarray) -> np.ndarray:
+        return -weight_log_many(fam, xs)
 
-    res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi=phi, cfg=cfg)
+    res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi_many=phi_many, cfg=cfg)
     if res.sign == 0:
         return SignedLogReal.zero()
     return SignedLogReal(res.sign, res.log_abs)
@@ -170,11 +171,14 @@ def fisher_information(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG)
             return -math.inf
         return core(x) + 2.0 * v.log_abs - shift
 
+    def g_core_many(xs: np.ndarray) -> np.ndarray:
+        return core(xs) + 2.0 * log_derivative_numerator_many(fam, n, xs)[1] - shift
+
     # the 1/d^2 of the integrand lowers each nonzero endpoint exponent by 2
     spec = LogIntegrand(a=w.lo, b=w.hi, g_core=g_core,
                         e_left=w.e_lo - 2.0 if w.e_lo else 0.0,
                         e_right=w.e_hi - 2.0 if w.e_hi else 0.0,
-                        breakpoints=tuple(polynomial_zeros(fam, n)))
+                        breakpoints=tuple(polynomial_zeros(fam, n)), g_core_many=g_core_many)
     res = log_integral(spec, cfg)
     return math.exp(res.log_abs)
 
@@ -240,5 +244,5 @@ def density_moment(d: DensityHandle, k: int, cfg: QuadratureConfig = DEFAULT_CON
         cfg = QuadratureConfig(rel_tol=cfg.rel_tol, abs_tol=floor,
                                max_depth=cfg.max_depth, tail_cutoff_log=cfg.tail_cutoff_log)
     res = density_integral(d.family, d.n, pol_power=2.0, weight_power=1.0,
-                           phi=(lambda x: x ** k), cfg=cfg)
+                           phi_many=(lambda xs: xs ** k), cfg=cfg)
     return res.sign * math.exp(res.log_abs - shift) if res.sign != 0 else 0.0

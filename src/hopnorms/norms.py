@@ -12,8 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import DomainError
-from .families import PolynomialFamily, eval_log, norm_constant_log, polynomial_zeros
+from .families import (PolynomialFamily, eval_log, eval_log_many, norm_constant_log,
+                       polynomial_zeros)
 from .logreal import SignedLogReal
 from .quadrature import DEFAULT_CONFIG, LogIntegrand, LogQuadResult, QuadratureConfig, log_integral
 from .special import gauss_2f1_neg1, log_gamma
@@ -37,12 +40,13 @@ class NormResult:
 
 
 def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_power: float,
-                     phi: Optional[Callable[[float], float]] = None,
+                     phi_many: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                      cfg: QuadratureConfig = DEFAULT_CONFIG,
                      extra_breakpoints: tuple = ()) -> LogQuadResult:
     """int exp(pol_power*ln|p_n| + weight_power*ln h) * phi dx.
 
     The shared engine behind the norm, entropy and information functionals.
+    ``phi_many`` maps an array of points to the array of phi values.
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")
@@ -71,9 +75,13 @@ def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_pow
         lp = -math.inf if v.sign == 0 else v.log_abs
         return pol_power * lp + weight_power * core(x)
 
+    def g_core_many(xs: np.ndarray) -> np.ndarray:
+        return pol_power * eval_log_many(fam, n, xs)[1] + weight_power * core(xs)
+
     spec = LogIntegrand(a=lo, b=hi, g_core=g_core, e_left=e_l, e_right=e_r,
-                        breakpoints=tuple(zeros) + tuple(extra_breakpoints), phi=phi,
-                        tail_seed_left=seeds[0], tail_seed_right=seeds[1])
+                        breakpoints=tuple(zeros) + tuple(extra_breakpoints),
+                        tail_seed_left=seeds[0], tail_seed_right=seeds[1],
+                        g_core_many=g_core_many, phi_many=phi_many)
     return log_integral(spec, cfg)
 
 

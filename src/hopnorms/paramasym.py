@@ -27,8 +27,10 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError
-from .families import (PolynomialFamily, eval_log, hermite, laguerre,
+from .families import (PolynomialFamily, eval_log, eval_log_many, hermite, laguerre,
                        norm_constant_log, polynomial_zeros)
 from .logreal import SignedLogReal
 from .norms import NormResult, unweighted_norm_quad
@@ -154,7 +156,8 @@ def temme_I2(m: int, alpha: float, mu: float, lambda_scale: float,
                            "alpha->inf; derivative of I1 at q=2")
 
 
-def _temme_spec(m: int, alpha: float, mu: float, lambda_scale: float, q: float, phi=None):
+def _temme_spec(m: int, alpha: float, mu: float, lambda_scale: float, q: float,
+                phi_many=None):
     fam = laguerre(alpha)
 
     def g_core(x: float) -> float:
@@ -162,10 +165,14 @@ def _temme_spec(m: int, alpha: float, mu: float, lambda_scale: float, q: float, 
         lp = -math.inf if v.sign == 0 else v.log_abs
         return q * lp - lambda_scale * x
 
+    def g_core_many(xs):
+        return q * eval_log_many(fam, m, xs)[1] - lambda_scale * xs
+
     zeros = polynomial_zeros(fam, m)
     seed = (mu - 1.0 + q * m) / lambda_scale + 1.0
     return LogIntegrand(a=0.0, b=math.inf, g_core=g_core, e_left=mu - 1.0,
-                        breakpoints=tuple(zeros), phi=phi, tail_seed_right=seed)
+                        breakpoints=tuple(zeros), tail_seed_right=seed,
+                        g_core_many=g_core_many, phi_many=phi_many)
 
 
 def temme_I1_quadrature(m: int, alpha: float, mu: float, lambda_scale: float, q: float,
@@ -180,11 +187,11 @@ def temme_I2_quadrature(m: int, alpha: float, mu: float, lambda_scale: float,
     """Quadrature oracle for I2 = int x^(mu-1) e^(-lambda x) L_m^2 ln(L_m^2) dx."""
     fam = laguerre(alpha)
 
-    def phi(x: float) -> float:
-        v = eval_log(fam, m, x)
-        return 0.0 if v.sign == 0 else 2.0 * v.log_abs
+    def phi_many(xs):
+        signs, log_abs = eval_log_many(fam, m, xs)
+        return np.where(signs == 0, 0.0, 2.0 * log_abs)
 
-    res = log_integral(_temme_spec(m, alpha, mu, lambda_scale, 2.0, phi=phi), cfg)
+    res = log_integral(_temme_spec(m, alpha, mu, lambda_scale, 2.0, phi_many=phi_many), cfg)
     if res.sign == 0:
         return SignedLogReal.zero()
     return SignedLogReal(res.sign, res.log_abs)

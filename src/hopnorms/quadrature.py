@@ -18,7 +18,16 @@ The engine:
   * locates the global maximum M of g by per-panel Chebyshev scans with
     local refinement, then integrates exp(g - M) with a 7-15
     Gauss-Kronrod pair refined greedily on the largest error interval,
-  * returns sign, ln|I| (shift M re-applied) and a relative error bound.
+  * returns sign, ln|I| (shift M re-applied) and a relative error bound,
+    and raises QuadratureFailure when a positive integrand (no phi) sums to
+    zero because every node underflowed below M.
+
+Evaluation is batched: the scans, each zoom round and the first
+Gauss-Kronrod pass of all panels are one call each of the integrand's
+array form, and every greedy split evaluates its two child rules as one
+call.  Batches move no node and keep the greedy order, so the subdivision
+sequence is that of point-by-point evaluation, up to last-bit differences
+between numpy's and math's log and exp.
 
 Interval refinement is greedy and deterministic, so tightening rel_tol
 only extends the subdivision sequence; the reported error estimate is
@@ -31,26 +40,28 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
+import numpy as np
+
 from .errors import DomainError, NumericalFailure
 
 __all__ = ["QuadratureConfig", "QuadratureFailure", "LogIntegrand", "LogQuadResult", "log_integral"]
 
 # 7-15 Gauss-Kronrod pair on [-1, 1]
-_XK = (
+_XK = np.array((
     -0.991455371120813, -0.949107912342759, -0.864864423359769, -0.741531185599394,
     -0.586087235467691, -0.405845151377397, -0.207784955007898, 0.0,
     0.207784955007898, 0.405845151377397, 0.586087235467691, 0.741531185599394,
     0.864864423359769, 0.949107912342759, 0.991455371120813,
-)
-_WK = (
+))
+_WK = np.array((
     0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
     0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
     0.204432940075298, 0.190350578064785, 0.169004726639267, 0.140653259715525,
     0.104790010322250, 0.063092092629979, 0.022935322010529,
-)
+))
 # Gauss weights attach to Kronrod nodes 1, 3, 5, 7, 9, 11, 13
-_WG = (0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469,
-       0.381830050505119, 0.279705391489277, 0.129484966168870)
+_WG = np.array((0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469,
+                0.381830050505119, 0.279705391489277, 0.129484966168870))
 
 _SCAN_POINTS = 33
 _REFINE_ROUNDS = 3
@@ -89,7 +100,13 @@ class LogQuadResult(NamedTuple):
 
 @dataclass
 class LogIntegrand:
-    """Problem description handed to :func:`log_integral`."""
+    """Problem description handed to :func:`log_integral`.
+
+    ``g_core_many`` and ``phi_many``, when given, are array forms of
+    ``g_core`` and ``phi``: they map a 1-d array of points to the array of
+    values.  Without them the engine maps the scalar callables over each
+    batch of points.  A spec with only ``phi_many`` needs no scalar phi.
+    """
 
     a: float
     b: float
@@ -100,6 +117,22 @@ class LogIntegrand:
     phi: Optional[Callable[[float], float]] = None
     tail_seed_left: Optional[float] = None
     tail_seed_right: Optional[float] = None
+    g_core_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    phi_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    @property
+    def has_phi(self) -> bool:
+        return self.phi is not None or self.phi_many is not None
+
+    def core_many(self, xs: np.ndarray) -> np.ndarray:
+        if self.g_core_many is not None:
+            return self.g_core_many(xs)
+        return np.array([self.g_core(x) for x in xs.tolist()], dtype=float)
+
+    def phi_at(self, xs: np.ndarray) -> np.ndarray:
+        if self.phi_many is not None:
+            return self.phi_many(xs)
+        return np.array([self.phi(x) for x in xs.tolist()], dtype=float)
 
     def g_full(self, x: float) -> float:
         g = self.g_core(x)
@@ -116,73 +149,69 @@ class LogIntegrand:
         return g
 
 
+_PLAIN, _LEFT, _RIGHT = 0, 1, -1
+
+
 class _Panel:
     """One integration panel in its own coordinate u over (lo, hi).
 
-    ``logf(u)`` is the log-integrand with any endpoint singularity already
-    substituted away; ``phi(u)`` the signed factor in panel coordinates.
+    A plain panel has u = x.  A panel at a singular endpoint c (``side``
+    _LEFT for a, _RIGHT for b) has u = t = |x - c|^(1+e), which cancels the
+    factor |x - c|^e exactly.
     """
 
-    __slots__ = ("lo", "hi", "logf", "phi", "peak")
+    __slots__ = ("lo", "hi", "side", "peak")
 
-    def __init__(self, lo, hi, logf, phi):
+    def __init__(self, lo, hi, side=_PLAIN):
         self.lo = lo
         self.hi = hi
-        self.logf = logf
-        self.phi = phi
+        self.side = side
         self.peak = -math.inf
 
 
-def _make_plain_panel(spec: LogIntegrand, u: float, v: float) -> _Panel:
-    phi = spec.phi
-    return _Panel(u, v, spec.g_full, phi)
-
-
-def _make_left_transformed(spec: LogIntegrand, v: float) -> _Panel:
-    # t = (x - a)^(1+e); removes (x-a)^e exactly
-    a, e = spec.a, spec.e_left
+def _transform(spec: LogIntegrand, side: int) -> tuple[float, float, float, float, float]:
+    """(end, p, other end, its exponent, ln p) of a transformed panel."""
+    if side == _LEFT:
+        end, e, other, e_other = spec.a, spec.e_left, spec.b, spec.e_right
+    else:
+        end, e, other, e_other = spec.b, spec.e_right, spec.a, spec.e_left
     p = 1.0 / (1.0 + e)
-    cap = (v - a) ** (1.0 + e)
-    lnp = math.log(p)
-
-    def x_of(t: float) -> float:
-        return a + math.exp(p * math.log(t)) if t > 0.0 else a
-
-    def logf(t: float) -> float:
-        x = x_of(t)
-        g = spec.g_core(x) + lnp
-        if math.isfinite(spec.b) and spec.e_right != 0.0:
-            g += spec.e_right * math.log(spec.b - x)
-        return g
-
-    phi = None
-    if spec.phi is not None:
-        base_phi = spec.phi
-        phi = lambda t: base_phi(x_of(t))
-    return _Panel(0.0, cap, logf, phi)
+    return end, p, other, e_other, math.log(p)
 
 
-def _make_right_transformed(spec: LogIntegrand, u: float) -> _Panel:
-    b, e = spec.b, spec.e_right
-    p = 1.0 / (1.0 + e)
-    cap = (b - u) ** (1.0 + e)
-    lnp = math.log(p)
+def _logf(spec: LogIntegrand, panel: _Panel, u: float) -> float:
+    """The log-integrand at one point u of a panel."""
+    if panel.side == _PLAIN:
+        return spec.g_full(u)
+    end, p, other, e_other, lnp = _transform(spec, panel.side)
+    x = end + panel.side * math.exp(p * math.log(u)) if u > 0.0 else end
+    g = spec.g_core(x) + lnp
+    if math.isfinite(other) and e_other != 0.0:
+        g += e_other * math.log(panel.side * (other - x))
+    return g
 
-    def x_of(t: float) -> float:
-        return b - math.exp(p * math.log(t)) if t > 0.0 else b
 
-    def logf(t: float) -> float:
-        x = x_of(t)
-        g = spec.g_core(x) + lnp
-        if math.isfinite(spec.a) and spec.e_left != 0.0:
-            g += spec.e_left * math.log(x - spec.a)
-        return g
-
-    phi = None
-    if spec.phi is not None:
-        base_phi = spec.phi
-        phi = lambda t: base_phi(x_of(t))
-    return _Panel(0.0, cap, logf, phi)
+def _logf_rows(spec: LogIntegrand, panels: list[_Panel],
+               us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log-integrand, x) at the points us[i] of panels[i], with one call of
+    the core over the whole batch."""
+    xs = us.copy()
+    transformed = [(i, p.side) for i, p in enumerate(panels) if p.side != _PLAIN]
+    for i, side in transformed:
+        end, p, _, _, _ = _transform(spec, side)
+        t = us[i]
+        xs[i] = np.where(t > 0.0, end + side * np.exp(p * np.log(t)), end)
+    core = spec.core_many(xs.ravel()).reshape(xs.shape)
+    g = core  # plain panels: g_full over the batch
+    for end, e, dist in ((spec.b, spec.e_right, spec.b - xs), (spec.a, spec.e_left, xs - spec.a)):
+        if math.isfinite(end) and e != 0.0:
+            g = np.where(dist > 0.0, g + e * np.log(dist), -math.inf if e > 0 else math.inf)
+    for i, side in transformed:
+        _, _, other, e_other, lnp = _transform(spec, side)
+        g[i] = core[i] + lnp
+        if math.isfinite(other) and e_other != 0.0:
+            g[i] += e_other * np.log(side * (other - xs[i]))
+    return g, xs
 
 
 def _tail_cut(g: Callable[[float], float], start: float, direction: int, cutoff: float) -> float:
@@ -200,33 +229,42 @@ def _tail_cut(g: Callable[[float], float], start: float, direction: int, cutoff:
     raise NumericalFailure("tail walk found no decay within 500 steps")
 
 
-def _scan_panel(panel: _Panel) -> tuple[list[float], list[float], float, float]:
-    lo, hi = panel.lo, panel.hi
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    xs = [mid + half * math.cos(math.pi * (j + 0.5) / _SCAN_POINTS)
-          for j in range(_SCAN_POINTS - 1, -1, -1)]
-    gs = [panel.logf(x) for x in xs]
-    gmax = max(gs)
-    xmax = xs[gs.index(gmax)]
-    # local zoom around the sampled argmax
+# ascending Chebyshev scan nodes on [-1, 1] and the zoom steps j = 1..16
+_SCAN_COS = np.array([math.cos(math.pi * (j + 0.5) / _SCAN_POINTS)
+                      for j in range(_SCAN_POINTS - 1, -1, -1)])
+_REFINE_J = np.arange(1.0, _REFINE_POINTS)
+
+
+def _scan_panels(spec: LogIntegrand, panels: list[_Panel]):
+    """Chebyshev scan of every panel, then zoom rounds around each sampled
+    argmax; one batch per phase.  Returns (xs, gs, gmax) per panel row."""
+    lo = np.array([p.lo for p in panels])
+    hi = np.array([p.hi for p in panels])
+    rows = np.arange(len(panels))
+    xs = 0.5 * (lo + hi)[:, None] + (0.5 * (hi - lo))[:, None] * _SCAN_COS
+    gs, _ = _logf_rows(spec, panels, xs)
+    best = gs.argmax(axis=1)
+    gmax, xmax = gs[rows, best], xs[rows, best]
     win = (hi - lo) / _SCAN_POINTS
     for _ in range(_REFINE_ROUNDS):
-        a = max(lo, xmax - win)
-        b = min(hi, xmax + win)
-        for j in range(1, _REFINE_POINTS):
-            x = a + (b - a) * j / _REFINE_POINTS
-            gv = panel.logf(x)
-            if gv > gmax:
-                gmax, xmax = gv, x
-        win /= _REFINE_POINTS
-    return xs, gs, gmax, xmax
+        a = np.maximum(lo, xmax - win)
+        b = np.minimum(hi, xmax + win)
+        zs = a[:, None] + (b - a)[:, None] * _REFINE_J / _REFINE_POINTS
+        gz, _ = _logf_rows(spec, panels, zs)
+        best = gz.argmax(axis=1)
+        better = gz[rows, best] > gmax
+        gmax = np.where(better, gz[rows, best], gmax)
+        xmax = np.where(better, zs[rows, best], xmax)
+        win = win / _REFINE_POINTS
+    return xs, gs, gmax
 
 
-def _bisect_level(panel: _Panel, xa: float, xb: float, level: float, rising: bool) -> float:
+def _bisect_level(spec: LogIntegrand, panel: _Panel, xa: float, xb: float, level: float,
+                  rising: bool) -> float:
     """Point in [xa, xb] where logf crosses `level` (monotone-ish bracket)."""
     for _ in range(60):
         mid = 0.5 * (xa + xb)
-        if panel.logf(mid) >= level:
+        if _logf(spec, panel, mid) >= level:
             if rising:
                 xb = mid
             else:
@@ -239,22 +277,23 @@ def _bisect_level(panel: _Panel, xa: float, xb: float, level: float, rising: boo
     return 0.5 * (xa + xb)
 
 
-def _split_on_live_window(panel: _Panel, cutoff: float) -> list[_Panel]:
-    xs, gs, gmax, _ = _scan_panel(panel)
+def _split_on_live_window(spec: LogIntegrand, panel: _Panel, xs: list[float], gs: list[float],
+                          gmax: float, cutoff: float) -> list[_Panel]:
     panel.peak = gmax
     level = gmax - cutoff
     idx = [i for i, gv in enumerate(gs) if gv >= level]
     if not idx:
         return [panel]
     lo_i, hi_i = idx[0], idx[-1]
-    left = panel.lo if lo_i == 0 else _bisect_level(panel, xs[lo_i - 1], xs[lo_i], level, True)
-    right = panel.hi if hi_i == len(xs) - 1 else _bisect_level(panel, xs[hi_i], xs[hi_i + 1], level, False)
+    left = panel.lo if lo_i == 0 else _bisect_level(spec, panel, xs[lo_i - 1], xs[lo_i], level, True)
+    right = (panel.hi if hi_i == len(xs) - 1
+             else _bisect_level(spec, panel, xs[hi_i], xs[hi_i + 1], level, False))
     if (right - left) > 0.25 * (panel.hi - panel.lo):
         return [panel]
     out = []
     for u, v in ((panel.lo, left), (left, right), (right, panel.hi)):
         if v > u:
-            sub = _Panel(u, v, panel.logf, panel.phi)
+            sub = _Panel(u, v, panel.side)
             sub.peak = gmax if (u, v) == (left, right) else level
             out.append(sub)
     return out
@@ -267,31 +306,37 @@ class _EvalCounter:
         self.n = 0
 
 
-def _gk(panel: _Panel, a: float, b: float, shift: float, counter: _EvalCounter) -> tuple[float, float]:
+def _gk_rows(spec: LogIntegrand, panels: list[_Panel], a: list[float], b: list[float], shift: float,
+             counter: _EvalCounter) -> tuple[list[float], list[float]]:
+    """7-15 Gauss-Kronrod rule over (a[i], b[i]) of panels[i], one batch for
+    all rows; returns the Kronrod estimates and their error estimates."""
+    a, b = np.array(a), np.array(b)
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fk = 0.0
-    fg = 0.0
-    gi = 0
-    for i in range(15):
-        x = c + h * _XK[i]
-        g = panel.logf(x)
-        counter.n += 1
-        if g - shift > _EXP_CLAMP:
-            raise NumericalFailure("integrand exceeds shifted clamp; peak scan missed the maximum")
-        w = math.exp(g - shift) if g > -math.inf else 0.0
-        if panel.phi is not None and w != 0.0:
-            w *= panel.phi(x)
-        if w != w:  # NaN
-            raise NumericalFailure(f"integrand evaluated to NaN at x={x}")
-        fk += _WK[i] * w
-        if i % 2 == 1:
-            fg += _WG[gi] * w
-            gi += 1
-    return h * fk, abs(h * (fk - fg))
+    us = c[:, None] + h[:, None] * _XK
+    g, xs = _logf_rows(spec, panels, us)
+    counter.n += g.size
+    if (g - shift > _EXP_CLAMP).any():
+        raise NumericalFailure("integrand exceeds shifted clamp; peak scan missed the maximum")
+    w = np.where(g > -math.inf, np.exp(g - shift), 0.0)
+    if spec.has_phi:
+        live = w != 0.0
+        w[live] *= spec.phi_at(xs[live])
+    if np.isnan(w).any():
+        raise NumericalFailure(f"integrand evaluated to NaN at x={us[np.isnan(w)][0]}")
+    fk = w @ _WK
+    fg = w[:, 1::2] @ _WG
+    return (h * fk).tolist(), np.abs(h * (fk - fg)).tolist()
 
 
 def log_integral(spec: LogIntegrand, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogQuadResult:
+    """int exp(g) phi over the spec's domain (see the module docstring); the
+    tail walk and the level bisections go point by point, all else in batches."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _log_integral(spec, cfg)
+
+
+def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
     cutoff = -cfg.tail_cutoff_log
     counter = _EvalCounter()
 
@@ -322,23 +367,23 @@ def log_integral(spec: LogIntegrand, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
         if not v > u:
             continue
         if i == 0 and left_singular and u == spec.a:
-            panels.append(_make_left_transformed(spec, v))
+            panels.append(_Panel(0.0, (v - spec.a) ** (1.0 + spec.e_left), _LEFT))
         elif i == len(edges) - 2 and right_singular and v == spec.b:
-            panels.append(_make_right_transformed(spec, u))
+            panels.append(_Panel(0.0, (spec.b - u) ** (1.0 + spec.e_right), _RIGHT))
         else:
-            panels.append(_make_plain_panel(spec, u, v))
+            panels.append(_Panel(u, v))
 
     work: list[_Panel] = []
-    for p in panels:
-        work.extend(_split_on_live_window(p, cutoff))
+    for p, xs, gs, gmax in zip(panels, *_scan_panels(spec, panels)):
+        work.extend(_split_on_live_window(spec, p, xs.tolist(), gs.tolist(), float(gmax), cutoff))
     shift = max(p.peak for p in work)
 
     heap = []
     tick = 0
     total_i = 0.0
     total_err = 0.0
-    for p in work:
-        I, err = _gk(p, p.lo, p.hi, shift, counter)
+    for p, I, err in zip(work, *_gk_rows(spec, work, [p.lo for p in work], [p.hi for p in work],
+                                         shift, counter)):
         heapq.heappush(heap, (-err, tick, p, p.lo, p.hi, I, err, 0))
         tick += 1
         total_i += I
@@ -365,8 +410,7 @@ def log_integral(spec: LogIntegrand, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
             tick += 1
             total_err -= err
             continue
-        i1, e1 = _gk(p, a, mid, shift, counter)
-        i2, e2 = _gk(p, mid, b, shift, counter)
+        (i1, i2), (e1, e2) = _gk_rows(spec, [p, p], [a, mid], [mid, b], shift, counter)
         total_i += (i1 + i2) - I
         total_err += (e1 + e2) - err
         heapq.heappush(heap, (-e1, tick, p, a, mid, i1, e1, depth + 1))
@@ -382,6 +426,11 @@ def log_integral(spec: LogIntegrand, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
         log_abs = math.log(abs(total_i)) + shift
         rel = total_err / abs(total_i)
     result = LogQuadResult(sign, log_abs, rel, counter.n)
+    if total_i == 0.0 and not spec.has_phi and shift > -math.inf:
+        # exp(g) > 0 at the scanned peak, so a zero sum means every node missed it
+        raise QuadratureFailure(
+            "a positive integrand summed to zero: every Gauss-Kronrod node underflowed "
+            "below the scanned peak", best=result)
     if not converged():
         raise QuadratureFailure(
             f"quadrature stalled at relative error {rel:.3e} (target {cfg.rel_tol:.1e})",

@@ -144,6 +144,24 @@ def test_usage_errors(capsys):
     assert rc == 2
 
 
+def test_non_finite_result_is_computation_failure(capsys):
+    # E of laguerre(1000), n = 2 is beyond double range as a float; the CLI
+    # must not print log_value=inf with exit code 0
+    rc, out, err = run_cli(["compute", "--op", "functional-e", "--family", "laguerre",
+                            "--alpha", "1000", "--n", "2"], capsys)
+    assert rc == 3
+    assert out == ""
+    assert "non-finite" in err
+
+
+def test_sweep_row_with_vanished_integral_carries_error(capsys):
+    rc, out, _ = run_cli(["sweep", "--family", "hermite", "--n", "2", "--op", "weighted-norm",
+                          "--grid", "q=2,10000", "--engine", "quadrature"], capsys)
+    assert rc == 3
+    rows = out.strip().splitlines()[1:]
+    assert rows[0].endswith(",") and not rows[1].endswith(",")
+
+
 def test_fisher_divergence_is_usage_error(capsys):
     rc, _, err = run_cli(["compute", "--family", "gegenbauer", "--lambda", "1",
                           "--n", "0", "--op", "fisher"], capsys)

@@ -5,10 +5,11 @@ import pytest
 from scipy import special
 
 from hopnorms.errors import DomainError, SingularEvaluation
-from hopnorms.families import (CoefficientList, coefficients, eval_derivative, eval_log,
-                               eval_poly, gegenbauer, gegenbauer_jacobi_factor_log,
-                               hermite, jacobi, laguerre, norm_constant_log,
-                               polynomial_zeros, weight_log, weight_log_derivative)
+from hopnorms.families import (CoefficientList, _eval_scaled, coefficients, eval_derivative,
+                               eval_log, eval_log_many, eval_poly, gegenbauer,
+                               gegenbauer_jacobi_factor_log, hermite, jacobi, laguerre,
+                               norm_constant_log, polynomial_zeros, weight_log,
+                               weight_log_derivative)
 from hopnorms.special import log_gamma
 
 from .helpers import FAMILY_CONFIGS
@@ -78,6 +79,29 @@ def test_eval_log_extreme_parameters():
         v = eval_log(fam, n, x)
         assert v.sign == (1 if want > 0 else -1)
         assert v.log_abs == pytest.approx(float(mpmath.log(abs(want))), rel=1e-13)
+
+
+def test_eval_log_many_matches_eval_log():
+    # the batched recurrence against the scalar one, including points where
+    # the scalar path rescales and exact zeros (odd Hermite and Gegenbauer
+    # degrees at x = 0)
+    rescaled = 0
+    for fam in FAMILY_CONFIGS:
+        lo, hi = fam.support
+        lo = lo if math.isfinite(lo) else -40.0
+        hi = hi if math.isfinite(hi) else 1200.0 if fam.kind == "laguerre" else 40.0
+        xs = [lo + (hi - lo) * j / 96.0 for j in range(97)] + [0.0, 0.5 * lo + 0.25]
+        for n in (0, 1, 5, 64, 300):
+            signs, log_abs = eval_log_many(fam, n, xs)
+            for x, s, la in zip(xs, signs.tolist(), log_abs.tolist()):
+                v = eval_log(fam, n, x)
+                assert s == v.sign, (fam, n, x)
+                if s != 0:
+                    assert abs(la - v.log_abs) <= 1e-13 * max(1.0, abs(la)), (fam, n, x)
+                rescaled += _eval_scaled(fam, n, x)[1] != 0.0
+    assert rescaled > 0
+    signs, log_abs = eval_log_many(hermite(), 1, [0.0])
+    assert (signs[0], log_abs[0]) == (0, -math.inf)
 
 
 def test_coefficients_match_horner():
@@ -209,8 +233,10 @@ def test_polynomial_zeros():
     assert len(zs) == 3
     assert zs[1] == pytest.approx(0.0, abs=1e-12)
     assert zs[2] == pytest.approx(math.sqrt(1.5), rel=1e-12)
-    for fam in FAMILY_CONFIGS:
-        for n in (1, 6, 12):
+    zs.clear()  # a fresh list each call, whatever the cache holds
+    assert len(polynomial_zeros(hermite(), 3)) == 3
+    for fam in FAMILY_CONFIGS + (laguerre(1e4), jacobi(1e4, 0.5)):
+        for n in (1, 6, 12, 64, 200):
             zs = polynomial_zeros(fam, n)
             assert len(zs) == n
             assert zs == sorted(zs)
@@ -218,5 +244,9 @@ def test_polynomial_zeros():
             for z in zs:
                 assert lo < z < hi
                 # each zero is a sign change of a simple root
-                assert abs(reference_value(fam, n, z)) < 1e-6 * max(
-                    abs(reference_value(fam, n, z - 1e-4)), 1.0)
+                near = reference_value(fam, n, z - 1e-4)
+                if math.isfinite(near):  # beyond double range at n = 200, parameter 1e4
+                    assert abs(reference_value(fam, n, z)) < 1e-6 * max(abs(near), 1.0)
+                # and lies within 1e-10 relative of one (log space)
+                h = 1e-10 * max(1.0, abs(z))
+                assert eval_log(fam, n, z - h).sign * eval_log(fam, n, z + h).sign == -1

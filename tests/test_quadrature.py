@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from hopnorms.errors import DomainError
+from hopnorms.families import hermite
+from hopnorms.norms import weighted_norm_quad
 from hopnorms.quadrature import (LogIntegrand, QuadratureConfig, QuadratureFailure,
                                  log_integral)
 
@@ -100,3 +103,39 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureConfig(max_depth=0)
+
+
+def _laguerre_like(batched):
+    # tail walk, a cusp breakpoint, a transformed singular left endpoint and phi
+    spec = LogIntegrand(a=0.0, b=math.inf, e_left=-0.5, breakpoints=(1.5,),
+                        g_core=lambda x: 3.0 * math.log(abs(x - 1.5)) - x if x != 1.5 else -math.inf,
+                        phi=lambda x: math.log(x + 2.0), tail_seed_right=4.0)
+    if batched:
+        spec.g_core_many = lambda xs: 3.0 * np.log(np.abs(xs - 1.5)) - xs
+        spec.phi_many = lambda xs: np.log(xs + 2.0)
+    return spec
+
+
+def _jacobi_like(batched):
+    # both endpoints singular and transformed, one interior breakpoint
+    spec = LogIntegrand(a=-1.0, b=1.0, e_left=-0.3, e_right=-0.6, breakpoints=(0.25,),
+                        g_core=lambda x: 4.0 * math.log(abs(x - 0.25)) if x != 0.25 else -math.inf)
+    if batched:
+        spec.g_core_many = lambda xs: 4.0 * np.log(np.abs(xs - 0.25))
+    return spec
+
+
+@pytest.mark.parametrize("make", [_laguerre_like, _jacobi_like])
+def test_array_forms_match_scalar_forms(make):
+    scalar = log_integral(make(False))
+    batched = log_integral(make(True))
+    assert batched.neval == scalar.neval
+    assert batched.sign == scalar.sign == 1
+    assert abs(batched.log_abs - scalar.log_abs) <= 1e-13 * max(1.0, abs(scalar.log_abs))
+
+
+def test_positive_integrand_that_sums_to_zero_fails():
+    # the peak of p^2 h to the power q = 1e4 is narrower than the scan grid,
+    # so every Gauss-Kronrod node underflows; that must not read as W_q = 0
+    with pytest.raises(QuadratureFailure):
+        weighted_norm_quad(hermite(), 2, 1e4)
