@@ -1,24 +1,26 @@
-"""Partial Bell polynomials and the combinatorial route to unweighted norms.
+"""Partial Bell polynomials and the exact route to unweighted norms.
 
 For even integer q the integrand |p_n|^q h is a polynomial times the weight,
-so N_q reduces to a finite sum over weight moments:
+so N_q is a finite sum over the weight moments mu_t = mu_0 r_t:
 
-    N_q = sum_{t=0}^{nq} q!/(t+q)! B_{t+q,q}(1! c_0, 2! c_1, ..., (t+1)! c_t) mu_t
+    N_q = mu_0 sum_{t=0}^{nq} [x^t] p_n^q r_t,
+    [x^t] p_n^q = q!/(t+q)! B_{t+q,q}(1! c_0, 2! c_1, ..., (t+1)! c_t)
 
-with c_j the power-basis coefficients of p_n.  This engine is exact up to
-floating rounding and is the independent cross-check for the quadrature
-engine on its shared domain.
+with c_j the power-basis coefficients of p_n (Comtet, Advanced
+Combinatorics, 1974, sec. 3.3).  Float parameters are exact dyadic
+rationals, so the sum is exact and only mu_0 = kappa_0 is rounded.  This
+is the independent cross-check for the quadrature engine.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from .errors import DomainError, NumericalFailure
-from .families import PolynomialFamily, coefficients
+from .errors import DomainError
+from .families import PolynomialFamily, moment_ratios, norm_constant_log, power_basis
 from .logreal import SignedLogReal
-from .norms import NormResult, _moment_float, weight_moment_log
-from .special import log_gamma
+from .norms import NormResult
 
 __all__ = ["bell_polynomial", "unweighted_norm_bell"]
 
@@ -35,87 +37,54 @@ def bell_polynomial(m: int, l: int, args: list[float]) -> float:
         raise DomainError(f"bell polynomial requires 1 <= l <= m, got ({m}, {l})")
     if len(args) != m - l + 1:
         raise DomainError(f"expected {m - l + 1} arguments, got {len(args)}")
-    memo: dict[tuple[int, int], float] = {}
 
+    @lru_cache(maxsize=None)
     def rec(mm: int, ll: int) -> float:
         if ll == 0:
             return 1.0 if mm == 0 else 0.0
-        if mm < ll:
-            return 0.0
-        key = (mm, ll)
-        if key in memo:
-            return memo[key]
-        terms = []
-        for i in range(1, mm - ll + 2):
-            c = args[i - 1] if i - 1 < len(args) else 0.0
-            if c == 0.0:
-                continue
-            terms.append(math.comb(mm - 1, i - 1) * c * rec(mm - i, ll - 1))
-        memo[key] = math.fsum(terms)
-        return memo[key]
+        return math.fsum(math.comb(mm - 1, i - 1) * args[i - 1] * rec(mm - i, ll - 1)
+                         for i in range(1, mm - ll + 2) if args[i - 1] != 0.0)
 
     return rec(m, l)
 
 
+def _convolve(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_power(c: list, q: int) -> list:
+    """Coefficients of (sum c_j x^j)^q by square-and-multiply convolution."""
+    out = [1]
+    while q:
+        if q & 1:
+            out = _convolve(out, c)
+        q >>= 1
+        if q:
+            c = _convolve(c, c)
+    return out
+
+
 def unweighted_norm_bell(fam: PolynomialFamily, n: int, q: int) -> NormResult:
-    """N_q[p_n] by the Bell-moment formula; q must be a positive even integer."""
+    """N_q[p_n] by the exact moment sum; q must be a positive even integer."""
     if not (isinstance(q, int) and q > 0 and q % 2 == 0):
         raise DomainError("bell engine requires a positive even integer q "
                           "(|p|^q is only polynomial there); use quadrature otherwise")
     if n * q > _NQ_CAP:
         raise DomainError(f"bell engine validated for n*q <= {_NQ_CAP}, got {n * q}")
-    coeffs = coefficients(fam, n).coeffs
-    scaled = [math.factorial(j + 1) * c for j, c in enumerate(coeffs)]
-    q_fact = math.factorial(q)
-
-    # float path first: every factor computable and correctly rounded in
-    # doubles (factorial ratio exact via Fraction); the SignedLogReal path
-    # only engages when magnitudes leave double range
-    float_terms: list[float] | None = []
-    raw: list[tuple[int, float]] = []  # (t, bell value)
-    for t in range(n * q + 1):
-        mu_f = _moment_float(fam, t)
-        if mu_f == 0.0:
-            continue
-        args = [scaled[j] if j < len(scaled) else 0.0 for j in range(t + 1)]
-        b = bell_polynomial(t + q, q, args)
-        if not math.isfinite(b):
-            raise NumericalFailure(f"bell polynomial overflowed at t={t}")
-        if b == 0.0:
-            continue
-        raw.append((t, b))
-        if float_terms is not None and mu_f is not None:
-            ratio = float(Fraction(q_fact, math.factorial(t + q)))
-            term = b * ratio * mu_f
-            if ratio != 0.0 and math.isfinite(term):
-                float_terms.append(term)
-            else:
-                float_terms = None
-        else:
-            float_terms = None
-
-    if not raw:
-        raise NumericalFailure("all terms vanished; degenerate input")
-
-    if float_terms is not None:
-        total = math.fsum(float_terms)
-        abs_sum = math.fsum(abs(v) for v in float_terms)
-        if not total > 0.0:
-            raise NumericalFailure("bell accumulation lost all significance "
-                                   "(norm must be positive)")
-        err = 2.22e-16 * abs_sum / total * math.sqrt(len(float_terms))
-        return NormResult(SignedLogReal(1, math.log(total)), "bell", err)
-
-    terms = []
-    for t, b in raw:
-        mu = weight_moment_log(fam, t)
-        lr = log_gamma(q + 1.0) - log_gamma(t + q + 1.0)
-        terms.append(SignedLogReal.from_float(b) * SignedLogReal(1, lr) * mu)
-    top = max(s.log_abs for s in terms if s.sign != 0)
-    vals = [s.sign * math.exp(s.log_abs - top) for s in terms]
-    total = math.fsum(vals)
-    abs_sum = math.fsum(abs(v) for v in vals)
-    if not total > 0.0:
-        raise NumericalFailure("bell accumulation lost all significance (norm must be positive)")
-    err = 2.22e-16 * abs_sum / total * math.sqrt(len(terms))
-    return NormResult(SignedLogReal(1, math.log(total) + top), "bell", err)
+    coeffs = power_basis(fam, n, Fraction)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    power = _poly_power([c.numerator * (den // c.denominator) for c in coeffs], q)
+    ratios = moment_ratios(fam, n * q)
+    total = sum(p * r for p, r in zip(power, ratios) if p and r) / den ** q
+    mu0 = norm_constant_log(fam, 0)  # p_0 = 1, so kappa_0 = mu_0
+    s = SignedLogReal.from_fraction(total)
+    # ln mu_0 sums log-gammas of arguments below x, which cancel for large
+    # weight parameters: each carries its own rounding
+    x = 2.0 + 2.0 * sum(abs(p) for p in (fam.alpha, fam.beta, fam.lam) if p is not None)
+    err = 8.9e-16 * (1.0 + abs(mu0.log_abs) + abs(s.log_abs) + 4.0 * math.lgamma(x))
+    return NormResult(mu0 * s, "bell", err)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
 
@@ -30,6 +31,7 @@ __all__ = [
     "norm_constant_log", "coefficients", "weight_log", "weight_log_many",
     "weight_log_derivative", "gegenbauer_jacobi_factor_log", "Weight",
     "log_derivative_numerator", "log_derivative_numerator_many",
+    "moment_ratios", "power_basis",
 ]
 
 _RESCALE_HI = 1e280
@@ -162,30 +164,54 @@ class CoefficientList:
         return acc
 
 
-@lru_cache(maxsize=64)
-def _recurrence(fam: PolynomialFamily, n: int) -> tuple[tuple[float, float, float], ...]:
+def _rows(fam: PolynomialFamily, n: int, num) -> list:
     """Rows (A_k, B_k, C_k), k < n, of p_{k+1} = (A_k x + B_k) p_k - C_k p_{k-1},
-    with p_{-1} = 0 and p_0 = 1 (Gautschi 2004, ch. 1)."""
+    with p_{-1} = 0 and p_0 = 1 (Gautschi 2004, ch. 1), in the number type num
+    (float, or Fraction: float parameters are exact dyadic rationals)."""
     rows = []
     for k in range(n):
         if fam.kind == "hermite":
-            rows.append((2.0, 0.0, 2.0 * k))
+            rows.append((num(2), num(0), num(2 * k)))
         elif fam.kind == "laguerre":
-            a = fam.alpha
-            rows.append((-1.0 / (k + 1.0), (2.0 * k + a + 1.0) / (k + 1.0), (k + a) / (k + 1.0)))
+            a, k1 = num(fam.alpha), num(k + 1)
+            rows.append((-1 / k1, (2 * k + a + 1) / k1, (k + a) / k1))
         elif fam.kind == "jacobi":
-            a, b = fam.alpha, fam.beta
+            a, b = num(fam.alpha), num(fam.beta)
             if k == 0:  # the general row divides by (a + b)(a + b + 1)
-                rows.append((0.5 * (a + b + 2.0), 0.5 * (a - b), 0.0))
+                rows.append(((a + b + 2) / 2, (a - b) / 2, num(0)))
                 continue
-            s = 2.0 * k + a + b
-            den = 2.0 * (k + 1.0) * (k + a + b + 1.0) * s
-            rows.append(((s + 1.0) * (s + 2.0) * s / den, (s + 1.0) * (a * a - b * b) / den,
-                         2.0 * (k + a) * (k + b) * (s + 2.0) / den))
+            s = 2 * k + a + b
+            den = 2 * (k + 1) * (k + a + b + 1) * s
+            rows.append(((s + 1) * (s + 2) * s / den, (s + 1) * (a * a - b * b) / den,
+                         2 * (k + a) * (k + b) * (s + 2) / den))
         else:
-            lam = fam.lam
-            rows.append((2.0 * (k + lam) / (k + 1.0), 0.0, (k + 2.0 * lam - 1.0) / (k + 1.0)))
-    return tuple(rows)
+            lam = num(fam.lam)
+            rows.append((2 * (k + lam) / (k + 1), num(0), (k + 2 * lam - 1) / (k + 1)))
+    return rows
+
+
+@lru_cache(maxsize=64)
+def _recurrence(fam: PolynomialFamily, n: int) -> tuple[tuple[float, float, float], ...]:
+    """The float rows of :func:`_rows`, cached per (family, n)."""
+    return tuple(_rows(fam, n, float))
+
+
+def moment_ratios(fam: PolynomialFamily, t_max: int) -> list[Fraction]:
+    """Exact r_t = mu_t / mu_0, t <= t_max, of the moments mu_t = int x^t h dx,
+    by the weight's Pearson recurrence d_t mu_{t+1} = e_t mu_t + f_t mu_{t-1}."""
+    if fam.kind in ("jacobi", "gegenbauer"):  # Gegenbauer: a = b = lambda - 1/2
+        a, b = ((Fraction(fam.alpha), Fraction(fam.beta)) if fam.kind == "jacobi"
+                else (Fraction(fam.lam) - Fraction(1, 2),) * 2)
+    r = [Fraction(0), Fraction(1)]  # r_{-1}, r_0
+    for t in range(t_max):
+        if fam.kind == "hermite":
+            d, e, f = 1, 0, Fraction(t, 2)
+        elif fam.kind == "laguerre":
+            d, e, f = 1, Fraction(fam.alpha) + 1 + t, 0
+        else:
+            d, e, f = t + a + b + 2, b - a, t
+        r.append((e * r[-1] + f * r[-2]) / d)
+    return r[1:]
 
 
 def _eval_scaled(fam: PolynomialFamily, n: int, x: float) -> tuple[float, float]:
@@ -299,30 +325,39 @@ def norm_constant_log(fam: PolynomialFamily, n: int) -> SignedLogReal:
         lg = log_gamma(n + fam.alpha + 1.0) - log_gamma(n + 1.0)
     elif fam.kind == "jacobi":
         a, b = fam.alpha, fam.beta
+        # ln[(a+b+2n+1) Gamma(a+b+n+1)]: Gamma(a+b+2) at n = 0, also for a+b+1 <= 0
+        tail = (log_gamma(a + b + 2.0) if n == 0 else
+                math.log(a + b + 2.0 * n + 1.0) + log_gamma(a + b + n + 1.0))
         lg = ((a + b + 1.0) * math.log(2.0) + log_gamma(a + n + 1.0) + log_gamma(b + n + 1.0)
-              - log_gamma(n + 1.0) - math.log(a + b + 2.0 * n + 1.0) - log_gamma(a + b + n + 1.0))
+              - log_gamma(n + 1.0) - tail)
     else:
-        lam = fam.lam
-        lg = ((1.0 - 2.0 * lam) * math.log(2.0) + math.log(math.pi) + log_gamma(n + 2.0 * lam)
-              - 2.0 * log_gamma(lam) - math.log(n + lam) - log_gamma(n + 1.0))
+        lam = fam.lam  # lambda < 0: ln|Gamma| and ln|n+lambda|, whose signs cancel
+        lg = ((1.0 - 2.0 * lam) * math.log(2.0) + math.log(math.pi) + math.lgamma(n + 2.0 * lam)
+              - 2.0 * math.lgamma(lam) - math.log(abs(n + lam)) - log_gamma(n + 1.0))
     return SignedLogReal(1, lg)
 
 
 def coefficients(fam: PolynomialFamily, n: int) -> CoefficientList:
     """Exact power-basis coefficients by recurrence on coefficient vectors."""
+    return CoefficientList(n, tuple(power_basis(fam, n, float)))
+
+
+def power_basis(fam: PolynomialFamily, n: int, num) -> list:
+    """c_0..c_n of p_n = sum c_k x^k, the rows of :func:`_rows` stepped on
+    coefficient vectors in the number type num (float or Fraction)."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
     if n > _COEFF_DEGREE_CAP:
         raise DomainError(f"coefficient extraction capped at degree {_COEFF_DEGREE_CAP}")
-    prev, cur = [], [1.0]
-    for A, B, C in _recurrence(fam, n):
-        nxt = [B * c for c in cur] + [0.0]
+    prev, cur = [], [num(1)]
+    for A, B, C in (_recurrence(fam, n) if num is float else _rows(fam, n, num)):
+        nxt = [B * c for c in cur] + [num(0)]
         for j, c in enumerate(cur):
             nxt[j + 1] += A * c
         for j, c in enumerate(prev):
             nxt[j] -= C * c
         prev, cur = cur, nxt
-    return CoefficientList(n, tuple(cur))
+    return cur
 
 
 def weight_log(fam: PolynomialFamily, x: float) -> SignedLogReal:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 __all__ = ["SignedLogReal"]
 
@@ -35,6 +36,17 @@ class SignedLogReal:
         if x == 0.0:
             return cls(0, 0.0)
         return cls(1 if x > 0 else -1, math.log(abs(x)))
+
+    @classmethod
+    def from_fraction(cls, x: Fraction) -> "SignedLogReal":
+        """Exact rational to (sign, ln|x|), accurate to a few ulps however far
+        |x| lies outside double range."""
+        if x == 0:
+            return cls(0, 0.0)
+        num, den = abs(x.numerator), x.denominator
+        e = num.bit_length() - den.bit_length()  # num/den = m 2^e, m in (1/2, 2)
+        m = (num << -e) / den if e < 0 else num / (den << e)
+        return cls(1 if x > 0 else -1, math.log(m) + e * math.log(2.0))
 
     @classmethod
     def from_log(cls, log_abs: float, sign: int = 1) -> "SignedLogReal":

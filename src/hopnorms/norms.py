@@ -15,11 +15,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .families import (PolynomialFamily, eval_log, eval_log_many, norm_constant_log,
-                       polynomial_zeros)
+from .families import (PolynomialFamily, eval_log, eval_log_many, moment_ratios,
+                       norm_constant_log, polynomial_zeros)
 from .logreal import SignedLogReal
 from .quadrature import DEFAULT_CONFIG, LogIntegrand, LogQuadResult, QuadratureConfig, log_integral
-from .special import gauss_2f1_neg1, log_gamma
 
 __all__ = ["NormResult", "unweighted_norm_quad", "weighted_norm_quad",
            "weight_moment", "density_integral"]
@@ -109,82 +108,12 @@ def weighted_norm_quad(fam: PolynomialFamily, n: int, q: float,
 
 # -- weight moments -------------------------------------------------------
 
-def _jacobi_moment_float(a: float, b: float, t: int) -> float:
-    # gamma ratios by recurrence (one rounding per step) rather than
-    # exp(lgamma - lgamma); the bell engine's cancellation amplifies any
-    # per-moment error, so moments are kept near machine precision
-    f1 = gauss_2f1_neg1(-a, t + 1.0, 2.0 + t + b)
-    f2 = gauss_2f1_neg1(-b, t + 1.0, 2.0 + t + a)
-    g1 = 1.0 / math.gamma(2.0 + b)   # Gamma(1+t)/Gamma(2+t+b) at t=0
-    g2 = 1.0 / math.gamma(2.0 + a)
-    for k in range(1, t + 1):
-        g1 *= k / (1.0 + k + b)
-        g2 *= k / (1.0 + k + a)
-    sign = 1.0 if t % 2 == 0 else -1.0
-    return sign * g1 * math.gamma(1.0 + b) * f1 + g2 * math.gamma(1.0 + a) * f2
-
-
-def _moment_float(fam: PolynomialFamily, t: int):
-    """mu_t as a plain float when it fits; None when out of double range."""
-    if fam.kind == "hermite":
-        if t % 2 == 1:
-            return 0.0
-        v = math.sqrt(math.pi)
-        for k in range(t // 2):
-            v *= k + 0.5
-            if not math.isfinite(v):
-                return None
-        return v
-    if fam.kind == "laguerre":
-        a = fam.alpha
-        if a + 1.0 > 170.0:
-            return None
-        v = math.gamma(1.0 + a)
-        for k in range(t):
-            v *= 1.0 + a + k
-            if not math.isfinite(v):
-                return None
-        return v
-    if fam.kind == "gegenbauer":
-        if t % 2 == 1:
-            return 0.0
-        lam = fam.lam
-        if lam + 1.0 > 170.0:
-            return None
-        v = math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1.0)
-        for k in range(0, t, 2):
-            v *= ((k + 1) / 2.0) / (lam + 1.0 + k / 2.0)
-        return v
-    a, b = fam.alpha, fam.beta
-    if max(a, b) + 2.0 > 170.0:
-        return None
-    return _jacobi_moment_float(a, b, t)
-
-
 def weight_moment_log(fam: PolynomialFamily, t: int) -> SignedLogReal:
-    """mu_t = int x^t h(x) dx as a SignedLogReal (zero for odd symmetric cases)."""
+    """mu_t = int x^t h(x) dx as a SignedLogReal (zero for odd symmetric cases):
+    ln mu_0 + ln r_t, with mu_0 = kappa_0 and r_t the exact moment ratio."""
     if t < 0:
         raise DomainError("moment order must be nonnegative")
-    v = _moment_float(fam, t)
-    if v is not None:
-        return SignedLogReal.from_float(v)
-    if fam.kind == "hermite":
-        return SignedLogReal(1, log_gamma((t + 1) / 2.0))
-    if fam.kind == "laguerre":
-        return SignedLogReal(1, log_gamma(1.0 + fam.alpha + t))
-    if fam.kind == "gegenbauer":
-        lam = fam.lam
-        return SignedLogReal(1, log_gamma((t + 1) / 2.0) + log_gamma(lam + 0.5)
-                             - log_gamma(lam + 1.0 + t / 2.0))
-    a, b = fam.alpha, fam.beta
-    f1 = gauss_2f1_neg1(-a, t + 1.0, 2.0 + t + b)
-    f2 = gauss_2f1_neg1(-b, t + 1.0, 2.0 + t + a)
-    lg_t = log_gamma(1.0 + t)
-    t1 = SignedLogReal.from_float(f1) * SignedLogReal(
-        1 if t % 2 == 0 else -1, lg_t + log_gamma(1.0 + b) - log_gamma(2.0 + t + b))
-    t2 = SignedLogReal.from_float(f2) * SignedLogReal(
-        1, lg_t + log_gamma(1.0 + a) - log_gamma(2.0 + t + a))
-    return t1 + t2
+    return norm_constant_log(fam, 0) * SignedLogReal.from_fraction(moment_ratios(fam, t)[t])
 
 
 def weight_moment(fam: PolynomialFamily, t: int) -> float:

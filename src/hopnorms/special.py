@@ -1,15 +1,13 @@
-"""Scalar special functions: log-gamma, digamma, Gauss 2F1 at z = -1."""
+"""Scalar special functions: log-gamma, digamma, log-Pochhammer."""
 from __future__ import annotations
 
 import math
 
 from scipy.special import digamma as _scipy_digamma
 
-from .errors import DomainError, NumericalFailure
+from .errors import DomainError
 
-__all__ = ["log_gamma", "digamma", "gauss_2f1_neg1", "log_pochhammer"]
-
-_MAX_TERMS = 100_000
+__all__ = ["log_gamma", "digamma", "log_pochhammer"]
 
 
 def log_gamma(x: float) -> float:
@@ -31,50 +29,3 @@ def log_pochhammer(a: float, n: int) -> float:
     if not a > 0:
         raise DomainError(f"log_pochhammer requires a > 0, got {a}")
     return math.lgamma(a + n) - math.lgamma(a)
-
-
-def _hyp_series(a: float, b: float, c: float, z: float) -> float:
-    """Plain power series for 2F1; raises NumericalFailure past the term cap."""
-    term = 1.0
-    total = 1.0
-    comp = 0.0  # Neumaier compensation
-    settled = 0
-    for k in range(_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        if term == 0.0:
-            return total + comp
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        if abs(term) <= 1e-16 * abs(total):
-            settled += 1
-            if settled >= 3:
-                return total + comp
-        else:
-            settled = 0
-    raise NumericalFailure("2F1 series did not converge within the term cap")
-
-
-def gauss_2f1_neg1(a: float, b: float, c: float) -> float:
-    """2F1(a, b; c; -1).
-
-    Requires c - a - b > 0 (convergence on the unit circle) and c not a
-    nonpositive integer.  Summed directly; if the alternating series has
-    not settled after the term cap, the Pfaff transformation
-    2F1(a,b;c;-1) = 2^{-a} 2F1(a, c-b; c; 1/2) is used instead.
-    """
-    if c <= 0 and c == int(c):
-        raise DomainError(f"2F1 pole: c = {c} is a nonpositive integer")
-    if not c - a - b > 0:
-        raise DomainError(f"2F1 at -1 requires c - a - b > 0, got {c - a - b}")
-    # terminating cases are exact regardless of conditioning
-    for p in (a, b):
-        if p <= 0 and p == int(p):
-            return _hyp_series(a, b, c, -1.0)
-    try:
-        return _hyp_series(a, b, c, -1.0)
-    except NumericalFailure:
-        return math.exp(-a * math.log(2.0)) * _hyp_series(a, c - b, c, 0.5)

@@ -1,12 +1,15 @@
 import itertools
 import math
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopnorms.bell import bell_polynomial, unweighted_norm_bell
+from hopnorms.bell import _poly_power, bell_polynomial, unweighted_norm_bell
 from hopnorms.errors import DomainError
-from hopnorms.families import hermite, laguerre, norm_constant_log
+from hopnorms.families import (gegenbauer, hermite, jacobi, laguerre, norm_constant_log,
+                               power_basis)
 from hopnorms.norms import unweighted_norm_quad
 
 from .helpers import FAMILY_CONFIGS
@@ -78,13 +81,59 @@ def test_norm_bell_rejections():
 
 
 def test_engine_equivalence():
-    # bell vs quadrature within 1e-8 relative for q in {2,4}, n <= 6
+    # bell vs quadrature within 1e-11 relative for q in {2,4}, n <= 6
     for fam in FAMILY_CONFIGS:
         for q in (2, 4):
             for n in (0, 1, 3, 6):
                 b = unweighted_norm_bell(fam, n, q).value.log_abs
                 g = unweighted_norm_quad(fam, n, float(q)).value.log_abs
-                assert abs(b - g) < 1e-8, (fam.label(), n, q, b, g)
+                assert abs(b - g) < 1e-11, (fam.label(), n, q, b, g)
+
+
+@pytest.mark.parametrize("fam,n,q", [
+    (laguerre(2.5), 30, 8), (laguerre(2.5), 60, 4),
+    (jacobi(2.5, 1.5), 30, 8), (jacobi(2.5, 1.5), 3, 80), (jacobi(2.5, 1.5), 20, 6),
+    (hermite(), 12, 20),  # n*q = 240, the cap
+    (gegenbauer(1.75), 10, 24),
+    (jacobi(-0.7, -0.6), 6, 4),  # a + b <= -1
+], ids=lambda v: v.label() if hasattr(v, "label") else str(v))
+def test_engine_equivalence_at_large_degree_and_q(fam, n, q):
+    b = unweighted_norm_bell(fam, n, q)
+    g = unweighted_norm_quad(fam, n, float(q))
+    assert abs(b.log_value - g.log_value) < 1e-11, (b.log_value, g.log_value)
+    assert b.error_estimate < 1e-12
+
+
+@pytest.mark.parametrize("fam,a,b", [
+    (laguerre(1e4), None, None), (jacobi(1e4, 0.5), 1e4, 0.5), (gegenbauer(1e4), 9999.5, 9999.5),
+], ids=lambda v: v.label() if hasattr(v, "label") else str(v))
+def test_error_estimate_covers_mu0_at_large_parameters(fam, a, b):
+    # N_2[p_0] = mu_0, whose log-gammas cancel by ~1e-11 in doubles here
+    with mpmath.workdps(40):
+        if a is None:
+            want = mpmath.loggamma(mpmath.mpf(fam.alpha) + 1)
+        else:
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            want = ((a + b + 1) * mpmath.log(2) + mpmath.loggamma(a + 1)
+                    + mpmath.loggamma(b + 1) - mpmath.loggamma(a + b + 2))
+    r = unweighted_norm_bell(fam, 0, 2)
+    assert abs(r.log_value - float(want)) <= r.error_estimate < 1e-8
+
+
+def test_bell_polynomial_gives_power_coefficients():
+    # [x^t] p^q = q!/(t+q)! B_{t+q,q}(1! c_0, 2! c_1, ..., (t+1)! c_t)
+    for fam in FAMILY_CONFIGS:
+        for n, q in ((1, 2), (2, 3), (3, 4), (2, 6)):
+            c = power_basis(fam, n, Fraction)
+            power = _poly_power(c, q)
+            assert len(power) == n * q + 1
+            scale = max(abs(float(v)) for v in power)
+            for t, want in enumerate(power):
+                args = [math.factorial(j + 1) * float(c[j]) if j <= n else 0.0
+                        for j in range(t + 1)]
+                got = bell_polynomial(t + q, q, args) / math.prod(range(q + 1, t + q + 1))
+                assert got == pytest.approx(float(want), rel=1e-12, abs=1e-12 * scale), (
+                    fam.label(), n, q, t)
 
 
 def test_norm_bell_q2_is_kappa():

@@ -10,6 +10,7 @@ from hopnorms.families import (CoefficientList, _eval_scaled, coefficients, eval
                                gegenbauer_jacobi_factor_log, hermite, jacobi, laguerre,
                                norm_constant_log, polynomial_zeros, weight_log,
                                weight_log_derivative)
+from hopnorms.norms import unweighted_norm_quad
 from hopnorms.special import log_gamma
 
 from .helpers import FAMILY_CONFIGS
@@ -164,6 +165,15 @@ def test_norm_constants():
     assert norm_constant_log(laguerre(2.0), 1).to_float() == pytest.approx(6.0, rel=1e-14)
     assert norm_constant_log(gegenbauer(1.0), 0).to_float() == pytest.approx(
         math.pi / 2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("fam", [jacobi(-0.7, -0.6), gegenbauer(-0.25)],
+                         ids=lambda fam: fam.label())
+def test_norm_constants_near_the_parameter_limits(fam):
+    # a + b + 1 <= 0 at n = 0, and lambda in (-1/2, 0) at every n
+    for n in range(4):
+        want = unweighted_norm_quad(fam, n, 2.0).log_value
+        assert abs(norm_constant_log(fam, n).log_abs - want) < 1e-11, n
 
 
 def test_weight_log():

@@ -130,7 +130,8 @@ def test_weight_moments_closed_forms():
 
 
 def test_weight_moments_against_quadrature():
-    for fam in (jacobi(2.5, 1.5), jacobi(0.3, 1.1), gegenbauer(3.5)):
+    for fam in (jacobi(2.5, 1.5), jacobi(0.3, 1.1), gegenbauer(3.5),
+                jacobi(-0.7, -0.6), gegenbauer(-0.25)):
         for t in (0, 1, 2, 5):
             lo, hi = fam.support
             from hopnorms.families import weight_exponents

@@ -1,11 +1,10 @@
 import math
 
-import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
 from hopnorms.errors import DomainError
-from hopnorms.special import digamma, gauss_2f1_neg1, log_gamma
+from hopnorms.special import digamma, log_gamma
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -29,30 +28,3 @@ def test_digamma_at_one():
 @given(st.floats(min_value=0.1, max_value=500.0, allow_nan=False))
 def test_digamma_recurrence(x):
     assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, rel=1e-10, abs=1e-12)
-
-
-def test_2f1_terminating():
-    # a = 0 terminates at the first term
-    assert gauss_2f1_neg1(0.0, 5.5, 8.0) == 1.0
-    # a = -1: 1 - b/c * (-1)... series: 1 + (-1)(b)/(c) * (-1) = 1 + b/c
-    assert gauss_2f1_neg1(-1.0, 2.0, 4.0) == pytest.approx(1.5, rel=1e-14)
-
-
-@pytest.mark.parametrize("a,b,c", [
-    (-0.5, 3.0, 6.0),
-    (-2.5, 1.0, 2.7),
-    (-0.3, 4.0, 4.9),   # c - a - b = 1.2: slow direct series, exercises the fallback
-    (-1.7, 2.0, 2.4),
-    (-10.0, 3.0, 14.5),
-])
-def test_2f1_against_mpmath(a, b, c):
-    want = float(mpmath.hyp2f1(a, b, c, -1))
-    got = gauss_2f1_neg1(a, b, c)
-    assert got == pytest.approx(want, rel=1e-11)
-
-
-def test_2f1_domain_rejection():
-    with pytest.raises(DomainError):
-        gauss_2f1_neg1(2.0, 3.0, 4.0)  # c - a - b = -1
-    with pytest.raises(DomainError):
-        gauss_2f1_neg1(-0.5, 1.0, -2.0)  # c nonpositive integer
