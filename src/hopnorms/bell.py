@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .families import PolynomialFamily, moment_ratios, norm_constant_log, power_basis
+from .families import (PolynomialFamily, moment_ratios, norm_constant_log, norm_constant_log_error,
+                       power_basis)
 from .logreal import SignedLogReal
 from .norms import NormResult
 
@@ -83,8 +84,5 @@ def unweighted_norm_bell(fam: PolynomialFamily, n: int, q: int) -> NormResult:
     total = sum(p * r for p, r in zip(power, ratios) if p and r) / den ** q
     mu0 = norm_constant_log(fam, 0)  # p_0 = 1, so kappa_0 = mu_0
     s = SignedLogReal.from_fraction(total)
-    # ln mu_0 sums log-gammas of arguments below x, which cancel for large
-    # weight parameters: each carries its own rounding
-    x = 2.0 + 2.0 * sum(abs(p) for p in (fam.alpha, fam.beta, fam.lam) if p is not None)
-    err = 8.9e-16 * (1.0 + abs(mu0.log_abs) + abs(s.log_abs) + 4.0 * math.lgamma(x))
+    err = 8.9e-16 * (1.0 + abs(s.log_abs)) + norm_constant_log_error(fam, 0)
     return NormResult(mu0 * s, "bell", err)

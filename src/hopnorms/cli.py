@@ -17,7 +17,8 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError, NumericalFailure
-from .families import PolynomialFamily, gegenbauer, hermite, jacobi, laguerre
+from .families import (PolynomialFamily, gegenbauer, hermite, jacobi, laguerre, norm_constant_log,
+                       norm_constant_log_error)
 from .laplace import locate_density_maximum, unweighted_norm_q_asym, weighted_norm_q_asym
 from .measures import (DensityHandle, fisher_information, fisher_renyi, fisher_shannon,
                        functional_E, functional_I, lmc_plain, lmc_renyi, renyi_entropy,
@@ -93,9 +94,9 @@ def _norm_dispatch(op: str, engine: str, fam: PolynomialFamily, n: int, q: float
         if op == "weighted-norm":
             res = weighted_norm_q_asym(fam, n, q)
             if normalized:
-                from .families import norm_constant_log
                 val = res.value * norm_constant_log(fam, n).powf(-q)
-                return NormResult(val, res.method, res.error_estimate)
+                err = res.error_estimate + q * norm_constant_log_error(fam, n)
+                return NormResult(val, res.method, err)
             return res
         return unweighted_norm_q_asym(fam, n, q)
     if engine == "asymptotic-parameter":

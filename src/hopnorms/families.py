@@ -28,7 +28,7 @@ __all__ = [
     "PolynomialFamily", "CoefficientList",
     "hermite", "laguerre", "jacobi", "gegenbauer",
     "eval_poly", "eval_log", "eval_log_many", "eval_derivative", "derivative_family",
-    "norm_constant_log", "coefficients", "weight_log", "weight_log_many",
+    "norm_constant_log", "norm_constant_log_error", "coefficients", "weight_log", "weight_log_many",
     "weight_log_derivative", "gegenbauer_jacobi_factor_log", "Weight",
     "log_derivative_numerator", "log_derivative_numerator_many",
     "moment_ratios", "power_basis",
@@ -335,6 +335,17 @@ def norm_constant_log(fam: PolynomialFamily, n: int) -> SignedLogReal:
         lg = ((1.0 - 2.0 * lam) * math.log(2.0) + math.log(math.pi) + math.lgamma(n + 2.0 * lam)
               - 2.0 * math.lgamma(lam) - math.log(abs(n + lam)) - log_gamma(n + 1.0))
     return SignedLogReal(1, lg)
+
+
+def norm_constant_log_error(fam: PolynomialFamily, n: int) -> float:
+    """Bound on the rounding error of :func:`norm_constant_log`, in ln.
+
+    ln kappa_n sums log-gammas of arguments below
+    x = 2 + 2n + 2 sum|parameters|, which cancel for large degree or
+    parameters: each carries its own rounding, up to ~eps lgamma(x).
+    """
+    x = 2.0 + 2.0 * (n + sum(abs(p) for p in (fam.alpha, fam.beta, fam.lam) if p is not None))
+    return 8.9e-16 * (abs(norm_constant_log(fam, n).log_abs) + 4.0 * math.lgamma(x))
 
 
 def coefficients(fam: PolynomialFamily, n: int) -> CoefficientList:

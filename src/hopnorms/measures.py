@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalFailure
 from .families import (PolynomialFamily, eval_log_many, log_derivative_numerator,
                        log_derivative_numerator_many, norm_constant_log, polynomial_zeros,
                        weight_log_many)
@@ -111,6 +111,16 @@ def functional_E_qderiv_log(fam: PolynomialFamily, n: int,
     return extrap.scaled(-2.0)
 
 
+def _as_float(v: SignedLogReal, log_form: str) -> float:
+    """v as a float; NumericalFailure, naming the log-space form, where it overflows."""
+    x = v.to_float()
+    if not math.isfinite(x):
+        sign = "-" if v.sign < 0 else ""
+        raise NumericalFailure(f"value {sign}exp({v.log_abs:.10g}) is non-finite as a float; "
+                               f"{log_form} returns it in log space")
+    return x
+
+
 def functional_E(fam: PolynomialFamily, n: int, method: str = "quadrature",
                  cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """E[p_n] = -int p^2 h ln(p^2) dx.
@@ -119,9 +129,9 @@ def functional_E(fam: PolynomialFamily, n: int, method: str = "quadrature",
     the unweighted norm in q at q = 2.
     """
     if method == "quadrature":
-        return functional_E_log(fam, n, cfg).to_float()
+        return _as_float(functional_E_log(fam, n, cfg), "functional_E_log")
     if method == "qderivative":
-        return functional_E_qderiv_log(fam, n, cfg).to_float()
+        return _as_float(functional_E_qderiv_log(fam, n, cfg), "functional_E_qderiv_log")
     raise DomainError(f"unknown method {method!r}")
 
 
@@ -140,7 +150,7 @@ def functional_I(fam: PolynomialFamily, n: int, cfg: QuadratureConfig = DEFAULT_
     """I[p_n] = -int p^2 h ln(h) dx (identically zero for the flat weight)."""
     if fam.weight.is_flat:
         return 0.0
-    return functional_I_log(fam, n, cfg).to_float()
+    return _as_float(functional_I_log(fam, n, cfg), "functional_I_log")
 
 
 def fisher_information(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .families import (PolynomialFamily, eval_log, eval_log_many, moment_ratios,
-                       norm_constant_log, polynomial_zeros)
+                       norm_constant_log, norm_constant_log_error, polynomial_zeros)
 from .logreal import SignedLogReal
 from .quadrature import DEFAULT_CONFIG, LogIntegrand, LogQuadResult, QuadratureConfig, log_integral
 
@@ -100,10 +100,11 @@ def weighted_norm_quad(fam: PolynomialFamily, n: int, q: float,
     if not q > 0:
         raise DomainError("q must be positive")
     res = density_integral(fam, n, pol_power=2.0 * q, weight_power=q, cfg=cfg)
-    log_value = res.log_abs
+    log_value, err = res.log_abs, res.rel_err
     if normalized:
         log_value -= q * norm_constant_log(fam, n).log_abs
-    return NormResult(SignedLogReal(1, log_value), "quadrature", res.rel_err)
+        err += q * norm_constant_log_error(fam, n)
+    return NormResult(SignedLogReal(1, log_value), "quadrature", err)
 
 
 # -- weight moments -------------------------------------------------------

@@ -17,21 +17,26 @@ The engine:
     factor exactly,
   * locates the global maximum M of g by per-panel Chebyshev scans with
     local refinement, then integrates exp(g - M) with a 7-15
-    Gauss-Kronrod pair refined greedily on the largest error interval,
+    Gauss-Kronrod pair refined in rounds (below),
   * returns sign, ln|I| (shift M re-applied) and a relative error bound,
     and raises QuadratureFailure when a positive integrand (no phi) sums to
     zero because every node underflowed below M.
 
-Evaluation is batched: the scans, each zoom round and the first
-Gauss-Kronrod pass of all panels are one call each of the integrand's
-array form, and every greedy split evaluates its two child rules as one
-call.  Batches move no node and keep the greedy order, so the subdivision
-sequence is that of point-by-point evaluation, up to last-bit differences
-between numpy's and math's log and exp.
+Refinement is globally adaptive in rounds (after QUADPACK, Piessens et
+al. 1983).  A round takes intervals off an error-ordered heap, largest
+first, until the errors taken would, once removed, bring the total error
+down to the tolerance; it takes at least one.  Every interval taken is
+halved, and the two child rules of all of them are one call of the
+integrand's array form.  The rounds are deterministic, and the children
+of an interval almost always carry far less error than the next interval
+in line, so a round usually splits the same intervals as one-at-a-time
+greedy refinement would, with the same number of evaluations.  The
+reported error estimate is monotone under tolerance halving for the
+integrands used here.
 
-Interval refinement is greedy and deterministic, so tightening rel_tol
-only extends the subdivision sequence; the reported error estimate is
-monotone under tolerance halving for the integrands used here.
+The scans, each zoom round and the first Gauss-Kronrod pass of all panels
+are also one call each of the array form; the tail walk and the level
+bisections go point by point.
 """
 from __future__ import annotations
 
@@ -196,21 +201,22 @@ def _logf_rows(spec: LogIntegrand, panels: list[_Panel],
     """(log-integrand, x) at the points us[i] of panels[i], with one call of
     the core over the whole batch."""
     xs = us.copy()
-    transformed = [(i, p.side) for i, p in enumerate(panels) if p.side != _PLAIN]
-    for i, side in transformed:
+    sides = np.array([p.side for p in panels])
+    rows = [(side, sides == side) for side in (_LEFT, _RIGHT) if (sides == side).any()]
+    for side, r in rows:
         end, p, _, _, _ = _transform(spec, side)
-        t = us[i]
-        xs[i] = np.where(t > 0.0, end + side * np.exp(p * np.log(t)), end)
+        t = us[r]
+        xs[r] = np.where(t > 0.0, end + side * np.exp(p * np.log(t)), end)
     core = spec.core_many(xs.ravel()).reshape(xs.shape)
     g = core  # plain panels: g_full over the batch
     for end, e, dist in ((spec.b, spec.e_right, spec.b - xs), (spec.a, spec.e_left, xs - spec.a)):
         if math.isfinite(end) and e != 0.0:
             g = np.where(dist > 0.0, g + e * np.log(dist), -math.inf if e > 0 else math.inf)
-    for i, side in transformed:
+    for side, r in rows:
         _, _, other, e_other, lnp = _transform(spec, side)
-        g[i] = core[i] + lnp
+        g[r] = core[r] + lnp
         if math.isfinite(other) and e_other != 0.0:
-            g[i] += e_other * np.log(side * (other - xs[i]))
+            g[r] += e_other * np.log(side * (other - xs[r]))
     return g, xs
 
 
@@ -330,8 +336,13 @@ def _gk_rows(spec: LogIntegrand, panels: list[_Panel], a: list[float], b: list[f
 
 
 def log_integral(spec: LogIntegrand, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogQuadResult:
-    """int exp(g) phi over the spec's domain (see the module docstring); the
-    tail walk and the level bisections go point by point, all else in batches."""
+    """int exp(g) phi over the spec's domain (see the module docstring).
+
+    Refines in rounds: each round halves, in one batch, the largest-error
+    intervals whose errors together stand between the running total and
+    the tolerance.  Refinement stops at the tolerance, or stalls (raising
+    QuadratureFailure with ``.best``) at an interval of depth
+    ``cfg.max_depth`` or at the interval budget."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _log_integral(spec, cfg)
 
@@ -391,32 +402,55 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
 
     ln_abs_tol = math.log(cfg.abs_tol) if cfg.abs_tol > 0 else -math.inf
 
-    def converged() -> bool:
-        if total_err <= cfg.rel_tol * abs(total_i):
+    def within_tol(err: float) -> bool:
+        if err <= cfg.rel_tol * abs(total_i):
             return True
-        if total_err > 0 and math.log(total_err) + shift <= ln_abs_tol:
+        if err > 0 and math.log(err) + shift <= ln_abs_tol:
             return True
-        return total_err == 0.0
+        return err == 0.0
 
-    while not converged():
-        neg_err, _, p, a, b, I, err, depth = heapq.heappop(heap)
-        if depth >= cfg.max_depth or len(heap) > _MAX_INTERVALS:
-            heapq.heappush(heap, (neg_err, tick, p, a, b, I, err, depth))
-            tick += 1
-            break
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
+    stalled = False
+    while not stalled and not within_tol(total_err):
+        # one round: pop, largest error first, the shortest prefix whose
+        # removal would meet the tolerance, then split all of it in one batch
+        split, narrow = [], []
+        remaining = total_err
+        while heap:
+            entry = heapq.heappop(heap)
+            _, _, p, a, b, I, err, depth = entry
+            if depth >= cfg.max_depth or len(heap) + len(narrow) + 2 * len(split) > _MAX_INTERVALS:
+                heapq.heappush(heap, entry)
+                stalled = True
+                break
+            mid = 0.5 * (a + b)
+            if mid <= a or mid >= b:
+                narrow.append(entry)  # too narrow to split: its error is final
+                total_err -= err
+            else:
+                split.append(entry)
+            remaining -= err
+            if within_tol(remaining):
+                break
+        for _, _, p, a, b, I, _, depth in narrow:
             heapq.heappush(heap, (0.0, tick, p, a, b, I, 0.0, depth))
             tick += 1
-            total_err -= err
+        if not split:
             continue
-        (i1, i2), (e1, e2) = _gk_rows(spec, [p, p], [a, mid], [mid, b], shift, counter)
-        total_i += (i1 + i2) - I
-        total_err += (e1 + e2) - err
-        heapq.heappush(heap, (-e1, tick, p, a, mid, i1, e1, depth + 1))
-        tick += 1
-        heapq.heappush(heap, (-e2, tick, p, mid, b, i2, e2, depth + 1))
-        tick += 1
+        panels, los, his = [], [], []
+        for _, _, p, a, b, _, _, _ in split:
+            mid = 0.5 * (a + b)
+            panels += (p, p)
+            los += (a, mid)
+            his += (mid, b)
+        i_rows, e_rows = _gk_rows(spec, panels, los, his, shift, counter)
+        for k, (_, _, p, a, b, I, err, depth) in enumerate(split):
+            mid = los[2 * k + 1]
+            (i1, i2), (e1, e2) = i_rows[2 * k:2 * k + 2], e_rows[2 * k:2 * k + 2]
+            total_i += (i1 + i2) - I
+            total_err += (e1 + e2) - err
+            heapq.heappush(heap, (-e1, tick, p, a, mid, i1, e1, depth + 1))
+            heapq.heappush(heap, (-e2, tick + 1, p, mid, b, i2, e2, depth + 1))
+            tick += 2
 
     if total_i == 0.0:
         sign, log_abs = 0, -math.inf
@@ -431,7 +465,7 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
         raise QuadratureFailure(
             "a positive integrand summed to zero: every Gauss-Kronrod node underflowed "
             "below the scanned peak", best=result)
-    if not converged():
+    if not within_tol(total_err):
         raise QuadratureFailure(
             f"quadrature stalled at relative error {rel:.3e} (target {cfg.rel_tol:.1e})",
             best=result)

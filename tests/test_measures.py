@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-from hopnorms.errors import DomainError
+from hopnorms.errors import DomainError, NumericalFailure
 from hopnorms.families import (gegenbauer, hermite, jacobi, laguerre,
                                norm_constant_log)
 from hopnorms.measures import (DensityHandle, density_moment, fisher_information,
                                fisher_renyi, fisher_shannon, functional_E,
-                               functional_E_log, functional_I, lmc_plain, lmc_renyi,
-                               renyi_entropy, renyi_length, shannon_entropy,
+                               functional_E_log, functional_I, functional_I_log, lmc_plain,
+                               lmc_renyi, renyi_entropy, renyi_length, shannon_entropy,
                                shannon_from_Wq_derivative, shannon_length)
 from hopnorms.norms import weighted_norm_quad
 from hopnorms.special import digamma
@@ -165,3 +165,14 @@ def test_functional_E_log_extreme_parameters():
     v = functional_E_log(laguerre(1000.0), 1)
     assert math.isfinite(v.log_abs)
     assert v.sign == -1  # ln L^2 > 0 dominates, E = -int ... < 0
+
+
+def test_float_functionals_refuse_values_outside_float_range():
+    # E and I of Laguerre(1000), n = 2 are about -e^5928 and -e^5934
+    fam = laguerre(1000.0)
+    assert math.isfinite(functional_E_log(fam, 2).log_abs)
+    assert math.isfinite(functional_I_log(fam, 2).log_abs)
+    with pytest.raises(NumericalFailure, match="functional_E_log"):
+        functional_E(fam, 2)
+    with pytest.raises(NumericalFailure, match="functional_I_log"):
+        functional_I(fam, 2)

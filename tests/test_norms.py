@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from hopnorms.errors import DomainError
@@ -171,3 +172,15 @@ def test_extreme_parameter_weighted_norm():
             + math.log((a + 1) * (3 * a + 2) / 4.0))
     r = weighted_norm_quad(laguerre(a), 1, 2.0)
     assert r.value.log_abs == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("lam,q", [(1000.0, 1000.0), (1e4, 100.0)])
+def test_normalized_error_covers_norm_constant_rounding(lam, q):
+    # the log-gammas of q ln kappa_0 cancel by ~1e-12 each, then scale by q;
+    # W_q of the unit-mass density is B(1/2, q(lam-1/2)+1) / B(1/2, lam+1/2)^q
+    with mpmath.workdps(40):
+        lam_, q_ = mpmath.mpf(lam), mpmath.mpf(q)
+        want = (mpmath.log(mpmath.beta(0.5, q_ * (lam_ - 0.5) + 1))
+                - q_ * mpmath.log(mpmath.beta(0.5, lam_ + 0.5)))
+    r = weighted_norm_quad(gegenbauer(lam), 0, q, normalized=True)
+    assert abs(r.log_value - float(want)) <= r.error_estimate < 1e-6

@@ -5,6 +5,7 @@ import pytest
 
 from hopnorms.errors import DomainError
 from hopnorms.families import hermite
+from hopnorms import norms
 from hopnorms.norms import weighted_norm_quad
 from hopnorms.quadrature import (LogIntegrand, QuadratureConfig, QuadratureFailure,
                                  log_integral)
@@ -139,3 +140,19 @@ def test_positive_integrand_that_sums_to_zero_fails():
     # so every Gauss-Kronrod node underflows; that must not read as W_q = 0
     with pytest.raises(QuadratureFailure):
         weighted_norm_quad(hermite(), 2, 1e4)
+
+
+def test_refinement_splits_in_rounds(monkeypatch):
+    # each call of the array integrand evaluates the polynomial once; greedy
+    # one-interval splitting made 316 calls here, refinement in rounds ~10
+    calls = []
+    eval_log_many = norms.eval_log_many
+
+    def counted(*args):
+        calls.append(None)
+        return eval_log_many(*args)
+
+    monkeypatch.setattr(norms, "eval_log_many", counted)
+    r = weighted_norm_quad(hermite(), 100, 2.0)
+    assert len(calls) <= 20
+    assert r.log_value == pytest.approx(864.5467788760479, rel=1e-12)
