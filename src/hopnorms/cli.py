@@ -72,7 +72,7 @@ def _family_from(args) -> PolynomialFamily:
 
 
 def _cfg_from(args) -> QuadratureConfig:
-    if getattr(args, "tol", None):
+    if getattr(args, "tol", None) is not None:
         return QuadratureConfig(rel_tol=args.tol)
     return QuadratureConfig()
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .families import (PolynomialFamily, eval_log_many, log_derivative_numerator,
-                       log_derivative_numerator_many, norm_constant_log, polynomial_zeros,
-                       weight_log_many)
+from .families import (PolynomialFamily, eval_log_many, log_derivative_numerator_many,
+                       norm_constant_log, polynomial_zeros, weight_log_many)
 from .logreal import SignedLogReal
 from .norms import density_integral, weighted_norm_quad, unweighted_norm_quad
 from .quadrature import DEFAULT_CONFIG, LogIntegrand, QuadratureConfig, log_integral
@@ -175,20 +174,14 @@ def fisher_information(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG)
     shift = norm_constant_log(fam, n).log_abs
     core = w.core
 
-    def g_core(x: float) -> float:
-        v = log_derivative_numerator(fam, n, x)
-        if v.sign == 0:
-            return -math.inf
-        return core(x) + 2.0 * v.log_abs - shift
-
     def g_core_many(xs: np.ndarray) -> np.ndarray:
         return core(xs) + 2.0 * log_derivative_numerator_many(fam, n, xs)[1] - shift
 
     # the 1/d^2 of the integrand lowers each nonzero endpoint exponent by 2
-    spec = LogIntegrand(a=w.lo, b=w.hi, g_core=g_core,
+    spec = LogIntegrand(a=w.lo, b=w.hi, g_core_many=g_core_many,
                         e_left=w.e_lo - 2.0 if w.e_lo else 0.0,
                         e_right=w.e_hi - 2.0 if w.e_hi else 0.0,
-                        breakpoints=tuple(polynomial_zeros(fam, n)), g_core_many=g_core_many)
+                        breakpoints=tuple(polynomial_zeros(fam, n)))
     res = log_integral(spec, cfg)
     return math.exp(res.log_abs)
 

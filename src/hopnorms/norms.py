@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .families import (PolynomialFamily, eval_log, eval_log_many, moment_ratios,
+from .families import (PolynomialFamily, eval_log_many, moment_ratios,
                        norm_constant_log, norm_constant_log_error, polynomial_zeros)
 from .logreal import SignedLogReal
 from .quadrature import DEFAULT_CONFIG, LogIntegrand, LogQuadResult, QuadratureConfig, log_integral
@@ -69,18 +69,12 @@ def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_pow
         seeds = (None, None)
     core = w.core
 
-    def g_core(x: float) -> float:
-        v = eval_log(fam, n, x)
-        lp = -math.inf if v.sign == 0 else v.log_abs
-        return pol_power * lp + weight_power * core(x)
-
     def g_core_many(xs: np.ndarray) -> np.ndarray:
         return pol_power * eval_log_many(fam, n, xs)[1] + weight_power * core(xs)
 
-    spec = LogIntegrand(a=lo, b=hi, g_core=g_core, e_left=e_l, e_right=e_r,
+    spec = LogIntegrand(a=lo, b=hi, g_core_many=g_core_many, e_left=e_l, e_right=e_r,
                         breakpoints=tuple(zeros) + tuple(extra_breakpoints),
-                        tail_seed_left=seeds[0], tail_seed_right=seeds[1],
-                        g_core_many=g_core_many, phi_many=phi_many)
+                        tail_seed_left=seeds[0], tail_seed_right=seeds[1], phi_many=phi_many)
     return log_integral(spec, cfg)
 
 

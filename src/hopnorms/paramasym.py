@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .families import (PolynomialFamily, eval_log, eval_log_many, hermite, laguerre,
+from .families import (PolynomialFamily, eval_log_many, hermite, laguerre,
                        norm_constant_log, polynomial_zeros)
 from .logreal import SignedLogReal
 from .norms import NormResult, unweighted_norm_quad
@@ -160,19 +160,13 @@ def _temme_spec(m: int, alpha: float, mu: float, lambda_scale: float, q: float,
                 phi_many=None):
     fam = laguerre(alpha)
 
-    def g_core(x: float) -> float:
-        v = eval_log(fam, m, x)
-        lp = -math.inf if v.sign == 0 else v.log_abs
-        return q * lp - lambda_scale * x
-
     def g_core_many(xs):
         return q * eval_log_many(fam, m, xs)[1] - lambda_scale * xs
 
     zeros = polynomial_zeros(fam, m)
     seed = (mu - 1.0 + q * m) / lambda_scale + 1.0
-    return LogIntegrand(a=0.0, b=math.inf, g_core=g_core, e_left=mu - 1.0,
-                        breakpoints=tuple(zeros), tail_seed_right=seed,
-                        g_core_many=g_core_many, phi_many=phi_many)
+    return LogIntegrand(a=0.0, b=math.inf, g_core_many=g_core_many, e_left=mu - 1.0,
+                        breakpoints=tuple(zeros), tail_seed_right=seed, phi_many=phi_many)
 
 
 def temme_I1_quadrature(m: int, alpha: float, mu: float, lambda_scale: float, q: float,

@@ -34,13 +34,17 @@ greedy refinement would, with the same number of evaluations.  The
 reported error estimate is monotone under tolerance halving for the
 integrands used here.
 
-The scans, each zoom round and the first Gauss-Kronrod pass of all panels
-are also one call each of the array form; the tail walk and the level
-bisections go point by point.
+Every other phase is batched too, so the integrand exists only in its
+array form.  The tail walk evaluates blocks of its steps.  The scans, each
+zoom round and the first Gauss-Kronrod pass of all panels are one call
+each.  A panel whose scanned live points (g within the cutoff of its peak)
+span more than a quarter of it stays whole.  The live-window edges of all
+other panels are bisected together, six steps per call.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -71,6 +75,10 @@ _WG = np.array((0.129484966168870, 0.279705391489277, 0.381830050505119, 0.41795
 _SCAN_POINTS = 33
 _REFINE_ROUNDS = 3
 _REFINE_POINTS = 17
+_BISECT_STEPS = 6    # steps of the live-window edge bisection per batch
+_BISECT_ROUNDS = 10  # 60 steps in all
+_TAIL_STEPS = 500
+_TAIL_BLOCK = 16
 _MAX_INTERVALS = 40_000
 _EXP_CLAMP = 500.0
 
@@ -87,6 +95,8 @@ class QuadratureConfig:
             raise DomainError("rel_tol must be positive")
         if self.max_depth < 1:
             raise DomainError("max_depth must be >= 1")
+        if not -math.inf < self.tail_cutoff_log < 0.0:
+            raise DomainError("tail_cutoff_log must be a negative finite number")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -107,51 +117,21 @@ class LogQuadResult(NamedTuple):
 class LogIntegrand:
     """Problem description handed to :func:`log_integral`.
 
-    ``g_core_many`` and ``phi_many``, when given, are array forms of
-    ``g_core`` and ``phi``: they map a 1-d array of points to the array of
-    values.  Without them the engine maps the scalar callables over each
-    batch of points.  A spec with only ``phi_many`` needs no scalar phi.
+    ``g_core_many`` and ``phi_many`` are the integrand's array forms: each
+    maps a 1-d array of points to the array of values of g_core or phi.
+    Every phase of the engine evaluates whole batches, so no scalar form is
+    needed.  ``phi_many`` is optional; without it phi = 1.
     """
 
     a: float
     b: float
-    g_core: Callable[[float], float]
+    g_core_many: Callable[[np.ndarray], np.ndarray]
     e_left: float = 0.0
     e_right: float = 0.0
     breakpoints: tuple = ()
-    phi: Optional[Callable[[float], float]] = None
+    phi_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
     tail_seed_left: Optional[float] = None
     tail_seed_right: Optional[float] = None
-    g_core_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    phi_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    @property
-    def has_phi(self) -> bool:
-        return self.phi is not None or self.phi_many is not None
-
-    def core_many(self, xs: np.ndarray) -> np.ndarray:
-        if self.g_core_many is not None:
-            return self.g_core_many(xs)
-        return np.array([self.g_core(x) for x in xs.tolist()], dtype=float)
-
-    def phi_at(self, xs: np.ndarray) -> np.ndarray:
-        if self.phi_many is not None:
-            return self.phi_many(xs)
-        return np.array([self.phi(x) for x in xs.tolist()], dtype=float)
-
-    def g_full(self, x: float) -> float:
-        g = self.g_core(x)
-        if math.isfinite(self.a) and self.e_left != 0.0:
-            d = x - self.a
-            if d <= 0.0:
-                return -math.inf if self.e_left > 0 else math.inf
-            g += self.e_left * math.log(d)
-        if math.isfinite(self.b) and self.e_right != 0.0:
-            d = self.b - x
-            if d <= 0.0:
-                return -math.inf if self.e_right > 0 else math.inf
-            g += self.e_right * math.log(d)
-        return g
 
 
 _PLAIN, _LEFT, _RIGHT = 0, 1, -1
@@ -184,18 +164,6 @@ def _transform(spec: LogIntegrand, side: int) -> tuple[float, float, float, floa
     return end, p, other, e_other, math.log(p)
 
 
-def _logf(spec: LogIntegrand, panel: _Panel, u: float) -> float:
-    """The log-integrand at one point u of a panel."""
-    if panel.side == _PLAIN:
-        return spec.g_full(u)
-    end, p, other, e_other, lnp = _transform(spec, panel.side)
-    x = end + panel.side * math.exp(p * math.log(u)) if u > 0.0 else end
-    g = spec.g_core(x) + lnp
-    if math.isfinite(other) and e_other != 0.0:
-        g += e_other * math.log(panel.side * (other - x))
-    return g
-
-
 def _logf_rows(spec: LogIntegrand, panels: list[_Panel],
                us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log-integrand, x) at the points us[i] of panels[i], with one call of
@@ -207,8 +175,8 @@ def _logf_rows(spec: LogIntegrand, panels: list[_Panel],
         end, p, _, _, _ = _transform(spec, side)
         t = us[r]
         xs[r] = np.where(t > 0.0, end + side * np.exp(p * np.log(t)), end)
-    core = spec.core_many(xs.ravel()).reshape(xs.shape)
-    g = core  # plain panels: g_full over the batch
+    core = spec.g_core_many(xs.ravel()).reshape(xs.shape)
+    g = core  # plain panels: g_core plus both endpoint logs
     for end, e, dist in ((spec.b, spec.e_right, spec.b - xs), (spec.a, spec.e_left, xs - spec.a)):
         if math.isfinite(end) and e != 0.0:
             g = np.where(dist > 0.0, g + e * np.log(dist), -math.inf if e > 0 else math.inf)
@@ -220,19 +188,34 @@ def _logf_rows(spec: LogIntegrand, panels: list[_Panel],
     return g, xs
 
 
-def _tail_cut(g: Callable[[float], float], start: float, direction: int, cutoff: float) -> float:
-    x = start
-    step = 1.0 + 0.05 * abs(start)
-    best = g(x) if math.isfinite(g(x)) else -math.inf
-    for k in range(500):
-        x = x + direction * step
-        gv = g(x)
-        if gv > best:
-            best = gv
-        elif k >= 2 and gv < best - (cutoff + 30.0):
-            return x
+def _walk(start: float, direction: int):
+    """The tail walk's points: start, then _TAIL_STEPS steps growing by 1.35."""
+    x, step = start, 1.0 + 0.05 * abs(start)
+    yield x
+    for _ in range(_TAIL_STEPS):
+        x += direction * step
+        yield x
         step *= 1.35
-    raise NumericalFailure("tail walk found no decay within 500 steps")
+
+
+def _tail_cut(spec: LogIntegrand, start: float, direction: int, cutoff: float) -> float:
+    """First point of the walk from ``start`` where g lies cutoff + 30 nats
+    below the best value met so far, from the third step on; the walk is
+    evaluated in batches of _TAIL_BLOCK points."""
+    points = _walk(start, direction)
+    plain = [_Panel(-math.inf, math.inf)]
+    best, k = -math.inf, -1  # k counts steps; the start is step -1
+    while block := list(itertools.islice(points, _TAIL_BLOCK)):
+        gs, _ = _logf_rows(spec, plain, np.array([block]))
+        for x, gv in zip(block, gs[0].tolist()):
+            if k < 0:
+                best = gv if math.isfinite(gv) else -math.inf
+            elif gv > best:
+                best = gv
+            elif k >= 2 and gv < best - (cutoff + 30.0):
+                return x
+            k += 1
+    raise NumericalFailure(f"tail walk found no decay within {_TAIL_STEPS} steps")
 
 
 # ascending Chebyshev scan nodes on [-1, 1] and the zoom steps j = 1..16
@@ -265,43 +248,71 @@ def _scan_panels(spec: LogIntegrand, panels: list[_Panel]):
     return xs, gs, gmax
 
 
-def _bisect_level(spec: LogIntegrand, panel: _Panel, xa: float, xb: float, level: float,
-                  rising: bool) -> float:
-    """Point in [xa, xb] where logf crosses `level` (monotone-ish bracket)."""
-    for _ in range(60):
-        mid = 0.5 * (xa + xb)
-        if _logf(spec, panel, mid) >= level:
-            if rising:
-                xb = mid
-            else:
-                xa = mid
-        else:
-            if rising:
-                xa = mid
-            else:
-                xb = mid
-    return 0.5 * (xa + xb)
+def _bisect_edges(spec: LogIntegrand, panels: list[_Panel], outer: np.ndarray,
+                  inner: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Where g crosses level[i] between outer[i] (below it) and inner[i]
+    (at or above it) in panels[i]: a 60-step bisection of every bracket at
+    once.  Each round evaluates, in one batch, all midpoints the next
+    _BISECT_STEPS steps could visit, then takes those steps on the values."""
+    rows = np.arange(len(panels))
+    parts = 2 ** _BISECT_STEPS
+    grid = np.empty((len(panels), parts + 1))
+    for _ in range(_BISECT_ROUNDS):
+        grid[:, 0], grid[:, -1] = outer, inner
+        step = parts // 2
+        while step:  # nested midpoints, rounded as the bisection rounds them
+            grid[:, step::2 * step] = 0.5 * (grid[:, :-1:2 * step] + grid[:, 2 * step::2 * step])
+            step //= 2
+        gs, _ = _logf_rows(spec, panels, grid[:, 1:-1])
+        above = gs >= level[:, None]  # column j - 1 holds grid point j
+        o, i = np.zeros_like(rows), np.full_like(rows, parts)
+        for _ in range(_BISECT_STEPS):
+            m = (o + i) // 2
+            up = above[rows, m - 1]
+            o, i = np.where(up, o, m), np.where(up, m, i)
+        outer, inner = grid[rows, o], grid[rows, i]
+    return 0.5 * (outer + inner)
 
 
-def _split_on_live_window(spec: LogIntegrand, panel: _Panel, xs: list[float], gs: list[float],
-                          gmax: float, cutoff: float) -> list[_Panel]:
-    panel.peak = gmax
-    level = gmax - cutoff
-    idx = [i for i, gv in enumerate(gs) if gv >= level]
-    if not idx:
-        return [panel]
-    lo_i, hi_i = idx[0], idx[-1]
-    left = panel.lo if lo_i == 0 else _bisect_level(spec, panel, xs[lo_i - 1], xs[lo_i], level, True)
-    right = (panel.hi if hi_i == len(xs) - 1
-             else _bisect_level(spec, panel, xs[hi_i], xs[hi_i + 1], level, False))
-    if (right - left) > 0.25 * (panel.hi - panel.lo):
-        return [panel]
+def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndarray,
+                           gs: np.ndarray, gmax: np.ndarray, cutoff: float) -> list[_Panel]:
+    """Cut each panel whose live window (where g is within cutoff of the
+    panel's peak) spans at most a quarter of it into the window and the two
+    dead flanks.  A panel whose scanned live points already span more than
+    a quarter stays whole without a search; the edges of all others are
+    found together by :func:`_bisect_edges`."""
+    last = xs.shape[1] - 1
+    wins, edges = [], []  # edges: (row, side, outer, inner, level)
+    for i, (p, peak) in enumerate(zip(panels, gmax.tolist())):
+        p.peak = peak
+        level = peak - cutoff
+        idx = np.flatnonzero(gs[i] >= level)
+        if not idx.size or xs[i, idx[-1]] - xs[i, idx[0]] > 0.25 * (p.hi - p.lo):
+            wins.append(None)
+            continue
+        lo_i, hi_i = idx[0], idx[-1]
+        wins.append([p.lo, p.hi])
+        if lo_i > 0:
+            edges.append((i, 0, xs[i, lo_i - 1], xs[i, lo_i], level))
+        if hi_i < last:
+            edges.append((i, 1, xs[i, hi_i + 1], xs[i, hi_i], level))
+    if edges:
+        rows, sides, outer, inner, level = zip(*edges)
+        found = _bisect_edges(spec, [panels[i] for i in rows], np.array(outer),
+                               np.array(inner), np.array(level))
+        for i, side, x in zip(rows, sides, found.tolist()):
+            wins[i][side] = x
     out = []
-    for u, v in ((panel.lo, left), (left, right), (right, panel.hi)):
-        if v > u:
-            sub = _Panel(u, v, panel.side)
-            sub.peak = gmax if (u, v) == (left, right) else level
-            out.append(sub)
+    for p, win in zip(panels, wins):
+        if win is None or win[1] - win[0] > 0.25 * (p.hi - p.lo):
+            out.append(p)
+            continue
+        left, right = win
+        for u, v in ((p.lo, left), (left, right), (right, p.hi)):
+            if v > u:
+                sub = _Panel(u, v, p.side)
+                sub.peak = p.peak if (u, v) == (left, right) else p.peak - cutoff
+                out.append(sub)
     return out
 
 
@@ -325,9 +336,9 @@ def _gk_rows(spec: LogIntegrand, panels: list[_Panel], a: list[float], b: list[f
     if (g - shift > _EXP_CLAMP).any():
         raise NumericalFailure("integrand exceeds shifted clamp; peak scan missed the maximum")
     w = np.where(g > -math.inf, np.exp(g - shift), 0.0)
-    if spec.has_phi:
+    if spec.phi_many is not None:
         live = w != 0.0
-        w[live] *= spec.phi_at(xs[live])
+        w[live] *= spec.phi_many(xs[live])
     if np.isnan(w).any():
         raise NumericalFailure(f"integrand evaluated to NaN at x={us[np.isnan(w)][0]}")
     fk = w @ _WK
@@ -356,11 +367,11 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
     if not math.isfinite(lo):
         seed = spec.tail_seed_left if spec.tail_seed_left is not None else 0.0
         start = min([seed] + bps) if bps else seed
-        lo = _tail_cut(spec.g_full, start, -1, cutoff)
+        lo = _tail_cut(spec, start, -1, cutoff)
     if not math.isfinite(hi):
         seed = spec.tail_seed_right if spec.tail_seed_right is not None else 0.0
         start = max([seed] + bps) if bps else seed
-        hi = _tail_cut(spec.g_full, start, +1, cutoff)
+        hi = _tail_cut(spec, start, +1, cutoff)
 
     for e, name in ((spec.e_left, "left"), (spec.e_right, "right")):
         if e <= -1.0:
@@ -384,9 +395,7 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
         else:
             panels.append(_Panel(u, v))
 
-    work: list[_Panel] = []
-    for p, xs, gs, gmax in zip(panels, *_scan_panels(spec, panels)):
-        work.extend(_split_on_live_window(spec, p, xs.tolist(), gs.tolist(), float(gmax), cutoff))
+    work = _split_on_live_windows(spec, panels, *_scan_panels(spec, panels), cutoff)
     shift = max(p.peak for p in work)
 
     heap = []
@@ -460,7 +469,7 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
         log_abs = math.log(abs(total_i)) + shift
         rel = total_err / abs(total_i)
     result = LogQuadResult(sign, log_abs, rel, counter.n)
-    if total_i == 0.0 and not spec.has_phi and shift > -math.inf:
+    if total_i == 0.0 and spec.phi_many is None and shift > -math.inf:
         # exp(g) > 0 at the scanned peak, so a zero sum means every node missed it
         raise QuadratureFailure(
             "a positive integrand summed to zero: every Gauss-Kronrod node underflowed "

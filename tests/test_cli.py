@@ -142,6 +142,9 @@ def test_usage_errors(capsys):
     assert rc == 2
     rc, _, _ = run_cli(["bogus-command"], capsys)
     assert rc == 2
+    rc, _, _ = run_cli(["compute", "--family", "hermite", "--n", "0",
+                        "--op", "weighted-norm", "--q", "2", "--tol", "0"], capsys)
+    assert rc == 2
 
 
 def test_non_finite_result_is_computation_failure(capsys):

@@ -1,12 +1,13 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from hopnorms.errors import DomainError
-from hopnorms.families import (eval_poly, gegenbauer, gegenbauer_jacobi_factor_log,
+from hopnorms.families import (eval_log_many, gegenbauer, gegenbauer_jacobi_factor_log,
                                hermite, jacobi, laguerre, norm_constant_log,
-                               polynomial_zeros, weight_log)
+                               polynomial_zeros, weight_log_many)
 from hopnorms.norms import (density_integral, unweighted_norm_quad, weight_moment,
                             weight_moment_log, weighted_norm_quad)
 from hopnorms.quadrature import LogIntegrand, QuadratureConfig, log_integral
@@ -59,12 +60,13 @@ def test_orthogonality():
             kappa_log = norm_constant_log(fam, n).log_abs
             for m in (0, n // 2, n - 1, n):
                 def phi(x, m=m, n=n):
-                    return eval_poly(fam, m, x) * eval_poly(fam, n, x)
+                    (sm, lm), (sn, ln) = eval_log_many(fam, m, x), eval_log_many(fam, n, x)
+                    return sm * sn * np.exp(lm + ln)
                 def g(x):
-                    return weight_log(fam, x).log_abs
+                    return weight_log_many(fam, x)
                 seeds = None
                 lo, hi = fam.support
-                spec = LogIntegrand(a=lo, b=hi, g_core=g, phi=phi,
+                spec = LogIntegrand(a=lo, b=hi, g_core_many=g, phi_many=phi,
                                     e_left=0.0, e_right=0.0,
                                     breakpoints=tuple(polynomial_zeros(fam, n)),
                                     tail_seed_left=-math.sqrt(2 * n + 2) if fam.kind == "hermite" else None,
@@ -73,7 +75,7 @@ def test_orthogonality():
                 if fam.kind in ("jacobi", "gegenbauer"):
                     from hopnorms.families import weight_exponents
                     el, er = weight_exponents(fam)
-                    spec = LogIntegrand(a=lo, b=hi, g_core=lambda x: 0.0, phi=phi,
+                    spec = LogIntegrand(a=lo, b=hi, g_core_many=np.zeros_like, phi_many=phi,
                                         e_left=el, e_right=er,
                                         breakpoints=tuple(polynomial_zeros(fam, n)))
                 res = log_integral(spec, QuadratureConfig(abs_tol=math.exp(kappa_log) * 1e-11))
@@ -137,8 +139,8 @@ def test_weight_moments_against_quadrature():
             lo, hi = fam.support
             from hopnorms.families import weight_exponents
             el, er = weight_exponents(fam)
-            spec = LogIntegrand(a=lo, b=hi, g_core=lambda x: 0.0,
-                                phi=lambda x: x ** t, e_left=el, e_right=er,
+            spec = LogIntegrand(a=lo, b=hi, g_core_many=np.zeros_like,
+                                phi_many=lambda x: x ** t, e_left=el, e_right=er,
                                 breakpoints=(0.0,))
             res = log_integral(spec, QuadratureConfig(abs_tol=1e-13))
             want = weight_moment_log(fam, t)

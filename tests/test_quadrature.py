@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,12 +8,12 @@ from hopnorms.errors import DomainError
 from hopnorms.families import hermite
 from hopnorms import norms
 from hopnorms.norms import weighted_norm_quad
-from hopnorms.quadrature import (LogIntegrand, QuadratureConfig, QuadratureFailure,
-                                 log_integral)
+from hopnorms.quadrature import (_LEFT, LogIntegrand, QuadratureConfig, QuadratureFailure,
+                                 _Panel, _bisect_edges, _logf_rows, log_integral)
 
 
 def test_gaussian_full_line():
-    spec = LogIntegrand(a=-math.inf, b=math.inf, g_core=lambda x: -x * x,
+    spec = LogIntegrand(a=-math.inf, b=math.inf, g_core_many=lambda x: -x * x,
                         tail_seed_left=0.0, tail_seed_right=0.0)
     res = log_integral(spec)
     assert res.sign == 1
@@ -22,7 +23,7 @@ def test_gaussian_full_line():
 def test_shifted_narrow_gaussian():
     # peak at x = 4000 with curvature 1/2000; exercises the peak scan + shift
     spec = LogIntegrand(a=0.0, b=math.inf,
-                        g_core=lambda x: 4000.0 * math.log(x) - x if x > 0 else -math.inf,
+                        g_core_many=lambda x: 4000.0 * np.log(x) - x,
                         tail_seed_right=4100.0)
     res = log_integral(spec)
     want = math.lgamma(4001.0)
@@ -31,29 +32,29 @@ def test_shifted_narrow_gaussian():
 
 def test_endpoint_singularity_transform():
     # int_0^1 x^(-1/2) dx = 2, exponent supplied separately from the core
-    spec = LogIntegrand(a=0.0, b=1.0, g_core=lambda x: 0.0, e_left=-0.5)
+    spec = LogIntegrand(a=0.0, b=1.0, g_core_many=np.zeros_like, e_left=-0.5)
     res = log_integral(spec)
     assert math.exp(res.log_abs) == pytest.approx(2.0, rel=1e-11)
 
 
 def test_both_endpoints_singular():
     # int_-1^1 (1-x)^(-0.3) (1+x)^(-0.6) dx (a Beta integral)
-    spec = LogIntegrand(a=-1.0, b=1.0, g_core=lambda x: 0.0, e_left=-0.6, e_right=-0.3)
+    spec = LogIntegrand(a=-1.0, b=1.0, g_core_many=np.zeros_like, e_left=-0.6, e_right=-0.3)
     res = log_integral(spec)
     want = (0.1 * math.log(2.0) + math.lgamma(0.7) + math.lgamma(0.4) - math.lgamma(1.1))
     assert res.log_abs == pytest.approx(want, rel=1e-11)
 
 
 def test_non_integrable_exponent_rejected():
-    spec = LogIntegrand(a=0.0, b=1.0, g_core=lambda x: 0.0, e_left=-1.2)
+    spec = LogIntegrand(a=0.0, b=1.0, g_core_many=np.zeros_like, e_left=-1.2)
     with pytest.raises(DomainError):
         log_integral(spec)
 
 
 def test_signed_phi():
     # int_-inf^inf exp(-x^2) (x^3 - x) dx = 0 by parity; abs_tol path
-    spec = LogIntegrand(a=-math.inf, b=math.inf, g_core=lambda x: -x * x,
-                        phi=lambda x: x ** 3 - x,
+    spec = LogIntegrand(a=-math.inf, b=math.inf, g_core_many=lambda x: -x * x,
+                        phi_many=lambda x: x ** 3 - x,
                         tail_seed_left=0.0, tail_seed_right=0.0)
     res = log_integral(spec, QuadratureConfig(abs_tol=1e-12))
     assert res.sign == 0 or res.log_abs < math.log(1e-11)
@@ -61,7 +62,7 @@ def test_signed_phi():
 
 def test_phi_with_value():
     # int_0^inf e^{-x} x dx = 1 via phi
-    spec = LogIntegrand(a=0.0, b=math.inf, g_core=lambda x: -x, phi=lambda x: x,
+    spec = LogIntegrand(a=0.0, b=math.inf, g_core_many=lambda x: -x, phi_many=lambda x: x,
                         tail_seed_right=1.0)
     res = log_integral(spec)
     assert res.sign == 1
@@ -71,7 +72,7 @@ def test_phi_with_value():
 def test_breakpoint_cusp():
     # int_-1^1 |x|^0.5 dx = 4/3 with a cusp breakpoint at 0
     spec = LogIntegrand(a=-1.0, b=1.0,
-                        g_core=lambda x: 0.5 * math.log(abs(x)) if x != 0 else -math.inf,
+                        g_core_many=lambda x: 0.5 * np.log(np.abs(x)),
                         breakpoints=(0.0,))
     res = log_integral(spec)
     assert math.exp(res.log_abs) == pytest.approx(4.0 / 3.0, rel=1e-10)
@@ -79,7 +80,7 @@ def test_breakpoint_cusp():
 
 def test_monotone_refinement():
     spec = LogIntegrand(a=-1.0, b=1.0,
-                        g_core=lambda x: 3.0 * math.log(abs(math.sin(3 * x) + 1.1)))
+                        g_core_many=lambda x: 3.0 * np.log(np.abs(np.sin(3 * x) + 1.1)))
     errs = []
     tol = 1e-6
     for _ in range(6):
@@ -90,7 +91,7 @@ def test_monotone_refinement():
 
 def test_failure_carries_best_estimate():
     c = 0.3331
-    spec = LogIntegrand(a=0.0, b=1.0, g_core=lambda x: 0.5 * math.log(abs(x - c)))
+    spec = LogIntegrand(a=0.0, b=1.0, g_core_many=lambda x: 0.5 * np.log(np.abs(x - c)))
     with pytest.raises(QuadratureFailure) as exc_info:
         log_integral(spec, QuadratureConfig(rel_tol=1e-30, max_depth=3))
     best = exc_info.value.best
@@ -104,35 +105,80 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureConfig(max_depth=0)
+    # a cutoff at or above the peak, or not finite, truncates nothing sound
+    for cutoff in (100.0, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            QuadratureConfig(tail_cutoff_log=cutoff)
 
 
-def _laguerre_like(batched):
+def _laguerre_like():
     # tail walk, a cusp breakpoint, a transformed singular left endpoint and phi
     spec = LogIntegrand(a=0.0, b=math.inf, e_left=-0.5, breakpoints=(1.5,),
-                        g_core=lambda x: 3.0 * math.log(abs(x - 1.5)) - x if x != 1.5 else -math.inf,
-                        phi=lambda x: math.log(x + 2.0), tail_seed_right=4.0)
-    if batched:
-        spec.g_core_many = lambda xs: 3.0 * np.log(np.abs(xs - 1.5)) - xs
-        spec.phi_many = lambda xs: np.log(xs + 2.0)
-    return spec
+                        g_core_many=lambda x: 3.0 * np.log(np.abs(x - 1.5)) - x,
+                        phi_many=lambda x: np.log(x + 2.0), tail_seed_right=4.0)
+    want = mpmath.quad(lambda x: x ** -0.5 * abs(x - 1.5) ** 3 * mpmath.exp(-x) * mpmath.log(x + 2),
+                       [0, 1.5, mpmath.inf])
+    return spec, want
 
 
-def _jacobi_like(batched):
+def _jacobi_like():
     # both endpoints singular and transformed, one interior breakpoint
     spec = LogIntegrand(a=-1.0, b=1.0, e_left=-0.3, e_right=-0.6, breakpoints=(0.25,),
-                        g_core=lambda x: 4.0 * math.log(abs(x - 0.25)) if x != 0.25 else -math.inf)
-    if batched:
-        spec.g_core_many = lambda xs: 4.0 * np.log(np.abs(xs - 0.25))
-    return spec
+                        g_core_many=lambda x: 4.0 * np.log(np.abs(x - 0.25)))
+    want = mpmath.quad(lambda x: (1 + x) ** -0.3 * (1 - x) ** -0.6 * (x - 0.25) ** 4,
+                       [-1, 0.25, 1])
+    return spec, want
 
 
 @pytest.mark.parametrize("make", [_laguerre_like, _jacobi_like])
-def test_array_forms_match_scalar_forms(make):
-    scalar = log_integral(make(False))
-    batched = log_integral(make(True))
-    assert batched.neval == scalar.neval
-    assert batched.sign == scalar.sign == 1
-    assert abs(batched.log_abs - scalar.log_abs) <= 1e-13 * max(1.0, abs(scalar.log_abs))
+def test_against_mpmath_reference(make):
+    with mpmath.workdps(30):
+        spec, want = make()
+    res = log_integral(spec)
+    assert res.sign == 1
+    assert math.exp(res.log_abs) == pytest.approx(float(want), rel=1e-12)
+
+
+def test_live_windows_of_several_panels():
+    # one narrow peak per panel, each at its own height: every panel is cut
+    # to its live window, six window edges at three levels in one call
+    k, centres, heights = 1e4, np.array([0.4, 1.55, 2.7]), np.array([0.0, 3.0, -2.0])
+
+    def g(x):
+        i = np.clip(np.floor(x), 0, 2).astype(int)
+        return heights[i] - k * (x - centres[i]) ** 2
+
+    res = log_integral(LogIntegrand(a=0.0, b=3.0, g_core_many=g, breakpoints=(1.0, 2.0)))
+    want = 0.5 * math.log(math.pi / k) + math.log(np.exp(heights).sum())
+    assert res.sign == 1
+    assert math.exp(res.log_abs - want) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_batched_edge_search_is_the_bisection():
+    # reference: the 60-step bisection one point at a time; the batched
+    # search takes the same steps on the same midpoints.  Peaks at 0.06 and
+    # 0.3 put three crossings of -120 in (0, 0.3); bisection finds 0.265
+    spec = LogIntegrand(a=0.0, b=2.0, e_left=-0.5,
+                        g_core_many=lambda x: np.logaddexp(-1e5 * (x - 0.3) ** 2,
+                                                           -1e5 * (x - 0.06) ** 2))
+    plain, left = _Panel(0.0, 2.0), _Panel(0.0, 1.0, _LEFT)
+    edges = [(plain, 0.0, 0.3, -120.0), (plain, 2.0, 0.3, -120.0), (plain, 0.2, 0.3, -20.0),
+             (left, 0.0, 0.55, -120.0), (left, 1.0, 0.55, -120.0)]
+
+    def bisect(panel, outer, inner, level):
+        for _ in range(60):
+            mid = 0.5 * (outer + inner)
+            if _logf_rows(spec, [panel], np.array([[mid]]))[0][0, 0] >= level:
+                inner = mid
+            else:
+                outer = mid
+        return 0.5 * (outer + inner)
+
+    panels, outer, inner, level = zip(*edges)
+    with np.errstate(divide="ignore"):
+        found = _bisect_edges(spec, list(panels), np.array(outer), np.array(inner), np.array(level))
+        want = [bisect(*e) for e in edges]
+    assert found.tolist() == want
 
 
 def test_positive_integrand_that_sums_to_zero_fails():
