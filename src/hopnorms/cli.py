@@ -115,7 +115,7 @@ def _norm_dispatch(op: str, engine: str, fam: PolynomialFamily, n: int, q: float
             elif fam.kind == "jacobi":
                 av = jacobi_unweighted_param(n, fam.alpha, fam.beta, q)
             else:
-                av = gegenbauer_unweighted_param(n, fam.lam, q, normalized)
+                av = gegenbauer_unweighted_param(n, fam.lam, q)
         scale = fam.lam if fam.kind == "gegenbauer" else fam.alpha
         return av.as_norm_result(1.0 / scale)
     raise DomainError(f"unknown engine {engine!r}")
@@ -193,6 +193,8 @@ def cmd_compute(args) -> int:
                    maximizers=list(pt.maximizers))
         rec["value"] = pt.x0
     elif args.op in NORM_OPS:
+        if args.normalized and args.op == "unweighted-norm":
+            raise DomainError("--normalized applies to weighted norms only")
         res = _norm_dispatch(args.op, args.engine, fam, args.n, _require_q(args),
                              args.normalized, cfg)
         rec["engine"] = args.engine
@@ -230,20 +232,23 @@ def _parse_grid(expr: str) -> tuple[str, list[float]]:
     if name not in GRID_PARAMS:
         raise DomainError(f"grid parameter must be one of {GRID_PARAMS}, got {name!r}")
     body = body.strip()
-    if body.startswith("geom:"):
-        parts = body.split(":")
-        if len(parts) != 4:
-            raise DomainError("geometric grid needs geom:start:stop:count")
-        start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
-        if count < 1 or start <= 0 or stop <= 0:
-            raise DomainError("geometric grid needs positive bounds and count >= 1")
-        if count == 1:
-            vals = [start]
+    try:
+        if body.startswith("geom:"):
+            parts = body.split(":")
+            if len(parts) != 4:
+                raise DomainError("geometric grid needs geom:start:stop:count")
+            start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
+            if count < 1 or start <= 0 or stop <= 0:
+                raise DomainError("geometric grid needs positive bounds and count >= 1")
+            if count == 1:
+                vals = [start]
+            else:
+                ratio = (stop / start) ** (1.0 / (count - 1))
+                vals = [start * ratio ** i for i in range(count)]
         else:
-            ratio = (stop / start) ** (1.0 / (count - 1))
-            vals = [start * ratio ** i for i in range(count)]
-    else:
-        vals = [float(tok) for tok in body.split(",") if tok.strip()]
+            vals = [float(tok) for tok in body.split(",") if tok.strip()]
+    except ValueError as exc:  # a DomainError, or a value float() or int() cannot read
+        raise DomainError(f"grid {expr!r}: {exc}") from None
     if not vals:
         raise DomainError(f"empty grid for {name!r}")
     return name, vals
@@ -262,10 +267,13 @@ class SweepSpec:
     engines: tuple = ()
     output_format: str = "csv"
     fixed_q: float | None = None
+    normalized: bool = False
 
     def __post_init__(self):
         if self.op not in NORM_OPS:
             raise DomainError(f"sweep op must be one of {NORM_OPS}, got {self.op!r}")
+        if self.normalized and self.op == "unweighted-norm":
+            raise DomainError("--normalized applies to weighted norms only")
         if not self.grids or any(not vals for vals in self.grids.values()):
             raise DomainError("sweep grid must be nonempty")
         if not self.engines:
@@ -292,7 +300,7 @@ def _sweep_rows(args, cfg) -> list[dict]:
     grids = dict(_parse_grid(g) for g in args.grid)
     engines = tuple(e for e in ENGINES if e in set(args.engine))
     SweepSpec(op=args.op, family=args.family, grids=grids, engines=engines,
-              output_format=args.format, fixed_q=args.q)
+              output_format=args.format, fixed_q=args.q, normalized=args.normalized)
 
     axes = [p for p in GRID_PARAMS if p in grids]
     rows = []
@@ -402,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--op", required=True, choices=NORM_OPS + MEASURE_OPS + ("laplace-x0",))
     pc.add_argument("--engine", default="quadrature", choices=ENGINES)
     pc.add_argument("--q2", type=float, default=None, help="second order for lmc-renyi")
-    pc.add_argument("--normalized", action="store_true", help="unit-mass density for norms")
+    pc.add_argument("--normalized", action="store_true",
+                    help="unit-mass density for weighted norms")
     pc.add_argument("--orthogonal", action="store_true",
                     help="use the kappa-mass density in measure ops")
     pc.add_argument("--format", default="text", choices=("text", "json"))

@@ -239,13 +239,6 @@ def shannon_from_Wq_derivative(d: DensityHandle, cfg: QuadratureConfig = DEFAULT
 def density_moment(d: DensityHandle, k: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """int x^k rho(x) dx; used by the variance/Cramer-Rao sanity checks."""
     shift = _log_norm_shift(d)
-    # odd moments of symmetric densities vanish exactly; give the signed
-    # integrand an absolute floor at 1e-12 of the density mass
-    kappa_log = norm_constant_log(d.family, d.n).log_abs
-    floor = math.exp(min(kappa_log - 27.6, 690.0))
-    if cfg.abs_tol < floor:
-        cfg = QuadratureConfig(rel_tol=cfg.rel_tol, abs_tol=floor,
-                               max_depth=cfg.max_depth, tail_cutoff_log=cfg.tail_cutoff_log)
     res = density_integral(d.family, d.n, pol_power=2.0, weight_power=1.0,
                            phi_many=(lambda xs: xs ** k), cfg=cfg)
     return res.sign * math.exp(res.log_abs - shift) if res.sign != 0 else 0.0

@@ -8,7 +8,7 @@ where g may swing over thousands of nats (weights like x^alpha e^(-x) with
 alpha ~ 1e4) and phi is an optional signed factor (entropy integrands).
 The engine:
 
-  * truncates infinite tails where g falls ``tail_cutoff_log`` nats below
+  * truncates infinite tails where g falls _TAIL_CUTOFF + 30 nats below
     the running peak (walk with geometrically growing steps),
   * splits the domain at caller-supplied breakpoints (polynomial zeros,
     where |p|^q has cusps and log factors have singularities),
@@ -40,6 +40,16 @@ zoom round and the first Gauss-Kronrod pass of all panels are one call
 each.  A panel whose scanned live points (g within the cutoff of its peak)
 span more than a quarter of it stays whole.  The live-window edges of all
 other panels are bisected together, six steps per call.
+
+The sum is accepted when its error estimate E meets
+
+    E <= max(rel_tol * |I|,  50 eps * int |f|),
+
+where int |f| is the Kronrod rule applied to |f| on the same nodes, summed
+over the intervals like I and E.  The second term is the rounding floor of
+the sum itself (QUADPACK's ``resabs`` test): a signed integrand that
+cancels to zero, such as an odd moment, converges on it, while a positive
+integrand, whose int |f| is |I|, is held to rel_tol whatever its scale.
 """
 from __future__ import annotations
 
@@ -80,23 +90,19 @@ _BISECT_ROUNDS = 10  # 60 steps in all
 _TAIL_STEPS = 500
 _TAIL_BLOCK = 16
 _MAX_INTERVALS = 40_000
+_MAX_DEPTH = 40
+_TAIL_CUTOFF = 120.0  # nats below the peak where tails and dead flanks are cut
 _EXP_CLAMP = 500.0
+_ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-11
-    abs_tol: float = 1e-300
-    max_depth: int = 40
-    tail_cutoff_log: float = -120.0
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise DomainError("rel_tol must be positive")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be >= 1")
-        if not -math.inf < self.tail_cutoff_log < 0.0:
-            raise DomainError("tail_cutoff_log must be a negative finite number")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -198,8 +204,8 @@ def _walk(start: float, direction: int):
         step *= 1.35
 
 
-def _tail_cut(spec: LogIntegrand, start: float, direction: int, cutoff: float) -> float:
-    """First point of the walk from ``start`` where g lies cutoff + 30 nats
+def _tail_cut(spec: LogIntegrand, start: float, direction: int) -> float:
+    """First point of the walk from ``start`` where g lies _TAIL_CUTOFF + 30 nats
     below the best value met so far, from the third step on; the walk is
     evaluated in batches of _TAIL_BLOCK points."""
     points = _walk(start, direction)
@@ -212,7 +218,7 @@ def _tail_cut(spec: LogIntegrand, start: float, direction: int, cutoff: float) -
                 best = gv if math.isfinite(gv) else -math.inf
             elif gv > best:
                 best = gv
-            elif k >= 2 and gv < best - (cutoff + 30.0):
+            elif k >= 2 and gv < best - (_TAIL_CUTOFF + 30.0):
                 return x
             k += 1
     raise NumericalFailure(f"tail walk found no decay within {_TAIL_STEPS} steps")
@@ -275,8 +281,8 @@ def _bisect_edges(spec: LogIntegrand, panels: list[_Panel], outer: np.ndarray,
 
 
 def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndarray,
-                           gs: np.ndarray, gmax: np.ndarray, cutoff: float) -> list[_Panel]:
-    """Cut each panel whose live window (where g is within cutoff of the
+                           gs: np.ndarray, gmax: np.ndarray) -> list[_Panel]:
+    """Cut each panel whose live window (where g is within _TAIL_CUTOFF of the
     panel's peak) spans at most a quarter of it into the window and the two
     dead flanks.  A panel whose scanned live points already span more than
     a quarter stays whole without a search; the edges of all others are
@@ -285,7 +291,7 @@ def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndar
     wins, edges = [], []  # edges: (row, side, outer, inner, level)
     for i, (p, peak) in enumerate(zip(panels, gmax.tolist())):
         p.peak = peak
-        level = peak - cutoff
+        level = peak - _TAIL_CUTOFF
         idx = np.flatnonzero(gs[i] >= level)
         if not idx.size or xs[i, idx[-1]] - xs[i, idx[0]] > 0.25 * (p.hi - p.lo):
             wins.append(None)
@@ -311,28 +317,21 @@ def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndar
         for u, v in ((p.lo, left), (left, right), (right, p.hi)):
             if v > u:
                 sub = _Panel(u, v, p.side)
-                sub.peak = p.peak if (u, v) == (left, right) else p.peak - cutoff
+                sub.peak = p.peak if (u, v) == (left, right) else p.peak - _TAIL_CUTOFF
                 out.append(sub)
     return out
 
 
-class _EvalCounter:
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-
-def _gk_rows(spec: LogIntegrand, panels: list[_Panel], a: list[float], b: list[float], shift: float,
-             counter: _EvalCounter) -> tuple[list[float], list[float]]:
+def _gk_rows(spec: LogIntegrand, panels: list[_Panel], a: list[float], b: list[float],
+             shift: float) -> tuple[list[float], list[float], list[float]]:
     """7-15 Gauss-Kronrod rule over (a[i], b[i]) of panels[i], one batch for
-    all rows; returns the Kronrod estimates and their error estimates."""
+    all rows; returns the Kronrod estimates, their error estimates and the
+    Kronrod estimates of int |f|."""
     a, b = np.array(a), np.array(b)
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     us = c[:, None] + h[:, None] * _XK
     g, xs = _logf_rows(spec, panels, us)
-    counter.n += g.size
     if (g - shift > _EXP_CLAMP).any():
         raise NumericalFailure("integrand exceeds shifted clamp; peak scan missed the maximum")
     w = np.where(g > -math.inf, np.exp(g - shift), 0.0)
@@ -343,7 +342,9 @@ def _gk_rows(spec: LogIntegrand, panels: list[_Panel], a: list[float], b: list[f
         raise NumericalFailure(f"integrand evaluated to NaN at x={us[np.isnan(w)][0]}")
     fk = w @ _WK
     fg = w[:, 1::2] @ _WG
-    return (h * fk).tolist(), np.abs(h * (fk - fg)).tolist()
+    i_k = (h * fk).tolist()
+    a_k = i_k if spec.phi_many is None else (h * (np.abs(w) @ _WK)).tolist()  # without phi, f >= 0
+    return i_k, np.abs(h * (fk - fg)).tolist(), a_k
 
 
 def log_integral(spec: LogIntegrand, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogQuadResult:
@@ -351,27 +352,24 @@ def log_integral(spec: LogIntegrand, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
 
     Refines in rounds: each round halves, in one batch, the largest-error
     intervals whose errors together stand between the running total and
-    the tolerance.  Refinement stops at the tolerance, or stalls (raising
-    QuadratureFailure with ``.best``) at an interval of depth
-    ``cfg.max_depth`` or at the interval budget."""
+    the tolerance.  Refinement stops at the acceptance rule of the module
+    docstring, or stalls (raising QuadratureFailure with ``.best``) at an
+    interval of depth _MAX_DEPTH or at _MAX_INTERVALS intervals."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _log_integral(spec, cfg)
 
 
 def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
-    cutoff = -cfg.tail_cutoff_log
-    counter = _EvalCounter()
-
     lo, hi = spec.a, spec.b
     bps = sorted(x for x in spec.breakpoints if spec.a < x < spec.b)
     if not math.isfinite(lo):
         seed = spec.tail_seed_left if spec.tail_seed_left is not None else 0.0
         start = min([seed] + bps) if bps else seed
-        lo = _tail_cut(spec, start, -1, cutoff)
+        lo = _tail_cut(spec, start, -1)
     if not math.isfinite(hi):
         seed = spec.tail_seed_right if spec.tail_seed_right is not None else 0.0
         start = max([seed] + bps) if bps else seed
-        hi = _tail_cut(spec, start, +1, cutoff)
+        hi = _tail_cut(spec, start, +1)
 
     for e, name in ((spec.e_left, "left"), (spec.e_right, "right")):
         if e <= -1.0:
@@ -395,28 +393,23 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
         else:
             panels.append(_Panel(u, v))
 
-    work = _split_on_live_windows(spec, panels, *_scan_panels(spec, panels), cutoff)
+    work = _split_on_live_windows(spec, panels, *_scan_panels(spec, panels))
     shift = max(p.peak for p in work)
 
     heap = []
     tick = 0
-    total_i = 0.0
-    total_err = 0.0
-    for p, I, err in zip(work, *_gk_rows(spec, work, [p.lo for p in work], [p.hi for p in work],
-                                         shift, counter)):
-        heapq.heappush(heap, (-err, tick, p, p.lo, p.hi, I, err, 0))
+    total_i = total_err = total_abs = 0.0
+    neval = _XK.size * len(work)
+    for p, I, err, A in zip(work, *_gk_rows(spec, work, [p.lo for p in work], [p.hi for p in work],
+                                            shift)):
+        heapq.heappush(heap, (-err, tick, p, p.lo, p.hi, I, err, A, 0))
         tick += 1
         total_i += I
         total_err += err
-
-    ln_abs_tol = math.log(cfg.abs_tol) if cfg.abs_tol > 0 else -math.inf
+        total_abs += A
 
     def within_tol(err: float) -> bool:
-        if err <= cfg.rel_tol * abs(total_i):
-            return True
-        if err > 0 and math.log(err) + shift <= ln_abs_tol:
-            return True
-        return err == 0.0
+        return err <= max(cfg.rel_tol * abs(total_i), _ROUNDING_FLOOR * total_abs)
 
     stalled = False
     while not stalled and not within_tol(total_err):
@@ -426,8 +419,8 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
         remaining = total_err
         while heap:
             entry = heapq.heappop(heap)
-            _, _, p, a, b, I, err, depth = entry
-            if depth >= cfg.max_depth or len(heap) + len(narrow) + 2 * len(split) > _MAX_INTERVALS:
+            _, _, p, a, b, I, err, A, depth = entry
+            if depth >= _MAX_DEPTH or len(heap) + len(narrow) + 2 * len(split) > _MAX_INTERVALS:
                 heapq.heappush(heap, entry)
                 stalled = True
                 break
@@ -440,25 +433,28 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
             remaining -= err
             if within_tol(remaining):
                 break
-        for _, _, p, a, b, I, _, depth in narrow:
-            heapq.heappush(heap, (0.0, tick, p, a, b, I, 0.0, depth))
+        for _, _, p, a, b, I, _, A, depth in narrow:
+            heapq.heappush(heap, (0.0, tick, p, a, b, I, 0.0, A, depth))
             tick += 1
         if not split:
             continue
         panels, los, his = [], [], []
-        for _, _, p, a, b, _, _, _ in split:
+        for _, _, p, a, b, _, _, _, _ in split:
             mid = 0.5 * (a + b)
             panels += (p, p)
             los += (a, mid)
             his += (mid, b)
-        i_rows, e_rows = _gk_rows(spec, panels, los, his, shift, counter)
-        for k, (_, _, p, a, b, I, err, depth) in enumerate(split):
-            mid = los[2 * k + 1]
-            (i1, i2), (e1, e2) = i_rows[2 * k:2 * k + 2], e_rows[2 * k:2 * k + 2]
+        i_rows, e_rows, a_rows = _gk_rows(spec, panels, los, his, shift)
+        neval += _XK.size * len(panels)
+        for k, (_, _, p, a, b, I, err, A, depth) in enumerate(split):
+            j = 2 * k
+            mid = los[j + 1]
+            (i1, i2), (e1, e2), (a1, a2) = i_rows[j:j + 2], e_rows[j:j + 2], a_rows[j:j + 2]
             total_i += (i1 + i2) - I
             total_err += (e1 + e2) - err
-            heapq.heappush(heap, (-e1, tick, p, a, mid, i1, e1, depth + 1))
-            heapq.heappush(heap, (-e2, tick + 1, p, mid, b, i2, e2, depth + 1))
+            total_abs += (a1 + a2) - A
+            heapq.heappush(heap, (-e1, tick, p, a, mid, i1, e1, a1, depth + 1))
+            heapq.heappush(heap, (-e2, tick + 1, p, mid, b, i2, e2, a2, depth + 1))
             tick += 2
 
     if total_i == 0.0:
@@ -468,7 +464,7 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
         sign = 1 if total_i > 0 else -1
         log_abs = math.log(abs(total_i)) + shift
         rel = total_err / abs(total_i)
-    result = LogQuadResult(sign, log_abs, rel, counter.n)
+    result = LogQuadResult(sign, log_abs, rel, neval)
     if total_i == 0.0 and spec.phi_many is None and shift > -math.inf:
         # exp(g) > 0 at the scanned peak, so a zero sum means every node missed it
         raise QuadratureFailure(

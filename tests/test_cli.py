@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from hopnorms.cli import main
+from hopnorms.cli import SweepSpec, main
+from hopnorms.errors import DomainError
 from hopnorms.families import jacobi
 from hopnorms.measures import DensityHandle, renyi_entropy
 
@@ -107,6 +108,21 @@ def test_sweep_rejects_hermite_parameter_engine(capsys):
     assert rc == 2
 
 
+def test_unweighted_norm_rejects_normalized(capsys):
+    # unweighted norms have no unit-mass form; the flag must not be printed
+    # as normalized=true over an unnormalized value
+    base = ["--family", "gegenbauer", "--lambda", "1000", "--n", "2", "--op", "unweighted-norm",
+            "--normalized"]
+    rc, out, err = run_cli(["compute"] + base + ["--q", "2"], capsys)
+    assert rc == 2 and out == "" and "--normalized" in err
+    rc, out, err = run_cli(["sweep"] + base + ["--grid", "q=2", "--engine", "quadrature",
+                                               "--engine", "asymptotic-parameter"], capsys)
+    assert rc == 2 and out == "" and "--normalized" in err
+    with pytest.raises(DomainError):
+        SweepSpec(op="unweighted-norm", family="gegenbauer", grids={"q": [2.0]},
+                  engines=("quadrature",), normalized=True)
+
+
 def test_sweep_geometric_grid(capsys):
     rc, out, _ = run_cli(["sweep", "--family", "laguerre", "--n", "1", "--q", "2",
                           "--op", "weighted-norm", "--grid", "alpha=geom:100:800:4",
@@ -145,6 +161,10 @@ def test_usage_errors(capsys):
     rc, _, _ = run_cli(["compute", "--family", "hermite", "--n", "0",
                         "--op", "weighted-norm", "--q", "2", "--tol", "0"], capsys)
     assert rc == 2
+    for grid in ("q=1,abc", "q=geom:1:10:x"):  # malformed grid values
+        rc, _, err = run_cli(["sweep", "--family", "hermite", "--n", "0", "--op", "weighted-norm",
+                              "--grid", grid, "--engine", "quadrature"], capsys)
+        assert rc == 2 and "Traceback" not in err
 
 
 def test_non_finite_result_is_computation_failure(capsys):

@@ -78,7 +78,7 @@ def test_orthogonality():
                     spec = LogIntegrand(a=lo, b=hi, g_core_many=np.zeros_like, phi_many=phi,
                                         e_left=el, e_right=er,
                                         breakpoints=tuple(polynomial_zeros(fam, n)))
-                res = log_integral(spec, QuadratureConfig(abs_tol=math.exp(kappa_log) * 1e-11))
+                res = log_integral(spec)
                 if m == n:
                     assert res.log_abs == pytest.approx(kappa_log, abs=1e-9)
                 else:
@@ -94,6 +94,15 @@ def test_gegenbauer_jacobi_norm_bridge():
             lg = unweighted_norm_quad(gegenbauer(lam), n, q).value.log_abs
             lj = unweighted_norm_quad(jfam, n, q).value.log_abs
             assert lg == pytest.approx(lj + shift, abs=1e-9)
+
+
+@pytest.mark.parametrize("a, q", [(1.0, 1000.0), (1.0, 3000.0), (1.5, 1000.0), (1.5, 1e4)])
+def test_tiny_weighted_norm_meets_its_error_estimate(a, q):
+    # W_q[L_0^(a)] = Gamma(qa + 1) / q^(qa + 1), far below e^-690: the value's
+    # scale must not relax the tolerance
+    r = weighted_norm_quad(laguerre(a), 0, q)
+    want = log_gamma(q * a + 1.0) - (q * a + 1.0) * math.log(q)
+    assert abs(math.expm1(r.value.log_abs - want)) <= r.error_estimate <= 1e-10
 
 
 def test_weighted_endpoint_singular():
@@ -142,7 +151,7 @@ def test_weight_moments_against_quadrature():
             spec = LogIntegrand(a=lo, b=hi, g_core_many=np.zeros_like,
                                 phi_many=lambda x: x ** t, e_left=el, e_right=er,
                                 breakpoints=(0.0,))
-            res = log_integral(spec, QuadratureConfig(abs_tol=1e-13))
+            res = log_integral(spec)
             want = weight_moment_log(fam, t)
             if want.sign == 0:
                 assert res.sign == 0 or res.log_abs < math.log(1e-11)
