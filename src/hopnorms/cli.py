@@ -280,6 +280,10 @@ class SweepSpec:
             raise DomainError("at least one engine is required")
         if "q" not in self.grids and self.fixed_q is None:
             raise DomainError("norm sweeps need a q grid or a fixed --q")
+        bad = [n for n in self.grids.get("n", ()) if not (n >= 0 and n % 1 == 0)]
+        if bad:
+            raise DomainError("degree grid takes nonnegative integers only; "
+                              f"offending grid values: {bad}")
         if "bell" in self.engines:
             qs = self.grids.get("q", [self.fixed_q])
             bad = [q for q in qs if q is None or int(q) != q or int(q) % 2 != 0 or q <= 0]

@@ -30,7 +30,7 @@ __all__ = [
     "eval_poly", "eval_log", "eval_log_many", "eval_derivative", "derivative_family",
     "norm_constant_log", "norm_constant_log_error", "coefficients", "weight_log", "weight_log_many",
     "weight_log_derivative", "gegenbauer_jacobi_factor_log", "Weight",
-    "log_derivative_numerator", "log_derivative_numerator_many",
+    "log_derivative_numerator_many",
     "moment_ratios", "power_basis",
 ]
 
@@ -422,15 +422,17 @@ def weight_exponents(fam: PolynomialFamily) -> tuple[float, float]:
 
 def _numerator_factors(w: Weight, x):
     """(d, r) with d the product of the distances to the endpoints where h
-    has a nonzero exponent and r = d h'/h; for floats and arrays alike."""
+    has a nonzero exponent and r = d h'/h."""
     d_lo = x - w.lo if w.e_lo != 0.0 else 1.0
     d_hi = w.hi - x if w.e_hi != 0.0 else 1.0
     d = d_lo * d_hi
     return d, d * w.core_prime(x) + w.e_lo * d_hi - w.e_hi * d_lo
 
 
-def log_derivative_numerator(fam: PolynomialFamily, n: int, x: float) -> SignedLogReal:
-    """N = d (2 p_n' + p_n h'/h), with d the product of the distances to the
+def log_derivative_numerator_many(fam: PolynomialFamily, n: int,
+                                  xs) -> tuple[np.ndarray, np.ndarray]:
+    """N = d (2 p_n' + p_n h'/h) at every point of xs, as the (signs, log_abs)
+    arrays of :func:`eval_log_many`; d is the product of the distances to the
     endpoints where h has a nonzero exponent.
 
     N is a polynomial, so it has no poles at the zeros of p_n or at the
@@ -440,29 +442,6 @@ def log_derivative_numerator(fam: PolynomialFamily, n: int, x: float) -> SignedL
     are its n + 1 maxima, one between each pair of neighbouring zeros of
     p_n or ends of the support.
     """
-    d, r = _numerator_factors(fam.weight, x)
-    p = eval_log(fam, n, x)
-    dfam, dn, factor = derivative_family(fam, n)
-    if dfam is None:
-        return p.scaled(r)
-    # N = c_q q_{n-1} + c_p p_n (p_n' = factor q_{n-1}), summed as floats at
-    # the larger of the two log scales
-    q = eval_log(dfam, dn, x)
-    c_q = 2.0 * d * factor * q.sign
-    c_p = r * p.sign
-    if c_p == 0.0:
-        return q.scaled(2.0 * d * factor)
-    ref = max(q.log_abs, p.log_abs) if c_q != 0.0 else p.log_abs
-    v = c_p * math.exp(p.log_abs - ref)
-    if c_q != 0.0:
-        v += c_q * math.exp(q.log_abs - ref)
-    return _logreal(v, ref)
-
-
-def log_derivative_numerator_many(fam: PolynomialFamily, n: int,
-                                  xs) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`log_derivative_numerator` at every point of xs, as the
-    (signs, log_abs) arrays of :func:`eval_log_many`."""
     x = np.asarray(xs, dtype=float)
     d, r = (np.broadcast_to(v, x.shape) for v in _numerator_factors(fam.weight, x))
     sp, lp = eval_log_many(fam, n, x)
@@ -472,6 +451,8 @@ def log_derivative_numerator_many(fam: PolynomialFamily, n: int,
     else:
         sq, lq = eval_log_many(dfam, dn, x)
         c_q = 2.0 * d * factor * sq
+    # N = c_q q_{n-1} + c_p p_n (p_n' = factor q_{n-1}), summed as floats at
+    # the larger of the two log scales
     c_p = r * sp
     with np.errstate(invalid="ignore", over="ignore"):
         ref = np.where(c_q != 0.0, np.maximum(lq, lp), lp)

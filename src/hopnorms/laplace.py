@@ -5,8 +5,11 @@ f(x) = ln h(x) + ln p_n(x)^2,
 
     W_q ~ (number of global maximizers) * e^{q f(x0)} sqrt(2 pi / (-q f''(x0))).
 
-The maximizer is a sign change of the polynomial numerator N of f' (see
-:func:`families.log_derivative_numerator`); f'' has closed forms per family.
+The maximizers are sign changes of the polynomial numerator N of f' (see
+:func:`families.log_derivative_numerator_many`).  Under the weight-exponent
+precondition N changes sign exactly once between each pair of neighbouring
+zeros of p_n or ends of the support, so these gaps bracket every critical
+point; f'' has closed forms per family.
 Unweighted norms: Watson-type endpoint expansion, available for the
 bounded-support families only (|H_n| and |L_n| have no global maximum on
 their supports, so no leading term exists there).
@@ -17,19 +20,21 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.optimize import brentq
+import numpy as np
 
 from .errors import DomainError, NumericalFailure, UnsupportedAsymptotics
-from .families import (PolynomialFamily, eval_log, gegenbauer_jacobi_factor_log,
-                       log_derivative_numerator, log_derivative_numerator_many, weight_log)
+from .families import (PolynomialFamily, eval_log_many, gegenbauer_jacobi_factor_log,
+                       log_derivative_numerator_many, polynomial_zeros, weight_log_many)
 from .logreal import SignedLogReal
 from .norms import NormResult
+from .quadrature import bisect_brackets
 from .special import log_gamma, log_pochhammer
 
 __all__ = ["LaplacePoint", "locate_density_maximum", "weighted_norm_q_asym",
            "unweighted_norm_q_asym_jacobi"]
 
 _TIE_TOL = 1e-10
+_WALK = 2.0 ** np.arange(41)  # outward steps, in units of 1 + |outermost knot|
 
 
 @dataclass(frozen=True)
@@ -39,13 +44,6 @@ class LaplacePoint:
     f2_at_x0: float
     multiplicity: int
     maximizers: tuple[float, ...]
-
-
-def _f_value(fam: PolynomialFamily, n: int, x: float) -> float:
-    v = eval_log(fam, n, x)
-    if v.sign == 0:
-        return -math.inf
-    return weight_log(fam, x).log_abs + 2.0 * v.log_abs
 
 
 def _f_second(fam: PolynomialFamily, n: int, x0: float) -> float:
@@ -66,16 +64,6 @@ def _f_second(fam: PolynomialFamily, n: int, x0: float) -> float:
             + (b - a - (a + b + 2.0) * x0) / s * (b / op - a / om))
 
 
-def _scan_window(fam: PolynomialFamily, n: int) -> tuple[float, float, bool]:
-    """(lo, hi, chebyshev_spacing)."""
-    if fam.kind == "hermite":
-        r = math.sqrt(4.0 * n + 6.0)
-        return -r, r, False
-    if fam.kind == "laguerre":
-        return 1e-12, 4.0 * n + 2.0 * fam.alpha + 6.0, False
-    return -1.0 + 1e-9, 1.0 - 1e-9, True
-
-
 def _check_preconditions(fam: PolynomialFamily) -> None:
     w = fam.weight
     for end, e in ((w.lo, w.e_lo), (w.hi, w.e_hi)):
@@ -87,50 +75,60 @@ def _check_preconditions(fam: PolynomialFamily) -> None:
                 f"at x = {end:g}")
 
 
+def _critical_points(fam: PolynomialFamily, n: int) -> np.ndarray:
+    """The n + 1 zeros of N, ascending, one in each gap between neighbouring
+    knots: the finite ends of the support and the zeros of p_n.
+
+    An infinite end is replaced by the first point of a geometric walk
+    outward from the outermost knot where N has the opposite sign.  All gaps
+    are then bisected together by :func:`quadrature.bisect_brackets`.
+    """
+    w = fam.weight
+    knots = ([w.lo] if math.isfinite(w.lo) else []) + polynomial_zeros(fam, n) \
+        + ([w.hi] if math.isfinite(w.hi) else [])
+    if not knots:  # both ends infinite and n = 0: hermite, whose N = -2x
+        return np.zeros(1)
+    walks = [(k, d) for k, d, end in ((knots[0], -1, w.lo), (knots[-1], 1, w.hi))
+             if not math.isfinite(end)]
+    xs = np.concatenate([knots] + [k + d * (1.0 + abs(k)) * _WALK for k, d in walks])
+    signs = log_derivative_numerator_many(fam, n, xs)[0]
+    x, s = knots, signs[:len(knots)].tolist()
+    for (k, d), wx, ws in zip(walks, xs[len(knots):].reshape(-1, _WALK.size),
+                              signs[len(knots):].reshape(-1, _WALK.size)):
+        hit = np.flatnonzero(ws == -(s[0] if d < 0 else s[-1]))
+        if not hit.size:
+            raise NumericalFailure(f"no sign change of f' beyond x = {k:g} for {fam.label()} n={n}")
+        end, s_end = [wx[hit[0]]], [ws[hit[0]]]
+        x, s = (end + x, s_end + s) if d < 0 else (x + end, s + s_end)
+    x, s = np.array(x), np.array(s)
+    if not (s[:-1] * s[1:] == -1).all():
+        raise NumericalFailure(f"f' does not alternate in sign across the zeros of p_n for "
+                               f"{fam.label()} n={n}")
+    return bisect_brackets(lambda p: log_derivative_numerator_many(fam, n, p)[0] == s[1:, None],
+                           x[:-1], x[1:])
+
+
 @lru_cache(maxsize=64)
 def locate_density_maximum(fam: PolynomialFamily, n: int) -> LaplacePoint:
     """All interior critical points of f; returns the global maximum.
 
-    Brackets the sign changes of the numerator N of f' on a scan of
-    8(n+2) points, evaluated as one batch.  N is a polynomial with no poles
-    whose every sign change, in either direction, is a maximum of the
-    density.  Memoised per (family, n).
+    The critical points are the zeros of the numerator N of f', one in each
+    gap between neighbouring zeros of p_n or ends of the support (an
+    infinite end is brought in by a geometric walk), found by one batched
+    bisection of all n + 1 gaps.  Every one is a maximum of the density; f
+    is evaluated at all of them as one batch.  Memoised per (family, n).
     """
     _check_preconditions(fam)
-    lo, hi, cheb = _scan_window(fam, n)
-    m = 8 * (n + 2)
-    if cheb:
-        xs = [0.5 * (lo + hi) + 0.5 * (hi - lo) * math.cos(math.pi * (j + 0.5) / m)
-              for j in range(m - 1, -1, -1)]
-    else:
-        xs = [lo + (hi - lo) * j / (m - 1) for j in range(m)]
-
-    signs, logs = (a.tolist() for a in log_derivative_numerator_many(fam, n, xs))
-    crits: list[float] = []
-    for i, x in enumerate(xs):
-        if signs[i] == 0:
-            crits.append(x)
-        elif i > 0 and signs[i - 1] == -signs[i]:
-            ref = max(logs[i], logs[i - 1])
-            crits.append(brentq(lambda t: _scaled_float(log_derivative_numerator(fam, n, t), ref),
-                                xs[i - 1], x, xtol=1e-15, rtol=8.9e-16))
-    if not crits:
-        raise NumericalFailure(f"no interior critical point found for {fam.label()} n={n}")
-
-    fvals = [_f_value(fam, n, x) for x in crits]
+    crits = _critical_points(fam, n)
+    fvals = (weight_log_many(fam, crits) + 2.0 * eval_log_many(fam, n, crits)[1]).tolist()
     fmax = max(fvals)
-    winners = [x for x, fv in zip(crits, fvals) if fv >= fmax - _TIE_TOL]
+    winners = [x for x, fv in zip(crits.tolist(), fvals) if fv >= fmax - _TIE_TOL]
     x0 = max(winners)  # deterministic representative
     f2 = _f_second(fam, n, x0)
     if not f2 < 0:
         raise NumericalFailure(f"second derivative not negative at x0={x0}")
     return LaplacePoint(x0=x0, f_at_x0=fmax, f2_at_x0=f2,
                         multiplicity=len(winners), maximizers=tuple(sorted(winners)))
-
-
-def _scaled_float(v: SignedLogReal, ref: float) -> float:
-    """v e^{-ref} as a float, for root finding on values beyond float range."""
-    return v.sign * math.exp(v.log_abs - ref)
 
 
 def weighted_norm_q_asym(fam: PolynomialFamily, n: int, q: float) -> NormResult:

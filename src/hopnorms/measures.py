@@ -156,7 +156,7 @@ def fisher_information(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG)
     """F = int rho'^2 / rho dx for the unit-mass density.
 
     rho'^2/rho = h N^2 / (d^2 kappa) with N = d (2 p' + p h'/h) the
-    polynomial of :func:`families.log_derivative_numerator`.  At an endpoint
+    polynomial of :func:`families.log_derivative_numerator_many`.  At an endpoint
     where the weight exponent a is nonzero the integrand behaves like
     (x - end)^(a - 2), which is not integrable for a in (-1, 0) or (0, 1];
     such parameter ranges are rejected rather than silently truncated.

@@ -39,7 +39,9 @@ array form.  The tail walk evaluates blocks of its steps.  The scans, each
 zoom round and the first Gauss-Kronrod pass of all panels are one call
 each.  A panel whose scanned live points (g within the cutoff of its peak)
 span more than a quarter of it stays whole.  The live-window edges of all
-other panels are bisected together, six steps per call.
+other panels are bisected together, six steps per call, by
+:func:`bisect_brackets`, the bisection the Laplace maximizer also uses for
+the critical points of the density.
 
 The sum is accepted when its error estimate E meets
 
@@ -63,7 +65,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalFailure
 
-__all__ = ["QuadratureConfig", "QuadratureFailure", "LogIntegrand", "LogQuadResult", "log_integral"]
+__all__ = ["QuadratureConfig", "QuadratureFailure", "LogIntegrand", "LogQuadResult", "log_integral",
+           "bisect_brackets"]
 
 # 7-15 Gauss-Kronrod pair on [-1, 1]
 _XK = np.array((
@@ -85,7 +88,7 @@ _WG = np.array((0.129484966168870, 0.279705391489277, 0.381830050505119, 0.41795
 _SCAN_POINTS = 33
 _REFINE_ROUNDS = 3
 _REFINE_POINTS = 17
-_BISECT_STEPS = 6    # steps of the live-window edge bisection per batch
+_BISECT_STEPS = 6    # steps of bisect_brackets per batch
 _BISECT_ROUNDS = 10  # 60 steps in all
 _TAIL_STEPS = 500
 _TAIL_BLOCK = 16
@@ -254,29 +257,29 @@ def _scan_panels(spec: LogIntegrand, panels: list[_Panel]):
     return xs, gs, gmax
 
 
-def _bisect_edges(spec: LogIntegrand, panels: list[_Panel], outer: np.ndarray,
-                  inner: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """Where g crosses level[i] between outer[i] (below it) and inner[i]
-    (at or above it) in panels[i]: a 60-step bisection of every bracket at
-    once.  Each round evaluates, in one batch, all midpoints the next
+def bisect_brackets(above_many: Callable[[np.ndarray], np.ndarray], outer,
+                    inner) -> np.ndarray:
+    """Where a predicate turns true between outer[i] (false) and inner[i]
+    (true): a 60-step bisection of every bracket at once.  above_many maps a
+    2-d array of points, row i inside bracket i, to the boolean array of the
+    predicate.  Each round evaluates, in one batch, all midpoints the next
     _BISECT_STEPS steps could visit, then takes those steps on the values."""
-    rows = np.arange(len(panels))
+    rows = np.arange(len(outer))
     parts = 2 ** _BISECT_STEPS
-    grid = np.empty((len(panels), parts + 1))
+    grid = np.empty((len(outer), parts + 1))
     for _ in range(_BISECT_ROUNDS):
         grid[:, 0], grid[:, -1] = outer, inner
         step = parts // 2
         while step:  # nested midpoints, rounded as the bisection rounds them
             grid[:, step::2 * step] = 0.5 * (grid[:, :-1:2 * step] + grid[:, 2 * step::2 * step])
             step //= 2
-        gs, _ = _logf_rows(spec, panels, grid[:, 1:-1])
-        above = gs >= level[:, None]  # column j - 1 holds grid point j
-        o, i = np.zeros_like(rows), np.full_like(rows, parts)
-        for _ in range(_BISECT_STEPS):
-            m = (o + i) // 2
-            up = above[rows, m - 1]
-            o, i = np.where(up, o, m), np.where(up, m, i)
-        outer, inner = grid[rows, o], grid[rows, i]
+        above = above_many(grid[:, 1:-1])  # column j - 1 holds grid point j
+        o, half = np.zeros_like(rows), parts // 2
+        while half:  # the bracket is grid points o and o + 2 half
+            m = o + half
+            o = np.where(above[rows, m - 1], o, m)
+            half //= 2
+        outer, inner = grid[rows, o], grid[rows, o + 1]
     return 0.5 * (outer + inner)
 
 
@@ -286,7 +289,7 @@ def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndar
     panel's peak) spans at most a quarter of it into the window and the two
     dead flanks.  A panel whose scanned live points already span more than
     a quarter stays whole without a search; the edges of all others are
-    found together by :func:`_bisect_edges`."""
+    found together by :func:`bisect_brackets`."""
     last = xs.shape[1] - 1
     wins, edges = [], []  # edges: (row, side, outer, inner, level)
     for i, (p, peak) in enumerate(zip(panels, gmax.tolist())):
@@ -304,8 +307,9 @@ def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndar
             edges.append((i, 1, xs[i, hi_i + 1], xs[i, hi_i], level))
     if edges:
         rows, sides, outer, inner, level = zip(*edges)
-        found = _bisect_edges(spec, [panels[i] for i in rows], np.array(outer),
-                               np.array(inner), np.array(level))
+        sub, level = [panels[i] for i in rows], np.array(level)[:, None]
+        found = bisect_brackets(lambda us: _logf_rows(spec, sub, us)[0] >= level,
+                                np.array(outer), np.array(inner))
         for i, side, x in zip(rows, sides, found.tolist()):
             wins[i][side] = x
     out = []

@@ -165,6 +165,10 @@ def test_usage_errors(capsys):
         rc, _, err = run_cli(["sweep", "--family", "hermite", "--n", "0", "--op", "weighted-norm",
                               "--grid", grid, "--engine", "quadrature"], capsys)
         assert rc == 2 and "Traceback" not in err
+    for grid in ("n=1.5", "n=-1"):  # degrees that are not nonnegative integers
+        rc, out, err = run_cli(["sweep", "--family", "hermite", "--n", "0", "--op", "weighted-norm",
+                                "--q", "2", "--grid", grid, "--engine", "quadrature"], capsys)
+        assert rc == 2 and out == "" and "Traceback" not in err
 
 
 def test_non_finite_result_is_computation_failure(capsys):
@@ -208,3 +212,12 @@ def test_console_entry_point():
                           "--q", "4"], capture_output=True, text=True)
     assert res.returncode == 0
     assert "value=" in res.stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds ~17 MB of RSS and ~0.15 s to every process that
+    # imports it, and no part of the package needs it
+    res = subprocess.run([sys.executable, "-c", "import sys, hopnorms, hopnorms.cli; "
+                          "print('scipy.optimize' in sys.modules)"], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from hopnorms.errors import DomainError, UnsupportedAsymptotics
-from hopnorms.families import (eval_log, gegenbauer, hermite, jacobi, laguerre,
-                               polynomial_zeros, weight_log)
+from hopnorms.families import (eval_log, eval_log_many, gegenbauer, hermite, jacobi, laguerre,
+                               log_derivative_numerator_many, polynomial_zeros, weight_log,
+                               weight_log_many)
 from hopnorms.laplace import (locate_density_maximum, unweighted_norm_q_asym,
                               unweighted_norm_q_asym_jacobi, weighted_norm_q_asym)
 from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
@@ -14,6 +16,10 @@ from .helpers import log_ratio_err
 
 def f_value(fam, n, x):
     return weight_log(fam, x).log_abs + 2.0 * eval_log(fam, n, x).log_abs
+
+
+def family_id(v):
+    return v.label() if hasattr(v, "label") else None
 
 
 def test_maximizer_examples():
@@ -52,6 +58,32 @@ def test_laguerre_maximum_left_of_first_zero():
     assert pt.f_at_x0 == pytest.approx(0.10222, abs=1e-5)
     grid = [1e-3 * j for j in range(1, 40001)]
     assert pt.f_at_x0 >= max(f_value(fam, n, x) for x in grid if eval_log(fam, n, x).sign)
+
+
+@pytest.mark.parametrize("fam,n,lo,hi", [
+    (laguerre(0.5), 11, 0.0, 60.0), (laguerre(1.0), 20, 0.0, 100.0),
+    (jacobi(1000.0, 2.0), 1, -1.0, 1.0), (gegenbauer(1000.0), 4, -1.0, 1.0)],
+    ids=family_id)
+def test_maximum_beats_a_dense_grid(fam, n, lo, hi):
+    # narrow maxima next to an endpoint or between close zeros, which a
+    # coarse scan of the support steps over
+    pt = locate_density_maximum(fam, n)
+    grid = np.linspace(lo, hi, 200_001)[1:-1]
+    with np.errstate(divide="ignore"):
+        f = weight_log_many(fam, grid) + 2.0 * eval_log_many(fam, n, grid)[1]
+    assert pt.f_at_x0 >= f.max() - 1e-12 * abs(pt.f_at_x0)
+    assert pt.f_at_x0 == pytest.approx(f_value(fam, n, pt.x0), rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("fam,n", [
+    (laguerre(1e4), 1), (jacobi(1000.0, 2.0), 0), (gegenbauer(1000.0), 1)],
+    ids=family_id)
+def test_maximizers_are_sign_changes_of_the_numerator(fam, n):
+    pt = locate_density_maximum(fam, n)
+    for x in pt.maximizers:
+        dx = 1e-9 * (1.0 + abs(x))
+        left, right = log_derivative_numerator_many(fam, n, [x - dx, x + dx])[0]
+        assert left * right == -1
 
 
 def test_stationarity_residual():
@@ -110,7 +142,7 @@ def test_jacobi_n0_closed_form():
 
 def test_weighted_convergence_rate():
     for fam, n in ((hermite(), 1), (jacobi(1.5, 2.5), 0), (laguerre(3.0), 1),
-                   (gegenbauer(2.0), 1)):
+                   (gegenbauer(2.0), 1), (laguerre(0.5), 11)):
         errs = []
         for q in (25.0, 50.0, 100.0, 200.0):
             wq = weighted_norm_quad(fam, n, q).value.log_abs

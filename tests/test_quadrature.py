@@ -9,7 +9,7 @@ from hopnorms.families import hermite
 from hopnorms import norms, quadrature
 from hopnorms.norms import weighted_norm_quad
 from hopnorms.quadrature import (_LEFT, LogIntegrand, QuadratureConfig, QuadratureFailure,
-                                 _Panel, _bisect_edges, _logf_rows, log_integral)
+                                 _Panel, _logf_rows, bisect_brackets, log_integral)
 
 
 def test_gaussian_full_line():
@@ -172,7 +172,9 @@ def test_batched_edge_search_is_the_bisection():
 
     panels, outer, inner, level = zip(*edges)
     with np.errstate(divide="ignore"):
-        found = _bisect_edges(spec, list(panels), np.array(outer), np.array(inner), np.array(level))
+        found = bisect_brackets(
+            lambda us: _logf_rows(spec, list(panels), us)[0] >= np.array(level)[:, None],
+            np.array(outer), np.array(inner))
         want = [bisect(*e) for e in edges]
     assert found.tolist() == want
 
