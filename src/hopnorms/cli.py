@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import DomainError, NumericalFailure
 from .families import (PolynomialFamily, gegenbauer, hermite, jacobi, laguerre, norm_constant_log,
@@ -392,6 +393,7 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+@lru_cache(maxsize=None)  # one parser per process; parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hopnorms",
                                  description="Lq norms, entropies and complexities of "

@@ -108,7 +108,7 @@ def _critical_points(fam: PolynomialFamily, n: int) -> np.ndarray:
                            x[:-1], x[1:])
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)  # above the ~70 (family, n) keys of one q-sweep pass
 def locate_density_maximum(fam: PolynomialFamily, n: int) -> LaplacePoint:
     """All interior critical points of f; returns the global maximum.
 

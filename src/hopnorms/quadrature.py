@@ -35,23 +35,34 @@ reported error estimate is monotone under tolerance halving for the
 integrands used here.
 
 Every other phase is batched too, so the integrand exists only in its
-array form.  The tail walk evaluates blocks of its steps.  The scans, each
-zoom round and the first Gauss-Kronrod pass of all panels are one call
-each.  A panel whose scanned live points (g within the cutoff of its peak)
-span more than a quarter of it stays whole.  The live-window edges of all
-other panels are bisected together, six steps per call, by
-:func:`bisect_brackets`, the bisection the Laplace maximizer also uses for
-the critical points of the density.
+array form.  The tail walks of both infinite ends evaluate blocks of their
+steps together.  The scans, each zoom round and the first Gauss-Kronrod
+pass of all panels are one call each.  A panel whose scanned live points
+(g within the cutoff of its peak) span more than a quarter of it stays
+whole.  The live-window edges of all other panels are bisected together,
+six steps per call, in the rounds of :func:`bisect_brackets`, the
+bisection the Laplace maximizer also uses for the critical points of the
+density.  The maximizer takes all ten rounds (60 steps), because its
+point must be exact.  The edge search stops once every bracket is
+narrower than 2^-6 of its panel's live span seen so far (usually after
+one round), because both dead flanks are integrated too: only the
+window's width matters, not where exactly it is cut.
 
 The sum is accepted when its error estimate E meets
 
-    E <= max(rel_tol * |I|,  50 eps * int |f|),
+    E <= max(max(rel_tol, 4 eps |M|) * |I|,  50 eps * int |f|),
 
 where int |f| is the Kronrod rule applied to |f| on the same nodes, summed
 over the intervals like I and E.  The second term is the rounding floor of
 the sum itself (QUADPACK's ``resabs`` test): a signed integrand that
 cancels to zero, such as an odd moment, converges on it, while a positive
 integrand, whose int |f| is |I|, is held to rel_tol whatever its scale.
+The term 4 eps |M| is the rounding of g itself, which is computed at the
+scale of its peak M: at |M| ~ 1e5 nats it exceeds the default rel_tol, and
+no refinement removes it.  The reported relative error is
+max(E / |I|, 4 eps |M|): E, the Gauss-Kronrod difference, overstates the
+error of the Kronrod sum by orders of magnitude, so the larger term bounds
+both.
 """
 from __future__ import annotations
 
@@ -88,8 +99,9 @@ _WG = np.array((0.129484966168870, 0.279705391489277, 0.381830050505119, 0.41795
 _SCAN_POINTS = 33
 _REFINE_ROUNDS = 3
 _REFINE_POINTS = 17
-_BISECT_STEPS = 6    # steps of bisect_brackets per batch
+_BISECT_STEPS = 6    # bisection steps per batch
 _BISECT_ROUNDS = 10  # 60 steps in all
+_EDGE_PRECISION = 2.0 ** -6  # live-window edge bracket, relative to the live span
 _TAIL_STEPS = 500
 _TAIL_BLOCK = 16
 _MAX_INTERVALS = 40_000
@@ -97,6 +109,7 @@ _MAX_DEPTH = 40
 _TAIL_CUTOFF = 120.0  # nats below the peak where tails and dead flanks are cut
 _EXP_CLAMP = 500.0
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
+_SHIFT_ROUNDING = 4.0 * np.finfo(float).eps  # relative error of exp(g - M) per nat of |M|
 
 
 @dataclass(frozen=True)
@@ -207,24 +220,31 @@ def _walk(start: float, direction: int):
         step *= 1.35
 
 
-def _tail_cut(spec: LogIntegrand, start: float, direction: int) -> float:
-    """First point of the walk from ``start`` where g lies _TAIL_CUTOFF + 30 nats
-    below the best value met so far, from the third step on; the walk is
-    evaluated in batches of _TAIL_BLOCK points."""
-    points = _walk(start, direction)
-    plain = [_Panel(-math.inf, math.inf)]
-    best, k = -math.inf, -1  # k counts steps; the start is step -1
-    while block := list(itertools.islice(points, _TAIL_BLOCK)):
-        gs, _ = _logf_rows(spec, plain, np.array([block]))
-        for x, gv in zip(block, gs[0].tolist()):
-            if k < 0:
-                best = gv if math.isfinite(gv) else -math.inf
-            elif gv > best:
-                best = gv
-            elif k >= 2 and gv < best - (_TAIL_CUTOFF + 30.0):
-                return x
-            k += 1
-    raise NumericalFailure(f"tail walk found no decay within {_TAIL_STEPS} steps")
+def _tail_cuts(spec: LogIntegrand, walks: list[tuple[float, int]]) -> list[float]:
+    """For each walk (start, direction), the first point where g lies
+    _TAIL_CUTOFF + 30 nats below the best value met so far, from the third
+    step on.  The walks still going are evaluated together, one row each,
+    in batches of _TAIL_BLOCK points."""
+    points = [_walk(start, direction) for start, direction in walks]
+    best, cuts = [-math.inf] * len(walks), [None] * len(walks)
+    plain = _Panel(-math.inf, math.inf)
+    k0 = -1  # k counts steps; the start is step -1
+    while live := [i for i, cut in enumerate(cuts) if cut is None]:
+        blocks = [list(itertools.islice(points[i], _TAIL_BLOCK)) for i in live]
+        if not blocks[0]:  # every walk has the same length
+            raise NumericalFailure(f"tail walk found no decay within {_TAIL_STEPS} steps")
+        gs, _ = _logf_rows(spec, [plain] * len(live), np.array(blocks))
+        for i, block, row in zip(live, blocks, gs.tolist()):
+            for k, (x, gv) in enumerate(zip(block, row), k0):
+                if k < 0:
+                    best[i] = gv if math.isfinite(gv) else -math.inf
+                elif gv > best[i]:
+                    best[i] = gv
+                elif k >= 2 and gv < best[i] - (_TAIL_CUTOFF + 30.0):
+                    cuts[i] = x
+                    break
+        k0 += _TAIL_BLOCK
+    return cuts
 
 
 # ascending Chebyshev scan nodes on [-1, 1] and the zoom steps j = 1..16
@@ -257,29 +277,37 @@ def _scan_panels(spec: LogIntegrand, panels: list[_Panel]):
     return xs, gs, gmax
 
 
-def bisect_brackets(above_many: Callable[[np.ndarray], np.ndarray], outer,
-                    inner) -> np.ndarray:
-    """Where a predicate turns true between outer[i] (false) and inner[i]
-    (true): a 60-step bisection of every bracket at once.  above_many maps a
-    2-d array of points, row i inside bracket i, to the boolean array of the
-    predicate.  Each round evaluates, in one batch, all midpoints the next
-    _BISECT_STEPS steps could visit, then takes those steps on the values."""
+def _bisect_round(above_many: Callable[[np.ndarray], np.ndarray], outer: np.ndarray,
+                  inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_BISECT_STEPS bisection steps of every bracket (outer[i] false, inner[i]
+    true) at once; returns the new (outer, inner).  All midpoints the steps
+    could visit are evaluated in one batch, then the steps are taken on the
+    values."""
     rows = np.arange(len(outer))
     parts = 2 ** _BISECT_STEPS
     grid = np.empty((len(outer), parts + 1))
+    grid[:, 0], grid[:, -1] = outer, inner
+    step = parts // 2
+    while step:  # nested midpoints, rounded as the bisection rounds them
+        grid[:, step::2 * step] = 0.5 * (grid[:, :-1:2 * step] + grid[:, 2 * step::2 * step])
+        step //= 2
+    above = above_many(grid[:, 1:-1])  # column j - 1 holds grid point j
+    o, half = np.zeros_like(rows), parts // 2
+    while half:  # the bracket is grid points o and o + 2 half
+        m = o + half
+        o = np.where(above[rows, m - 1], o, m)
+        half //= 2
+    return grid[rows, o], grid[rows, o + 1]
+
+
+def bisect_brackets(above_many: Callable[[np.ndarray], np.ndarray], outer,
+                    inner) -> np.ndarray:
+    """Where a predicate turns true between outer[i] (false) and inner[i]
+    (true): a 60-step bisection of every bracket at once, in _BISECT_ROUNDS
+    rounds of :func:`_bisect_round`.  above_many maps a 2-d array of points,
+    row i inside bracket i, to the boolean array of the predicate."""
     for _ in range(_BISECT_ROUNDS):
-        grid[:, 0], grid[:, -1] = outer, inner
-        step = parts // 2
-        while step:  # nested midpoints, rounded as the bisection rounds them
-            grid[:, step::2 * step] = 0.5 * (grid[:, :-1:2 * step] + grid[:, 2 * step::2 * step])
-            step //= 2
-        above = above_many(grid[:, 1:-1])  # column j - 1 holds grid point j
-        o, half = np.zeros_like(rows), parts // 2
-        while half:  # the bracket is grid points o and o + 2 half
-            m = o + half
-            o = np.where(above[rows, m - 1], o, m)
-            half //= 2
-        outer, inner = grid[rows, o], grid[rows, o + 1]
+        outer, inner = _bisect_round(above_many, outer, inner)
     return 0.5 * (outer + inner)
 
 
@@ -288,10 +316,17 @@ def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndar
     """Cut each panel whose live window (where g is within _TAIL_CUTOFF of the
     panel's peak) spans at most a quarter of it into the window and the two
     dead flanks.  A panel whose scanned live points already span more than
-    a quarter stays whole without a search; the edges of all others are
-    found together by :func:`bisect_brackets`."""
+    a quarter stays whole without a search.  The edges of all others are
+    bisected together in rounds of :func:`_bisect_round` until every
+    bracket is narrower than _EDGE_PRECISION times its panel's live span
+    seen so far, or for at most _BISECT_ROUNDS rounds.  That span runs
+    between the two inner ends of a two-sided window, and from the inner
+    end to the far panel end of a one-sided one.  Both dead flanks are
+    integrated too, so only the window's width needs this precision, not
+    where it is cut; the outer end of each bracket is taken, so the window
+    only widens."""
     last = xs.shape[1] - 1
-    wins, edges = [], []  # edges: (row, side, outer, inner, level)
+    wins, edges = [], []  # edges: (row, side, outer, inner, level, far panel end)
     for i, (p, peak) in enumerate(zip(panels, gmax.tolist())):
         p.peak = peak
         level = peak - _TAIL_CUTOFF
@@ -302,15 +337,26 @@ def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndar
         lo_i, hi_i = idx[0], idx[-1]
         wins.append([p.lo, p.hi])
         if lo_i > 0:
-            edges.append((i, 0, xs[i, lo_i - 1], xs[i, lo_i], level))
+            edges.append((i, 0, xs[i, lo_i - 1], xs[i, lo_i], level, p.hi))
         if hi_i < last:
-            edges.append((i, 1, xs[i, hi_i + 1], xs[i, hi_i], level))
+            edges.append((i, 1, xs[i, hi_i + 1], xs[i, hi_i], level, p.lo))
     if edges:
-        rows, sides, outer, inner, level = zip(*edges)
-        sub, level = [panels[i] for i in rows], np.array(level)[:, None]
-        found = bisect_brackets(lambda us: _logf_rows(spec, sub, us)[0] >= level,
-                                np.array(outer), np.array(inner))
-        for i, side, x in zip(rows, sides, found.tolist()):
+        rows, sides, outer, inner, level, far = map(np.array, zip(*edges))
+        sub, level = [panels[i] for i in rows], level[:, None]
+        own = np.arange(len(rows))
+        pair = own.copy()  # the other edge of a two-sided window, else the edge itself
+        both = np.flatnonzero(rows[1:] == rows[:-1])
+        pair[both], pair[both + 1] = both + 1, both
+
+        def above(us):
+            return _logf_rows(spec, sub, us)[0] >= level
+
+        for _ in range(_BISECT_ROUNDS):
+            outer, inner = _bisect_round(above, outer, inner)
+            span = np.abs(np.where(pair == own, far, inner[pair]) - inner)
+            if (np.abs(outer - inner) < _EDGE_PRECISION * span).all():
+                break
+        for i, side, x in zip(rows, sides, outer.tolist()):
             wins[i][side] = x
     out = []
     for p, win in zip(panels, wins):
@@ -366,14 +412,15 @@ def log_integral(spec: LogIntegrand, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
 def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
     lo, hi = spec.a, spec.b
     bps = sorted(x for x in spec.breakpoints if spec.a < x < spec.b)
+    walks = {}  # direction: start of the tail walk
     if not math.isfinite(lo):
         seed = spec.tail_seed_left if spec.tail_seed_left is not None else 0.0
-        start = min([seed] + bps) if bps else seed
-        lo = _tail_cut(spec, start, -1)
+        walks[-1] = min([seed] + bps)
     if not math.isfinite(hi):
         seed = spec.tail_seed_right if spec.tail_seed_right is not None else 0.0
-        start = max([seed] + bps) if bps else seed
-        hi = _tail_cut(spec, start, +1)
+        walks[+1] = max([seed] + bps)
+    cuts = dict(zip(walks, _tail_cuts(spec, [(start, d) for d, start in walks.items()])))
+    lo, hi = cuts.get(-1, lo), cuts.get(+1, hi)
 
     for e, name in ((spec.e_left, "left"), (spec.e_right, "right")):
         if e <= -1.0:
@@ -412,8 +459,13 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
         total_err += err
         total_abs += A
 
+    # g is rounded at the scale |shift|, so every node carries a relative
+    # error of a few eps |shift| that no refinement removes
+    shift_err = _SHIFT_ROUNDING * abs(shift) if math.isfinite(shift) else 0.0
+    rel_tol = max(cfg.rel_tol, shift_err)
+
     def within_tol(err: float) -> bool:
-        return err <= max(cfg.rel_tol * abs(total_i), _ROUNDING_FLOOR * total_abs)
+        return err <= max(rel_tol * abs(total_i), _ROUNDING_FLOOR * total_abs)
 
     stalled = False
     while not stalled and not within_tol(total_err):
@@ -467,7 +519,7 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
     else:
         sign = 1 if total_i > 0 else -1
         log_abs = math.log(abs(total_i)) + shift
-        rel = total_err / abs(total_i)
+        rel = max(total_err / abs(total_i), shift_err)
     result = LogQuadResult(sign, log_abs, rel, neval)
     if total_i == 0.0 and spec.phi_many is None and shift > -math.inf:
         # exp(g) > 0 at the scanned peak, so a zero sum means every node missed it
@@ -476,6 +528,6 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
             "below the scanned peak", best=result)
     if not within_tol(total_err):
         raise QuadratureFailure(
-            f"quadrature stalled at relative error {rel:.3e} (target {cfg.rel_tol:.1e})",
+            f"quadrature stalled at relative error {rel:.3e} (target {rel_tol:.1e})",
             best=result)
     return result

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hopnorms.cli import SweepSpec, main
+from hopnorms.cli import SweepSpec, build_parser, main
 from hopnorms.errors import DomainError
 from hopnorms.families import jacobi
 from hopnorms.measures import DensityHandle, renyi_entropy
@@ -74,6 +74,21 @@ def test_sweep_deterministic_csv(tmp_path, capsys):
     # engines alternate per grid point in canonical order
     assert lines[1].split(",")[6] == "quadrature"
     assert lines[2].split(",")[6] == "asymptotic-q"
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys):
+    # the parser is built once per process; the repeated --engine of one
+    # sweep must not leak into the next
+    base = ["sweep", "--family", "hermite", "--n", "2", "--op", "weighted-norm",
+            "--grid", "q=25,50"]
+    rc, _, _ = run_cli(base + ["--engine", "quadrature", "--engine", "asymptotic-q"], capsys)
+    assert rc == 0 and build_parser() is build_parser()
+    rc, cached, _ = run_cli(base + ["--engine", "asymptotic-q"], capsys)
+    build_parser.cache_clear()
+    rc_fresh, fresh, _ = run_cli(base + ["--engine", "asymptotic-q"], capsys)
+    assert rc == rc_fresh == 0
+    assert cached == fresh
+    assert len(cached.strip().splitlines()) == 1 + 2
 
 
 def test_sweep_json(tmp_path, capsys):

@@ -38,6 +38,19 @@ def test_maximizer_examples():
     assert pt.f2_at_x0 == pytest.approx(-(a + b) ** 3 / (4 * a * b), rel=1e-12)
 
 
+def test_maximizer_cache_holds_a_hundred_keys():
+    # one q-sweep pass asks for ~70 (family, n) keys; a second pass over a
+    # hundred distinct keys must find every one cached
+    keys = [(laguerre(1.0 + j), n) for j in range(20) for n in range(5)]
+    locate_density_maximum.cache_clear()
+    for key in keys:
+        locate_density_maximum(*key)
+    hits = locate_density_maximum.cache_info().hits
+    for key in keys:
+        locate_density_maximum(*key)
+    assert locate_density_maximum.cache_info().hits - hits == 100
+
+
 def test_laguerre_n1_closed_forms():
     for a in (1.0, 3.0, 11.0):
         pt = locate_density_maximum(laguerre(a), 1)

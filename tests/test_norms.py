@@ -96,7 +96,8 @@ def test_gegenbauer_jacobi_norm_bridge():
             assert lg == pytest.approx(lj + shift, abs=1e-9)
 
 
-@pytest.mark.parametrize("a, q", [(1.0, 1000.0), (1.0, 3000.0), (1.5, 1000.0), (1.5, 1e4)])
+@pytest.mark.parametrize("a, q", [(1.0, 1000.0), (1.0, 3000.0), (1.5, 1000.0), (1.5, 1e4),
+                                  (1.0, 1e5)])
 def test_tiny_weighted_norm_meets_its_error_estimate(a, q):
     # W_q[L_0^(a)] = Gamma(qa + 1) / q^(qa + 1), far below e^-690: the value's
     # scale must not relax the tolerance

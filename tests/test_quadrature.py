@@ -3,13 +3,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopnorms.errors import DomainError
 from hopnorms.families import hermite
 from hopnorms import norms, quadrature
 from hopnorms.norms import weighted_norm_quad
 from hopnorms.quadrature import (_LEFT, LogIntegrand, QuadratureConfig, QuadratureFailure,
-                                 _Panel, _logf_rows, bisect_brackets, log_integral)
+                                 _Panel, _logf_rows, _scan_panels, _split_on_live_windows,
+                                 bisect_brackets, log_integral)
 
 
 def test_gaussian_full_line():
@@ -177,6 +179,52 @@ def test_batched_edge_search_is_the_bisection():
             np.array(outer), np.array(inner))
         want = [bisect(*e) for e in edges]
     assert found.tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(4.0, 7.0), st.floats(-0.1, 1.1), st.floats(-5.0, 5.0)),
+                min_size=1, max_size=4))
+def test_coarse_edges_lie_just_outside_the_exact_edges(peaks):
+    # one peak h - k (x - c)^2 per unit panel, its centre inside the panel
+    # (two-sided live window) or just beyond an end (one-sided).  The edges
+    # found under the stop rule lie on the outer side of those of the full
+    # 60-step bisection, within 2^-6 of the live span
+    log_k, t, h = map(np.array, zip(*peaks))
+    k, c = 10.0 ** log_k, np.arange(len(peaks)) + t
+
+    def g(x):
+        i = np.clip(np.floor(x), 0, len(peaks) - 1).astype(int)
+        return h[i] - k[i] * (x - c[i]) ** 2
+
+    spec = LogIntegrand(a=0.0, b=float(len(peaks)), g_core_many=g)
+    panels = [_Panel(float(i), float(i + 1)) for i in range(len(peaks))]
+    scan = _scan_panels(spec, panels)
+    coarse = _split_on_live_windows(spec, panels, *scan)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_EDGE_PRECISION", 0.0)  # no bracket settles: all 10 rounds
+        exact = _split_on_live_windows(spec, panels, *scan)
+
+    def window(out, p):  # the sub-panel of p that keeps its peak
+        return next((s.lo, s.hi) for s in out if p.lo <= s.lo and s.hi <= p.hi and s.peak == p.peak)
+
+    for p in panels:
+        (lo, hi), (lo_x, hi_x) = window(coarse, p), window(exact, p)
+        tol = 2.0 ** -6 * (hi_x - lo_x)
+        assert 0.0 <= lo_x - lo <= tol and 0.0 <= hi - hi_x <= tol
+
+
+@pytest.mark.parametrize("a, q", [(2.0, 1e6), (7.0, 1e6)])
+def test_error_covers_the_rounding_of_g_at_its_scale(a, q):
+    # int x^(qa) e^(-qx) dx = Gamma(qa + 1) / q^(qa + 1): g peaks near -1e6
+    # nats, where its own rounding exceeds rel_tol.  The claim must cover
+    # that rounding, and the refinement must stop at it instead of stalling
+    spec = LogIntegrand(a=0.0, b=math.inf, g_core_many=lambda x: q * (a * np.log(x) - x),
+                        breakpoints=(0.98 * a, 1.02 * a), tail_seed_right=1.02 * a)
+    res = log_integral(spec)
+    with mpmath.workdps(40):
+        want = mpmath.loggamma(q * a + 1) - (q * a + 1) * mpmath.log(q)
+        miss = float(abs(res.log_abs - want))
+    assert res.sign == 1 and miss <= res.rel_err <= 1e-8
 
 
 def test_positive_integrand_that_sums_to_zero_fails():
