@@ -257,7 +257,7 @@ def _parse_grid(expr: str) -> tuple[str, list[float]]:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A validated sweep request: target op, family, grids, engines, format.
+    """A validated sweep request: target op, family, grids, engines.
 
     Engine/grid capability is screened here, before any computation runs.
     """
@@ -266,7 +266,6 @@ class SweepSpec:
     family: str
     grids: dict = field(default_factory=dict)
     engines: tuple = ()
-    output_format: str = "csv"
     fixed_q: float | None = None
     normalized: bool = False
 
@@ -305,7 +304,7 @@ def _sweep_rows(args, cfg) -> list[dict]:
     grids = dict(_parse_grid(g) for g in args.grid)
     engines = tuple(e for e in ENGINES if e in set(args.engine))
     SweepSpec(op=args.op, family=args.family, grids=grids, engines=engines,
-              output_format=args.format, fixed_q=args.q, normalized=args.normalized)
+              fixed_q=args.q, normalized=args.normalized)
 
     axes = [p for p in GRID_PARAMS if p in grids]
     rows = []

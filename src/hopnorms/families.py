@@ -27,10 +27,10 @@ from .special import log_gamma
 __all__ = [
     "PolynomialFamily", "CoefficientList",
     "hermite", "laguerre", "jacobi", "gegenbauer",
-    "eval_poly", "eval_log", "eval_log_many", "eval_derivative", "derivative_family",
+    "eval_poly", "eval_log", "eval_log_many", "eval_derivative",
     "norm_constant_log", "norm_constant_log_error", "coefficients", "weight_log", "weight_log_many",
     "weight_log_derivative", "gegenbauer_jacobi_factor_log", "Weight",
-    "log_derivative_numerator_many",
+    "log_derivative_numerator_many", "log_density_second",
     "moment_ratios", "power_basis",
 ]
 
@@ -75,6 +75,7 @@ class Weight(NamedTuple):
     e_hi: float
     core: Callable[[float], float] = _flat
     core_prime: Callable[[float], float] = _flat
+    core_second: float = 0.0  # the cores are at most quadratic
 
     @property
     def is_flat(self) -> bool:
@@ -106,7 +107,7 @@ class PolynomialFamily:
     @cached_property
     def weight(self) -> Weight:
         if self.kind == "hermite":
-            return Weight(-math.inf, math.inf, 0.0, 0.0, _gauss, _gauss_prime)
+            return Weight(-math.inf, math.inf, 0.0, 0.0, _gauss, _gauss_prime, -2.0)
         if self.kind == "laguerre":
             return Weight(0.0, math.inf, self.alpha, 0.0, _exp, _exp_prime)
         if self.kind == "jacobi":
@@ -260,59 +261,82 @@ def eval_log_many(fam: PolynomialFamily, n: int, xs) -> tuple[np.ndarray, np.nda
     if n < 0:
         raise DomainError("degree must be nonnegative")
     x = np.asarray(xs, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p, _, scale = _eval_many(fam, n, x, 0)
+        log_abs = np.log(np.abs(p)) + scale * _LN2
+    return np.sign(p).astype(int), log_abs
+
+
+def _eval_many(fam: PolynomialFamily, n: int, x: np.ndarray, order: int,
+               every: int = _RESCALE_EVERY) -> tuple[np.ndarray, list, np.ndarray]:
+    """(p, [p', ..., p^(order)], scale): p_n and its derivatives at the
+    points of x, each equal to its column times 2^scale.
+
+    The j-th derivative of the rows of :func:`_rows` obeys
+    p^(j)_{k+1} = (A_k x + B_k) p^(j)_k + j A_k p^(j-1)_k - C_k p^(j)_{k-1}.
+    All columns are rescaled together by exact powers of two every `every`
+    steps; points where a block overflows are redone with a rescale after
+    every step.  Call it under np.errstate(over="ignore", invalid="ignore").
+    """
     p0, p1, t = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
-    scale = np.zeros_like(x)  # binary exponent taken out of p0, p1
+    # p^(j)_{k-1} and p^(j)_k, j = 1..order
+    d0 = [np.zeros_like(x) for _ in range(order)] if order else []
+    d1 = [np.zeros_like(x) for _ in range(order)] if order else []
+    scale = np.zeros_like(x)  # binary exponent taken out of every column
     for k, (A, B, C) in enumerate(_recurrence(fam, n), 1):
         # t = (A x + B) p1 - C p0, in place: the loop is bound by numpy's
         # per-call overhead, not by the arithmetic
         np.multiply(x, A, out=t)
         if B != 0.0:
             t += B
+        if order:  # t holds A x + B; d0 takes the new columns
+            for j, (u0, u1, v1) in enumerate(zip(d0, d1, [p1] + d1), 1):
+                u0 *= -C
+                u0 += t * u1
+                u0 += (j * A) * v1
+            d0, d1 = d1, d0
         t *= p1
         if C != 0.0:
             p0 *= C
             t -= p0
         p0, p1, t = p1, t, p0
-        if k % _RESCALE_EVERY == 0:
-            _, ex = np.frexp(np.maximum(np.abs(p0), np.abs(p1)))
-            p0, p1 = np.ldexp(p0, -ex), np.ldexp(p1, -ex)
+        if k % every == 0:
+            m = np.maximum(np.abs(p0), np.abs(p1))
+            for u in d0 + d1:
+                m = np.maximum(m, np.abs(u))
+            _, ex = np.frexp(m)
             scale += ex
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(p1)) + scale * _LN2
-    signs = np.sign(p1)
+            ex = -ex
+            for u in [p0, p1] + d0 + d1:  # in place, so a 0-d x stays an array
+                np.ldexp(u, ex, out=u)
     bad = ~np.isfinite(p1)
-    if bad.any():  # overflow inside one block of 16 steps: redo those points
-        for i in np.flatnonzero(bad):
-            v = eval_log(fam, n, float(x.flat[i]))
-            signs.flat[i], log_abs.flat[i] = v.sign, v.log_abs
-    return signs.astype(int), log_abs
+    for u in d1:
+        bad |= ~np.isfinite(u)
+    if every > 1 and bad.any():  # overflow inside one block: redo those points
+        p, d, redo_scale = _eval_many(fam, n, x[bad], order, 1)
+        for u, v in zip([p1] + d1, [p] + d):
+            u[bad] = v
+        scale[bad] = redo_scale
+    return p1, d1, scale
 
 
-@lru_cache(maxsize=64)
-def derivative_family(fam: PolynomialFamily, n: int) -> tuple[Optional[PolynomialFamily], int, float]:
-    """p_n' expressed as factor * q_{n-1} for a shifted-parameter family.
-
-    Returns (family, degree, factor); family is None when the derivative
-    vanishes identically (n = 0).
-    """
-    if n == 0:
-        return None, 0, 0.0
-    if fam.kind == "hermite":
-        return fam, n - 1, 2.0 * n
-    if fam.kind == "laguerre":
-        return laguerre(fam.alpha + 1.0), n - 1, -1.0
-    if fam.kind == "jacobi":
-        return jacobi(fam.alpha + 1.0, fam.beta + 1.0), n - 1, 0.5 * (n + fam.alpha + fam.beta + 1.0)
-    return gegenbauer(fam.lam + 1.0), n - 1, 2.0 * fam.lam
+def _eval_at(fam: PolynomialFamily, n: int, x: float, order: int) -> tuple[list[float], int]:
+    """:func:`_eval_many` at one point: [p, p', ...] as floats, and the exponent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, d, scale = _eval_many(fam, n, np.array([float(x)]), order)
+    return [float(u[0]) for u in [p] + d], int(scale[0])
 
 
 def eval_derivative(fam: PolynomialFamily, n: int, x: float) -> float:
+    """p_n'(x) as a float, +-inf where it overflows.  It runs the array
+    recurrence on one point, so it is slow; batch points where it matters."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    dfam, dn, factor = derivative_family(fam, n)
-    if dfam is None:
-        return 0.0
-    return factor * eval_poly(dfam, dn, x)
+    (_, v), e = _eval_at(fam, n, x, 1)
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(math.inf, v)
 
 
 def norm_constant_log(fam: PolynomialFamily, n: int) -> SignedLogReal:
@@ -443,23 +467,25 @@ def log_derivative_numerator_many(fam: PolynomialFamily, n: int,
     p_n or ends of the support.
     """
     x = np.asarray(xs, dtype=float)
-    d, r = (np.broadcast_to(v, x.shape) for v in _numerator_factors(fam.weight, x))
-    sp, lp = eval_log_many(fam, n, x)
-    dfam, dn, factor = derivative_family(fam, n)
-    if dfam is None:
-        c_q, lq = np.zeros_like(x), lp
-    else:
-        sq, lq = eval_log_many(dfam, dn, x)
-        c_q = 2.0 * d * factor * sq
-    # N = c_q q_{n-1} + c_p p_n (p_n' = factor q_{n-1}), summed as floats at
-    # the larger of the two log scales
-    c_p = r * sp
-    with np.errstate(invalid="ignore", over="ignore"):
-        ref = np.where(c_q != 0.0, np.maximum(lq, lp), lp)
-        v = (np.where(c_p != 0.0, c_p * np.exp(lp - ref), 0.0)
-             + np.where(c_q != 0.0, c_q * np.exp(lq - ref), 0.0))
-    with np.errstate(divide="ignore"):
-        return np.sign(v).astype(int), np.log(np.abs(v)) + ref
+    d, r = _numerator_factors(fam.weight, x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p, (dp,), scale = _eval_many(fam, n, x, 1)
+        v = 2.0 * d * dp + r * p
+        return np.sign(v).astype(int), np.log(np.abs(v)) + scale * _LN2
+
+
+def log_density_second(fam: PolynomialFamily, n: int, x: float) -> float:
+    """f''(x) of f = ln(p_n^2 h) at an interior point where p_n(x) != 0:
+    (ln h)'' + 2 p_n''/p_n - 2 (p_n'/p_n)^2, with p_n, p_n' and p_n'' taken
+    from the recurrence at one scale."""
+    w = fam.weight
+    (p, dp, d2p), _ = _eval_at(fam, n, x, 2)
+    v = w.core_second
+    for e, dist in ((w.e_lo, x - w.lo), (w.e_hi, w.hi - x)):
+        if e != 0.0:
+            v -= e / dist ** 2
+    r = dp / p
+    return v + 2.0 * d2p / p - 2.0 * r * r
 
 
 def gegenbauer_jacobi_factor_log(n: int, lam: float) -> float:
@@ -480,13 +506,11 @@ def _zeros(fam: PolynomialFamily, n: int) -> tuple[float, ...]:
     """Golub-Welsch: the zeros are the eigenvalues of the symmetric Jacobi
     matrix of the recurrence rows, with diagonal -B_k/A_k and off-diagonal
     sqrt(C_k / (A_{k-1} A_k)) (Golub & Welsch, Math. Comp. 23, 1969),
-    followed by one Newton step x - p_n/p_n' taken in log space."""
+    followed by one Newton step x - p_n/p_n'."""
     if n == 0:
         return ()
     A, B, C = np.array(_recurrence(fam, n)).T
     x = eigh_tridiagonal(-B / A, np.sqrt(C[1:] / (A[:-1] * A[1:])), eigvals_only=True)
-    dfam, dn, factor = derivative_family(fam, n)
-    sp, lp = eval_log_many(fam, n, x)
-    sq, lq = eval_log_many(dfam, dn, x)
-    step = sp * sq * math.copysign(1.0, factor) * np.exp(lp - lq - math.log(abs(factor)))
-    return tuple((x - np.where(sq != 0, step, 0.0)).tolist())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p, (dp,), _ = _eval_many(fam, n, x, 1)
+        return tuple((x - np.where(dp != 0.0, p / dp, 0.0)).tolist())

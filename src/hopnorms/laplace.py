@@ -9,7 +9,8 @@ The maximizers are sign changes of the polynomial numerator N of f' (see
 :func:`families.log_derivative_numerator_many`).  Under the weight-exponent
 precondition N changes sign exactly once between each pair of neighbouring
 zeros of p_n or ends of the support, so these gaps bracket every critical
-point; f'' has closed forms per family.
+point.  f''(x0) comes from :func:`families.log_density_second`, which takes
+p_n' and p_n'' from the recurrence rows, as every derivative of p_n does.
 Unweighted norms: Watson-type endpoint expansion, available for the
 bounded-support families only (|H_n| and |L_n| have no global maximum on
 their supports, so no leading term exists there).
@@ -24,7 +25,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalFailure, UnsupportedAsymptotics
 from .families import (PolynomialFamily, eval_log_many, gegenbauer_jacobi_factor_log,
-                       log_derivative_numerator_many, polynomial_zeros, weight_log_many)
+                       log_density_second, log_derivative_numerator_many, polynomial_zeros,
+                       weight_log_many)
 from .logreal import SignedLogReal
 from .norms import NormResult
 from .quadrature import bisect_brackets
@@ -44,24 +46,6 @@ class LaplacePoint:
     f2_at_x0: float
     multiplicity: int
     maximizers: tuple[float, ...]
-
-
-def _f_second(fam: PolynomialFamily, n: int, x0: float) -> float:
-    """Closed form of f'' at a critical point."""
-    if fam.kind == "hermite":
-        return 2.0 * x0 * x0 - 4.0 * n - 2.0
-    if fam.kind == "laguerre":
-        a = fam.alpha
-        return a * a / (2.0 * x0 * x0) - (2.0 * n + a + 1.0) / x0 + 0.5
-    if fam.kind == "jacobi":
-        a, b = fam.alpha, fam.beta
-    else:
-        a = b = fam.lam - 0.5
-    om, op = 1.0 - x0, 1.0 + x0
-    s = 1.0 - x0 * x0
-    return (-(a + 0.5 * a * a) / om ** 2 - (b + 0.5 * b * b) / op ** 2
-            + a * b / s - 2.0 * n * (n + a + b + 1.0) / s
-            + (b - a - (a + b + 2.0) * x0) / s * (b / op - a / om))
 
 
 def _check_preconditions(fam: PolynomialFamily) -> None:
@@ -124,7 +108,7 @@ def locate_density_maximum(fam: PolynomialFamily, n: int) -> LaplacePoint:
     fmax = max(fvals)
     winners = [x for x, fv in zip(crits.tolist(), fvals) if fv >= fmax - _TIE_TOL]
     x0 = max(winners)  # deterministic representative
-    f2 = _f_second(fam, n, x0)
+    f2 = log_density_second(fam, n, x0)
     if not f2 < 0:
         raise NumericalFailure(f"second derivative not negative at x0={x0}")
     return LaplacePoint(x0=x0, f_at_x0=fmax, f2_at_x0=f2,

@@ -69,28 +69,16 @@ class AsymptoticValue:
 
 # -- Temme expansion -------------------------------------------------------
 
-def _d_coefficients(m: int, mu: float, lam: float, q: float) -> tuple[float, float, float]:
-    """D0, D1, D2 as functions of q (exact rational expressions)."""
-    d0 = 1.0
-    d1 = q * m * (-2.0 * mu + m * lam + lam) / (2.0 * lam)
+def _d_terms(m: int, mu: float, lam: float, q: float) -> tuple[tuple, tuple]:
+    """(D0, D1, D2) as functions of q (exact rational expressions), and their
+    q-derivatives (D2 is quadratic in q)."""
+    c1 = -2.0 * mu + m * lam + lam
     qa = (-12.0 * mu * lam * m * m - 12.0 * mu * lam * m + 3.0 * m ** 3 * lam * lam
           + 12.0 * mu * mu * m + 12.0 * mu * m + 6.0 * lam * lam * m * m + 3.0 * lam * lam * m)
     qb = (24.0 * mu * lam - 4.0 * m * m * lam * lam - 6.0 * m * lam * lam
           - 12.0 * mu * mu - 12.0 * mu - 2.0 * lam * lam)
-    d2 = m * (q * q * qa + q * qb) / (24.0 * lam * lam)
-    return d0, d1, d2
-
-
-def _d_derivatives(m: int, mu: float, lam: float, q: float) -> tuple[float, float, float]:
-    """dD_k/dq at the given q (D2' from the quadratic-in-q decomposition)."""
-    d0p = 0.0
-    d1p = m * (-2.0 * mu + m * lam + lam) / (2.0 * lam)
-    qa = (-12.0 * mu * lam * m * m - 12.0 * mu * lam * m + 3.0 * m ** 3 * lam * lam
-          + 12.0 * mu * mu * m + 12.0 * mu * m + 6.0 * lam * lam * m * m + 3.0 * lam * lam * m)
-    qb = (24.0 * mu * lam - 4.0 * m * m * lam * lam - 6.0 * m * lam * lam
-          - 12.0 * mu * mu - 12.0 * mu - 2.0 * lam * lam)
-    d2p = m * (2.0 * q * qa + qb) / (24.0 * lam * lam)
-    return d0p, d1p, d2p
+    return ((1.0, q * m * c1 / (2.0 * lam), m * (q * q * qa + q * qb) / (24.0 * lam * lam)),
+            (0.0, m * c1 / (2.0 * lam), m * (2.0 * q * qa + qb) / (24.0 * lam * lam)))
 
 
 @dataclass(frozen=True)
@@ -109,11 +97,11 @@ class TemmeExpansion:
 
     @property
     def coefficients(self) -> tuple[float, float, float]:
-        return _d_coefficients(self.m, self.mu, self.lambda_scale, self.q)
+        return _d_terms(self.m, self.mu, self.lambda_scale, self.q)[0]
 
     @property
     def derivative_coefficients(self) -> tuple[float, float, float]:
-        return _d_derivatives(self.m, self.mu, self.lambda_scale, self.q)
+        return _d_terms(self.m, self.mu, self.lambda_scale, self.q)[1]
 
 
 def temme_I1(m: int, alpha: float, mu: float, lambda_scale: float, q: float,
@@ -260,7 +248,7 @@ def laguerre_weighted_param(n: int, alpha: float, q: float, normalized: bool = F
 
 # -- Jacobi ----------------------------------------------------------------
 
-def _swap_if_beta(n, alpha, beta, large):
+def _swap_if_beta(alpha, beta, large):
     if large == "alpha":
         return alpha, beta
     if large == "beta":
@@ -279,7 +267,7 @@ def jacobi_unweighted_param(n: int, alpha: float, beta: float, q: float,
         raise DomainError("degree must be nonnegative")
     if not q > 0:
         raise DomainError("q must be positive")
-    a, b = _swap_if_beta(n, alpha, beta, large)
+    a, b = _swap_if_beta(alpha, beta, large)
     if not (a > 0 and b > -1):
         raise DomainError("large parameter must be positive, the other > -1")
     log_val = (log_gamma(a + n + 1.0) - log_gamma(n + 1.0) + log_gamma(1.0 + n * q + b)

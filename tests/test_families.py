@@ -8,8 +8,8 @@ from hopnorms.errors import DomainError, SingularEvaluation
 from hopnorms.families import (CoefficientList, _eval_scaled, coefficients, eval_derivative,
                                eval_log, eval_log_many, eval_poly, gegenbauer,
                                gegenbauer_jacobi_factor_log, hermite, jacobi, laguerre,
-                               norm_constant_log, polynomial_zeros, weight_log,
-                               weight_log_derivative)
+                               log_derivative_numerator_many, norm_constant_log,
+                               polynomial_zeros, weight_log, weight_log_derivative)
 from hopnorms.norms import unweighted_norm_quad
 from hopnorms.special import log_gamma
 
@@ -25,6 +25,44 @@ def reference_value(fam, n, x):
     if fam.kind == "jacobi":
         return float(special.eval_jacobi(n, fam.alpha, fam.beta, x))
     return float(special.eval_gegenbauer(n, fam.lam, x))
+
+
+def mp_reference_value(fam, n, x):
+    """p_n(x) from mpmath, at the caller's working precision."""
+    import mpmath
+    if fam.kind == "hermite":
+        return mpmath.hermite(n, x)
+    if fam.kind == "laguerre":
+        return mpmath.laguerre(n, fam.alpha, x)
+    if fam.kind == "jacobi":
+        return mpmath.jacobi(n, fam.alpha, fam.beta, x)
+    return mpmath.gegenbauer(n, fam.lam, x)
+
+
+def reference_derivative(fam, n, x, value=reference_value):
+    """p_n'(x) as a multiple of p_{n-1} of a shifted-parameter family,
+    evaluated by `value`: H_n' = 2n H_{n-1}, L_n^(a)' = -L_{n-1}^(a+1),
+    P_n^(a,b)' = (n+a+b+1)/2 P_{n-1}^(a+1,b+1), C_n^(l)' = 2l C_{n-1}^(l+1)."""
+    if n == 0:
+        return 0.0
+    if fam.kind == "hermite":
+        return 2 * n * value(fam, n - 1, x)
+    if fam.kind == "laguerre":
+        return -value(laguerre(fam.alpha + 1), n - 1, x)
+    if fam.kind == "jacobi":
+        return (0.5 * (n + fam.alpha + fam.beta + 1)
+                * value(jacobi(fam.alpha + 1, fam.beta + 1), n - 1, x))
+    return 2 * fam.lam * value(gegenbauer(fam.lam + 1), n - 1, x)
+
+
+def reference_numerator_terms(fam, x):
+    """(2d, r) of N = 2 d p_n' + r p_n: d is the product of the distances to
+    the endpoints with a nonzero weight exponent, r = d h'/h."""
+    w = fam.weight
+    d_lo = x - w.lo if w.e_lo != 0 else 1
+    d_hi = w.hi - x if w.e_hi != 0 else 1
+    core_prime = -2 * x if fam.kind == "hermite" else -1 if fam.kind == "laguerre" else 0
+    return 2 * d_lo * d_hi, d_lo * d_hi * core_prime + w.e_lo * d_hi - w.e_hi * d_lo
 
 
 def test_eval_anchor_values():
@@ -82,6 +120,25 @@ def test_eval_log_extreme_parameters():
         assert v.log_abs == pytest.approx(float(mpmath.log(abs(want))), rel=1e-13)
 
 
+@pytest.mark.parametrize("fam,n,x", [
+    (hermite(), 40, 1e25), (laguerre(2.5), 33, 1e30), (gegenbauer(3.5), 20, -1e40)],
+    ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_eval_log_many_redoes_overflowing_blocks(fam, n, x):
+    # p_n grows past the double range inside one block of 16 unrescaled
+    # steps; the batched paths redo the point quietly, and N with it
+    import mpmath
+    with mpmath.workdps(60):
+        xm = mpmath.mpf(x)
+        p = mp_reference_value(fam, n, xm)
+        two_d, r = reference_numerator_terms(fam, xm)
+        big_n = two_d * reference_derivative(fam, n, xm, mp_reference_value) + r * p
+        want = [(mpmath.sign(v), float(mpmath.log(abs(v)))) for v in (p, big_n)]
+    got = (eval_log_many(fam, n, [0.5, x]), log_derivative_numerator_many(fam, n, [0.5, x]))
+    for (signs, log_abs), (ws, wl) in zip(got, want):
+        assert signs[1] == ws
+        assert log_abs[1] == pytest.approx(wl, rel=1e-13)
+
+
 def test_eval_log_many_matches_eval_log():
     # the batched recurrence against the scalar one, including points where
     # the scalar path rescales and exact zeros (odd Hermite and Gegenbauer
@@ -103,6 +160,10 @@ def test_eval_log_many_matches_eval_log():
     assert rescaled > 0
     signs, log_abs = eval_log_many(hermite(), 1, [0.0])
     assert (signs[0], log_abs[0]) == (0, -math.inf)
+    # a scalar xs past the first rescale
+    sign, log_abs = eval_log_many(hermite(), 40, 1.5)
+    v = eval_log(hermite(), 40, 1.5)
+    assert sign == v.sign and log_abs == pytest.approx(v.log_abs, rel=1e-14)
 
 
 def test_coefficients_match_horner():
@@ -131,6 +192,43 @@ def test_eval_poly_overflow_is_signed_inf():
         assert eval_poly(fam, n, x) == math.copysign(math.inf, v.sign)
         dv = eval_log(fam, n - 1, x)
         assert eval_derivative(fam, n, x) == math.copysign(math.inf, dv.sign)
+
+
+@pytest.mark.parametrize("fam", FAMILY_CONFIGS, ids=lambda fam: fam.label())
+def test_derivative_matches_the_shifted_parameter_identities(fam):
+    # p_n' and N = 2 d p_n' + r p_n from the differentiated recurrence,
+    # against scipy.special through the shifted-parameter identities
+    rng = random.Random(11)
+    lo, hi = fam.support
+    lo = max(lo, -1.0) if math.isfinite(lo) else -8.0
+    hi = min(hi, 1.0) if math.isfinite(hi) else 8.0
+    xs = [rng.uniform(lo, hi) for _ in range(20)]
+    for n in (0, 1, 4, 9, 30):
+        signs, log_abs = log_derivative_numerator_many(fam, n, xs)
+        for x, s, la in zip(xs, signs.tolist(), log_abs.tolist()):
+            dp = reference_derivative(fam, n, x)
+            assert eval_derivative(fam, n, x) == pytest.approx(dp, rel=1e-11, abs=1e-300)
+            two_d, r = reference_numerator_terms(fam, x)
+            p = reference_value(fam, n, x)
+            want = two_d * dp + r * p
+            assert abs(s * math.exp(la) - want) <= 1e-11 * (abs(two_d * dp) + abs(r * p)), (n, x)
+
+
+def test_log_derivative_numerator_extreme_parameters():
+    # the cases of test_eval_log_extreme_parameters, against mpmath
+    import mpmath
+    cases = [(gegenbauer(1e4), 200, 0.73), (laguerre(1e4), 150, 123.0),
+             (jacobi(1e4, 3.0), 120, -0.4), (hermite(), 200, 11.5)]
+    for fam, n, x in cases:
+        with mpmath.workdps(50):
+            xm = mpmath.mpf(x)
+            two_d, r = reference_numerator_terms(fam, xm)
+            want = (two_d * reference_derivative(fam, n, xm, mp_reference_value)
+                    + r * mp_reference_value(fam, n, xm))
+            want_sign, want_log = int(mpmath.sign(want)), float(mpmath.log(abs(want)))
+        signs, log_abs = log_derivative_numerator_many(fam, n, [x])
+        assert signs[0] == want_sign
+        assert log_abs[0] == pytest.approx(want_log, rel=1e-13)
 
 
 def test_coefficients_known():
