@@ -216,19 +216,20 @@ def moment_ratios(fam: PolynomialFamily, t_max: int) -> list[Fraction]:
 
 
 def _eval_scaled(fam: PolynomialFamily, n: int, x: float) -> tuple[float, float]:
-    """(v, s) with p_n(x) = v e^s; the recurrence is rescaled whenever its
-    values leave [1e-280, 1e280], and s == 0.0 when it never was."""
+    """(v, s) with p_n(x) = v e^s; s == 0.0 when the recurrence was never
+    rescaled.  The values are rescaled to magnitude 1 before a step whose
+    products could pass 1e280, and when they fall below 1e-280, so no
+    product overflows unless A x + B itself does."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
     p0, p1, scale = 0.0, 1.0, 0.0
     for A, B, C in _recurrence(fam, n):
+        mag = max(abs(p0), abs(p1))
+        if mag * (abs(A * x + B) + abs(C)) > _RESCALE_HI or 0.0 < mag < _RESCALE_LO:
+            p0 /= mag
+            p1 /= mag
+            scale += math.log(mag)
         p0, p1 = p1, (A * x + B) * p1 - C * p0
-        if not _RESCALE_LO < abs(p1) < _RESCALE_HI:
-            mag = max(abs(p0), abs(p1))
-            if mag > _RESCALE_HI or (0.0 < mag < _RESCALE_LO):
-                p0 /= mag
-                p1 /= mag
-                scale += math.log(mag)
     return p1, scale
 
 
@@ -437,11 +438,6 @@ def weight_log_derivative(fam: PolynomialFamily, x: float) -> float:
     if w.e_hi != 0.0:
         v -= w.e_hi / (w.hi - x)
     return v
-
-
-def weight_exponents(fam: PolynomialFamily) -> tuple[float, float]:
-    """Endpoint exponents (left, right) of the weight; 0 for infinite ends."""
-    return fam.weight.e_lo, fam.weight.e_hi
 
 
 def _numerator_factors(w: Weight, x):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .families import (PolynomialFamily, eval_log_many, log_derivative_numerator_many,
-                       norm_constant_log, polynomial_zeros, weight_log_many)
+from .families import (PolynomialFamily, log_derivative_numerator_many, norm_constant_log,
+                       polynomial_zeros)
 from .logreal import SignedLogReal
 from .norms import density_integral, weighted_norm_quad, unweighted_norm_quad
 from .quadrature import DEFAULT_CONFIG, LogIntegrand, QuadratureConfig, log_integral
@@ -63,13 +63,14 @@ def _log_norm_shift(d: DensityHandle) -> float:
 
 def shannon_entropy(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """S = -int rho ln rho by direct quadrature (0 ln 0 handled by the
-    vanishing-density guard inside the integrator)."""
+    vanishing-density guard inside the integrator).  phi = -ln rho is taken
+    from the engine's own logs of p_n^2 h, so it stays finite at an
+    endpoint pole of h."""
     fam, n = d.family, d.n
     shift = _log_norm_shift(d)
 
-    def phi_many(xs: np.ndarray) -> np.ndarray:
-        signs, log_abs = eval_log_many(fam, n, xs)
-        return np.where(signs == 0, 0.0, -(2.0 * log_abs + weight_log_many(fam, xs) - shift))
+    def phi_many(xs: np.ndarray, core: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        return shift - (core + ends)
 
     res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi_many=phi_many, cfg=cfg)
     return res.sign * math.exp(res.log_abs - shift) if res.sign != 0 else 0.0
@@ -78,9 +79,10 @@ def shannon_entropy(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
 def functional_E_log(fam: PolynomialFamily, n: int,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> SignedLogReal:
     """-int p^2 h ln(p^2) dx as a SignedLogReal (survives huge parameters)."""
-    def phi_many(xs: np.ndarray) -> np.ndarray:
-        signs, log_abs = eval_log_many(fam, n, xs)
-        return np.where(signs == 0, 0.0, -2.0 * log_abs)
+    weight_core = fam.weight.core
+
+    def phi_many(xs: np.ndarray, core: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        return weight_core(xs) - core  # core = ln p^2 + the weight's core
 
     res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi_many=phi_many, cfg=cfg)
     if res.sign == 0:
@@ -136,8 +138,12 @@ def functional_E(fam: PolynomialFamily, n: int, method: str = "quadrature",
 
 def functional_I_log(fam: PolynomialFamily, n: int,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> SignedLogReal:
-    def phi_many(xs: np.ndarray) -> np.ndarray:
-        return -weight_log_many(fam, xs)
+    """-int p^2 h ln(h) dx as a SignedLogReal, -ln h taken from the
+    engine's endpoint logs."""
+    weight_core = fam.weight.core
+
+    def phi_many(xs: np.ndarray, core: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        return -(weight_core(xs) + ends)
 
     res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi_many=phi_many, cfg=cfg)
     if res.sign == 0:
@@ -240,5 +246,5 @@ def density_moment(d: DensityHandle, k: int, cfg: QuadratureConfig = DEFAULT_CON
     """int x^k rho(x) dx; used by the variance/Cramer-Rao sanity checks."""
     shift = _log_norm_shift(d)
     res = density_integral(d.family, d.n, pol_power=2.0, weight_power=1.0,
-                           phi_many=(lambda xs: xs ** k), cfg=cfg)
+                           phi_many=(lambda xs, *_: xs ** k), cfg=cfg)
     return res.sign * math.exp(res.log_abs - shift) if res.sign != 0 else 0.0

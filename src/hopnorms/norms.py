@@ -39,13 +39,15 @@ class NormResult:
 
 
 def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_power: float,
-                     phi_many: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                     phi_many: Optional[Callable[..., np.ndarray]] = None,
                      cfg: QuadratureConfig = DEFAULT_CONFIG,
                      extra_breakpoints: tuple = ()) -> LogQuadResult:
     """int exp(pol_power*ln|p_n| + weight_power*ln h) * phi dx.
 
     The shared engine behind the norm, entropy and information functionals.
-    ``phi_many`` maps an array of points to the array of phi values.
+    ``phi_many(x, core, ends)`` maps the points and the engine's logs there
+    (see :class:`quadrature.LogIntegrand`) to the array of phi values; the
+    core is pol_power ln|p_n| + weight_power times the weight's core.
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")

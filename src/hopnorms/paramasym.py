@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import DomainError
 from .families import (PolynomialFamily, eval_log_many, hermite, laguerre,
                        norm_constant_log, polynomial_zeros)
@@ -167,11 +165,8 @@ def temme_I1_quadrature(m: int, alpha: float, mu: float, lambda_scale: float, q:
 def temme_I2_quadrature(m: int, alpha: float, mu: float, lambda_scale: float,
                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> SignedLogReal:
     """Quadrature oracle for I2 = int x^(mu-1) e^(-lambda x) L_m^2 ln(L_m^2) dx."""
-    fam = laguerre(alpha)
-
-    def phi_many(xs):
-        signs, log_abs = eval_log_many(fam, m, xs)
-        return np.where(signs == 0, 0.0, 2.0 * log_abs)
+    def phi_many(xs, core, ends):
+        return core + lambda_scale * xs  # core = 2 ln|L_m| - lambda x
 
     res = log_integral(_temme_spec(m, alpha, mu, lambda_scale, 2.0, phi_many=phi_many), cfg)
     if res.sign == 0:

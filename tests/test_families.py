@@ -139,6 +139,28 @@ def test_eval_log_many_redoes_overflowing_blocks(fam, n, x):
         assert log_abs[1] == pytest.approx(wl, rel=1e-13)
 
 
+@pytest.mark.parametrize("fam,n,x", [(hermite(), 2, 1e160), (hermite(), 3, -1e200),
+                                     (laguerre(2.5), 4, 1e90), (gegenbauer(3.5), 3, 1e120)],
+                         ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_scalar_eval_survives_an_overflowing_step(fam, n, x):
+    # one step's product (A x + B) p_k passes the double range before the
+    # recurrence could rescale: the values are rescaled before the product
+    import mpmath
+    with mpmath.workdps(40):
+        want = mp_reference_value(fam, n, mpmath.mpf(x))
+        sign, log_abs = int(mpmath.sign(want)), float(mpmath.log(abs(want)))
+    v = eval_log(fam, n, x)
+    assert v.sign == sign and v.log_abs == pytest.approx(log_abs, rel=1e-14)
+    signs, many = eval_log_many(fam, n, [x])
+    assert v.log_abs == pytest.approx(many[0], rel=1e-14)
+    assert eval_poly(fam, n, x) == math.inf * sign  # every case lies past the double range
+
+
+def test_scalar_eval_anchors_past_the_double_range():
+    assert eval_log(hermite(), 2, 1e160).log_abs == pytest.approx(738.2135241192145, rel=1e-14)
+    assert eval_poly(hermite(), 3, 1e200) == math.inf
+
+
 def test_eval_log_many_matches_eval_log():
     # the batched recurrence against the scalar one, including points where
     # the scalar path rescales and exact zeros (odd Hermite and Gegenbauer

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopnorms.errors import DomainError, NumericalFailure
 from hopnorms.families import (gegenbauer, hermite, jacobi, laguerre,
@@ -176,3 +177,69 @@ def test_float_functionals_refuse_values_outside_float_range():
         functional_E(fam, 2)
     with pytest.raises(NumericalFailure, match="functional_I_log"):
         functional_I(fam, 2)
+
+
+def test_shannon_of_the_chebyshev_third_kind_density():
+    # rho-hat of P_n^(1/2, -1/2) has S = ln pi - 1 for every n (Dehesa,
+    # Martinez-Finkelshtein & Sanchez-Ruiz 2001).  Its weight has a pole at
+    # x = -1, where the substituted panel's x rounds to -1: phi must take
+    # ln h from t, not from x, or S reads -inf
+    for n in (0, 1, 2, 3, 4, 5, 20):
+        s = shannon_entropy(DensityHandle(jacobi(0.5, -0.5), n))
+        assert abs(s - (math.log(math.pi) - 1.0)) <= 1e-11, n
+
+
+@pytest.mark.parametrize("fam", [jacobi(-0.5, -0.5), jacobi(-0.3, 0.2), jacobi(0.0, -0.5),
+                                 gegenbauer(0.25)], ids=lambda f: f.label())
+def test_shannon_at_an_endpoint_pole(fam):
+    # every one of these read -inf; the q-derivative of W_q never
+    # evaluates ln h and is the reference
+    for n in (0, 1, 2, 5):
+        d = DensityHandle(fam, n)
+        assert shannon_entropy(d) == pytest.approx(shannon_from_Wq_derivative(d), abs=1e-10)
+    if fam == jacobi(-0.5, -0.5):  # the arcsine density
+        assert shannon_entropy(DensityHandle(fam, 0)) == pytest.approx(
+            math.log(math.pi / 2.0), abs=1e-11)
+
+
+def test_functionals_built_on_shannon_at_an_endpoint_pole():
+    # these read 0.0 when S was -inf
+    d = DensityHandle(jacobi(0.5, -0.5), 2)
+    assert shannon_length(d) == pytest.approx(math.pi / math.e, rel=1e-11)
+    g = DensityHandle(gegenbauer(0.25), 2)
+    s = shannon_from_Wq_derivative(g)
+    assert shannon_length(g) == pytest.approx(math.exp(s), rel=1e-10)
+    w2 = weighted_norm_quad(g.family, 2, 2.0, normalized=True).value.log_abs
+    assert lmc_plain(g) == pytest.approx(math.exp(s + w2), rel=1e-10)
+
+
+def test_functional_I_at_an_endpoint_pole():
+    # -int p_2^2 h ln h for P_2^(1/2, -1/2) read SignedLogReal(-1, +inf)
+    import mpmath
+    with mpmath.workdps(30):
+        def h(x):
+            return (1 - x) ** 0.5 * (1 + x) ** -0.5
+
+        want = -mpmath.quad(lambda x: mpmath.jacobi(2, 0.5, -0.5, x) ** 2 * h(x)
+                            * mpmath.log(h(x)), [-1, 1])
+    v = functional_I_log(jacobi(0.5, -0.5), 2)
+    assert v.sign == -1 and math.isfinite(v.log_abs)
+    assert v.to_float() == pytest.approx(float(want), rel=1e-11)
+    assert functional_I(jacobi(0.5, -0.5), 2) == pytest.approx(float(want), rel=1e-11)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.floats(-0.95, 3.0), st.floats(-0.95, 3.0))
+def test_shannon_of_the_beta_densities(a, b):
+    # rho-hat_0 of Jacobi(a, b) is the Beta(b + 1, a + 1) density on [-1, 1],
+    # whose entropy is closed.  A result is right, or it is refused loudly:
+    # a phi that is log-singular at an end can stall the refinement (see
+    # CHANGES.md), but no value may come back wrong
+    p, q = b + 1.0, a + 1.0
+    want = (math.log(2.0) + math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+            - (p - 1.0) * digamma(p) - (q - 1.0) * digamma(q) + (p + q - 2.0) * digamma(p + q))
+    try:
+        s = shannon_entropy(DensityHandle(jacobi(a, b), 0))
+    except NumericalFailure:
+        return
+    assert abs(s - want) <= 1e-10 * max(1.0, abs(want))

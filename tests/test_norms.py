@@ -59,7 +59,7 @@ def test_orthogonality():
         for n in (1, 4, 12):
             kappa_log = norm_constant_log(fam, n).log_abs
             for m in (0, n // 2, n - 1, n):
-                def phi(x, m=m, n=n):
+                def phi(x, *_, m=m, n=n):
                     (sm, lm), (sn, ln) = eval_log_many(fam, m, x), eval_log_many(fam, n, x)
                     return sm * sn * np.exp(lm + ln)
                 def g(x):
@@ -73,10 +73,8 @@ def test_orthogonality():
                                     tail_seed_right=(math.sqrt(2 * n + 2) if fam.kind == "hermite"
                                                      else 4 * n + 8 if fam.kind == "laguerre" else None))
                 if fam.kind in ("jacobi", "gegenbauer"):
-                    from hopnorms.families import weight_exponents
-                    el, er = weight_exponents(fam)
                     spec = LogIntegrand(a=lo, b=hi, g_core_many=np.zeros_like, phi_many=phi,
-                                        e_left=el, e_right=er,
+                                        e_left=fam.weight.e_lo, e_right=fam.weight.e_hi,
                                         breakpoints=tuple(polynomial_zeros(fam, n)))
                 res = log_integral(spec)
                 if m == n:
@@ -147,10 +145,9 @@ def test_weight_moments_against_quadrature():
                 jacobi(-0.7, -0.6), gegenbauer(-0.25)):
         for t in (0, 1, 2, 5):
             lo, hi = fam.support
-            from hopnorms.families import weight_exponents
-            el, er = weight_exponents(fam)
             spec = LogIntegrand(a=lo, b=hi, g_core_many=np.zeros_like,
-                                phi_many=lambda x: x ** t, e_left=el, e_right=er,
+                                phi_many=lambda x, *_: x ** t,
+                                e_left=fam.weight.e_lo, e_right=fam.weight.e_hi,
                                 breakpoints=(0.0,))
             res = log_integral(spec)
             want = weight_moment_log(fam, t)

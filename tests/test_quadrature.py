@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopnorms.bell import unweighted_norm_bell
 from hopnorms.errors import DomainError
-from hopnorms.families import hermite
+from hopnorms.families import gegenbauer, hermite, jacobi, laguerre
 from hopnorms import norms, quadrature
-from hopnorms.norms import weighted_norm_quad
+from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
 from hopnorms.quadrature import (_LEFT, LogIntegrand, QuadratureConfig, QuadratureFailure,
-                                 _Panel, _logf_rows, _scan_panels, _split_on_live_windows,
-                                 bisect_brackets, log_integral)
+                                 _Panel, _logf_rows, _power, _scan_panels,
+                                 _split_on_live_windows, bisect_brackets, log_integral)
 
 
 def test_gaussian_full_line():
@@ -57,7 +58,7 @@ def test_signed_phi():
     # int_-inf^inf exp(-x^2) (x^3 - x) dx = 0 by parity; converges on the
     # rounding floor of int |f|
     spec = LogIntegrand(a=-math.inf, b=math.inf, g_core_many=lambda x: -x * x,
-                        phi_many=lambda x: x ** 3 - x,
+                        phi_many=lambda x, *_: x ** 3 - x,
                         tail_seed_left=0.0, tail_seed_right=0.0)
     res = log_integral(spec)
     assert res.sign == 0 or res.log_abs < math.log(1e-11)
@@ -65,7 +66,7 @@ def test_signed_phi():
 
 def test_phi_with_value():
     # int_0^inf e^{-x} x dx = 1 via phi
-    spec = LogIntegrand(a=0.0, b=math.inf, g_core_many=lambda x: -x, phi_many=lambda x: x,
+    spec = LogIntegrand(a=0.0, b=math.inf, g_core_many=lambda x: -x, phi_many=lambda x, *_: x,
                         tail_seed_right=1.0)
     res = log_integral(spec)
     assert res.sign == 1
@@ -113,7 +114,7 @@ def _laguerre_like():
     # tail walk, a cusp breakpoint, a transformed singular left endpoint and phi
     spec = LogIntegrand(a=0.0, b=math.inf, e_left=-0.5, breakpoints=(1.5,),
                         g_core_many=lambda x: 3.0 * np.log(np.abs(x - 1.5)) - x,
-                        phi_many=lambda x: np.log(x + 2.0), tail_seed_right=4.0)
+                        phi_many=lambda x, *_: np.log(x + 2.0), tail_seed_right=4.0)
     want = mpmath.quad(lambda x: x ** -0.5 * abs(x - 1.5) ** 3 * mpmath.exp(-x) * mpmath.log(x + 2),
                        [0, 1.5, mpmath.inf])
     return spec, want
@@ -248,3 +249,79 @@ def test_refinement_splits_in_rounds(monkeypatch):
     r = weighted_norm_quad(hermite(), 100, 2.0)
     assert len(calls) <= 20
     assert r.log_value == pytest.approx(864.5467788760479, rel=1e-12)
+
+
+def test_substitution_powers():
+    # |x - c| = t^p turns |x - c|^e dx into p t^j dt with p = (j + 1)/(1 + e)
+    assert _power(-0.5) == (2.0, 0)
+    for e in (-0.25, 0.25, 0.5, 0.75, 1.25, 2.5, 3.75, 5.5, 5.999):
+        p, j = _power(e)
+        assert p == pytest.approx((j + 1) / (1 + e), rel=1e-15)
+        if e > 0:  # the least j whose t^(j + p) is no weaker than t^6
+            assert j + p >= 6 > (j - 1) + j / (1 + e)
+        else:
+            assert j == 0
+    for e in (0.0, 1.0, 3.0, 6.0, 7.5, 100.0):  # integer, or smooth enough as it is
+        assert _power(e) is None
+
+
+_ENDPOINT_EXPONENTS = (-0.5, -0.25, 0.25, 0.5, 0.75, 1.25, 2.5, 3.75, 5.5)
+
+
+def _substituted_families():
+    fams = [hermite()]  # no finite end: the plain panels alone
+    for i, e in enumerate(_ENDPOINT_EXPONENTS):
+        fams += [laguerre(e), jacobi(e, _ENDPOINT_EXPONENTS[(i + 4) % 9])]
+        if e != -0.5:  # lambda = 0 is excluded
+            fams.append(gegenbauer(e + 0.5))
+    return fams
+
+
+@pytest.mark.parametrize("fam", _substituted_families(), ids=lambda f: f.label())
+def test_substituted_norms_against_the_exact_engine(fam):
+    # N_2 and N_4 with every endpoint exponent substituted (or, for Hermite,
+    # none) meet the exact rational moment sum within their claimed error
+    for n in (0, 1, 5, 20):
+        for q in (2, 4):
+            r, exact = unweighted_norm_quad(fam, n, float(q)), unweighted_norm_bell(fam, n, q)
+            miss = abs(math.expm1(r.log_value - exact.log_value))
+            assert miss <= r.error_estimate + exact.error_estimate, (n, q)
+
+
+@pytest.mark.parametrize("fam, n, q, most", [(gegenbauer(1.75), 28, 4.0, 8),
+                                             (laguerre(0.5), 40, 2.0, 10)])
+def test_weak_endpoint_powers_cost_few_batches(monkeypatch, fam, n, q, most):
+    # (1 - x)^1.25 at both ends of Gegenbauer(1.75) N_4, and x^0.5 at the
+    # left end of Laguerre(0.5) N_2, once took 19 and 23 integrand batches:
+    # their end intervals were halved a dozen times, the error falling about
+    # 5x per round.  Substituted, they take 5 and 8
+    calls = []
+    eval_log_many = norms.eval_log_many
+
+    def counted(*args):
+        calls.append(None)
+        return eval_log_many(*args)
+
+    monkeypatch.setattr(norms, "eval_log_many", counted)
+    r = unweighted_norm_quad(fam, n, q)
+    assert len(calls) <= most
+    assert r.error_estimate <= 1e-11
+
+
+def test_only_unresolved_peaks_are_zoomed():
+    # a broad peak is resolved by the scan alone: one batch.  A peak
+    # narrower than the scan's spacing takes the three zoom rounds, and
+    # only its own panel is zoomed
+    calls = []
+
+    def g(x):
+        calls.append(x.size)
+        return np.where(x < 1.0, -(x - 0.3) ** 2, -1e6 * (x - 1.6) ** 2)
+
+    spec = LogIntegrand(a=0.0, b=2.0, g_core_many=g)
+    _, _, gmax = _scan_panels(spec, [_Panel(0.0, 1.0)])
+    assert len(calls) == 1 and gmax[0] > -1e-3
+    calls.clear()
+    _, _, gmax = _scan_panels(spec, [_Panel(0.0, 1.0), _Panel(1.0, 2.0)])
+    assert calls == [2 * 33] + [16] * 3  # the scan, then 16 zoom points a round
+    assert gmax[1] > -0.1
