@@ -22,7 +22,8 @@ The engine:
     per halving,
   * locates the global maximum M of g by per-panel Chebyshev scans, zooming
     in on the panels whose scanned peak is not resolved, then integrates
-    exp(g - M) with a 7-15 Gauss-Kronrod pair refined in rounds (below),
+    exp(g - M) with the 10-21 Gauss-Kronrod pair of QUADPACK's QAGS,
+    refined in rounds (below),
   * returns sign, ln|I| (shift M re-applied) and a relative error bound,
     and raises QuadratureFailure when a positive integrand (no phi) sums to
     zero because every node underflowed below M.
@@ -48,33 +49,50 @@ of a nat, and is not zoomed: an underestimated peak only widens the live
 window and lowers the shift, far inside _EXP_CLAMP.  The other panels are
 zoomed in three rounds, and a round with no such panel is skipped.  A
 panel whose scanned live points (g within the cutoff of its peak) span
-more than a quarter of it stays whole.  The live-window edges of all other
-panels are bisected together, six steps per call, in the rounds of
-:func:`bisect_brackets`, the bisection the Laplace maximizer also uses for
-the critical points of the density.  The maximizer takes all ten rounds
-(60 steps), because its point must be exact.  The edge search stops once
-every bracket is narrower than 2^-6 of its panel's live span seen so far
-(usually after one round), because both dead flanks are integrated too:
-only the window's width matters, not where exactly it is cut.
+more than a quarter of it stays whole.  A panel with no live scanned point,
+whose peak only a zoom reached, grows its window from the zoomed point.
+The live-window edges of all other panels are bisected together, six
+steps per call, in the rounds of :func:`bisect_brackets`, the bisection
+the Laplace maximizer also uses for the critical points of the density.
+The maximizer takes all ten rounds (60 steps), because its point must be
+exact.  The edge search stops once every bracket is narrower than 2^-6 of
+its panel's live span seen so far (usually after one round), because both
+dead flanks are integrated too: only the window's width matters, not
+where exactly it is cut.
+
+The first Gauss-Kronrod pass cuts every plain panel at the tail walks'
+points inside it.  A tail panel, from the outermost breakpoint to the
+cut, holds its mass next to that breakpoint, and refinement would halve
+it toward the mass one pass at a time; the walk's steps, growing by 1.35,
+grade it that way from the start.  The cuts are depth-0 intervals of the
+one panel, not panel breakpoints: as breakpoints, every tail sub-panel
+would be scanned and most of them zoomed.
 
 The sum is accepted when its error estimate E meets
 
-    E <= max(max(rel_tol, 4 eps |M|) * |I|,  50 eps * int |f|),
+    E <= max(max(rel_tol, 4 eps G) * |I|,  50 eps * int |f|),
 
 where int |f| is the Kronrod rule applied to |f| on the same nodes, summed
 over the intervals like I and E.  The second term is the rounding floor of
 the sum itself (QUADPACK's ``resabs`` test): a signed integrand that
 cancels to zero, such as an odd moment, converges on it, while a positive
 integrand, whose int |f| is |I|, is held to rel_tol whatever its scale.
-The term 4 eps |M| is the rounding of g itself, which is computed at the
-scale of its peak M: at |M| ~ 1e5 nats it exceeds the default rel_tol, and
-no refinement removes it.  The reported relative error is
-max(E / |I|, 4 eps |M|): E, the Gauss-Kronrod difference, overstates the
-error of the Kronrod sum by orders of magnitude, so the larger term bounds
-both.
+The term 4 eps G is the rounding of g itself.  Each of its terms, g_core
+and the two endpoint powers, is rounded at its own scale, so G is the
+mean over |f| of the sum of their magnitudes, taken from the first pass,
+and at least |M|: at G ~ 1e5 nats it exceeds the default rel_tol, and no
+refinement removes it.  G exceeds |M| where the terms cancel, as
+q a ln(1 - x) + q b ln(1 + x) do near a central peak at large q.  The
+logs of the ends +-1, or of any power of two, are taken as
+ln|c| + log1p(-x/c), which keeps the bits of x that forming x - c drops.
+The reported relative error is max(E, 50 eps int |f|) / |I| or 4 eps G,
+the larger: E, the Gauss-Kronrod difference, overstates the error of the
+Kronrod sum by orders of magnitude, except where the rule is exact and
+the roundings remain.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -88,22 +106,24 @@ from .errors import DomainError, NumericalFailure
 __all__ = ["QuadratureConfig", "QuadratureFailure", "LogIntegrand", "LogQuadResult", "log_integral",
            "bisect_brackets"]
 
-# 7-15 Gauss-Kronrod pair on [-1, 1]
-_XK = np.array((
-    -0.991455371120813, -0.949107912342759, -0.864864423359769, -0.741531185599394,
-    -0.586087235467691, -0.405845151377397, -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691, 0.741531185599394,
-    0.864864423359769, 0.949107912342759, 0.991455371120813,
-))
-_WK = np.array((
-    0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
-    0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-))
-# Gauss weights attach to Kronrod nodes 1, 3, 5, 7, 9, 11, 13
-_WG = np.array((0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469,
-                0.381830050505119, 0.279705391489277, 0.129484966168870))
+# 10-21 Gauss-Kronrod pair on [-1, 1], QUADPACK's QK21 (Piessens et al.
+# 1983), to 17 significant digits: the nodes x < 0 with their Kronrod
+# weights, then the weight of x = 0; the table is mirrored about x = 0
+_XK_LEFT = (-0.99565716302580808, -0.97390652851717172, -0.93015749135570823,
+            -0.86506336668898451, -0.78081772658641690, -0.67940956829902441,
+            -0.56275713466860468, -0.43339539412924719, -0.29439286270146020,
+            -0.14887433898163121)
+_WK_LEFT = (0.011694638867371874, 0.032558162307964727, 0.054755896574351996,
+            0.075039674810919953, 0.093125454583697606, 0.10938715880229764,
+            0.12349197626206585, 0.13470921731147333, 0.14277593857706008,
+            0.14773910490133849)
+_WK_MID = 0.14944555400291691
+# the 10-point Gauss weights of x < 0, which attach to Kronrod nodes 1, 3, 5, 7, 9
+_WG_LEFT = (0.066671344308688138, 0.14945134915058059, 0.21908636251598204,
+            0.26926671930999636, 0.29552422471475287)
+_XK = np.array(_XK_LEFT + (0.0,) + tuple(-x for x in reversed(_XK_LEFT)))
+_WK = np.array(_WK_LEFT + (_WK_MID,) + _WK_LEFT[::-1])
+_WG = np.array(_WG_LEFT + _WG_LEFT[::-1])  # Kronrod nodes 1, 3, ..., 19
 
 _SCAN_POINTS = 33
 _REFINE_ROUNDS = 3
@@ -120,7 +140,7 @@ _MAX_DEPTH = 40
 _TAIL_CUTOFF = 120.0  # nats below the peak where tails and dead flanks are cut
 _EXP_CLAMP = 500.0
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
-_SHIFT_ROUNDING = 4.0 * np.finfo(float).eps  # relative error of exp(g - M) per nat of |M|
+_SHIFT_ROUNDING = 4.0 * np.finfo(float).eps  # relative error of exp(g - M) per nat of g's terms
 
 
 @dataclass(frozen=True)
@@ -233,13 +253,26 @@ def _substituted(spec: LogIntegrand, side: int) -> Optional[_Sub]:
     return _Sub(end, e, *power, other, e_other)
 
 
-def _logf_rows(spec: LogIntegrand, panels: list[_Panel], us: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(g, x, core, ends) at the points us[i] of panels[i], with one call of
-    the core over the whole batch: g is the log-integrand in the panels'
-    own coordinates, core = g_core(x), and ends the endpoint powers
+def _log_distance(c: float, xs: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """ln|x - c| for x on the side of c where dist = |x - c| > 0, dist as
+    rounded.  Forming x - c rounds at the scale of c and drops the low bits
+    of x, an error that a large endpoint exponent multiplies.  Where c is a
+    power of two, x/c is exact, and ln|c| + log1p(-x/c) keeps those bits;
+    other ends, 0 among them, take ln(dist)."""
+    if abs(math.frexp(c)[0]) != 0.5:
+        return np.log(dist)
+    near = np.log1p(xs / -c)
+    return near if abs(c) == 1.0 else near + math.log(abs(c))
+
+
+def _logf_rows(spec: LogIntegrand, panels: list[_Panel], us: np.ndarray, sizes: bool = False
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(g, x, core, ends, size) at the points us[i] of panels[i], with one
+    call of the core over the whole batch: g is the log-integrand in the
+    panels' own coordinates, core = g_core(x), ends the endpoint powers
     e_left ln(x - a) + e_right ln(b - x), a substituted end's log taken
-    from t."""
+    from t, and size, if asked for, the sum of the magnitudes of the terms
+    of g, each rounded at its own scale."""
     xs = us.copy()
     sides = np.array([p.side for p in panels])
     rows = []  # (side, substitution, row mask, ln t) per substituted side
@@ -252,9 +285,13 @@ def _logf_rows(spec: LogIntegrand, panels: list[_Panel], us: np.ndarray
             rows.append((side, sub, r, lt))
     core = spec.g_core_many(xs.ravel()).reshape(xs.shape)
     ends = np.zeros_like(xs)
+    size = np.abs(core) if sizes else None
     for end, e, dist in ((spec.b, spec.e_right, spec.b - xs), (spec.a, spec.e_left, xs - spec.a)):
         if math.isfinite(end) and e != 0.0:
-            ends = np.where(dist > 0.0, ends + e * np.log(dist), -math.inf if e > 0 else math.inf)
+            term = e * _log_distance(end, xs, dist)
+            ends = np.where(dist > 0.0, ends + term, -math.inf if e > 0 else math.inf)
+            if sizes:
+                size += np.abs(term)
     g = core + ends
     for side, sub, r, lt in rows:
         # the substituted end's e ln|x - c|, with dx = p t^(p-1) dt, is ln p + j ln t
@@ -263,10 +300,12 @@ def _logf_rows(spec: LogIntegrand, panels: list[_Panel], us: np.ndarray
             g[r] += sub.j * lt
         other = 0.0
         if math.isfinite(sub.other) and sub.e_other != 0.0:
-            other = sub.e_other * np.log(side * (sub.other - xs[r]))
+            other = sub.e_other * _log_distance(sub.other, xs[r], side * (sub.other - xs[r]))
             g[r] += other
         ends[r] = sub.e * sub.p * lt + other
-    return g, xs, core, ends
+        if sizes:
+            size[r] = np.abs(core[r]) + np.abs(other) + (sub.j * np.abs(lt) if sub.j else 0.0)
+    return g, xs, core, ends, size
 
 
 def _walk(start: float, direction: int):
@@ -279,13 +318,16 @@ def _walk(start: float, direction: int):
         step *= 1.35
 
 
-def _tail_cuts(spec: LogIntegrand, walks: list[tuple[float, int]]) -> list[float]:
+def _tail_cuts(spec: LogIntegrand, walks: list[tuple[float, int]]
+               ) -> tuple[list[float], list[float]]:
     """For each walk (start, direction), the first point where g lies
     _TAIL_CUTOFF + 30 nats below the best value met so far, from the third
-    step on.  The walks still going are evaluated together, one row each,
-    in batches of _TAIL_BLOCK points."""
+    step on; and the points of all walks short of their cuts.  The walks
+    still going are evaluated together, one row each, in batches of
+    _TAIL_BLOCK points."""
     points = [_walk(start, direction) for start, direction in walks]
     best, cuts = [-math.inf] * len(walks), [None] * len(walks)
+    walked = []
     plain = _Panel(-math.inf, math.inf)
     k0 = -1  # k counts steps; the start is step -1
     while live := [i for i, cut in enumerate(cuts) if cut is None]:
@@ -302,8 +344,9 @@ def _tail_cuts(spec: LogIntegrand, walks: list[tuple[float, int]]) -> list[float
                 elif k >= 2 and gv < best[i] - (_TAIL_CUTOFF + 30.0):
                     cuts[i] = x
                     break
+                walked.append(x)
         k0 += _TAIL_BLOCK
-    return cuts
+    return cuts, walked
 
 
 # ascending Chebyshev scan nodes on [-1, 1] and the zoom steps j = 1..16
@@ -315,7 +358,8 @@ _REFINE_J = np.arange(1.0, _REFINE_POINTS)
 def _scan_panels(spec: LogIntegrand, panels: list[_Panel]):
     """Chebyshev scan of every panel, then zoom rounds around the sampled
     argmax of each panel whose peak the scan leaves unresolved; one batch
-    per phase.  Returns (xs, gs, gmax) per panel row."""
+    per phase.  Returns (xs, gs, gmax, xmax) per panel row, xmax the point
+    of the peak gmax found."""
     lo = np.array([p.lo for p in panels])
     hi = np.array([p.hi for p in panels])
     rows = np.arange(len(panels))
@@ -343,8 +387,8 @@ def _scan_panels(spec: LogIntegrand, panels: list[_Panel]):
             gz_max = np.where(better, gz[zrows, best], gz_max)
             xz = np.where(better, zs[zrows, best], xz)
             win = win / _REFINE_POINTS
-        gmax[zoom] = gz_max
-    return xs, gs, gmax
+        gmax[zoom], xmax[zoom] = gz_max, xz
+    return xs, gs, gmax, xmax
 
 
 def _bisect_round(above_many: Callable[[np.ndarray], np.ndarray], outer: np.ndarray,
@@ -382,11 +426,15 @@ def bisect_brackets(above_many: Callable[[np.ndarray], np.ndarray], outer,
 
 
 def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndarray,
-                           gs: np.ndarray, gmax: np.ndarray) -> list[_Panel]:
+                           gs: np.ndarray, gmax: np.ndarray, xmax: np.ndarray) -> list[_Panel]:
     """Cut each panel whose live window (where g is within _TAIL_CUTOFF of the
     panel's peak) spans at most a quarter of it into the window and the two
     dead flanks.  A panel whose scanned live points already span more than
-    a quarter stays whole without a search.  The edges of all others are
+    a quarter stays whole without a search.  Where no scanned point is live,
+    only a zoom reached the peak, and the window grows from its point xmax
+    between the two scanned neighbours; kept whole, such a panel can hide
+    the peak between its Gauss-Kronrod nodes, whose flanks alone then seem
+    to converge.  The edges of all others are
     bisected together in rounds of :func:`_bisect_round` until every
     bracket is narrower than _EDGE_PRECISION times its panel's live span
     seen so far, or for at most _BISECT_ROUNDS rounds.  That span runs
@@ -397,19 +445,24 @@ def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndar
     only widens."""
     last = xs.shape[1] - 1
     wins, edges = [], []  # edges: (row, side, outer, inner, level, far panel end)
-    for i, (p, peak) in enumerate(zip(panels, gmax.tolist())):
+    for i, (p, peak, top) in enumerate(zip(panels, gmax.tolist(), xmax.tolist())):
         p.peak = peak
         level = peak - _TAIL_CUTOFF
         idx = np.flatnonzero(gs[i] >= level)
-        if not idx.size or xs[i, idx[-1]] - xs[i, idx[0]] > 0.25 * (p.hi - p.lo):
+        if idx.size and xs[i, idx[-1]] - xs[i, idx[0]] > 0.25 * (p.hi - p.lo):
             wins.append(None)
             continue
-        lo_i, hi_i = idx[0], idx[-1]
+        if idx.size:  # the live scanned points run from lo_i to hi_i
+            lo_i, hi_i = idx[0], idx[-1]
+            left, right = xs[i, lo_i], xs[i, hi_i]
+        else:  # the zoomed peak lies between the dead points hi_i and lo_i
+            lo_i = int(np.searchsorted(xs[i], top))
+            hi_i, left, right = lo_i - 1, top, top
         wins.append([p.lo, p.hi])
         if lo_i > 0:
-            edges.append((i, 0, xs[i, lo_i - 1], xs[i, lo_i], level, p.hi))
+            edges.append((i, 0, xs[i, lo_i - 1], left, level, p.hi))
         if hi_i < last:
-            edges.append((i, 1, xs[i, hi_i + 1], xs[i, hi_i], level, p.lo))
+            edges.append((i, 1, xs[i, hi_i + 1], right, level, p.lo))
     if edges:
         rows, sides, outer, inner, level, far = map(np.array, zip(*edges))
         sub, level = [panels[i] for i in rows], level[:, None]
@@ -443,15 +496,18 @@ def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndar
 
 
 def _gk_rows(spec: LogIntegrand, panels: list[_Panel], a: list[float], b: list[float],
-             shift: float) -> tuple[list[float], list[float], list[float]]:
-    """7-15 Gauss-Kronrod rule over (a[i], b[i]) of panels[i], one batch for
-    all rows; returns the Kronrod estimates, their error estimates and the
-    Kronrod estimates of int |f|."""
+             shift: float, sizes: bool = False
+             ) -> tuple[list[float], list[float], list[float], Optional[float]]:
+    """10-21 Gauss-Kronrod rule over (a[i], b[i]) of panels[i], one batch for
+    all rows; returns the Kronrod estimates, their error estimates
+    |K21 - G10| h and the Kronrod estimates of int |f|, and, if asked for,
+    the Kronrod estimate of int |f| size over all rows (see
+    :func:`_logf_rows`)."""
     a, b = np.array(a), np.array(b)
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     us = c[:, None] + h[:, None] * _XK
-    g, xs, core, ends = _logf_rows(spec, panels, us)
+    g, xs, core, ends, size = _logf_rows(spec, panels, us, sizes)
     if (g - shift > _EXP_CLAMP).any():
         raise NumericalFailure("integrand exceeds shifted clamp; peak scan missed the maximum")
     w = np.where(g > -math.inf, np.exp(g - shift), 0.0)
@@ -464,7 +520,8 @@ def _gk_rows(spec: LogIntegrand, panels: list[_Panel], a: list[float], b: list[f
     fg = w[:, 1::2] @ _WG
     i_k = (h * fk).tolist()
     a_k = i_k if spec.phi_many is None else (h * (np.abs(w) @ _WK)).tolist()  # without phi, f >= 0
-    return i_k, np.abs(h * (fk - fg)).tolist(), a_k
+    size_sum = float(h @ (np.where(w != 0.0, np.abs(w) * size, 0.0) @ _WK)) if sizes else None
+    return i_k, np.abs(h * (fk - fg)).tolist(), a_k, size_sum
 
 
 def log_integral(spec: LogIntegrand, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogQuadResult:
@@ -489,7 +546,8 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
     if not math.isfinite(hi):
         seed = spec.tail_seed_right if spec.tail_seed_right is not None else 0.0
         walks[+1] = max([seed] + bps)
-    cuts = dict(zip(walks, _tail_cuts(spec, [(start, d) for d, start in walks.items()])))
+    cuts, walked = _tail_cuts(spec, [(start, d) for d, start in walks.items()])
+    cuts = dict(zip(walks, cuts))
     lo, hi = cuts.get(-1, lo), cuts.get(+1, hi)
 
     for e, name in ((spec.e_left, "left"), (spec.e_right, "right")):
@@ -517,22 +575,33 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
     work = _split_on_live_windows(spec, panels, *_scan_panels(spec, panels))
     shift = max(p.peak for p in work)
 
+    # the first pass cuts every plain panel at the tail walks' points inside it
+    walked.sort()
+    panels, los, his = [], [], []
+    for p in work:
+        cut = walked[bisect.bisect_right(walked, p.lo):bisect.bisect_left(walked, p.hi)]
+        ends = [p.lo] + (cut if p.side == _PLAIN else []) + [p.hi]
+        panels += [p] * (len(ends) - 1)
+        los += ends[:-1]
+        his += ends[1:]
     heap = []
     tick = 0
     total_i = total_err = total_abs = 0.0
-    neval = _XK.size * len(work)
-    for p, I, err, A in zip(work, *_gk_rows(spec, work, [p.lo for p in work], [p.hi for p in work],
-                                            shift)):
-        heapq.heappush(heap, (-err, tick, p, p.lo, p.hi, I, err, A, 0))
+    neval = _XK.size * len(panels)
+    i_rows, e_rows, a_rows, total_size = _gk_rows(spec, panels, los, his, shift, sizes=True)
+    for p, a, b, I, err, A in zip(panels, los, his, i_rows, e_rows, a_rows):
+        heapq.heappush(heap, (-err, tick, p, a, b, I, err, A, 0))
         tick += 1
         total_i += I
         total_err += err
         total_abs += A
 
-    # g is rounded at the scale |shift|, so every node carries a relative
-    # error of a few eps |shift| that no refinement removes
-    shift_err = _SHIFT_ROUNDING * abs(shift) if math.isfinite(shift) else 0.0
-    rel_tol = max(cfg.rel_tol, shift_err)
+    # each term of g is rounded at its own scale, so every node carries a
+    # relative error of a few eps times the size of its terms, which no
+    # refinement removes: at least |shift|, more where the terms cancel
+    scale = max(abs(shift), total_size / total_abs if total_abs > 0.0 else 0.0)
+    g_err = _SHIFT_ROUNDING * scale if math.isfinite(scale) else 0.0
+    rel_tol = max(cfg.rel_tol, g_err)
 
     def within_tol(err: float) -> bool:
         return err <= max(rel_tol * abs(total_i), _ROUNDING_FLOOR * total_abs)
@@ -570,7 +639,7 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
             panels += (p, p)
             los += (a, mid)
             his += (mid, b)
-        i_rows, e_rows, a_rows = _gk_rows(spec, panels, los, his, shift)
+        i_rows, e_rows, a_rows, _ = _gk_rows(spec, panels, los, his, shift)
         neval += _XK.size * len(panels)
         for k, (_, _, p, a, b, I, err, A, depth) in enumerate(split):
             j = 2 * k
@@ -589,7 +658,7 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
     else:
         sign = 1 if total_i > 0 else -1
         log_abs = math.log(abs(total_i)) + shift
-        rel = max(total_err / abs(total_i), shift_err)
+        rel = max(max(total_err, _ROUNDING_FLOOR * total_abs) / abs(total_i), g_err)
     result = LogQuadResult(sign, log_abs, rel, neval)
     if total_i == 0.0 and spec.phi_many is None and shift > -math.inf:
         # exp(g) > 0 at the scanned peak, so a zero sum means every node missed it

@@ -100,8 +100,40 @@ def test_tiny_weighted_norm_meets_its_error_estimate(a, q):
     # W_q[L_0^(a)] = Gamma(qa + 1) / q^(qa + 1), far below e^-690: the value's
     # scale must not relax the tolerance
     r = weighted_norm_quad(laguerre(a), 0, q)
-    want = log_gamma(q * a + 1.0) - (q * a + 1.0) * math.log(q)
-    assert abs(math.expm1(r.value.log_abs - want)) <= r.error_estimate <= 1e-10
+    assert _miss(r.value.log_abs, _laguerre_0_log(a, q)) <= r.error_estimate <= 1e-10
+
+
+def _laguerre_0_log(a, q):
+    """ln W_q[L_0^(a)] = ln Gamma(qa + 1) - (qa + 1) ln q to 40 digits; the
+    float log_gamma is off by 1e-12 at Gamma(1501)."""
+    with mpmath.workdps(40):
+        return mpmath.loggamma(q * a + 1) - (q * a + 1) * mpmath.log(q)
+
+
+def _miss(log_value, want):
+    """The relative miss of exp(log_value) against exp(want), want an mpf or
+    a decimal string."""
+    with mpmath.workdps(40):
+        return abs(float(mpmath.expm1(mpmath.mpf(log_value) - mpmath.mpf(want))))
+
+
+@pytest.mark.parametrize("fam, n, q, want", [
+    # ln W_q of Hermite and Gegenbauer from 40-digit mpmath quadrature over
+    # the peaks of p_n^2 h
+    (hermite(), 2, 1e4, "16585.03302633495271"),
+    (hermite(), 2, 1e6, "1658876.9829711120886"),
+    (gegenbauer(1.75), 3, 1e5, "229372.04910390810196"),
+    (laguerre(7.0), 2, 3e5, "2998925.8154806390995"),
+    *[(laguerre(a), 0, q, _laguerre_0_log(a, q))
+      for a, q in ((0.5, 1e5), (2.0, 1e5), (3.0, 1e5), (1.0, 1e6), (2.0, 1e6), (7.0, 1e6))],
+], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_peaks_narrower_than_the_scan_grid(fam, n, q, want):
+    # the peak of (p_n^2 h)^q, of width ~ 1/sqrt(q), falls between the scan
+    # points and only a zoom reaches it.  Kept whole, its panel raised "a
+    # positive integrand summed to zero" where every node missed the peak,
+    # and Laguerre(7), n = 2 read 64 nats low where nodes met only a flank
+    r = weighted_norm_quad(fam, n, q)
+    assert _miss(r.value.log_abs, want) <= r.error_estimate <= 1e-7
 
 
 def test_weighted_endpoint_singular():
@@ -111,6 +143,23 @@ def test_weighted_endpoint_singular():
     want = ((1.0 + q * (a + b)) * math.log(2.0) + log_gamma(q * a + 1.0)
             + log_gamma(q * b + 1.0) - log_gamma(q * (a + b) + 2.0))
     assert r.value.log_abs == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("fam", [jacobi(0.5, 1.5), jacobi(3.0, 3.0), jacobi(1.25, 0.75),
+                                 gegenbauer(0.75), gegenbauer(1.75), gegenbauer(2.5)],
+                         ids=lambda f: f.label())
+def test_weighted_norm_of_p0_meets_the_beta_integral(fam):
+    # W_q[P_0] = 2^(q(a + b) + 1) B(qa + 1, qb + 1).  At large q the end
+    # terms qa ln(1 - x) and qb ln(1 + x) of g are large and cancel near a
+    # central peak, so g's rounding is not set by its peak value.  At small
+    # q the rule can be exact, and the sum's own rounding remains
+    a, b = fam.weight.e_hi, fam.weight.e_lo
+    for q in (0.5, 1.0, 2.0, 10.0, 1e3, 1e4, 1e5, 1e6):
+        r = weighted_norm_quad(fam, 0, q)
+        with mpmath.workdps(40):
+            want = ((q * (a + b) + 1) * mpmath.log(2) + mpmath.loggamma(q * a + 1)
+                    + mpmath.loggamma(q * b + 1) - mpmath.loggamma(q * (a + b) + 2))
+        assert _miss(r.value.log_abs, want) <= r.error_estimate <= 1e-9, q
 
 
 def test_integrability_rejection():

@@ -229,15 +229,36 @@ def test_error_covers_the_rounding_of_g_at_its_scale(a, q):
 
 
 def test_positive_integrand_that_sums_to_zero_fails():
-    # the peak of p^2 h to the power q = 1e4 is narrower than the scan grid,
-    # so every Gauss-Kronrod node underflows; that must not read as W_q = 0
-    with pytest.raises(QuadratureFailure):
-        weighted_norm_quad(hermite(), 2, 1e4)
+    # g is 0 at the scan and far below it at every later point, as where
+    # the nodes miss a peak the scan saw; that must not read as an integral
+    # of 0.  (A concave peak no longer vanishes: every node of its live
+    # window lies within the cutoff of the peak found.)
+    calls = []
+
+    def g(x):
+        calls.append(None)
+        return np.full_like(x, 0.0 if len(calls) == 1 else -1e4)
+
+    with pytest.raises(QuadratureFailure, match="summed to zero"):
+        log_integral(LogIntegrand(a=0.0, b=1.0, g_core_many=g))
 
 
-def test_refinement_splits_in_rounds(monkeypatch):
-    # each call of the array integrand evaluates the polynomial once; greedy
-    # one-interval splitting made 316 calls here, refinement in rounds ~10
+def test_gauss_kronrod_table():
+    # K21 integrates x^k exactly for k <= 31, its embedded G10 for k <= 19
+    xk, wk, wg = quadrature._XK, quadrature._WK, quadrature._WG
+    assert xk.size == 21 and wg.size == 10
+    assert np.array_equal(xk, -xk[::-1]) and np.array_equal(wk, wk[::-1])
+    assert np.array_equal(wg, wg[::-1])
+    for k in range(32):
+        exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+        assert abs(wk @ xk ** k - exact) <= 1e-15, k
+        if k <= 19:
+            assert abs(wg @ xk[1::2] ** k - exact) <= 1e-15, k
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The calls of the norms' array integrand, one polynomial batch each."""
     calls = []
     eval_log_many = norms.eval_log_many
 
@@ -246,9 +267,26 @@ def test_refinement_splits_in_rounds(monkeypatch):
         return eval_log_many(*args)
 
     monkeypatch.setattr(norms, "eval_log_many", counted)
+    return calls
+
+
+def test_refinement_splits_in_rounds(batches):
+    # greedy one-interval splitting made 316 calls here, refinement in rounds ~10
     r = weighted_norm_quad(hermite(), 100, 2.0)
-    assert len(calls) <= 20
+    assert len(batches) <= 20
     assert r.log_value == pytest.approx(864.5467788760479, rel=1e-12)
+
+
+@pytest.mark.parametrize("fam, n, q, most", [(hermite(), 12, 1.0, 4), (laguerre(0.5), 18, 1.0, 5),
+                                             (jacobi(2.5, 1.5), 40, 3.0, 5)])
+def test_first_gauss_kronrod_pass_leaves_little_to_refine(batches, fam, n, q, most):
+    # a 7-15 rule, with each tail panel halved toward its mass next to the
+    # outermost zero one pass at a time, took 8, 9 and 6 integrand batches
+    # here; the 10-21 rule over tail panels cut at the tail walk's points
+    # takes 3, 4 and 4
+    r = weighted_norm_quad(fam, n, q)
+    assert len(batches) <= most
+    assert r.error_estimate <= 1e-11
 
 
 def test_substitution_powers():
@@ -290,21 +328,14 @@ def test_substituted_norms_against_the_exact_engine(fam):
 
 @pytest.mark.parametrize("fam, n, q, most", [(gegenbauer(1.75), 28, 4.0, 8),
                                              (laguerre(0.5), 40, 2.0, 10)])
-def test_weak_endpoint_powers_cost_few_batches(monkeypatch, fam, n, q, most):
+def test_weak_endpoint_powers_cost_few_batches(batches, fam, n, q, most):
     # (1 - x)^1.25 at both ends of Gegenbauer(1.75) N_4, and x^0.5 at the
     # left end of Laguerre(0.5) N_2, once took 19 and 23 integrand batches:
     # their end intervals were halved a dozen times, the error falling about
-    # 5x per round.  Substituted, they take 5 and 8
-    calls = []
-    eval_log_many = norms.eval_log_many
-
-    def counted(*args):
-        calls.append(None)
-        return eval_log_many(*args)
-
-    monkeypatch.setattr(norms, "eval_log_many", counted)
+    # 5x per round.  Substituted, they take 5 and 8 (3 and 3 with the 10-21
+    # rule)
     r = unweighted_norm_quad(fam, n, q)
-    assert len(calls) <= most
+    assert len(batches) <= most
     assert r.error_estimate <= 1e-11
 
 
@@ -319,9 +350,9 @@ def test_only_unresolved_peaks_are_zoomed():
         return np.where(x < 1.0, -(x - 0.3) ** 2, -1e6 * (x - 1.6) ** 2)
 
     spec = LogIntegrand(a=0.0, b=2.0, g_core_many=g)
-    _, _, gmax = _scan_panels(spec, [_Panel(0.0, 1.0)])
+    _, _, gmax, _ = _scan_panels(spec, [_Panel(0.0, 1.0)])
     assert len(calls) == 1 and gmax[0] > -1e-3
     calls.clear()
-    _, _, gmax = _scan_panels(spec, [_Panel(0.0, 1.0), _Panel(1.0, 2.0)])
+    _, _, gmax, _ = _scan_panels(spec, [_Panel(0.0, 1.0), _Panel(1.0, 2.0)])
     assert calls == [2 * 33] + [16] * 3  # the scan, then 16 zoom points a round
     assert gmax[1] > -0.1
