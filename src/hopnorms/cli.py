@@ -17,8 +17,9 @@ import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from . import paramasym
 from .errors import DomainError, NumericalFailure
-from .families import (PolynomialFamily, gegenbauer, hermite, jacobi, laguerre, norm_constant_log,
+from .families import (FAMILY_PARAMS, PolynomialFamily, family_support, norm_constant_log,
                        norm_constant_log_error)
 from .laplace import locate_density_maximum, unweighted_norm_q_asym, weighted_norm_q_asym
 from .measures import (DensityHandle, fisher_information, fisher_renyi, fisher_shannon,
@@ -27,9 +28,7 @@ from .measures import (DensityHandle, fisher_information, fisher_renyi, fisher_s
                        shannon_length)
 from .norms import NormResult, unweighted_norm_quad, weighted_norm_quad
 from .bell import unweighted_norm_bell
-from .paramasym import (gegenbauer_unweighted_param, gegenbauer_weighted_param,
-                        jacobi_unweighted_param, jacobi_weighted_param,
-                        laguerre_unweighted_param, laguerre_weighted_param)
+from .paramasym import PARAM_FORMS
 from .quadrature import QuadratureConfig
 from .validate import run_suite
 
@@ -54,22 +53,11 @@ def _fmt(x) -> str:
 
 
 def _family_from(args) -> PolynomialFamily:
-    kind = args.family
-    if kind == "hermite":
-        return hermite()
-    if kind == "laguerre":
-        if args.alpha is None:
-            raise DomainError("laguerre requires --alpha")
-        return laguerre(args.alpha)
-    if kind == "jacobi":
-        if args.alpha is None or args.beta is None:
-            raise DomainError("jacobi requires --alpha and --beta")
-        return jacobi(args.alpha, args.beta)
-    if kind == "gegenbauer":
-        if args.lam is None:
-            raise DomainError("gegenbauer requires --lambda")
-        return gegenbauer(args.lam)
-    raise DomainError(f"unknown family {kind!r}")
+    names = FAMILY_PARAMS[args.family]
+    if any(getattr(args, p) is None for p in names):
+        raise DomainError(f"{args.family} requires " + " and ".join("--" + p for p in names))
+    return PolynomialFamily(args.family, alpha=args.alpha, beta=args.beta,
+                            lam=getattr(args, "lambda"))
 
 
 def _cfg_from(args) -> QuadratureConfig:
@@ -101,24 +89,13 @@ def _norm_dispatch(op: str, engine: str, fam: PolynomialFamily, n: int, q: float
             return res
         return unweighted_norm_q_asym(fam, n, q)
     if engine == "asymptotic-parameter":
-        if fam.kind == "hermite":
-            raise DomainError("no large-parameter regime exists for hermite")
-        if op == "weighted-norm":
-            if fam.kind == "laguerre":
-                av = laguerre_weighted_param(n, fam.alpha, q, normalized)
-            elif fam.kind == "jacobi":
-                av = jacobi_weighted_param(n, fam.alpha, fam.beta, q, normalized)
-            else:
-                av = gegenbauer_weighted_param(n, fam.lam, q, normalized)
-        else:
-            if fam.kind == "laguerre":
-                av = laguerre_unweighted_param(n, fam.alpha, q)
-            elif fam.kind == "jacobi":
-                av = jacobi_unweighted_param(n, fam.alpha, fam.beta, q)
-            else:
-                av = gegenbauer_unweighted_param(n, fam.lam, q)
-        scale = fam.lam if fam.kind == "gegenbauer" else fam.alpha
-        return av.as_norm_result(1.0 / scale)
+        forms = PARAM_FORMS.get(fam.kind)
+        if forms is None:
+            raise DomainError(f"no large-parameter regime exists for {fam.kind}")
+        weighted, unweighted = (getattr(paramasym, f) for f in forms)
+        av = (weighted(n, *fam.params, q, normalized) if op == "weighted-norm"
+              else unweighted(n, *fam.params, q))
+        return av.as_norm_result(1.0 / fam.params[0])
     raise DomainError(f"unknown engine {engine!r}")
 
 
@@ -206,12 +183,8 @@ def cmd_compute(args) -> int:
         v = _measure_dispatch(args.op, fam, args.n, args, cfg)
         if not math.isfinite(v):
             raise NumericalFailure(f"non-finite result: value = {v}")
-        rec["engine"] = "quadrature"
-        sign = 0 if v == 0.0 else (1 if v > 0 else -1)
-        rec["sign"] = sign
-        rec["log_value"] = math.log(abs(v)) if v != 0.0 else None
-        rec["value"] = v
-        rec["method"] = "quadrature"
+        rec.update(engine="quadrature", sign=0 if v == 0.0 else (1 if v > 0 else -1),
+                   log_value=math.log(abs(v)) if v != 0.0 else None, value=v, method="quadrature")
     else:
         raise DomainError(f"unknown op {args.op!r}")
 
@@ -292,12 +265,12 @@ class SweepSpec:
                                   f"offending grid values: {bad}")
             if self.op != "unweighted-norm":
                 raise DomainError("bell engine computes unweighted norms only")
-        if "asymptotic-parameter" in self.engines and self.family == "hermite":
-            raise DomainError("no large-parameter regime exists for hermite")
+        if "asymptotic-parameter" in self.engines and self.family not in PARAM_FORMS:
+            raise DomainError(f"no large-parameter regime exists for {self.family}")
         if "asymptotic-q" in self.engines and self.op == "unweighted-norm" \
-                and self.family in ("hermite", "laguerre"):
+                and not all(map(math.isfinite, family_support(self.family))):
             raise DomainError("large-q unweighted asymptotics are unavailable for "
-                              "hermite/laguerre")
+                              f"{self.family}: its support is unbounded")
 
 
 def _sweep_rows(args, cfg) -> list[dict]:
@@ -312,7 +285,7 @@ def _sweep_rows(args, cfg) -> list[dict]:
     def emit(point):
         local = argparse.Namespace(**vars(args))
         for k, v in point.items():
-            setattr(local, "lam" if k == "lambda" else k, v)
+            setattr(local, k, v)
         local.n = int(local.n) if local.n is not None else None
         fam = _family_from(local)
         for engine in engines:
@@ -400,11 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_family_flags(p):
-        p.add_argument("--family", required=True,
-                       choices=("hermite", "laguerre", "jacobi", "gegenbauer"))
+        p.add_argument("--family", required=True, choices=tuple(FAMILY_PARAMS))
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
+        p.add_argument("--lambda", type=float, default=None)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--q", type=float, default=None)
         p.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")

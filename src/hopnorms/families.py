@@ -22,10 +22,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, SingularEvaluation
 from .logreal import SignedLogReal
-from .special import log_gamma
+from .special import log_distance, log_gamma
 
 __all__ = [
-    "PolynomialFamily", "CoefficientList",
+    "PolynomialFamily", "CoefficientList", "FAMILY_PARAMS",
     "hermite", "laguerre", "jacobi", "gegenbauer",
     "eval_poly", "eval_log", "eval_log_many", "eval_derivative",
     "norm_constant_log", "norm_constant_log_error", "coefficients", "weight_log", "weight_log_many",
@@ -39,6 +39,12 @@ _RESCALE_LO = 1e-280
 _RESCALE_EVERY = 16  # steps between the power-of-two rescales of eval_log_many
 _LN2 = math.log(2.0)
 _COEFF_DEGREE_CAP = 60
+
+# The parameters of each family, by the names that labels, the CLI flags and
+# the sweep grids print, in the order its constructor takes them.
+FAMILY_PARAMS = {"hermite": (), "laguerre": ("alpha",), "jacobi": ("alpha", "beta"),
+                 "gegenbauer": ("lambda",)}
+_FIELDS = {"alpha": "alpha", "beta": "beta", "lambda": "lam"}  # name -> PolynomialFamily field
 
 
 # core log-weights and their derivatives; module-level so families pickle
@@ -90,19 +96,22 @@ class PolynomialFamily:
     lam: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind == "hermite":
-            pass
-        elif self.kind == "laguerre":
-            if self.alpha is None or not self.alpha > -1:
-                raise DomainError(f"laguerre requires alpha > -1, got {self.alpha}")
-        elif self.kind == "jacobi":
-            if self.alpha is None or self.beta is None or not (self.alpha > -1 and self.beta > -1):
-                raise DomainError(f"jacobi requires alpha, beta > -1, got ({self.alpha}, {self.beta})")
-        elif self.kind == "gegenbauer":
-            if self.lam is None or not self.lam > -0.5 or self.lam == 0:
-                raise DomainError(f"gegenbauer requires lambda > -1/2, lambda != 0, got {self.lam}")
-        else:
+        names = FAMILY_PARAMS.get(self.kind)
+        if names is None:
             raise DomainError(f"unknown family kind {self.kind!r}")
+        for p, f in _FIELDS.items():
+            if (getattr(self, f) is None) == (p in names):
+                raise DomainError(f"{self.kind} {'requires' if p in names else 'takes no'} {p}")
+        w = self.weight
+        if not (w.e_lo > -1 and w.e_hi > -1):  # h is integrable
+            raise DomainError(f"{self.label()}: weight exponents must exceed -1")
+        if self.lam == 0:
+            raise DomainError("gegenbauer requires lambda != 0")
+
+    @property
+    def params(self) -> tuple[float, ...]:
+        """The parameter values, in the order of FAMILY_PARAMS[kind]."""
+        return tuple(getattr(self, _FIELDS[p]) for p in FAMILY_PARAMS[self.kind])
 
     @cached_property
     def weight(self) -> Weight:
@@ -120,13 +129,16 @@ class PolynomialFamily:
         return self.weight.lo, self.weight.hi
 
     def label(self) -> str:
-        if self.kind == "hermite":
-            return "hermite"
-        if self.kind == "laguerre":
-            return f"laguerre(alpha={self.alpha:g})"
-        if self.kind == "jacobi":
-            return f"jacobi(alpha={self.alpha:g},beta={self.beta:g})"
-        return f"gegenbauer(lambda={self.lam:g})"
+        if not self.params:
+            return self.kind
+        args = ",".join(f"{p}={v:g}" for p, v in zip(FAMILY_PARAMS[self.kind], self.params))
+        return f"{self.kind}({args})"
+
+
+def family_support(kind: str) -> tuple[float, float]:
+    """The support of family `kind`, which no parameter moves: that of its
+    member with every parameter 1, a value in every family's domain."""
+    return PolynomialFamily(kind, **{_FIELDS[p]: 1.0 for p in FAMILY_PARAMS[kind]}).support
 
 
 def hermite() -> PolynomialFamily:
@@ -369,8 +381,20 @@ def norm_constant_log_error(fam: PolynomialFamily, n: int) -> float:
     x = 2 + 2n + 2 sum|parameters|, which cancel for large degree or
     parameters: each carries its own rounding, up to ~eps lgamma(x).
     """
-    x = 2.0 + 2.0 * (n + sum(abs(p) for p in (fam.alpha, fam.beta, fam.lam) if p is not None))
+    x = 2.0 + 2.0 * (n + sum(abs(p) for p in fam.params))
     return 8.9e-16 * (abs(norm_constant_log(fam, n).log_abs) + 4.0 * math.lgamma(x))
+
+
+def tail_seeds(fam: PolynomialFamily, n: int, pol_power: float,
+               weight_power: float) -> tuple[Optional[float], Optional[float]]:
+    """Where the (left, right) tail walks of |p_n|^pol_power h^weight_power
+    start, beyond the peak of the integrand; None where no seed is known."""
+    if fam.kind == "hermite":
+        seed = math.sqrt(max(pol_power * n, 2.0 * n + 2.0) / max(2.0 * weight_power, 1e-6)) + 1.0
+        return -seed, seed
+    if fam.kind == "laguerre":
+        return None, (weight_power * fam.alpha + pol_power * n) / weight_power + 1.0
+    return None, None
 
 
 def coefficients(fam: PolynomialFamily, n: int) -> CoefficientList:
@@ -397,47 +421,41 @@ def power_basis(fam: PolynomialFamily, n: int, num) -> list:
 
 
 def weight_log(fam: PolynomialFamily, x: float) -> SignedLogReal:
-    """ln h(x); signals SingularEvaluation where h vanishes with a
-    negative exponent (endpoint poles)."""
+    """ln h(x), as :func:`weight_log_many` takes it; signals
+    SingularEvaluation where h vanishes with a negative exponent (endpoint poles)."""
     w = fam.weight
     if not w.lo <= x <= w.hi:
         raise DomainError(f"{fam.label()} weight defined on [{w.lo:g}, {w.hi:g}]")
-    g = w.core(x)
-    for e, dist in ((w.e_lo, x - w.lo), (w.e_hi, w.hi - x)):
-        if e == 0.0:
-            continue
-        if dist == 0.0:
-            if e < 0:
-                raise SingularEvaluation(f"weight pole at x = {x:g}")
-            return SignedLogReal.zero()
-        g += e * math.log(dist)
-    return SignedLogReal(1, g)
+    g = float(weight_log_many(fam, x))
+    if g == math.inf:
+        raise SingularEvaluation(f"weight pole at x = {x:g}")
+    return SignedLogReal(1 if g > -math.inf else 0, g)
 
 
-def weight_log_many(fam: PolynomialFamily, xs) -> np.ndarray:
+def weight_log_many(fam: PolynomialFamily, xs, sizes: bool = False):
     """ln h at every point of xs in the support: -inf where h vanishes at an
-    endpoint, +inf at an endpoint pole."""
+    endpoint, +inf at an endpoint pole.  The log of the distance to a finite
+    end takes the log1p form of :func:`special.log_distance`.  With sizes,
+    returns (ln h, the sum of the magnitudes of its terms)."""
     w = fam.weight
     x = np.asarray(xs, dtype=float)
     g = w.core(x) + np.zeros_like(x)
+    size = np.abs(g)
     with np.errstate(divide="ignore"):
-        for e, dist in ((w.e_lo, x - w.lo), (w.e_hi, w.hi - x)):
+        for c, e, dist in ((w.lo, w.e_lo, x - w.lo), (w.hi, w.e_hi, w.hi - x)):
             if e != 0.0:
-                g += e * np.log(dist)
-    return g
+                term = e * log_distance(c, x, dist)
+                g += term
+                size += np.abs(term)
+    return (g, size) if sizes else g
 
 
 def weight_log_derivative(fam: PolynomialFamily, x: float) -> float:
-    """h'(x)/h(x) at interior points."""
-    w = fam.weight
-    if (w.e_lo != 0.0 and x == w.lo) or (w.e_hi != 0.0 and x == w.hi):
+    """h'(x)/h(x) at interior points, r/d of :func:`_numerator_factors`."""
+    d, r = _numerator_factors(fam.weight, x)
+    if d == 0.0:
         raise SingularEvaluation(f"h'/h pole at x = {x:g}")
-    v = w.core_prime(x)
-    if w.e_lo != 0.0:
-        v += w.e_lo / (x - w.lo)
-    if w.e_hi != 0.0:
-        v -= w.e_hi / (w.hi - x)
-    return v
+    return r / d
 
 
 def _numerator_factors(w: Weight, x):

@@ -36,6 +36,7 @@ __all__ = ["LaplacePoint", "locate_density_maximum", "weighted_norm_q_asym",
            "unweighted_norm_q_asym_jacobi"]
 
 _TIE_TOL = 1e-10
+_F_ROUNDING = 4.0 * np.finfo(float).eps  # rounding of f per unit size of its terms
 _WALK = 2.0 ** np.arange(41)  # outward steps, in units of 1 + |outermost knot|
 
 
@@ -46,6 +47,7 @@ class LaplacePoint:
     f2_at_x0: float
     multiplicity: int
     maximizers: tuple[float, ...]
+    f_error: float = 0.0  # bound on the rounding of f_at_x0
 
 
 def _check_preconditions(fam: PolynomialFamily) -> None:
@@ -104,26 +106,31 @@ def locate_density_maximum(fam: PolynomialFamily, n: int) -> LaplacePoint:
     """
     _check_preconditions(fam)
     crits = _critical_points(fam, n)
-    fvals = (weight_log_many(fam, crits) + 2.0 * eval_log_many(fam, n, crits)[1]).tolist()
+    log_h, size = weight_log_many(fam, crits, sizes=True)
+    log_p2 = 2.0 * eval_log_many(fam, n, crits)[1]
+    fvals = (log_h + log_p2).tolist()
     fmax = max(fvals)
+    # f(x0) sums terms that each round at their own scale
+    f_error = float(_F_ROUNDING * (size + np.abs(log_p2))[fvals.index(fmax)])
     winners = [x for x, fv in zip(crits.tolist(), fvals) if fv >= fmax - _TIE_TOL]
     x0 = max(winners)  # deterministic representative
     f2 = log_density_second(fam, n, x0)
     if not f2 < 0:
         raise NumericalFailure(f"second derivative not negative at x0={x0}")
-    return LaplacePoint(x0=x0, f_at_x0=fmax, f2_at_x0=f2,
-                        multiplicity=len(winners), maximizers=tuple(sorted(winners)))
+    return LaplacePoint(x0=x0, f_at_x0=fmax, f2_at_x0=f2, multiplicity=len(winners),
+                        maximizers=tuple(sorted(winners)), f_error=f_error)
 
 
 def weighted_norm_q_asym(fam: PolynomialFamily, n: int, q: float) -> NormResult:
     """Leading Laplace term of W_q; every global maximizer contributes one
-    Gaussian peak, hence the multiplicity prefactor."""
+    Gaussian peak, hence the multiplicity prefactor.  The error claim is the
+    term's 1/q plus q times the rounding of f(x0)."""
     if not q > 0:
         raise DomainError("q must be positive")
     pt = locate_density_maximum(fam, n)
     log_w = (math.log(pt.multiplicity) + q * pt.f_at_x0
              + 0.5 * (math.log(2.0 * math.pi) - math.log(q * (-pt.f2_at_x0))))
-    return NormResult(SignedLogReal(1, log_w), "asymptotic-q", 1.0 / q)
+    return NormResult(SignedLogReal(1, log_w), "asymptotic-q", 1.0 / q + q * pt.f_error)
 
 
 def unweighted_norm_q_asym_jacobi(n: int, alpha: float, beta: float, q: float) -> NormResult:
@@ -160,16 +167,18 @@ def unweighted_norm_q_asym_jacobi(n: int, alpha: float, beta: float, q: float) -
 
 
 def unweighted_norm_q_asym(fam: PolynomialFamily, n: int, q: float) -> NormResult:
-    """Dispatcher; rejects the unbounded-support families, whose large-q
-    unweighted behaviour has no known leading term."""
-    if fam.kind in ("hermite", "laguerre"):
+    """Dispatcher; rejects a family whose support is unbounded, where the
+    large-q unweighted behaviour has no known leading term.  The weight
+    (1-x)^alpha (1+x)^beta gives the Jacobi exponents; a Gegenbauer
+    polynomial is a multiple of the Jacobi one."""
+    w = fam.weight
+    if not (math.isfinite(w.lo) and math.isfinite(w.hi)):
         raise UnsupportedAsymptotics(
             f"large-q unweighted asymptotics are not available for {fam.kind}: "
             "|p_n| has no global maximum on an unbounded support")
-    if fam.kind == "jacobi":
-        return unweighted_norm_q_asym_jacobi(n, fam.alpha, fam.beta, q)
-    a = fam.lam - 0.5
-    base = unweighted_norm_q_asym_jacobi(n, a, a, q)
+    base = unweighted_norm_q_asym_jacobi(n, w.e_hi, w.e_lo, q)
+    if fam.lam is None:
+        return base
     shift = q * gegenbauer_jacobi_factor_log(n, fam.lam)
     return NormResult(SignedLogReal(1, base.value.log_abs + shift),
                       "asymptotic-q", base.error_estimate)

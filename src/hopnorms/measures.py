@@ -85,9 +85,7 @@ def functional_E_log(fam: PolynomialFamily, n: int,
         return weight_core(xs) - core  # core = ln p^2 + the weight's core
 
     res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi_many=phi_many, cfg=cfg)
-    if res.sign == 0:
-        return SignedLogReal.zero()
-    return SignedLogReal(res.sign, res.log_abs)
+    return SignedLogReal(res.sign, res.log_abs)  # sign 0 makes it zero
 
 
 def _norm_log(fam: PolynomialFamily, n: int, q: float, cfg: QuadratureConfig) -> float:
@@ -146,9 +144,7 @@ def functional_I_log(fam: PolynomialFamily, n: int,
         return -(weight_core(xs) + ends)
 
     res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi_many=phi_many, cfg=cfg)
-    if res.sign == 0:
-        return SignedLogReal.zero()
-    return SignedLogReal(res.sign, res.log_abs)
+    return SignedLogReal(res.sign, res.log_abs)  # sign 0 makes it zero
 
 
 def functional_I(fam: PolynomialFamily, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

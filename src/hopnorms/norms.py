@@ -15,8 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .families import (PolynomialFamily, eval_log_many, moment_ratios,
-                       norm_constant_log, norm_constant_log_error, polynomial_zeros)
+from .families import (PolynomialFamily, eval_log_many, moment_ratios, norm_constant_log,
+                       norm_constant_log_error, polynomial_zeros, tail_seeds)
 from .logreal import SignedLogReal
 from .quadrature import DEFAULT_CONFIG, LogIntegrand, LogQuadResult, QuadratureConfig, log_integral
 
@@ -60,23 +60,15 @@ def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_pow
             raise DomainError(
                 f"{fam.label()}: weight exponent {e:g} at the {side} endpoint is not integrable")
 
-    zeros = polynomial_zeros(fam, n)
-
-    if fam.kind == "hermite":
-        seed = math.sqrt(max(pol_power * n, 2.0 * n + 2.0) / max(2.0 * weight_power, 1e-6)) + 1.0
-        seeds = (-seed, seed)
-    elif fam.kind == "laguerre":
-        seeds = (None, (e_l + pol_power * n) / weight_power + 1.0)
-    else:
-        seeds = (None, None)
+    left, right = tail_seeds(fam, n, pol_power, weight_power)
     core = w.core
 
     def g_core_many(xs: np.ndarray) -> np.ndarray:
         return pol_power * eval_log_many(fam, n, xs)[1] + weight_power * core(xs)
 
     spec = LogIntegrand(a=lo, b=hi, g_core_many=g_core_many, e_left=e_l, e_right=e_r,
-                        breakpoints=tuple(zeros) + tuple(extra_breakpoints),
-                        tail_seed_left=seeds[0], tail_seed_right=seeds[1], phi_many=phi_many)
+                        breakpoints=tuple(polynomial_zeros(fam, n)) + tuple(extra_breakpoints),
+                        tail_seed_left=left, tail_seed_right=right, phi_many=phi_many)
     return log_integral(spec, cfg)
 
 

@@ -44,7 +44,7 @@ __all__ = [
     "gegenbauer_unweighted_param", "gegenbauer_shannon_param", "gegenbauer_weighted_param",
     "gegenbauer_shannon_tail", "jacobi_weighted_q2_normalized_printed",
     "gegenbauer_weighted_param_simplified",
-    "temme_I1_quadrature", "temme_I2_quadrature",
+    "temme_I1_quadrature", "temme_I2_quadrature", "PARAM_FORMS",
 ]
 
 
@@ -406,3 +406,11 @@ def gegenbauer_weighted_param_simplified(n: int, lam: float, q: float) -> Asympt
                + (n * q - 0.5) * math.log(lam))
     return AsymptoticValue(SignedLogReal(1, log_val), {"lambda_power": n * q - 0.5},
                            "printed second-line form (documented discrepancy)")
+
+
+
+# Each family's (weighted, unweighted) large-parameter form, called as
+# form(n, *params, q[, normalized]); by name, so a caller that looks it up
+# here also calls a wrapper installed on this module.
+PARAM_FORMS = {k: (f"{k}_weighted_param", f"{k}_unweighted_param")
+               for k in ("laguerre", "jacobi", "gegenbauer")}

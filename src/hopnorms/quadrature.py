@@ -102,6 +102,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
+from .special import log_distance
 
 __all__ = ["QuadratureConfig", "QuadratureFailure", "LogIntegrand", "LogQuadResult", "log_integral",
            "bisect_brackets"]
@@ -253,18 +254,6 @@ def _substituted(spec: LogIntegrand, side: int) -> Optional[_Sub]:
     return _Sub(end, e, *power, other, e_other)
 
 
-def _log_distance(c: float, xs: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """ln|x - c| for x on the side of c where dist = |x - c| > 0, dist as
-    rounded.  Forming x - c rounds at the scale of c and drops the low bits
-    of x, an error that a large endpoint exponent multiplies.  Where c is a
-    power of two, x/c is exact, and ln|c| + log1p(-x/c) keeps those bits;
-    other ends, 0 among them, take ln(dist)."""
-    if abs(math.frexp(c)[0]) != 0.5:
-        return np.log(dist)
-    near = np.log1p(xs / -c)
-    return near if abs(c) == 1.0 else near + math.log(abs(c))
-
-
 def _logf_rows(spec: LogIntegrand, panels: list[_Panel], us: np.ndarray, sizes: bool = False
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(g, x, core, ends, size) at the points us[i] of panels[i], with one
@@ -288,7 +277,7 @@ def _logf_rows(spec: LogIntegrand, panels: list[_Panel], us: np.ndarray, sizes: 
     size = np.abs(core) if sizes else None
     for end, e, dist in ((spec.b, spec.e_right, spec.b - xs), (spec.a, spec.e_left, xs - spec.a)):
         if math.isfinite(end) and e != 0.0:
-            term = e * _log_distance(end, xs, dist)
+            term = e * log_distance(end, xs, dist)
             ends = np.where(dist > 0.0, ends + term, -math.inf if e > 0 else math.inf)
             if sizes:
                 size += np.abs(term)
@@ -300,7 +289,7 @@ def _logf_rows(spec: LogIntegrand, panels: list[_Panel], us: np.ndarray, sizes: 
             g[r] += sub.j * lt
         other = 0.0
         if math.isfinite(sub.other) and sub.e_other != 0.0:
-            other = sub.e_other * _log_distance(sub.other, xs[r], side * (sub.other - xs[r]))
+            other = sub.e_other * log_distance(sub.other, xs[r], side * (sub.other - xs[r]))
             g[r] += other
         ends[r] = sub.e * sub.p * lt + other
         if sizes:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from hopnorms import paramasym
 from hopnorms.cli import SweepSpec, build_parser, main
 from hopnorms.errors import DomainError
 from hopnorms.families import jacobi
@@ -165,9 +166,12 @@ def test_sweep_records_row_failures(capsys):
 
 
 def test_usage_errors(capsys):
-    rc, _, _ = run_cli(["compute", "--family", "laguerre", "--n", "0",
-                        "--op", "weighted-norm", "--q", "2"], capsys)  # missing alpha
-    assert rc == 2
+    for family, given, message in (("laguerre", [], "laguerre requires --alpha"),
+                                   ("jacobi", ["--alpha", "1"], "jacobi requires --alpha and --beta"),
+                                   ("gegenbauer", [], "gegenbauer requires --lambda")):
+        rc, out, err = run_cli(["compute", "--family", family, *given, "--n", "0",
+                                "--op", "weighted-norm", "--q", "2"], capsys)  # missing parameter
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
     rc, _, _ = run_cli(["compute", "--family", "hermite", "--n", "0",
                         "--op", "renyi"], capsys)  # missing q
     assert rc == 2
@@ -184,6 +188,44 @@ def test_usage_errors(capsys):
         rc, out, err = run_cli(["sweep", "--family", "hermite", "--n", "0", "--op", "weighted-norm",
                                 "--q", "2", "--grid", grid, "--engine", "quadrature"], capsys)
         assert rc == 2 and out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "hermite", "--n", "2", "--op", "weighted-norm", "--q", "2",
+     "--grid", "alpha=1,2", "--engine", "quadrature"],
+    ["sweep", "--family", "jacobi", "--alpha", "1", "--beta", "2", "--n", "2", "--op",
+     "weighted-norm", "--q", "2", "--grid", "lambda=1,2", "--engine", "quadrature"],
+    ["compute", "--family", "laguerre", "--alpha", "2", "--lambda", "5", "--n", "1",
+     "--op", "weighted-norm", "--q", "2"],
+    ["compute", "--family", "hermite", "--beta", "1", "--n", "1", "--op", "laplace-x0"],
+])
+def test_parameter_the_family_does_not_take_is_usage_error(argv, capsys):
+    # it used to be dropped: the sweeps printed identical rows with an empty column
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2 and out == "" and "takes no" in err
+
+
+@pytest.mark.parametrize("op, normalized", [("weighted-norm", False), ("weighted-norm", True),
+                                            ("unweighted-norm", False)])
+@pytest.mark.parametrize("flags, form", [
+    (["--family", "laguerre", "--alpha", "500"], "laguerre"),
+    (["--family", "jacobi", "--alpha", "300", "--beta", "2.5"], "jacobi"),
+    (["--family", "gegenbauer", "--lambda", "400"], "gegenbauer"),
+])
+def test_parameter_engine_record_is_the_paramasym_form(flags, form, op, normalized, capsys):
+    n, q = 2, 3.0
+    argv = ["compute", *flags, "--n", str(n), "--q", str(q), "--op", op,
+            "--engine", "asymptotic-parameter", "--format", "json"]
+    rc, out, _ = run_cli(argv + ["--normalized"] * normalized, capsys)
+    assert rc == 0
+    rec = json.loads(out)["record"]
+    params = [float(v) for v in flags[3::2]]
+    if op == "weighted-norm":
+        want = getattr(paramasym, f"{form}_weighted_param")(n, *params, q, normalized)
+    else:
+        want = getattr(paramasym, f"{form}_unweighted_param")(n, *params, q)
+    assert rec["log_value"] == want.value.log_abs
+    assert rec["rel_err_estimate"] == 1.0 / params[0]
 
 
 def test_non_finite_result_is_computation_failure(capsys):

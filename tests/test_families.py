@@ -5,7 +5,8 @@ import pytest
 from scipy import special
 
 from hopnorms.errors import DomainError, SingularEvaluation
-from hopnorms.families import (CoefficientList, _eval_scaled, coefficients, eval_derivative,
+from hopnorms.families import (FAMILY_PARAMS, CoefficientList, PolynomialFamily, _eval_scaled,
+                               coefficients, eval_derivative,
                                eval_log, eval_log_many, eval_poly, gegenbauer,
                                gegenbauer_jacobi_factor_log, hermite, jacobi, laguerre,
                                log_derivative_numerator_many, norm_constant_log,
@@ -333,6 +334,18 @@ def test_family_domain_validation():
         gegenbauer(0.0)
     with pytest.raises(DomainError):
         gegenbauer(-0.6)
+    for kind, params in (("laguerre", {"alpha": 1.0, "lam": 2.0}), ("hermite", {"beta": 1.0}),
+                         ("jacobi", {"alpha": 1.0}), ("legendre", {})):
+        with pytest.raises(DomainError):  # a foreign, a missing or no family at all
+            PolynomialFamily(kind, **params)
+
+
+def test_labels_and_params():
+    fams = (hermite(), laguerre(2.5), jacobi(1.0, -0.5), gegenbauer(1.75))
+    assert [f.label() for f in fams] == [
+        "hermite", "laguerre(alpha=2.5)", "jacobi(alpha=1,beta=-0.5)", "gegenbauer(lambda=1.75)"]
+    assert [f.params for f in fams] == [(), (2.5,), (1.0, -0.5), (1.75,)]
+    assert [FAMILY_PARAMS[f.kind] for f in fams] == [(), ("alpha",), ("alpha", "beta"), ("lambda",)]
 
 
 def test_jacobi_endpoint_values():

@@ -152,6 +152,36 @@ def test_jacobi_n0_closed_form():
     assert r.value.log_abs == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("q", [1e10, 1e14])
+def test_claim_covers_f_at_x0_next_to_the_ends(q):
+    # f(0) = 0 exactly; forming 1 -+ x0 before its log gave f(x0) = -1.4e-16,
+    # which q multiplies: ln W was off by 1.4e-6 at q = 1e10 claiming 1e-10
+    import mpmath
+    res = weighted_norm_q_asym(gegenbauer(1.75), 0, q)
+    with mpmath.workdps(40):  # W_q = B(1/2, 1.25 q + 1)
+        want = float(mpmath.log(mpmath.beta(mpmath.mpf(1) / 2, mpmath.mpf(1.25) * q + 1)))
+    assert abs(res.log_value - want) <= res.error_estimate
+
+
+def test_claim_covers_q_times_the_rounding_of_f_at_x0():
+    # f(x0) sums terms of size ~10 that each round; at q = 1e12 its 2e-15
+    # miss is 2e-3 in ln W, far above the 1/q of the leading term
+    import mpmath
+    a, b, n, q = 40.0, 30.0, 5, 1e12
+    pt = locate_density_maximum(jacobi(a, b), n)
+    res = weighted_norm_q_asym(jacobi(a, b), n, q)
+    with mpmath.workdps(40):
+        def f(x):
+            return a * mpmath.log(1 - x) + b * mpmath.log(1 + x) \
+                + 2 * mpmath.log(abs(mpmath.jacobi(n, a, b, x)))
+        x0 = mpmath.findroot(lambda x: mpmath.diff(f, x), mpmath.mpf(pt.x0))
+        f0 = f(x0)
+        want = q * f0 + mpmath.log(2 * mpmath.pi / (q * -mpmath.diff(f, x0, 2))) / 2
+        f_miss, miss = float(abs(f0 - pt.f_at_x0)), float(abs(res.log_value - want))
+    assert 0.0 < f_miss <= pt.f_error
+    assert miss <= res.error_estimate - 1.0 / q
+
+
 def test_weighted_convergence_rate():
     for fam, n in ((hermite(), 1), (jacobi(1.5, 2.5), 0), (laguerre(3.0), 1),
                    (gegenbauer(2.0), 1), (laguerre(0.5), 11)):
