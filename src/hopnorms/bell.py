@@ -8,8 +8,11 @@ so N_q is a finite sum over the weight moments mu_t = mu_0 r_t:
 
 with c_j the power-basis coefficients of p_n (Comtet, Advanced
 Combinatorics, 1974, sec. 3.3).  Float parameters are exact dyadic
-rationals, so the sum is exact and only mu_0 = kappa_0 is rounded.  This
-is the independent cross-check for the quadrature engine.
+rationals, so the sum is exact and only mu_0 = kappa_0 is rounded.  The
+r_t are derived from the family's weight (:func:`families.moment_ratios`),
+whose exponents are floats: for Gegenbauer lambda < 1/4 the exponent
+lambda - 1/2 is the rounded float, the weight quadrature integrates too.
+This is the independent cross-check for the quadrature engine.
 """
 from __future__ import annotations
 
@@ -18,8 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .families import (PolynomialFamily, moment_ratios, norm_constant_log, norm_constant_log_error,
-                       power_basis)
+from .families import (PolynomialFamily, _convolve, moment_ratios, norm_constant_log,
+                       norm_constant_log_error, power_basis)
 from .logreal import SignedLogReal
 from .norms import NormResult
 
@@ -47,15 +50,6 @@ def bell_polynomial(m: int, l: int, args: list[float]) -> float:
                          for i in range(1, mm - ll + 2) if args[i - 1] != 0.0)
 
     return rec(m, l)
-
-
-def _convolve(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _poly_power(c: list, q: int) -> list:

@@ -19,14 +19,13 @@ from functools import lru_cache
 
 from . import paramasym
 from .errors import DomainError, NumericalFailure
-from .families import (FAMILY_PARAMS, PolynomialFamily, family_support, norm_constant_log,
-                       norm_constant_log_error)
+from .families import FAMILY_PARAMS, PolynomialFamily, family_support
 from .laplace import locate_density_maximum, unweighted_norm_q_asym, weighted_norm_q_asym
 from .measures import (DensityHandle, fisher_information, fisher_renyi, fisher_shannon,
                        functional_E, functional_I, lmc_plain, lmc_renyi, renyi_entropy,
                        renyi_length, shannon_entropy, shannon_from_Wq_derivative,
                        shannon_length)
-from .norms import NormResult, unweighted_norm_quad, weighted_norm_quad
+from .norms import NormResult, normalized_by_kappa, unweighted_norm_quad, weighted_norm_quad
 from .bell import unweighted_norm_bell
 from .paramasym import PARAM_FORMS
 from .quadrature import QuadratureConfig
@@ -82,11 +81,7 @@ def _norm_dispatch(op: str, engine: str, fam: PolynomialFamily, n: int, q: float
     if engine == "asymptotic-q":
         if op == "weighted-norm":
             res = weighted_norm_q_asym(fam, n, q)
-            if normalized:
-                val = res.value * norm_constant_log(fam, n).powf(-q)
-                err = res.error_estimate + q * norm_constant_log_error(fam, n)
-                return NormResult(val, res.method, err)
-            return res
+            return normalized_by_kappa(res, fam, n, q) if normalized else res
         return unweighted_norm_q_asym(fam, n, q)
     if engine == "asymptotic-parameter":
         forms = PARAM_FORMS.get(fam.kind)

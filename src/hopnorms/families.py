@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Optional
+from functools import cached_property, lru_cache, reduce
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -47,45 +47,32 @@ FAMILY_PARAMS = {"hermite": (), "laguerre": ("alpha",), "jacobi": ("alpha", "bet
 _FIELDS = {"alpha": "alpha", "beta": "beta", "lambda": "lam"}  # name -> PolynomialFamily field
 
 
-# core log-weights and their derivatives; module-level so families pickle
-def _flat(x: float) -> float:
-    return 0.0
-
-
-def _gauss(x: float) -> float:
-    return -x * x
-
-
-def _gauss_prime(x: float) -> float:
-    return -2.0 * x
-
-
-def _exp(x: float) -> float:
-    return -x
-
-
-def _exp_prime(x: float) -> float:
-    return -1.0
-
-
 class Weight(NamedTuple):
-    """h(x) = exp(core(x)) (x - lo)^e_lo (hi - x)^e_hi on (lo, hi).
+    """h(x) = exp(c1 x + c2 x^2) (x - lo)^e_lo (hi - x)^e_hi on (lo, hi).
 
     An infinite endpoint has exponent 0, so a nonzero exponent always sits
-    at a finite endpoint.
+    at a finite endpoint.  The core c1 x + c2 x^2 and its slope evaluate
+    only their nonzero terms, so -1.0 x x rounds as -x x does.
     """
 
     lo: float
     hi: float
     e_lo: float
     e_hi: float
-    core: Callable[[float], float] = _flat
-    core_prime: Callable[[float], float] = _flat
-    core_second: float = 0.0  # the cores are at most quadratic
+    c1: float = 0.0
+    c2: float = 0.0
+
+    def core(self, x):
+        v = self.c2 * x * x if self.c2 else 0.0
+        return v + self.c1 * x if self.c1 else v
+
+    def core_prime(self, x):
+        v = 2.0 * self.c2 * x if self.c2 else 0.0
+        return v + self.c1 if self.c1 else v
 
     @property
     def is_flat(self) -> bool:
-        return self.core is _flat and self.e_lo == 0.0 and self.e_hi == 0.0
+        return self.c1 == self.c2 == self.e_lo == self.e_hi == 0.0
 
 
 @dataclass(frozen=True)
@@ -116,9 +103,9 @@ class PolynomialFamily:
     @cached_property
     def weight(self) -> Weight:
         if self.kind == "hermite":
-            return Weight(-math.inf, math.inf, 0.0, 0.0, _gauss, _gauss_prime, -2.0)
+            return Weight(-math.inf, math.inf, 0.0, 0.0, c2=-1.0)
         if self.kind == "laguerre":
-            return Weight(0.0, math.inf, self.alpha, 0.0, _exp, _exp_prime)
+            return Weight(0.0, math.inf, self.alpha, 0.0, c1=-1.0)
         if self.kind == "jacobi":
             return Weight(-1.0, 1.0, self.beta, self.alpha)
         a = self.lam - 0.5
@@ -209,21 +196,40 @@ def _recurrence(fam: PolynomialFamily, n: int) -> tuple[tuple[float, float, floa
     return tuple(_rows(fam, n, float))
 
 
+def _convolve(a: list, b: list) -> list:
+    """Coefficients of the product of the polynomials sum a_i x^i and sum b_j x^j."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def moment_ratios(fam: PolynomialFamily, t_max: int) -> list[Fraction]:
-    """Exact r_t = mu_t / mu_0, t <= t_max, of the moments mu_t = int x^t h dx,
-    by the weight's Pearson recurrence d_t mu_{t+1} = e_t mu_t + f_t mu_{t-1}."""
-    if fam.kind in ("jacobi", "gegenbauer"):  # Gegenbauer: a = b = lambda - 1/2
-        a, b = ((Fraction(fam.alpha), Fraction(fam.beta)) if fam.kind == "jacobi"
-                else (Fraction(fam.lam) - Fraction(1, 2),) * 2)
-    r = [Fraction(0), Fraction(1)]  # r_{-1}, r_0
+    """Exact r_t = mu_t / mu_0, t <= t_max, of the moments mu_t = int x^t h dx.
+
+    With sigma the product of the distances d to the finite ends, h obeys
+    Pearson's equation (sigma h)' = tau h, tau = sigma' + sigma (ln h)' of
+    degree <= 1 (Nikiforov & Uvarov 1988, sec. 2).  Integrating x^t (sigma h)'
+    by parts gives the recurrence below; float parameters are exact dyadic
+    rationals, so the r_t are exact."""
+    w = fam.weight
+    ends = [([-s * Fraction(c), Fraction(s)], Fraction(e))  # (d as coefficients, its exponent)
+            for c, e, s in ((w.lo, w.e_lo, 1), (w.hi, w.e_hi, -1)) if math.isfinite(c)]
+    sigma = reduce(_convolve, [d for d, _ in ends], [1])
+    # tau = sigma (c1 + 2 c2 x) + sigma' + the sum over the ends of e d' sigma / d
+    tau = _convolve(sigma, [Fraction(w.c1), 2 * Fraction(w.c2)])
+    for k in range(1, len(sigma)):
+        tau[k - 1] += k * sigma[k]
+    for d, e in ends:
+        for k, c in enumerate(reduce(_convolve, [o for o, _ in ends if o is not d], [1])):
+            tau[k] += e * d[1] * c
+    (s0, s1, s2), (t0, t1) = (sigma + [0, 0])[:3], tau[:2]
+    # mu_{t+1} (tau_1 + t sigma_2) = -(tau_0 + t sigma_1) mu_t - t sigma_0 mu_{t-1}
+    r = [0, Fraction(1)]  # r_{-1}, r_0
     for t in range(t_max):
-        if fam.kind == "hermite":
-            d, e, f = 1, 0, Fraction(t, 2)
-        elif fam.kind == "laguerre":
-            d, e, f = 1, Fraction(fam.alpha) + 1 + t, 0
-        else:
-            d, e, f = t + a + b + 2, b - a, t
-        r.append((e * r[-1] + f * r[-2]) / d)
+        r.append(-((t0 + t * s1) * r[-1] + t * s0 * r[-2]) / (t1 + t * s2))
     return r[1:]
 
 
@@ -385,18 +391,6 @@ def norm_constant_log_error(fam: PolynomialFamily, n: int) -> float:
     return 8.9e-16 * (abs(norm_constant_log(fam, n).log_abs) + 4.0 * math.lgamma(x))
 
 
-def tail_seeds(fam: PolynomialFamily, n: int, pol_power: float,
-               weight_power: float) -> tuple[Optional[float], Optional[float]]:
-    """Where the (left, right) tail walks of |p_n|^pol_power h^weight_power
-    start, beyond the peak of the integrand; None where no seed is known."""
-    if fam.kind == "hermite":
-        seed = math.sqrt(max(pol_power * n, 2.0 * n + 2.0) / max(2.0 * weight_power, 1e-6)) + 1.0
-        return -seed, seed
-    if fam.kind == "laguerre":
-        return None, (weight_power * fam.alpha + pol_power * n) / weight_power + 1.0
-    return None, None
-
-
 def coefficients(fam: PolynomialFamily, n: int) -> CoefficientList:
     """Exact power-basis coefficients by recurrence on coefficient vectors."""
     return CoefficientList(n, tuple(power_basis(fam, n, float)))
@@ -494,7 +488,7 @@ def log_density_second(fam: PolynomialFamily, n: int, x: float) -> float:
     from the recurrence at one scale."""
     w = fam.weight
     (p, dp, d2p), _ = _eval_at(fam, n, x, 2)
-    v = w.core_second
+    v = 2.0 * w.c2  # the core's second derivative
     for e, dist in ((w.e_lo, x - w.lo), (w.e_hi, w.hi - x)):
         if e != 0.0:
             v -= e / dist ** 2

@@ -16,11 +16,11 @@ import numpy as np
 
 from .errors import DomainError
 from .families import (PolynomialFamily, eval_log_many, moment_ratios, norm_constant_log,
-                       norm_constant_log_error, polynomial_zeros, tail_seeds)
+                       norm_constant_log_error, polynomial_zeros)
 from .logreal import SignedLogReal
 from .quadrature import DEFAULT_CONFIG, LogIntegrand, LogQuadResult, QuadratureConfig, log_integral
 
-__all__ = ["NormResult", "unweighted_norm_quad", "weighted_norm_quad",
+__all__ = ["NormResult", "unweighted_norm_quad", "weighted_norm_quad", "normalized_by_kappa",
            "weight_moment", "density_integral"]
 
 
@@ -40,8 +40,7 @@ class NormResult:
 
 def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_power: float,
                      phi_many: Optional[Callable[..., np.ndarray]] = None,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG,
-                     extra_breakpoints: tuple = ()) -> LogQuadResult:
+                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogQuadResult:
     """int exp(pol_power*ln|p_n| + weight_power*ln h) * phi dx.
 
     The shared engine behind the norm, entropy and information functionals.
@@ -60,15 +59,13 @@ def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_pow
             raise DomainError(
                 f"{fam.label()}: weight exponent {e:g} at the {side} endpoint is not integrable")
 
-    left, right = tail_seeds(fam, n, pol_power, weight_power)
     core = w.core
 
     def g_core_many(xs: np.ndarray) -> np.ndarray:
         return pol_power * eval_log_many(fam, n, xs)[1] + weight_power * core(xs)
 
     spec = LogIntegrand(a=lo, b=hi, g_core_many=g_core_many, e_left=e_l, e_right=e_r,
-                        breakpoints=tuple(polynomial_zeros(fam, n)) + tuple(extra_breakpoints),
-                        tail_seed_left=left, tail_seed_right=right, phi_many=phi_many)
+                        breakpoints=tuple(polynomial_zeros(fam, n)), phi_many=phi_many)
     return log_integral(spec, cfg)
 
 
@@ -88,11 +85,15 @@ def weighted_norm_quad(fam: PolynomialFamily, n: int, q: float,
     if not q > 0:
         raise DomainError("q must be positive")
     res = density_integral(fam, n, pol_power=2.0 * q, weight_power=q, cfg=cfg)
-    log_value, err = res.log_abs, res.rel_err
-    if normalized:
-        log_value -= q * norm_constant_log(fam, n).log_abs
-        err += q * norm_constant_log_error(fam, n)
-    return NormResult(SignedLogReal(1, log_value), "quadrature", err)
+    out = NormResult(SignedLogReal(1, res.log_abs), "quadrature", res.rel_err)
+    return normalized_by_kappa(out, fam, n, q) if normalized else out
+
+
+def normalized_by_kappa(res: NormResult, fam: PolynomialFamily, n: int, q: float) -> NormResult:
+    """W_q of the unit-mass density from W_q[p_n] = res: the value over
+    kappa_n^q, and the error plus q times the rounding of ln kappa_n."""
+    return NormResult(res.value * norm_constant_log(fam, n).powf(-q), res.method,
+                      res.error_estimate + q * norm_constant_log_error(fam, n))
 
 
 # -- weight moments -------------------------------------------------------

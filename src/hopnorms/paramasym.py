@@ -149,10 +149,8 @@ def _temme_spec(m: int, alpha: float, mu: float, lambda_scale: float, q: float,
     def g_core_many(xs):
         return q * eval_log_many(fam, m, xs)[1] - lambda_scale * xs
 
-    zeros = polynomial_zeros(fam, m)
-    seed = (mu - 1.0 + q * m) / lambda_scale + 1.0
     return LogIntegrand(a=0.0, b=math.inf, g_core_many=g_core_many, e_left=mu - 1.0,
-                        breakpoints=tuple(zeros), tail_seed_right=seed, phi_many=phi_many)
+                        breakpoints=tuple(polynomial_zeros(fam, m)), phi_many=phi_many)
 
 
 def temme_I1_quadrature(m: int, alpha: float, mu: float, lambda_scale: float, q: float,

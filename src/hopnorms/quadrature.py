@@ -9,7 +9,8 @@ alpha ~ 1e4) and phi is an optional signed factor (entropy integrands).
 The engine:
 
   * truncates infinite tails where g falls _TAIL_CUTOFF + 30 nats below
-    the running peak (walk with geometrically growing steps),
+    the running peak (walk with geometrically growing steps, from the
+    outermost breakpoint, or from 0 where it lies further out),
   * splits the domain at caller-supplied breakpoints (polynomial zeros,
     where |p|^q has cusps and log factors have singularities),
   * substitutes |x - c| = t^p at a finite endpoint c whose exponent e is
@@ -83,8 +84,11 @@ mean over |f| of the sum of their magnitudes, taken from the first pass,
 and at least |M|: at G ~ 1e5 nats it exceeds the default rel_tol, and no
 refinement removes it.  G exceeds |M| where the terms cancel, as
 q a ln(1 - x) + q b ln(1 + x) do near a central peak at large q.  The
-logs of the ends +-1, or of any power of two, are taken as
-ln|c| + log1p(-x/c), which keeps the bits of x that forming x - c drops.
+node u is rounded too, by a few eps |u|, which moves g by eps |u g'(u)|,
+about eps |u|/w next to a peak of width w; so each node's size also holds
+|u dg/du|, from differences of g along its row of 21 nodes.  The logs of
+the ends +-1, or of any power of two, are taken as ln|c| + log1p(-x/c),
+which keeps the bits of x that forming x - c drops.
 The reported relative error is max(E, 50 eps int |f|) / |I| or 4 eps G,
 the larger: E, the Gauss-Kronrod difference, overstates the error of the
 Kronrod sum by orders of magnitude, except where the rule is exact and
@@ -125,6 +129,8 @@ _WG_LEFT = (0.066671344308688138, 0.14945134915058059, 0.21908636251598204,
 _XK = np.array(_XK_LEFT + (0.0,) + tuple(-x for x in reversed(_XK_LEFT)))
 _WK = np.array(_WK_LEFT + (_WK_MID,) + _WK_LEFT[::-1])
 _WG = np.array(_WG_LEFT + _WG_LEFT[::-1])  # Kronrod nodes 1, 3, ..., 19
+# the two nodes each node's slope is differenced over: its neighbours, at an end itself and one
+_NEXT, _PREV = np.minimum(np.arange(1, 22), 20), np.maximum(np.arange(-1, 20), 0)
 
 _SCAN_POINTS = 33
 _REFINE_ROUNDS = 3
@@ -189,8 +195,6 @@ class LogIntegrand:
     e_right: float = 0.0
     breakpoints: tuple = ()
     phi_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    tail_seed_left: Optional[float] = None
-    tail_seed_right: Optional[float] = None
 
 
 _PLAIN, _LEFT, _RIGHT = 0, 1, -1
@@ -491,12 +495,15 @@ def _gk_rows(spec: LogIntegrand, panels: list[_Panel], a: list[float], b: list[f
     all rows; returns the Kronrod estimates, their error estimates
     |K21 - G10| h and the Kronrod estimates of int |f|, and, if asked for,
     the Kronrod estimate of int |f| size over all rows (see
-    :func:`_logf_rows`)."""
+    :func:`_logf_rows`; size here also holds each node's |u dg/du|)."""
     a, b = np.array(a), np.array(b)
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     us = c[:, None] + h[:, None] * _XK
     g, xs, core, ends, size = _logf_rows(spec, panels, us, sizes)
+    if sizes:  # the node's own rounding, |u dg/du|, by differences along each row
+        slope = (g[:, _NEXT] - g[:, _PREV]) / (us[:, _NEXT] - us[:, _PREV])
+        size = size + np.where(np.isfinite(slope), np.abs(us * slope), 0.0)
     if (g - shift > _EXP_CLAMP).any():
         raise NumericalFailure("integrand exceeds shifted clamp; peak scan missed the maximum")
     w = np.where(g > -math.inf, np.exp(g - shift), 0.0)
@@ -528,13 +535,9 @@ def log_integral(spec: LogIntegrand, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
 def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
     lo, hi = spec.a, spec.b
     bps = sorted(x for x in spec.breakpoints if spec.a < x < spec.b)
-    walks = {}  # direction: start of the tail walk
-    if not math.isfinite(lo):
-        seed = spec.tail_seed_left if spec.tail_seed_left is not None else 0.0
-        walks[-1] = min([seed] + bps)
-    if not math.isfinite(hi):
-        seed = spec.tail_seed_right if spec.tail_seed_right is not None else 0.0
-        walks[+1] = max([seed] + bps)
+    # direction: start of the tail walk, the outermost of 0 and the breakpoints
+    walks = {d: start for d, end, start in ((-1, lo, min([0.0] + bps)), (1, hi, max([0.0] + bps)))
+             if not math.isfinite(end)}
     cuts, walked = _tail_cuts(spec, [(start, d) for d, start in walks.items()])
     cuts = dict(zip(walks, cuts))
     lo, hi = cuts.get(-1, lo), cuts.get(+1, hi)
@@ -585,9 +588,9 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
         total_err += err
         total_abs += A
 
-    # each term of g is rounded at its own scale, so every node carries a
-    # relative error of a few eps times the size of its terms, which no
-    # refinement removes: at least |shift|, more where the terms cancel
+    # each term of g, and each node, is rounded at its own scale, so every
+    # node carries a relative error of a few eps times its size, which no
+    # refinement removes: at least |shift|, more where terms cancel
     scale = max(abs(shift), total_size / total_abs if total_abs > 0.0 else 0.0)
     g_err = _SHIFT_ROUNDING * scale if math.isfinite(scale) else 0.0
     rel_tol = max(cfg.rel_tol, g_err)

@@ -96,6 +96,8 @@ def test_engine_equivalence():
     (hermite(), 12, 20),  # n*q = 240, the cap
     (gegenbauer(1.75), 10, 24),
     (jacobi(-0.7, -0.6), 6, 4),  # a + b <= -1
+    # lambda < 1/4: the exponent lambda - 1/2 rounds, and both engines take that weight
+    (gegenbauer(0.1), 6, 4), (gegenbauer(-0.3), 6, 4),
 ], ids=lambda v: v.label() if hasattr(v, "label") else str(v))
 def test_engine_equivalence_at_large_degree_and_q(fam, n, q):
     b = unweighted_norm_bell(fam, n, q)

@@ -1,12 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from scipy import special
 
 from hopnorms.errors import DomainError, SingularEvaluation
 from hopnorms.families import (FAMILY_PARAMS, CoefficientList, PolynomialFamily, _eval_scaled,
-                               coefficients, eval_derivative,
+                               coefficients, eval_derivative, moment_ratios,
                                eval_log, eval_log_many, eval_poly, gegenbauer,
                                gegenbauer_jacobi_factor_log, hermite, jacobi, laguerre,
                                log_derivative_numerator_many, norm_constant_log,
@@ -393,3 +394,30 @@ def test_polynomial_zeros():
                 # and lies within 1e-10 relative of one (log space)
                 h = 1e-10 * max(1.0, abs(z))
                 assert eval_log(fam, n, z - h).sign * eval_log(fam, n, z + h).sign == -1
+
+
+def _rising(a, k):
+    """The Pochhammer symbol (a)_k."""
+    return math.prod((a + j for j in range(k)), start=Fraction(1))
+
+
+@pytest.mark.parametrize("fam", [hermite(), laguerre(0.0), laguerre(2.5), laguerre(-0.5),
+                                 jacobi(2.5, 1.5), jacobi(-0.7, -0.6), gegenbauer(1.75),
+                                 gegenbauer(0.25), gegenbauer(-0.25)], ids=lambda f: f.label())
+def test_moment_ratios_exact_identities(fam):
+    # the moments derived from the weight by Pearson's equation meet the
+    # classical closed forms as exact rationals
+    r = moment_ratios(fam, 12)
+    assert len(r) == 13 and r[0] == 1
+    if fam.kind == "hermite":  # r_2k = (2k - 1)!! / 2^k
+        assert r[1::2] == [0] * 6
+        assert r[0::2] == [Fraction(math.prod(range(1, 2 * k, 2)), 2 ** k) for k in range(7)]
+    elif fam.kind == "laguerre":  # r_t = (alpha + 1)_t
+        assert r == [_rising(Fraction(fam.alpha) + 1, t) for t in range(13)]
+    elif fam.kind == "gegenbauer":  # r_2k = (1/2)_k / (lambda + 1)_k; lambda - 1/2 is exact here
+        half, lam = Fraction(1, 2), Fraction(fam.lam)
+        assert r[1::2] == [0] * 6
+        assert r[0::2] == [_rising(half, k) / _rising(lam + 1, k) for k in range(7)]
+    else:  # r_1 = (beta - alpha) / (alpha + beta + 2)
+        a, b = Fraction(fam.alpha), Fraction(fam.beta)
+        assert r[1] == (b - a) / (a + b + 2)

@@ -68,10 +68,7 @@ def test_orthogonality():
                 lo, hi = fam.support
                 spec = LogIntegrand(a=lo, b=hi, g_core_many=g, phi_many=phi,
                                     e_left=0.0, e_right=0.0,
-                                    breakpoints=tuple(polynomial_zeros(fam, n)),
-                                    tail_seed_left=-math.sqrt(2 * n + 2) if fam.kind == "hermite" else None,
-                                    tail_seed_right=(math.sqrt(2 * n + 2) if fam.kind == "hermite"
-                                                     else 4 * n + 8 if fam.kind == "laguerre" else None))
+                                    breakpoints=tuple(polynomial_zeros(fam, n)))
                 if fam.kind in ("jacobi", "gegenbauer"):
                     spec = LogIntegrand(a=lo, b=hi, g_core_many=np.zeros_like, phi_many=phi,
                                         e_left=fam.weight.e_lo, e_right=fam.weight.e_hi,
@@ -110,6 +107,18 @@ def _laguerre_0_log(a, q):
         return mpmath.loggamma(q * a + 1) - (q * a + 1) * mpmath.log(q)
 
 
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_tail_walk_climbs_from_zero_to_a_far_peak(q):
+    # p_0 has no zero to start the tail walk from, so it starts at 0 and
+    # must climb to the peak of (x^alpha e^-x)^q at x = alpha = 1e4
+    r = weighted_norm_quad(laguerre(1e4), 0, q)
+    assert _miss(r.value.log_abs, _laguerre_0_log(1e4, q)) <= r.error_estimate <= 1e-9
+
+
+class Unweighted(str):
+    """The want of N_q[p_n], where a row checks the unweighted norm."""
+
+
 def _miss(log_value, want):
     """The relative miss of exp(log_value) against exp(want), want an mpf or
     a decimal string."""
@@ -126,13 +135,22 @@ def _miss(log_value, want):
     (laguerre(7.0), 2, 3e5, "2998925.8154806390995"),
     *[(laguerre(a), 0, q, _laguerre_0_log(a, q))
       for a, q in ((0.5, 1e5), (2.0, 1e5), (3.0, 1e5), (1.0, 1e6), (2.0, 1e6), (7.0, 1e6))],
-], ids=lambda v: v.label() if hasattr(v, "label") else None)
+    # Hermite n = 4, W and N; the tail walks start at the outermost zeros,
+    # and N's peaks lie near x = +-sqrt(2q)
+    (hermite(), 4, 1e4, "54103.14076624098747647"),
+    (hermite(), 4, 1e5, "541065.4834786723119001"),
+    (hermite(), 4, 1e6, "5410699.27220483165617"),
+    (hermite(), 4, 1e4, Unweighted("205795.0571345669633645")),
+    (hermite(), 4, 1e5, Unweighted("2518472.820260837708195")),
+    (hermite(), 4, 1e6, Unweighted("29789903.61822598243573")),
+], ids=lambda v: (v.label() if hasattr(v, "label") else f"N={v}" if isinstance(v, Unweighted)
+                  else None))
 def test_peaks_narrower_than_the_scan_grid(fam, n, q, want):
     # the peak of (p_n^2 h)^q, of width ~ 1/sqrt(q), falls between the scan
     # points and only a zoom reaches it.  Kept whole, its panel raised "a
     # positive integrand summed to zero" where every node missed the peak,
     # and Laguerre(7), n = 2 read 64 nats low where nodes met only a flank
-    r = weighted_norm_quad(fam, n, q)
+    r = (unweighted_norm_quad if isinstance(want, Unweighted) else weighted_norm_quad)(fam, n, q)
     assert _miss(r.value.log_abs, want) <= r.error_estimate <= 1e-7
 
 

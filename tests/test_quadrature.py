@@ -16,8 +16,7 @@ from hopnorms.quadrature import (_LEFT, LogIntegrand, QuadratureConfig, Quadratu
 
 
 def test_gaussian_full_line():
-    spec = LogIntegrand(a=-math.inf, b=math.inf, g_core_many=lambda x: -x * x,
-                        tail_seed_left=0.0, tail_seed_right=0.0)
+    spec = LogIntegrand(a=-math.inf, b=math.inf, g_core_many=lambda x: -x * x)
     res = log_integral(spec)
     assert res.sign == 1
     assert res.log_abs == pytest.approx(0.5 * math.log(math.pi), abs=1e-12)
@@ -26,8 +25,7 @@ def test_gaussian_full_line():
 def test_shifted_narrow_gaussian():
     # peak at x = 4000 with curvature 1/2000; exercises the peak scan + shift
     spec = LogIntegrand(a=0.0, b=math.inf,
-                        g_core_many=lambda x: 4000.0 * np.log(x) - x,
-                        tail_seed_right=4100.0)
+                        g_core_many=lambda x: 4000.0 * np.log(x) - x)
     res = log_integral(spec)
     want = math.lgamma(4001.0)
     assert res.log_abs == pytest.approx(want, abs=1e-9)
@@ -58,16 +56,14 @@ def test_signed_phi():
     # int_-inf^inf exp(-x^2) (x^3 - x) dx = 0 by parity; converges on the
     # rounding floor of int |f|
     spec = LogIntegrand(a=-math.inf, b=math.inf, g_core_many=lambda x: -x * x,
-                        phi_many=lambda x, *_: x ** 3 - x,
-                        tail_seed_left=0.0, tail_seed_right=0.0)
+                        phi_many=lambda x, *_: x ** 3 - x)
     res = log_integral(spec)
     assert res.sign == 0 or res.log_abs < math.log(1e-11)
 
 
 def test_phi_with_value():
     # int_0^inf e^{-x} x dx = 1 via phi
-    spec = LogIntegrand(a=0.0, b=math.inf, g_core_many=lambda x: -x, phi_many=lambda x, *_: x,
-                        tail_seed_right=1.0)
+    spec = LogIntegrand(a=0.0, b=math.inf, g_core_many=lambda x: -x, phi_many=lambda x, *_: x)
     res = log_integral(spec)
     assert res.sign == 1
     assert math.exp(res.log_abs) == pytest.approx(1.0, rel=1e-11)
@@ -114,7 +110,7 @@ def _laguerre_like():
     # tail walk, a cusp breakpoint, a transformed singular left endpoint and phi
     spec = LogIntegrand(a=0.0, b=math.inf, e_left=-0.5, breakpoints=(1.5,),
                         g_core_many=lambda x: 3.0 * np.log(np.abs(x - 1.5)) - x,
-                        phi_many=lambda x, *_: np.log(x + 2.0), tail_seed_right=4.0)
+                        phi_many=lambda x, *_: np.log(x + 2.0))
     want = mpmath.quad(lambda x: x ** -0.5 * abs(x - 1.5) ** 3 * mpmath.exp(-x) * mpmath.log(x + 2),
                        [0, 1.5, mpmath.inf])
     return spec, want
@@ -220,11 +216,24 @@ def test_error_covers_the_rounding_of_g_at_its_scale(a, q):
     # nats, where its own rounding exceeds rel_tol.  The claim must cover
     # that rounding, and the refinement must stop at it instead of stalling
     spec = LogIntegrand(a=0.0, b=math.inf, g_core_many=lambda x: q * (a * np.log(x) - x),
-                        breakpoints=(0.98 * a, 1.02 * a), tail_seed_right=1.02 * a)
+                        breakpoints=(0.98 * a, 1.02 * a))
     res = log_integral(spec)
     with mpmath.workdps(40):
         want = mpmath.loggamma(q * a + 1) - (q * a + 1) * mpmath.log(q)
         miss = float(abs(res.log_abs - want))
+    assert res.sign == 1 and miss <= res.rel_err <= 1e-8
+
+
+@pytest.mark.parametrize("c, w", [(1 / 3, 1e-6), (1 / 3, 1e-7), (100.3, 1e-4)])
+def test_error_covers_the_rounding_of_the_nodes(c, w):
+    # a peak of width w next to |x| ~ c: each node x rounds by a few eps |x|,
+    # which moves g by eps |x| / w, far beyond the rounding of g's own terms.
+    # The integral over (c - 1, c + 1) is w sqrt(2 pi) to double precision
+    spec = LogIntegrand(a=c - 1.0, b=c + 1.0, g_core_many=lambda x: -0.5 * ((x - c) / w) ** 2)
+    res = log_integral(spec)
+    with mpmath.workdps(40):
+        want = mpmath.log(mpmath.mpf(w) * mpmath.sqrt(2 * mpmath.pi))
+        miss = abs(float(mpmath.expm1(mpmath.mpf(res.log_abs) - want)))
     assert res.sign == 1 and miss <= res.rel_err <= 1e-8
 
 
