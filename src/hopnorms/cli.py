@@ -11,10 +11,10 @@ Exit codes: 0 success, 2 usage error, 3 computation failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import paramasym
@@ -33,11 +33,7 @@ from .validate import run_suite
 
 SCHEMA_VERSION = 1
 _LINEAR_CAP = 690.0
-ENGINES = ("quadrature", "bell", "asymptotic-q", "asymptotic-parameter")
 NORM_OPS = ("unweighted-norm", "weighted-norm")
-MEASURE_OPS = ("renyi", "shannon", "renyi-length", "shannon-length", "fisher",
-               "functional-e", "functional-i", "lmc-plain", "lmc-renyi",
-               "fisher-shannon", "fisher-renyi", "shannon-dwq")
 GRID_PARAMS = ("n", "q", "alpha", "beta", "lambda")
 
 
@@ -65,70 +61,77 @@ def _cfg_from(args) -> QuadratureConfig:
     return QuadratureConfig()
 
 
-def _norm_dispatch(op: str, engine: str, fam: PolynomialFamily, n: int, q: float,
-                   normalized: bool, cfg: QuadratureConfig) -> NormResult:
-    if engine == "quadrature":
-        if op == "unweighted-norm":
-            return unweighted_norm_quad(fam, n, q, cfg)
-        return weighted_norm_quad(fam, n, q, cfg, normalized=normalized)
+def _asymptotic_q(op, fam, n, q, normalized, cfg) -> NormResult:
+    if op == "unweighted-norm":
+        return unweighted_norm_q_asym(fam, n, q)
+    res = weighted_norm_q_asym(fam, n, q)
+    return normalized_by_kappa(res, fam, n, q) if normalized else res
+
+
+def _asymptotic_parameter(op, fam, n, q, normalized, cfg) -> NormResult:
+    weighted, unweighted = (getattr(paramasym, f) for f in PARAM_FORMS[fam.kind])
+    av = (weighted(n, *fam.params, q, normalized) if op == "weighted-norm"
+          else unweighted(n, *fam.params, q))
+    return av.as_norm_result(1.0 / fam.params[0])
+
+
+# Each engine, as (op, fam, n, q, normalized, cfg) -> NormResult, in the order
+# the sweep prints them.  Each looks its library function up by name when
+# called, so whatever replaces that name (a tracer, a test) sees every call.
+_ENGINES = {
+    "quadrature": lambda op, fam, n, q, normalized, cfg: (
+        unweighted_norm_quad(fam, n, q, cfg) if op == "unweighted-norm"
+        else weighted_norm_quad(fam, n, q, cfg, normalized=normalized)),
+    "bell": lambda op, fam, n, q, normalized, cfg: unweighted_norm_bell(fam, n, int(q)),
+    "asymptotic-q": _asymptotic_q,
+    "asymptotic-parameter": _asymptotic_parameter,
+}
+ENGINES = tuple(_ENGINES)
+
+# Each measure op, as (density, args, cfg) -> float.
+_MEASURES = {
+    "renyi": lambda d, args, cfg: renyi_entropy(d, *_require(args, "q"), cfg),
+    "shannon": lambda d, args, cfg: shannon_entropy(d, cfg),
+    "renyi-length": lambda d, args, cfg: renyi_length(d, *_require(args, "q"), cfg),
+    "shannon-length": lambda d, args, cfg: shannon_length(d, cfg),
+    "fisher": lambda d, args, cfg: fisher_information(d, cfg),
+    "functional-e": lambda d, args, cfg: functional_E(d.family, d.n, "quadrature", cfg),
+    "functional-i": lambda d, args, cfg: functional_I(d.family, d.n, cfg),
+    "lmc-plain": lambda d, args, cfg: lmc_plain(d, cfg),
+    "lmc-renyi": lambda d, args, cfg: lmc_renyi(d, *_require(args, "q", "q2"), cfg),
+    "fisher-shannon": lambda d, args, cfg: fisher_shannon(d, cfg),
+    "fisher-renyi": lambda d, args, cfg: fisher_renyi(d, *_require(args, "q"), cfg),
+    "shannon-dwq": lambda d, args, cfg: shannon_from_Wq_derivative(d, cfg),
+}
+MEASURE_OPS = tuple(_MEASURES)
+
+
+def _require(args, *names) -> list:
+    if any(getattr(args, p) is None for p in names):
+        raise DomainError(f"op {args.op!r} requires " + " and ".join("--" + p for p in names))
+    return [getattr(args, p) for p in names]
+
+
+def _check_engine(op: str, engine: str, family: str, qs, normalized: bool) -> None:
+    """Raise DomainError unless ``engine`` serves ``op`` on ``family`` at every q in ``qs``;
+    the one statement of each engine's capability, for compute and sweep alike."""
+    if normalized and op != "weighted-norm":
+        raise DomainError("--normalized applies to weighted norms only")
+    if engine != "quadrature" and op not in NORM_OPS:
+        raise DomainError(f"--engine {engine} applies to norms only")
     if engine == "bell":
+        bad = [q for q in qs if not (q > 0 and q % 2 == 0)]
+        if bad:
+            raise DomainError("bell engine handles positive even integer q only; "
+                              f"offending grid values: {bad}")
         if op != "unweighted-norm":
             raise DomainError("bell engine computes unweighted norms only")
-        qi = int(q)
-        if qi != q:
-            raise DomainError("bell engine requires an integer q")
-        return unweighted_norm_bell(fam, n, qi)
-    if engine == "asymptotic-q":
-        if op == "weighted-norm":
-            res = weighted_norm_q_asym(fam, n, q)
-            return normalized_by_kappa(res, fam, n, q) if normalized else res
-        return unweighted_norm_q_asym(fam, n, q)
-    if engine == "asymptotic-parameter":
-        forms = PARAM_FORMS.get(fam.kind)
-        if forms is None:
-            raise DomainError(f"no large-parameter regime exists for {fam.kind}")
-        weighted, unweighted = (getattr(paramasym, f) for f in forms)
-        av = (weighted(n, *fam.params, q, normalized) if op == "weighted-norm"
-              else unweighted(n, *fam.params, q))
-        return av.as_norm_result(1.0 / fam.params[0])
-    raise DomainError(f"unknown engine {engine!r}")
-
-
-def _measure_dispatch(op: str, fam: PolynomialFamily, n: int, args, cfg) -> float:
-    d = DensityHandle(fam, n, normalized=not args.orthogonal)
-    if op == "renyi":
-        return renyi_entropy(d, _require_q(args), cfg)
-    if op == "shannon":
-        return shannon_entropy(d, cfg)
-    if op == "renyi-length":
-        return renyi_length(d, _require_q(args), cfg)
-    if op == "shannon-length":
-        return shannon_length(d, cfg)
-    if op == "fisher":
-        return fisher_information(d, cfg)
-    if op == "functional-e":
-        return functional_E(fam, n, "quadrature", cfg)
-    if op == "functional-i":
-        return functional_I(fam, n, cfg)
-    if op == "lmc-plain":
-        return lmc_plain(d, cfg)
-    if op == "lmc-renyi":
-        if args.q is None or args.q2 is None:
-            raise DomainError("lmc-renyi requires --q and --q2")
-        return lmc_renyi(d, args.q, args.q2, cfg)
-    if op == "fisher-shannon":
-        return fisher_shannon(d, cfg)
-    if op == "fisher-renyi":
-        return fisher_renyi(d, _require_q(args), cfg)
-    if op == "shannon-dwq":
-        return shannon_from_Wq_derivative(d, cfg)
-    raise DomainError(f"unknown op {op!r}")
-
-
-def _require_q(args) -> float:
-    if args.q is None:
-        raise DomainError(f"op {args.op!r} requires --q")
-    return args.q
+    if engine == "asymptotic-parameter" and family not in PARAM_FORMS:
+        raise DomainError(f"no large-parameter regime exists for {family}")
+    if engine == "asymptotic-q" and op == "unweighted-norm" \
+            and not all(map(math.isfinite, family_support(family))):
+        raise DomainError("large-q unweighted asymptotics are unavailable for "
+                          f"{family}: its support is unbounded")
 
 
 def _base_record(fam: PolynomialFamily, args) -> dict:
@@ -155,6 +158,10 @@ def _finish_record(rec: dict, sign: int, log_value: float, method: str, err: flo
 
 def cmd_compute(args) -> int:
     fam = _family_from(args)
+    if args.orthogonal and args.op not in _MEASURES:
+        raise DomainError("--orthogonal applies to measure ops only")
+    q = _require(args, "q")[0] if args.op in NORM_OPS else args.q
+    _check_engine(args.op, args.engine, args.family, [q], args.normalized)
     cfg = _cfg_from(args)
     rec = _base_record(fam, args)
     rec["op"] = args.op
@@ -165,23 +172,19 @@ def cmd_compute(args) -> int:
                    multiplicity=pt.multiplicity,
                    maximizers=list(pt.maximizers))
         rec["value"] = pt.x0
-    elif args.op in NORM_OPS:
-        if args.normalized and args.op == "unweighted-norm":
-            raise DomainError("--normalized applies to weighted norms only")
-        res = _norm_dispatch(args.op, args.engine, fam, args.n, _require_q(args),
-                             args.normalized, cfg)
-        rec["engine"] = args.engine
-        rec["normalized"] = args.normalized
-        _finish_record(rec, res.value.sign, res.value.log_abs, res.method,
-                       res.error_estimate)
-    elif args.op in MEASURE_OPS:
-        v = _measure_dispatch(args.op, fam, args.n, args, cfg)
+    elif args.op in _MEASURES:
+        d = DensityHandle(fam, args.n, normalized=not args.orthogonal)
+        v = _MEASURES[args.op](d, args, cfg)
         if not math.isfinite(v):
             raise NumericalFailure(f"non-finite result: value = {v}")
         rec.update(engine="quadrature", sign=0 if v == 0.0 else (1 if v > 0 else -1),
                    log_value=math.log(abs(v)) if v != 0.0 else None, value=v, method="quadrature")
     else:
-        raise DomainError(f"unknown op {args.op!r}")
+        res = _ENGINES[args.engine](args.op, fam, args.n, q, args.normalized, cfg)
+        rec["engine"] = args.engine
+        rec["normalized"] = args.normalized
+        _finish_record(rec, res.value.sign, res.value.log_abs, res.method,
+                       res.error_estimate)
 
     if args.format == "json":
         payload = json.dumps({"schema": SCHEMA_VERSION, "record": rec}, sort_keys=True,
@@ -223,90 +226,35 @@ def _parse_grid(expr: str) -> tuple[str, list[float]]:
     return name, vals
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A validated sweep request: target op, family, grids, engines.
-
-    Engine/grid capability is screened here, before any computation runs.
-    """
-
-    op: str
-    family: str
-    grids: dict = field(default_factory=dict)
-    engines: tuple = ()
-    fixed_q: float | None = None
-    normalized: bool = False
-
-    def __post_init__(self):
-        if self.op not in NORM_OPS:
-            raise DomainError(f"sweep op must be one of {NORM_OPS}, got {self.op!r}")
-        if self.normalized and self.op == "unweighted-norm":
-            raise DomainError("--normalized applies to weighted norms only")
-        if not self.grids or any(not vals for vals in self.grids.values()):
-            raise DomainError("sweep grid must be nonempty")
-        if not self.engines:
-            raise DomainError("at least one engine is required")
-        if "q" not in self.grids and self.fixed_q is None:
-            raise DomainError("norm sweeps need a q grid or a fixed --q")
-        bad = [n for n in self.grids.get("n", ()) if not (n >= 0 and n % 1 == 0)]
-        if bad:
-            raise DomainError("degree grid takes nonnegative integers only; "
-                              f"offending grid values: {bad}")
-        if "bell" in self.engines:
-            qs = self.grids.get("q", [self.fixed_q])
-            bad = [q for q in qs if q is None or int(q) != q or int(q) % 2 != 0 or q <= 0]
-            if bad:
-                raise DomainError("bell engine handles positive even integer q only; "
-                                  f"offending grid values: {bad}")
-            if self.op != "unweighted-norm":
-                raise DomainError("bell engine computes unweighted norms only")
-        if "asymptotic-parameter" in self.engines and self.family not in PARAM_FORMS:
-            raise DomainError(f"no large-parameter regime exists for {self.family}")
-        if "asymptotic-q" in self.engines and self.op == "unweighted-norm" \
-                and not all(map(math.isfinite, family_support(self.family))):
-            raise DomainError("large-q unweighted asymptotics are unavailable for "
-                              f"{self.family}: its support is unbounded")
-
-
 def _sweep_rows(args, cfg) -> list[dict]:
     grids = dict(_parse_grid(g) for g in args.grid)
-    engines = tuple(e for e in ENGINES if e in set(args.engine))
-    SweepSpec(op=args.op, family=args.family, grids=grids, engines=engines,
-              fixed_q=args.q, normalized=args.normalized)
+    engines = [e for e in ENGINES if e in args.engine]
+    if "q" not in grids and args.q is None:
+        raise DomainError("norm sweeps need a q grid or a fixed --q")
+    bad = [n for n in grids.get("n", ()) if not (n >= 0 and n % 1 == 0)]
+    if bad:
+        raise DomainError("degree grid takes nonnegative integers only; "
+                          f"offending grid values: {bad}")
+    for engine in engines:
+        _check_engine(args.op, engine, args.family, grids.get("q", [args.q]), args.normalized)
 
-    axes = [p for p in GRID_PARAMS if p in grids]
+    axes = [p for p in GRID_PARAMS if p in grids]  # the first axis is the outermost
     rows = []
-
-    def emit(point):
-        local = argparse.Namespace(**vars(args))
-        for k, v in point.items():
-            setattr(local, k, v)
-        local.n = int(local.n) if local.n is not None else None
+    for point in itertools.product(*(grids[p] for p in axes)):
+        local = argparse.Namespace(**(vars(args) | dict(zip(axes, point))))
+        local.n = int(local.n)
         fam = _family_from(local)
         for engine in engines:
             rec = _base_record(fam, local)
-            rec["op"] = args.op
-            rec["engine"] = engine
-            rec["normalized"] = args.normalized
-            rec["error"] = ""
+            rec.update(op=args.op, engine=engine, normalized=args.normalized, error="")
             try:
-                res = _norm_dispatch(args.op, engine, fam, local.n, local.q,
-                                     args.normalized, cfg)
+                res = _ENGINES[engine](args.op, fam, local.n, local.q, args.normalized, cfg)
                 _finish_record(rec, res.value.sign, res.value.log_abs, res.method,
                                res.error_estimate)
             except (DomainError, NumericalFailure) as exc:
                 rec.update(sign=None, log_value=None, value=None, method=None,
                            rel_err_estimate=None, error=str(exc))
             rows.append(rec)
-
-    def recurse(i, point):
-        if i == len(axes):
-            emit(point)
-            return
-        for v in grids[axes[i]]:
-            recurse(i + 1, point | {axes[i]: v})
-
-    recurse(0, {})
     return rows
 
 
@@ -414,8 +362,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DomainError, KeyError) as exc:
-        # invalid requests (bad parameter domain, unknown suite) are usage errors
+    except DomainError as exc:  # an invalid request: a bad parameter, flag or grid
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

@@ -1,13 +1,15 @@
+import importlib
 import json
 import math
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from hopnorms import paramasym
-from hopnorms.cli import SweepSpec, build_parser, main
-from hopnorms.errors import DomainError
+from hopnorms.cli import build_parser, main
 from hopnorms.families import jacobi
 from hopnorms.measures import DensityHandle, renyi_entropy
 
@@ -134,9 +136,66 @@ def test_unweighted_norm_rejects_normalized(capsys):
     rc, out, err = run_cli(["sweep"] + base + ["--grid", "q=2", "--engine", "quadrature",
                                                "--engine", "asymptotic-parameter"], capsys)
     assert rc == 2 and out == "" and "--normalized" in err
-    with pytest.raises(DomainError):
-        SweepSpec(op="unweighted-norm", family="gegenbauer", grids={"q": [2.0]},
-                  engines=("quadrature",), normalized=True)
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--op", "shannon", "--engine", "asymptotic-q"], "--engine"),
+    (["--op", "laplace-x0", "--engine", "bell"], "--engine"),
+    (["--op", "shannon", "--normalized"], "--normalized"),
+    (["--op", "weighted-norm", "--q", "4", "--orthogonal"], "--orthogonal"),
+])
+def test_compute_rejects_a_flag_its_op_ignores(flags, named, capsys):
+    # each used to be dropped: the record claimed an engine or density it did not use
+    rc, out, err = run_cli(["compute", "--family", "hermite", "--n", "2", *flags], capsys)
+    assert rc == 2 and out == "" and named in err
+
+
+@pytest.mark.parametrize("flags, op, q, engine", [
+    (["--family", "hermite"], "unweighted-norm", "3", "bell"),
+    (["--family", "hermite"], "unweighted-norm", "2.5", "bell"),
+    (["--family", "hermite"], "unweighted-norm", "inf", "bell"),  # was an OverflowError
+    (["--family", "hermite"], "weighted-norm", "2", "bell"),
+    (["--family", "hermite"], "weighted-norm", "2", "asymptotic-parameter"),
+    (["--family", "laguerre", "--alpha", "1"], "unweighted-norm", "20", "asymptotic-q"),
+    (["--family", "jacobi", "--alpha", "1", "--beta", "2", "--normalized"],
+     "unweighted-norm", "2", "quadrature"),
+])
+def test_compute_and_sweep_reject_alike(flags, op, q, engine, capsys):
+    base = [*flags, "--n", "2", "--op", op, "--engine", engine]
+    compute = run_cli(["compute", *base, "--q", q], capsys)
+    sweep = run_cli(["sweep", *base, "--grid", "q=" + q], capsys)
+    assert compute[0] == 2 and compute[1] == "" and compute[2].startswith("error: ")
+    assert sweep == compute
+
+
+@pytest.mark.parametrize("target, op, engine", [
+    ("hopnorms.cli.weighted_norm_quad", "weighted-norm", "quadrature"),
+    ("hopnorms.cli.unweighted_norm_bell", "unweighted-norm", "bell"),
+    ("hopnorms.paramasym.jacobi_weighted_param", "weighted-norm", "asymptotic-parameter"),
+])
+def test_engine_table_resolves_names_when_called(target, op, engine, monkeypatch, capsys):
+    # a wrapper installed after import (as the benchmark's tracer installs
+    # its spans) must see the calls of compute and of sweep alike
+    module, _, name = target.rpartition(".")
+    orig = getattr(importlib.import_module(module), name)
+    calls = []
+    monkeypatch.setattr(target, lambda *a, **k: calls.append(1) or orig(*a, **k))
+    base = ["--family", "jacobi", "--alpha", "300", "--beta", "2", "--n", "1",
+            "--op", op, "--engine", engine]
+    assert run_cli(["compute", *base, "--q", "2"], capsys)[0] == 0
+    assert len(calls) == 1
+    assert run_cli(["sweep", *base, "--grid", "q=2,4"], capsys)[0] == 0
+    assert len(calls) == 3
+
+
+def test_readme_cli_examples_run(capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [shlex.split(l) for l in block.replace("\\\n", " ").splitlines()]
+    examples = [l[1:] for l in lines if l[:2] in (["hopnorms", "compute"], ["hopnorms", "sweep"])]
+    assert len(examples) >= 4  # the block was found and read
+    for argv in examples:
+        assert run_cli(argv, capsys)[0] == 0, argv
 
 
 def test_sweep_geometric_grid(capsys):
