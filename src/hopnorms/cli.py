@@ -25,15 +25,14 @@ from .measures import (DensityHandle, fisher_information, fisher_renyi, fisher_s
                        functional_E, functional_I, lmc_plain, lmc_renyi, renyi_entropy,
                        renyi_length, shannon_entropy, shannon_from_Wq_derivative,
                        shannon_length)
-from .norms import NormResult, normalized_by_kappa, unweighted_norm_quad, weighted_norm_quad
+from .norms import NORM_OPS, NormResult, norm_quads, normalized_by_kappa
 from .bell import unweighted_norm_bell
 from .paramasym import PARAM_FORMS
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, raise_first
 from .validate import run_suite
 
 SCHEMA_VERSION = 1
 _LINEAR_CAP = 690.0
-NORM_OPS = ("unweighted-norm", "weighted-norm")
 GRID_PARAMS = ("n", "q", "alpha", "beta", "lambda")
 
 
@@ -75,16 +74,30 @@ def _asymptotic_parameter(op, fam, n, q, normalized, cfg) -> NormResult:
     return av.as_norm_result(1.0 / fam.params[0])
 
 
-# Each engine, as (op, fam, n, q, normalized, cfg) -> NormResult, in the order
-# the sweep prints them.  Each looks its library function up by name when
+def _each(engine):
+    """A batch engine from one of (op, fam, n, q, normalized, cfg) -> NormResult:
+    each point's result, or the error that ended it."""
+    def run(op, points, normalized, cfg) -> list:
+        out = []
+        for fam, n, q in points:
+            try:
+                out.append(engine(op, fam, n, q, normalized, cfg))
+            except (DomainError, NumericalFailure) as exc:
+                out.append(exc)
+        return out
+    return run
+
+
+# Each engine, as (op, [(fam, n, q), ...], normalized, cfg) -> [NormResult or
+# error, ...], in the order the sweep prints them.  Quadrature integrates all
+# points in lockstep.  Each looks its library function up by name when
 # called, so whatever replaces that name (a tracer, a test) sees every call.
 _ENGINES = {
-    "quadrature": lambda op, fam, n, q, normalized, cfg: (
-        unweighted_norm_quad(fam, n, q, cfg) if op == "unweighted-norm"
-        else weighted_norm_quad(fam, n, q, cfg, normalized=normalized)),
-    "bell": lambda op, fam, n, q, normalized, cfg: unweighted_norm_bell(fam, n, int(q)),
-    "asymptotic-q": _asymptotic_q,
-    "asymptotic-parameter": _asymptotic_parameter,
+    "quadrature": lambda op, points, normalized, cfg: norm_quads(
+        [(op, fam, n, q, normalized) for fam, n, q in points], cfg),
+    "bell": _each(lambda op, fam, n, q, normalized, cfg: unweighted_norm_bell(fam, n, int(q))),
+    "asymptotic-q": _each(_asymptotic_q),
+    "asymptotic-parameter": _each(_asymptotic_parameter),
 }
 ENGINES = tuple(_ENGINES)
 
@@ -115,6 +128,9 @@ def _require(args, *names) -> list:
 def _check_engine(op: str, engine: str, family: str, qs, normalized: bool) -> None:
     """Raise DomainError unless ``engine`` serves ``op`` on ``family`` at every q in ``qs``;
     the one statement of each engine's capability, for compute and sweep alike."""
+    infinite = [q for q in qs if q is not None and not math.isfinite(q)]
+    if infinite:
+        raise DomainError(f"q must be finite; offending grid values: {infinite}")
     if normalized and op != "weighted-norm":
         raise DomainError("--normalized applies to weighted norms only")
     if engine != "quadrature" and op not in NORM_OPS:
@@ -180,7 +196,8 @@ def cmd_compute(args) -> int:
         rec.update(engine="quadrature", sign=0 if v == 0.0 else (1 if v > 0 else -1),
                    log_value=math.log(abs(v)) if v != 0.0 else None, value=v, method="quadrature")
     else:
-        res = _ENGINES[args.engine](args.op, fam, args.n, q, args.normalized, cfg)
+        res = raise_first(_ENGINES[args.engine](args.op, [(fam, args.n, q)], args.normalized,
+                                                cfg))[0]
         rec["engine"] = args.engine
         rec["normalized"] = args.normalized
         _finish_record(rec, res.value.sign, res.value.log_abs, res.method,
@@ -239,16 +256,24 @@ def _sweep_rows(args, cfg) -> list[dict]:
         _check_engine(args.op, engine, args.family, grids.get("q", [args.q]), args.normalized)
 
     axes = [p for p in GRID_PARAMS if p in grids]  # the first axis is the outermost
-    rows = []
+    points = []
     for point in itertools.product(*(grids[p] for p in axes)):
         local = argparse.Namespace(**(vars(args) | dict(zip(axes, point))))
         local.n = int(local.n)
-        fam = _family_from(local)
+        points.append((local, _family_from(local)))
+    # each engine serves all points in one call, the quadrature rows in lockstep
+    results = {engine: _ENGINES[engine](args.op, [(fam, local.n, local.q) for local, fam in points],
+                                        args.normalized, cfg)
+               for engine in engines}
+    rows = []
+    for i, (local, fam) in enumerate(points):
         for engine in engines:
             rec = _base_record(fam, local)
             rec.update(op=args.op, engine=engine, normalized=args.normalized, error="")
+            res = results[engine][i]
             try:
-                res = _ENGINES[engine](args.op, fam, local.n, local.q, args.normalized, cfg)
+                if isinstance(res, Exception):
+                    raise res
                 _finish_record(rec, res.value.sign, res.value.log_abs, res.method,
                                res.error_estimate)
             except (DomainError, NumericalFailure) as exc:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of an order q."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -22,3 +24,11 @@ class NumericalFailure(RuntimeError):
 
 class UnsupportedAsymptotics(DomainError):
     """Requested an asymptotic regime with no known closed leading term."""
+
+
+def check_order(q: float) -> None:
+    """Raise DomainError unless the order q is positive and finite."""
+    if not q > 0:
+        raise DomainError("q must be positive")
+    if q == math.inf:
+        raise DomainError("q must be finite")

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailure, UnsupportedAsymptotics
+from .errors import DomainError, NumericalFailure, UnsupportedAsymptotics, check_order
 from .families import (PolynomialFamily, eval_log_many, gegenbauer_jacobi_factor_log,
                        log_density_second, log_derivative_numerator_many, polynomial_zeros,
                        weight_log_many)
@@ -125,8 +125,7 @@ def weighted_norm_q_asym(fam: PolynomialFamily, n: int, q: float) -> NormResult:
     """Leading Laplace term of W_q; every global maximizer contributes one
     Gaussian peak, hence the multiplicity prefactor.  The error claim is the
     term's 1/q plus q times the rounding of f(x0)."""
-    if not q > 0:
-        raise DomainError("q must be positive")
+    check_order(q)
     pt = locate_density_maximum(fam, n)
     log_w = (math.log(pt.multiplicity) + q * pt.f_at_x0
              + 0.5 * (math.log(2.0 * math.pi) - math.log(q * (-pt.f2_at_x0))))
@@ -147,8 +146,7 @@ def unweighted_norm_q_asym_jacobi(n: int, alpha: float, beta: float, q: float) -
         raise DomainError("jacobi requires alpha, beta > -1")
     if max(alpha, beta) < -0.5:
         raise DomainError("requires max(alpha, beta) >= -1/2")
-    if not q > 0:
-        raise DomainError("q must be positive")
+    check_order(q)
 
     def endpoint_term(big: float, small: float) -> float:
         # maximum at the endpoint with weight exponent `small` on its side

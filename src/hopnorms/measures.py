@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailure
+from .errors import DomainError, NumericalFailure, check_order
 from .families import (PolynomialFamily, log_derivative_numerator_many, norm_constant_log,
                        polynomial_zeros)
 from .logreal import SignedLogReal
-from .norms import density_integral, weighted_norm_quad, unweighted_norm_quad
-from .quadrature import DEFAULT_CONFIG, LogIntegrand, QuadratureConfig, log_integral
+from .norms import density_integral, norm_quads, weighted_norm_quad
+from .quadrature import DEFAULT_CONFIG, LogIntegrand, QuadratureConfig, log_integral, raise_first
 
 __all__ = [
     "DensityHandle", "renyi_entropy", "shannon_entropy", "functional_E", "functional_I",
@@ -47,14 +47,20 @@ class DensityHandle:
             raise DomainError("degree must be nonnegative")
 
 
+def _renyi_entropies(d: DensityHandle, qs: list[float], cfg: QuadratureConfig) -> list[float]:
+    """R_q at each q, the W_q integrated in lockstep."""
+    for q in qs:
+        if q == 1.0:
+            raise DomainError("q = 1 is the Shannon limit; use shannon_entropy")
+        check_order(q)
+    ws = raise_first(norm_quads([("weighted-norm", d.family, d.n, q, d.normalized) for q in qs],
+                                cfg))
+    return [w.value.log_abs / (1.0 - q) for w, q in zip(ws, qs)]
+
+
 def renyi_entropy(d: DensityHandle, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """R_q = ln(W_q)/(1-q); computed in log space so any parameter size works."""
-    if q == 1.0:
-        raise DomainError("q = 1 is the Shannon limit; use shannon_entropy")
-    if not q > 0:
-        raise DomainError("q must be positive")
-    w = weighted_norm_quad(d.family, d.n, q, cfg=cfg, normalized=d.normalized)
-    return w.value.log_abs / (1.0 - q)
+    return _renyi_entropies(d, [q], cfg)[0]
 
 
 def _log_norm_shift(d: DensityHandle) -> float:
@@ -88,24 +94,19 @@ def functional_E_log(fam: PolynomialFamily, n: int,
     return SignedLogReal(res.sign, res.log_abs)  # sign 0 makes it zero
 
 
-def _norm_log(fam: PolynomialFamily, n: int, q: float, cfg: QuadratureConfig) -> float:
-    return unweighted_norm_quad(fam, n, q, cfg=cfg).value.log_abs
-
-
 def functional_E_qderiv_log(fam: PolynomialFamily, n: int,
                             cfg: QuadratureConfig = DEFAULT_CONFIG) -> SignedLogReal:
     """E = -2 dN_q/dq at q = 2, by Richardson-extrapolated central differences.
 
     (The derivative identity holds with this sign: dN_q/dq = int |p|^q ln|p| h,
-    which equals -E/2 at q = 2.)
+    which equals -E/2 at q = 2.)  The four N_q are integrated in lockstep.
     """
-    def central(h: float) -> SignedLogReal:
-        hi = SignedLogReal(1, _norm_log(fam, n, 2.0 + h, cfg))
-        lo = SignedLogReal(1, _norm_log(fam, n, 2.0 - h, cfg))
-        return (hi - lo).scaled(1.0 / (2.0 * h))
-
-    d1 = central(_RICHARDSON_H)
-    d2 = central(0.5 * _RICHARDSON_H)
+    h = _RICHARDSON_H
+    qs = (2.0 + h, 2.0 - h, 2.0 + 0.5 * h, 2.0 - 0.5 * h)
+    norms = raise_first(norm_quads([("unweighted-norm", fam, n, q, False) for q in qs], cfg))
+    hi1, lo1, hi2, lo2 = (SignedLogReal(1, r.value.log_abs) for r in norms)
+    d1 = (hi1 - lo1).scaled(1.0 / (2.0 * h))
+    d2 = (hi2 - lo2).scaled(1.0 / (2.0 * (0.5 * h)))
     extrap = (d2.scaled(4.0) - d1).scaled(1.0 / 3.0)
     return extrap.scaled(-2.0)
 
@@ -198,10 +199,11 @@ def shannon_length(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
 
 
 def lmc_renyi(d: DensityHandle, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """exp(R_a - R_b) for 0 < a < b, both != 1."""
+    """exp(R_a - R_b) for 0 < a < b, both != 1; W_a and W_b in lockstep."""
     if not (0 < a < b) or a == 1.0 or b == 1.0:
         raise DomainError("requires 0 < a < b with a, b != 1")
-    return math.exp(renyi_entropy(d, a, cfg) - renyi_entropy(d, b, cfg))
+    r_a, r_b = _renyi_entropies(d, [a, b], cfg)
+    return math.exp(r_a - r_b)
 
 
 def lmc_plain(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -223,18 +225,16 @@ def fisher_renyi(d: DensityHandle, q: float, cfg: QuadratureConfig = DEFAULT_CON
 
 
 def shannon_from_Wq_derivative(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """S = -dW_q/dq at q = 1 (unit-mass density), Richardson-extrapolated."""
+    """S = -dW_q/dq at q = 1 (unit-mass density), Richardson-extrapolated;
+    the four W_q are integrated in lockstep."""
     if not d.normalized:
         raise DomainError("identity requires the unit-mass density")
-
-    def w(q: float) -> float:
-        return weighted_norm_quad(d.family, d.n, q, cfg=cfg, normalized=True).to_float()
-
-    def central(h: float) -> float:
-        return (w(1.0 + h) - w(1.0 - h)) / (2.0 * h)
-
-    d1 = central(_RICHARDSON_H)
-    d2 = central(0.5 * _RICHARDSON_H)
+    h = _RICHARDSON_H
+    qs = (1.0 + h, 1.0 - h, 1.0 + 0.5 * h, 1.0 - 0.5 * h)
+    ws = raise_first(norm_quads([("weighted-norm", d.family, d.n, q, True) for q in qs], cfg))
+    hi1, lo1, hi2, lo2 = (w.to_float() for w in ws)
+    d1 = (hi1 - lo1) / (2.0 * h)
+    d2 = (hi2 - lo2) / (2.0 * (0.5 * h))
     return -(4.0 * d2 - d1) / 3.0
 
 

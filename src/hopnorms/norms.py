@@ -3,8 +3,9 @@
 Unweighted norm:  N_q[p_n] = int |p_n|^q h dx      (weight enters once)
 Weighted norm:    W_q[p_n] = int [p_n^2 h]^q dx    (density to the q-th power)
 
-Both are assembled as log-space integrands for :func:`quadrature.log_integral`
-with the domain split at the n real zeros of p_n.
+Both are assembled as log-space integrands for :func:`quadrature.log_integrals`
+with the domain split at the n real zeros of p_n; :func:`norm_quads`
+integrates the norms of many points in lockstep.
 """
 from __future__ import annotations
 
@@ -14,14 +15,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalFailure, check_order
 from .families import (PolynomialFamily, eval_log_many, moment_ratios, norm_constant_log,
                        norm_constant_log_error, polynomial_zeros)
 from .logreal import SignedLogReal
-from .quadrature import DEFAULT_CONFIG, LogIntegrand, LogQuadResult, QuadratureConfig, log_integral
+from .quadrature import (DEFAULT_CONFIG, LogIntegrand, LogQuadResult, QuadratureConfig,
+                         log_integral, log_integrals, raise_first)
 
-__all__ = ["NormResult", "unweighted_norm_quad", "weighted_norm_quad", "normalized_by_kappa",
-           "weight_moment", "density_integral"]
+__all__ = ["NormResult", "NORM_OPS", "norm_quads", "unweighted_norm_quad", "weighted_norm_quad",
+           "normalized_by_kappa", "weight_moment", "density_integral"]
 
 
 @dataclass(frozen=True)
@@ -38,16 +40,14 @@ class NormResult:
         return self.value.to_float()
 
 
-def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_power: float,
-                     phi_many: Optional[Callable[..., np.ndarray]] = None,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogQuadResult:
-    """int exp(pol_power*ln|p_n| + weight_power*ln h) * phi dx.
+NORM_OPS = ("unweighted-norm", "weighted-norm")
+# (pol_power, weight_power) of each norm at order q
+_POWERS = {"unweighted-norm": lambda q: (q, 1.0), "weighted-norm": lambda q: (2.0 * q, q)}
 
-    The shared engine behind the norm, entropy and information functionals.
-    ``phi_many(x, core, ends)`` maps the points and the engine's logs there
-    (see :class:`quadrature.LogIntegrand`) to the array of phi values; the
-    core is pol_power ln|p_n| + weight_power times the weight's core.
-    """
+
+def _density_spec(fam: PolynomialFamily, n: int, pol_power: float, weight_power: float,
+                  phi_many: Optional[Callable[..., np.ndarray]] = None) -> LogIntegrand:
+    """The integrand of :func:`density_integral`."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
     w = fam.weight
@@ -64,29 +64,67 @@ def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_pow
     def g_core_many(xs: np.ndarray) -> np.ndarray:
         return pol_power * eval_log_many(fam, n, xs)[1] + weight_power * core(xs)
 
-    spec = LogIntegrand(a=lo, b=hi, g_core_many=g_core_many, e_left=e_l, e_right=e_r,
+    return LogIntegrand(a=lo, b=hi, g_core_many=g_core_many, e_left=e_l, e_right=e_r,
                         breakpoints=tuple(polynomial_zeros(fam, n)), phi_many=phi_many)
-    return log_integral(spec, cfg)
+
+
+def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_power: float,
+                     phi_many: Optional[Callable[..., np.ndarray]] = None,
+                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogQuadResult:
+    """int exp(pol_power*ln|p_n| + weight_power*ln h) * phi dx.
+
+    The shared engine behind the norm, entropy and information functionals.
+    ``phi_many(x, core, ends)`` maps the points and the engine's logs there
+    (see :class:`quadrature.LogIntegrand`) to the array of phi values; the
+    core is pol_power ln|p_n| + weight_power times the weight's core.
+    """
+    return log_integral(_density_spec(fam, n, pol_power, weight_power, phi_many), cfg)
+
+
+def norm_quads(points: list[tuple], cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """The quadrature norms of many points (op, fam, n, q, normalized), op
+    one of NORM_OPS, integrated in one lockstep call of
+    :func:`quadrature.log_integrals`.  Each entry is the point's NormResult,
+    or the DomainError or NumericalFailure that ended it.  ``normalized``
+    applies to weighted norms (W_q of the unit-mass density)."""
+    out, specs = [], []
+    for op, fam, n, q, normalized in points:
+        try:
+            if op not in _POWERS:
+                raise DomainError(f"unknown norm {op!r}; expected one of {NORM_OPS}")
+            check_order(q)
+            specs.append(_density_spec(fam, n, *_POWERS[op](q)))
+            out.append(None)
+        except (DomainError, NumericalFailure) as exc:
+            out.append(exc)
+    results = iter(log_integrals(specs, cfg))
+    for i, (op, fam, n, q, normalized) in enumerate(points):
+        if out[i] is not None:
+            continue
+        res = next(results)
+        if isinstance(res, Exception):
+            out[i] = res
+            continue
+        norm = NormResult(SignedLogReal(1, res.log_abs), "quadrature", res.rel_err)
+        try:
+            out[i] = (normalized_by_kappa(norm, fam, n, q)
+                      if normalized and op == "weighted-norm" else norm)
+        except (DomainError, NumericalFailure) as exc:
+            out[i] = exc
+    return out
 
 
 def unweighted_norm_quad(fam: PolynomialFamily, n: int, q: float,
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormResult:
     """N_q[p_n] by adaptive quadrature; q may be any positive real."""
-    if not q > 0:
-        raise DomainError("q must be positive")
-    res = density_integral(fam, n, pol_power=q, weight_power=1.0, cfg=cfg)
-    return NormResult(SignedLogReal(1, res.log_abs), "quadrature", res.rel_err)
+    return raise_first(norm_quads([("unweighted-norm", fam, n, q, False)], cfg))[0]
 
 
 def weighted_norm_quad(fam: PolynomialFamily, n: int, q: float,
                        cfg: QuadratureConfig = DEFAULT_CONFIG,
                        normalized: bool = False) -> NormResult:
     """W_q[p_n] (or W_q of the unit-mass density when normalized)."""
-    if not q > 0:
-        raise DomainError("q must be positive")
-    res = density_integral(fam, n, pol_power=2.0 * q, weight_power=q, cfg=cfg)
-    out = NormResult(SignedLogReal(1, res.log_abs), "quadrature", res.rel_err)
-    return normalized_by_kappa(out, fam, n, q) if normalized else out
+    return raise_first(norm_quads([("weighted-norm", fam, n, q, normalized)], cfg))[0]
 
 
 def normalized_by_kappa(res: NormResult, fam: PolynomialFamily, n: int, q: float) -> NormResult:

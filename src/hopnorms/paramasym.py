@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, check_order
 from .families import (PolynomialFamily, eval_log_many, hermite, laguerre,
                        norm_constant_log, polynomial_zeros)
 from .logreal import SignedLogReal
@@ -192,6 +192,7 @@ def laguerre_unweighted_param(m: int, alpha: float, q: float, delta: float = 0.0
         raise DomainError("degree must be nonnegative")
     if not (q > 0 and alpha > 0):
         raise DomainError("q and alpha must be positive")
+    check_order(q)
     log_c = _hermite_norm_log(m, q) - q * log_gamma(m + 1.0) - 0.5 * (m * q - 1.0) * math.log(2.0)
     power = delta + (m * q + 1.0) / 2.0
     log_val = log_c + alpha * (math.log(alpha) - 1.0) + power * math.log(alpha)
@@ -230,6 +231,7 @@ def laguerre_weighted_param(n: int, alpha: float, q: float, normalized: bool = F
         raise DomainError("degree must be nonnegative")
     if not (q > 0 and alpha > 0):
         raise DomainError("q and alpha must be positive")
+    check_order(q)
     log_val = (2.0 * q * n * math.log(alpha) + log_gamma(q * alpha + 1.0)
                - (q * alpha + 1.0) * math.log(q) - 2.0 * q * log_gamma(n + 1.0))
     exps = {"alpha_power": 2.0 * q * n, "gamma_q_alpha": 1}
@@ -258,8 +260,7 @@ def jacobi_unweighted_param(n: int, alpha: float, beta: float, q: float,
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    if not q > 0:
-        raise DomainError("q must be positive")
+    check_order(q)
     a, b = _swap_if_beta(alpha, beta, large)
     if not (a > 0 and b > -1):
         raise DomainError("large parameter must be positive, the other > -1")
@@ -298,6 +299,7 @@ def jacobi_weighted_param(n: int, alpha: float, beta: float, q: float,
         raise DomainError("degree must be nonnegative")
     if not (q > 0 and alpha > 0 and beta > -1):
         raise DomainError("q, alpha must be positive; beta > -1")
+    check_order(q)
     log_p1 = log_gamma(alpha + n + 1.0) - log_gamma(n + 1.0) - log_gamma(alpha + 1.0)
     log_val = (2.0 * q * log_p1 + (1.0 + q * (alpha + beta)) * math.log(2.0)
                + log_gamma(1.0 + q * alpha) + log_gamma(1.0 + 2.0 * n * q + q * beta)
@@ -341,6 +343,7 @@ def gegenbauer_unweighted_param(n: int, lam: float, q: float,
         raise DomainError("degree must be nonnegative")
     if not (q > 0 and lam > 0):
         raise DomainError("q and lambda must be positive")
+    check_order(q)
     log_val = (q * _log_gegen_at_one(n, lam) + log_gamma(0.5 * (1.0 + n * q))
                + log_gamma(0.5 + n) - log_gamma(1.0 + lam + 0.5 * n * q))
     exps = {"lambda_power": n * q - (1.0 + 0.5 * n * q)}
@@ -382,6 +385,7 @@ def gegenbauer_weighted_param(n: int, lam: float, q: float,
         raise DomainError("degree must be nonnegative")
     if not (q > 0 and lam > 0):
         raise DomainError("q and lambda must be positive")
+    check_order(q)
     if q * (lam - 0.5) <= -1.0:
         raise DomainError("q(lambda - 1/2) must exceed -1 for integrability")
     log_val = (2.0 * q * _log_gegen_at_one(n, lam) + log_gamma(0.5 + n * q)

@@ -26,8 +26,8 @@ The engine:
     exp(g - M) with the 10-21 Gauss-Kronrod pair of QUADPACK's QAGS,
     refined in rounds (below),
   * returns sign, ln|I| (shift M re-applied) and a relative error bound,
-    and raises QuadratureFailure when a positive integrand (no phi) sums to
-    zero because every node underflowed below M.
+    and fails with QuadratureFailure when a positive integrand (no phi)
+    sums to zero because every node underflowed below M.
 
 Refinement is globally adaptive in rounds (after QUADPACK, Piessens et
 al. 1983).  A round takes intervals off an error-ordered heap, largest
@@ -56,10 +56,25 @@ The live-window edges of all other panels are bisected together, six
 steps per call, in the rounds of :func:`bisect_brackets`, the bisection
 the Laplace maximizer also uses for the critical points of the density.
 The maximizer takes all ten rounds (60 steps), because its point must be
-exact.  The edge search stops once every bracket is narrower than 2^-6 of
-its panel's live span seen so far (usually after one round), because both
+exact.  An integral's edge search stops once each of its brackets is
+narrower than 2^-6 of its panel's live span seen so far (usually after one
+round), because both
 dead flanks are integrated too: only the window's width matters, not
 where exactly it is cut.
+
+Several integrals run in lockstep (:func:`log_integrals`; a lone one is
+:func:`log_integral`).  Each phase above, and each refinement round, is one
+batch over the rows of every integral still running, each integral's rows
+contiguous.  A row carries its integral's constants (ends, exponents,
+substitution and shift), so everything but the integral's own g_core and
+phi is evaluated for all rows at once and elementwise; the sums over the
+nodes, whose BLAS rounding depends on the other rows of a call, are taken
+over each integral's rows alone.  Each integral keeps its own heap,
+tolerance, stopping rounds and error claim, so its result is bit-identical
+to integrating it alone, and one that fails drops out without stopping the
+others.  A batch costs mostly a fixed amount however many points it holds,
+so lockstep pays where many small integrals run side by side, as in a
+sweep over q.
 
 The first Gauss-Kronrod pass cuts every plain panel at the tail walks'
 points inside it.  A tail panel, from the outermost breakpoint to the
@@ -109,7 +124,7 @@ from .errors import DomainError, NumericalFailure
 from .special import log_distance
 
 __all__ = ["QuadratureConfig", "QuadratureFailure", "LogIntegrand", "LogQuadResult", "log_integral",
-           "bisect_brackets"]
+           "log_integrals", "raise_first", "bisect_brackets"]
 
 # 10-21 Gauss-Kronrod pair on [-1, 1], QUADPACK's QK21 (Piessens et al.
 # 1983), to 17 significant digits: the nodes x < 0 with their Kronrod
@@ -201,19 +216,21 @@ _PLAIN, _LEFT, _RIGHT = 0, 1, -1
 
 
 class _Panel:
-    """One integration panel in its own coordinate u over (lo, hi).
+    """One integration panel of spec ``owner`` in its own coordinate u over
+    (lo, hi).
 
     A plain panel has u = x.  A panel at a substituted endpoint c (``side``
     _LEFT for a, _RIGHT for b) has u = t with |x - c| = t^p, see
     :func:`_power`.
     """
 
-    __slots__ = ("lo", "hi", "side", "peak")
+    __slots__ = ("lo", "hi", "side", "owner", "peak")
 
-    def __init__(self, lo, hi, side=_PLAIN):
+    def __init__(self, lo, hi, side=_PLAIN, owner=0):
         self.lo = lo
         self.hi = hi
         self.side = side
+        self.owner = owner
         self.peak = -math.inf
 
 
@@ -258,46 +275,211 @@ def _substituted(spec: LogIntegrand, side: int) -> Optional[_Sub]:
     return _Sub(end, e, *power, other, e_other)
 
 
-def _logf_rows(spec: LogIntegrand, panels: list[_Panel], us: np.ndarray, sizes: bool = False
+# columns of _Specs.table: the ends and their exponents, then per
+# substituted side (from column _SUB[side]) the fields of _Sub with e p for
+# e and ln p added, NaN where that end stays plain
+_A, _B, _E_LEFT, _E_RIGHT = range(4)
+_END, _EP, _P, _J, _LOG_P, _OTHER, _E_OTHER = range(7)
+_SUB = {_LEFT: 4, _RIGHT: 11}
+# (column of an end, column of its exponent) of the plain ends and of the
+# other end of each substituted side
+_END_EXPONENTS = ((_B, _E_RIGHT), (_A, _E_LEFT), *((base + _OTHER, base + _E_OTHER)
+                                                   for base in _SUB.values()))
+
+
+_ALL = slice(None)  # every row of a batch
+
+
+def _constants(spec: LogIntegrand, subs: tuple[Optional[_Sub], Optional[_Sub]]) -> list[float]:
+    """The spec's row of _Specs.table, given its substitutions (left, right)."""
+    row = [float(spec.a), float(spec.b), float(spec.e_left), float(spec.e_right)]
+    for sub in subs:
+        row += ([math.nan] * 7 if sub is None else
+                [sub.end, sub.e * sub.p, sub.p, float(sub.j), math.log(sub.p), sub.other,
+                 sub.e_other])
+    return row
+
+
+class _Specs:
+    """The specs integrated in lockstep.
+
+    A batch holds the rows of several specs, each spec's rows contiguous
+    and in spec order, and a row's panel names its spec (``owner``).
+    ``table`` holds each spec's constants, which :func:`_logf_rows` spreads
+    over the rows; a constant all specs share stays one float.
+    ``errors[k]`` is the DomainError or NumericalFailure that ended spec k;
+    later batches leave its rows out."""
+
+    def __init__(self, specs):
+        self.specs = list(specs)
+        self.subs = [(_substituted(s, _LEFT), _substituted(s, _RIGHT)) for s in self.specs]
+        rows = [_constants(s, subs) for s, subs in zip(self.specs, self.subs)]
+        self.table = np.array(rows).reshape(len(rows), 18) if len(rows) > 1 else None
+        self.shared = rows[0] if len(rows) == 1 else [
+            v[0] if all(x == v[0] or (x != x and v[0] != v[0]) for x in v) else None
+            for v in zip(*rows)]
+        # per end (column of the end, column of its exponent): which specs'
+        # g hold its power, whether all do, and whether any does
+        self.enters = {}
+        for c, e in _END_EXPONENTS:
+            flags = [math.isfinite(row[c]) and row[e] != 0.0 for row in rows]
+            every, some = all(flags), any(flags)
+            self.enters[c] = (np.array(flags) if some and not every else None, every, some)
+        self.errors: list[Optional[Exception]] = [None] * len(self.specs)
+        self.shift = [0.0] * len(self.specs)  # ln of each spec's scanned peak, once known
+
+    def entering(self, c: int, owner: Optional[np.ndarray], r=_ALL):
+        """The rows (of rows r) whose end in column c is finite with a
+        nonzero exponent: None, every one (_ALL) or a row mask."""
+        flags, every, some = self.enters[c]
+        if every:
+            return _ALL
+        if not some:
+            return None
+        act = flags[owner[r]]
+        return _ALL if act.all() else act if act.any() else None
+
+
+def _blocks(specs: _Specs, panels: list[_Panel]
+            ) -> tuple[Optional[np.ndarray], list[tuple[int, slice]]]:
+    """The owner of each row (None for a lone spec), and (owner, rows) of
+    each spec's block."""
+    if len(specs.specs) == 1:
+        return None, [(0, _ALL)]
+    owner = np.array([p.owner for p in panels], dtype=int)
+    if not panels:
+        return owner, []
+    cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), len(panels)]
+    return owner, [(int(owner[i]), slice(i, j)) for i, j in zip(cuts, cuts[1:])]
+
+
+def _pick(v, r):
+    """Rows r of v, a float or a column."""
+    return v if isinstance(v, float) or r is _ALL else v[r]
+
+
+def _ln0_times(e):
+    """e ln 0 for e != 0, a float or a column."""
+    if isinstance(e, float):
+        return -math.inf if e > 0 else math.inf
+    return np.copysign(math.inf, -e)
+
+
+def _scaled(j, v: np.ndarray) -> Optional[np.ndarray]:
+    """j v, 0 where j = 0, for j a float or a column; None for j = 0.0."""
+    if isinstance(j, float):
+        return j * v if j else None
+    return np.where(j != 0.0, j * v, 0.0)
+
+
+def _log_distances(c, xs: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """:func:`special.log_distance` with the end c, a float or a column of
+    one end per row, one call per distinct end."""
+    if isinstance(c, float):
+        return log_distance(c, xs, dist)
+    c = c.ravel()
+    ends = np.unique(c).tolist()
+    if len(ends) == 1:
+        return log_distance(ends[0], xs, dist)
+    out = np.empty_like(dist)
+    for end in ends:
+        r = c == end
+        out[r] = log_distance(end, xs[r], dist[r])
+    return out
+
+
+def _logf_rows(specs: _Specs, panels: list[_Panel], us: np.ndarray, sizes: bool = False,
+               layout=None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(g, x, core, ends, size) at the points us[i] of panels[i], with one
-    call of the core over the whole batch: g is the log-integrand in the
+    call of each spec's core over its rows: g is the log-integrand in the
     panels' own coordinates, core = g_core(x), ends the endpoint powers
     e_left ln(x - a) + e_right ln(b - x), a substituted end's log taken
     from t, and size, if asked for, the sum of the magnitudes of the terms
-    of g, each rounded at its own scale."""
-    xs = us.copy()
+    of g, each rounded at its own scale.  Everything but the core is
+    computed for all rows at once, each row with its spec's constants, and
+    elementwise, so a row's values do not depend on the other rows.  A
+    spec whose core raises is marked failed, and its rows, like those of
+    specs that failed before, hold NaN.  ``layout`` is the batch's
+    :func:`_blocks`, where the caller has it."""
+    owner, blocks = layout or _blocks(specs, panels)
+    const = None if owner is None else specs.table[owner]
+
+    def col(j: int, r=_ALL):
+        """Constant j of the rows r, a float where every spec shares it."""
+        v = specs.shared[j]
+        return v if v is not None else const[r, j, None]
+
     sides = np.array([p.side for p in panels])
-    rows = []  # (side, substitution, row mask, ln t) per substituted side
+    xs = us.copy()
+    rows = []  # (side, row mask, ln t) per substituted side
     for side in (_LEFT, _RIGHT):
         r = sides == side
         if r.any():
-            sub, t = _substituted(spec, side), us[r]
+            t, end = us[r], col(_SUB[side] + _END, r)
             lt = np.log(t)
-            xs[r] = np.where(t > 0.0, sub.end + side * np.exp(sub.p * lt), sub.end)
-            rows.append((side, sub, r, lt))
-    core = spec.g_core_many(xs.ravel()).reshape(xs.shape)
+            xs[r] = np.where(t > 0.0, end + side * np.exp(col(_SUB[side] + _P, r) * lt), end)
+            rows.append((side, r, lt))
+    core = np.full_like(xs, math.nan) if len(blocks) > 1 else None
+    for k, block in blocks:
+        if specs.errors[k] is None:
+            x = xs if block is _ALL else xs[block]
+            try:
+                vals = specs.specs[k].g_core_many(x.ravel()).reshape(x.shape)
+            except (DomainError, NumericalFailure) as exc:
+                specs.errors[k] = exc
+                vals = np.full_like(x, math.nan)
+            if core is None:
+                core = vals
+            else:
+                core[block] = vals
+    if core is None:  # the lone spec had failed before
+        core = np.full_like(xs, math.nan)
     ends = np.zeros_like(xs)
     size = np.abs(core) if sizes else None
-    for end, e, dist in ((spec.b, spec.e_right, spec.b - xs), (spec.a, spec.e_left, xs - spec.a)):
-        if math.isfinite(end) and e != 0.0:
-            term = e * log_distance(end, xs, dist)
-            ends = np.where(dist > 0.0, ends + term, -math.inf if e > 0 else math.inf)
+    for c_col, e_col, right in ((_B, _E_RIGHT, True), (_A, _E_LEFT, False)):
+        r = specs.entering(c_col, owner)
+        if r is None:
+            continue
+        c, e = col(c_col, r), col(e_col, r)
+        x = xs if r is _ALL else xs[r]
+        dist = c - x if right else x - c
+        term = e * _log_distances(c, x, dist)
+        dead = _ln0_times(e)  # at a point on or beyond the end
+        if r is _ALL:
+            ends = np.where(dist > 0.0, ends + term, dead)
             if sizes:
                 size += np.abs(term)
+        else:
+            ends[r] = np.where(dist > 0.0, ends[r] + term, dead)
+            if sizes:
+                size[r] += np.abs(term)
     g = core + ends
-    for side, sub, r, lt in rows:
+    for side, r, lt in rows:
+        base = _SUB[side]
         # the substituted end's e ln|x - c|, with dx = p t^(p-1) dt, is ln p + j ln t
-        g[r] = core[r] + math.log(sub.p)
-        if sub.j:
-            g[r] += sub.j * lt
+        gr = core[r] + col(base + _LOG_P, r)
+        j = col(base + _J, r)
+        j_lt = _scaled(j, lt)
+        if j_lt is not None:
+            gr += j_lt
         other = 0.0
-        if math.isfinite(sub.other) and sub.e_other != 0.0:
-            other = sub.e_other * log_distance(sub.other, xs[r], side * (sub.other - xs[r]))
-            g[r] += other
-        ends[r] = sub.e * sub.p * lt + other
+        o = specs.entering(base + _OTHER, owner, r)
+        if o is not None:
+            c, e = _pick(col(base + _OTHER, r), o), _pick(col(base + _E_OTHER, r), o)
+            x = xs[r][o]
+            term = e * _log_distances(c, x, side * (c - x))
+            if o is _ALL:
+                other = term
+            else:
+                other = np.zeros_like(lt)
+                other[o] = term
+            gr += other
+        g[r] = gr
+        ends[r] = col(base + _EP, r) * lt + other
         if sizes:
-            size[r] = np.abs(core[r]) + np.abs(other) + (sub.j * np.abs(lt) if sub.j else 0.0)
+            j_abs = _scaled(j, np.abs(lt))
+            size[r] = np.abs(core[r]) + np.abs(other) + (0.0 if j_abs is None else j_abs)
     return g, xs, core, ends, size
 
 
@@ -311,23 +493,27 @@ def _walk(start: float, direction: int):
         step *= 1.35
 
 
-def _tail_cuts(spec: LogIntegrand, walks: list[tuple[float, int]]
-               ) -> tuple[list[float], list[float]]:
-    """For each walk (start, direction), the first point where g lies
-    _TAIL_CUTOFF + 30 nats below the best value met so far, from the third
-    step on; and the points of all walks short of their cuts.  The walks
-    still going are evaluated together, one row each, in batches of
-    _TAIL_BLOCK points."""
-    points = [_walk(start, direction) for start, direction in walks]
+def _tail_cuts(specs: _Specs, walks: list[tuple[int, float, int]]
+               ) -> tuple[list[Optional[float]], list[list[float]]]:
+    """For each walk (owner, start, direction), the first point where g
+    lies _TAIL_CUTOFF + 30 nats below the best value met so far, from the
+    third step on; and per spec the points of its walks short of their
+    cuts.  The walks still going are evaluated together, one row each, in
+    batches of _TAIL_BLOCK points.  A spec whose walk finds no decay fails."""
+    points = [_walk(start, direction) for _, start, direction in walks]
+    plain = [_Panel(-math.inf, math.inf, owner=k) for k, _, _ in walks]
     best, cuts = [-math.inf] * len(walks), [None] * len(walks)
-    walked = []
-    plain = _Panel(-math.inf, math.inf)
+    walked = [[] for _ in specs.specs]
     k0 = -1  # k counts steps; the start is step -1
-    while live := [i for i, cut in enumerate(cuts) if cut is None]:
+    while live := [i for i, (k, _, _) in enumerate(walks)
+                   if cuts[i] is None and specs.errors[k] is None]:
         blocks = [list(itertools.islice(points[i], _TAIL_BLOCK)) for i in live]
         if not blocks[0]:  # every walk has the same length
-            raise NumericalFailure(f"tail walk found no decay within {_TAIL_STEPS} steps")
-        gs = _logf_rows(spec, [plain] * len(live), np.array(blocks))[0]
+            for i in live:
+                specs.errors[walks[i][0]] = NumericalFailure(
+                    f"tail walk found no decay within {_TAIL_STEPS} steps")
+            break
+        gs = _logf_rows(specs, [plain[i] for i in live], np.array(blocks))[0]
         for i, block, row in zip(live, blocks, gs.tolist()):
             for k, (x, gv) in enumerate(zip(block, row), k0):
                 if k < 0:
@@ -337,7 +523,7 @@ def _tail_cuts(spec: LogIntegrand, walks: list[tuple[float, int]]
                 elif k >= 2 and gv < best[i] - (_TAIL_CUTOFF + 30.0):
                     cuts[i] = x
                     break
-                walked.append(x)
+                walked[walks[i][0]].append(x)
         k0 += _TAIL_BLOCK
     return cuts, walked
 
@@ -348,7 +534,7 @@ _SCAN_COS = np.array([math.cos(math.pi * (j + 0.5) / _SCAN_POINTS)
 _REFINE_J = np.arange(1.0, _REFINE_POINTS)
 
 
-def _scan_panels(spec: LogIntegrand, panels: list[_Panel]):
+def _scan_panels(specs: _Specs, panels: list[_Panel]):
     """Chebyshev scan of every panel, then zoom rounds around the sampled
     argmax of each panel whose peak the scan leaves unresolved; one batch
     per phase.  Returns (xs, gs, gmax, xmax) per panel row, xmax the point
@@ -357,7 +543,7 @@ def _scan_panels(spec: LogIntegrand, panels: list[_Panel]):
     hi = np.array([p.hi for p in panels])
     rows = np.arange(len(panels))
     xs = 0.5 * (lo + hi)[:, None] + (0.5 * (hi - lo))[:, None] * _SCAN_COS
-    gs = _logf_rows(spec, panels, xs)[0]
+    gs = _logf_rows(specs, panels, xs)[0]
     best = gs.argmax(axis=1)
     gmax, xmax = gs[rows, best], xs[rows, best]
     # a concave peak whose neighbours at spacing h lie within _RESOLVED
@@ -374,7 +560,7 @@ def _scan_panels(spec: LogIntegrand, panels: list[_Panel]):
             a = np.maximum(lo, xz - win)
             b = np.minimum(hi, xz + win)
             zs = a[:, None] + (b - a)[:, None] * _REFINE_J / _REFINE_POINTS
-            gz = _logf_rows(spec, sub, zs)[0]
+            gz = _logf_rows(specs, sub, zs)[0]
             best = gz.argmax(axis=1)
             better = gz[zrows, best] > gz_max
             gz_max = np.where(better, gz[zrows, best], gz_max)
@@ -418,7 +604,14 @@ def bisect_brackets(above_many: Callable[[np.ndarray], np.ndarray], outer,
     return 0.5 * (outer + inner)
 
 
-def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndarray,
+def _going(specs: _Specs, owners: list[int], wide: set):
+    """The edges (of owners) of the live specs in ``wide``: every edge
+    (_ALL), their indices, or None."""
+    keep = [specs.errors[k] is None and k in wide for k in owners]
+    return _ALL if all(keep) else np.flatnonzero(keep) if any(keep) else None
+
+
+def _split_on_live_windows(specs: _Specs, panels: list[_Panel], xs: np.ndarray,
                            gs: np.ndarray, gmax: np.ndarray, xmax: np.ndarray) -> list[_Panel]:
     """Cut each panel whose live window (where g is within _TAIL_CUTOFF of the
     panel's peak) spans at most a quarter of it into the window and the two
@@ -427,12 +620,12 @@ def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndar
     only a zoom reached the peak, and the window grows from its point xmax
     between the two scanned neighbours; kept whole, such a panel can hide
     the peak between its Gauss-Kronrod nodes, whose flanks alone then seem
-    to converge.  The edges of all others are
-    bisected together in rounds of :func:`_bisect_round` until every
-    bracket is narrower than _EDGE_PRECISION times its panel's live span
-    seen so far, or for at most _BISECT_ROUNDS rounds.  That span runs
-    between the two inner ends of a two-sided window, and from the inner
-    end to the far panel end of a one-sided one.  Both dead flanks are
+    to converge.  The edges of all others, of every spec, are bisected
+    together in rounds of :func:`_bisect_round`, a spec's edges until each
+    of its brackets is narrower than _EDGE_PRECISION times its panel's
+    live span seen so far, or for at most _BISECT_ROUNDS rounds.  That span
+    runs between the two inner ends of a two-sided window, and from the
+    inner end to the far panel end of a one-sided one.  Both dead flanks are
     integrated too, so only the window's width needs this precision, not
     where it is cut; the outer end of each bracket is taken, so the window
     only widens."""
@@ -458,20 +651,26 @@ def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndar
             edges.append((i, 1, xs[i, hi_i + 1], right, level, p.lo))
     if edges:
         rows, sides, outer, inner, level, far = map(np.array, zip(*edges))
-        sub, level = [panels[i] for i in rows], level[:, None]
+        owners = [panels[i].owner for i in rows]
+        owner = np.array(owners)
         own = np.arange(len(rows))
         pair = own.copy()  # the other edge of a two-sided window, else the edge itself
         both = np.flatnonzero(rows[1:] == rows[:-1])
         pair[both], pair[both + 1] = both + 1, both
-
-        def above(us):
-            return _logf_rows(spec, sub, us)[0] >= level
-
+        going = _going(specs, owners, set(owners))  # the edges of the specs still bisecting
         for _ in range(_BISECT_ROUNDS):
-            outer, inner = _bisect_round(above, outer, inner)
-            span = np.abs(np.where(pair == own, far, inner[pair]) - inner)
-            if (np.abs(outer - inner) < _EDGE_PRECISION * span).all():
+            if going is None:
                 break
+            sub, lv = [panels[i] for i in rows[going]], level[going, None]
+            o, i = _bisect_round(lambda us: _logf_rows(specs, sub, us)[0] >= lv,
+                                 outer[going], inner[going])
+            if going is _ALL:
+                outer, inner = o, i
+            else:
+                outer[going], inner[going] = o, i
+            span = np.abs(np.where(pair == own, far, inner[pair]) - inner)
+            narrow = np.abs(outer - inner) < _EDGE_PRECISION * span
+            going = None if narrow.all() else _going(specs, owners, set(owner[~narrow].tolist()))
         for i, side, x in zip(rows, sides, outer.tolist()):
             wins[i][side] = x
     out = []
@@ -482,157 +681,156 @@ def _split_on_live_windows(spec: LogIntegrand, panels: list[_Panel], xs: np.ndar
         left, right = win
         for u, v in ((p.lo, left), (left, right), (right, p.hi)):
             if v > u:
-                sub = _Panel(u, v, p.side)
+                sub = _Panel(u, v, p.side, p.owner)
                 sub.peak = p.peak if (u, v) == (left, right) else p.peak - _TAIL_CUTOFF
                 out.append(sub)
     return out
 
 
-def _gk_rows(spec: LogIntegrand, panels: list[_Panel], a: list[float], b: list[float],
-             shift: float, sizes: bool = False
-             ) -> tuple[list[float], list[float], list[float], Optional[float]]:
+def _owners(owner: Optional[np.ndarray], flags: np.ndarray) -> set:
+    """The specs that own a row with a flagged node."""
+    if owner is None:
+        return {0} if flags.any() else set()
+    rows = flags.any(axis=1)
+    return set(owner[rows].tolist()) if rows.any() else set()
+
+
+def _gk_rows(specs: _Specs, panels: list[_Panel], a: list[float], b: list[float],
+             sizes: bool = False) -> tuple[list[float], list[float], list[float], dict]:
     """10-21 Gauss-Kronrod rule over (a[i], b[i]) of panels[i], one batch for
-    all rows; returns the Kronrod estimates, their error estimates
-    |K21 - G10| h and the Kronrod estimates of int |f|, and, if asked for,
-    the Kronrod estimate of int |f| size over all rows (see
-    :func:`_logf_rows`; size here also holds each node's |u dg/du|)."""
+    all rows, each spec's integrand shifted by its ``specs.shift``; returns
+    the Kronrod estimates, their error estimates |K21 - G10| h and the
+    Kronrod estimates of int |f|, and, if asked for, each spec's Kronrod
+    estimate of int |f| size over its rows (see :func:`_logf_rows`; size
+    here also holds each node's |u dg/du|).  The sums over the nodes are
+    taken one spec at a time, so that each spec's sums are those of its
+    rows alone; a spec whose integrand exceeds the clamp or is NaN fails."""
     a, b = np.array(a), np.array(b)
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     us = c[:, None] + h[:, None] * _XK
-    g, xs, core, ends, size = _logf_rows(spec, panels, us, sizes)
+    owner, blocks = layout = _blocks(specs, panels)
+    g, xs, core, ends, size = _logf_rows(specs, panels, us, sizes, layout)
     if sizes:  # the node's own rounding, |u dg/du|, by differences along each row
         slope = (g[:, _NEXT] - g[:, _PREV]) / (us[:, _NEXT] - us[:, _PREV])
         size = size + np.where(np.isfinite(slope), np.abs(us * slope), 0.0)
-    if (g - shift > _EXP_CLAMP).any():
-        raise NumericalFailure("integrand exceeds shifted clamp; peak scan missed the maximum")
-    w = np.where(g > -math.inf, np.exp(g - shift), 0.0)
-    if spec.phi_many is not None:
-        live = w != 0.0
-        w[live] *= spec.phi_many(xs[live], core[live], ends[live])
-    if np.isnan(w).any():
-        raise NumericalFailure(f"integrand evaluated to NaN at x={us[np.isnan(w)][0]}")
-    fk = w @ _WK
-    fg = w[:, 1::2] @ _WG
+    g = g - (specs.shift[0] if owner is None else np.array(specs.shift)[owner, None])
+    over = _owners(owner, g > _EXP_CLAMP)
+    w = np.where(g > -math.inf, np.exp(g), 0.0)
+    for k, r in blocks:
+        phi = specs.specs[k].phi_many
+        if phi is not None and specs.errors[k] is None and k not in over:
+            live = w[r] != 0.0
+            try:
+                w[r][live] *= phi(xs[r][live], core[r][live], ends[r][live])
+            except (DomainError, NumericalFailure) as exc:
+                specs.errors[k] = exc
+    nan = _owners(owner, np.isnan(w))
+    fk, fg, fa = [], [], []  # per block
+    size_sums = {}
+    for k, r in blocks:
+        wk = w[r]
+        fk.append(wk @ _WK)
+        fg.append(wk[:, 1::2] @ _WG)
+        # without phi, f >= 0
+        fa.append(fk[-1] if specs.specs[k].phi_many is None else np.abs(wk) @ _WK)
+        if specs.errors[k] is not None:
+            continue
+        if k in over:
+            specs.errors[k] = NumericalFailure(
+                "integrand exceeds shifted clamp; peak scan missed the maximum")
+        elif k in nan:
+            specs.errors[k] = NumericalFailure(
+                f"integrand evaluated to NaN at x={us[r][np.isnan(wk)][0]}")
+        elif sizes:
+            size_sums[k] = float(h[r] @ (np.where(wk != 0.0, np.abs(wk) * size[r], 0.0) @ _WK))
+    fk, fg = (v[0] if len(v) == 1 else np.concatenate(v) for v in (fk, fg))
     i_k = (h * fk).tolist()
-    a_k = i_k if spec.phi_many is None else (h * (np.abs(w) @ _WK)).tolist()  # without phi, f >= 0
-    size_sum = float(h @ (np.where(w != 0.0, np.abs(w) * size, 0.0) @ _WK)) if sizes else None
-    return i_k, np.abs(h * (fk - fg)).tolist(), a_k, size_sum
+    a_k = i_k if fa[0] is fk else (h * (fa[0] if len(fa) == 1 else np.concatenate(fa))).tolist()
+    return i_k, np.abs(h * (fk - fg)).tolist(), a_k, size_sums
 
 
-def log_integral(spec: LogIntegrand, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogQuadResult:
-    """int exp(g) phi over the spec's domain (see the module docstring).
+class _Sum:
+    """One spec's running Gauss-Kronrod sum: its error-ordered heap of
+    intervals, the totals of I, E and int |f|, its tolerance and its count
+    of integrand evaluations."""
 
-    Refines in rounds: each round halves, in one batch, the largest-error
-    intervals whose errors together stand between the running total and
-    the tolerance.  Refinement stops at the acceptance rule of the module
-    docstring, or stalls (raising QuadratureFailure with ``.best``) at an
-    interval of depth _MAX_DEPTH or at _MAX_INTERVALS intervals."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _log_integral(spec, cfg)
+    def __init__(self, shift: float, rel_tol: float):
+        self.shift = shift
+        self.rel_tol = rel_tol
+        self.g_err = 0.0
+        self.heap = []
+        self.tick = 0
+        self.total_i = self.total_err = self.total_abs = 0.0
+        self.neval = 0
+        self.stalled = False
 
-
-def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
-    lo, hi = spec.a, spec.b
-    bps = sorted(x for x in spec.breakpoints if spec.a < x < spec.b)
-    # direction: start of the tail walk, the outermost of 0 and the breakpoints
-    walks = {d: start for d, end, start in ((-1, lo, min([0.0] + bps)), (1, hi, max([0.0] + bps)))
-             if not math.isfinite(end)}
-    cuts, walked = _tail_cuts(spec, [(start, d) for d, start in walks.items()])
-    cuts = dict(zip(walks, cuts))
-    lo, hi = cuts.get(-1, lo), cuts.get(+1, hi)
-
-    for e, name in ((spec.e_left, "left"), (spec.e_right, "right")):
-        if e <= -1.0:
-            raise DomainError(f"non-integrable {name} endpoint exponent {e}")
-
-    edges = [lo] + [x for x in bps if lo < x < hi] + [hi]
-    left, right = _substituted(spec, _LEFT), _substituted(spec, _RIGHT)
-    if len(edges) == 2 and left is not None and right is not None:
-        edges = [lo, 0.5 * (lo + hi), hi]
-
-    panels: list[_Panel] = []
-    for i in range(len(edges) - 1):
-        u, v = edges[i], edges[i + 1]
-        if not v > u:
-            continue
-        # t = |x - c|^(1/p), with 1/p = 1 + e exactly where j = 0
-        if i == 0 and left is not None and u == spec.a:
-            panels.append(_Panel(0.0, (v - u) ** ((1.0 + left.e) / (left.j + 1)), _LEFT))
-        elif i == len(edges) - 2 and right is not None and v == spec.b:
-            panels.append(_Panel(0.0, (v - u) ** ((1.0 + right.e) / (right.j + 1)), _RIGHT))
-        else:
-            panels.append(_Panel(u, v))
-
-    work = _split_on_live_windows(spec, panels, *_scan_panels(spec, panels))
-    shift = max(p.peak for p in work)
-
-    # the first pass cuts every plain panel at the tail walks' points inside it
-    walked.sort()
-    panels, los, his = [], [], []
-    for p in work:
-        cut = walked[bisect.bisect_right(walked, p.lo):bisect.bisect_left(walked, p.hi)]
-        ends = [p.lo] + (cut if p.side == _PLAIN else []) + [p.hi]
-        panels += [p] * (len(ends) - 1)
-        los += ends[:-1]
-        his += ends[1:]
-    heap = []
-    tick = 0
-    total_i = total_err = total_abs = 0.0
-    neval = _XK.size * len(panels)
-    i_rows, e_rows, a_rows, total_size = _gk_rows(spec, panels, los, his, shift, sizes=True)
-    for p, a, b, I, err, A in zip(panels, los, his, i_rows, e_rows, a_rows):
-        heapq.heappush(heap, (-err, tick, p, a, b, I, err, A, 0))
-        tick += 1
-        total_i += I
-        total_err += err
-        total_abs += A
-
-    # each term of g, and each node, is rounded at its own scale, so every
-    # node carries a relative error of a few eps times its size, which no
-    # refinement removes: at least |shift|, more where terms cancel
-    scale = max(abs(shift), total_size / total_abs if total_abs > 0.0 else 0.0)
-    g_err = _SHIFT_ROUNDING * scale if math.isfinite(scale) else 0.0
-    rel_tol = max(cfg.rel_tol, g_err)
-
-    def within_tol(err: float) -> bool:
-        return err <= max(rel_tol * abs(total_i), _ROUNDING_FLOOR * total_abs)
-
-    stalled = False
-    while not stalled and not within_tol(total_err):
-        # one round: pop, largest error first, the shortest prefix whose
-        # removal would meet the tolerance, then split all of it in one batch
-        split, narrow = [], []
-        remaining = total_err
-        while heap:
-            entry = heapq.heappop(heap)
-            _, _, p, a, b, I, err, A, depth = entry
-            if depth >= _MAX_DEPTH or len(heap) + len(narrow) + 2 * len(split) > _MAX_INTERVALS:
-                heapq.heappush(heap, entry)
-                stalled = True
-                break
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                narrow.append(entry)  # too narrow to split: its error is final
-                total_err -= err
-            else:
-                split.append(entry)
-            remaining -= err
-            if within_tol(remaining):
-                break
-        for _, _, p, a, b, I, _, A, depth in narrow:
-            heapq.heappush(heap, (0.0, tick, p, a, b, I, 0.0, A, depth))
+    def first_pass(self, rows: list[tuple]) -> None:
+        """Add the first-pass intervals, rows of (panel, a, b, I, err, A)."""
+        heap, tick = self.heap, self.tick
+        total_i, total_err, total_abs = self.total_i, self.total_err, self.total_abs
+        for p, a, b, I, err, A in rows:
+            heapq.heappush(heap, (-err, tick, p, a, b, I, err, A, 0))
             tick += 1
-        if not split:
-            continue
-        panels, los, his = [], [], []
-        for _, _, p, a, b, _, _, _, _ in split:
-            mid = 0.5 * (a + b)
-            panels += (p, p)
-            los += (a, mid)
-            his += (mid, b)
-        i_rows, e_rows, a_rows, _ = _gk_rows(spec, panels, los, his, shift)
-        neval += _XK.size * len(panels)
+            total_i += I
+            total_err += err
+            total_abs += A
+        self.tick, self.neval = tick, self.neval + _XK.size * len(rows)
+        self.total_i, self.total_err, self.total_abs = total_i, total_err, total_abs
+
+    def set_rounding(self, total_size: float) -> None:
+        # each term of g, and each node, is rounded at its own scale, so every
+        # node carries a relative error of a few eps times its size, which no
+        # refinement removes: at least |shift|, more where terms cancel
+        scale = max(abs(self.shift),
+                    total_size / self.total_abs if self.total_abs > 0.0 else 0.0)
+        self.g_err = _SHIFT_ROUNDING * scale if math.isfinite(scale) else 0.0
+        self.rel_tol = max(self.rel_tol, self.g_err)
+
+    def tolerance(self) -> float:
+        """The error the sum may carry: max(rel_tol |I|, 50 eps int |f|)."""
+        return max(self.rel_tol * abs(self.total_i), _ROUNDING_FLOOR * self.total_abs)
+
+    def next_split(self) -> list[tuple]:
+        """The heap entries of the next round to halve; none once the sum
+        meets its tolerance or stalls.
+
+        A round pops, largest error first, the shortest prefix whose
+        removal would meet the tolerance; an interval too narrow to split
+        keeps its estimate with its error counted final, and a round that
+        takes only such intervals is followed by the next."""
+        heap, tol = self.heap, self.tolerance()
+        while not self.stalled and not self.total_err <= tol:
+            split, narrow = [], []
+            remaining = self.total_err
+            while heap:
+                entry = heapq.heappop(heap)
+                _, _, p, a, b, I, err, A, depth = entry
+                if depth >= _MAX_DEPTH or len(heap) + len(narrow) + 2 * len(split) > _MAX_INTERVALS:
+                    heapq.heappush(heap, entry)
+                    self.stalled = True
+                    break
+                mid = 0.5 * (a + b)
+                if mid <= a or mid >= b:
+                    narrow.append(entry)
+                    self.total_err -= err
+                else:
+                    split.append(entry)
+                remaining -= err
+                if remaining <= tol:
+                    break
+            for _, _, p, a, b, I, _, A, depth in narrow:
+                heapq.heappush(heap, (0.0, self.tick, p, a, b, I, 0.0, A, depth))
+                self.tick += 1
+            if split:
+                return split
+        return []
+
+    def absorb(self, split: list[tuple], i_rows, e_rows, a_rows, los) -> None:
+        """Replace each split interval by its halves, whose rules are rows
+        2k and 2k + 1."""
+        heap, tick = self.heap, self.tick
+        total_i, total_err, total_abs = self.total_i, self.total_err, self.total_abs
         for k, (_, _, p, a, b, I, err, A, depth) in enumerate(split):
             j = 2 * k
             mid = los[j + 1]
@@ -643,22 +841,163 @@ def _log_integral(spec: LogIntegrand, cfg: QuadratureConfig) -> LogQuadResult:
             heapq.heappush(heap, (-e1, tick, p, a, mid, i1, e1, a1, depth + 1))
             heapq.heappush(heap, (-e2, tick + 1, p, mid, b, i2, e2, a2, depth + 1))
             tick += 2
+        self.tick, self.neval = tick, self.neval + _XK.size * 2 * len(split)
+        self.total_i, self.total_err, self.total_abs = total_i, total_err, total_abs
 
-    if total_i == 0.0:
-        sign, log_abs = 0, -math.inf
-        rel = math.inf if total_err > 0 else 0.0
-    else:
-        sign = 1 if total_i > 0 else -1
-        log_abs = math.log(abs(total_i)) + shift
-        rel = max(max(total_err, _ROUNDING_FLOOR * total_abs) / abs(total_i), g_err)
-    result = LogQuadResult(sign, log_abs, rel, neval)
-    if total_i == 0.0 and spec.phi_many is None and shift > -math.inf:
-        # exp(g) > 0 at the scanned peak, so a zero sum means every node missed it
-        raise QuadratureFailure(
-            "a positive integrand summed to zero: every Gauss-Kronrod node underflowed "
-            "below the scanned peak", best=result)
-    if not within_tol(total_err):
-        raise QuadratureFailure(
-            f"quadrature stalled at relative error {rel:.3e} (target {rel_tol:.1e})",
-            best=result)
-    return result
+    def result(self, positive: bool):
+        """The LogQuadResult, or the QuadratureFailure that carries it."""
+        total_i, total_err = self.total_i, self.total_err
+        if total_i == 0.0:
+            sign, log_abs = 0, -math.inf
+            rel = math.inf if total_err > 0 else 0.0
+        else:
+            sign = 1 if total_i > 0 else -1
+            log_abs = math.log(abs(total_i)) + self.shift
+            rel = max(max(total_err, _ROUNDING_FLOOR * self.total_abs) / abs(total_i), self.g_err)
+        result = LogQuadResult(sign, log_abs, rel, self.neval)
+        if total_i == 0.0 and positive and self.shift > -math.inf:
+            # exp(g) > 0 at the scanned peak, so a zero sum means every node missed it
+            return QuadratureFailure(
+                "a positive integrand summed to zero: every Gauss-Kronrod node underflowed "
+                "below the scanned peak", best=result)
+        if not total_err <= self.tolerance():
+            return QuadratureFailure(
+                f"quadrature stalled at relative error {rel:.3e} (target {self.rel_tol:.1e})",
+                best=result)
+        return result
+
+
+def raise_first(results: list) -> list:
+    """The results of :func:`log_integrals` (or of a batched caller), after
+    raising the first that is an error."""
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return results
+
+
+def log_integral(spec: LogIntegrand, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogQuadResult:
+    """int exp(g) phi over the spec's domain (see the module docstring);
+    :func:`log_integrals` of the one spec."""
+    return raise_first(log_integrals([spec], cfg))[0]
+
+
+def log_integrals(specs: list[LogIntegrand], cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """int exp(g) phi over each spec's domain, all specs in lockstep (see
+    the module docstring): each entry is the spec's LogQuadResult, or the
+    DomainError or NumericalFailure (QuadratureFailure with ``.best``
+    where refinement stalled) that ended it.
+
+    Refines in rounds: each round halves, in one batch, the largest-error
+    intervals whose errors together stand between the running total and
+    the tolerance.  Refinement stops at the acceptance rule of the module
+    docstring, or stalls at an interval of depth _MAX_DEPTH or at
+    _MAX_INTERVALS intervals."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _log_integrals(_Specs(specs), cfg)
+
+
+def _spec_panels(specs: _Specs, k: int, lo: float, hi: float, bps: list[float]
+                 ) -> list[_Panel]:
+    """Spec k's panels between its (cut) ends lo and hi, split at its
+    breakpoints, a substituted end panel in t."""
+    spec = specs.specs[k]
+    for e, name in ((spec.e_left, "left"), (spec.e_right, "right")):
+        if e <= -1.0:
+            raise DomainError(f"non-integrable {name} endpoint exponent {e}")
+    edges = [lo] + [x for x in bps if lo < x < hi] + [hi]
+    left, right = specs.subs[k]
+    if len(edges) == 2 and left is not None and right is not None:
+        edges = [lo, 0.5 * (lo + hi), hi]
+    panels = []
+    for i in range(len(edges) - 1):
+        u, v = edges[i], edges[i + 1]
+        if not v > u:
+            continue
+        # t = |x - c|^(1/p), with 1/p = 1 + e exactly where j = 0
+        if i == 0 and left is not None and u == spec.a:
+            panels.append(_Panel(0.0, (v - u) ** ((1.0 + left.e) / (left.j + 1)), _LEFT, k))
+        elif i == len(edges) - 2 and right is not None and v == spec.b:
+            panels.append(_Panel(0.0, (v - u) ** ((1.0 + right.e) / (right.j + 1)), _RIGHT, k))
+        else:
+            panels.append(_Panel(u, v, _PLAIN, k))
+    if not panels:
+        raise DomainError(f"empty domain ({lo}, {hi})")
+    return panels
+
+
+def _log_integrals(specs: _Specs, cfg: QuadratureConfig) -> list:
+    bps, walks = [], []
+    for k, spec in enumerate(specs.specs):
+        bps.append(sorted(x for x in spec.breakpoints if spec.a < x < spec.b))
+        # direction: start of the tail walk, the outermost of 0 and the breakpoints
+        for d, end, start in ((-1, spec.a, min([0.0] + bps[k])), (1, spec.b, max([0.0] + bps[k]))):
+            if not math.isfinite(end):
+                walks.append((k, start, d))
+    cuts, walked = _tail_cuts(specs, walks)
+    ends = [[spec.a, spec.b] for spec in specs.specs]
+    for (k, _, d), cut in zip(walks, cuts):
+        if cut is not None:
+            ends[k][d > 0] = cut
+
+    panels = []
+    for k in range(len(specs.specs)):
+        if specs.errors[k] is None:
+            try:
+                panels += _spec_panels(specs, k, *ends[k], bps[k])
+            except DomainError as exc:
+                specs.errors[k] = exc
+    work = _split_on_live_windows(specs, panels, *_scan_panels(specs, panels)) if panels else []
+    work = [p for p in work if specs.errors[p.owner] is None]
+    peaks = {}
+    for p in work:
+        peaks.setdefault(p.owner, []).append(p.peak)
+    sums = {}
+    for k, spec_peaks in peaks.items():
+        specs.shift[k] = shift = max(spec_peaks)
+        sums[k] = _Sum(shift, cfg.rel_tol)
+
+    # the first pass cuts every plain panel at the tail walks' points inside it
+    for steps in walked:
+        steps.sort()
+    panels, los, his = [], [], []
+    for p in work:
+        steps = walked[p.owner]
+        cut = steps[bisect.bisect_right(steps, p.lo):bisect.bisect_left(steps, p.hi)]
+        edges = [p.lo] + (cut if p.side == _PLAIN else []) + [p.hi]
+        panels += [p] * (len(edges) - 1)
+        los += edges[:-1]
+        his += edges[1:]
+    if panels:
+        i_rows, e_rows, a_rows, total_size = _gk_rows(specs, panels, los, his, sizes=True)
+        rows = zip(panels, los, his, i_rows, e_rows, a_rows)
+        for k, spec_rows in itertools.groupby(rows, key=lambda row: row[0].owner):
+            sums[k].first_pass(list(spec_rows))
+        for k, total in total_size.items():
+            sums[k].set_rounding(total)
+
+    going = [k for k in sums if specs.errors[k] is None]
+    while going:
+        splits = [(k, sums[k].next_split()) for k in going]
+        splits = [(k, split) for k, split in splits if split]
+        panels, los, his = [], [], []
+        for _, split in splits:
+            for _, _, p, a, b, _, _, _, _ in split:
+                mid = 0.5 * (a + b)
+                panels += (p, p)
+                los += (a, mid)
+                his += (mid, b)
+        if not panels:
+            break
+        i_rows, e_rows, a_rows, _ = _gk_rows(specs, panels, los, his)
+        start = 0
+        for k, split in splits:
+            stop = start + 2 * len(split)
+            if specs.errors[k] is None:
+                sums[k].absorb(split, i_rows[start:stop], e_rows[start:stop],
+                               a_rows[start:stop], los[start:stop])
+            start = stop
+        going = [k for k, _ in splits if specs.errors[k] is None]
+
+    return [specs.errors[k] or sums[k].result(spec.phi_many is None)
+            for k, spec in enumerate(specs.specs)]

@@ -169,13 +169,15 @@ def test_compute_and_sweep_reject_alike(flags, op, q, engine, capsys):
 
 
 @pytest.mark.parametrize("target, op, engine", [
-    ("hopnorms.cli.weighted_norm_quad", "weighted-norm", "quadrature"),
+    ("hopnorms.cli.norm_quads", "weighted-norm", "quadrature"),
     ("hopnorms.cli.unweighted_norm_bell", "unweighted-norm", "bell"),
     ("hopnorms.paramasym.jacobi_weighted_param", "weighted-norm", "asymptotic-parameter"),
 ])
 def test_engine_table_resolves_names_when_called(target, op, engine, monkeypatch, capsys):
     # a wrapper installed after import (as the benchmark's tracer installs
-    # its spans) must see the calls of compute and of sweep alike
+    # its spans) must see the calls of compute and of sweep alike; the
+    # quadrature engine integrates both rows of the sweep in one call
+    sweep_calls = 1 if engine == "quadrature" else 2
     module, _, name = target.rpartition(".")
     orig = getattr(importlib.import_module(module), name)
     calls = []
@@ -185,7 +187,7 @@ def test_engine_table_resolves_names_when_called(target, op, engine, monkeypatch
     assert run_cli(["compute", *base, "--q", "2"], capsys)[0] == 0
     assert len(calls) == 1
     assert run_cli(["sweep", *base, "--grid", "q=2,4"], capsys)[0] == 0
-    assert len(calls) == 3
+    assert len(calls) == 1 + sweep_calls
 
 
 def test_readme_cli_examples_run(capsys):
@@ -339,3 +341,25 @@ def test_import_leaves_scipy_optimize_unloaded():
                           "print('scipy.optimize' in sys.modules)"], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("engine, alpha", [
+    ("quadrature", "1"),  # exited 3: tail walk found no decay
+    ("asymptotic-q", "1"),  # exited 3: a NaN log_value
+    ("asymptotic-parameter", "50"),
+])
+def test_infinite_q_is_a_usage_error(engine, alpha, capsys):
+    base = ["--family", "laguerre", "--alpha", alpha, "--n", "2", "--op", "weighted-norm",
+            "--engine", engine]
+    sweep = run_cli(["sweep", *base, "--grid", "q=1,inf"], capsys)
+    compute = run_cli(["compute", *base, "--q", "inf"], capsys)
+    for rc, out, err in (sweep, compute):
+        assert rc == 2 and out == "" and "q must be finite" in err
+
+
+def test_package_runs_as_a_module():
+    res = subprocess.run([sys.executable, "-m", "hopnorms", "sweep", "--family", "hermite",
+                          "--n", "1", "--op", "weighted-norm", "--grid", "q=2,3",
+                          "--engine", "quadrature"], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout.strip().splitlines()) == 3  # the header and two rows

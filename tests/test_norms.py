@@ -4,12 +4,15 @@ import mpmath
 import numpy as np
 import pytest
 
+from hopnorms import paramasym
 from hopnorms.errors import DomainError
 from hopnorms.families import (eval_log_many, gegenbauer, gegenbauer_jacobi_factor_log,
                                hermite, jacobi, laguerre, norm_constant_log,
                                polynomial_zeros, weight_log_many)
 from hopnorms.norms import (density_integral, unweighted_norm_quad, weight_moment,
                             weight_moment_log, weighted_norm_quad)
+from hopnorms.laplace import unweighted_norm_q_asym, weighted_norm_q_asym
+from hopnorms.measures import DensityHandle, fisher_renyi, lmc_renyi, renyi_entropy, renyi_length
 from hopnorms.quadrature import LogIntegrand, QuadratureConfig, log_integral
 from hopnorms.special import log_gamma
 
@@ -260,3 +263,28 @@ def test_normalized_error_covers_norm_constant_rounding(lam, q):
                 - q_ * mpmath.log(mpmath.beta(0.5, lam_ + 0.5)))
     r = weighted_norm_quad(gegenbauer(lam), 0, q, normalized=True)
     assert abs(r.log_value - float(want)) <= r.error_estimate < 1e-6
+
+
+_INFINITE_Q = {
+    "weighted_norm_quad": lambda: weighted_norm_quad(jacobi(1.0, 1.0), 2, math.inf),  # read -inf
+    "unweighted_norm_quad": lambda: unweighted_norm_quad(jacobi(1.0, 1.0), 2, math.inf),
+    "weighted_norm_q_asym": lambda: weighted_norm_q_asym(jacobi(1.0, 1.0), 2, math.inf),  # NaN
+    "unweighted_norm_q_asym": lambda: unweighted_norm_q_asym(jacobi(1.0, 1.0), 2, math.inf),
+    "renyi_entropy": lambda: renyi_entropy(DensityHandle(hermite(), 2), math.inf),
+    "renyi_length": lambda: renyi_length(DensityHandle(hermite(), 2), math.inf),
+    "lmc_renyi": lambda: lmc_renyi(DensityHandle(hermite(), 2), 2.0, math.inf),
+    "fisher_renyi": lambda: fisher_renyi(DensityHandle(hermite(), 2), math.inf),
+    "laguerre_weighted_param": lambda: paramasym.laguerre_weighted_param(2, 50.0, math.inf),
+    "laguerre_unweighted_param": lambda: paramasym.laguerre_unweighted_param(2, 50.0, math.inf),
+    "jacobi_weighted_param": lambda: paramasym.jacobi_weighted_param(2, 50.0, 1.0, math.inf),
+    "jacobi_unweighted_param": lambda: paramasym.jacobi_unweighted_param(2, 50.0, 1.0, math.inf),
+    "gegenbauer_weighted_param": lambda: paramasym.gegenbauer_weighted_param(2, 50.0, math.inf),
+    "gegenbauer_unweighted_param":
+        lambda: paramasym.gegenbauer_unweighted_param(2, 50.0, math.inf),
+}
+
+
+@pytest.mark.parametrize("call", _INFINITE_Q.values(), ids=_INFINITE_Q.keys())
+def test_infinite_q_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="q must be finite"):
+        call()

@@ -11,7 +11,7 @@ from hopnorms.families import gegenbauer, hermite, jacobi, laguerre
 from hopnorms import norms, quadrature
 from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
 from hopnorms.quadrature import (_LEFT, LogIntegrand, QuadratureConfig, QuadratureFailure,
-                                 _Panel, _logf_rows, _power, _scan_panels,
+                                 _Panel, _Specs, _logf_rows, _power, _scan_panels,
                                  _split_on_live_windows, bisect_brackets, log_integral)
 
 
@@ -163,7 +163,7 @@ def test_batched_edge_search_is_the_bisection():
     def bisect(panel, outer, inner, level):
         for _ in range(60):
             mid = 0.5 * (outer + inner)
-            if _logf_rows(spec, [panel], np.array([[mid]]))[0][0, 0] >= level:
+            if _logf_rows(_Specs([spec]), [panel], np.array([[mid]]))[0][0, 0] >= level:
                 inner = mid
             else:
                 outer = mid
@@ -172,7 +172,7 @@ def test_batched_edge_search_is_the_bisection():
     panels, outer, inner, level = zip(*edges)
     with np.errstate(divide="ignore"):
         found = bisect_brackets(
-            lambda us: _logf_rows(spec, list(panels), us)[0] >= np.array(level)[:, None],
+            lambda us: _logf_rows(_Specs([spec]), list(panels), us)[0] >= np.array(level)[:, None],
             np.array(outer), np.array(inner))
         want = [bisect(*e) for e in edges]
     assert found.tolist() == want
@@ -193,7 +193,7 @@ def test_coarse_edges_lie_just_outside_the_exact_edges(peaks):
         i = np.clip(np.floor(x), 0, len(peaks) - 1).astype(int)
         return h[i] - k[i] * (x - c[i]) ** 2
 
-    spec = LogIntegrand(a=0.0, b=float(len(peaks)), g_core_many=g)
+    spec = _Specs([LogIntegrand(a=0.0, b=float(len(peaks)), g_core_many=g)])
     panels = [_Panel(float(i), float(i + 1)) for i in range(len(peaks))]
     scan = _scan_panels(spec, panels)
     coarse = _split_on_live_windows(spec, panels, *scan)
@@ -358,10 +358,74 @@ def test_only_unresolved_peaks_are_zoomed():
         calls.append(x.size)
         return np.where(x < 1.0, -(x - 0.3) ** 2, -1e6 * (x - 1.6) ** 2)
 
-    spec = LogIntegrand(a=0.0, b=2.0, g_core_many=g)
+    spec = _Specs([LogIntegrand(a=0.0, b=2.0, g_core_many=g)])
     _, _, gmax, _ = _scan_panels(spec, [_Panel(0.0, 1.0)])
     assert len(calls) == 1 and gmax[0] > -1e-3
     calls.clear()
     _, _, gmax, _ = _scan_panels(spec, [_Panel(0.0, 1.0), _Panel(1.0, 2.0)])
     assert calls == [2 * 33] + [16] * 3  # the scan, then 16 zoom points a round
     assert gmax[1] > -0.1
+
+
+# -- lockstep -------------------------------------------------------------
+
+def _outcome(res):
+    """A spec's LogQuadResult, or the type and message of the error that ended it."""
+    return (type(res).__name__, str(res)) if isinstance(res, Exception) else tuple(res)
+
+
+_LOCKSTEP_FAMILIES = (hermite(), laguerre(0.5), laguerre(3.0), jacobi(2.0, 1.0),
+                      jacobi(0.5, 1.5), gegenbauer(0.75), gegenbauer(3.0))
+
+
+def _raw_spec(kind: int, c: float, w: float) -> LogIntegrand:
+    """A raw integrand: a Gaussian on the line with a signed phi, a peak
+    between finite ends whose weak powers the engine substitutes, or a
+    narrow peak in a wide panel, whose live-window edges take several
+    bisection rounds."""
+    if kind == 0:
+        return LogIntegrand(a=-math.inf, b=math.inf, g_core_many=lambda x: -((x - c) / w) ** 2,
+                            phi_many=lambda x, *_: x ** 3 - c)
+    if kind == 1:
+        return LogIntegrand(a=-1.0, b=2.0, e_left=w - 0.5, e_right=0.25,
+                            g_core_many=lambda x: -((x - c) / w) ** 2,
+                            phi_many=lambda x, core, ends: core + ends + 1.0)
+    return LogIntegrand(a=0.0, b=1e4, g_core_many=lambda x: -((x - 5e3 * (1.0 + c)) / w) ** 2)
+
+
+_spec_strategy = st.one_of(
+    st.tuples(st.sampled_from(range(len(_LOCKSTEP_FAMILIES))), st.integers(0, 6),
+              st.floats(0.5, 1e4), st.booleans()).map(
+        lambda t: norms._density_spec(_LOCKSTEP_FAMILIES[t[0]], t[1],
+                                      *((2.0 * t[2], t[2]) if t[3] else (t[2], 1.0)))),
+    st.tuples(st.integers(0, 2), st.floats(-0.5, 1.5), st.floats(0.05, 2.0)).map(
+        lambda t: _raw_spec(*t)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_spec_strategy, min_size=2, max_size=4), st.data())
+def test_lockstep_rows_match_their_lone_integrals(specs, data):
+    # each spec's result, or its error, is the same alone as in lockstep
+    # with the others, to the last bit and evaluation
+    alone = [_outcome(quadrature.log_integrals([s])[0]) for s in specs]
+    order = data.draw(st.permutations(range(len(specs))))
+    together = quadrature.log_integrals([specs[i] for i in order])
+    assert [_outcome(r) for r in together] == [alone[i] for i in order]
+
+
+def test_failing_rows_do_not_stop_the_lockstep():
+    # q = 1e12: the nodes that find the narrow peak exceed the shifted clamp
+    # (the failing sweep row of the CLI tests); an exponent of -1.2 is not
+    # integrable; the third row passes
+    specs = [norms._density_spec(hermite(), 2, 2e12, 1e12),
+             LogIntegrand(a=0.0, b=1.0, g_core_many=np.zeros_like, e_left=-1.2),
+             norms._density_spec(jacobi(2.0, 1.0), 4, 6.0, 3.0)]
+    alone = [quadrature.log_integrals([s])[0] for s in specs]
+    together = quadrature.log_integrals(specs)
+    assert "exceeds shifted clamp" in str(together[0])
+    assert isinstance(together[1], DomainError)
+    assert isinstance(together[2], quadrature.LogQuadResult)
+    assert [_outcome(r) for r in together] == [_outcome(r) for r in alone]
+    with pytest.raises(DomainError, match="non-integrable left endpoint exponent"):
+        log_integral(specs[1])
