@@ -243,8 +243,24 @@ def _parse_grid(expr: str) -> tuple[str, list[float]]:
     return name, vals
 
 
+def _sweep_grids(args) -> dict[str, list[float]]:
+    """The grids of a sweep by axis; an axis takes one grid, and a grid
+    and a flag never both set one axis."""
+    grids = {}
+    for expr in args.grid:
+        name, vals = _parse_grid(expr)
+        if name in grids:
+            raise DomainError(f"two grids over {name!r}; give one")
+        if getattr(args, name) is not None:
+            raise DomainError(f"--{name} and a grid over {name!r} both given; give one")
+        grids[name] = vals
+    if "n" not in grids and args.n is None:
+        raise DomainError("sweep needs --n or an n grid")
+    return grids
+
+
 def _sweep_rows(args, cfg) -> list[dict]:
-    grids = dict(_parse_grid(g) for g in args.grid)
+    grids = _sweep_grids(args)
     engines = [e for e in ENGINES if e in args.engine]
     if "q" not in grids and args.q is None:
         raise DomainError("norm sweeps need a q grid or a fixed --q")
@@ -340,18 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
                                              "the classical orthogonal polynomials")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_family_flags(p):
+    def add_family_flags(p, n_required):
         p.add_argument("--family", required=True, choices=tuple(FAMILY_PARAMS))
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--beta", type=float, default=None)
         p.add_argument("--lambda", type=float, default=None)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=int, required=n_required, default=None)
         p.add_argument("--q", type=float, default=None)
         p.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
         p.add_argument("--out", default=None)
 
     pc = sub.add_parser("compute", help="one computation, one record")
-    add_family_flags(pc)
+    add_family_flags(pc, n_required=True)
     pc.add_argument("--op", required=True, choices=NORM_OPS + MEASURE_OPS + ("laplace-x0",))
     pc.add_argument("--engine", default="quadrature", choices=ENGINES)
     pc.add_argument("--q2", type=float, default=None, help="second order for lmc-renyi")
@@ -363,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_compute)
 
     ps = sub.add_parser("sweep", help="grid sweep, one row per point per engine")
-    add_family_flags(ps)
+    add_family_flags(ps, n_required=False)  # an n grid may stand for it
     ps.add_argument("--op", required=True, choices=NORM_OPS)
     ps.add_argument("--engine", action="append", required=True, choices=ENGINES)
     ps.add_argument("--grid", action="append", required=True,

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -269,29 +269,60 @@ def _logreal(v: float, scale: float) -> SignedLogReal:
     return SignedLogReal(1 if v > 0 else -1, math.log(abs(v)) + scale)
 
 
-def eval_log_many(fam: PolynomialFamily, n: int, xs) -> tuple[np.ndarray, np.ndarray]:
+def eval_log_many(fam: PolynomialFamily | Sequence[PolynomialFamily], n: int, xs,
+                  at: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """p_n at every point of xs as (signs, log_abs) arrays; a zero gives
     sign 0 and log_abs -inf.
 
     The recurrence of :func:`eval_log` runs over the whole array and is
     rescaled by exact powers of two every 16 steps.  Its cost is dominated
     by the per-step overhead, so it pays off over batches of many points.
+
+    With ``at``, fam is a sequence of families of one kind, and each point
+    takes p_n of fam[at]: at is an integer array of the shape of xs.  One
+    recurrence serves all the families, so it costs about as much as one.
+    Each row entry (A_k, B_k or C_k) on which the families differ becomes
+    a column of per-point values, and then every B and C is added, a zero
+    too, where one family alone skips it: that can change only the sign
+    of an exact zero of p_n, reported as sign 0 either way.  So every
+    point gets the bits that its own family alone gives it.
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")
     x = np.asarray(xs, dtype=float)
+    rows, differ = (_recurrence(fam, n), None) if at is None else _row_columns(tuple(fam), n)
+    if differ is not None:  # one column per entry the families differ on
+        values = iter(differ[:, at])
+        rows = [tuple(next(values) if v is None else v for v in row) for row in rows]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p, _, scale = _eval_many(fam, n, x, 0)
+        p, _, scale = _eval_many(rows, x, 0, columns=differ is not None)
         log_abs = np.log(np.abs(p)) + scale * _LN2
     return np.sign(p).astype(int), log_abs
 
 
-def _eval_many(fam: PolynomialFamily, n: int, x: np.ndarray, order: int,
-               every: int = _RESCALE_EVERY) -> tuple[np.ndarray, list, np.ndarray]:
-    """(p, [p', ..., p^(order)], scale): p_n and its derivatives at the
-    points of x, each equal to its column times 2^scale.
+@lru_cache(maxsize=1024)
+def _row_columns(fams: tuple[PolynomialFamily, ...], n: int) -> tuple[list, Optional[np.ndarray]]:
+    """(rows, differ) for the rows of p_n of several families: rows holds
+    the entries all the families share as floats, and None at the others;
+    differ holds, row by row, the values of those others, one column per
+    family (None where the families share every entry)."""
+    table = np.array([_recurrence(f, n) for f in fams]).reshape(len(fams), n, 3)
+    same = (table == table[0]).all(axis=0)
+    rows = [tuple(v if s else None for v, s in zip(row, flags))
+            for row, flags in zip(_recurrence(fams[0], n), same.tolist())]
+    return rows, None if same.all() else table[:, ~same].T.copy()
 
-    The j-th derivative of the rows of :func:`_rows` obeys
+
+def _eval_many(rows, x: np.ndarray, order: int, every: int = _RESCALE_EVERY,
+               columns: bool = False) -> tuple[np.ndarray, list, np.ndarray]:
+    """(p, [p', ..., p^(order)], scale): the polynomial of the recurrence
+    rows and its derivatives at the points of x, each equal to its column
+    times 2^scale.
+
+    Each of A_k, B_k and C_k in ``rows`` (as :func:`_rows` orders them) is
+    a float, or, with ``columns``, may be an array of one value per point
+    of x; a B or C of 0.0 is skipped, but with columns every one is
+    applied.  The j-th derivative obeys
     p^(j)_{k+1} = (A_k x + B_k) p^(j)_k + j A_k p^(j-1)_k - C_k p^(j)_{k-1}.
     All columns are rescaled together by exact powers of two every `every`
     steps; points where a block overflows are redone with a rescale after
@@ -302,11 +333,11 @@ def _eval_many(fam: PolynomialFamily, n: int, x: np.ndarray, order: int,
     d0 = [np.zeros_like(x) for _ in range(order)] if order else []
     d1 = [np.zeros_like(x) for _ in range(order)] if order else []
     scale = np.zeros_like(x)  # binary exponent taken out of every column
-    for k, (A, B, C) in enumerate(_recurrence(fam, n), 1):
+    for k, (A, B, C) in enumerate(rows, 1):
         # t = (A x + B) p1 - C p0, in place: the loop is bound by numpy's
         # per-call overhead, not by the arithmetic
         np.multiply(x, A, out=t)
-        if B != 0.0:
+        if columns or B != 0.0:
             t += B
         if order:  # t holds A x + B; d0 takes the new columns
             for j, (u0, u1, v1) in enumerate(zip(d0, d1, [p1] + d1), 1):
@@ -315,7 +346,7 @@ def _eval_many(fam: PolynomialFamily, n: int, x: np.ndarray, order: int,
                 u0 += (j * A) * v1
             d0, d1 = d1, d0
         t *= p1
-        if C != 0.0:
+        if columns or C != 0.0:
             p0 *= C
             t -= p0
         p0, p1, t = p1, t, p0
@@ -332,7 +363,9 @@ def _eval_many(fam: PolynomialFamily, n: int, x: np.ndarray, order: int,
     for u in d1:
         bad |= ~np.isfinite(u)
     if every > 1 and bad.any():  # overflow inside one block: redo those points
-        p, d, redo_scale = _eval_many(fam, n, x[bad], order, 1)
+        if columns:
+            rows = [tuple(v if isinstance(v, float) else v[bad] for v in row) for row in rows]
+        p, d, redo_scale = _eval_many(rows, x[bad], order, 1, columns)
         for u, v in zip([p1] + d1, [p] + d):
             u[bad] = v
         scale[bad] = redo_scale
@@ -342,7 +375,7 @@ def _eval_many(fam: PolynomialFamily, n: int, x: np.ndarray, order: int,
 def _eval_at(fam: PolynomialFamily, n: int, x: float, order: int) -> tuple[list[float], int]:
     """:func:`_eval_many` at one point: [p, p', ...] as floats, and the exponent."""
     with np.errstate(over="ignore", invalid="ignore"):
-        p, d, scale = _eval_many(fam, n, np.array([float(x)]), order)
+        p, d, scale = _eval_many(_recurrence(fam, n), np.array([float(x)]), order)
     return [float(u[0]) for u in [p] + d], int(scale[0])
 
 
@@ -477,7 +510,7 @@ def log_derivative_numerator_many(fam: PolynomialFamily, n: int,
     x = np.asarray(xs, dtype=float)
     d, r = _numerator_factors(fam.weight, x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p, (dp,), scale = _eval_many(fam, n, x, 1)
+        p, (dp,), scale = _eval_many(_recurrence(fam, n), x, 1)
         v = 2.0 * d * dp + r * p
         return np.sign(v).astype(int), np.log(np.abs(v)) + scale * _LN2
 
@@ -520,5 +553,5 @@ def _zeros(fam: PolynomialFamily, n: int) -> tuple[float, ...]:
     A, B, C = np.array(_recurrence(fam, n)).T
     x = eigh_tridiagonal(-B / A, np.sqrt(C[1:] / (A[:-1] * A[1:])), eigvals_only=True)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p, (dp,), _ = _eval_many(fam, n, x, 1)
+        p, (dp,), _ = _eval_many(_recurrence(fam, n), x, 1)
         return tuple((x - np.where(dp != 0.0, p / dp, 0.0)).tolist())

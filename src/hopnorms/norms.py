@@ -16,10 +16,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NumericalFailure, check_order
-from .families import (PolynomialFamily, eval_log_many, moment_ratios, norm_constant_log,
+from .families import (PolynomialFamily, moment_ratios, norm_constant_log,
                        norm_constant_log_error, polynomial_zeros)
 from .logreal import SignedLogReal
-from .quadrature import (DEFAULT_CONFIG, LogIntegrand, LogQuadResult, QuadratureConfig,
+from .quadrature import (DEFAULT_CONFIG, Basis, LogIntegrand, LogQuadResult, QuadratureConfig,
                          log_integral, log_integrals, raise_first)
 
 __all__ = ["NormResult", "NORM_OPS", "norm_quads", "unweighted_norm_quad", "weighted_norm_quad",
@@ -59,13 +59,8 @@ def _density_spec(fam: PolynomialFamily, n: int, pol_power: float, weight_power:
             raise DomainError(
                 f"{fam.label()}: weight exponent {e:g} at the {side} endpoint is not integrable")
 
-    core = w.core
-
-    def g_core_many(xs: np.ndarray) -> np.ndarray:
-        return pol_power * eval_log_many(fam, n, xs)[1] + weight_power * core(xs)
-
-    return LogIntegrand(a=lo, b=hi, g_core_many=g_core_many, e_left=e_l, e_right=e_r,
-                        breakpoints=tuple(polynomial_zeros(fam, n)), phi_many=phi_many)
+    return LogIntegrand(a=lo, b=hi, basis=Basis(fam, n, pol_power, weight_power), e_left=e_l,
+                        e_right=e_r, breakpoints=tuple(polynomial_zeros(fam, n)), phi_many=phi_many)
 
 
 def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_power: float,

@@ -66,10 +66,15 @@ Several integrals run in lockstep (:func:`log_integrals`; a lone one is
 :func:`log_integral`).  Each phase above, and each refinement round, is one
 batch over the rows of every integral still running, each integral's rows
 contiguous.  A row carries its integral's constants (ends, exponents,
-substitution and shift), so everything but the integral's own g_core and
-phi is evaluated for all rows at once and elementwise; the sums over the
-nodes, whose BLAS rounding depends on the other rows of a call, are taken
-over each integral's rows alone.  Each integral keeps its own heap,
+substitution and shift), so everything but phi and a raw g_core is
+evaluated for all rows at once and elementwise.  That includes the
+polynomial of the integrals whose g_core names a basis (see
+:class:`Basis`): one recurrence serves the rows of all the integrals
+whose bases share a degree, a family kind and a weight core, as in a
+sweep over q or over a weight parameter, since at low degree a
+recurrence costs about the same over any number of points.  The sums over
+the nodes, whose BLAS rounding depends on the other rows of a call, are
+taken over each integral's rows alone.  Each integral keeps its own heap,
 tolerance, stopping rounds and error claim, so its result is bit-identical
 to integrating it alone, and one that fails drops out without stopping the
 others.  A batch costs mostly a fixed amount however many points it holds,
@@ -121,10 +126,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
+from .families import PolynomialFamily, eval_log_many
 from .special import log_distance
 
-__all__ = ["QuadratureConfig", "QuadratureFailure", "LogIntegrand", "LogQuadResult", "log_integral",
-           "log_integrals", "raise_first", "bisect_brackets"]
+__all__ = ["QuadratureConfig", "QuadratureFailure", "Basis", "LogIntegrand", "LogQuadResult",
+           "log_integral", "log_integrals", "raise_first", "bisect_brackets"]
 
 # 10-21 Gauss-Kronrod pair on [-1, 1], QUADPACK's QK21 (Piessens et al.
 # 1983), to 17 significant digits: the nodes x < 0 with their Kronrod
@@ -188,28 +194,49 @@ class LogQuadResult(NamedTuple):
     neval: int
 
 
+class Basis(NamedTuple):
+    """g_core = a ln|p_n| + b core_h, with p_n of the family fam and core_h
+    the core of its weight (:class:`families.Weight`)."""
+
+    fam: PolynomialFamily
+    n: int
+    a: float
+    b: float
+
+
 @dataclass
 class LogIntegrand:
     """Problem description handed to :func:`log_integral`.
 
+    g_core is given by exactly one of ``g_core_many`` and ``basis``.
     ``g_core_many`` and ``phi_many`` are the integrand's array forms, and
     every phase of the engine evaluates whole batches, so no scalar form is
-    needed.  ``g_core_many`` maps a 1-d array of points x to g_core(x).
-    ``phi_many(x, core, ends)`` is optional (without it phi = 1); it gets
-    the points, the values of g_core there and the endpoint powers
-    ends = e_left ln(x - a) + e_right ln(b - x), so that phi can be built
-    from the logs the engine already holds.  On a substituted end panel x
-    may round to the endpoint, but the engine takes that endpoint's log
-    from t exactly, so ends stays finite where x alone would give ln 0.
+    needed.  ``g_core_many`` maps a 1-d array of points x to g_core(x).  A
+    ``basis`` names the polynomial instead (see :class:`Basis`), so that
+    specs in lockstep whose bases share a degree, a family kind and a
+    weight core have p_n evaluated in one recurrence over all their rows
+    (see :func:`families.eval_log_many`), each row with the bits its spec
+    alone would give it.  ``phi_many(x, core, ends)`` is optional (without
+    it phi = 1); it gets the points, the values of g_core there and the
+    endpoint powers ends = e_left ln(x - a) + e_right ln(b - x), so that
+    phi can be built from the logs the engine already holds.  On a
+    substituted end panel x may round to the endpoint, but the engine
+    takes that endpoint's log from t exactly, so ends stays finite where x
+    alone would give ln 0.
     """
 
     a: float
     b: float
-    g_core_many: Callable[[np.ndarray], np.ndarray]
+    g_core_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
     e_left: float = 0.0
     e_right: float = 0.0
     breakpoints: tuple = ()
     phi_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    basis: Optional[Basis] = None
+
+    def __post_init__(self):
+        if (self.g_core_many is None) == (self.basis is None):
+            raise DomainError("give exactly one of g_core_many and basis")
 
 
 _PLAIN, _LEFT, _RIGHT = 0, 1, -1
@@ -388,6 +415,69 @@ def _log_distances(c, xs: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return out
 
 
+def _core_rows(specs: _Specs, blocks: list[tuple[int, slice]], xs: np.ndarray) -> np.ndarray:
+    """g_core at the rows of points xs: one call of each raw spec's
+    g_core_many over its block, and one polynomial evaluation over the
+    points of the specs whose bases share a degree, a family kind and a
+    weight core, each spec's a ln|p_n| + b core_h on its own points.  A
+    spec whose core raises is marked failed, and its rows, like those of
+    specs that failed before, hold NaN."""
+    core = np.full_like(xs, math.nan) if len(blocks) > 1 else None
+    shared = {}  # (degree, kind, weight core c1 and c2) -> [(spec, its block)]
+    for k, block in blocks:
+        if specs.errors[k] is not None:
+            continue
+        spec = specs.specs[k]
+        basis = spec.basis
+        if basis is not None:
+            w = basis.fam.weight
+            shared.setdefault((basis.n, basis.fam.kind, w.c1, w.c2), []).append((k, block))
+            continue
+        x = xs if block is _ALL else xs[block]
+        try:
+            vals = spec.g_core_many(x.ravel()).reshape(x.shape)
+        except (DomainError, NumericalFailure) as exc:
+            specs.errors[k] = exc
+            continue
+        if core is None:
+            return vals
+        core[block] = vals
+    for (n, *_), group in shared.items():
+        bases = [specs.specs[k].basis for k, _ in group]
+        rows = [xs if block is _ALL else xs[block] for _, block in group]
+        whole = len(group) == len(blocks)  # the group holds every row
+        if len(group) == 1:  # as a lone spec: its own recurrence over its points
+            u, fams, at = rows[0].ravel(), bases[0].fam, None
+            a, b = bases[0].a, bases[0].b
+        else:  # one recurrence over all the points, each with the basis at[point]
+            u = (xs if whole else np.concatenate(rows)).ravel()
+            fams = [basis.fam for basis in bases]
+            at = np.repeat(np.arange(len(group)), [r.size for r in rows])
+            a, b = (_per_point([getattr(basis, f) for basis in bases], at) for f in "ab")
+        try:
+            log_p = eval_log_many(fams, n, u, at)[1]
+        except (DomainError, NumericalFailure) as exc:
+            for k, _ in group:
+                specs.errors[k] = exc
+            continue
+        vals = a * log_p + b * bases[0].fam.weight.core(u)  # one core: it is in the key
+        if whole:
+            if core is None:  # the batch is this lone block
+                return vals.reshape(rows[0].shape)
+            core = vals.reshape(xs.shape)
+            continue
+        start = 0
+        for (_, block), r in zip(group, rows):
+            core[block] = vals[start:start + r.size].reshape(r.shape)
+            start += r.size
+    return np.full_like(xs, math.nan) if core is None else core  # None: the lone spec failed
+
+
+def _per_point(values: list[float], at: np.ndarray):
+    """values[at], or the one value where all are equal."""
+    return values[0] if values.count(values[0]) == len(values) else np.array(values)[at]
+
+
 def _logf_rows(specs: _Specs, panels: list[_Panel], us: np.ndarray, sizes: bool = False,
                layout=None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -420,21 +510,7 @@ def _logf_rows(specs: _Specs, panels: list[_Panel], us: np.ndarray, sizes: bool 
             lt = np.log(t)
             xs[r] = np.where(t > 0.0, end + side * np.exp(col(_SUB[side] + _P, r) * lt), end)
             rows.append((side, r, lt))
-    core = np.full_like(xs, math.nan) if len(blocks) > 1 else None
-    for k, block in blocks:
-        if specs.errors[k] is None:
-            x = xs if block is _ALL else xs[block]
-            try:
-                vals = specs.specs[k].g_core_many(x.ravel()).reshape(x.shape)
-            except (DomainError, NumericalFailure) as exc:
-                specs.errors[k] = exc
-                vals = np.full_like(x, math.nan)
-            if core is None:
-                core = vals
-            else:
-                core[block] = vals
-    if core is None:  # the lone spec had failed before
-        core = np.full_like(xs, math.nan)
+    core = _core_rows(specs, blocks, xs)
     ends = np.zeros_like(xs)
     size = np.abs(core) if sizes else None
     for c_col, e_col, right in ((_B, _E_RIGHT, True), (_A, _E_LEFT, False)):

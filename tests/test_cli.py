@@ -246,9 +246,39 @@ def test_usage_errors(capsys):
                               "--grid", grid, "--engine", "quadrature"], capsys)
         assert rc == 2 and "Traceback" not in err
     for grid in ("n=1.5", "n=-1"):  # degrees that are not nonnegative integers
-        rc, out, err = run_cli(["sweep", "--family", "hermite", "--n", "0", "--op", "weighted-norm",
+        rc, out, err = run_cli(["sweep", "--family", "hermite", "--op", "weighted-norm",
                                 "--q", "2", "--grid", grid, "--engine", "quadrature"], capsys)
-        assert rc == 2 and out == "" and "Traceback" not in err
+        assert rc == 2 and out == "" and "nonnegative integers" in err
+
+
+@pytest.mark.parametrize("flags, grids, named", [
+    (["--family", "hermite", "--n", "1", "--q", "5"], ["q=1,2"], "--q and a grid over 'q'"),
+    (["--family", "laguerre", "--alpha", "3", "--n", "1", "--q", "2"], ["alpha=1,2"],
+     "--alpha and a grid over 'alpha'"),
+    (["--family", "gegenbauer", "--lambda", "3", "--n", "1", "--q", "2"], ["lambda=1,2"],
+     "--lambda and a grid over 'lambda'"),
+    (["--family", "hermite", "--n", "1", "--q", "2"], ["n=0,1"], "--n and a grid over 'n'"),
+    (["--family", "hermite", "--n", "1"], ["q=1,2", "q=3"], "two grids over 'q'"),
+    (["--family", "hermite"], ["q=1"], "sweep needs --n or an n grid"),
+])
+def test_sweep_grid_never_overrides_a_flag(flags, grids, named, capsys):
+    # the grid used to win silently over the flag, and the last of two
+    # grids over one axis over the first
+    argv = ["sweep", *flags, "--op", "weighted-norm", "--engine", "quadrature"]
+    for grid in grids:
+        argv += ["--grid", grid]
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out) == (2, "") and named in err
+
+
+def test_sweep_degree_grid_needs_no_n_flag(capsys):
+    rc, out, _ = run_cli(["sweep", "--family", "hermite", "--op", "weighted-norm", "--q", "2",
+                          "--grid", "n=0,1,2", "--engine", "quadrature"], capsys)
+    assert rc == 0
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["0", "1", "2"]
+    rc, _, _ = run_cli(["compute", "--family", "hermite", "--op", "weighted-norm", "--q", "2"],
+                       capsys)
+    assert rc == 2  # compute still requires --n
 
 
 @pytest.mark.parametrize("argv", [

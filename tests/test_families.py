@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from hopnorms.errors import DomainError, SingularEvaluation
@@ -139,6 +141,38 @@ def test_eval_log_many_redoes_overflowing_blocks(fam, n, x):
     for (signs, log_abs), (ws, wl) in zip(got, want):
         assert signs[1] == ws
         assert log_abs[1] == pytest.approx(wl, rel=1e-13)
+
+
+# families of one kind whose recurrence rows differ, with zero entries
+# among them: Laguerre alpha = 0 has C_0 = 0, Jacobi alpha = +-beta has
+# every B_k = 0 and Gegenbauer lambda = 1/2 has C_0 = 0
+_ONE_KIND = (
+    st.just(hermite()),
+    st.sampled_from((0.0, 0.5, 2.5, 40.0)).map(laguerre),
+    st.tuples(st.sampled_from((-0.5, 0.5, 1.5)), st.sampled_from((-0.5, 0.5, 3.0))).map(
+        lambda t: jacobi(*t)),
+    st.sampled_from((0.5, 0.75, 3.5, 1e3)).map(gegenbauer),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ONE_KIND).flatmap(lambda fam: st.lists(fam, min_size=2, max_size=4)),
+       st.integers(0, 40), st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5), st.data())
+def test_eval_log_many_over_families_matches_each_family_alone(fams, n, us, data):
+    # one recurrence over rows of points of several families of one kind,
+    # each row with the family at[i]: the rows the families differ on become
+    # per-point columns, zero B or C entries added rather than skipped.
+    # Every point keeps the (sign, log_abs) bits of its family alone, at
+    # zeros (x = 0 for odd symmetric cases) and where a block of 16 steps
+    # overflows at x = +-1e40 and the point is redone step by step
+    at = np.array(data.draw(st.lists(st.integers(0, len(fams) - 1), min_size=1, max_size=6)))
+    xs = np.array([[0.0, -1e40, 1e40] + [(u + 1.0) * 20.0 * i for u in us]
+                   for i in range(1, at.size + 1)])
+    signs, log_abs = eval_log_many(fams, n, xs, np.repeat(at[:, None], xs.shape[1], axis=1))
+    for row, k in enumerate(at.tolist()):
+        alone = eval_log_many(fams[k], n, xs[row])
+        assert signs[row].tolist() == alone[0].tolist()
+        assert log_abs[row].tolist() == alone[1].tolist()
 
 
 @pytest.mark.parametrize("fam,n,x", [(hermite(), 2, 1e160), (hermite(), 3, -1e200),

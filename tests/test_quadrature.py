@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hopnorms.bell import unweighted_norm_bell
 from hopnorms.errors import DomainError
 from hopnorms.families import gegenbauer, hermite, jacobi, laguerre
-from hopnorms import norms, quadrature
+from hopnorms import families, norms, quadrature
 from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
 from hopnorms.quadrature import (_LEFT, LogIntegrand, QuadratureConfig, QuadratureFailure,
                                  _Panel, _Specs, _logf_rows, _power, _scan_panels,
@@ -267,15 +267,15 @@ def test_gauss_kronrod_table():
 
 @pytest.fixture
 def batches(monkeypatch):
-    """The calls of the norms' array integrand, one polynomial batch each."""
+    """The polynomial evaluations of the norms' bases, one per batch."""
     calls = []
-    eval_log_many = norms.eval_log_many
+    eval_log_many = quadrature.eval_log_many
 
     def counted(*args):
         calls.append(None)
         return eval_log_many(*args)
 
-    monkeypatch.setattr(norms, "eval_log_many", counted)
+    monkeypatch.setattr(quadrature, "eval_log_many", counted)
     return calls
 
 
@@ -403,11 +403,34 @@ _spec_strategy = st.one_of(
 )
 
 
+# families of one kind by their large parameter: q grids hold one family,
+# parameter grids one per row, and the rows share a basis either way
+_GRID_FAMILIES = (lambda v: hermite(), laguerre, lambda v: jacobi(v, 0.5),
+                  lambda v: jacobi(2.0, v), gegenbauer)
+
+
+def _shared_basis_specs(t) -> list:
+    """Norm specs of one degree and family kind, one per (parameter, q)."""
+    make, n, weighted, points = _GRID_FAMILIES[t[0]], t[1], t[2], t[3]
+    return [norms._density_spec(make(v), n, *((2.0 * q, q) if weighted else (q, 1.0)))
+            for v, q in points]
+
+
+_shared_strategy = st.tuples(
+    st.sampled_from(range(len(_GRID_FAMILIES))), st.integers(0, 6), st.booleans(),
+    st.lists(st.tuples(st.sampled_from((0.5, 2.0, 10.0, 316.0, 1e4)), st.floats(0.5, 1e4)),
+             min_size=2, max_size=5)).map(_shared_basis_specs)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(_spec_strategy, min_size=2, max_size=4), st.data())
+@given(st.lists(st.one_of(_spec_strategy.map(lambda s: [s]), _shared_strategy),
+                min_size=1, max_size=3).map(lambda groups: sum(groups, [])).filter(
+                    lambda specs: len(specs) >= 2), st.data())
 def test_lockstep_rows_match_their_lone_integrals(specs, data):
     # each spec's result, or its error, is the same alone as in lockstep
-    # with the others, to the last bit and evaluation
+    # with the others, to the last bit and evaluation: raw specs, and norm
+    # specs that share a basis at different q or parameters, whose
+    # polynomial is evaluated once per batch over all their rows
     alone = [_outcome(quadrature.log_integrals([s])[0]) for s in specs]
     order = data.draw(st.permutations(range(len(specs))))
     together = quadrature.log_integrals([specs[i] for i in order])
@@ -429,3 +452,37 @@ def test_failing_rows_do_not_stop_the_lockstep():
     assert [_outcome(r) for r in together] == [_outcome(r) for r in alone]
     with pytest.raises(DomainError, match="non-integrable left endpoint exponent"):
         log_integral(specs[1])
+
+
+@pytest.mark.parametrize("specs", [
+    [norms._density_spec(jacobi(2.0, 1.0), 4, 2.0 * q, q)
+     for q in (1, 2, 3, 5, 10, 30, 100, 300, 1000, 3000, 10000)],
+    [norms._density_spec(gegenbauer(lam), 4, 4.0, 2.0)
+     for lam in (10, 32, 100, 316, 1000, 3162, 10000)],
+], ids=["jacobi-q-grid", "gegenbauer-lambda-grid"])
+def test_lockstep_rows_share_one_polynomial_evaluation_per_batch(specs, monkeypatch):
+    # the rows of a q grid share p_n; those of a lambda grid differ only in
+    # their recurrence rows, which become per-point columns: either way one
+    # recurrence per integrand batch serves every row
+    alone = [_outcome(quadrature.log_integrals([s])[0]) for s in specs]
+    batches, evals, depth = [], [], []
+    logf_rows, eval_many = quadrature._logf_rows, families._eval_many
+
+    def counted_rows(*args, **kwargs):
+        batches.append(None)
+        return logf_rows(*args, **kwargs)
+
+    def counted_eval(*args, **kwargs):
+        if not depth:  # a redo of overflowing points is part of its call
+            evals.append(None)
+        depth.append(None)
+        try:
+            return eval_many(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(quadrature, "_logf_rows", counted_rows)
+    monkeypatch.setattr(families, "_eval_many", counted_eval)
+    together = quadrature.log_integrals(specs)
+    assert [_outcome(r) for r in together] == alone
+    assert len(batches) > 0 and len(evals) == len(batches)
