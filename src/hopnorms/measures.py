@@ -24,8 +24,9 @@ from .errors import DomainError, NumericalFailure, check_order
 from .families import (PolynomialFamily, log_derivative_numerator_many, norm_constant_log,
                        polynomial_zeros)
 from .logreal import SignedLogReal
-from .norms import density_integral, norm_quads, weighted_norm_quad
-from .quadrature import DEFAULT_CONFIG, LogIntegrand, QuadratureConfig, log_integral, raise_first
+from .norms import density_integral, density_spec, norm_quads, norm_result, norm_spec
+from .quadrature import (DEFAULT_CONFIG, LogIntegrand, LogQuadResult, QuadratureConfig,
+                         log_integral, log_integrals, raise_first)
 
 __all__ = [
     "DensityHandle", "renyi_entropy", "shannon_entropy", "functional_E", "functional_I",
@@ -47,14 +48,17 @@ class DensityHandle:
             raise DomainError("degree must be nonnegative")
 
 
+def _renyi_point(d: DensityHandle, q: float) -> tuple:
+    """The :func:`norms.norm_quads` point of the W_q behind R_q."""
+    if q == 1.0:
+        raise DomainError("q = 1 is the Shannon limit; use shannon_entropy")
+    check_order(q)
+    return ("weighted-norm", d.family, d.n, q, d.normalized)
+
+
 def _renyi_entropies(d: DensityHandle, qs: list[float], cfg: QuadratureConfig) -> list[float]:
     """R_q at each q, the W_q integrated in lockstep."""
-    for q in qs:
-        if q == 1.0:
-            raise DomainError("q = 1 is the Shannon limit; use shannon_entropy")
-        check_order(q)
-    ws = raise_first(norm_quads([("weighted-norm", d.family, d.n, q, d.normalized) for q in qs],
-                                cfg))
+    ws = raise_first(norm_quads([_renyi_point(d, q) for q in qs], cfg))
     return [w.value.log_abs / (1.0 - q) for w, q in zip(ws, qs)]
 
 
@@ -67,30 +71,45 @@ def _log_norm_shift(d: DensityHandle) -> float:
     return norm_constant_log(d.family, d.n).log_abs if d.normalized else 0.0
 
 
-def shannon_entropy(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """S = -int rho ln rho by direct quadrature (0 ln 0 handled by the
-    vanishing-density guard inside the integrator).  phi = -ln rho is taken
-    from the engine's own logs of p_n^2 h, so it stays finite at an
-    endpoint pole of h."""
-    fam, n = d.family, d.n
+def _shannon_spec(d: DensityHandle) -> LogIntegrand:
+    """The integrand p_n^2 h phi of S, phi = -ln rho (see
+    :func:`_density_value`).  phi is taken from the engine's own logs of
+    p_n^2 h, so it stays finite at an endpoint pole of h; it is
+    log-singular at the zeros of p_n."""
     shift = _log_norm_shift(d)
 
     def phi_many(xs: np.ndarray, core: np.ndarray, ends: np.ndarray) -> np.ndarray:
         return shift - (core + ends)
 
-    res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi_many=phi_many, cfg=cfg)
-    return res.sign * math.exp(res.log_abs - shift) if res.sign != 0 else 0.0
+    return density_spec(d.family, d.n, 2.0, 1.0, phi_many, log_singular=True)
 
 
-def functional_E_log(fam: PolynomialFamily, n: int,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> SignedLogReal:
-    """-int p^2 h ln(p^2) dx as a SignedLogReal (survives huge parameters)."""
+def _density_value(d: DensityHandle, res: LogQuadResult) -> float:
+    """int rho phi from the integral res of p_n^2 h phi."""
+    return res.sign * math.exp(res.log_abs - _log_norm_shift(d)) if res.sign != 0 else 0.0
+
+
+def shannon_entropy(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """S = -int rho ln rho by direct quadrature (0 ln 0 handled by the
+    vanishing-density guard inside the integrator)."""
+    return _density_value(d, log_integral(_shannon_spec(d), cfg))
+
+
+def _functional_E_spec(fam: PolynomialFamily, n: int) -> LogIntegrand:
+    """The integrand p^2 h phi of E, phi = -ln p^2, log-singular at the
+    zeros of p_n."""
     weight_core = fam.weight.core
 
     def phi_many(xs: np.ndarray, core: np.ndarray, ends: np.ndarray) -> np.ndarray:
         return weight_core(xs) - core  # core = ln p^2 + the weight's core
 
-    res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi_many=phi_many, cfg=cfg)
+    return density_spec(fam, n, 2.0, 1.0, phi_many, log_singular=True)
+
+
+def functional_E_log(fam: PolynomialFamily, n: int,
+                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> SignedLogReal:
+    """-int p^2 h ln(p^2) dx as a SignedLogReal (survives huge parameters)."""
+    res = log_integral(_functional_E_spec(fam, n), cfg)
     return SignedLogReal(res.sign, res.log_abs)  # sign 0 makes it zero
 
 
@@ -155,15 +174,8 @@ def functional_I(fam: PolynomialFamily, n: int, cfg: QuadratureConfig = DEFAULT_
     return _as_float(functional_I_log(fam, n, cfg), "functional_I_log")
 
 
-def fisher_information(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """F = int rho'^2 / rho dx for the unit-mass density.
-
-    rho'^2/rho = h N^2 / (d^2 kappa) with N = d (2 p' + p h'/h) the
-    polynomial of :func:`families.log_derivative_numerator_many`.  At an endpoint
-    where the weight exponent a is nonzero the integrand behaves like
-    (x - end)^(a - 2), which is not integrable for a in (-1, 0) or (0, 1];
-    such parameter ranges are rejected rather than silently truncated.
-    """
+def _fisher_spec(d: DensityHandle) -> LogIntegrand:
+    """The integrand rho'^2 / rho of F, see :func:`fisher_information`."""
     if not d.normalized:
         raise DomainError("fisher information is defined for the unit-mass density")
     fam, n = d.family, d.n
@@ -181,12 +193,22 @@ def fisher_information(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG)
         return core(xs) + 2.0 * log_derivative_numerator_many(fam, n, xs)[1] - shift
 
     # the 1/d^2 of the integrand lowers each nonzero endpoint exponent by 2
-    spec = LogIntegrand(a=w.lo, b=w.hi, g_core_many=g_core_many,
+    return LogIntegrand(a=w.lo, b=w.hi, g_core_many=g_core_many,
                         e_left=w.e_lo - 2.0 if w.e_lo else 0.0,
                         e_right=w.e_hi - 2.0 if w.e_hi else 0.0,
                         breakpoints=tuple(polynomial_zeros(fam, n)))
-    res = log_integral(spec, cfg)
-    return math.exp(res.log_abs)
+
+
+def fisher_information(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """F = int rho'^2 / rho dx for the unit-mass density.
+
+    rho'^2/rho = h N^2 / (d^2 kappa) with N = d (2 p' + p h'/h) the
+    polynomial of :func:`families.log_derivative_numerator_many`.  At an endpoint
+    where the weight exponent a is nonzero the integrand behaves like
+    (x - end)^(a - 2), which is not integrable for a in (-1, 0) or (0, 1];
+    such parameter ranges are rejected rather than silently truncated.
+    """
+    return math.exp(log_integral(_fisher_spec(d), cfg).log_abs)
 
 
 def renyi_length(d: DensityHandle, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -207,20 +229,25 @@ def lmc_renyi(d: DensityHandle, a: float, b: float, cfg: QuadratureConfig = DEFA
 
 
 def lmc_plain(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """e^S * W_2: Shannon length times disequilibrium; >= 1 for any density."""
-    s = shannon_entropy(d, cfg)
-    w2 = weighted_norm_quad(d.family, d.n, 2.0, cfg=cfg, normalized=d.normalized)
-    return math.exp(s + w2.value.log_abs)
+    """e^S * W_2: Shannon length times disequilibrium; >= 1 for any density.
+    S and W_2 are integrated in lockstep."""
+    w2 = ("weighted-norm", d.family, d.n, 2.0, d.normalized)
+    s, w = raise_first(log_integrals([_shannon_spec(d), norm_spec(w2)], cfg))
+    return math.exp(_density_value(d, s) + norm_result(w2, w).value.log_abs)
 
 
 def fisher_shannon(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """F * exp(2S) / (2 pi e); equals 1 exactly for a Gaussian density."""
-    return fisher_information(d, cfg) * math.exp(2.0 * shannon_entropy(d, cfg)) \
-        / (2.0 * math.pi * math.e)
+    """F * exp(2S) / (2 pi e); equals 1 exactly for a Gaussian density.
+    F and S are integrated in lockstep."""
+    f, s = raise_first(log_integrals([_fisher_spec(d), _shannon_spec(d)], cfg))
+    return math.exp(f.log_abs) * math.exp(2.0 * _density_value(d, s)) / (2.0 * math.pi * math.e)
 
 
 def fisher_renyi(d: DensityHandle, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    return fisher_information(d, cfg) * math.exp(2.0 * renyi_entropy(d, q, cfg)) \
+    """F * exp(2 R_q) / (2 pi e); F and W_q are integrated in lockstep."""
+    fisher, wq = _fisher_spec(d), _renyi_point(d, q)
+    f, w = raise_first(log_integrals([fisher, norm_spec(wq)], cfg))
+    return math.exp(f.log_abs) * math.exp(2.0 * (norm_result(wq, w).value.log_abs / (1.0 - q))) \
         / (2.0 * math.pi * math.e)
 
 
@@ -240,7 +267,6 @@ def shannon_from_Wq_derivative(d: DensityHandle, cfg: QuadratureConfig = DEFAULT
 
 def density_moment(d: DensityHandle, k: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """int x^k rho(x) dx; used by the variance/Cramer-Rao sanity checks."""
-    shift = _log_norm_shift(d)
     res = density_integral(d.family, d.n, pol_power=2.0, weight_power=1.0,
                            phi_many=(lambda xs, *_: xs ** k), cfg=cfg)
-    return res.sign * math.exp(res.log_abs - shift) if res.sign != 0 else 0.0
+    return _density_value(d, res)

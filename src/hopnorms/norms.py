@@ -22,8 +22,9 @@ from .logreal import SignedLogReal
 from .quadrature import (DEFAULT_CONFIG, Basis, LogIntegrand, LogQuadResult, QuadratureConfig,
                          log_integral, log_integrals, raise_first)
 
-__all__ = ["NormResult", "NORM_OPS", "norm_quads", "unweighted_norm_quad", "weighted_norm_quad",
-           "normalized_by_kappa", "weight_moment", "density_integral"]
+__all__ = ["NormResult", "NORM_OPS", "norm_spec", "norm_result", "norm_quads",
+           "unweighted_norm_quad", "weighted_norm_quad", "normalized_by_kappa", "weight_moment",
+           "density_spec", "density_integral"]
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,12 @@ NORM_OPS = ("unweighted-norm", "weighted-norm")
 _POWERS = {"unweighted-norm": lambda q: (q, 1.0), "weighted-norm": lambda q: (2.0 * q, q)}
 
 
-def _density_spec(fam: PolynomialFamily, n: int, pol_power: float, weight_power: float,
-                  phi_many: Optional[Callable[..., np.ndarray]] = None) -> LogIntegrand:
-    """The integrand of :func:`density_integral`."""
+def density_spec(fam: PolynomialFamily, n: int, pol_power: float, weight_power: float,
+                 phi_many: Optional[Callable[..., np.ndarray]] = None,
+                 log_singular: bool = False) -> LogIntegrand:
+    """The integrand of :func:`density_integral`, as a LogIntegrand;
+    ``log_singular`` marks a phi with a log singularity at the zeros of
+    p_n, where the engine then grades its panels, as at a pole of h."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
     w = fam.weight
@@ -60,7 +64,8 @@ def _density_spec(fam: PolynomialFamily, n: int, pol_power: float, weight_power:
                 f"{fam.label()}: weight exponent {e:g} at the {side} endpoint is not integrable")
 
     return LogIntegrand(a=lo, b=hi, basis=Basis(fam, n, pol_power, weight_power), e_left=e_l,
-                        e_right=e_r, breakpoints=tuple(polynomial_zeros(fam, n)), phi_many=phi_many)
+                        e_right=e_r, breakpoints=tuple(polynomial_zeros(fam, n)),
+                        phi_many=phi_many, log_singular=log_singular)
 
 
 def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_power: float,
@@ -73,37 +78,46 @@ def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_pow
     (see :class:`quadrature.LogIntegrand`) to the array of phi values; the
     core is pol_power ln|p_n| + weight_power times the weight's core.
     """
-    return log_integral(_density_spec(fam, n, pol_power, weight_power, phi_many), cfg)
+    return log_integral(density_spec(fam, n, pol_power, weight_power, phi_many), cfg)
+
+
+def norm_spec(point: tuple) -> LogIntegrand:
+    """The integrand of the norm of a point (op, fam, n, q, normalized), op
+    one of NORM_OPS."""
+    op, fam, n, q, _ = point
+    if op not in _POWERS:
+        raise DomainError(f"unknown norm {op!r}; expected one of {NORM_OPS}")
+    check_order(q)
+    return density_spec(fam, n, *_POWERS[op](q))
+
+
+def norm_result(point: tuple, res: LogQuadResult) -> NormResult:
+    """The NormResult of a point from the integral of its :func:`norm_spec`.
+    ``normalized`` applies to weighted norms (W_q of the unit-mass density)."""
+    op, fam, n, q, normalized = point
+    norm = NormResult(SignedLogReal(1, res.log_abs), "quadrature", res.rel_err)
+    return normalized_by_kappa(norm, fam, n, q) if normalized and op == "weighted-norm" else norm
 
 
 def norm_quads(points: list[tuple], cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
-    """The quadrature norms of many points (op, fam, n, q, normalized), op
-    one of NORM_OPS, integrated in one lockstep call of
-    :func:`quadrature.log_integrals`.  Each entry is the point's NormResult,
-    or the DomainError or NumericalFailure that ended it.  ``normalized``
-    applies to weighted norms (W_q of the unit-mass density)."""
+    """The quadrature norms of many points (op, fam, n, q, normalized),
+    integrated in one lockstep call of :func:`quadrature.log_integrals`.
+    Each entry is the point's NormResult, or the DomainError or
+    NumericalFailure that ended it."""
     out, specs = [], []
-    for op, fam, n, q, normalized in points:
+    for point in points:
         try:
-            if op not in _POWERS:
-                raise DomainError(f"unknown norm {op!r}; expected one of {NORM_OPS}")
-            check_order(q)
-            specs.append(_density_spec(fam, n, *_POWERS[op](q)))
+            specs.append(norm_spec(point))
             out.append(None)
         except (DomainError, NumericalFailure) as exc:
             out.append(exc)
     results = iter(log_integrals(specs, cfg))
-    for i, (op, fam, n, q, normalized) in enumerate(points):
+    for i, point in enumerate(points):
         if out[i] is not None:
             continue
         res = next(results)
-        if isinstance(res, Exception):
-            out[i] = res
-            continue
-        norm = NormResult(SignedLogReal(1, res.log_abs), "quadrature", res.rel_err)
         try:
-            out[i] = (normalized_by_kappa(norm, fam, n, q)
-                      if normalized and op == "weighted-norm" else norm)
+            out[i] = res if isinstance(res, Exception) else norm_result(point, res)
         except (DomainError, NumericalFailure) as exc:
             out[i] = exc
     return out

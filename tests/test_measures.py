@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopnorms import measures, quadrature
 from hopnorms.errors import DomainError, NumericalFailure
 from hopnorms.families import (gegenbauer, hermite, jacobi, laguerre,
                                norm_constant_log)
@@ -256,3 +258,60 @@ def test_shannon_at_an_endpoint_pole_converges(a, b):
     # it only halves its error: with a 7-15 rule these ran out of depth
     s = shannon_entropy(DensityHandle(jacobi(a, b), 0))
     assert s == pytest.approx(_beta_entropy(a, b), abs=1e-12)
+
+
+@pytest.mark.parametrize("fam", [jacobi(0.5, 0.5), gegenbauer(1.0)], ids=lambda f: f.label())
+def test_shannon_of_the_chebyshev_second_kind_density(fam):
+    # rho-hat of U_n (Jacobi(1/2, 1/2), or Gegenbauer(1)) has
+    # S = ln pi - 1 + 1/(2(n + 1)) (Dehesa, Martinez-Finkelshtein &
+    # Sanchez-Ruiz 2001); its zeros are where the graded panels meet
+    for n in (*range(21), 50, 200):
+        s = shannon_entropy(DensityHandle(fam, n))
+        assert abs(s - (math.log(math.pi) - 1.0 + 0.5 / (n + 1))) <= 1e-11, n
+
+
+def _entropy_spec(kind: str, fam, n: int):
+    return (measures._shannon_spec(DensityHandle(fam, n)) if kind == "shannon"
+            else measures._functional_E_spec(fam, n))
+
+
+# the lower end stays 1e-3 from -1: there, Shannon's claims on plain and
+# graded panels alike stop covering their miss (see CHANGES.md)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(-0.999, 3.0, exclude_max=True), st.floats(-0.999, 3.0, exclude_max=True),
+       st.integers(0, 8), st.sampled_from(("shannon", "E")))
+def test_graded_panels_agree_with_plain_ones(a, b, n, kind):
+    # the same integrand with and without graded panels: the two sums agree
+    # within the sum of their claims
+    spec = _entropy_spec(kind, jacobi(a, b), n)
+    graded = quadrature.log_integral(spec)
+    plain = quadrature.log_integral(dataclasses.replace(spec, log_singular=False))
+    assert graded.sign == plain.sign
+    if plain.sign == 0:  # E of p_0 = 1
+        return
+    ratio = math.exp(graded.log_abs - plain.log_abs)
+    assert abs(ratio - 1.0) <= graded.rel_err * ratio + plain.rel_err
+
+
+@pytest.mark.parametrize("fam, n, parent", [(hermite(), 300, 156_933),
+                                            (jacobi(2.5, 1.5), 300, 194_565)],
+                         ids=["hermite", "jacobi"])
+def test_graded_shannon_takes_half_the_plain_nodes(fam, n, parent):
+    # parent: the evaluations on plain panels with the 10-21 rule
+    res = quadrature.log_integral(measures._shannon_spec(DensityHandle(fam, n)))
+    assert res.neval <= parent // 2
+
+
+@pytest.mark.parametrize("fam, n", [(hermite(), 5), (jacobi(2.5, 1.5), 8),
+                                    (gegenbauer(3.5), 0), (laguerre(2.5), 3)],
+                         ids=lambda v: getattr(v, "label", lambda: str(v))())
+def test_complexities_integrate_their_pairs_in_lockstep(fam, n):
+    # each of the two integrals is, bit for bit, the one integrated alone
+    d = DensityHandle(fam, n)
+    f = fisher_information(d)
+    s = shannon_entropy(d)
+    w2 = weighted_norm_quad(fam, n, 2.0, normalized=True).value.log_abs
+    r3 = renyi_entropy(d, 3.0)
+    assert fisher_shannon(d) == f * math.exp(2.0 * s) / (2.0 * math.pi * math.e)
+    assert fisher_renyi(d, 3.0) == f * math.exp(2.0 * r3) / (2.0 * math.pi * math.e)
+    assert lmc_plain(d) == math.exp(s + w2)

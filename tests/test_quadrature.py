@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from hopnorms.bell import unweighted_norm_bell
 from hopnorms.errors import DomainError
 from hopnorms.families import gegenbauer, hermite, jacobi, laguerre
-from hopnorms import families, norms, quadrature
+from hopnorms import families, measures, norms, quadrature
 from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
-from hopnorms.quadrature import (_LEFT, LogIntegrand, QuadratureConfig, QuadratureFailure,
-                                 _Panel, _Specs, _logf_rows, _power, _scan_panels,
-                                 _split_on_live_windows, bisect_brackets, log_integral)
+from hopnorms.quadrature import (_GRADE, _LEFT, LogIntegrand, QuadratureConfig,
+                                 QuadratureFailure, _graded, _Panel, _Specs, _logf_rows, _power,
+                                 _scan_panels, _split_on_live_windows, bisect_brackets,
+                                 log_integral)
 
 
 def test_gaussian_full_line():
@@ -132,6 +133,48 @@ def test_against_mpmath_reference(make):
     res = log_integral(spec)
     assert res.sign == 1
     assert math.exp(res.log_abs) == pytest.approx(float(want), rel=1e-12)
+
+
+def test_graded_panel_map():
+    # v = v0 + (v1 - v0) tau(s), tau(s) = s^k/(s^k + (1 - s)^k), to a few
+    # ulps of v1, and ln dv/ds to a few ulps of its terms; next to v0, v
+    # carries only its own rounding
+    v0, v1 = 0.3, 2.2
+    s = np.array([[1e-12, 1e-6, 1e-3, 0.2, 0.5, 0.7, 1.0 - 1e-3, 1.0 - 2.0 ** -40]])
+    _, v, jac = _graded([_Panel(0.0, 1.0, grade=(v0, v1))], s)
+    k, eps = _GRADE, np.finfo(float).eps
+    with mpmath.workdps(40):
+        for si, vi, ji in zip(s[0].tolist(), v[0].tolist(), jac[0].tolist()):
+            si = mpmath.mpf(si)
+            a, b = si ** k, (1 - si) ** k
+            want = v0 + (mpmath.mpf(v1) - v0) * a / (a + b)
+            dv = (v1 - v0) * k * (si * (1 - si)) ** (k - 1) / (a + b) ** 2
+            assert abs(vi - want) <= (eps * abs(want) if si < 1e-3 else 4.0 * eps * v1)
+            assert abs(ji - mpmath.log(dv)) <= 1e-13
+    assert np.all(np.diff(v[0]) >= 0.0) and v0 <= v[0, 0] and v[0, -1] <= v1
+
+
+def _log_singular_spec(log_singular: bool) -> LogIntegrand:
+    # rho = x^-0.5 (x - 0.7)^2 (x - 1.3)^2 on (0, 2), integrand -rho ln rho:
+    # log-singular at both zeros and at the pole x = 0
+    return LogIntegrand(a=0.0, b=2.0, e_left=-0.5, breakpoints=(0.7, 1.3),
+                        g_core_many=lambda x: 2.0 * np.log(np.abs((x - 0.7) * (x - 1.3))),
+                        phi_many=lambda x, core, ends: -(core + ends), log_singular=log_singular)
+
+
+def test_graded_panels_of_a_log_singular_integrand():
+    # the graded sum meets the mpmath value within its claim, with half
+    # of the plain panels' evaluations
+    with mpmath.workdps(30):
+        def f(x):
+            rho = x ** -0.5 * (x - 0.7) ** 2 * (x - 1.3) ** 2
+            return -rho * mpmath.log(rho)
+        want = float(mpmath.quad(f, [0, 0.7, 1.3, 2]))
+    graded, plain = log_integral(_log_singular_spec(True)), log_integral(_log_singular_spec(False))
+    for res in (graded, plain):
+        assert res.sign == (1 if want > 0 else -1)
+        assert abs(math.exp(res.log_abs) / abs(want) - 1.0) <= res.rel_err
+    assert 2 * graded.neval <= plain.neval
 
 
 def test_live_windows_of_several_panels():
@@ -396,10 +439,15 @@ def _raw_spec(kind: int, c: float, w: float) -> LogIntegrand:
 _spec_strategy = st.one_of(
     st.tuples(st.sampled_from(range(len(_LOCKSTEP_FAMILIES))), st.integers(0, 6),
               st.floats(0.5, 1e4), st.booleans()).map(
-        lambda t: norms._density_spec(_LOCKSTEP_FAMILIES[t[0]], t[1],
-                                      *((2.0 * t[2], t[2]) if t[3] else (t[2], 1.0)))),
+        lambda t: norms.density_spec(_LOCKSTEP_FAMILIES[t[0]], t[1],
+                                     *((2.0 * t[2], t[2]) if t[3] else (t[2], 1.0)))),
     st.tuples(st.integers(0, 2), st.floats(-0.5, 1.5), st.floats(0.05, 2.0)).map(
         lambda t: _raw_spec(*t)),
+    # log-singular entropy integrands, on graded panels
+    st.tuples(st.sampled_from(range(len(_LOCKSTEP_FAMILIES))), st.integers(0, 6),
+              st.booleans()).map(
+        lambda t: (measures._shannon_spec(measures.DensityHandle(_LOCKSTEP_FAMILIES[t[0]], t[1]))
+                   if t[2] else measures._functional_E_spec(_LOCKSTEP_FAMILIES[t[0]], t[1]))),
 )
 
 
@@ -412,7 +460,7 @@ _GRID_FAMILIES = (lambda v: hermite(), laguerre, lambda v: jacobi(v, 0.5),
 def _shared_basis_specs(t) -> list:
     """Norm specs of one degree and family kind, one per (parameter, q)."""
     make, n, weighted, points = _GRID_FAMILIES[t[0]], t[1], t[2], t[3]
-    return [norms._density_spec(make(v), n, *((2.0 * q, q) if weighted else (q, 1.0)))
+    return [norms.density_spec(make(v), n, *((2.0 * q, q) if weighted else (q, 1.0)))
             for v, q in points]
 
 
@@ -441,9 +489,9 @@ def test_failing_rows_do_not_stop_the_lockstep():
     # q = 1e12: the nodes that find the narrow peak exceed the shifted clamp
     # (the failing sweep row of the CLI tests); an exponent of -1.2 is not
     # integrable; the third row passes
-    specs = [norms._density_spec(hermite(), 2, 2e12, 1e12),
+    specs = [norms.density_spec(hermite(), 2, 2e12, 1e12),
              LogIntegrand(a=0.0, b=1.0, g_core_many=np.zeros_like, e_left=-1.2),
-             norms._density_spec(jacobi(2.0, 1.0), 4, 6.0, 3.0)]
+             norms.density_spec(jacobi(2.0, 1.0), 4, 6.0, 3.0)]
     alone = [quadrature.log_integrals([s])[0] for s in specs]
     together = quadrature.log_integrals(specs)
     assert "exceeds shifted clamp" in str(together[0])
@@ -455,9 +503,9 @@ def test_failing_rows_do_not_stop_the_lockstep():
 
 
 @pytest.mark.parametrize("specs", [
-    [norms._density_spec(jacobi(2.0, 1.0), 4, 2.0 * q, q)
+    [norms.density_spec(jacobi(2.0, 1.0), 4, 2.0 * q, q)
      for q in (1, 2, 3, 5, 10, 30, 100, 300, 1000, 3000, 10000)],
-    [norms._density_spec(gegenbauer(lam), 4, 4.0, 2.0)
+    [norms.density_spec(gegenbauer(lam), 4, 4.0, 2.0)
      for lam in (10, 32, 100, 316, 1000, 3162, 10000)],
 ], ids=["jacobi-q-grid", "gegenbauer-lambda-grid"])
 def test_lockstep_rows_share_one_polynomial_evaluation_per_batch(specs, monkeypatch):
