@@ -75,13 +75,15 @@ def _shannon_spec(d: DensityHandle) -> LogIntegrand:
     """The integrand p_n^2 h phi of S, phi = -ln rho (see
     :func:`_density_value`).  phi is taken from the engine's own logs of
     p_n^2 h, so it stays finite at an endpoint pole of h; it is
-    log-singular at the zeros of p_n."""
+    log-singular at the zeros of p_n, and at each finite end of h with a
+    nonzero exponent e, where it holds e ln|x - c|."""
     shift = _log_norm_shift(d)
 
     def phi_many(xs: np.ndarray, core: np.ndarray, ends: np.ndarray) -> np.ndarray:
         return shift - (core + ends)
 
-    return density_spec(d.family, d.n, 2.0, 1.0, phi_many, log_singular=True)
+    return density_spec(d.family, d.n, 2.0, 1.0, phi_many, log_singular=True,
+                        log_singular_ends=True)
 
 
 def _density_value(d: DensityHandle, res: LogQuadResult) -> float:

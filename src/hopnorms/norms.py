@@ -48,10 +48,12 @@ _POWERS = {"unweighted-norm": lambda q: (q, 1.0), "weighted-norm": lambda q: (2.
 
 def density_spec(fam: PolynomialFamily, n: int, pol_power: float, weight_power: float,
                  phi_many: Optional[Callable[..., np.ndarray]] = None,
-                 log_singular: bool = False) -> LogIntegrand:
+                 log_singular: bool = False, log_singular_ends: bool = False) -> LogIntegrand:
     """The integrand of :func:`density_integral`, as a LogIntegrand;
     ``log_singular`` marks a phi with a log singularity at the zeros of
-    p_n, where the engine then grades its panels, as at a pole of h."""
+    p_n, where the engine then grades its panels, as at a pole of h, and
+    ``log_singular_ends`` one at the finite ends of h too (see
+    :class:`quadrature.LogIntegrand`)."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
     w = fam.weight
@@ -65,7 +67,8 @@ def density_spec(fam: PolynomialFamily, n: int, pol_power: float, weight_power: 
 
     return LogIntegrand(a=lo, b=hi, basis=Basis(fam, n, pol_power, weight_power), e_left=e_l,
                         e_right=e_r, breakpoints=tuple(polynomial_zeros(fam, n)),
-                        phi_many=phi_many, log_singular=log_singular)
+                        phi_many=phi_many, log_singular=log_singular,
+                        log_singular_ends=log_singular_ends)
 
 
 def density_integral(fam: PolynomialFamily, n: int, pol_power: float, weight_power: float,

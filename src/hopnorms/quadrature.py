@@ -81,13 +81,40 @@ others.  A batch costs mostly a fixed amount however many points it holds,
 so lockstep pays where many small integrals run side by side, as in a
 sweep over q.
 
-The first Gauss-Kronrod pass cuts every plain panel at the tail walks'
-points inside it.  A tail panel, from the outermost breakpoint to the
-cut, holds its mass next to that breakpoint, and refinement would halve
-it toward the mass one pass at a time; the walk's steps, growing by 1.35,
-grade it that way from the start.  The cuts are depth-0 intervals of the
-one panel, not panel breakpoints: as breakpoints, every tail sub-panel
-would be scanned and most of them zoomed.
+The first Gauss-Kronrod pass cuts each panel whose peak is narrow next to
+it toward that peak.  At large q, or at a large weight parameter, g is a
+narrow Laplace peak inside a panel, or mass pressed against an end of the
+support (a tail panel, from the outermost breakpoint to the cut, holds its
+mass next to that breakpoint), and refinement would halve its way there
+one round per halving; in a sweep the slowest row sets the rounds of all.
+The scan already knows each panel's peak: its point (the zoomed point
+where a zoom ran) and its width sigma = 1/sqrt(-g''), g'' that of the
+parabola through the argmax and its two neighbours of the last zoom round,
+or of the scan where no zoom ran or the zoom's parabola is not concave.  A
+live window or flank cut out of a panel keeps both.  The first pass cuts a
+panel wider than 5 sigma, whose peak lies within 40 nats of its
+integral's shift, at top +- 1.5 sigma and at top +- 4 sigma 2^j, j = 0,
+1, ..., inside it; a graded panel keeps its quarters (below).  The cuts
+are depth-0 intervals of the one panel, not panel breakpoints, which
+would each be scanned.  On a Gaussian the piece (-1.5, 1.5) sigma has
+|K21 - G10| 9e-13 of the mass, below the default tolerance, where (-2, 2)
+sigma has 2.6e-10 and needs one more round; the pieces (1.5, 4) and
+(4, 8) sigma have 3e-15 and 4e-14, where a ratio of 3, (4.5, 13.5), would
+have 1.3e-10.  Over the benchmark's pools (280 q-sweep, 371 degree-sweep
+and 1,149 functionals requests), Gauss-Kronrod batches per request went
+from 5.92, 1.93 and 3.29 to 1.17, 1.03 and 2.10, and the evaluations from
+1,138,641, 580,797 and 2,493,876 to 959,427, 676,263 and 2,386,020.  The
+alternatives, measured the same way: cuts at top +- 2 sigma 2^j took 1.96
+q-sweep batches per request; the scan's sigma alone, without the zoom's,
+1.81; a width of 6 sigma took 1.10 degree-sweep batches, and 4 sigma 1.00
+at 906,045 evaluations, which ran slower.  Cutting the tail panels at the
+tail walk's points, as before, where no peak cut them, cost 19,509 more
+q-sweep evaluations and saved no batch; cutting them there in place of
+the peak cuts took 1.62 q-sweep batches and left Hermite n = 2 at
+q = 1000 with 3 rounds.  Refinement still handles any peak the width
+misjudges, and the error is still |K21 - G10| per interval.  Each spec's
+cuts come from its own rows, so lockstep stays bit-identical to
+integrating alone.
 
 A log-singular spec (``LogIntegrand.log_singular``, set by the Shannon
 entropy and the functional E, whose phi holds -ln|p_n|) has graded panels.
@@ -96,9 +123,16 @@ p_n, where the 10-21 rule converges slowly.  Every panel that ends at a
 breakpoint is graded, and so is a substituted end panel with j = 0, at a
 pole of the weight, where the integrand in t is a series in powers t^p,
 times ln t in Shannon's phi: there, halving an interval only halved its
-error, and refinement could run out of depth.  A graded panel has the
-coordinate s over (0, 1), and its coordinate v (x, or t on a substituted
-panel) is v0 + (v1 - v0) tau(s), tau(s) = s^k/(s^k + (1 - s)^k), graded
+error, and refinement could run out of depth.  Shannon's phi, -ln rho,
+also holds e ln|x - c| at each finite end c of the weight with an
+exponent e != 0, and its spec says so (``log_singular_ends``): on a
+finite support its end panels are graded too, so that at n = 0, with no
+zero to grade at, Shannon of Gegenbauer(2.5) takes 84 evaluations in
+place of 651 and Jacobi(2, 1.25) 126 in place of 483.  Graded at its tail
+cut too, Laguerre's end panel took 252 in place of 168.  E's phi is
+smooth there.  A
+graded panel has the coordinate s over (0, 1), and its coordinate v (x,
+or t on a substituted panel) is v0 + (v1 - v0) tau(s), tau(s) = s^k/(s^k + (1 - s)^k), graded
 at both ends.  Over the Shannon and E requests of the benchmark's
 functionals pool, grading a panel's other end too (a weight end or a
 tail cut) took 5% fewer evaluations than a one-sided s^k.  g gains
@@ -108,7 +142,7 @@ Gauss-Kronrod points with k = 2, 2,898 with k = 3, 3,024 with k = 4 and
 8,841 on plain panels.  Norms, Fisher, I and the moments keep plain panels: their
 integrands are smooth at the zeros, and grading costs a smooth integrand
 about 3-6 times the nodes.  The first pass takes a graded panel as four
-intervals, not cut at the tail walk's points: refinement halved every
+intervals, not cut toward its peak: refinement halved every
 graded panel at least twice anyway, and the quarters skip the two coarser
 passes, whose sums it discarded.  Over the Shannon and E requests of the
 functionals pool, that cut the evaluations from 264,852 to 162,666 and
@@ -146,7 +180,6 @@ the roundings remain.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -192,6 +225,13 @@ _BISECT_STEPS = 6    # bisection steps per batch
 _BISECT_ROUNDS = 10  # 60 steps in all
 _EDGE_PRECISION = 2.0 ** -6  # live-window edge bracket, relative to the live span
 _GRADE = 2  # the power k of a graded panel end, see _graded
+# a peaked panel's first pass: cuts at top +- 1.5 sigma and top +- 4 sigma 2^j,
+# where the panel is wider than 5 sigma and its peak within 40 nats of the
+# shift (see the module docstring)
+_PEAK_CORE = 1.5
+_PEAK_STEP = 4.0
+_PEAK_WIDTH = 5.0
+_PEAK_NATS = 40.0
 _TAIL_STEPS = 500
 _TAIL_BLOCK = 16
 _MAX_INTERVALS = 40_000
@@ -256,7 +296,9 @@ class LogIntegrand:
     alone would give ln 0.  ``log_singular`` marks a phi that is
     log-singular at the breakpoints; the engine then grades the panels
     that end at a breakpoint or at a pole of the weight (see the module
-    docstring).
+    docstring).  With it, ``log_singular_ends`` marks a phi that is
+    log-singular at each finite end with a nonzero exponent too, where
+    the engine then grades the end panels of a finite support.
     """
 
     a: float
@@ -268,6 +310,7 @@ class LogIntegrand:
     phi_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
     basis: Optional[Basis] = None
     log_singular: bool = False
+    log_singular_ends: bool = False
 
     def __post_init__(self):
         if (self.g_core_many is None) == (self.basis is None):
@@ -288,7 +331,7 @@ class _Panel:
     graded at both ends, see :func:`_graded`.
     """
 
-    __slots__ = ("lo", "hi", "side", "owner", "grade", "peak")
+    __slots__ = ("lo", "hi", "side", "owner", "grade", "peak", "top", "sigma")
 
     def __init__(self, lo, hi, side=_PLAIN, owner=0, grade=None):
         self.lo = lo
@@ -297,6 +340,8 @@ class _Panel:
         self.owner = owner
         self.grade = grade
         self.peak = -math.inf
+        self.top = math.nan  # the point of the peak
+        self.sigma = math.inf  # the width of the peak, see _peak_widths
 
 
 def _graded(panels: list[_Panel], us: np.ndarray) -> Optional[tuple]:
@@ -643,17 +688,15 @@ def _walk(start: float, direction: int):
         step *= 1.35
 
 
-def _tail_cuts(specs: _Specs, walks: list[tuple[int, float, int]]
-               ) -> tuple[list[Optional[float]], list[list[float]]]:
+def _tail_cuts(specs: _Specs, walks: list[tuple[int, float, int]]) -> list[Optional[float]]:
     """For each walk (owner, start, direction), the first point where g
     lies _TAIL_CUTOFF + 30 nats below the best value met so far, from the
-    third step on; and per spec the points of its walks short of their
-    cuts.  The walks still going are evaluated together, one row each, in
-    batches of _TAIL_BLOCK points.  A spec whose walk finds no decay fails."""
+    third step on.  The walks still going are evaluated together, one row
+    each, in batches of _TAIL_BLOCK points.  A spec whose walk finds no
+    decay fails."""
     points = [_walk(start, direction) for _, start, direction in walks]
     plain = [_Panel(-math.inf, math.inf, owner=k) for k, _, _ in walks]
     best, cuts = [-math.inf] * len(walks), [None] * len(walks)
-    walked = [[] for _ in specs.specs]
     k0 = -1  # k counts steps; the start is step -1
     while live := [i for i, (k, _, _) in enumerate(walks)
                    if cuts[i] is None and specs.errors[k] is None]:
@@ -673,9 +716,8 @@ def _tail_cuts(specs: _Specs, walks: list[tuple[int, float, int]]
                 elif k >= 2 and gv < best[i] - (_TAIL_CUTOFF + 30.0):
                     cuts[i] = x
                     break
-                walked[walks[i][0]].append(x)
         k0 += _TAIL_BLOCK
-    return cuts, walked
+    return cuts
 
 
 # ascending Chebyshev scan nodes on [-1, 1] and the zoom steps j = 1..16
@@ -688,7 +730,9 @@ def _scan_panels(specs: _Specs, panels: list[_Panel]):
     """Chebyshev scan of every panel, then zoom rounds around the sampled
     argmax of each panel whose peak the scan leaves unresolved; one batch
     per phase.  Returns (xs, gs, gmax, xmax) per panel row, xmax the point
-    of the peak gmax found."""
+    of the peak gmax found, and records them on each panel as its peak and
+    top, with the width sigma of :func:`_peak_widths`: from the last zoom
+    round where one ran and found the peak concave, else from the scan."""
     lo = np.array([p.lo for p in panels])
     hi = np.array([p.hi for p in panels])
     rows = np.arange(len(panels))
@@ -701,6 +745,7 @@ def _scan_panels(specs: _Specs, panels: list[_Panel]):
     inner = np.clip(best, 1, _SCAN_POINTS - 2)
     resolved = ((best == inner) & (gs[rows, inner - 1] >= gmax - _RESOLVED)
                 & (gs[rows, inner + 1] >= gmax - _RESOLVED))
+    sigma = _peak_widths(xs, gs)
     zoom = np.flatnonzero(~resolved)
     if zoom.size:
         sub, zrows = [panels[i] for i in zoom], np.arange(zoom.size)
@@ -717,7 +762,24 @@ def _scan_panels(specs: _Specs, panels: list[_Panel]):
             xz = np.where(better, zs[zrows, best], xz)
             win = win / _REFINE_POINTS
         gmax[zoom], xmax[zoom] = gz_max, xz
+        fine = _peak_widths(zs, gz)
+        sigma[zoom] = np.where(fine < math.inf, fine, sigma[zoom])
+    for p, peak, top, width in zip(panels, gmax.tolist(), xmax.tolist(), sigma.tolist()):
+        p.peak, p.top, p.sigma = peak, top, width
     return xs, gs, gmax, xmax
+
+
+def _peak_widths(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """The width sigma = 1/sqrt(-g'') of the peak of each row of points xs,
+    g'' that of the parabola through the row's argmax and its two neighbours
+    (the first or last three points where the argmax ends the row); inf
+    where that parabola is not concave."""
+    rows = np.arange(len(xs))
+    mid = np.clip(gs.argmax(axis=1), 1, xs.shape[1] - 2)
+    (x0, x1, x2), (g0, g1, g2) = ((v[rows, mid - 1], v[rows, mid], v[rows, mid + 1])
+                                  for v in (xs, gs))
+    curv = 2.0 * ((g2 - g1) / (x2 - x1) - (g1 - g0) / (x1 - x0)) / (x2 - x0)
+    return np.where(np.isfinite(curv) & (curv < 0.0), 1.0 / np.sqrt(-curv), math.inf)
 
 
 def _bisect_round(above_many: Callable[[np.ndarray], np.ndarray], outer: np.ndarray,
@@ -765,8 +827,10 @@ def _split_on_live_windows(specs: _Specs, panels: list[_Panel], xs: np.ndarray,
                            gs: np.ndarray, gmax: np.ndarray, xmax: np.ndarray) -> list[_Panel]:
     """Cut each panel whose live window (where g is within _TAIL_CUTOFF of the
     panel's peak) spans at most a quarter of it into the window and the two
-    dead flanks.  A panel whose scanned live points already span more than
-    a quarter stays whole without a search.  Where no scanned point is live,
+    dead flanks; each piece keeps the panel's top and width (see
+    :func:`_scan_panels`).  A panel whose scanned live points already span
+    more than a quarter stays whole without a search; that test runs over
+    all panels at once.  Where no scanned point is live,
     only a zoom reached the peak, and the window grows from its point xmax
     between the two scanned neighbours; kept whole, such a panel can hide
     the peak between its Gauss-Kronrod nodes, whose flanks alone then seem
@@ -780,21 +844,24 @@ def _split_on_live_windows(specs: _Specs, panels: list[_Panel], xs: np.ndarray,
     where it is cut; the outer end of each bracket is taken, so the window
     only widens."""
     last = xs.shape[1] - 1
-    wins, edges = [], []  # edges: (row, side, outer, inner, level, far panel end)
-    for i, (p, peak, top) in enumerate(zip(panels, gmax.tolist(), xmax.tolist())):
-        p.peak = peak
-        level = peak - _TAIL_CUTOFF
-        idx = np.flatnonzero(gs[i] >= level)
-        if idx.size and xs[i, idx[-1]] - xs[i, idx[0]] > 0.25 * (p.hi - p.lo):
-            wins.append(None)
-            continue
-        if idx.size:  # the live scanned points run from lo_i to hi_i
-            lo_i, hi_i = idx[0], idx[-1]
+    width = np.array([p.hi - p.lo for p in panels])
+    levels = gmax - _TAIL_CUTOFF
+    live = gs >= levels[:, None]
+    some = live.any(axis=1)
+    first, final = live.argmax(axis=1), last - live[:, ::-1].argmax(axis=1)
+    rows = np.arange(len(panels))
+    whole = some & (xs[rows, final] - xs[rows, first] > 0.25 * width)
+    wins, edges = [None] * len(panels), []  # edges: (row, side, outer, inner, level, far end)
+    for i in np.flatnonzero(~whole).tolist():
+        p, level = panels[i], float(levels[i])
+        if some[i]:  # the live scanned points run from lo_i to hi_i
+            lo_i, hi_i = int(first[i]), int(final[i])
             left, right = xs[i, lo_i], xs[i, hi_i]
         else:  # the zoomed peak lies between the dead points hi_i and lo_i
+            top = float(xmax[i])
             lo_i = int(np.searchsorted(xs[i], top))
             hi_i, left, right = lo_i - 1, top, top
-        wins.append([p.lo, p.hi])
+        wins[i] = [p.lo, p.hi]
         if lo_i > 0:
             edges.append((i, 0, xs[i, lo_i - 1], left, level, p.hi))
         if hi_i < last:
@@ -833,8 +900,20 @@ def _split_on_live_windows(specs: _Specs, panels: list[_Panel], xs: np.ndarray,
             if v > u:
                 sub = _Panel(u, v, p.side, p.owner, p.grade)
                 sub.peak = p.peak if (u, v) == (left, right) else p.peak - _TAIL_CUTOFF
+                sub.top, sub.sigma = p.top, p.sigma
                 out.append(sub)
     return out
+
+
+def _peak_cuts(p: _Panel) -> list[float]:
+    """The points top +- _PEAK_CORE sigma and top +- _PEAK_STEP sigma 2^j,
+    j = 0, 1, ..., of the panel p that lie inside it, ascending."""
+    top, sigma = p.top, p.sigma
+    offsets, step = [_PEAK_CORE * sigma], _PEAK_STEP * sigma
+    while top - step > p.lo or top + step < p.hi:
+        offsets.append(step)
+        step *= 2.0
+    return sorted({x for d in offsets for x in (top - d, top + d) if p.lo < x < p.hi})
 
 
 def _node_rounding(g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -1059,14 +1138,18 @@ def _spec_panels(specs: _Specs, k: int, lo: float, hi: float, bps: list[float]
                  ) -> list[_Panel]:
     """Spec k's panels between its (cut) ends lo and hi, split at its
     breakpoints, a substituted end panel in t; a log-singular spec's
-    panels graded where they end at a breakpoint or a pole (see the module
-    docstring)."""
+    panels graded where they end at a breakpoint or a pole, or, with
+    log-singular ends on a finite support, at an end with a nonzero
+    exponent (see the module docstring)."""
     spec = specs.specs[k]
     for e, name in ((spec.e_left, "left"), (spec.e_right, "right")):
         if e <= -1.0:
             raise DomainError(f"non-integrable {name} endpoint exponent {e}")
     edges = [lo] + [x for x in bps if lo < x < hi] + [hi]
     graded = spec.log_singular and len(edges) > 2  # every panel ends at a breakpoint
+    # log-singular weight ends, graded on a finite support: a tail panel
+    # graded at its cut end too took more evaluations than a plain one
+    ends = spec.log_singular and spec.log_singular_ends and (lo, hi) == (spec.a, spec.b)
     left, right = specs.subs[k]
     if len(edges) == 2 and left is not None and right is not None:
         edges = [lo, 0.5 * (lo + hi), hi]
@@ -1084,7 +1167,8 @@ def _spec_panels(specs: _Specs, k: int, lo: float, hi: float, bps: list[float]
             pole = right.j == 0
         else:
             side, v0, v1, pole = _PLAIN, u, v, False
-        if graded or spec.log_singular and pole:
+        at_end = u == spec.a and spec.e_left != 0.0 or v == spec.b and spec.e_right != 0.0
+        if graded or spec.log_singular and pole or ends and at_end:
             panels.append(_Panel(0.0, 1.0, side, k, (v0, v1)))
         else:
             panels.append(_Panel(v0, v1, side, k))
@@ -1101,7 +1185,7 @@ def _log_integrals(specs: _Specs, cfg: QuadratureConfig) -> list:
         for d, end, start in ((-1, spec.a, min([0.0] + bps[k])), (1, spec.b, max([0.0] + bps[k]))):
             if not math.isfinite(end):
                 walks.append((k, start, d))
-    cuts, walked = _tail_cuts(specs, walks)
+    cuts = _tail_cuts(specs, walks)
     ends = [[spec.a, spec.b] for spec in specs.specs]
     for (k, _, d), cut in zip(walks, cuts):
         if cut is not None:
@@ -1124,18 +1208,15 @@ def _log_integrals(specs: _Specs, cfg: QuadratureConfig) -> list:
         specs.shift[k] = shift = max(spec_peaks)
         sums[k] = _Sum(shift, cfg.rel_tol)
 
-    # the first pass cuts every plain panel at the tail walks' points inside
-    # it, and every graded panel into quarters
-    for steps in walked:
-        steps.sort()
+    # the first pass cuts every graded panel into quarters, and every panel
+    # whose peak is much narrower than itself geometrically toward that peak
     panels, los, his = [], [], []
     for p in work:
         if p.grade is not None:
             mid = 0.5 * (p.lo + p.hi)
             cut = [0.5 * (p.lo + mid), mid, 0.5 * (mid + p.hi)]
-        elif p.side == _PLAIN:
-            steps = walked[p.owner]
-            cut = steps[bisect.bisect_right(steps, p.lo):bisect.bisect_left(steps, p.hi)]
+        elif p.hi - p.lo > _PEAK_WIDTH * p.sigma and p.peak >= specs.shift[p.owner] - _PEAK_NATS:
+            cut = _peak_cuts(p)
         else:
             cut = []
         edges = [p.lo] + cut + [p.hi]

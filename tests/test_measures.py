@@ -293,6 +293,28 @@ def test_graded_panels_agree_with_plain_ones(a, b, n, kind):
     assert abs(ratio - 1.0) <= graded.rel_err * ratio + plain.rel_err
 
 
+@pytest.mark.parametrize("fam, a, b, parent", [(gegenbauer(2.5), 2.0, 2.0, 651),
+                                               (jacobi(2.0, 1.25), 2.0, 1.25, 483)],
+                         ids=["gegenbauer", "jacobi"])
+def test_shannon_grades_its_log_singular_weight_ends(fam, a, b, parent):
+    # p_0 has no zero to grade a panel at, but phi = -ln rho holds
+    # e ln|x - c| at each weight end: graded there, the end panels take
+    # 84 and 126 evaluations where plain ones took the parent's
+    res = quadrature.log_integral(measures._shannon_spec(DensityHandle(fam, 0)))
+    assert res.neval <= 250 < parent
+    assert shannon_entropy(DensityHandle(fam, 0)) == pytest.approx(_beta_entropy(a, b),
+                                                                   abs=1e-12)
+
+
+@pytest.mark.parametrize("fam", [gegenbauer(2.5), jacobi(2.0, 1.25)], ids=lambda f: f.label())
+def test_functional_E_keeps_plain_weight_ends(fam):
+    # E's phi = -ln p_n^2 is smooth at the weight's ends: at n = 0 its
+    # panels and its bits are those of plain panels
+    spec = measures._functional_E_spec(fam, 0)
+    plain = dataclasses.replace(spec, log_singular=False)
+    assert quadrature.log_integral(spec) == quadrature.log_integral(plain)
+
+
 @pytest.mark.parametrize("fam, n, parent", [(hermite(), 300, 156_933),
                                             (jacobi(2.5, 1.5), 300, 194_565)],
                          ids=["hermite", "jacobi"])

@@ -341,6 +341,95 @@ def test_first_gauss_kronrod_pass_leaves_little_to_refine(batches, fam, n, q, mo
     assert r.error_estimate <= 1e-11
 
 
+@pytest.fixture
+def gk_batches(monkeypatch):
+    """The Gauss-Kronrod batches: the first pass, then one per refinement round."""
+    calls = []
+    gk_rows = quadrature._gk_rows
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return gk_rows(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_gk_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fam, n, q, most", [(jacobi(1000.0, 2.0), 0, 2.0, 1),
+                                             (hermite(), 2, 1000.0, 2)],
+                         ids=["jacobi-end-mass", "hermite-laplace-peak"])
+def test_peaked_panels_are_cut_toward_their_peaks(gk_batches, fam, n, q, most):
+    # Jacobi(1000, 2) at W_2 holds its mass within 0.004 of -1, and Hermite
+    # n = 2 at W_1000 has peaks of width 0.016 in live windows 0.37 wide.
+    # Halved toward the peak one round at a time, they took a first pass and
+    # 5 and 3 rounds; cut at the scan's peak widths, they take at most the
+    # first pass and one round
+    r = weighted_norm_quad(fam, n, q)
+    assert len(gk_batches) <= most
+    assert r.error_estimate <= 1e-11
+
+
+def test_a_lockstep_q_grid_finishes_in_its_first_pass(gk_batches):
+    # the CI's q sweep of Jacobi(2, 1), n = 4: its slowest row set 6 batches
+    # (a first pass and 5 rounds) before peaked panels were cut
+    points = [("weighted-norm", jacobi(2.0, 1.0), 4, float(q), False)
+              for q in (1, 2, 3, 5, 10, 30, 100, 300, 1000, 3000, 10000)]
+    quadrature.raise_first(norms.norm_quads(points))
+    assert len(gk_batches) <= 1
+
+
+def _degree_zero_weighted_norm(fam, q: float) -> tuple:
+    """The terms of ln W_q of p_0 = 1, the integral of h^q, in closed form."""
+    w = fam.weight
+    if w.c2:  # Hermite: sqrt(pi/q)
+        return 0.5 * math.log(math.pi), -0.5 * math.log(q)
+    if w.c1:  # Laguerre(alpha): Gamma(alpha q + 1)/q^(alpha q + 1)
+        e = w.e_lo * q + 1.0
+        return math.lgamma(e), -e * math.log(q)
+    # Jacobi(alpha, beta), Gegenbauer as Jacobi(lambda - 1/2, lambda - 1/2):
+    # 2^((alpha + beta) q + 1) B(alpha q + 1, beta q + 1)
+    a, b = w.e_hi * q + 1.0, w.e_lo * q + 1.0
+    return (a + b - 1.0) * math.log(2.0), math.lgamma(a), math.lgamma(b), -math.lgamma(a + b)
+
+
+@pytest.mark.parametrize("fam", [hermite(), laguerre(0.5), laguerre(100.0), laguerre(1e4),
+                                 jacobi(1000.0, 2.0), jacobi(2.5, 1.5), jacobi(0.5, 1e4),
+                                 gegenbauer(1.75), gegenbauer(1e4)],
+                         ids=lambda f: f.label())
+@pytest.mark.parametrize("q", [1.0, 2.0, 10.0, 316.0, 1e4])
+def test_degree_zero_norms_meet_their_closed_forms(fam, q):
+    # within the claim plus the rounding of the terms of the closed form
+    terms = _degree_zero_weighted_norm(fam, q)
+    r = weighted_norm_quad(fam, 0, q)
+    assert r.value.sign == 1
+    assert (abs(r.value.log_abs - sum(terms))
+            <= r.error_estimate + 4.0 * np.finfo(float).eps * sum(map(abs, terms)))
+
+
+_PARAMETER = st.floats(-1.0, 4.0).map(lambda e: 10.0 ** e)  # 0.1 to 1e4
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(("hermite", "laguerre", "jacobi", "gegenbauer")), _PARAMETER, _PARAMETER,
+       st.integers(0, 6),
+       st.one_of(st.floats(1.0, 1e4), st.sampled_from(range(2, 42, 2)).map(float)))
+def test_norms_of_narrow_peaks_are_finite_and_meet_bell(kind, a, b, n, q):
+    # at large q or a large weight parameter the integrand is a narrow peak
+    # or mass pressed against an end, which the first pass cuts toward:
+    # every norm is finite, and meets the exact engine within the sum of
+    # the two claims wherever that applies (even q, n q <= 240)
+    fam = {"hermite": hermite, "laguerre": lambda: laguerre(a), "jacobi": lambda: jacobi(a, b),
+           "gegenbauer": lambda: gegenbauer(0.4 + a)}[kind]()
+    unweighted = unweighted_norm_quad(fam, n, q)
+    for r in (weighted_norm_quad(fam, n, q), unweighted):
+        assert r.value.sign == 1 and math.isfinite(r.value.log_abs)
+        assert math.isfinite(r.error_estimate)
+    if q % 2 == 0 and n * q <= 240:
+        bell = unweighted_norm_bell(fam, n, int(q))
+        assert (abs(unweighted.value.log_abs - bell.value.log_abs)
+                <= unweighted.error_estimate + bell.error_estimate)
+
+
 def test_substitution_powers():
     # |x - c| = t^p turns |x - c|^e dx into p t^j dt with p = (j + 1)/(1 + e)
     assert _power(-0.5) == (2.0, 0)
