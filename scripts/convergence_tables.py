@@ -1,13 +1,10 @@
 #!/usr/bin/env python3
-"""Emit the convergence tables behind the asymptotic engines.
+"""Write the convergence tables behind the asymptotic engines as CSV, on stdout
+or into --outdir.  Their rows are those of the ``hopnorms.validate.CASES``
+records that name a table, on the grids the validation checks read:
 
-Three tables, CSV on stdout or into --outdir:
-
-  q          quadrature vs the large-q Laplace/Watson leading terms over a
-             doubling q grid (weighted hermite/laguerre/jacobi, unweighted
-             jacobi including the symmetric tie case)
-  parameter  quadrature vs the large-parameter leading terms over a doubling
-             alpha/lambda grid (log-domain ratios)
+  q          quadrature vs the large-q Laplace/Watson leading terms
+  parameter  quadrature vs the large-parameter leading terms (log-domain ratios)
   shannon    quadrature vs the Shannon-functional parameter forms
 
 Example:
@@ -18,75 +15,22 @@ import math
 import sys
 from pathlib import Path
 
-from hopnorms.families import gegenbauer, hermite, jacobi, laguerre
-from hopnorms.laplace import unweighted_norm_q_asym, weighted_norm_q_asym
-from hopnorms.measures import functional_E_log
-from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
-from hopnorms.paramasym import (gegenbauer_weighted_param, jacobi_shannon_param,
-                                jacobi_unweighted_param, jacobi_weighted_param,
-                                laguerre_shannon_param, laguerre_unweighted_param,
-                                laguerre_weighted_param)
+from hopnorms.validate import CASES, evaluate
+
+# table: (point column, last column, its value from (log_quad, log_asym), rows by point)
+TABLES = {
+    "q": ("q", "ratio_minus_1", lambda lq, la: math.expm1(lq - la), False),
+    "parameter": ("parameter", "log_ratio", lambda lq, la: la / lq, False),
+    "shannon": ("parameter", "log_ratio", lambda lq, la: la / lq, True),
+}
 
 
-def q_table():
-    rows = [("case", "q", "log_quad", "log_asym", "ratio_minus_1")]
-    weighted = [("hermite-n1", hermite(), 1), ("hermite-n2", hermite(), 2),
-                ("laguerre-a3-n1", laguerre(3.0), 1), ("jacobi-1.5-2.5-n0", jacobi(1.5, 2.5), 0)]
-    for label, fam, n in weighted:
-        for q in (25.0, 50.0, 100.0, 200.0, 400.0):
-            lq = weighted_norm_quad(fam, n, q).value.log_abs
-            la = weighted_norm_q_asym(fam, n, q).value.log_abs
-            rows.append((f"weighted-{label}", q, lq, la, math.expm1(lq - la)))
-    unweighted = [("jacobi-1-0-n1", jacobi(1.0, 0.0), 1),
-                  ("jacobi-0-0.5-n2", jacobi(0.0, 0.5), 2),
-                  ("legendre-tie-n1", jacobi(0.0, 0.0), 1)]
-    for label, fam, n in unweighted:
-        for q in (50.0, 100.0, 200.0, 400.0):
-            lq = unweighted_norm_quad(fam, n, q).value.log_abs
-            la = unweighted_norm_q_asym(fam, n, q).value.log_abs
-            rows.append((f"unweighted-{label}", q, lq, la, math.expm1(lq - la)))
-    return rows
-
-
-def parameter_table():
-    rows = [("case", "parameter", "log_quad", "log_asym", "log_ratio")]
-    cases = [
-        ("laguerre-unweighted-n1-q2",
-         lambda a: unweighted_norm_quad(laguerre(a), 1, 2.0).value.log_abs,
-         lambda a: laguerre_unweighted_param(1, a, 2.0).log_value),
-        ("laguerre-weighted-n1-q2",
-         lambda a: weighted_norm_quad(laguerre(a), 1, 2.0).value.log_abs,
-         lambda a: laguerre_weighted_param(1, a, 2.0).log_value),
-        ("jacobi-unweighted-n1-b0-q2",
-         lambda a: unweighted_norm_quad(jacobi(a, 0.0), 1, 2.0).value.log_abs,
-         lambda a: jacobi_unweighted_param(1, a, 0.0, 2.0).log_value),
-        ("jacobi-weighted-n1-b0-q2",
-         lambda a: weighted_norm_quad(jacobi(a, 0.0), 1, 2.0).value.log_abs,
-         lambda a: jacobi_weighted_param(1, a, 0.0, 2.0).log_value),
-        ("gegenbauer-weighted-n1-q2",
-         lambda a: weighted_norm_quad(gegenbauer(a), 1, 2.0).value.log_abs,
-         lambda a: gegenbauer_weighted_param(1, a, 2.0).log_value),
-    ]
-    for label, quad, asym in cases:
-        for a in (100.0, 200.0, 400.0, 800.0, 1600.0):
-            lq, la = quad(a), asym(a)
-            rows.append((label, a, lq, la, la / lq))
-    return rows
-
-
-def shannon_table():
-    rows = [("case", "parameter", "log_quad", "log_asym", "log_ratio")]
-    for a in (500.0, 1000.0, 2000.0, 4000.0):
-        lq = (-functional_E_log(laguerre(a), 1)).log_abs
-        la = laguerre_shannon_param(1, a).log_value
-        rows.append(("laguerre-shannon-m1", a, lq, la, la / lq))
-        lq = functional_E_log(jacobi(a, 0.0), 1).log_abs
-        la = jacobi_shannon_param(1, a, 0.0).log_value
-        rows.append(("jacobi-shannon-n1-b0", a, lq, la, la / lq))
-    return rows
-
-
-TABLES = {"q": q_table, "parameter": parameter_table, "shannon": shannon_table}
+def table(name):
+    point, last, derived, by_point = TABLES[name]
+    rows = [(c.table[1], p, lq, la, derived(lq, la))
+            for c in CASES if c.table and c.table[0] == name for p, lq, la in evaluate(c.name)]
+    return [("case", point, "log_quad", "log_asym", last),
+            *(sorted(rows, key=lambda row: row[1]) if by_point else rows)]
 
 
 def main(argv=None) -> int:
@@ -96,19 +40,16 @@ def main(argv=None) -> int:
     ap.add_argument("--outdir", default=None)
     args = ap.parse_args(argv)
 
-    names = sorted(TABLES) if args.table == "all" else [args.table]
-    for name in names:
-        rows = TABLES[name]()
+    for name in sorted(TABLES) if args.table == "all" else [args.table]:
         text = "\n".join(",".join("%.17g" % v if isinstance(v, float) else str(v)
-                                  for v in row) for row in rows)
+                                  for v in row) for row in table(name))
         if args.outdir:
-            path = Path(args.outdir)
-            path.mkdir(parents=True, exist_ok=True)
-            (path / f"{name}_convergence.csv").write_text(text + "\n")
-            print(f"wrote {path / f'{name}_convergence.csv'}")
+            path = Path(args.outdir) / f"{name}_convergence.csv"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text + "\n")
+            print(f"wrote {path}")
         else:
-            print(f"# table: {name}")
-            print(text)
+            print(f"# table: {name}\n{text}")
     return 0
 
 

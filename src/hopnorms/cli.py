@@ -29,7 +29,7 @@ from .norms import NORM_OPS, NormResult, norm_quads, normalized_by_kappa
 from .bell import unweighted_norm_bell
 from .paramasym import PARAM_FORMS
 from .quadrature import QuadratureConfig, raise_first
-from .validate import run_suite
+from .validate import SUITES, run_suite
 
 SCHEMA_VERSION = 1
 _LINEAR_CAP = 690.0
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("validate", help="run a validation suite")
-    pv.add_argument("suite", choices=("identities", "convergence", "paper-closed-forms", "all"))
+    pv.add_argument("suite", choices=(*SUITES, "all"))
     pv.add_argument("--out", default=None, help="write a JSON report here")
     pv.set_defaults(func=cmd_validate)
     return ap

@@ -6,15 +6,21 @@ reports pass/fail with the measured numbers.  Checks of formulas that are
 implemented verbatim although they disagree with their own exact oracles
 are flagged ``info`` (documented discrepancies): they record the measured
 mismatch and never fail the run.
+
+Each comparison of an asymptotic term with an exact route is one record of
+``CASES``; ``evaluate`` turns it into rows that the checks judge, that
+``scripts/convergence_tables.py`` writes and that the acceptance tests read.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from . import measures
 from .families import (gegenbauer, hermite, jacobi, laguerre, eval_poly,
-                       norm_constant_log, PolynomialFamily)
+                       norm_constant_log)
 from .laplace import locate_density_maximum, unweighted_norm_q_asym, weighted_norm_q_asym
 from .measures import DensityHandle
 from .norms import unweighted_norm_quad, weighted_norm_quad, weight_moment
@@ -24,10 +30,12 @@ from .paramasym import (gegenbauer_shannon_param, gegenbauer_shannon_tail,
                         gegenbauer_weighted_param_simplified, jacobi_shannon_param,
                         jacobi_unweighted_param, jacobi_weighted_param,
                         jacobi_weighted_q2_normalized_printed, laguerre_shannon_param,
-                        laguerre_weighted_param, temme_I1, temme_I1_quadrature)
+                        laguerre_unweighted_param, laguerre_weighted_param, temme_I1,
+                        temme_I1_quadrature)
 from .special import log_gamma
 
-__all__ = ["Check", "run_suite", "SUITES"]
+__all__ = ["Case", "CASES", "Check", "FAMILY_GRID", "LAPLACE_CLOSED_FORMS", "SUITES",
+           "evaluate", "run_suite", "worst_of"]
 
 _NOISE_FLOOR = 1e-9  # identically-exact cases sit at quadrature noise
 
@@ -55,7 +63,13 @@ def _info(name, suite, measured, note=""):
 
 def _rel(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if scale > 0 else 0.0
+    return abs(a - b) / scale if scale != 0.0 else 0.0  # a NaN stays NaN
+
+
+def worst_of(errs) -> float:
+    """The largest error, or NaN if any is: ``max`` would skip a NaN after the first."""
+    errs = list(errs)
+    return math.nan if any(map(math.isnan, errs)) else max(errs, default=0.0)
 
 
 FAMILY_GRID = (
@@ -72,34 +86,27 @@ def _suite_identities() -> list[Check]:
     out = []
     d0 = DensityHandle(hermite(), 0, True)
 
-    s = measures.shannon_entropy(d0)
-    out.append(_check("gaussian-shannon", "identities",
-                      abs(s - 0.5 * math.log(math.pi * math.e)) < 1e-6,
-                      {"S": s, "expected": 0.5 * math.log(math.pi * math.e)}))
-    f = measures.fisher_information(d0)
-    out.append(_check("gaussian-fisher", "identities", abs(f - 2.0) < 1e-6,
-                      {"F": f, "expected": 2.0}))
-    cfs = measures.fisher_shannon(d0)
-    out.append(_check("gaussian-fisher-shannon", "identities", abs(cfs - 1.0) < 1e-6,
-                      {"C_FS": cfs, "expected": 1.0}))
-    r2 = measures.renyi_entropy(d0, 2.0)
-    out.append(_check("gaussian-renyi-2", "identities",
-                      abs(r2 - 0.5 * math.log(2.0 * math.pi)) < 1e-9,
-                      {"R2": r2, "expected": 0.5 * math.log(2.0 * math.pi)}))
+    for name, key, got, want, tol in (
+            ("gaussian-shannon", "S", measures.shannon_entropy(d0),
+             0.5 * math.log(math.pi * math.e), 1e-6),
+            ("gaussian-fisher", "F", measures.fisher_information(d0), 2.0, 1e-6),
+            ("gaussian-fisher-shannon", "C_FS", measures.fisher_shannon(d0), 1.0, 1e-6),
+            ("gaussian-renyi-2", "R2", measures.renyi_entropy(d0, 2.0),
+             0.5 * math.log(2.0 * math.pi), 1e-9)):
+        out.append(_check(name, "identities", abs(got - want) < tol, {key: got, "expected": want}))
 
-    grid = [(f, n) for f in FAMILY_GRID for n in (0, 1, 3)]
-    worst_e, worst_s, worst_d = 0.0, 0.0, 0.0
-    for fam, n in grid:
+    errs = []
+    for fam, n in [(f, n) for f in FAMILY_GRID for n in (0, 1, 3)]:
         e1 = measures.functional_E(fam, n, "quadrature")
         e2 = measures.functional_E(fam, n, "qderivative")
-        worst_e = max(worst_e, abs(e1 - e2) / max(abs(e1), abs(e2), 1e-3))
         dh = DensityHandle(fam, n, True)
         s1 = measures.shannon_entropy(dh)
         s2 = measures.shannon_from_Wq_derivative(dh)
-        worst_s = max(worst_s, abs(s1 - s2) / max(abs(s1), abs(s2), 1e-3))
         kappa = norm_constant_log(fam, n).to_float()
         rhs = math.log(kappa) + (e1 + measures.functional_I(fam, n)) / kappa
-        worst_d = max(worst_d, abs(s1 - rhs))
+        errs.append((abs(e1 - e2) / max(abs(e1), abs(e2), 1e-3),
+                     abs(s1 - s2) / max(abs(s1), abs(s2), 1e-3), abs(s1 - rhs)))
+    worst_e, worst_s, worst_d = map(worst_of, zip(*errs))
     out.append(_check("e-functional-dual-method", "identities", worst_e <= 1e-5,
                       {"worst_rel": worst_e, "tolerance": 1e-5}))
     out.append(_check("shannon-from-wq-derivative", "identities", worst_s <= 1e-5,
@@ -114,13 +121,11 @@ def _suite_identities() -> list[Check]:
         mono_ok &= all(rs[i] >= rs[i + 1] - 1e-12 for i in range(len(rs) - 1))
     out.append(_check("renyi-monotonicity", "identities", mono_ok, {}))
 
-    worst_w1, worst_n2 = 0.0, 0.0
-    for fam in FAMILY_GRID:
-        for n in (0, 4, 9):
-            w1 = weighted_norm_quad(fam, n, 1.0, normalized=True).to_float()
-            worst_w1 = max(worst_w1, abs(w1 - 1.0))
-            n2 = unweighted_norm_quad(fam, n, 2.0).value.log_abs
-            worst_n2 = max(worst_n2, abs(n2 - norm_constant_log(fam, n).log_abs))
+    grid = [(fam, n) for fam in FAMILY_GRID for n in (0, 4, 9)]
+    worst_w1 = worst_of(abs(weighted_norm_quad(fam, n, 1.0, normalized=True).to_float() - 1.0)
+                        for fam, n in grid)
+    worst_n2 = worst_of(abs(unweighted_norm_quad(fam, n, 2.0).value.log_abs
+                            - norm_constant_log(fam, n).log_abs) for fam, n in grid)
     out.append(_check("unit-mass", "identities", worst_w1 <= 1e-9,
                       {"worst_abs": worst_w1, "tolerance": 1e-9}))
     out.append(_check("n2-equals-kappa", "identities", worst_n2 <= 1e-9,
@@ -128,15 +133,15 @@ def _suite_identities() -> list[Check]:
 
     lims = [measures.lmc_plain(DensityHandle(fam, n, True))
             for fam in (hermite(), laguerre(2.5), gegenbauer(3.5)) for n in (0, 3, 7)]
-    out.append(_check("lmc-lower-bound", "identities", min(lims) >= 1.0 - 1e-9,
-                      {"min_lmc": min(lims)}))
+    lowest = -worst_of(-v for v in lims)  # the smallest value, or NaN like worst_of
+    out.append(_check("lmc-lower-bound", "identities", lowest >= 1.0 - 1e-9, {"min_lmc": lowest}))
 
     cfs_vals = [measures.fisher_shannon(DensityHandle(fam, n, True))
                 for fam in (hermite(), laguerre(2.5), jacobi(2.5, 1.5), gegenbauer(3.5))
                 for n in (0, 3, 7)]
-    out.append(_check("fisher-shannon-lower-bound", "identities",
-                      min(cfs_vals) >= 1.0 - 1e-9, {"min_cfs": min(cfs_vals)},
-                      "densities vanishing at finite support endpoints"))
+    lowest = -worst_of(-v for v in cfs_vals)
+    out.append(_check("fisher-shannon-lower-bound", "identities", lowest >= 1.0 - 1e-9,
+                      {"min_cfs": lowest}, "densities vanishing at finite support endpoints"))
     out.append(_info("fisher-shannon-boundary-counterexamples", "identities",
                      {"exponential_laguerre0_n0":
                           measures.fisher_shannon(DensityHandle(laguerre(0.0), 0, True)),
@@ -149,49 +154,272 @@ def _suite_identities() -> list[Check]:
     return out
 
 
+# ------------------------------------------------------------- closed forms
+
+def _jacobi_n0_closed(fam, q):
+    a, b = fam.alpha, fam.beta
+    return (q * (a + b) * math.log(2.0) + a * q * math.log(a / (a + b))
+            + b * q * math.log(b / (a + b))
+            + 0.5 * math.log(8 * math.pi * a * b / (q * (a + b) ** 3)))
+
+
+def _laguerre_n1_closed(fam, q):
+    al = fam.alpha
+    s = math.sqrt(8 * al + 9)
+    x0 = 0.5 * (2 * al + 3 - s)
+    f2 = (3 * s - 8 * al - 9) / (s - 2 * al - 3) ** 2
+    return (q * (al * math.log(x0) - x0 + 2 * math.log(abs(al + 1 - x0)))
+            + 0.5 * (math.log(2 * math.pi) - math.log(-q * f2)))
+
+
+# label: (family, n, its hand-coded Laplace leading term ln W_q as a function of (family, q))
+LAPLACE_CLOSED_FORMS = {
+    "hermite-n0": (hermite(), 0, lambda fam, q: 0.5 * (math.log(math.pi) - math.log(q))),
+    "hermite-n1": (hermite(), 1, lambda fam, q: (2 * q + 1) * math.log(2.0) - q
+                   + 0.5 * (math.log(math.pi) - math.log(2 * q))),
+    "hermite-n2": (hermite(), 2, lambda fam, q: (6 * q + 1) * math.log(2.0) - 2.5 * q
+                   + 0.5 * (math.log(2 * math.pi) - math.log(5 * q))),
+    "jacobi-n0": (jacobi(1.5, 2.5), 0, _jacobi_n0_closed),
+    "laguerre-n0": (laguerre(3.0), 0, lambda fam, q: q * fam.alpha * (math.log(fam.alpha) - 1.0)
+                    + 0.5 * math.log(2 * math.pi * fam.alpha / q)),
+    "laguerre-n1": (laguerre(3.0), 1, _laguerre_n1_closed),
+}
+
+
+def _legendre_n1(q):  # N_q[P_1] = int |x|^q dx over [-1, 1], where the Legendre tie sits
+    return 2.0 / (q + 1.0)
+
+
+# ------------------------- rules: rows -> (verdict, or None if informational; measured)
+
+def _ratio_to_one(log_a: float, log_b: float) -> float:
+    return abs(math.exp(log_a - log_b) - 1.0)
+
+
+def _rate_fit(rows):
+    # |quad/asym - 1| <= C/q, C fitted at q=25 with 1.5x headroom: the O(1/q) part of
+    # c1/q (1 + O(1/q)) can cancel up to 34% there (hermite n=2), while a genuine rate
+    # failure overshoots severalfold (q^(-1/2) by ~1.9x at q=200, none at all by ~5x)
+    errs = {q: _ratio_to_one(le, la) for q, le, la in rows if q in _LAPLACE_Q}
+    c = max(errs[25.0], _NOISE_FLOOR) * 25.0 * 1.5
+    return (all(errs[q] <= c / q for q in _LAPLACE_Q[1:]),
+            {f"err_q{int(q)}": e for q, e in errs.items()} | {"C": c})
+
+
+def _monotone(rows):
+    """|quad/asym - 1| does not grow along the grid, to quadrature noise."""
+    errs = [_ratio_to_one(le, la) for _, le, la in rows]
+    return (all(b <= a + _NOISE_FLOOR for a, b in zip(errs, errs[1:])),
+            {f"err{i}": e for i, e in enumerate(errs)})
+
+
+def _improves(rows):
+    """The last expansion order lies strictly closer to the oracle than the first."""
+    errs = {p: _ratio_to_one(la, le) for p, le, la in rows}
+    first, *_, last = errs.values()
+    return last < first, {f"order{p}_rel": e for p, e in errs.items()}
+
+
+def _exact(tol, err):
+    """Every row within `tol` by the relative error err(log_exact, log_asym)."""
+    def rule(rows):
+        worst = worst_of(err(le, la) for _, le, la in rows)
+        return worst <= tol, {"worst_rel": worst, "tolerance": tol}
+    return rule
+
+
+def _log_rate(tol, points, floor=None):
+    """|ln asym / ln exact - 1| within `tol` at the first of `points` ({key: point})
+    and smaller at the second, or at most `floor` where both sit at quadrature noise."""
+    (k_lo, p_lo), (k_hi, p_hi) = points.items()
+    def rule(rows):
+        errs = {p: abs(la / le - 1.0) for p, le, la in rows}
+        lo, hi = errs[p_lo], errs[p_hi]
+        return lo <= tol and (hi <= max(lo, floor) if floor else hi < lo), {k_lo: lo, k_hi: hi}
+    return rule
+
+
+def _tie(rows):
+    """Within 2/q, linear domain: against 2/(q+1) itself, as its log does not round-trip."""
+    rel = {q: abs(math.exp(la) - _legendre_n1(q)) / _legendre_n1(q)
+           for q, _, la in rows if q in (50.0, 200.0)}
+    return all(r <= 2.0 / q for q, r in rel.items()), {f"rel_q{int(q)}": r for q, r in rel.items()}
+
+
+def _jacobi_q2_displays(rows):
+    (a, oracle, division), (_, _, printed) = [(p, math.exp(le), math.exp(la)) for p, le, la in rows]
+    return None, {"division_route": division, "printed_form": printed, "beta_oracle": oracle,
+                  "division_rel_err_vs_oracle": _rel(division, oracle),
+                  "division_over_3a32": division / (3 * a / 32),
+                  "printed_over_3a16": printed / (3 * a / 16)}
+
+
+def _gegenbauer_weighted_displays(rows):
+    (_, oracle, first), (_, _, second) = [(p, math.exp(le), math.exp(la)) for p, le, la in rows]
+    return None, {"first_line": first, "second_line": second, "beta_oracle": oracle,
+                  "first_rel_err_vs_oracle": _rel(first, oracle),
+                  "second_over_first": second / first}
+
+
+# -------------------------------------------------------------------- cases
+
+@dataclass(frozen=True)
+class Case:
+    """Exact and asymptotic routes, each from a grid point to a log, and the rule judging
+    their rows.  Records of one name pool into a check; one without a rule feeds a table."""
+    name: str
+    exact: Callable
+    asym: Callable
+    grid: tuple
+    rule: Callable | None = None
+    suite: str = "convergence"
+    table: tuple = ()  # (scripts/convergence_tables.py table, its case label)
+    note: str = ""
+
+
+def _weighted_q(fam, n):
+    return (lambda q: weighted_norm_quad(fam, n, q).log_value,
+            lambda q: weighted_norm_q_asym(fam, n, q).log_value)
+
+
+def _unweighted_q(fam, n):
+    return (lambda q: unweighted_norm_quad(fam, n, q).log_value,
+            lambda q: unweighted_norm_q_asym(fam, n, q).log_value)
+
+
+_Q_GRID = (25.0, 50.0, 100.0, 200.0, 400.0)
+_LAPLACE_Q = _Q_GRID[:4]
+_WATSON_Q = (50.0, 100.0, 200.0, 400.0)
+_PARAM_GRID = (100.0, 200.0, 400.0, 800.0, 1600.0)
+_PARAM_RATE = _log_rate(0.05, {"err_400": 400.0, "err_800": 800.0}, floor=1e-8)
+_SHANNON_GRID = (500.0, 1000.0, 2000.0, 4000.0)
+_SHANNON_RATE = _log_rate(0.15, {"err_1e3": 1e3, "err_4e3": 4e3})
+
+CASES = (
+    *(Case("laplace-closed-forms", partial(form, fam), _weighted_q(fam, n)[1], (25.0, 100.0),
+           _exact(1e-12, lambda le, la: _rel(math.exp(la - le), 1.0)), "paper-closed-forms")
+      for fam, n, form in LAPLACE_CLOSED_FORMS.values()),
+    # large q: the Laplace leading term of W_q, the Watson-type endpoint term of N_q
+    Case("laplace-rate-hermite-n0", *_weighted_q(hermite(), 0), _LAPLACE_Q, _rate_fit),
+    Case("laplace-rate-hermite-n1", *_weighted_q(hermite(), 1), _Q_GRID, _rate_fit,
+         table=("q", "weighted-hermite-n1")),
+    Case("laplace-rate-hermite-n2", *_weighted_q(hermite(), 2), _Q_GRID, _rate_fit,
+         table=("q", "weighted-hermite-n2")),
+    Case("weighted-laguerre-a3-n1", *_weighted_q(laguerre(3.0), 1), _Q_GRID,
+         table=("q", "weighted-laguerre-a3-n1")),
+    Case("laplace-rate-jacobi-n0", *_weighted_q(jacobi(1.5, 2.5), 0), _Q_GRID, _rate_fit,
+         table=("q", "weighted-jacobi-1.5-2.5-n0")),
+    Case("watson-rate-jacobi-110", *_unweighted_q(jacobi(1.0, 0.0), 1), _WATSON_Q, _monotone,
+         table=("q", "unweighted-jacobi-1-0-n1")),
+    Case("watson-rate-jacobi-2-0-05", *_unweighted_q(jacobi(0.0, 0.5), 2), _WATSON_Q, _monotone,
+         table=("q", "unweighted-jacobi-0-0.5-n2")),
+    Case("legendre-tie-doubling", lambda q: math.log(_legendre_n1(q)),
+         _unweighted_q(jacobi(0.0, 0.0), 1)[1], _WATSON_Q, _tie, "paper-closed-forms",
+         table=("q", "unweighted-legendre-tie-n1")),
+    # Temme: order 2 strictly better than order 0 away from the witness point
+    Case("temme-order-improvement",
+         lambda order: temme_I1_quadrature(2, 200.0, 3.0, 1.0, 3.0).log_abs,
+         lambda order: temme_I1(2, 200.0, 3.0, 1.0, 3.0, order=order).log_value, (0, 2), _improves),
+    # n = 0 exactness of the parameter forms (plain Beta/Gamma integrals)
+    *(Case("parameter-n0-exactness", exact, asym, (1.0, 2.0, 3.0),
+           _exact(1e-8, lambda le, la: _ratio_to_one(la, le))) for exact, asym in (
+        (lambda q: weighted_norm_quad(laguerre(25.0), 0, q).log_value,
+         lambda q: laguerre_weighted_param(0, 25.0, q).log_value),
+        (lambda q: unweighted_norm_quad(jacobi(25.0, 2.0), 0, q).log_value,
+         lambda q: jacobi_unweighted_param(0, 25.0, 2.0, q).log_value),
+        (lambda q: weighted_norm_quad(jacobi(25.0, 2.0), 0, q).log_value,
+         lambda q: jacobi_weighted_param(0, 25.0, 2.0, q).log_value))),
+    # large parameter, log domain
+    Case("laguerre-unweighted-n1-q2",
+         lambda a: unweighted_norm_quad(laguerre(a), 1, 2.0).log_value,
+         lambda a: laguerre_unweighted_param(1, a, 2.0).log_value, _PARAM_GRID,
+         table=("parameter", "laguerre-unweighted-n1-q2")),
+    Case("parameter-rate-laguerre-weighted-orthogonal",
+         lambda a: weighted_norm_quad(laguerre(a), 1, 2.0).log_value,
+         lambda a: laguerre_weighted_param(1, a, 2.0).log_value, _PARAM_GRID, _PARAM_RATE,
+         table=("parameter", "laguerre-weighted-n1-q2")),
+    Case("parameter-rate-jacobi-unweighted",
+         lambda a: unweighted_norm_quad(jacobi(a, 0.0), 1, 2.0).log_value,
+         lambda a: jacobi_unweighted_param(1, a, 0.0, 2.0).log_value, _PARAM_GRID, _PARAM_RATE,
+         table=("parameter", "jacobi-unweighted-n1-b0-q2")),
+    Case("parameter-rate-jacobi-weighted-orthogonal",
+         lambda a: weighted_norm_quad(jacobi(a, 0.0), 1, 2.0).log_value,
+         lambda a: jacobi_weighted_param(1, a, 0.0, 2.0).log_value, _PARAM_GRID, _PARAM_RATE,
+         table=("parameter", "jacobi-weighted-n1-b0-q2")),
+    Case("parameter-rate-gegenbauer-weighted-q1",
+         lambda lam: weighted_norm_quad(gegenbauer(lam), 1, 1.0).log_value,
+         lambda lam: gegenbauer_weighted_param(1, lam, 1.0).log_value, (400.0, 800.0),
+         _PARAM_RATE),
+    Case("parameter-rate-gegenbauer-weighted-q2",
+         lambda lam: weighted_norm_quad(gegenbauer(lam), 1, 2.0).log_value,
+         lambda lam: gegenbauer_weighted_param(1, lam, 2.0).log_value, _PARAM_GRID, _PARAM_RATE,
+         table=("parameter", "gegenbauer-weighted-n1-q2")),
+    # documented discrepancies
+    Case("discrepancy-laguerre-weighted-orthonormal",
+         lambda a: weighted_norm_quad(laguerre(a), 1, 2.0, normalized=True).log_value,
+         lambda a: laguerre_weighted_param(1, a, 2.0, normalized=True).log_value, (400.0, 800.0),
+         lambda rows: (None, {k: v for a, lq, la in rows for k, v in (
+             (f"log_asym_{int(a)}", la), (f"log_quad_{int(a)}", lq))}),
+         note="printed orthonormal form grows like alpha^(3/2) while the exact value "
+              "decays like alpha^(-1/2); flagged, not used as a convergence target"),
+    *(Case("discrepancy-jacobi-orthonormal-q2",
+           lambda a: weighted_norm_quad(jacobi(a, 2.0), 0, 2.0, normalized=True).log_value,
+           display, (400.0,), _jacobi_q2_displays,
+           note="division route tracks the Beta oracle (leading 3a/32); the printed "
+                "q=2 display carries twice that (3a/16)")
+      for display in (lambda a: jacobi_weighted_param(0, a, 2.0, 2.0, normalized=True).log_value,
+                      lambda a: jacobi_weighted_q2_normalized_printed(0, a, 2.0).log_value)),
+    *(Case("discrepancy-gegenbauer-simplified-factor2",
+           lambda lam: weighted_norm_quad(gegenbauer(lam), 1, 1.0).log_value,
+           display, (400.0,), _gegenbauer_weighted_displays,
+           note="first-line form matches the Beta oracle; the second-line "
+                "simplification is exactly twice it")
+      for display in (lambda lam: gegenbauer_weighted_param(1, lam, 1.0).log_value,
+                      lambda lam: gegenbauer_weighted_param_simplified(1, lam, 1.0).log_value)),
+    Case("discrepancy-gegenbauer-unweighted-as-displayed",
+         lambda lam: 0.5 * math.log(math.pi) + log_gamma(lam + 0.5) - log_gamma(lam + 1.0),
+         lambda lam: gegenbauer_unweighted_param(0, lam, 2.0).log_value, (400.0,),
+         lambda rows: (None, {"stated_log_n0": rows[0][2], "beta_oracle_log_n0": rows[0][1],
+                              "log_gap": rows[0][2] - rows[0][1]}),
+         note="as-displayed n=0 value pi/Gamma(1+lambda) vs exact sqrt(pi)Gamma(lambda+1/2)/"
+              "Gamma(lambda+1); use the gegenbauer-jacobi bridge for trustworthy numbers"),
+    # Shannon-functional parameter asymptotics, log domain; the laguerre
+    # integral int x^a e^-x L^2 ln L^2 is -E, of positive sign
+    Case("parameter-rate-laguerre-shannon",
+         lambda a: (-measures.functional_E_log(laguerre(a), 1)).log_abs,
+         lambda a: laguerre_shannon_param(1, a).log_value, _SHANNON_GRID, _SHANNON_RATE,
+         table=("shannon", "laguerre-shannon-m1")),
+    Case("parameter-rate-jacobi-shannon",
+         lambda a: measures.functional_E_log(jacobi(a, 0.0), 1).log_abs,
+         lambda a: jacobi_shannon_param(1, a, 0.0).log_value, _SHANNON_GRID, _SHANNON_RATE,
+         table=("shannon", "jacobi-shannon-n1-b0")),
+)
+
+
+def evaluate(name: str) -> list[tuple]:
+    """Rows (point, log_exact, log_asym) of the records called `name`, in order."""
+    return [(p, c.exact(p), c.asym(p)) for c in CASES if c.name == name for p in c.grid]
+
+
+def _judge(name: str) -> Check:
+    head = next(c for c in CASES if c.name == name)
+    rows = evaluate(name)
+    verdict, measured = head.rule(rows)
+    if verdict is None:
+        return _info(name, head.suite, measured, head.note)
+    # a non-finite row fails: a rule alone can pass it (infinite errors fit an infinite C)
+    finite = all(math.isfinite(v) for _, le, la in rows for v in (le, la))
+    return _check(name, head.suite, verdict and finite, measured, head.note)
+
+
 # ---------------------------------------------------------- paper closed forms
 
-def _laplace_closed_forms() -> list[tuple[str, PolynomialFamily, int, float, float]]:
-    """(label, family, n, q, hand-coded log value)."""
-    cases = []
-    for q in (25.0, 100.0):
-        cases.append(("hermite-n0", hermite(), 0, q, 0.5 * (math.log(math.pi) - math.log(q))))
-        cases.append(("hermite-n1", hermite(), 1, q,
-                      (2 * q + 1) * math.log(2.0) - q + 0.5 * (math.log(math.pi) - math.log(2 * q))))
-        cases.append(("hermite-n2", hermite(), 2, q,
-                      (6 * q + 1) * math.log(2.0) - 2.5 * q
-                      + 0.5 * (math.log(2 * math.pi) - math.log(5 * q))))
-        a, b = 1.5, 2.5
-        cases.append(("jacobi-n0", jacobi(a, b), 0, q,
-                      q * (a + b) * math.log(2.0) + a * q * math.log(a / (a + b))
-                      + b * q * math.log(b / (a + b))
-                      + 0.5 * math.log(8 * math.pi * a * b / (q * (a + b) ** 3))))
-        al = 3.0
-        cases.append(("laguerre-n0", laguerre(al), 0, q,
-                      q * al * (math.log(al) - 1.0) + 0.5 * math.log(2 * math.pi * al / q)))
-        s = math.sqrt(8 * al + 9)
-        x0 = 0.5 * (2 * al + 3 - s)
-        f2 = (3 * s - 8 * al - 9) / (s - 2 * al - 3) ** 2
-        cases.append(("laguerre-n1", laguerre(al), 1, q,
-                      q * (al * math.log(x0) - x0 + 2 * math.log(abs(al + 1 - x0)))
-                      + 0.5 * (math.log(2 * math.pi) - math.log(-q * f2))))
-    return cases
-
-
 def _suite_closed_forms() -> list[Check]:
-    out = []
-    out.append(_check("eval-anchors", "paper-closed-forms",
-                      eval_poly(hermite(), 2, 1.0) == 2.0
-                      and eval_poly(laguerre(2.0), 1, 0.0) == 3.0
-                      and abs(eval_poly(jacobi(1.0, 0.0), 1, 1.0) - 2.0) < 1e-14,
-                      {}))
-
-    worst = 0.0
-    for label, fam, n, q, closed in _laplace_closed_forms():
-        got = weighted_norm_q_asym(fam, n, q).value.log_abs
-        worst = max(worst, _rel(math.exp(got - closed), 1.0))
-    out.append(_check("laplace-closed-forms", "paper-closed-forms", worst <= 1e-12,
-                      {"worst_rel": worst, "tolerance": 1e-12}))
+    out = [_check("eval-anchors", "paper-closed-forms",
+                  eval_poly(hermite(), 2, 1.0) == 2.0
+                  and eval_poly(laguerre(2.0), 1, 0.0) == 3.0
+                  and abs(eval_poly(jacobi(1.0, 0.0), 1, 1.0) - 2.0) < 1e-14, {}),
+           _judge("laplace-closed-forms")]
 
     pt = locate_density_maximum(laguerre(4.0), 0)
     out.append(_check("laguerre-n0-maximizer", "paper-closed-forms",
@@ -206,37 +434,21 @@ def _suite_closed_forms() -> list[Check]:
         ok &= _rel(abs(eval_poly(fam, n, 1.0)), want_p) < 1e-12
         ok &= _rel(abs(eval_poly(fam, n, -1.0)), want_m) < 1e-12
     out.append(_check("jacobi-endpoint-values", "paper-closed-forms", ok, {}))
+    out.append(_judge("legendre-tie-doubling"))
 
-    # legendre tie: doubled endpoint term vs exact 2/(q+1)
-    meas = {}
-    ok = True
-    for q in (50.0, 200.0):
-        asym = unweighted_norm_q_asym(jacobi(0.0, 0.0), 1, q).to_float()
-        exact = 2.0 / (q + 1.0)
-        rel = abs(asym - exact) / exact
-        meas[f"rel_q{int(q)}"] = rel
-        ok &= rel <= 2.0 / q
-    out.append(_check("legendre-tie-doubling", "paper-closed-forms", ok, meas))
-
-    witness_ok = True
-    meas = {}
-    for a in (10.0, 100.0, 1000.0):
-        got = temme_I1(1, a, 1.0, 1.0, 2.0, order=2).to_float()
-        rel = _rel(got, a * a + 1.0)
-        meas[f"rel_alpha{int(a)}"] = rel
-        witness_ok &= rel <= 1e-12
-    out.append(_check("temme-exactness-witness", "paper-closed-forms", witness_ok, meas))
+    meas = {f"rel_alpha{int(a)}": _rel(temme_I1(1, a, 1.0, 1.0, 2.0, order=2).to_float(),
+                                       a * a + 1.0) for a in (10.0, 100.0, 1000.0)}
+    out.append(_check("temme-exactness-witness", "paper-closed-forms",
+                      all(r <= 1e-12 for r in meas.values()), meas))
 
     ok = (_rel(weight_moment(hermite(), 0), math.sqrt(math.pi)) < 1e-12
           and _rel(weight_moment(laguerre(0.0), 3), 6.0) < 1e-12
           and _rel(weight_moment(jacobi(0.0, 0.0), 0), 2.0) < 1e-12)
     out.append(_check("weight-moment-values", "paper-closed-forms", ok, {}))
 
-    worst = 0.0
-    for fam in FAMILY_GRID:
-        for n in (0, 2, 5):
-            got = unweighted_norm_bell(fam, n, 2).value.log_abs
-            worst = max(worst, abs(got - norm_constant_log(fam, n).log_abs))
+    worst = worst_of(abs(unweighted_norm_bell(fam, n, 2).value.log_abs
+                         - norm_constant_log(fam, n).log_abs)
+                     for fam in FAMILY_GRID for n in (0, 2, 5))
     out.append(_check("bell-n2-equals-kappa", "paper-closed-forms", worst <= 1e-8,
                       {"worst_log_abs": worst}))
     return out
@@ -244,156 +456,9 @@ def _suite_closed_forms() -> list[Check]:
 
 # -------------------------------------------------------------- convergence
 
-def _ratio_to_one(log_a: float, log_b: float) -> float:
-    return abs(math.exp(log_a - log_b) - 1.0)
-
-
-def _log_domain_err(log_asym: float, log_quad: float) -> float:
-    return abs(log_asym / log_quad - 1.0)
-
-
 def _suite_convergence() -> list[Check]:
-    out = []
-
-    # Laplace q->inf: |quad/asym - 1| <= C/q with C fitted at q=25.
-    # The fit carries 1.5x headroom: the error is c1/q (1 + O(1/q)) and the
-    # O(1/q) part can partially cancel at q=25 (hermite n=2 measures a 34%
-    # dip), so a bare one-point fit under-estimates |c1|.  The headroom
-    # absorbs that while any genuine rate failure would overshoot the
-    # bound severalfold (q^(-1/2) by ~1.9x at q=200, no convergence by ~5x).
-    for label, fam, n in (("hermite-n0", hermite(), 0), ("hermite-n1", hermite(), 1),
-                          ("hermite-n2", hermite(), 2), ("jacobi-n0", jacobi(1.5, 2.5), 0)):
-        errs = {}
-        for q in (25.0, 50.0, 100.0, 200.0):
-            wq = weighted_norm_quad(fam, n, q).value.log_abs
-            wa = weighted_norm_q_asym(fam, n, q).value.log_abs
-            errs[q] = _ratio_to_one(wq, wa)
-        c = max(errs[25.0], _NOISE_FLOOR) * 25.0 * 1.5
-        ok = all(errs[q] <= c / q for q in (50.0, 100.0, 200.0))
-        out.append(_check(f"laplace-rate-{label}", "convergence", ok,
-                          {f"err_q{int(q)}": e for q, e in errs.items()} | {"C": c}))
-
-    for label, a, b, n in (("jacobi-110", 1.0, 0.0, 1), ("jacobi-2-0-05", 0.0, 0.5, 2)):
-        errs = []
-        for q in (50.0, 100.0, 200.0, 400.0):
-            nq = unweighted_norm_quad(jacobi(a, b), n, q).value.log_abs
-            na = unweighted_norm_q_asym(jacobi(a, b), n, q).value.log_abs
-            errs.append(_ratio_to_one(nq, na))
-        ok = all(errs[i + 1] <= errs[i] + _NOISE_FLOOR for i in range(len(errs) - 1))
-        out.append(_check(f"watson-rate-{label}", "convergence", ok,
-                          {f"err{i}": e for i, e in enumerate(errs)}))
-
-    # Temme: order-2 strictly better than order-0 away from the witness point
-    oracle = temme_I1_quadrature(2, 200.0, 3.0, 1.0, 3.0).log_abs
-    e0 = _ratio_to_one(temme_I1(2, 200.0, 3.0, 1.0, 3.0, order=0).log_value, oracle)
-    e2 = _ratio_to_one(temme_I1(2, 200.0, 3.0, 1.0, 3.0, order=2).log_value, oracle)
-    out.append(_check("temme-order-improvement", "convergence", e2 < e0,
-                      {"order0_rel": e0, "order2_rel": e2}))
-
-    # n = 0 exactness of the parameter forms (plain Beta/Gamma integrals)
-    worst = 0.0
-    for q in (1.0, 2.0, 3.0):
-        a = 25.0
-        worst = max(worst, _ratio_to_one(
-            laguerre_weighted_param(0, a, q).log_value,
-            weighted_norm_quad(laguerre(a), 0, q).value.log_abs))
-        worst = max(worst, _ratio_to_one(
-            jacobi_unweighted_param(0, a, 2.0, q).log_value,
-            unweighted_norm_quad(jacobi(a, 2.0), 0, q).value.log_abs))
-        worst = max(worst, _ratio_to_one(
-            jacobi_weighted_param(0, a, 2.0, q).log_value,
-            weighted_norm_quad(jacobi(a, 2.0), 0, q).value.log_abs))
-    out.append(_check("parameter-n0-exactness", "convergence", worst <= 1e-8,
-                      {"worst_rel": worst, "tolerance": 1e-8}))
-
-    # log-domain convergence of the large-parameter forms at 400 -> 800
-    cases = [
-        ("laguerre-weighted-orthogonal",
-         lambda a: laguerre_weighted_param(1, a, 2.0).log_value,
-         lambda a: weighted_norm_quad(laguerre(a), 1, 2.0).value.log_abs),
-        ("jacobi-unweighted",
-         lambda a: jacobi_unweighted_param(1, a, 0.0, 2.0).log_value,
-         lambda a: unweighted_norm_quad(jacobi(a, 0.0), 1, 2.0).value.log_abs),
-        ("jacobi-weighted-orthogonal",
-         lambda a: jacobi_weighted_param(1, a, 0.0, 2.0).log_value,
-         lambda a: weighted_norm_quad(jacobi(a, 0.0), 1, 2.0).value.log_abs),
-        ("gegenbauer-weighted-q1",
-         lambda a: gegenbauer_weighted_param(1, a, 1.0).log_value,
-         lambda a: weighted_norm_quad(gegenbauer(a), 1, 1.0).value.log_abs),
-        ("gegenbauer-weighted-q2",
-         lambda a: gegenbauer_weighted_param(1, a, 2.0).log_value,
-         lambda a: weighted_norm_quad(gegenbauer(a), 1, 2.0).value.log_abs),
-    ]
-    for label, fa, fq in cases:
-        e400 = _log_domain_err(fa(400.0), fq(400.0))
-        e800 = _log_domain_err(fa(800.0), fq(800.0))
-        ok = e400 <= 0.05 and e800 <= max(e400, 1e-8)
-        out.append(_check(f"parameter-rate-{label}", "convergence", ok,
-                          {"err_400": e400, "err_800": e800}))
-
-    # documented discrepancy: the orthonormal Laguerre display diverges from
-    # its oracle (the scaled-variable limit does not hold where the weighted
-    # integrand concentrates for n >= 1)
-    meas = {}
-    for a in (400.0, 800.0):
-        la = laguerre_weighted_param(1, a, 2.0, normalized=True).log_value
-        lq = weighted_norm_quad(laguerre(a), 1, 2.0, normalized=True).value.log_abs
-        meas[f"log_asym_{int(a)}"] = la
-        meas[f"log_quad_{int(a)}"] = lq
-    out.append(_info("discrepancy-laguerre-weighted-orthonormal", "convergence", meas,
-                     "printed orthonormal form grows like alpha^(3/2) while the exact value "
-                     "decays like alpha^(-1/2); flagged, not used as a convergence target"))
-
-    # documented discrepancy pair for the q=2 orthonormal Jacobi coefficient
-    a = 400.0
-    division = math.exp(jacobi_weighted_param(0, a, 2.0, 2.0, normalized=True).log_value)
-    printed = math.exp(jacobi_weighted_q2_normalized_printed(0, a, 2.0).log_value)
-    oracle = math.exp(weighted_norm_quad(jacobi(a, 2.0), 0, 2.0, normalized=True).value.log_abs)
-    out.append(_info("discrepancy-jacobi-orthonormal-q2",  "convergence",
-                     {"division_route": division, "printed_form": printed,
-                      "beta_oracle": oracle,
-                      "division_rel_err_vs_oracle": _rel(division, oracle),
-                      "division_over_3a32": division / (3 * a / 32),
-                      "printed_over_3a16": printed / (3 * a / 16)},
-                     "division route tracks the Beta oracle (leading 3a/32); the printed "
-                     "q=2 display carries twice that (3a/16)"))
-
-    lam = 400.0
-    first = math.exp(gegenbauer_weighted_param(1, lam, 1.0).log_value)
-    second = math.exp(gegenbauer_weighted_param_simplified(1, lam, 1.0).log_value)
-    oracle = math.exp(weighted_norm_quad(gegenbauer(lam), 1, 1.0).value.log_abs)
-    out.append(_info("discrepancy-gegenbauer-simplified-factor2", "convergence",
-                     {"first_line": first, "second_line": second, "beta_oracle": oracle,
-                      "first_rel_err_vs_oracle": _rel(first, oracle),
-                      "second_over_first": second / first},
-                     "first-line form matches the Beta oracle; the second-line "
-                     "simplification is exactly twice it"))
-
-    # gegenbauer unweighted, as-displayed: known mismatch against the Beta oracle
-    lam = 400.0
-    stated = gegenbauer_unweighted_param(0, lam, 2.0).log_value
-    exact = 0.5 * math.log(math.pi) + log_gamma(lam + 0.5) - log_gamma(lam + 1.0)
-    out.append(_info("discrepancy-gegenbauer-unweighted-as-displayed", "convergence",
-                     {"stated_log_n0": stated, "beta_oracle_log_n0": exact,
-                      "log_gap": stated - exact},
-                     "as-displayed n=0 value pi/Gamma(1+lambda) vs exact "
-                     "sqrt(pi)Gamma(lambda+1/2)/Gamma(lambda+1); use the "
-                     "gegenbauer-jacobi bridge for trustworthy numbers"))
-
-    # Shannon-functional parameter asymptotics, log-domain
-    for label, asym_log, quad_log in (
-        ("laguerre-shannon",
-         lambda a: laguerre_shannon_param(1, a).log_value,
-         lambda a: (-measures.functional_E_log(laguerre(a), 1)).log_abs),
-        ("jacobi-shannon",
-         lambda a: jacobi_shannon_param(1, a, 0.0).log_value,
-         lambda a: measures.functional_E_log(jacobi(a, 0.0), 1).log_abs),
-    ):
-        e1 = _log_domain_err(asym_log(1e3), quad_log(1e3))
-        e2 = _log_domain_err(asym_log(4e3), quad_log(4e3))
-        out.append(_check(f"parameter-rate-{label}", "convergence",
-                          e1 <= 0.15 and e2 < e1,
-                          {"err_1e3": e1, "err_4e3": e2}))
+    out = [_judge(name) for name in dict.fromkeys(
+        c.name for c in CASES if c.rule and c.suite == "convergence")]
 
     meas = {}
     for n in (1, 2):
@@ -401,10 +466,8 @@ def _suite_convergence() -> list[Check]:
         tail = gegenbauer_shannon_tail(n, 1e4)
         oracle = (-measures.functional_E_log(gegenbauer(1e4), n)).to_float() \
             / norm_constant_log(gegenbauer(1e4), n).to_float()
-        meas[f"bracket_n{n}"] = br
-        meas[f"tail_n{n}"] = tail
-        meas[f"quadrature_n{n}"] = oracle
-        meas[f"bracket_over_tail_n{n}"] = br / tail
+        meas |= {f"bracket_n{n}": br, f"tail_n{n}": tail, f"quadrature_n{n}": oracle,
+                 f"bracket_over_tail_n{n}": br / tail}
     out.append(_info("discrepancy-gegenbauer-shannon-tail", "convergence", meas,
                      "the simplified tail 2 ln(lambda^n 2^n/n!) is asymptotically twice "
                      "the bracket form; the bracket tracks quadrature"))
@@ -419,11 +482,6 @@ SUITES = {
 
 
 def run_suite(name: str) -> list[Check]:
-    if name == "all":
-        checks = []
-        for fn in SUITES.values():
-            checks.extend(fn())
-        return checks
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name]()
+    return [c for key, fn in SUITES.items() if name in (key, "all") for c in fn()]

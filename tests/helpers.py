@@ -2,13 +2,7 @@
 import math
 
 from hopnorms.families import gegenbauer, hermite, jacobi, laguerre
-
-FAMILY_CONFIGS = (
-    hermite(),
-    laguerre(0.0), laguerre(2.5),
-    jacobi(0.0, 0.0), jacobi(2.5, 1.5),
-    gegenbauer(1.0), gegenbauer(3.5),
-)
+from hopnorms.validate import FAMILY_GRID as FAMILY_CONFIGS
 
 ONE_PER_FAMILY = (hermite(), laguerre(2.5), jacobi(2.5, 1.5), gegenbauer(3.5))
 

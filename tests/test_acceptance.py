@@ -12,26 +12,16 @@ import pytest
 
 from hopnorms.bell import unweighted_norm_bell
 from hopnorms.errors import DomainError
-from hopnorms.families import (gegenbauer, hermite, jacobi, laguerre,
-                               norm_constant_log)
-from hopnorms.laplace import unweighted_norm_q_asym_jacobi, weighted_norm_q_asym
+from hopnorms.families import hermite, jacobi, laguerre, norm_constant_log
+from hopnorms.laplace import weighted_norm_q_asym
 from hopnorms.measures import (DensityHandle, fisher_information, fisher_shannon,
-                               functional_E, functional_E_log, functional_I,
+                               functional_E, functional_I,
                                shannon_entropy, shannon_from_Wq_derivative)
 from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
 from hopnorms.paramasym import (gegenbauer_shannon_param, gegenbauer_shannon_tail,
-                                gegenbauer_weighted_param, jacobi_shannon_param,
                                 jacobi_unweighted_param, jacobi_weighted_param,
-                                laguerre_shannon_param, laguerre_weighted_param,
-                                temme_I1, temme_I2)
-from hopnorms.validate import run_suite
-
-FAMILY_GRID = (
-    hermite(),
-    laguerre(0.0), laguerre(2.5),
-    jacobi(0.0, 0.0), jacobi(2.5, 1.5),
-    gegenbauer(1.0), gegenbauer(3.5),
-)
+                                laguerre_weighted_param, temme_I1, temme_I2)
+from hopnorms.validate import FAMILY_GRID, LAPLACE_CLOSED_FORMS, evaluate, run_suite, worst_of
 
 _CACHE = {}
 
@@ -70,59 +60,36 @@ def _report(num, ok, desc):
 
 
 def test_criterion_01_normalization():
-    worst_w1 = worst_n2 = 0.0
-    for fam in FAMILY_GRID:
-        for n in range(16):
-            worst_w1 = max(worst_w1, _ratio_err(_w_quad_log(fam, n, 1.0, True), 0.0))
-            worst_n2 = max(worst_n2, _ratio_err(
-                _n_quad_log(fam, n, 2.0), norm_constant_log(fam, n).log_abs))
+    grid = [(fam, n) for fam in FAMILY_GRID for n in range(16)]
+    worst_w1 = worst_of(_ratio_err(_w_quad_log(fam, n, 1.0, True), 0.0) for fam, n in grid)
+    worst_n2 = worst_of(_ratio_err(_n_quad_log(fam, n, 2.0), norm_constant_log(fam, n).log_abs)
+                        for fam, n in grid)
     ok = worst_w1 <= 1e-9 and worst_n2 <= 1e-9
     assert _report(1, ok, f"W_1[rho-hat]=1 and N_2=kappa, n=0..15 "
                           f"(worst {worst_w1:.2e}, {worst_n2:.2e}; tol 1e-9)")
 
 
 def test_criterion_02_engine_equivalence():
-    worst = 0.0
-    for fam in FAMILY_GRID:
-        for q in (2, 4):
-            for n in range(7):
-                b = unweighted_norm_bell(fam, n, q).value.log_abs
-                g = _n_quad_log(fam, n, float(q))
-                worst = max(worst, _ratio_err(b, g))
+    worst = worst_of(_ratio_err(unweighted_norm_bell(fam, n, q).value.log_abs,
+                                _n_quad_log(fam, n, float(q)))
+                     for fam in FAMILY_GRID for q in (2, 4) for n in range(7))
     ok = worst <= 1e-8
     assert _report(2, ok, f"bell vs quadrature, q in (2,4), n<=6 "
                           f"(worst rel {worst:.2e}; tol 1e-8)")
 
 
-def _hermite_closed_log(n, q):
-    if n == 0:
-        return 0.5 * (math.log(math.pi) - math.log(q))
-    if n == 1:
-        return (2 * q + 1) * math.log(2.0) - q + 0.5 * (math.log(math.pi) - math.log(2 * q))
-    return (6 * q + 1) * math.log(2.0) - 2.5 * q + 0.5 * (math.log(2 * math.pi) - math.log(5 * q))
-
-
 def test_criterion_03_laplace_closed_forms_and_rate():
-    worst_closed = 0.0
-    for q in (25.0, 50.0, 200.0):
-        for n in (0, 1, 2):
-            engine = weighted_norm_q_asym(hermite(), n, q).value.log_abs
-            worst_closed = max(worst_closed, _ratio_err(engine, _hermite_closed_log(n, q)))
-        a, b = 1.5, 2.5
-        closed = (q * (a + b) * math.log(2.0) + a * q * math.log(a / (a + b))
-                  + b * q * math.log(b / (a + b))
-                  + 0.5 * math.log(8 * math.pi * a * b / (q * (a + b) ** 3)))
-        engine = weighted_norm_q_asym(jacobi(a, b), 0, q).value.log_abs
-        worst_closed = max(worst_closed, _ratio_err(engine, closed))
+    worst_closed = worst_of(
+        _ratio_err(weighted_norm_q_asym(fam, n, q).value.log_abs, form(fam, q))
+        for q in (25.0, 50.0, 200.0) for fam, n, form in LAPLACE_CLOSED_FORMS.values())
 
     # rate: C fitted at q=25 with 1.5x headroom (the q*err product can dip by
     # up to ~34% at q=25 from the O(1/q) correction; genuine rate failures
     # overshoot the head-roomed bound severalfold) and a 1e-9 noise floor for
     # the exact n=0 case, where the ratio sits at quadrature precision
     rate_ok = True
-    for fam, n in ((hermite(), 0), (hermite(), 1), (hermite(), 2), (jacobi(1.5, 2.5), 0)):
-        errs = {q: _ratio_err(_w_quad_log(fam, n, q), weighted_norm_q_asym(fam, n, q).value.log_abs)
-                for q in (25.0, 50.0, 100.0, 200.0)}
+    for case in ("hermite-n0", "hermite-n1", "hermite-n2", "jacobi-n0"):
+        errs = {q: _ratio_err(lq, la) for q, lq, la in evaluate(f"laplace-rate-{case}")}
         c = max(errs[25.0], 1e-9) * 25.0 * 1.5
         rate_ok &= all(errs[q] <= c / q for q in (50.0, 100.0, 200.0))
 
@@ -133,29 +100,21 @@ def test_criterion_03_laplace_closed_forms_and_rate():
 
 def test_criterion_04_watson_unweighted_jacobi():
     decreasing = True
-    for n, a, b in ((1, 1.0, 0.0), (2, 0.0, 0.5)):
-        errs = []
-        for q in (50.0, 100.0, 200.0, 400.0):
-            nq = _n_quad_log(jacobi(a, b), n, q)
-            na = unweighted_norm_q_asym_jacobi(n, a, b, q).value.log_abs
-            errs.append(_ratio_err(nq, na))
+    for case in ("jacobi-110", "jacobi-2-0-05"):
+        errs = [_ratio_err(nq, na) for _, nq, na in evaluate(f"watson-rate-{case}")]
         decreasing &= all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-    tie_ok = True
-    for q in (50.0, 100.0, 200.0, 400.0):
-        asym = unweighted_norm_q_asym_jacobi(1, 0.0, 0.0, q).to_float()
-        exact = 2.0 / (q + 1.0)
-        tie_ok &= abs(asym - exact) / exact <= 2.0 / q
+    # the doubled endpoint term against the exact 2/(q+1), q = 50..400
+    tie_ok = all(_ratio_err(asym, exact) <= 2.0 / q
+                 for q, exact, asym in evaluate("legendre-tie-doubling"))
     ok = decreasing and tie_ok
     assert _report(4, ok, f"watson-type unweighted jacobi: errors decreasing "
                           f"({decreasing}), legendre tie within 2/q ({tie_ok})")
 
 
 def test_criterion_05_temme_witness():
-    worst_witness = 0.0
-    for a in (10.0, 100.0, 1000.0):
-        got = temme_I1(1, a, 1.0, 1.0, 2.0, order=2).to_float()
-        worst_witness = max(worst_witness, abs(got / (a * a + 1.0) - 1.0))
-    worst_ident = 0.0
+    worst_witness = worst_of(abs(temme_I1(1, a, 1.0, 1.0, 2.0, order=2).to_float()
+                                 / (a * a + 1.0) - 1.0) for a in (10.0, 100.0, 1000.0))
+    errs = []
     h = 1e-5
     for m in (0, 1, 2, 3):
         for mu, lam in ((1.0, 1.0), (2.5, 2.0)):
@@ -163,22 +122,20 @@ def test_criterion_05_temme_witness():
                 i2 = temme_I2(m, a, mu, lam, 2).to_float()
                 d = 2.0 * (temme_I1(m, a, mu, lam, 2 + h).to_float()
                            - temme_I1(m, a, mu, lam, 2 - h).to_float()) / (2 * h)
-                worst_ident = max(worst_ident, abs(i2 - d) / max(abs(i2), 1e-9))
+                errs.append(abs(i2 - d) / max(abs(i2), 1e-9))
+    worst_ident = worst_of(errs)
     ok = worst_witness <= 1e-12 and worst_ident <= 1e-6
     assert _report(5, ok, f"temme witness alpha^2+1 (worst {worst_witness:.2e}; tol 1e-12), "
                           f"I2 derivative identity (worst {worst_ident:.2e}; tol 1e-6)")
 
 
 def test_criterion_06_parameter_n0_exactness():
-    worst = 0.0
-    for a in (10.0, 30.0):
-        for q in (1.0, 2.0, 3.0):
-            worst = max(worst, _ratio_err(
-                laguerre_weighted_param(0, a, q).log_value, _w_quad_log(laguerre(a), 0, q)))
-            worst = max(worst, _ratio_err(
-                jacobi_unweighted_param(0, a, 2.0, q).log_value, _n_quad_log(jacobi(a, 2.0), 0, q)))
-            worst = max(worst, _ratio_err(
-                jacobi_weighted_param(0, a, 2.0, q).log_value, _w_quad_log(jacobi(a, 2.0), 0, q)))
+    worst = worst_of(err for a in (10.0, 30.0) for q in (1.0, 2.0, 3.0) for err in (
+        _ratio_err(laguerre_weighted_param(0, a, q).log_value, _w_quad_log(laguerre(a), 0, q)),
+        _ratio_err(jacobi_unweighted_param(0, a, 2.0, q).log_value,
+                   _n_quad_log(jacobi(a, 2.0), 0, q)),
+        _ratio_err(jacobi_weighted_param(0, a, 2.0, q).log_value,
+                   _w_quad_log(jacobi(a, 2.0), 0, q))))
     ok = worst <= 1e-8
     assert _report(6, ok, f"n=0 parameter forms vs quadrature (worst rel {worst:.2e}; tol 1e-8)")
 
@@ -192,25 +149,13 @@ def _param_rate(asym_log_fn, quad_log_fn):
 def test_criterion_07_parameter_rates():
     # log-domain comparison (ratio of log-magnitudes): the leading terms
     # carry the correct exponential scale while sub-leading parameter powers
-    # differ, so linear ratios do not converge but log ratios must.
-    cases = {
-        "jacobi-unweighted": _param_rate(
-            lambda a: jacobi_unweighted_param(1, a, 0.0, 2.0).log_value,
-            lambda a: _n_quad_log(jacobi(a, 0.0), 1, 2.0)),
-        "jacobi-weighted": _param_rate(
-            lambda a: jacobi_weighted_param(1, a, 0.0, 2.0).log_value,
-            lambda a: _w_quad_log(jacobi(a, 0.0), 1, 2.0)),
-        "gegenbauer-weighted-q1": _param_rate(
-            lambda a: gegenbauer_weighted_param(1, a, 1.0).log_value,
-            lambda a: _w_quad_log(gegenbauer(a), 1, 1.0)),
-        "gegenbauer-weighted-q2": _param_rate(
-            lambda a: gegenbauer_weighted_param(1, a, 2.0).log_value,
-            lambda a: _w_quad_log(gegenbauer(a), 1, 2.0)),
-        # supplementary: the unnormalized laguerre form converges log-domain
-        "laguerre-weighted-orthogonal": _param_rate(
-            lambda a: laguerre_weighted_param(1, a, 2.0).log_value,
-            lambda a: _w_quad_log(laguerre(a), 1, 2.0)),
-    }
+    # differ, so linear ratios do not converge but log ratios must.  The
+    # unnormalized laguerre form is supplementary: it converges log-domain.
+    cases = {}
+    for case in ("jacobi-unweighted", "jacobi-weighted-orthogonal", "gegenbauer-weighted-q1",
+                 "gegenbauer-weighted-q2", "laguerre-weighted-orthogonal"):
+        errs = {a: _log_domain_err(la, lq) for a, lq, la in evaluate(f"parameter-rate-{case}")}
+        cases[case] = (errs[400.0], errs[800.0])
     ok = True
     for label, (e400, e800) in cases.items():
         # gegenbauer n=1 is an exact identity: both errors sit at quadrature
@@ -252,19 +197,18 @@ def test_criterion_08_documented_discrepancies():
 
 
 def test_criterion_09_information_identities():
-    worst_e = worst_s = worst_d = 0.0
+    errs = []
     for fam in FAMILY_GRID:
         for n in range(6):
             e1 = functional_E(fam, n, "quadrature")
             e2 = functional_E(fam, n, "qderivative")
-            worst_e = max(worst_e, abs(e1 - e2) / max(abs(e1), abs(e2), 1e-3))
-            d = DensityHandle(fam, n, True)
             s1 = _shannon(fam, n)
-            s2 = shannon_from_Wq_derivative(d)
-            worst_s = max(worst_s, abs(s1 - s2) / max(abs(s1), abs(s2), 1e-3))
+            s2 = shannon_from_Wq_derivative(DensityHandle(fam, n, True))
             kappa = norm_constant_log(fam, n).to_float()
             rhs = math.log(kappa) + (e1 + functional_I(fam, n)) / kappa
-            worst_d = max(worst_d, abs(s1 - rhs))
+            errs.append((abs(e1 - e2) / max(abs(e1), abs(e2), 1e-3),
+                         abs(s1 - s2) / max(abs(s1), abs(s2), 1e-3), abs(s1 - rhs)))
+    worst_e, worst_s, worst_d = map(worst_of, zip(*errs))
     g = DensityHandle(hermite(), 0, True)
     s = shannon_entropy(g)
     f = fisher_information(g)
@@ -339,16 +283,10 @@ def test_criterion_10_fisher_shannon_full_grid_leg():
 
 def test_criterion_11_shannon_parameter_rates():
     results = {}
-    # laguerre: positive-sign integral int x^a e^-x L^2 ln L^2 = -E
-    for label, asym_log, quad_log in (
-        ("laguerre", lambda a: laguerre_shannon_param(1, a).log_value,
-         lambda a: (-functional_E_log(laguerre(a), 1)).log_abs),
-        ("jacobi", lambda a: jacobi_shannon_param(1, a, 0.0).log_value,
-         lambda a: functional_E_log(jacobi(a, 0.0), 1).log_abs),
-    ):
-        e1 = _log_domain_err(asym_log(1e3), quad_log(1e3))
-        e2 = _log_domain_err(asym_log(4e3), quad_log(4e3))
-        results[label] = (e1, e2)
+    for label in ("laguerre", "jacobi"):
+        errs = {a: _log_domain_err(la, lq)
+                for a, lq, la in evaluate(f"parameter-rate-{label}-shannon")}
+        results[label] = (errs[1e3], errs[4e3])
     ok = all(e1 <= 0.15 and e2 < e1 for e1, e2 in results.values())
     detail = ", ".join(f"{k}: {v[0]:.3g}->{v[1]:.3g}" for k, v in results.items())
     assert _report(11, ok, f"shannon parameter rates, log-domain, tol 15% ({detail})")

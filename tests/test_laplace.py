@@ -10,6 +10,7 @@ from hopnorms.families import (eval_log, eval_log_many, gegenbauer, hermite, jac
 from hopnorms.laplace import (locate_density_maximum, unweighted_norm_q_asym,
                               unweighted_norm_q_asym_jacobi, weighted_norm_q_asym)
 from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
+from hopnorms.validate import LAPLACE_CLOSED_FORMS, evaluate
 
 from .helpers import log_ratio_err
 
@@ -129,27 +130,18 @@ def test_second_derivative_matches_finite_differences():
 
 
 def test_hermite_closed_form_values():
-    # n=0 exact for every q
-    for q in (3.0, 47.0):
-        r = weighted_norm_q_asym(hermite(), 0, q)
-        assert r.to_float() == pytest.approx(math.sqrt(math.pi / q), rel=1e-13)
-    # n=1: 2^{2q+1} e^{-q} sqrt(pi/2q);  n=2: 2^{6q+1} e^{-5q/2} sqrt(2pi/5q)
-    q = 31.0
-    r = weighted_norm_q_asym(hermite(), 1, q)
-    want = (2 * q + 1) * math.log(2.0) - q + 0.5 * (math.log(math.pi) - math.log(2 * q))
-    assert r.value.log_abs == pytest.approx(want, abs=1e-12)
-    r = weighted_norm_q_asym(hermite(), 2, q)
-    want = (6 * q + 1) * math.log(2.0) - 2.5 * q + 0.5 * (math.log(2 * math.pi) - math.log(5 * q))
-    assert r.value.log_abs == pytest.approx(want, abs=1e-12)
+    # n=0: sqrt(pi/q), exact for every q; n=1: 2^{2q+1} e^{-q} sqrt(pi/2q);
+    # n=2: 2^{6q+1} e^{-5q/2} sqrt(2pi/5q)
+    for n, q, tol in ((0, 3.0, 1e-13), (0, 47.0, 1e-13), (1, 31.0, 1e-12), (2, 31.0, 1e-12)):
+        fam, _, form = LAPLACE_CLOSED_FORMS[f"hermite-n{n}"]
+        r = weighted_norm_q_asym(fam, n, q)
+        assert r.value.log_abs == pytest.approx(form(fam, q), abs=tol)
 
 
 def test_jacobi_n0_closed_form():
-    a, b, q = 2.0, 0.5, 19.0
-    r = weighted_norm_q_asym(jacobi(a, b), 0, q)
-    want = (q * (a + b) * math.log(2.0) + a * q * math.log(a / (a + b))
-            + b * q * math.log(b / (a + b))
-            + 0.5 * math.log(8 * math.pi * a * b / (q * (a + b) ** 3)))
-    assert r.value.log_abs == pytest.approx(want, abs=1e-12)
+    form = LAPLACE_CLOSED_FORMS["jacobi-n0"][2]
+    r = weighted_norm_q_asym(jacobi(2.0, 0.5), 0, 19.0)
+    assert r.value.log_abs == pytest.approx(form(jacobi(2.0, 0.5), 19.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("q", [1e10, 1e14])
@@ -203,20 +195,14 @@ def test_unweighted_jacobi_formula_value():
 
 
 def test_unweighted_jacobi_converges():
-    for n, a, b in ((1, 1.0, 0.0), (2, 0.0, 0.5)):
-        errs = []
-        for q in (50.0, 100.0, 200.0, 400.0):
-            nq = unweighted_norm_quad(jacobi(a, b), n, q).value.log_abs
-            na = unweighted_norm_q_asym_jacobi(n, a, b, q).value.log_abs
-            errs.append(log_ratio_err(nq, na))
+    for case in ("watson-rate-jacobi-110", "watson-rate-jacobi-2-0-05"):
+        errs = [log_ratio_err(nq, na) for _, nq, na in evaluate(case)]
         assert all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
 
 
 def test_legendre_tie_doubling():
-    for q in (50.0, 100.0, 400.0):
-        asym = unweighted_norm_q_asym_jacobi(1, 0.0, 0.0, q).to_float()
-        exact = 2.0 / (q + 1.0)
-        assert abs(asym - exact) / exact <= 2.0 / q
+    for q, exact, asym in evaluate("legendre-tie-doubling"):
+        assert log_ratio_err(asym, exact) <= 2.0 / q
 
 
 def test_gegenbauer_bridge_dispatch():
