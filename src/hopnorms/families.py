@@ -19,8 +19,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dsterf
 
-from .errors import DomainError, SingularEvaluation
+from .errors import DomainError, NumericalFailure, SingularEvaluation
 from .logreal import SignedLogReal
 from .special import log_distance, log_gamma
 
@@ -30,7 +31,7 @@ __all__ = [
     "eval_poly", "eval_log", "eval_log_many", "eval_derivative",
     "norm_constant_log", "norm_constant_log_error", "coefficients", "weight_log", "weight_log_many",
     "weight_log_derivative", "gegenbauer_jacobi_factor_log", "Weight",
-    "log_derivative_numerator_many", "log_density_second",
+    "log_derivative_numerator_many", "critical_points", "critical_derivatives",
     "moment_ratios", "power_basis",
 ]
 
@@ -164,12 +165,12 @@ class CoefficientList:
         return acc
 
 
-def _rows(fam: PolynomialFamily, n: int, num) -> list:
-    """Rows (A_k, B_k, C_k), k < n, of p_{k+1} = (A_k x + B_k) p_k - C_k p_{k-1},
+def _rows(fam: PolynomialFamily, n: int, num, start: int = 0) -> list:
+    """Rows (A_k, B_k, C_k), start <= k < n, of p_{k+1} = (A_k x + B_k) p_k - C_k p_{k-1},
     with p_{-1} = 0 and p_0 = 1 (Gautschi 2004, ch. 1), in the number type num
     (float, or Fraction: float parameters are exact dyadic rationals)."""
     rows = []
-    for k in range(n):
+    for k in range(start, n):
         if fam.kind == "hermite":
             rows.append((num(2), num(0), num(2 * k)))
         elif fam.kind == "laguerre":
@@ -206,26 +207,34 @@ def _convolve(a: list, b: list) -> list:
     return out
 
 
-def moment_ratios(fam: PolynomialFamily, t_max: int) -> list[Fraction]:
-    """Exact r_t = mu_t / mu_0, t <= t_max, of the moments mu_t = int x^t h dx.
-
-    With sigma the product of the distances d to the finite ends, h obeys
-    Pearson's equation (sigma h)' = tau h, tau = sigma' + sigma (ln h)' of
-    degree <= 1 (Nikiforov & Uvarov 1988, sec. 2).  Integrating x^t (sigma h)'
-    by parts gives the recurrence below; float parameters are exact dyadic
-    rationals, so the r_t are exact."""
-    w = fam.weight
-    ends = [([-s * Fraction(c), Fraction(s)], Fraction(e))  # (d as coefficients, its exponent)
+@lru_cache(maxsize=64)
+def _pearson(w: Weight, num=Fraction) -> tuple[tuple, tuple]:
+    """The coefficients (sigma_0, sigma_1, sigma_2) and (tau_0, tau_1) of
+    sigma, the product of the distances d to the finite ends, and of
+    tau = sigma' + sigma (ln h)', in the number type num: h obeys Pearson's
+    equation (sigma h)' = tau h with tau of degree <= 1 (Nikiforov & Uvarov
+    1988, sec. 2).  With Fraction they are exact: float parameters are exact
+    dyadic rationals.  Memoised per (weight, num)."""
+    ends = [([-s * num(c), num(s)], num(e))  # (d as coefficients, its exponent)
             for c, e, s in ((w.lo, w.e_lo, 1), (w.hi, w.e_hi, -1)) if math.isfinite(c)]
-    sigma = reduce(_convolve, [d for d, _ in ends], [1])
+    sigma = reduce(_convolve, [d for d, _ in ends], [num(1)])
     # tau = sigma (c1 + 2 c2 x) + sigma' + the sum over the ends of e d' sigma / d
-    tau = _convolve(sigma, [Fraction(w.c1), 2 * Fraction(w.c2)])
+    tau = _convolve(sigma, [num(w.c1), 2 * num(w.c2)])
     for k in range(1, len(sigma)):
         tau[k - 1] += k * sigma[k]
     for d, e in ends:
-        for k, c in enumerate(reduce(_convolve, [o for o, _ in ends if o is not d], [1])):
+        for k, c in enumerate(reduce(_convolve, [o for o, _ in ends if o is not d], [num(1)])):
             tau[k] += e * d[1] * c
-    (s0, s1, s2), (t0, t1) = (sigma + [0, 0])[:3], tau[:2]
+    return tuple(sigma + [num(0)] * 2)[:3], tuple(tau[:2])
+
+
+def moment_ratios(fam: PolynomialFamily, t_max: int) -> list[Fraction]:
+    """Exact r_t = mu_t / mu_0, t <= t_max, of the moments mu_t = int x^t h dx.
+
+    Integrating x^t (sigma h)' by parts, with sigma and tau of Pearson's
+    equation (see :func:`_pearson`), gives the recurrence below; float
+    parameters are exact dyadic rationals, so the r_t are exact."""
+    (s0, s1, s2), (t0, t1) = _pearson(fam.weight)
     # mu_{t+1} (tau_1 + t sigma_2) = -(tau_0 + t sigma_1) mu_t - t sigma_0 mu_{t-1}
     r = [0, Fraction(1)]  # r_{-1}, r_0
     for t in range(t_max):
@@ -372,19 +381,14 @@ def _eval_many(rows, x: np.ndarray, order: int, every: int = _RESCALE_EVERY,
     return p1, d1, scale
 
 
-def _eval_at(fam: PolynomialFamily, n: int, x: float, order: int) -> tuple[list[float], int]:
-    """:func:`_eval_many` at one point: [p, p', ...] as floats, and the exponent."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        p, d, scale = _eval_many(_recurrence(fam, n), np.array([float(x)]), order)
-    return [float(u[0]) for u in [p] + d], int(scale[0])
-
-
 def eval_derivative(fam: PolynomialFamily, n: int, x: float) -> float:
     """p_n'(x) as a float, +-inf where it overflows.  It runs the array
     recurrence on one point, so it is slow; batch points where it matters."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    (_, v), e = _eval_at(fam, n, x, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, (dp,), scale = _eval_many(_recurrence(fam, n), np.array([float(x)]), 1)
+    v, e = float(dp[0]), int(scale[0])
     try:
         return math.ldexp(v, e)
     except OverflowError:
@@ -515,20 +519,6 @@ def log_derivative_numerator_many(fam: PolynomialFamily, n: int,
         return np.sign(v).astype(int), np.log(np.abs(v)) + scale * _LN2
 
 
-def log_density_second(fam: PolynomialFamily, n: int, x: float) -> float:
-    """f''(x) of f = ln(p_n^2 h) at an interior point where p_n(x) != 0:
-    (ln h)'' + 2 p_n''/p_n - 2 (p_n'/p_n)^2, with p_n, p_n' and p_n'' taken
-    from the recurrence at one scale."""
-    w = fam.weight
-    (p, dp, d2p), _ = _eval_at(fam, n, x, 2)
-    v = 2.0 * w.c2  # the core's second derivative
-    for e, dist in ((w.e_lo, x - w.lo), (w.e_hi, w.hi - x)):
-        if e != 0.0:
-            v -= e / dist ** 2
-    r = dp / p
-    return v + 2.0 * d2p / p - 2.0 * r * r
-
-
 def gegenbauer_jacobi_factor_log(n: int, lam: float) -> float:
     """ln c with C_n^(lambda) = c * P_n^(lam-1/2, lam-1/2)."""
     return (log_gamma(lam + 0.5) - log_gamma(2.0 * lam)
@@ -555,3 +545,87 @@ def _zeros(fam: PolynomialFamily, n: int) -> tuple[float, ...]:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p, (dp,), _ = _eval_many(_recurrence(fam, n), x, 1)
         return tuple((x - np.where(dp != 0.0, p / dp, 0.0)).tolist())
+
+
+@lru_cache(maxsize=64)
+def critical_points(fam: PolynomialFamily, n: int, ratio: float) -> tuple[float, ...]:
+    """The n + 1 zeros, ascending, of N = sigma p_n' + ratio pi p_n, with
+    sigma and tau of :func:`_pearson` and pi = tau - sigma' = sigma (ln h)':
+    g = a ln|p_n| + b ln h has g' = a N / (sigma p_n) for ratio = b/a.
+    Where N vanishes, g is flat (p_0 with a flat weight, or b = 0): on a
+    finite support every point is a peak, and the midpoint is returned;
+    where N has a lower degree otherwise (b = 0 on an infinite support, not
+    integrable), ().
+
+    With ratio >= 0 and both end exponents >= 0, g is strictly concave
+    between neighbouring knots (the finite ends and the zeros of p_n), so
+    these are its peaks, one in each gap.  A finite end whose exponent
+    times ratio is 0 is a zero of N and its gap's peak; it is returned
+    exactly.
+
+    N = (A' x + B') p_n - C' p_{n-1} continues the recurrence by one row,
+    so its zeros are the eigenvalues of the (n + 1)-point Jacobi matrix of
+    the rows with that row last (Golub & Welsch 1969), symmetric where
+    Wendroff's condition C' / (A_{n-1} A') > 0 holds.  The row comes from
+    sigma p_n' = kappa (tau_n p_n - r_n p_{n+1}), tau_n = tau + n sigma',
+    kappa = lambda_n / (n tau_n'), r_n A_n = tau_n' (1 - n^2 sigma_2 / lambda_n),
+    lambda_n = -n (tau' + (n - 1) sigma''/2) (Nikiforov & Uvarov 1988).
+    Memoised per (family, n, ratio).
+    """
+    (s0, s1, s2), (t0, t1) = _pearson(fam.weight, float)
+    pi0, pi1 = ratio * (t0 - s1), ratio * (t1 - 2.0 * s2)
+    a_last = n * s2 + pi1
+    w = fam.weight
+    if a_last == 0.0:
+        mid = 0.5 * (w.lo + w.hi)
+        return (mid,) if n == 0 and pi0 == 0.0 and math.isfinite(mid) else ()
+    if n == 0:  # N = ratio pi
+        x = np.array([-pi0 / a_last])
+    else:
+        lam, tau_n = -n * (t1 + (n - 1) * s2), t1 + 2.0 * n * s2
+        kappa = lam / (n * tau_n)
+        A, B, C = _rows(fam, n + 1, float, start=n)[0]
+        r = tau_n * (1.0 - n * n * s2 / lam) / A
+        row = (a_last, kappa * (t0 + n * s1 - r * B) + pi0, -kappa * r * C)
+        A, B, C = np.array(_recurrence(fam, n) + (row,)).T
+        off = C[1:] / (A[:-1] * A[1:])
+        if not (off > 0.0).all():
+            raise NumericalFailure(f"Wendroff's condition fails for the critical points of "
+                                   f"{fam.label()} n={n} at b/a = {ratio:g}")
+        x, info = dsterf(-B / A, np.sqrt(off))  # all eigenvalues, ascending
+        if info:
+            raise NumericalFailure(f"no eigenvalues for the critical points of {fam.label()} "
+                                   f"n={n}")
+    x = np.clip(x, w.lo, w.hi)  # rounding can put a peak pressed against an end beyond it
+    if math.isfinite(w.lo) and ratio * w.e_lo == 0.0:
+        x[0] = w.lo
+    if math.isfinite(w.hi) and ratio * w.e_hi == 0.0:
+        x[-1] = w.hi
+    return tuple(x.tolist())
+
+
+def critical_derivatives(fam: PolynomialFamily, n: int, ratio: float,
+                         xs) -> tuple[np.ndarray, np.ndarray]:
+    """(g'/a, g''/a) of g = a ln|p_n| + b ln h, ratio = b/a, at points xs of
+    :func:`critical_points`, in closed form from sigma p'' + tau p' +
+    lambda_n p = 0, with no recurrence.  At an interior point g' = 0, so
+    u = p'/p = -ratio (ln h)' and p''/p = -(tau u + lambda_n)/sigma.  At an
+    end, where sigma = 0 and the peak is one-sided, g' need not vanish:
+    there u = -lambda_n/tau, and p''/p = -(tau' + lambda_n) u/(sigma' + tau)
+    from the derivative of the equation."""
+    (s0, s1, s2), (t0, t1) = _pearson(fam.weight, float)
+    w = fam.weight
+    wr = Weight(w.lo, w.hi, ratio * w.e_lo, ratio * w.e_hi, ratio * w.c1, ratio * w.c2)  # h^ratio
+    x = np.asarray(xs, dtype=float)
+    d, r = _numerator_factors(wr, x)
+    l1, l2 = r / d, 2.0 * wr.c2  # ratio (ln h)' and ratio (ln h)''
+    for e, dist in ((wr.e_lo, x - w.lo), (wr.e_hi, w.hi - x)):
+        if e != 0.0:
+            l2 = l2 - e / dist ** 2
+    lam = -n * (t1 + (n - 1) * s2)
+    sigma, tau = s0 + (s1 + s2 * x) * x, t0 + t1 * x
+    end = sigma == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(end, -lam / tau, -l1)
+        p2 = np.where(end, -(t1 + lam) * u / (s1 + 2.0 * s2 * x + tau), -(tau * u + lam) / sigma)
+    return np.where(end, u + l1, 0.0), p2 - u * u + l2

@@ -5,12 +5,13 @@ f(x) = ln h(x) + ln p_n(x)^2,
 
     W_q ~ (number of global maximizers) * e^{q f(x0)} sqrt(2 pi / (-q f''(x0))).
 
-The maximizers are sign changes of the polynomial numerator N of f' (see
+The maximizers are zeros of the polynomial numerator N of f' (see
 :func:`families.log_derivative_numerator_many`).  Under the weight-exponent
-precondition N changes sign exactly once between each pair of neighbouring
-zeros of p_n or ends of the support, so these gaps bracket every critical
-point.  f''(x0) comes from :func:`families.log_density_second`, which takes
-p_n' and p_n'' from the recurrence rows, as every derivative of p_n does.
+precondition N has exactly one zero between each pair of neighbouring
+zeros of p_n or ends of the support; all n + 1 are the eigenvalues of one
+Jacobi matrix (:func:`families.critical_points`).  f''(x0) comes from the
+differential equation of p_n in closed form
+(:func:`families.critical_derivatives`).
 Unweighted norms: Watson-type endpoint expansion, available for the
 bounded-support families only (|H_n| and |L_n| have no global maximum on
 their supports, so no leading term exists there).
@@ -24,12 +25,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericalFailure, UnsupportedAsymptotics, check_order
-from .families import (PolynomialFamily, eval_log_many, gegenbauer_jacobi_factor_log,
-                       log_density_second, log_derivative_numerator_many, polynomial_zeros,
-                       weight_log_many)
+from .families import (PolynomialFamily, critical_derivatives, critical_points, eval_log_many,
+                       gegenbauer_jacobi_factor_log, weight_log_many)
 from .logreal import SignedLogReal
 from .norms import NormResult
-from .quadrature import bisect_brackets
 from .special import log_gamma, log_pochhammer
 
 __all__ = ["LaplacePoint", "locate_density_maximum", "weighted_norm_q_asym",
@@ -37,7 +36,6 @@ __all__ = ["LaplacePoint", "locate_density_maximum", "weighted_norm_q_asym",
 
 _TIE_TOL = 1e-10
 _F_ROUNDING = 4.0 * np.finfo(float).eps  # rounding of f per unit size of its terms
-_WALK = 2.0 ** np.arange(41)  # outward steps, in units of 1 + |outermost knot|
 
 
 @dataclass(frozen=True)
@@ -61,51 +59,18 @@ def _check_preconditions(fam: PolynomialFamily) -> None:
                 f"at x = {end:g}")
 
 
-def _critical_points(fam: PolynomialFamily, n: int) -> np.ndarray:
-    """The n + 1 zeros of N, ascending, one in each gap between neighbouring
-    knots: the finite ends of the support and the zeros of p_n.
-
-    An infinite end is replaced by the first point of a geometric walk
-    outward from the outermost knot where N has the opposite sign.  All gaps
-    are then bisected together by :func:`quadrature.bisect_brackets`.
-    """
-    w = fam.weight
-    knots = ([w.lo] if math.isfinite(w.lo) else []) + polynomial_zeros(fam, n) \
-        + ([w.hi] if math.isfinite(w.hi) else [])
-    if not knots:  # both ends infinite and n = 0: hermite, whose N = -2x
-        return np.zeros(1)
-    walks = [(k, d) for k, d, end in ((knots[0], -1, w.lo), (knots[-1], 1, w.hi))
-             if not math.isfinite(end)]
-    xs = np.concatenate([knots] + [k + d * (1.0 + abs(k)) * _WALK for k, d in walks])
-    signs = log_derivative_numerator_many(fam, n, xs)[0]
-    x, s = knots, signs[:len(knots)].tolist()
-    for (k, d), wx, ws in zip(walks, xs[len(knots):].reshape(-1, _WALK.size),
-                              signs[len(knots):].reshape(-1, _WALK.size)):
-        hit = np.flatnonzero(ws == -(s[0] if d < 0 else s[-1]))
-        if not hit.size:
-            raise NumericalFailure(f"no sign change of f' beyond x = {k:g} for {fam.label()} n={n}")
-        end, s_end = [wx[hit[0]]], [ws[hit[0]]]
-        x, s = (end + x, s_end + s) if d < 0 else (x + end, s + s_end)
-    x, s = np.array(x), np.array(s)
-    if not (s[:-1] * s[1:] == -1).all():
-        raise NumericalFailure(f"f' does not alternate in sign across the zeros of p_n for "
-                               f"{fam.label()} n={n}")
-    return bisect_brackets(lambda p: log_derivative_numerator_many(fam, n, p)[0] == s[1:, None],
-                           x[:-1], x[1:])
-
-
 @lru_cache(maxsize=256)  # above the ~70 (family, n) keys of one q-sweep pass
 def locate_density_maximum(fam: PolynomialFamily, n: int) -> LaplacePoint:
     """All interior critical points of f; returns the global maximum.
 
     The critical points are the zeros of the numerator N of f', one in each
-    gap between neighbouring zeros of p_n or ends of the support (an
-    infinite end is brought in by a geometric walk), found by one batched
-    bisection of all n + 1 gaps.  Every one is a maximum of the density; f
-    is evaluated at all of them as one batch.  Memoised per (family, n).
+    gap between neighbouring zeros of p_n or ends of the support, the
+    eigenvalues of :func:`families.critical_points` at b/a = 1/2.  Every one
+    is a maximum of the density; f is evaluated at all of them as one
+    batch.  Memoised per (family, n).
     """
     _check_preconditions(fam)
-    crits = _critical_points(fam, n)
+    crits = np.array(critical_points(fam, n, 0.5))
     log_h, size = weight_log_many(fam, crits, sizes=True)
     log_p2 = 2.0 * eval_log_many(fam, n, crits)[1]
     fvals = (log_h + log_p2).tolist()
@@ -114,7 +79,7 @@ def locate_density_maximum(fam: PolynomialFamily, n: int) -> LaplacePoint:
     f_error = float(_F_ROUNDING * (size + np.abs(log_p2))[fvals.index(fmax)])
     winners = [x for x, fv in zip(crits.tolist(), fvals) if fv >= fmax - _TIE_TOL]
     x0 = max(winners)  # deterministic representative
-    f2 = log_density_second(fam, n, x0)
+    f2 = 2.0 * float(critical_derivatives(fam, n, 0.5, x0)[1])  # f = 2 (ln|p_n| + ln h / 2)
     if not f2 < 0:
         raise NumericalFailure(f"second derivative not negative at x0={x0}")
     return LaplacePoint(x0=x0, f_at_x0=fmax, f2_at_x0=f2, multiplicity=len(winners),

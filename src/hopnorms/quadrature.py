@@ -21,10 +21,10 @@ The engine:
     t^p, no term weaker than t^6.  Without it, an end interval whose
     power is weak converges slowly: at e = 1.25 its error falls about 5x
     per halving,
-  * locates the global maximum M of g by per-panel Chebyshev scans, zooming
-    in on the panels whose scanned peak is not resolved, then integrates
-    exp(g - M) with the 10-21 Gauss-Kronrod pair of QUADPACK's QAGS,
-    refined in rounds (below),
+  * locates the global maximum M of g from each panel's peak, known in
+    closed form for the norm and density integrands and scanned for the
+    others (below), then integrates exp(g - M) with the 10-21
+    Gauss-Kronrod pair of QUADPACK's QAGS, refined in rounds (below),
   * returns sign, ln|I| (shift M re-applied) and a relative error bound,
     and fails with QuadratureFailure when a positive integrand (no phi)
     sums to zero because every node underflowed below M.
@@ -43,24 +43,39 @@ integrands used here.
 
 Every other phase is batched too, so the integrand exists only in its
 array form.  The tail walks of both infinite ends evaluate blocks of their
-steps together.  The scans, each zoom round and the first Gauss-Kronrod
-pass of all panels are one call each.  A panel whose scanned peak has both
-scanned neighbours within _RESOLVED nats of it is resolved to a fraction
-of a nat, and is not zoomed: an underestimated peak only widens the live
-window and lowers the shift, far inside _EXP_CLAMP.  The other panels are
-zoomed in three rounds, and a round with no such panel is skipped.  A
-panel whose scanned live points (g within the cutoff of its peak) span
-more than a quarter of it stays whole.  A panel with no live scanned point,
-whose peak only a zoom reached, grows its window from the zoomed point.
-The live-window edges of all other panels are bisected together, six
-steps per call, in the rounds of :func:`bisect_brackets`, the bisection
-the Laplace maximizer also uses for the critical points of the density.
-The maximizer takes all ten rounds (60 steps), because its point must be
-exact.  An integral's edge search stops once each of its brackets is
-narrower than 2^-6 of its panel's live span seen so far (usually after one
-round), because both
-dead flanks are integrated too: only the window's width matters, not
-where exactly it is cut.
+steps together, and the first Gauss-Kronrod pass of all panels is one call.
+
+Each panel's peak comes one of two ways.  A spec whose g is
+a ln|p_n| + b ln h of its basis (:class:`Basis`), with a > 0, b >= 0 and
+both end exponents >= 0, has g'' = -a sum 1/(x - x_k)^2 + b (ln h)'' < 0:
+g is strictly concave between neighbouring zeros of p_n and ends, so each
+panel holds one peak, at the critical point of its gap, clipped to the
+panel.  :func:`families.critical_points` gives all n + 1 as the
+eigenvalues of one Jacobi matrix, and :func:`families.critical_derivatives`
+g' and g'' there in closed form, with no recurrence; one batch of the tops
+gives the panels' peak values.  Such a spec, every norm and density
+integrand of a weight without a pole, skips the scan, its zooms and the
+live windows below: its first-pass cuts (below) put nodes on the peak.
+The choice is made spec by spec, so lockstep stays bit-identical.  Over
+the benchmark's pools the integrand points fell by 40% (degree-sweep), 42%
+(q-sweep) and 15% (functionals); Hermite n = 1000, W_50 takes 23,146
+points where the scan's path took 103,352.
+
+The other specs, a raw g_core (Fisher, the Temme oracle) or a weight with
+a pole, where concavity can fail, are scanned: 33 Chebyshev points per
+panel, one call for all.  A panel whose scanned peak has both scanned
+neighbours within _RESOLVED nats of it is resolved to a fraction of a nat,
+and is not zoomed: an underestimated peak only widens the live window and
+lowers the shift, far inside _EXP_CLAMP.  The other panels are zoomed in
+three rounds, and a round with no such panel is skipped.  A panel whose
+scanned live points (g within the cutoff of its peak) span more than a
+quarter of it stays whole.  A panel with no live scanned point, whose peak
+only a zoom reached, grows its window from the zoomed point.  The
+live-window edges of all other panels are bisected together, six steps
+per call (:func:`_bisect_round`).  An integral's edge search stops once
+each of its brackets is narrower than 2^-6 of its panel's live span seen
+so far (usually after one round), because both dead flanks are integrated
+too: only the window's width matters, not where exactly it is cut.
 
 Several integrals run in lockstep (:func:`log_integrals`; a lone one is
 :func:`log_integral`).  Each phase above, and each refinement round, is one
@@ -87,24 +102,29 @@ narrow Laplace peak inside a panel, or mass pressed against an end of the
 support (a tail panel, from the outermost breakpoint to the cut, holds its
 mass next to that breakpoint), and refinement would halve its way there
 one round per halving; in a sweep the slowest row sets the rounds of all.
-The scan already knows each panel's peak: its point (the zoomed point
-where a zoom ran) and its width sigma = 1/sqrt(-g''), g'' that of the
+Each panel knows its peak: its point, the top, and its width sigma.  A
+known peak has sigma = 1/sqrt(-g'') at its critical point, or
+1/(a |g'| + sqrt(-a g'')) where it sits at an end whose exponent is 0 and
+g' need not vanish; on a substituted panel both map into t, sigma with the
+curvature of the (p - 1) ln t that g gains there, which the scan's
+parabola in t sees too.  A scanned
+peak's point is the zoomed point where a zoom ran, and g'' that of the
 parabola through the argmax and its two neighbours of the last zoom round,
 or of the scan where no zoom ran or the zoom's parabola is not concave.  A
 live window or flank cut out of a panel keeps both.  The first pass cuts a
 panel wider than 5 sigma, whose peak lies within 40 nats of its
 integral's shift, at top +- 1.5 sigma and at top +- 4 sigma 2^j, j = 0,
 1, ..., inside it; a graded panel keeps its quarters (below).  The cuts
-are depth-0 intervals of the one panel, not panel breakpoints, which
-would each be scanned.  On a Gaussian the piece (-1.5, 1.5) sigma has
+are depth-0 intervals of the one panel, not panel breakpoints.  On a
+Gaussian the piece (-1.5, 1.5) sigma has
 |K21 - G10| 9e-13 of the mass, below the default tolerance, where (-2, 2)
 sigma has 2.6e-10 and needs one more round; the pieces (1.5, 4) and
 (4, 8) sigma have 3e-15 and 4e-14, where a ratio of 3, (4.5, 13.5), would
-have 1.3e-10.  Over the benchmark's pools (280 q-sweep, 371 degree-sweep
-and 1,149 functionals requests), Gauss-Kronrod batches per request went
-from 5.92, 1.93 and 3.29 to 1.17, 1.03 and 2.10, and the evaluations from
-1,138,641, 580,797 and 2,493,876 to 959,427, 676,263 and 2,386,020.  The
-alternatives, measured the same way: cuts at top +- 2 sigma 2^j took 1.96
+have 1.3e-10.  Over the benchmark's pools, on scanned peaks,
+Gauss-Kronrod batches per request went from 5.92, 1.93 and 3.29 to 1.17,
+1.03 and 2.10, and the evaluations from 1,138,641, 580,797 and 2,493,876
+to 959,427, 676,263 and 2,386,020.  The alternatives, measured the same
+way: cuts at top +- 2 sigma 2^j took 1.96
 q-sweep batches per request; the scan's sigma alone, without the zoom's,
 1.81; a width of 6 sigma took 1.10 degree-sweep batches, and 4 sigma 1.00
 at 906,045 evaluations, which ran slower.  Cutting the tail panels at the
@@ -151,7 +171,11 @@ term below covers x formed from s.  The node s
 is rounded, which moves g by eps |s dg/ds|.  Then v is rounded as it is
 formed, by a few eps |v|, which moves g by eps |v dg_v/dv|, with
 g_v = g - ln dv/ds the log-integrand in v.  Both terms enter the size of
-a graded node.
+a graded node.  Likewise x = c +- t^p on a substituted panel is rounded at
+the scale of |x|, not of |x - c|, which moves g_core by
+eps |x dg_core/dx|: without it, N_q of Jacobi(0.055, 0.055) at n = 12 and
+q = 8.7e5, whose mass lies within 1e-7 of the ends, missed by 5e-9 while
+claiming 1.3e-10.
 
 The sum is accepted when its error estimate E meets
 
@@ -163,11 +187,15 @@ the sum itself (QUADPACK's ``resabs`` test): a signed integrand that
 cancels to zero, such as an odd moment, converges on it, while a positive
 integrand, whose int |f| is |I|, is held to rel_tol whatever its scale.
 The term 4 eps G is the rounding of g itself.  Each of its terms, g_core
-and the two endpoint powers, is rounded at its own scale, so G is the
-mean over |f| of the sum of their magnitudes, taken from the first pass,
-and at least |M|: at G ~ 1e5 nats it exceeds the default rel_tol, and no
-refinement removes it.  G exceeds |M| where the terms cancel, as
-q a ln(1 - x) + q b ln(1 + x) do near a central peak at large q.  The
+(or a ln|p_n| and b core_h of a basis) and the two endpoint powers, is
+rounded at its own scale, so G is the mean over |f| of the sum of their
+magnitudes, taken from the first pass, and at least |M|: at G ~ 1e5
+nats it exceeds the default rel_tol, and no refinement removes it.  G
+exceeds |M| where the terms cancel, as q a ln(1 - x) + q b ln(1 + x) do
+near a central peak at large q.  p_n, n >= 1, is itself rounded by a
+few eps, so a ln|p_n| counts as |a| (|ln|p_n|| + 1): where |p_n| is near
+1, as at the end peak x = 0 of Laguerre(0), M can be 0 while a ln|p_n|
+still carries about a eps.  The
 node u is rounded too, by a few eps |u|, which moves g by eps |u g'(u)|,
 about eps |u|/w next to a peak of width w; so each node's size also holds
 |u dg/du|, from differences of g along its row of 21 nodes.  The logs of
@@ -184,16 +212,18 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .families import PolynomialFamily, eval_log_many
+from .families import (PolynomialFamily, critical_derivatives, critical_points, eval_log_many,
+                       polynomial_zeros)
 from .special import log_distance
 
 __all__ = ["QuadratureConfig", "QuadratureFailure", "Basis", "LogIntegrand", "LogQuadResult",
-           "log_integral", "log_integrals", "raise_first", "bisect_brackets"]
+           "log_integral", "log_integrals", "raise_first"]
 
 # 10-21 Gauss-Kronrod pair on [-1, 1], QUADPACK's QK21 (Piessens et al.
 # 1983), to 17 significant digits: the nodes x < 0 with their Kronrod
@@ -222,7 +252,7 @@ _REFINE_POINTS = 17
 _RESOLVED = 1.0  # nats: a scanned peak this close to both neighbours needs no zoom
 _SMOOTH_POWER = 6  # a substituted end panel's weakest power of t, at least
 _BISECT_STEPS = 6    # bisection steps per batch
-_BISECT_ROUNDS = 10  # 60 steps in all
+_BISECT_ROUNDS = 10  # at most 60 steps in all
 _EDGE_PRECISION = 2.0 ** -6  # live-window edge bracket, relative to the live span
 _GRADE = 2  # the power k of a graded panel end, see _graded
 # a peaked panel's first pass: cuts at top +- 1.5 sigma and top +- 4 sigma 2^j,
@@ -458,7 +488,7 @@ class _Specs:
             self.enters[c] = (np.array(flags) if some and not every else None, every, some)
         self.graded = any(s.log_singular for s in self.specs)
         self.errors: list[Optional[Exception]] = [None] * len(self.specs)
-        self.shift = [0.0] * len(self.specs)  # ln of each spec's scanned peak, once known
+        self.shift = [0.0] * len(self.specs)  # each spec's highest panel peak, once known
 
     def entering(self, c: int, owner: Optional[np.ndarray], r=_ALL):
         """The rows (of rows r) whose end in column c is finite with a
@@ -520,14 +550,19 @@ def _log_distances(c, xs: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return out
 
 
-def _core_rows(specs: _Specs, blocks: list[tuple[int, slice]], xs: np.ndarray) -> np.ndarray:
-    """g_core at the rows of points xs: one call of each raw spec's
+def _core_rows(specs: _Specs, blocks: list[tuple[int, slice]], xs: np.ndarray,
+               sizes: bool = False) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(g_core, size) at the rows of points xs: one call of each raw spec's
     g_core_many over its block, and one polynomial evaluation over the
     points of the specs whose bases share a degree, a family kind and a
-    weight core, each spec's a ln|p_n| + b core_h on its own points.  A
-    spec whose core raises is marked failed, and its rows, like those of
-    specs that failed before, hold NaN."""
-    core = np.full_like(xs, math.nan) if len(blocks) > 1 else None
+    weight core, each spec's a ln|p_n| + b core_h on its own points.  size,
+    if asked for, is the magnitude at which g_core is rounded: |g_core| of
+    a raw spec, and |a| (|ln|p_n|| + 1) + |b core_h| of a basis, whose
+    a ln|p_n| carries the rounding of p_n, a few eps of a, even where
+    ln|p_n| is 0 (p_0 = 1 is exact: there it is |b core_h|).  A spec whose
+    core raises is marked failed, and its rows, like those of specs that
+    failed before, hold NaN."""
+    parts = []  # (block, g_core there, its size)
     shared = {}  # (degree, kind, weight core c1 and c2) -> [(spec, its block)]
     for k, block in blocks:
         if specs.errors[k] is not None:
@@ -544,9 +579,7 @@ def _core_rows(specs: _Specs, blocks: list[tuple[int, slice]], xs: np.ndarray) -
         except (DomainError, NumericalFailure) as exc:
             specs.errors[k] = exc
             continue
-        if core is None:
-            return vals
-        core[block] = vals
+        parts.append((block, vals, np.abs(vals) if sizes else None))
     for (n, *_), group in shared.items():
         bases = [specs.specs[k].basis for k, _ in group]
         rows = [xs if block is _ALL else xs[block] for _, block in group]
@@ -565,17 +598,28 @@ def _core_rows(specs: _Specs, blocks: list[tuple[int, slice]], xs: np.ndarray) -
             for k, _ in group:
                 specs.errors[k] = exc
             continue
-        vals = a * log_p + b * bases[0].fam.weight.core(u)  # one core: it is in the key
+        core_h = b * bases[0].fam.weight.core(u)  # one core: it is in the key
+        vals = a * log_p + core_h
+        size = np.abs(a) * (np.abs(log_p) + (n > 0)) + np.abs(core_h) if sizes else None
         if whole:
-            if core is None:  # the batch is this lone block
-                return vals.reshape(rows[0].shape)
-            core = vals.reshape(xs.shape)
+            parts.append((_ALL, vals.reshape(xs.shape),
+                          None if size is None else size.reshape(xs.shape)))
             continue
         start = 0
         for (_, block), r in zip(group, rows):
-            core[block] = vals[start:start + r.size].reshape(r.shape)
-            start += r.size
-    return np.full_like(xs, math.nan) if core is None else core  # None: the lone spec failed
+            end = start + r.size
+            parts.append((block, vals[start:end].reshape(r.shape),
+                          None if size is None else size[start:end].reshape(r.shape)))
+            start = end
+    if len(parts) == 1 and parts[0][0] is _ALL:  # the batch is this one part
+        return parts[0][1:]
+    core = np.full_like(xs, math.nan)  # NaN: the rows of failed specs
+    size = np.zeros_like(xs) if sizes else None
+    for block, vals, mag in parts:
+        core[block] = vals
+        if sizes:
+            size[block] = mag
+    return core, size
 
 
 def _per_point(values: list[float], at: np.ndarray):
@@ -590,7 +634,8 @@ def _logf_rows(specs: _Specs, panels: list[_Panel], us: np.ndarray, sizes: bool 
     in the panels' own coordinates, core = g_core(x), ends the endpoint
     powers e_left ln(x - a) + e_right ln(b - x), a substituted end's log
     taken from t, size, if asked for, the sum of the magnitudes of the
-    terms of g, each rounded at its own scale, and graded the
+    terms of g, each rounded at its own scale (g_core's from
+    :func:`_core_rows`), and graded the
     :func:`_graded` (rows, v, ln dv/ds) of the batch, or None.  Everything
     but the core is computed for all rows at once, each row with its
     spec's constants, and elementwise, so a row's values do not depend on
@@ -624,9 +669,9 @@ def _logf_rows(specs: _Specs, panels: list[_Panel], us: np.ndarray, sizes: bool 
             lt = np.log(t)
             xs[r] = np.where(t > 0.0, end + side * np.exp(col(_SUB[side] + _P, r) * lt), end)
             rows.append((side, r, lt))
-    core = _core_rows(specs, blocks, xs)
+    core, core_size = _core_rows(specs, blocks, xs, sizes)
     ends = np.zeros_like(xs)
-    size = np.abs(core) if sizes else None
+    size = core_size.copy() if sizes else None
     for c_col, e_col, right in ((_B, _E_RIGHT, True), (_A, _E_LEFT, False)):
         r = specs.entering(c_col, owner)
         if r is None:
@@ -669,7 +714,7 @@ def _logf_rows(specs: _Specs, panels: list[_Panel], us: np.ndarray, sizes: bool 
         ends[r] = col(base + _EP, r) * lt + other
         if sizes:
             j_abs = _scaled(j, np.abs(lt))
-            size[r] = np.abs(core[r]) + np.abs(other) + (0.0 if j_abs is None else j_abs)
+            size[r] = core_size[r] + np.abs(other) + (0.0 if j_abs is None else j_abs)
     if graded is not None:
         r, _, jac = graded
         g[r] += jac
@@ -805,17 +850,6 @@ def _bisect_round(above_many: Callable[[np.ndarray], np.ndarray], outer: np.ndar
     return grid[rows, o], grid[rows, o + 1]
 
 
-def bisect_brackets(above_many: Callable[[np.ndarray], np.ndarray], outer,
-                    inner) -> np.ndarray:
-    """Where a predicate turns true between outer[i] (false) and inner[i]
-    (true): a 60-step bisection of every bracket at once, in _BISECT_ROUNDS
-    rounds of :func:`_bisect_round`.  above_many maps a 2-d array of points,
-    row i inside bracket i, to the boolean array of the predicate."""
-    for _ in range(_BISECT_ROUNDS):
-        outer, inner = _bisect_round(above_many, outer, inner)
-    return 0.5 * (outer + inner)
-
-
 def _going(specs: _Specs, owners: list[int], wide: set):
     """The edges (of owners) of the live specs in ``wide``: every edge
     (_ALL), their indices, or None."""
@@ -905,6 +939,83 @@ def _split_on_live_windows(specs: _Specs, panels: list[_Panel], xs: np.ndarray,
     return out
 
 
+def _known_peaks(spec: LogIntegrand) -> Optional[tuple]:
+    """The :func:`_peak_table` of a spec whose g is concave on every panel,
+    with its peak known in closed form: g = a ln|p_n| + b ln h of its basis
+    with a > 0 and b >= 0, h the family's weight with both end exponents
+    >= 0, and every zero of p_n a breakpoint (see
+    :func:`families.critical_points`).  None for any other spec, a raw
+    g_core or one with a pole, which the scan serves."""
+    basis = spec.basis
+    if basis is None or not (basis.a > 0.0 and basis.b >= 0.0):
+        return None
+    w = basis.fam.weight
+    if ((spec.a, spec.b, spec.e_left, spec.e_right) != (w.lo, w.hi, basis.b * w.e_lo,
+                                                        basis.b * w.e_hi)
+            or spec.e_left < 0.0 or spec.e_right < 0.0):
+        return None
+    table = _peak_table(basis.fam, basis.n, basis.b / basis.a)
+    return table if table is not None and set(table[1]) <= set(spec.breakpoints) else None
+
+
+@lru_cache(maxsize=64)
+def _peak_table(fam: PolynomialFamily, n: int, ratio: float) -> Optional[tuple]:
+    """(critical points, zeros of p_n, g'/a and g''/a at the points), from
+    :func:`families.critical_points` and :func:`families.critical_derivatives`;
+    None where g has no n + 1 peaks."""
+    crit = critical_points(fam, n, ratio)
+    if not crit:
+        return None
+    return (np.array(crit), np.array(polynomial_zeros(fam, n)),
+            *critical_derivatives(fam, n, ratio, crit))
+
+
+def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:
+    """Record on each panel of the specs with known peaks (``known``, spec
+    -> :func:`_known_peaks`) its top, the critical point of its gap clipped
+    to the panel, and the width sigma = 1/(a |g'| + sqrt(-a g'')) there,
+    1/sqrt(-g'') at an interior peak, both mapped into the panel's
+    coordinate (on a substituted panel sigma takes the curvature of the
+    (p - 1) ln t that g gains in t); and its peak, g at the top in x, from
+    one batch over all of them.  A top on an end where the exponent is
+    nonzero, where g is -inf, moves one ulp inward.  A graded panel's first
+    pass takes quarters, so it records the peak alone."""
+    owner, blocks = _blocks(specs, panels)
+    v = np.array([p.grade or (p.lo, p.hi) for p in panels])  # in x, or in t at a substituted end
+    subs = [(i, specs.subs[p.owner][p.side == _RIGHT]) for i, p in enumerate(panels) if p.side]
+    x = v.copy()
+    for i, sub in subs:
+        x[i] = sorted(sub.end + panels[i].side * v[i] ** sub.p)
+    mid = 0.5 * (x[:, 0] + x[:, 1])
+    peak, g1, g2, a, lo_end, hi_end = np.empty((6, len(panels)))
+    for k, r in blocks:
+        crit, zeros, d1, d2 = known[k]
+        i = np.searchsorted(zeros, mid[r])
+        spec = specs.specs[k]
+        peak[r], g1[r], g2[r], a[r] = crit[i], d1[i], d2[i], spec.basis.a
+        lo_end[r] = spec.a if spec.e_left else math.nan
+        hi_end[r] = spec.b if spec.e_right else math.nan
+    top = np.clip(peak, x[:, 0], x[:, 1])
+    on_end = (top == lo_end) | (top == hi_end)  # where g is -inf
+    top[on_end] = np.nextafter(top[on_end], mid[on_end])
+    den = a * np.abs(g1) + np.sqrt(np.maximum(-a * g2, 0.0))
+    sigma = np.where(np.isfinite(den) & (den > 0.0), 1.0 / den, math.inf)
+    u = top.copy()
+    for i, sub in subs:  # t = d^(1/p) at the distance d from the end, dx/dt = p d/t
+        d = abs(top[i] - sub.end)
+        u[i] = d ** (1.0 / sub.p)
+        # in t, g gains (p - 1) ln t: -g_t'' = (p d/t)^2 / sigma^2 + (p - 1)/t^2
+        sigma[i] = u[i] / math.sqrt((sub.p * d / sigma[i]) ** 2 + sub.p - 1.0)
+    for p, t, width in zip(panels, u.tolist(), sigma.tolist()):
+        if p.grade is None:
+            p.top, p.sigma = t, width
+    plain = {k: _Panel(-math.inf, math.inf, owner=k) for k, _ in blocks}
+    rows = [plain[0]] * len(panels) if owner is None else [plain[k] for k in owner.tolist()]
+    g = _logf_rows(specs, rows, top[:, None])[0][:, 0]
+    for p, value in zip(panels, g.tolist()):
+        p.peak = value
+
+
 def _peak_cuts(p: _Panel) -> list[float]:
     """The points top +- _PEAK_CORE sigma and top +- _PEAK_STEP sigma 2^j,
     j = 0, 1, ..., of the panel p that lie inside it, ascending."""
@@ -951,6 +1062,9 @@ def _gk_rows(specs: _Specs, panels: list[_Panel], a: list[float], b: list[float]
         if graded is not None:  # and that of v formed from s
             r, v, jac = graded
             size[r] += _node_rounding(g[r] - jac, v)
+        r = np.array([p.side != _PLAIN for p in panels])
+        if r.any():  # and that of x formed from t, which moves g_core
+            size[r] += _node_rounding(core[r], xs[r])
     g = g - (specs.shift[0] if owner is None else np.array(specs.shift)[owner, None])
     over = _owners(owner, g > _EXP_CLAMP)
     w = np.where(g > -math.inf, np.exp(g), 0.0)
@@ -975,7 +1089,7 @@ def _gk_rows(specs: _Specs, panels: list[_Panel], a: list[float], b: list[float]
             continue
         if k in over:
             specs.errors[k] = NumericalFailure(
-                "integrand exceeds shifted clamp; peak scan missed the maximum")
+                "integrand exceeds shifted clamp; the peak search missed the maximum")
         elif k in nan:
             specs.errors[k] = NumericalFailure(
                 f"integrand evaluated to NaN at x={us[r][np.isnan(wk)][0]}")
@@ -1093,10 +1207,10 @@ class _Sum:
             rel = max(max(total_err, _ROUNDING_FLOOR * self.total_abs) / abs(total_i), self.g_err)
         result = LogQuadResult(sign, log_abs, rel, self.neval)
         if total_i == 0.0 and positive and self.shift > -math.inf:
-            # exp(g) > 0 at the scanned peak, so a zero sum means every node missed it
+            # exp(g) > 0 at the peak, so a zero sum means every node missed it
             return QuadratureFailure(
                 "a positive integrand summed to zero: every Gauss-Kronrod node underflowed "
-                "below the scanned peak", best=result)
+                "below the peak", best=result)
         if not total_err <= self.tolerance():
             return QuadratureFailure(
                 f"quadrature stalled at relative error {rel:.3e} (target {self.rel_tol:.1e})",
@@ -1191,14 +1305,22 @@ def _log_integrals(specs: _Specs, cfg: QuadratureConfig) -> list:
         if cut is not None:
             ends[k][d > 0] = cut
 
-    panels = []
-    for k in range(len(specs.specs)):
+    panels, known = [], {}
+    for k, spec in enumerate(specs.specs):
         if specs.errors[k] is None:
             try:
                 panels += _spec_panels(specs, k, *ends[k], bps[k])
-            except DomainError as exc:
+                if (peaks := _known_peaks(spec)) is not None:
+                    known[k] = peaks
+            except (DomainError, NumericalFailure) as exc:
                 specs.errors[k] = exc
-    work = _split_on_live_windows(specs, panels, *_scan_panels(specs, panels)) if panels else []
+    # the specs with known peaks skip the scan, its zooms and the live windows
+    scan = [p for p in panels if p.owner not in known and specs.errors[p.owner] is None]
+    peaked = [p for p in panels if p.owner in known and specs.errors[p.owner] is None]
+    work = _split_on_live_windows(specs, scan, *_scan_panels(specs, scan)) if scan else []
+    if peaked:
+        _place_peaks(specs, peaked, known)
+        work = sorted(work + peaked, key=lambda p: p.owner) if work else peaked  # spec order
     work = [p for p in work if specs.errors[p.owner] is None]
     peaks = {}
     for p in work:

@@ -330,13 +330,29 @@ def test_non_finite_result_is_computation_failure(capsys):
 
 
 def test_sweep_row_with_failed_quadrature_carries_error(capsys):
-    # at q = 1e12 the peak, of width ~ 5e-7, is narrower than the zooms
-    # resolve, and the nodes that find it exceed the shifted clamp
-    rc, out, _ = run_cli(["sweep", "--family", "hermite", "--n", "2", "--op", "weighted-norm",
-                          "--grid", "q=2,1000000000000", "--engine", "quadrature"], capsys)
+    # a pole of (1 - x^2)^(-1/4) at both ends keeps the peak scan: at q = 1e12
+    # the peak is narrower than the zooms resolve, and the nodes that find it
+    # exceed the shifted clamp
+    rc, out, _ = run_cli(["sweep", "--family", "gegenbauer", "--lambda", "0.25", "--n", "3",
+                          "--op", "unweighted-norm", "--grid", "q=2,1000000000000",
+                          "--engine", "quadrature"], capsys)
     assert rc == 3
     rows = out.strip().splitlines()[1:]
     assert rows[0].endswith(",") and not rows[1].endswith(",")
+
+
+def test_sweep_row_of_a_peak_narrower_than_the_scan_meets_laplace(capsys):
+    # Hermite n = 2 at q = 1e12, whose peak of width ~ 5e-7 the scan's zooms
+    # missed: its peaks, known in closed form, put the first pass on it
+    rc, out, _ = run_cli(["sweep", "--family", "hermite", "--n", "2", "--op", "weighted-norm",
+                          "--grid", "q=1000000000000", "--engine", "quadrature",
+                          "--engine", "asymptotic-q"], capsys)
+    assert rc == 0
+    header, *rows = (line.split(",") for line in out.strip().splitlines())
+    quad, asym = (dict(zip(header, row)) for row in rows)
+    assert (quad["engine"], asym["engine"]) == ("quadrature", "asymptotic-q")
+    miss = abs(float(quad["log_value"]) - float(asym["log_value"]))
+    assert miss <= float(quad["rel_err_estimate"]) + float(asym["rel_err_estimate"])
 
 
 def test_fisher_divergence_is_usage_error(capsys):

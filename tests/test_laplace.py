@@ -175,13 +175,17 @@ def test_claim_covers_q_times_the_rounding_of_f_at_x0():
 
 
 def test_weighted_convergence_rate():
-    for fam, n in ((hermite(), 1), (jacobi(1.5, 2.5), 0), (laguerre(3.0), 1),
-                   (gegenbauer(2.0), 1), (laguerre(0.5), 11)):
-        errs = []
-        for q in (25.0, 50.0, 100.0, 200.0):
-            wq = weighted_norm_quad(fam, n, q).value.log_abs
-            wa = weighted_norm_q_asym(fam, n, q).value.log_abs
-            errs.append(log_ratio_err(wq, wa))
+    # three rows of the q table are records of validate.CASES; Gegenbauer(2)
+    # n = 1 and Laguerre(0.5) n = 11 are this test's own
+    grids = [[(wq, wa) for q, wq, wa in evaluate(case) if q <= 200.0]
+             for case in ("laplace-rate-hermite-n1", "laplace-rate-jacobi-n0",
+                          "weighted-laguerre-a3-n1")]
+    grids += [[(weighted_norm_quad(fam, n, q).value.log_abs,
+                weighted_norm_q_asym(fam, n, q).value.log_abs) for q in (25.0, 50.0, 100.0, 200.0)]
+              for fam, n in ((gegenbauer(2.0), 1), (laguerre(0.5), 11))]
+    for rows in grids:
+        errs = [log_ratio_err(wq, wa) for wq, wa in rows]
+        assert len(errs) == 4
         assert all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
         assert errs[-1] < 0.01
 
