@@ -29,10 +29,10 @@ __all__ = [
     "PolynomialFamily", "CoefficientList", "FAMILY_PARAMS",
     "hermite", "laguerre", "jacobi", "gegenbauer",
     "eval_poly", "eval_log", "eval_log_many", "eval_derivative",
-    "norm_constant_log", "norm_constant_log_error", "coefficients", "weight_log", "weight_log_many",
-    "weight_log_derivative", "gegenbauer_jacobi_factor_log", "Weight",
-    "log_derivative_numerator_many", "critical_points", "critical_derivatives",
-    "moment_ratios", "power_basis",
+    "norm_constant_log", "norm_constant_log_error", "norm_constant_log_size", "coefficients",
+    "weight_log", "weight_log_many", "weight_log_derivative", "gegenbauer_jacobi_factor_log",
+    "Weight", "log_derivative_numerator_many", "critical_points", "critical_derivatives",
+    "numerator_peaks", "moment_ratios", "power_basis",
 ]
 
 _RESCALE_HI = 1e280
@@ -418,14 +418,20 @@ def norm_constant_log(fam: PolynomialFamily, n: int) -> SignedLogReal:
 
 
 def norm_constant_log_error(fam: PolynomialFamily, n: int) -> float:
-    """Bound on the rounding error of :func:`norm_constant_log`, in ln.
+    """Bound on the rounding error of :func:`norm_constant_log`, in ln:
+    4 eps times :func:`norm_constant_log_size`."""
+    return 8.9e-16 * norm_constant_log_size(fam, n)
+
+
+def norm_constant_log_size(fam: PolynomialFamily, n: int) -> float:
+    """The magnitude at which ln kappa_n is rounded, |ln kappa_n| + 4 lgamma(x).
 
     ln kappa_n sums log-gammas of arguments below
     x = 2 + 2n + 2 sum|parameters|, which cancel for large degree or
     parameters: each carries its own rounding, up to ~eps lgamma(x).
     """
     x = 2.0 + 2.0 * (n + sum(abs(p) for p in fam.params))
-    return 8.9e-16 * (abs(norm_constant_log(fam, n).log_abs) + 4.0 * math.lgamma(x))
+    return abs(norm_constant_log(fam, n).log_abs) + 4.0 * math.lgamma(x)
 
 
 def coefficients(fam: PolynomialFamily, n: int) -> CoefficientList:
@@ -629,3 +635,138 @@ def critical_derivatives(fam: PolynomialFamily, n: int, ratio: float,
         u = np.where(end, -lam / tau, -l1)
         p2 = np.where(end, -(t1 + lam) * u / (s1 + 2.0 * s2 * x + tau), -(tau * u + lam) / sigma)
     return np.where(end, u + l1, 0.0), p2 - u * u + l2
+
+
+def _numerator_slopes(fam: PolynomialFamily, n: int, x, p0, p1, drop: int = 0,
+                      end: bool = False) -> tuple:
+    """(g', g'', (d N)'/(d N)) of g = 2 ln|N| + ln(h/d^2), N and d of
+    :func:`log_derivative_numerator_many`, at points x (an array, or a
+    float inside the support) where (p0, p1) is proportional to
+    (p_n, p_n'); drop, -1 or 1, leaves the power of h/d^2 at the lower or
+    upper end out of g.  p_n'' and p_n''' come from sigma p'' + tau p' + lambda_n p = 0 and its
+    derivative; at an end (``end``), where sigma = 0, from the forms of
+    :func:`critical_derivatives`, one derivative higher.  Call it under
+    np.errstate(divide="ignore", invalid="ignore")."""
+    w = fam.weight
+    (s0, s1, s2), (t0, t1) = _pearson(w, float)
+    lam = -n * (t1 + (n - 1) * s2)
+    sigma, sigma1, tau = s0 + (s1 + s2 * x) * x, s1 + 2.0 * s2 * x, t0 + t1 * x
+    if end:
+        p2 = -(t1 + lam) * p1 / (sigma1 + tau)
+        p3 = -(2.0 * s2 + 2.0 * t1 + lam) * p2 / (2.0 * sigma1 + tau)
+    else:
+        p2 = -(tau * p1 + lam * p0) / sigma
+        p3 = -((sigma1 + tau) * p2 + (t1 + lam) * p1) / sigma
+    # d = d_lo d_hi and r = d (ln h)' of _numerator_factors, with their derivatives
+    lo1, hi1 = float(w.e_lo != 0.0), -float(w.e_hi != 0.0)
+    d_lo = x - w.lo if lo1 else 1.0
+    d_hi = w.hi - x if hi1 else 1.0
+    d, d1, d2 = d_lo * d_hi, lo1 * d_hi + hi1 * d_lo, 2.0 * lo1 * hi1
+    c, c1 = w.core_prime(x), 2.0 * w.c2
+    r = d * c + w.e_lo * d_hi - w.e_hi * d_lo
+    r1 = d1 * c + d * c1 + w.e_lo * hi1 - w.e_hi * lo1
+    r2 = d2 * c + 2.0 * d1 * c1
+    big_n = 2.0 * d * p1 + r * p0
+    n1 = (2.0 * d1 * p1 + 2.0 * d * p2 + r1 * p0 + r * p1) / big_n
+    n2 = (2.0 * d2 * p1 + 4.0 * d1 * p2 + 2.0 * d * p3 + r2 * p0 + 2.0 * r1 * p1 + r * p2) / big_n
+    l1, l2 = c, c1  # (ln h/d^2)' and (ln h/d^2)''
+    for e, dist, sign, side in ((w.e_lo, x - w.lo, 1.0, -1), (w.e_hi, w.hi - x, -1.0, 1)):
+        if e != 0.0 and e != 2.0 and drop != side:  # the exponent e - 2 of h/d^2
+            l1 = l1 + sign * (e - 2.0) / dist
+            l2 = l2 - (e - 2.0) / dist ** 2
+    return l1 + 2.0 * n1, l2 + 2.0 * (n2 - n1 * n1), None if end else d1 / d + n1
+
+
+_NEWTON_STEPS = 40
+_NEWTON_TOL = 1e-4  # of the density's width at the knot
+
+
+@lru_cache(maxsize=64)
+def numerator_peaks(fam: PolynomialFamily, n: int) -> Optional[tuple]:
+    """(tops, knots, g', g'') of g = 2 ln|N| + ln(h/d^2), the log of
+    rho'^2/rho times kappa_n (N and d of :func:`log_derivative_numerator_many`).
+    The knots, the n + 1 :func:`critical_points` at ratio 1/2 (N vanishes
+    at those inside the support), split the support into n + 2 gaps: gap i
+    runs from knot i - 1 (or the lower end) to knot i (or the upper end),
+    and g peaks at tops[i], with g' and g'' there; NaN marks an empty gap.
+    None where g is not concave on every gap, as where N = 0.
+
+    Once an end pole of h/d^2 is left out, g'' = -2 sum 1/(x - x_k)^2 over
+    the zeros of N plus that of ln(h/d^2), which is concave, so each gap
+    has one peak, the root of M = d N g', a polynomial where N vanishes
+    nowhere inside it.  With sigma p'' + tau p' + lambda_n p = 0, M = A p +
+    B p' with A and B closed forms, so the peak of gap i, 1 <= i <= n, which
+    holds the zero x_i of p_n, is one Newton step on M from x_i, where p'
+    cancels: x_i - M/M' = x_i - g'/(g'' + g' (d N)'/(d N)), each term at
+    p = 0.  For Hermite M = 4 (x^2 - 2n - 1) p_n, so the step is 0.  A
+    finite end where h/d^2 has exponent <= 0 is its gap's peak where g
+    rises toward it (at a pole, g without the end's power).  The two end
+    gaps, 0 and n + 1, hold no zero of p_n; there Newton steps on g',
+    bracketed and bisected where a step leaves the bracket, take
+    p'/p = sum 1/(x - x_k) over the zeros of p_n, with no recurrence,
+    from the knot plus sqrt(2) times the density's width there, the peak
+    of a Gaussian's Fisher integrand.  An interior peak has g' = 0 and g''
+    at its zero of p_n (gaps 1..n) or at the peak; an end peak both at the
+    end.  Memoised per (family, n)."""
+    crit = critical_points(fam, n, 0.5)
+    if not crit:
+        return None
+    w = fam.weight
+    knots, zeros = np.array(crit), np.array(_zeros(fam, n))
+    lo = np.concatenate(([w.lo], knots))  # gap i runs from lo[i] to hi[i]
+    hi = np.concatenate((knots, [w.hi]))
+    live = hi > lo
+    tops, g1, g2 = np.full(n + 2, math.nan), np.zeros(n + 2), np.full(n + 2, math.nan)
+    (_, _, s2), (t0, t1) = _pearson(w, float)
+    lam = -n * (t1 + (n - 1) * s2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if n:
+            d1, d2, q = _numerator_slopes(fam, n, zeros, 0.0, 1.0)
+            tops[1:-1] = np.clip(zeros - d1 / (d2 + d1 * q), lo[1:-1], hi[1:-1])
+            g2[1:-1] = d2
+        # the curvature of ln rho at the outer knots, for the Newton steps' start
+        curv = critical_derivatives(fam, n, 0.5, [crit[0], crit[-1]])[1].tolist()
+        ends = ((-1, w.lo, w.e_lo, 0, 0), (1, w.hi, w.e_hi, n + 1, -1))
+        for side, end, e, i, _ in ends:
+            if math.isfinite(end) and e <= 2.0:  # p'/p = -lambda_n/tau at an end
+                x = np.float64(end)
+                e1, e2, _ = _numerator_slopes(fam, n, x, t0 + t1 * x, -lam, side, end=True)
+                if side * e1 >= 0.0:
+                    j = i if live[i] else i - side  # an empty end gap: the end's knot
+                    tops[j], g1[j], g2[j] = end, e1, e2
+        for side, end, e, i, knot in ends:
+            if not live[i] or not math.isnan(tops[i]):
+                continue
+            pole = side if 0.0 < e < 2.0 else 0  # the power of h/d^2 left out
+            # Newton on g' in the bracket (left, right) of the gap, from the
+            # knot where N vanishes, else (n = 0 beside an end) from the middle
+            left, right = lo[i], hi[i]
+            x, width = 0.5 * (left + right), right - left
+            if w.lo < crit[knot] < w.hi:
+                if not curv[knot] < 0.0:  # no peak of the density: N = 0
+                    return None
+                width = 1.0 / math.sqrt(-2.0 * curv[knot])
+                x = crit[knot] + side * math.sqrt(2.0) * width
+            if not left < x < right:
+                x = 0.5 * (left + right)
+            for _ in range(_NEWTON_STEPS):
+                u = float((1.0 / (x - zeros)).sum())
+                e1, e2, _ = _numerator_slopes(fam, n, x, 1.0, u, pole)
+                if e1 > 0.0:  # g' falls through the gap: the peak lies right of x
+                    left = x
+                else:
+                    right = x
+                step = -e1 / e2
+                x += step
+                if abs(step) <= _NEWTON_TOL * width:
+                    break
+                if not left < x < right:  # bisect; a width on where the bracket is open
+                    x = (0.5 * (left + right) if math.isfinite(left + right) else
+                         left + width if math.isinf(right) else right - width)
+            else:
+                return None
+            u = float((1.0 / (x - zeros)).sum())
+            tops[i], g2[i] = x, _numerator_slopes(fam, n, x, 1.0, u, pole)[1]
+    if not (np.isfinite(tops[live]).all() and (g2[live] <= 0.0).all()):
+        return None
+    return tops, knots, g1, g2

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalFailure, check_order
 from .families import (PolynomialFamily, log_derivative_numerator_many, norm_constant_log,
-                       polynomial_zeros)
+                       norm_constant_log_size, numerator_peaks, polynomial_zeros)
 from .logreal import SignedLogReal
 from .norms import density_integral, density_spec, norm_quads, norm_result, norm_spec
 from .quadrature import (DEFAULT_CONFIG, LogIntegrand, LogQuadResult, QuadratureConfig,
@@ -30,8 +30,8 @@ from .quadrature import (DEFAULT_CONFIG, LogIntegrand, LogQuadResult, Quadrature
 
 __all__ = [
     "DensityHandle", "renyi_entropy", "shannon_entropy", "functional_E", "functional_I",
-    "fisher_information", "renyi_length", "shannon_length", "lmc_renyi", "lmc_plain",
-    "fisher_shannon", "fisher_renyi", "shannon_from_Wq_derivative", "density_moment",
+    "fisher_information", "fisher_integral", "renyi_length", "shannon_length", "lmc_renyi",
+    "lmc_plain", "fisher_shannon", "fisher_renyi", "shannon_from_Wq_derivative", "density_moment",
 ]
 
 _RICHARDSON_H = 1e-3
@@ -177,7 +177,22 @@ def functional_I(fam: PolynomialFamily, n: int, cfg: QuadratureConfig = DEFAULT_
 
 
 def _fisher_spec(d: DensityHandle) -> LogIntegrand:
-    """The integrand rho'^2 / rho of F, see :func:`fisher_information`."""
+    """The integrand rho'^2 / rho of F, see :func:`fisher_information`.
+
+    Its g = 2 ln|N| + ln(h/d^2) - ln kappa_n is -inf at the zeros of N,
+    the critical points of rho, which break it into panels with one hump
+    each, whose peaks :func:`families.numerator_peaks` gives in closed form
+    (the spec names them, so the engine skips its scan).  Where g is not
+    concave on some gap (N = 0: a flat density) the spec breaks at the
+    zeros of p_n, where the integrand is smooth, and the scan serves it.
+    g_core sums the weight's core, 2 ln|N| and -ln kappa_n, each rounded
+    at its own scale, so its size (see :class:`quadrature.LogIntegrand`)
+    is |core| + 2 (|ln|N|| + 1) + the size of ln kappa_n: ln|N| carries the
+    rounding of p_n and p_n' as a basis's ln|p_n| does, and ln kappa_n sums
+    log-gammas that cancel (:func:`families.norm_constant_log_size`).  With
+    |g_core| alone the claim missed: at Laguerre(2), n = 60, ln kappa_n is
+    off by 5e-14, and F missed its closed form by 4.4e-14 claiming
+    1.1e-14."""
     if not d.normalized:
         raise DomainError("fisher information is defined for the unit-mass density")
     fam, n = d.family, d.n
@@ -188,29 +203,40 @@ def _fisher_spec(d: DensityHandle) -> LogIntegrand:
                 f"{fam.label()}: Fisher integrand has endpoint exponent {a - 2.0:g} <= -1 "
                 f"at the {side} endpoint; integral diverges")
 
-    shift = norm_constant_log(fam, n).log_abs
+    shift, shift_size = norm_constant_log(fam, n).log_abs, norm_constant_log_size(fam, n)
     core = w.core
 
-    def g_core_many(xs: np.ndarray) -> np.ndarray:
-        return core(xs) + 2.0 * log_derivative_numerator_many(fam, n, xs)[1] - shift
+    def g_core_many(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h, log_n = core(xs), log_derivative_numerator_many(fam, n, xs)[1]
+        return h + 2.0 * log_n - shift, np.abs(h) + 2.0 * (np.abs(log_n) + 1.0) + shift_size
 
+    peaks = numerator_peaks(fam, n)
     # the 1/d^2 of the integrand lowers each nonzero endpoint exponent by 2
-    return LogIntegrand(a=w.lo, b=w.hi, g_core_many=g_core_many,
+    return LogIntegrand(a=w.lo, b=w.hi, g_core_many=g_core_many, sized=True,
                         e_left=w.e_lo - 2.0 if w.e_lo else 0.0,
                         e_right=w.e_hi - 2.0 if w.e_hi else 0.0,
-                        breakpoints=tuple(polynomial_zeros(fam, n)))
+                        breakpoints=tuple(polynomial_zeros(fam, n) if peaks is None else peaks[1]),
+                        peaks=peaks)
 
 
 def fisher_information(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """F = int rho'^2 / rho dx for the unit-mass density.
 
     rho'^2/rho = h N^2 / (d^2 kappa) with N = d (2 p' + p h'/h) the
-    polynomial of :func:`families.log_derivative_numerator_many`.  At an endpoint
+    polynomial of :func:`families.log_derivative_numerator_many`.  The
+    integrand vanishes at the zeros of N, the critical points of rho, where
+    the quadrature breaks it (see :func:`_fisher_spec`).  At an endpoint
     where the weight exponent a is nonzero the integrand behaves like
     (x - end)^(a - 2), which is not integrable for a in (-1, 0) or (0, 1];
     such parameter ranges are rejected rather than silently truncated.
     """
-    return math.exp(log_integral(_fisher_spec(d), cfg).log_abs)
+    return math.exp(fisher_integral(d, cfg).log_abs)
+
+
+def fisher_integral(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogQuadResult:
+    """ln F with its relative error claim, the integral behind
+    :func:`fisher_information`."""
+    return log_integral(_fisher_spec(d), cfg)
 
 
 def renyi_length(d: DensityHandle, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

@@ -45,7 +45,7 @@ Every other phase is batched too, so the integrand exists only in its
 array form.  The tail walks of both infinite ends evaluate blocks of their
 steps together, and the first Gauss-Kronrod pass of all panels is one call.
 
-Each panel's peak comes one of two ways.  A spec whose g is
+Each panel's peak comes one of three ways.  A spec whose g is
 a ln|p_n| + b ln h of its basis (:class:`Basis`), with a > 0, b >= 0 and
 both end exponents >= 0, has g'' = -a sum 1/(x - x_k)^2 + b (ln h)'' < 0:
 g is strictly concave between neighbouring zeros of p_n and ends, so each
@@ -61,8 +61,31 @@ the benchmark's pools the integrand points fell by 40% (degree-sweep), 42%
 (q-sweep) and 15% (functionals); Hermite n = 1000, W_50 takes 23,146
 points where the scan's path took 103,352.
 
-The other specs, a raw g_core (Fisher, the Temme oracle) or a weight with
-a pole, where concavity can fail, are scanned: 33 Chebyshev points per
+A raw g_core may name its peaks (``LogIntegrand.peaks``): the Fisher
+integrand rho'^2/rho = h N^2/(d^2 kappa_n), N = d (2 p_n' + p_n h'/h),
+breaks at the zeros of N, the critical points of the density, where it
+vanishes, so each panel holds one hump on which g is concave (at an end
+pole of h/d^2, once the j = 0 substitution has taken its power out), and
+:func:`families.numerator_peaks` gives each hump's top, g' and g'' in
+closed form; such a spec takes the path of a basis with known peaks.  Two
+rules serve it alone, so the norm and density integrands keep their bits.
+A plain panel near an end the spec substitutes, a branch point of its
+integrand, converged slowly: |K21 - G10| is G10's error, which sees that
+point, and Fisher's first inner panel of Jacobi(2.5, 1.5), n = 8, beside
+the pole (1 + x)^(-1/2), took two more rounds.  So such a panel's sigma
+is at most half its distance to that end, and the first pass cuts it
+toward the end.  And no cut falls
+within one sigma of a panel end: Fisher's panels end where the integrand
+vanishes, and a sliver there held nearly nothing at 21 nodes.  Over the
+Fisher requests of the benchmark's functionals pool (fisher,
+fisher_shannon and fisher_renyi, 336 of them) this took the integrand
+points from 635,281 to 309,463, of which the scan's 133,452 are gone, the
+Gauss-Kronrod points from 302,379 to 298,431 and the Gauss-Kronrod
+batches from 516 to 455; Hermite n = 1000 takes 22,328 points in place of
+102,428.
+
+The other specs, a raw g_core without peaks (the Temme oracle) or a basis
+with a pole, where concavity can fail, are scanned: 33 Chebyshev points per
 panel, one call for all.  A panel whose scanned peak has both scanned
 neighbours within _RESOLVED nats of it is resolved to a fraction of a nat,
 and is not zoomed: an underestimated peak only widens the live window and
@@ -159,11 +182,12 @@ tail cut) took 5% fewer evaluations than a one-sided s^k.  g gains
 ln dv/ds, as a substituted end's g gains ln p + j ln t, and phi still
 gets x.  k = 2 was measured best: Shannon of Hermite n = 16 takes 1,680
 Gauss-Kronrod points with k = 2, 2,898 with k = 3, 3,024 with k = 4 and
-8,841 on plain panels.  Norms, Fisher, I and the moments keep plain panels: their
-integrands are smooth at the zeros, and grading costs a smooth integrand
-about 3-6 times the nodes.  The first pass takes a graded panel as four
-intervals, not cut toward its peak: refinement halved every
-graded panel at least twice anyway, and the quarters skip the two coarser
+8,841 on plain panels.  Norms, Fisher, I and the moments keep plain
+panels: their integrands are smooth at their breakpoints (the zeros of
+p_n, or Fisher's zeros of N, where it vanishes like (x - x_k)^2), and
+grading costs a smooth integrand about 3-6 times the nodes.  The first
+pass takes a graded panel as four intervals, not cut toward its peak:
+refinement halved every graded panel at least twice anyway, and the quarters skip the two coarser
 passes, whose sums it discarded.  Over the Shannon and E requests of the
 functionals pool, that cut the evaluations from 264,852 to 162,666 and
 the refinement rounds per integral from 3.0 to 1.2.  The node-rounding
@@ -187,8 +211,9 @@ the sum itself (QUADPACK's ``resabs`` test): a signed integrand that
 cancels to zero, such as an odd moment, converges on it, while a positive
 integrand, whose int |f| is |I|, is held to rel_tol whatever its scale.
 The term 4 eps G is the rounding of g itself.  Each of its terms, g_core
-(or a ln|p_n| and b core_h of a basis) and the two endpoint powers, is
-rounded at its own scale, so G is the mean over |f| of the sum of their
+(or a ln|p_n| and b core_h of a basis, or the terms a ``sized`` raw g_core
+sizes itself, as Fisher's does) and the two endpoint powers, is rounded
+at its own scale, so G is the mean over |f| of the sum of their
 magnitudes, taken from the first pass, and at least |M|: at G ~ 1e5
 nats it exceeds the default rel_tol, and no refinement removes it.  G
 exceeds |M| where the terms cancel, as q a ln(1 - x) + q b ln(1 + x) do
@@ -262,6 +287,11 @@ _PEAK_CORE = 1.5
 _PEAK_STEP = 4.0
 _PEAK_WIDTH = 5.0
 _PEAK_NATS = 40.0
+# a spec that names its own peaks (see LogIntegrand): each panel's sigma at
+# most 1/_BRANCH_SPAN of its distance to a substituted end, and no cut
+# within _CUT_MARGIN sigma of a panel end (see the module docstring)
+_BRANCH_SPAN = 2.0
+_CUT_MARGIN = 1.0
 _TAIL_STEPS = 500
 _TAIL_BLOCK = 16
 _MAX_INTERVALS = 40_000
@@ -312,15 +342,24 @@ class LogIntegrand:
     g_core is given by exactly one of ``g_core_many`` and ``basis``.
     ``g_core_many`` and ``phi_many`` are the integrand's array forms, and
     every phase of the engine evaluates whole batches, so no scalar form is
-    needed.  ``g_core_many`` maps a 1-d array of points x to g_core(x).  A
-    ``basis`` names the polynomial instead (see :class:`Basis`), so that
-    specs in lockstep whose bases share a degree, a family kind and a
-    weight core have p_n evaluated in one recurrence over all their rows
-    (see :func:`families.eval_log_many`), each row with the bits its spec
-    alone would give it.  ``phi_many(x, core, ends)`` is optional (without
-    it phi = 1); it gets the points, the values of g_core there and the
-    endpoint powers ends = e_left ln(x - a) + e_right ln(b - x), so that
-    phi can be built from the logs the engine already holds.  On a
+    needed.  ``g_core_many`` maps a 1-d array of points x to g_core(x), or,
+    with ``sized``, to (g_core(x), size), size the sum of the magnitudes at
+    which its terms are rounded, which the error claim takes in place of
+    |g_core| (see the module docstring).  A raw g_core may name its
+    ``peaks``: (tops, knots, g', g'') with its log-integrand g (in x, end
+    powers included) strictly concave between neighbouring knots, every
+    knot inside the support a breakpoint, and the peak of the gap between
+    knots i - 1 and i (or an end) at tops[i], with g' and g'' there (at an
+    end with a pole, of g without that end's power); the engine then skips
+    the scan (see the module docstring).  A ``basis`` names the polynomial
+    instead (see :class:`Basis`), so that specs in lockstep whose bases
+    share a degree, a family kind and a weight core have p_n evaluated in
+    one recurrence over all their rows (see :func:`families.eval_log_many`),
+    each row with the bits its spec alone would give it.
+    ``phi_many(x, core, ends)`` is optional (without it phi = 1); it gets
+    the points, the values of g_core there and the endpoint powers
+    ends = e_left ln(x - a) + e_right ln(b - x), so that phi can be built
+    from the logs the engine already holds.  On a
     substituted end panel x may round to the endpoint, but the engine
     takes that endpoint's log from t exactly, so ends stays finite where x
     alone would give ln 0.  ``log_singular`` marks a phi that is
@@ -341,6 +380,8 @@ class LogIntegrand:
     basis: Optional[Basis] = None
     log_singular: bool = False
     log_singular_ends: bool = False
+    sized: bool = False
+    peaks: Optional[tuple] = None
 
     def __post_init__(self):
         if (self.g_core_many is None) == (self.basis is None):
@@ -557,9 +598,10 @@ def _core_rows(specs: _Specs, blocks: list[tuple[int, slice]], xs: np.ndarray,
     points of the specs whose bases share a degree, a family kind and a
     weight core, each spec's a ln|p_n| + b core_h on its own points.  size,
     if asked for, is the magnitude at which g_core is rounded: |g_core| of
-    a raw spec, and |a| (|ln|p_n|| + 1) + |b core_h| of a basis, whose
-    a ln|p_n| carries the rounding of p_n, a few eps of a, even where
-    ln|p_n| is 0 (p_0 = 1 is exact: there it is |b core_h|).  A spec whose
+    a raw spec, or the size a ``sized`` one gives, and |a| (|ln|p_n|| + 1)
+    + |b core_h| of a basis, whose a ln|p_n| carries the rounding of p_n,
+    a few eps of a, even where ln|p_n| is 0 (p_0 = 1 is exact: there it is
+    |b core_h|).  A spec whose
     core raises is marked failed, and its rows, like those of specs that
     failed before, hold NaN."""
     parts = []  # (block, g_core there, its size)
@@ -575,11 +617,12 @@ def _core_rows(specs: _Specs, blocks: list[tuple[int, slice]], xs: np.ndarray,
             continue
         x = xs if block is _ALL else xs[block]
         try:
-            vals = spec.g_core_many(x.ravel()).reshape(x.shape)
+            vals = spec.g_core_many(x.ravel())
         except (DomainError, NumericalFailure) as exc:
             specs.errors[k] = exc
             continue
-        parts.append((block, vals, np.abs(vals) if sizes else None))
+        vals, mag = vals if spec.sized else (vals, np.abs(vals) if sizes else None)
+        parts.append((block, vals.reshape(x.shape), mag.reshape(x.shape) if sizes else None))
     for (n, *_), group in shared.items():
         bases = [specs.specs[k].basis for k, _ in group]
         rows = [xs if block is _ALL else xs[block] for _, block in group]
@@ -940,12 +983,15 @@ def _split_on_live_windows(specs: _Specs, panels: list[_Panel], xs: np.ndarray,
 
 
 def _known_peaks(spec: LogIntegrand) -> Optional[tuple]:
-    """The :func:`_peak_table` of a spec whose g is concave on every panel,
-    with its peak known in closed form: g = a ln|p_n| + b ln h of its basis
-    with a > 0 and b >= 0, h the family's weight with both end exponents
-    >= 0, and every zero of p_n a breakpoint (see
+    """(tops, knots, g'/a, g''/a, a) of a spec whose g is concave on every
+    panel, with its peaks known in closed form: a raw g_core's own
+    ``peaks``, with a = 1, or the :func:`_peak_table` of a basis,
+    g = a ln|p_n| + b ln h with a > 0 and b >= 0, h the family's weight
+    with both end exponents >= 0, and every zero of p_n a breakpoint (see
     :func:`families.critical_points`).  None for any other spec, a raw
-    g_core or one with a pole, which the scan serves."""
+    g_core without peaks or a basis with a pole, which the scan serves."""
+    if spec.peaks is not None:
+        return (*spec.peaks, 1.0)
     basis = spec.basis
     if basis is None or not (basis.a > 0.0 and basis.b >= 0.0):
         return None
@@ -955,7 +1001,9 @@ def _known_peaks(spec: LogIntegrand) -> Optional[tuple]:
             or spec.e_left < 0.0 or spec.e_right < 0.0):
         return None
     table = _peak_table(basis.fam, basis.n, basis.b / basis.a)
-    return table if table is not None and set(table[1]) <= set(spec.breakpoints) else None
+    if table is None or not set(table[1]) <= set(spec.breakpoints):
+        return None
+    return (*table, basis.a)
 
 
 @lru_cache(maxsize=64)
@@ -972,14 +1020,26 @@ def _peak_table(fam: PolynomialFamily, n: int, ratio: float) -> Optional[tuple]:
 
 def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:
     """Record on each panel of the specs with known peaks (``known``, spec
-    -> :func:`_known_peaks`) its top, the critical point of its gap clipped
-    to the panel, and the width sigma = 1/(a |g'| + sqrt(-a g'')) there,
-    1/sqrt(-g'') at an interior peak, both mapped into the panel's
+    -> :func:`_known_peaks`) its top, the peak of its gap between knots
+    clipped to the panel, and the width sigma = 1/(a |g'| + sqrt(-a g''))
+    there, 1/sqrt(-g'') at an interior peak, both mapped into the panel's
     coordinate (on a substituted panel sigma takes the curvature of the
     (p - 1) ln t that g gains in t); and its peak, g at the top in x, from
     one batch over all of them.  A top on an end where the exponent is
-    nonzero, where g is -inf, moves one ulp inward.  A graded panel's first
-    pass takes quarters, so it records the peak alone."""
+    positive, where g is -inf, moves one ulp inward.  A spec that names its
+    own peaks has each sigma at most 1/_BRANCH_SPAN of the panel's distance
+    to an end it substitutes (see the module docstring).  At a pole (j = 0)
+    the table's g leaves the end's power out, and in t the integrand is
+    that g plus ln p, with no power of t: sigma maps into t without the
+    (p - 1) ln t, and the peak is g at the top in t.  Where that top is
+    the end itself, g(t^p) is flat in t up to t = x^(1/p) for x near
+    sigma, where a nat is lost, and falls there over about t/p, across
+    which x moves by a factor e: the cuts center there with that width.
+    At p = 2 that is near a Gaussian of width 0.7 t; at p = 1e4 (Fisher of
+    Laguerre(1.0001)) all that g varies lies within some 40/p of the
+    panel's end in t, which cuts about t = 0 left unresolved, 1.7e-4 off.
+    A graded panel's first pass takes quarters, so it records the peak
+    alone."""
     owner, blocks = _blocks(specs, panels)
     v = np.array([p.grade or (p.lo, p.hi) for p in panels])  # in x, or in t at a substituted end
     subs = [(i, specs.subs[p.owner][p.side == _RIGHT]) for i, p in enumerate(panels) if p.side]
@@ -989,42 +1049,58 @@ def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:
     mid = 0.5 * (x[:, 0] + x[:, 1])
     peak, g1, g2, a, lo_end, hi_end = np.empty((6, len(panels)))
     for k, r in blocks:
-        crit, zeros, d1, d2 = known[k]
-        i = np.searchsorted(zeros, mid[r])
+        tops, knots, d1, d2, a[r] = known[k]
+        i = np.searchsorted(knots, mid[r])
         spec = specs.specs[k]
-        peak[r], g1[r], g2[r], a[r] = crit[i], d1[i], d2[i], spec.basis.a
-        lo_end[r] = spec.a if spec.e_left else math.nan
-        hi_end[r] = spec.b if spec.e_right else math.nan
+        peak[r], g1[r], g2[r] = tops[i], d1[i], d2[i]
+        lo_end[r] = spec.a if spec.e_left > 0.0 else math.nan
+        hi_end[r] = spec.b if spec.e_right > 0.0 else math.nan
     top = np.clip(peak, x[:, 0], x[:, 1])
     on_end = (top == lo_end) | (top == hi_end)  # where g is -inf
     top[on_end] = np.nextafter(top[on_end], mid[on_end])
     den = a * np.abs(g1) + np.sqrt(np.maximum(-a * g2, 0.0))
     sigma = np.where(np.isfinite(den) & (den > 0.0), 1.0 / den, math.inf)
+    for k, r in blocks:  # a spec's own peaks: narrower near an end it substitutes
+        for sub in specs.subs[k] if specs.specs[k].peaks is not None else ():
+            if sub is not None:
+                near = np.abs(x[r] - sub.end).min(axis=1)  # 0 on the end panel itself
+                sigma[r] = np.where(near > 0.0, np.minimum(sigma[r], near / _BRANCH_SPAN), sigma[r])
     u = top.copy()
+    plain = {k: _Panel(-math.inf, math.inf, owner=k) for k, _ in blocks}
+    rows = [plain[0]] * len(panels) if owner is None else [plain[k] for k in owner.tolist()]
+    at = top.copy()  # where each peak value is taken: in x, or in t at a pole
     for i, sub in subs:  # t = d^(1/p) at the distance d from the end, dx/dt = p d/t
         d = abs(top[i] - sub.end)
         u[i] = d ** (1.0 / sub.p)
-        # in t, g gains (p - 1) ln t: -g_t'' = (p d/t)^2 / sigma^2 + (p - 1)/t^2
-        sigma[i] = u[i] / math.sqrt((sub.p * d / sigma[i]) ** 2 + sub.p - 1.0)
+        if sub.j:  # in t, g gains (p - 1) ln t: -g_t'' = (p d/t)^2 / sigma^2 + (p - 1)/t^2
+            sigma[i] = u[i] / math.sqrt((sub.p * d / sigma[i]) ** 2 + sub.p - 1.0)
+            continue
+        p = panels[i]
+        rows[i], at[i] = _Panel(p.lo, p.hi, p.side, p.owner), u[i]
+        if d == 0.0:  # cut about x = sigma, where g has fallen a nat; x moves by e over t/p
+            u[i] = sigma[i] ** (1.0 / sub.p)
+            sigma[i] = u[i] / sub.p
+        else:
+            sigma[i] = u[i] * sigma[i] / (sub.p * d)
     for p, t, width in zip(panels, u.tolist(), sigma.tolist()):
         if p.grade is None:
             p.top, p.sigma = t, width
-    plain = {k: _Panel(-math.inf, math.inf, owner=k) for k, _ in blocks}
-    rows = [plain[0]] * len(panels) if owner is None else [plain[k] for k in owner.tolist()]
-    g = _logf_rows(specs, rows, top[:, None])[0][:, 0]
+    g = _logf_rows(specs, rows, at[:, None])[0][:, 0]
     for p, value in zip(panels, g.tolist()):
         p.peak = value
 
 
-def _peak_cuts(p: _Panel) -> list[float]:
+def _peak_cuts(p: _Panel, margin: float = 0.0) -> list[float]:
     """The points top +- _PEAK_CORE sigma and top +- _PEAK_STEP sigma 2^j,
-    j = 0, 1, ..., of the panel p that lie inside it, ascending."""
+    j = 0, 1, ..., of the panel p that lie inside it, more than margin
+    sigma from its ends, ascending."""
     top, sigma = p.top, p.sigma
     offsets, step = [_PEAK_CORE * sigma], _PEAK_STEP * sigma
     while top - step > p.lo or top + step < p.hi:
         offsets.append(step)
         step *= 2.0
-    return sorted({x for d in offsets for x in (top - d, top + d) if p.lo < x < p.hi})
+    lo, hi = p.lo + margin * sigma, p.hi - margin * sigma
+    return sorted({x for d in offsets for x in (top - d, top + d) if lo < x < hi})
 
 
 def _node_rounding(g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -1338,7 +1414,7 @@ def _log_integrals(specs: _Specs, cfg: QuadratureConfig) -> list:
             mid = 0.5 * (p.lo + p.hi)
             cut = [0.5 * (p.lo + mid), mid, 0.5 * (mid + p.hi)]
         elif p.hi - p.lo > _PEAK_WIDTH * p.sigma and p.peak >= specs.shift[p.owner] - _PEAK_NATS:
-            cut = _peak_cuts(p)
+            cut = _peak_cuts(p, _CUT_MARGIN if specs.specs[p.owner].peaks is not None else 0.0)
         else:
             cut = []
         edges = [p.lo] + cut + [p.hi]

@@ -95,6 +95,20 @@ def _suite_identities() -> list[Check]:
              0.5 * math.log(2.0 * math.pi), 1e-9)):
         out.append(_check(name, "identities", abs(got - want) < tol, {key: got, "expected": want}))
 
+    # Fisher information in closed form (Dehesa, Sanchez-Moreno & Yanez, J. Comput.
+    # Appl. Math. 186, 2006): 4n + 2 for Hermite, ((2n + 1) a + 1)/(a^2 - 1) for
+    # Laguerre(a > 1); each integral within its own claim
+    misses = []
+    for fam, n, want in ([(hermite(), n, 4.0 * n + 2.0) for n in (1, 50, 200, 1000)]
+                         + [(laguerre(a), n, ((2 * n + 1) * a + 1.0) / (a * a - 1.0))
+                            for a in (1.5, 2.5, 5.0) for n in (5, 30, 60)]):
+        res = measures.fisher_integral(DensityHandle(fam, n, True))
+        misses.append((abs(res.log_abs - math.log(want)), res.rel_err))
+    worst = worst_of(miss / claim for miss, claim in misses)
+    out.append(_check("fisher-closed-forms", "identities", worst <= 1.0,
+                      {"worst_miss_over_claim": worst,
+                       "worst_log_miss": worst_of(miss for miss, _ in misses)}))
+
     errs = []
     for fam, n in [(f, n) for f in FAMILY_GRID for n in (0, 1, 3)]:
         e1 = measures.functional_E(fam, n, "quadrature")

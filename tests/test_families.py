@@ -13,7 +13,8 @@ from hopnorms.families import (FAMILY_PARAMS, CoefficientList, PolynomialFamily,
                                eval_log, eval_log_many, eval_poly, gegenbauer,
                                gegenbauer_jacobi_factor_log, hermite, jacobi, laguerre,
                                log_derivative_numerator_many, norm_constant_log,
-                               polynomial_zeros, weight_log, weight_log_derivative)
+                               numerator_peaks, polynomial_zeros, weight_log,
+                               weight_log_derivative, weight_log_many)
 from hopnorms.norms import unweighted_norm_quad
 from hopnorms.special import log_gamma
 
@@ -455,3 +456,58 @@ def test_moment_ratios_exact_identities(fam):
     else:  # r_1 = (beta - alpha) / (alpha + beta + 2)
         a, b = Fraction(fam.alpha), Fraction(fam.beta)
         assert r[1] == (b - a) / (a + b + 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 40, 300])
+def test_hermite_fisher_peaks_are_the_zeros_and_the_turning_points(n):
+    # M = 4 (x^2 - 2n - 1) H_n: the Newton step from each zero is 0, and the
+    # two end gaps peak at +-sqrt(2n + 1)
+    tops, knots, g1, g2 = numerator_peaks(hermite(), n)
+    turn = math.sqrt(2 * n + 1)
+    assert tops[0] == pytest.approx(-turn, rel=1e-12) and tops[-1] == pytest.approx(turn, rel=1e-12)
+    assert np.array_equal(tops[1:-1], np.array(polynomial_zeros(hermite(), n)))
+    assert (g1 == 0.0).all() and (g2 < 0.0).all()
+
+
+def _fisher_log(fam, n, x, side):
+    """ln(h N^2/d^2) at x, without the power of h/d^2 at the end on side
+    (-1 lower, 1 upper, 0 neither) where that power is a pole."""
+    w = fam.weight
+    g = 2.0 * log_derivative_numerator_many(fam, n, x)[1] + weight_log_many(fam, x)
+    for end, e, dist in ((-1, w.e_lo, x - w.lo), (1, w.e_hi, w.hi - x)):
+        if e != 0.0:  # d^2, and h's power too at the pole
+            g = g - (e if end == side and e < 2.0 else 2.0) * np.log(dist)
+    return g
+
+
+@pytest.mark.parametrize("fam", [laguerre(0.0), laguerre(1.5), laguerre(2.0), laguerre(2.5),
+                                 laguerre(1000.0), jacobi(2.5, 1.5), jacobi(2.0, 1.25),
+                                 jacobi(3.0, 0.0), jacobi(0.0, 3.0), jacobi(100.0, 2.0),
+                                 jacobi(1e4, 1.5),
+                                 gegenbauer(1.75), gegenbauer(1e4), laguerre(1.0001)],
+                         ids=lambda f: f.label())
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+def test_fisher_peaks_meet_a_fine_grid(fam, n):
+    # each gap between the knots (the critical points of the density) peaks
+    # within 0.2 sigma of the best of 20,001 points of ln(rho'^2/rho): one
+    # Newton step from its zero of p_n, a bracketed Newton in the end gaps,
+    # or the end itself where g rises toward it (at a pole, g without its power)
+    tops, knots, g1, g2 = numerator_peaks(fam, n)
+    w = fam.weight
+    lo, hi = np.concatenate(([w.lo], knots)), np.concatenate((knots, [w.hi]))
+    for i in np.flatnonzero(hi > lo):
+        sigma = 1.0 / (abs(g1[i]) + math.sqrt(-g2[i]))
+        a = lo[i] if math.isfinite(lo[i]) else hi[i] - 80.0 * sigma
+        b = hi[i] if math.isfinite(hi[i]) else lo[i] + 80.0 * sigma
+        xs = np.linspace(a, b, 20001)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = _fisher_log(fam, n, xs, -1 if i == 0 else 1 if i == n + 1 else 0)
+        best = xs[np.nanargmax(np.where(np.isfinite(g), g, -np.inf))]
+        assert lo[i] <= tops[i] <= hi[i]
+        assert abs(tops[i] - best) <= 0.2 * sigma + (b - a) / 20000
+
+
+def test_flat_fisher_integrands_have_no_peaks():
+    # Legendre p_0: N = 0, rho'^2/rho vanishes everywhere
+    assert numerator_peaks(jacobi(0.0, 0.0), 0) is None
+    assert numerator_peaks(gegenbauer(0.5), 0) is None

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +9,7 @@ from hopnorms import measures, quadrature
 from hopnorms.errors import DomainError, NumericalFailure
 from hopnorms.families import (gegenbauer, hermite, jacobi, laguerre,
                                norm_constant_log)
-from hopnorms.measures import (DensityHandle, density_moment, fisher_information,
+from hopnorms.measures import (DensityHandle, density_moment, fisher_information, fisher_integral,
                                fisher_renyi, fisher_shannon, functional_E,
                                functional_E_log, functional_I, functional_I_log, lmc_plain,
                                lmc_renyi, renyi_entropy, renyi_length, shannon_entropy,
@@ -115,6 +116,20 @@ def test_fisher_cross_checks():
     assert fisher_information(DensityHandle(hermite(), 200, True)) == pytest.approx(802.0, rel=1e-9)
     with pytest.raises(DomainError):
         fisher_information(DensityHandle(hermite(), 1, False))
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5, 3.75, 5.0, 1.0001])
+def test_fisher_claim_covers_the_laguerre_closed_form(alpha):
+    # F = ((2n + 1) a + 1)/(a^2 - 1) (Dehesa, Sanchez-Moreno & Yanez 2006), in
+    # 40 digits.  Sized at |g_core| alone, the claim missed at 12 of these 36
+    # points, as Laguerre(2), n = 60 by 4.6e-14 claiming 1.1e-14: ln kappa_n,
+    # a difference of log-gammas near 190, is itself off by 5e-14 there
+    a = mpmath.mpf(alpha)
+    for n in (5, 10, 20, 30, 40, 60):
+        res = fisher_integral(DensityHandle(laguerre(alpha), n))
+        with mpmath.workdps(40):
+            exact = mpmath.log(((2 * n + 1) * a + 1) / (a * a - 1))
+        assert abs(float(exact - res.log_abs)) <= res.rel_err
 
 
 def test_fisher_divergence_rejection():

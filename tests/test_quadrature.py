@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -713,6 +714,43 @@ def test_basis_norms_never_scan(monkeypatch):
             measures.shannon_entropy(measures.DensityHandle(fam, n))
     quadrature.raise_first(norms.norm_quads([("weighted-norm", jacobi(2.0, 1.0), 4, q, False)
                                              for q in (1.0, 10.0, 1e3, 1e4)]))
+
+
+# Fisher densities: every family; h/d^2 with a pole at an end (Laguerre(1.5),
+# Jacobi(1.5, 2.5), Jacobi(2, 1.25), Gegenbauer(1.75)) or exponent 0 there
+# (Laguerre(2), Jacobi(2, 2)); parameters from 100 to 1e4; Hermite n = 100-111
+_FISHER_DENSITIES = (
+    [(fam, n) for fam in (hermite(), laguerre(1.5), laguerre(2.0), laguerre(2.5), jacobi(1.5, 2.5),
+                          jacobi(2.0, 1.25), jacobi(2.0, 2.0), gegenbauer(1.75), gegenbauer(2.5))
+     for n in (0, 1, 5)]
+    + [(fam, n) for fam in (laguerre(100.0), laguerre(1e4), jacobi(100.0, 2.0), jacobi(1e4, 1.5),
+                            gegenbauer(100.0), gegenbauer(1e4))
+       for n in (0, 1, 4)]
+    + [(hermite(), n) for n in range(100, 112)])
+
+
+def test_fisher_never_scans(monkeypatch):
+    # Fisher's spec names its peaks (families.numerator_peaks), so neither it
+    # nor its partner in fisher_shannon or fisher_renyi is scanned.  Each value
+    # lies within the sum of its claim and that of its scanned twin, the spec
+    # broken at the zeros of p_n as before it named its peaks
+    densities = [measures.DensityHandle(fam, n) for fam, n in _FISHER_DENSITIES]
+    specs = [measures._fisher_spec(d) for d in densities]
+    twins = [quadrature.log_integral(dataclasses.replace(
+        spec, peaks=None, breakpoints=tuple(families.polynomial_zeros(d.family, d.n))))
+        for spec, d in zip(specs, densities)]
+
+    def scan(*args):
+        raise AssertionError("scanned a spec whose peaks are known")
+
+    monkeypatch.setattr(quadrature, "_scan_panels", scan)
+    monkeypatch.setattr(quadrature, "_split_on_live_windows", scan)
+    for spec, twin in zip(specs, twins):
+        res = quadrature.log_integral(spec)
+        assert res.sign == 1 and math.isfinite(res.log_abs)
+        assert abs(math.expm1(res.log_abs - twin.log_abs)) <= res.rel_err + twin.rel_err
+    for d in densities[:27]:
+        assert measures.fisher_shannon(d) > 0.0 and measures.fisher_renyi(d, 2.0) > 0.0
 
 
 def test_known_peaks_cut_the_points_of_a_large_degree(monkeypatch):

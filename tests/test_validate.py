@@ -39,9 +39,9 @@ def test_documented_discrepancies_are_informational():
 _REPORT = {
     "identities": (
         "gaussian-shannon", "gaussian-fisher", "gaussian-fisher-shannon", "gaussian-renyi-2",
-        "e-functional-dual-method", "shannon-from-wq-derivative", "shannon-decomposition",
-        "renyi-monotonicity", "unit-mass", "n2-equals-kappa", "lmc-lower-bound",
-        "fisher-shannon-lower-bound", "fisher-shannon-boundary-counterexamples"),
+        "fisher-closed-forms", "e-functional-dual-method", "shannon-from-wq-derivative",
+        "shannon-decomposition", "renyi-monotonicity", "unit-mass", "n2-equals-kappa",
+        "lmc-lower-bound", "fisher-shannon-lower-bound", "fisher-shannon-boundary-counterexamples"),
     "paper-closed-forms": (
         "eval-anchors", "laplace-closed-forms", "laguerre-n0-maximizer",
         "jacobi-endpoint-values", "legendre-tie-doubling", "temme-exactness-witness",
@@ -73,7 +73,7 @@ def test_report_is_pinned(report):
     want = [(name, suite, "info" if name in _INFORMATIONAL else "pass")
             for suite, names in _REPORT.items() for name in names]
     assert [(c.name, c.suite, c.status) for c in report.values()] == want
-    assert len(want) == 41 and sum(status == "pass" for *_, status in want) == 35
+    assert len(want) == 42 and sum(status == "pass" for *_, status in want) == 36
 
 
 @pytest.mark.parametrize("engine,log,check,suite", [
