@@ -156,16 +156,22 @@ def functional_E(fam: PolynomialFamily, n: int, method: str = "quadrature",
     raise DomainError(f"unknown method {method!r}")
 
 
-def functional_I_log(fam: PolynomialFamily, n: int,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> SignedLogReal:
-    """-int p^2 h ln(h) dx as a SignedLogReal, -ln h taken from the
-    engine's endpoint logs."""
+def _functional_I_spec(fam: PolynomialFamily, n: int) -> LogIntegrand:
+    """The integrand p^2 h phi of I, phi = -ln h, taken from the engine's
+    endpoint logs: log-singular at each finite end of h with a nonzero
+    exponent, and smooth at the zeros of p_n."""
     weight_core = fam.weight.core
 
     def phi_many(xs: np.ndarray, core: np.ndarray, ends: np.ndarray) -> np.ndarray:
         return -(weight_core(xs) + ends)
 
-    res = density_integral(fam, n, pol_power=2.0, weight_power=1.0, phi_many=phi_many, cfg=cfg)
+    return density_spec(fam, n, 2.0, 1.0, phi_many, log_singular_ends=True)
+
+
+def functional_I_log(fam: PolynomialFamily, n: int,
+                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> SignedLogReal:
+    """-int p^2 h ln(h) dx as a SignedLogReal."""
+    res = log_integral(_functional_I_spec(fam, n), cfg)
     return SignedLogReal(res.sign, res.log_abs)  # sign 0 makes it zero
 
 

@@ -137,7 +137,8 @@ or of the scan where no zoom ran or the zoom's parabola is not concave.  A
 live window or flank cut out of a panel keeps both.  The first pass cuts a
 panel wider than 5 sigma, whose peak lies within 40 nats of its
 integral's shift, at top +- 1.5 sigma and at top +- 4 sigma 2^j, j = 0,
-1, ..., inside it; a graded panel keeps its quarters (below).  The cuts
+1, ..., inside it; a graded panel adds their images to its quarters
+(below).  The cuts
 are depth-0 intervals of the one panel, not panel breakpoints.  On a
 Gaussian the piece (-1.5, 1.5) sigma has
 |K21 - G10| 9e-13 of the mass, below the default tolerance, where (-2, 2)
@@ -159,38 +160,68 @@ misjudges, and the error is still |K21 - G10| per interval.  Each spec's
 cuts come from its own rows, so lockstep stays bit-identical to
 integrating alone.
 
-A log-singular spec (``LogIntegrand.log_singular``, set by the Shannon
-entropy and the functional E, whose phi holds -ln|p_n|) has graded panels.
-Its integrand behaves like (x - x_k)^2 ln|x - x_k| at every zero x_k of
-p_n, where the 10-21 rule converges slowly.  Every panel that ends at a
-breakpoint is graded, and so is a substituted end panel with j = 0, at a
-pole of the weight, where the integrand in t is a series in powers t^p,
-times ln t in Shannon's phi: there, halving an interval only halved its
-error, and refinement could run out of depth.  Shannon's phi, -ln rho,
-also holds e ln|x - c| at each finite end c of the weight with an
-exponent e != 0, and its spec says so (``log_singular_ends``): on a
-finite support its end panels are graded too, so that at n = 0, with no
-zero to grade at, Shannon of Gegenbauer(2.5) takes 84 evaluations in
-place of 651 and Jacobi(2, 1.25) 126 in place of 483.  Graded at its tail
-cut too, Laguerre's end panel took 252 in place of 168.  E's phi is
-smooth there.  A
-graded panel has the coordinate s over (0, 1), and its coordinate v (x,
-or t on a substituted panel) is v0 + (v1 - v0) tau(s), tau(s) = s^k/(s^k + (1 - s)^k), graded
-at both ends.  Over the Shannon and E requests of the benchmark's
-functionals pool, grading a panel's other end too (a weight end or a
-tail cut) took 5% fewer evaluations than a one-sided s^k.  g gains
-ln dv/ds, as a substituted end's g gains ln p + j ln t, and phi still
-gets x.  k = 2 was measured best: Shannon of Hermite n = 16 takes 1,680
-Gauss-Kronrod points with k = 2, 2,898 with k = 3, 3,024 with k = 4 and
-8,841 on plain panels.  Norms, Fisher, I and the moments keep plain
-panels: their integrands are smooth at their breakpoints (the zeros of
-p_n, or Fisher's zeros of N, where it vanishes like (x - x_k)^2), and
-grading costs a smooth integrand about 3-6 times the nodes.  The first
-pass takes a graded panel as four intervals, not cut toward its peak:
-refinement halved every graded panel at least twice anyway, and the quarters skip the two coarser
-passes, whose sums it discarded.  Over the Shannon and E requests of the
-functionals pool, that cut the evaluations from 264,852 to 162,666 and
-the refinement rounds per integral from 3.0 to 1.2.  The node-rounding
+A cusped spec (:func:`_cusped`) has graded panels.  Its integrand is not
+smooth at the zeros x_k of p_n, where the 10-21 rule converges slowly:
+a log-singular phi (``LogIntegrand.log_singular``, set by the Shannon
+entropy and the functional E, whose phi holds -ln|p_n|) behaves like
+(x - x_k)^2 ln|x - x_k| there, and |p_n|^a with a non-integer a like
+|x - x_k|^a times a smooth factor, as in the norms at q = 1 +- h and
+2 +- h of the Richardson stencils.  Every panel that ends at a
+breakpoint is graded, and, for a log-singular phi, so is a substituted
+end panel with j = 0, at a pole of the weight, where the integrand in t
+is a series in powers t^p, times ln t in Shannon's phi: there, halving an
+interval only halved its error, and refinement could run out of depth.
+Shannon's phi, -ln rho, and I's, -ln h, also hold e ln|x - c| at each
+finite end c of the weight with an exponent e != 0, and their specs say
+so (``log_singular_ends``): on a finite support their end panels are
+graded too, so that at n = 0, with no zero to grade at, Shannon of
+Gegenbauer(2.5) takes 84 evaluations in place of 651 and Jacobi(2, 1.25)
+126 in place of 483, and I of Jacobi(2, 1.25), n = 8, takes one
+Gauss-Kronrod batch in place of 8.  Graded at its tail cut too,
+Laguerre's end panel took 252 in place of 168.  E's phi is smooth there.
+A graded panel has the coordinate s over (0, 1), and its coordinate v
+(x, or t on a substituted panel) is v0 + (v1 - v0) tau(s),
+tau(s) = s^k/(s^k + (1 - s)^k), graded at both ends.  Over the Shannon
+and E requests of the benchmark's functionals pool, grading a panel's
+other end too (a weight end or a tail cut) took 5% fewer evaluations
+than a one-sided s^k.  g gains ln dv/ds, as a substituted end's g gains
+ln p + j ln t, and phi still gets x.  k = 2 was measured best: Shannon
+of Hermite n = 16 takes 1,680 Gauss-Kronrod points with k = 2, 2,898
+with k = 3, 3,024 with k = 4 and 8,841 on plain panels.  In s a cusp
+|x - x_k|^a becomes s^(2a + 1), an integer power at a = 0.5.  Grading
+pays below a = _CUSP_POWER = 3.  Gauss-Kronrod batches/points of N_a of
+Hermite n = 6 and Jacobi(1.5, 2.5) n = 5 together:
+
+    a        0.3       0.5       0.9       1.7      2.001     2.7      3.3      4.5
+    plain    49/17703  42/15183  28/10353  19/6405  12/2751  8/2289   5/1365   2/1071
+    graded   16/6006    2/1407    8/2667    2/1470   2/1470  2/2058   2/2079   3/2226
+
+Above 3 grading costs about twice the points, and best-of-7 timings of
+those two norms and four more (Laguerre(1.5), Gegenbauer(1.75), Hermite
+n = 15, Jacobi(2, 1.25)) favour it up to a ~ 3.3 and no further.
+Integer a keeps plain panels and its bits, as do Fisher and the moments:
+their integrands are smooth at their breakpoints (Fisher's zeros of N,
+where it vanishes like (x - x_k)^2), and grading costs a smooth integrand
+about 3-6 times the nodes.
+
+The first pass takes a graded panel as four intervals: refinement halved
+every graded panel at least twice anyway, and the quarters skip the two
+coarser passes, whose sums it discarded.  Over the Shannon and E
+requests of the functionals pool, that cut the evaluations from 264,852
+to 162,666 and the refinement rounds per integral from 3.0 to 1.2.  A
+graded panel whose peak is known keeps its top and sigma in v, and the
+first pass adds to its quarters the images in s of the peak cuts above,
+s = r/(1 + r), r = ((v - v0)/(v1 - v))^(1/k), and of the top itself: the
+map bends the core (-1.5, 1.5) sigma in s, and without the top's cut the
+tail pieces of Shannon of Hermite n = 15 missed the tolerance by a
+quarter.  The tail panel of Hermite and Laguerre runs from the outermost
+zero to the tail cut, with the outer hump far inside it, and took two
+more rounds on quarters alone.  Over the functionals pool Gauss-Kronrod
+batches per request went from 2.24 (Shannon), 1.75 (E), 3.21 (I), 5.37
+(E by the q-derivative) and 5.57 (Shannon by the q-derivative) to 1.20,
+1.00, 1.05, 1.00 and 1.00, and the pool's Gauss-Kronrod points from
+2,409,414 to 1,482,285; cuts without the top took 1.60, 1.31, 1.06, 1.21
+and 1.21 batches.  The node-rounding
 term below covers x formed from s.  The node s
 is rounded, which moves g by eps |s dg/ds|.  Then v is rounded as it is
 formed, by a few eps |v|, which moves g by eps |v dg_v/dv|, with
@@ -280,6 +311,7 @@ _BISECT_STEPS = 6    # bisection steps per batch
 _BISECT_ROUNDS = 10  # at most 60 steps in all
 _EDGE_PRECISION = 2.0 ** -6  # live-window edge bracket, relative to the live span
 _GRADE = 2  # the power k of a graded panel end, see _graded
+_CUSP_POWER = 3.0  # |p_n|^a, a not an integer, has graded panels below this (see _cusped)
 # a peaked panel's first pass: cuts at top +- 1.5 sigma and top +- 4 sigma 2^j,
 # where the panel is wider than 5 sigma and its peak within 40 nats of the
 # shift (see the module docstring)
@@ -365,9 +397,11 @@ class LogIntegrand:
     alone would give ln 0.  ``log_singular`` marks a phi that is
     log-singular at the breakpoints; the engine then grades the panels
     that end at a breakpoint or at a pole of the weight (see the module
-    docstring).  With it, ``log_singular_ends`` marks a phi that is
-    log-singular at each finite end with a nonzero exponent too, where
-    the engine then grades the end panels of a finite support.
+    docstring), as it grades those that end at a breakpoint wherever a
+    basis's |p_n|^a has a cusp there (:func:`_cusped`).
+    ``log_singular_ends``, with or without it, marks a phi that is
+    log-singular at each finite end with a nonzero exponent, where the
+    engine then grades the end panels of a finite support.
     """
 
     a: float
@@ -386,6 +420,17 @@ class LogIntegrand:
     def __post_init__(self):
         if (self.g_core_many is None) == (self.basis is None):
             raise DomainError("give exactly one of g_core_many and basis")
+
+
+def _cusped(spec: LogIntegrand) -> bool:
+    """Whether the spec's integrand is not smooth at its breakpoints, where
+    the engine grades its panels: phi is log-singular there, or g_core is
+    a ln|p_n| + b core_h of a basis with a non-integer a below
+    _CUSP_POWER, so that |p_n|^a is |x - x_k|^a times a smooth factor at
+    each zero x_k (see the module docstring)."""
+    basis = spec.basis
+    return spec.log_singular or (basis is not None and basis.a < _CUSP_POWER
+                                 and basis.a != math.floor(basis.a))
 
 
 _PLAIN, _LEFT, _RIGHT = 0, 1, -1
@@ -527,7 +572,7 @@ class _Specs:
             flags = [math.isfinite(row[c]) and row[e] != 0.0 for row in rows]
             every, some = all(flags), any(flags)
             self.enters[c] = (np.array(flags) if some and not every else None, every, some)
-        self.graded = any(s.log_singular for s in self.specs)
+        self.graded = any(_cusped(s) or s.log_singular_ends for s in self.specs)
         self.errors: list[Optional[Exception]] = [None] * len(self.specs)
         self.shift = [0.0] * len(self.specs)  # each spec's highest panel peak, once known
 
@@ -1038,8 +1083,9 @@ def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:
     At p = 2 that is near a Gaussian of width 0.7 t; at p = 1e4 (Fisher of
     Laguerre(1.0001)) all that g varies lies within some 40/p of the
     panel's end in t, which cuts about t = 0 left unresolved, 1.7e-4 off.
-    A graded panel's first pass takes quarters, so it records the peak
-    alone."""
+    A graded panel records its top and sigma in its coordinate v, x or t
+    over its ``grade``, not in s; the first pass maps its cuts into s
+    (:func:`_ungraded`)."""
     owner, blocks = _blocks(specs, panels)
     v = np.array([p.grade or (p.lo, p.hi) for p in panels])  # in x, or in t at a substituted end
     subs = [(i, specs.subs[p.owner][p.side == _RIGHT]) for i, p in enumerate(panels) if p.side]
@@ -1083,24 +1129,33 @@ def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:
         else:
             sigma[i] = u[i] * sigma[i] / (sub.p * d)
     for p, t, width in zip(panels, u.tolist(), sigma.tolist()):
-        if p.grade is None:
-            p.top, p.sigma = t, width
+        p.top, p.sigma = t, width
     g = _logf_rows(specs, rows, at[:, None])[0][:, 0]
     for p, value in zip(panels, g.tolist()):
         p.peak = value
 
 
-def _peak_cuts(p: _Panel, margin: float = 0.0) -> list[float]:
+def _peak_cuts(p: _Panel, lo: float, hi: float, margin: float = 0.0,
+               at_top: bool = False) -> list[float]:
     """The points top +- _PEAK_CORE sigma and top +- _PEAK_STEP sigma 2^j,
-    j = 0, 1, ..., of the panel p that lie inside it, more than margin
-    sigma from its ends, ascending."""
+    j = 0, 1, ..., and the top itself if ``at_top``, of the panel p over
+    (lo, hi) that lie inside it, more than margin sigma from its ends,
+    ascending."""
     top, sigma = p.top, p.sigma
-    offsets, step = [_PEAK_CORE * sigma], _PEAK_STEP * sigma
-    while top - step > p.lo or top + step < p.hi:
+    offsets, step = [0.0] * at_top + [_PEAK_CORE * sigma], _PEAK_STEP * sigma
+    while top - step > lo or top + step < hi:
         offsets.append(step)
         step *= 2.0
-    lo, hi = p.lo + margin * sigma, p.hi - margin * sigma
+    lo, hi = lo + margin * sigma, hi - margin * sigma
     return sorted({x for d in offsets for x in (top - d, top + d) if lo < x < hi})
+
+
+def _ungraded(v0: float, v1: float, vs: list[float]) -> list[float]:
+    """The points s in (0, 1) of a graded panel over (v0, v1) whose images
+    are vs, points inside it: the inverse of :func:`_graded`,
+    s = r/(1 + r), r = (tau/(1 - tau))^(1/k) = ((v - v0)/(v1 - v))^(1/k)."""
+    rs = (((v - v0) / (v1 - v)) ** (1.0 / _GRADE) for v in vs)
+    return [s for s in (r / (1.0 + r) for r in rs) if 0.0 < s < 1.0]
 
 
 def _node_rounding(g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -1327,19 +1382,21 @@ def log_integrals(specs: list[LogIntegrand], cfg: QuadratureConfig = DEFAULT_CON
 def _spec_panels(specs: _Specs, k: int, lo: float, hi: float, bps: list[float]
                  ) -> list[_Panel]:
     """Spec k's panels between its (cut) ends lo and hi, split at its
-    breakpoints, a substituted end panel in t; a log-singular spec's
-    panels graded where they end at a breakpoint or a pole, or, with
-    log-singular ends on a finite support, at an end with a nonzero
-    exponent (see the module docstring)."""
+    breakpoints, a substituted end panel in t; a cusped spec's panels
+    (:func:`_cusped`) graded where they end at a breakpoint, a
+    log-singular one's at a pole too, and, with log-singular ends on a
+    finite support, at an end with a nonzero exponent (see the module
+    docstring)."""
     spec = specs.specs[k]
     for e, name in ((spec.e_left, "left"), (spec.e_right, "right")):
         if e <= -1.0:
             raise DomainError(f"non-integrable {name} endpoint exponent {e}")
     edges = [lo] + [x for x in bps if lo < x < hi] + [hi]
-    graded = spec.log_singular and len(edges) > 2  # every panel ends at a breakpoint
+    cusped = _cusped(spec)
+    graded = cusped and len(edges) > 2  # every panel ends at a breakpoint
     # log-singular weight ends, graded on a finite support: a tail panel
     # graded at its cut end too took more evaluations than a plain one
-    ends = spec.log_singular and spec.log_singular_ends and (lo, hi) == (spec.a, spec.b)
+    ends = spec.log_singular_ends and (lo, hi) == (spec.a, spec.b)
     left, right = specs.subs[k]
     if len(edges) == 2 and left is not None and right is not None:
         edges = [lo, 0.5 * (lo + hi), hi]
@@ -1407,16 +1464,20 @@ def _log_integrals(specs: _Specs, cfg: QuadratureConfig) -> list:
         sums[k] = _Sum(shift, cfg.rel_tol)
 
     # the first pass cuts every graded panel into quarters, and every panel
-    # whose peak is much narrower than itself geometrically toward that peak
+    # whose peak is much narrower than itself geometrically toward that
+    # peak: a graded panel's known peak (a scanned one is in s, and left
+    # alone) in v, at its top too, and the cuts mapped into s
     panels, los, his = [], [], []
     for p in work:
+        lo, hi = p.grade or (p.lo, p.hi)
+        cut = []
+        if ((p.grade is None or p.owner in known) and hi - lo > _PEAK_WIDTH * p.sigma
+                and p.peak >= specs.shift[p.owner] - _PEAK_NATS):
+            cut = _peak_cuts(p, lo, hi, _CUT_MARGIN if specs.specs[p.owner].peaks is not None
+                             else 0.0, p.grade is not None)
         if p.grade is not None:
             mid = 0.5 * (p.lo + p.hi)
-            cut = [0.5 * (p.lo + mid), mid, 0.5 * (mid + p.hi)]
-        elif p.hi - p.lo > _PEAK_WIDTH * p.sigma and p.peak >= specs.shift[p.owner] - _PEAK_NATS:
-            cut = _peak_cuts(p, _CUT_MARGIN if specs.specs[p.owner].peaks is not None else 0.0)
-        else:
-            cut = []
+            cut = sorted({0.5 * (p.lo + mid), mid, 0.5 * (mid + p.hi), *_ungraded(lo, hi, cut)})
         edges = [p.lo] + cut + [p.hi]
         panels += [p] * (len(edges) - 1)
         los += edges[:-1]

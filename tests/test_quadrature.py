@@ -672,6 +672,63 @@ def test_known_peaks_meet_the_scan(kind, a, b, n, q, weighted):
     assert abs(math.expm1(known.log_abs - raw.log_abs)) <= known.rel_err + raw.rel_err
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("hermite", "laguerre", "jacobi", "gegenbauer")), _EXPONENT, _EXPONENT,
+       st.integers(1, 12), st.floats(1e-3, 3.0, exclude_max=True).filter(lambda p: p % 1.0),
+       st.booleans())
+def test_cusped_norms_meet_the_scan(kind, a, b, n, power, weighted):
+    # |p_n|^power with a non-integer power below 3 has a cusp at every zero,
+    # where the spec's panels are graded; its raw twin takes plain panels
+    # and the scan.  The two agree within the sum of their claims
+    spec = norms.density_spec(_family(kind, a, b), n, power, 0.5 * power if weighted else 1.0)
+    assert quadrature._cusped(spec)
+    graded, raw = quadrature.log_integrals([spec, _raw_twin(spec)])
+    assert graded.sign == 1 and math.isfinite(graded.log_abs)
+    raw = raw.best if isinstance(raw, QuadratureFailure) else raw
+    assert raw.sign == 1
+    assert abs(math.expm1(graded.log_abs - raw.log_abs)) <= graded.rel_err + raw.rel_err
+
+
+# ln of int |p_n|^a h^b over the support, to 40 digits: mpmath.quad split
+# at the zeros of p_n (refined by findroot), p_n from its explicit sum,
+# at 50 and at 70 digits, which agree to the digits given
+_CUSP_VALUES = [
+    (hermite(), 6, 0.3, 1.0, "1.915986993661358396992807469251145370394"),
+    (jacobi(1.5, 2.5), 5, 0.9, 1.0, "-0.1072872674512654587845285788533278106224"),
+    (laguerre(1.5), 6, 2.001, 1.0, "2.975618165543159362175259766729951011919"),
+    (gegenbauer(1.75), 5, 2.7, 1.0, "3.860334062321833307349467383408801672532"),
+    (hermite(), 4, 2.7, 1.0, "10.34718536038089392877859959635620194918"),
+    (jacobi(1.5, 2.5), 1, 1.98, 0.99, "0.3870961196948269826531766194111903713507"),
+]
+
+
+@pytest.mark.parametrize("fam, n, a, b, want", _CUSP_VALUES,
+                         ids=[f"{c[0].label()}-n{c[1]}-a{c[2]}" for c in _CUSP_VALUES])
+def test_cusped_norms_meet_mpmath(fam, n, a, b, want):
+    spec = norms.density_spec(fam, n, a, b)
+    assert quadrature._cusped(spec)
+    res = log_integral(spec)
+    assert res.sign == 1
+    assert abs(res.log_abs - float(want)) <= res.rel_err
+
+
+@pytest.mark.parametrize("integral, parent", [
+    (lambda: weighted_norm_quad(jacobi(1.5, 2.5), 1, 0.99), 4),
+    (lambda: unweighted_norm_quad(hermite(), 6, 0.5), 21),
+    (lambda: measures.shannon_entropy(measures.DensityHandle(hermite(), 15)), 3),
+    (lambda: measures.functional_E_log(laguerre(1.5), 9), 3),
+    (lambda: measures.functional_I_log(jacobi(2.0, 1.25), 8), 8),
+], ids=["W-jacobi-q0.99", "N-hermite-q0.5", "shannon-hermite-15", "E-laguerre-9",
+        "I-jacobi-8"])
+def test_graded_panels_finish_in_their_first_pass(gk_batches, integral, parent):
+    # parent: the Gauss-Kronrod batches before the cusps of |p_n|^a, a not an
+    # integer, were graded (the norms), before a graded panel was cut toward
+    # its peak (Shannon and E, whose tail panels hold their outer hump), and
+    # before I's log-singular weight ends were graded
+    integral()
+    assert len(gk_batches) == 1 < parent
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(("hermite", "laguerre", "jacobi", "gegenbauer")), _EXPONENT, _EXPONENT,
        st.integers(0, 12))
