@@ -8,7 +8,7 @@ where g may swing over thousands of nats (weights like x^alpha e^(-x) with
 alpha ~ 1e4) and phi is an optional signed factor (entropy integrands).
 The engine:
 
-  * truncates infinite tails where g falls _TAIL_CUTOFF + 30 nats below
+  * truncates infinite tails where g falls _TAIL_CUTOFF nats below
     the running peak (walk with geometrically growing steps, from the
     outermost breakpoint, or from 0 where it lies further out),
   * splits the domain at caller-supplied breakpoints (polynomial zeros,
@@ -54,8 +54,8 @@ panel.  :func:`families.critical_points` gives all n + 1 as the
 eigenvalues of one Jacobi matrix, and :func:`families.critical_derivatives`
 g' and g'' there in closed form, with no recurrence; one batch of the tops
 gives the panels' peak values.  Such a spec, every norm and density
-integrand of a weight without a pole, skips the scan, its zooms and the
-live windows below: its first-pass cuts (below) put nodes on the peak.
+integrand of a weight without a pole, skips the scan and its zooms below:
+its first-pass cuts (below) put nodes on the peak.
 The choice is made spec by spec, so lockstep stays bit-identical.  Over
 the benchmark's pools the integrand points fell by 40% (degree-sweep), 42%
 (q-sweep) and 15% (functionals); Hermite n = 1000, W_50 takes 23,146
@@ -88,17 +88,12 @@ The other specs, a raw g_core without peaks (the Temme oracle) or a basis
 with a pole, where concavity can fail, are scanned: 33 Chebyshev points per
 panel, one call for all.  A panel whose scanned peak has both scanned
 neighbours within _RESOLVED nats of it is resolved to a fraction of a nat,
-and is not zoomed: an underestimated peak only widens the live window and
-lowers the shift, far inside _EXP_CLAMP.  The other panels are zoomed in
-three rounds, and a round with no such panel is skipped.  A panel whose
-scanned live points (g within the cutoff of its peak) span more than a
-quarter of it stays whole.  A panel with no live scanned point, whose peak
-only a zoom reached, grows its window from the zoomed point.  The
-live-window edges of all other panels are bisected together, six steps
-per call (:func:`_bisect_round`).  An integral's edge search stops once
-each of its brackets is narrower than 2^-6 of its panel's live span seen
-so far (usually after one round), because both dead flanks are integrated
-too: only the window's width matters, not where exactly it is cut.
+and is not zoomed: an underestimated peak only lowers the shift, far
+inside _EXP_CLAMP.  The other panels are zoomed in three rounds, and a
+round with no such panel is skipped.  A scanned peak then takes what a
+known one takes, its top, sigma and the first-pass cuts (below), and
+refinement handles what those misjudge; a second peak in a panel goes
+unseen (see :class:`LogIntegrand`).
 
 Several integrals run in lockstep (:func:`log_integrals`; a lone one is
 :func:`log_integral`).  Each phase above, and each refinement round, is one
@@ -130,21 +125,22 @@ known peak has sigma = 1/sqrt(-g'') at its critical point, or
 1/(a |g'| + sqrt(-a g'')) where it sits at an end whose exponent is 0 and
 g' need not vanish; on a substituted panel both map into t, sigma with the
 curvature of the (p - 1) ln t that g gains there, which the scan's
-parabola in t sees too.  A scanned
-peak's point is the zoomed point where a zoom ran, and g'' that of the
-parabola through the argmax and its two neighbours of the last zoom round,
-or of the scan where no zoom ran or the zoom's parabola is not concave.  A
-live window or flank cut out of a panel keeps both.  The first pass cuts a
-panel wider than 5 sigma, whose peak lies within 40 nats of its
-integral's shift, at top +- 1.5 sigma and at top +- 4 sigma 2^j, j = 0,
-1, ..., inside it; a graded panel adds their images to its quarters
-(below).  The cuts
-are depth-0 intervals of the one panel, not panel breakpoints.  On a
+parabola in t sees too.  A scanned peak's point is the zoomed point where
+a zoom ran, and sigma is 1/sqrt(-g'') or 1/|g'| at the argmax, the
+narrower, of the parabola through the argmax and its two neighbours of the
+last zoom round, or of the scan where no zoom ran or the zoom's gives
+none.  g' serves a peak at an end where g need not level off, as W_q of
+Laguerre(0) at x = 0: without it, such a raw twin took no cuts and every
+node underflowed.  The first pass cuts a panel wider than 5 sigma, whose
+peak lies within 40 nats of its integral's shift, at top +- 1.5 sigma and
+at top +- 4 sigma 2^j, j = 0, 1, ..., inside it; a graded panel adds their
+images to its quarters (below).  The cuts are depth-0 intervals of the one
+panel, not panel breakpoints.  On a
 Gaussian the piece (-1.5, 1.5) sigma has
 |K21 - G10| 9e-13 of the mass, below the default tolerance, where (-2, 2)
 sigma has 2.6e-10 and needs one more round; the pieces (1.5, 4) and
 (4, 8) sigma have 3e-15 and 4e-14, where a ratio of 3, (4.5, 13.5), would
-have 1.3e-10.  Over the benchmark's pools, on scanned peaks,
+have 1.3e-10.  Over the benchmark's pools, when every peak was scanned,
 Gauss-Kronrod batches per request went from 5.92, 1.93 and 3.29 to 1.17,
 1.03 and 2.10, and the evaluations from 1,138,641, 580,797 and 2,493,876
 to 959,427, 676,263 and 2,386,020.  The alternatives, measured the same
@@ -307,9 +303,6 @@ _REFINE_ROUNDS = 3
 _REFINE_POINTS = 17
 _RESOLVED = 1.0  # nats: a scanned peak this close to both neighbours needs no zoom
 _SMOOTH_POWER = 6  # a substituted end panel's weakest power of t, at least
-_BISECT_STEPS = 6    # bisection steps per batch
-_BISECT_ROUNDS = 10  # at most 60 steps in all
-_EDGE_PRECISION = 2.0 ** -6  # live-window edge bracket, relative to the live span
 _GRADE = 2  # the power k of a graded panel end, see _graded
 _CUSP_POWER = 3.0  # |p_n|^a, a not an integer, has graded panels below this (see _cusped)
 # a peaked panel's first pass: cuts at top +- 1.5 sigma and top +- 4 sigma 2^j,
@@ -328,7 +321,7 @@ _TAIL_STEPS = 500
 _TAIL_BLOCK = 16
 _MAX_INTERVALS = 40_000
 _MAX_DEPTH = 40
-_TAIL_CUTOFF = 120.0  # nats below the peak where tails and dead flanks are cut
+_TAIL_CUTOFF = 150.0  # nats below the tail walk's best value where it cuts
 _EXP_CLAMP = 500.0
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 _SHIFT_ROUNDING = 4.0 * np.finfo(float).eps  # relative error of exp(g - M) per nat of g's terms
@@ -383,11 +376,14 @@ class LogIntegrand:
     knot inside the support a breakpoint, and the peak of the gap between
     knots i - 1 and i (or an end) at tops[i], with g' and g'' there (at an
     end with a pole, of g without that end's power); the engine then skips
-    the scan (see the module docstring).  A ``basis`` names the polynomial
-    instead (see :class:`Basis`), so that specs in lockstep whose bases
-    share a degree, a family kind and a weight core have p_n evaluated in
-    one recurrence over all their rows (see :func:`families.eval_log_many`),
-    each row with the bits its spec alone would give it.
+    the scan (see the module docstring).  A raw g_core without ``peaks``
+    must hold at most one peak per panel: the scan keeps one, and a second
+    can be missed while the error claim stays small.  A ``basis`` names
+    the polynomial instead (see :class:`Basis`), so that specs in lockstep
+    whose bases share a degree, a family kind and a weight core have p_n
+    evaluated in one recurrence over all their rows (see
+    :func:`families.eval_log_many`), each row with the bits its spec alone
+    would give it.
     ``phi_many(x, core, ends)`` is optional (without it phi = 1); it gets
     the points, the values of g_core there and the endpoint powers
     ends = e_left ln(x - a) + e_right ln(b - x), so that phi can be built
@@ -823,7 +819,7 @@ def _walk(start: float, direction: int):
 
 def _tail_cuts(specs: _Specs, walks: list[tuple[int, float, int]]) -> list[Optional[float]]:
     """For each walk (owner, start, direction), the first point where g
-    lies _TAIL_CUTOFF + 30 nats below the best value met so far, from the
+    lies _TAIL_CUTOFF nats below the best value met so far, from the
     third step on.  The walks still going are evaluated together, one row
     each, in batches of _TAIL_BLOCK points.  A spec whose walk finds no
     decay fails."""
@@ -846,7 +842,7 @@ def _tail_cuts(specs: _Specs, walks: list[tuple[int, float, int]]) -> list[Optio
                     best[i] = gv if math.isfinite(gv) else -math.inf
                 elif gv > best[i]:
                     best[i] = gv
-                elif k >= 2 and gv < best[i] - (_TAIL_CUTOFF + 30.0):
+                elif k >= 2 and gv < best[i] - _TAIL_CUTOFF:
                     cuts[i] = x
                     break
         k0 += _TAIL_BLOCK
@@ -859,13 +855,12 @@ _SCAN_COS = np.array([math.cos(math.pi * (j + 0.5) / _SCAN_POINTS)
 _REFINE_J = np.arange(1.0, _REFINE_POINTS)
 
 
-def _scan_panels(specs: _Specs, panels: list[_Panel]):
+def _scan_panels(specs: _Specs, panels: list[_Panel]) -> None:
     """Chebyshev scan of every panel, then zoom rounds around the sampled
     argmax of each panel whose peak the scan leaves unresolved; one batch
-    per phase.  Returns (xs, gs, gmax, xmax) per panel row, xmax the point
-    of the peak gmax found, and records them on each panel as its peak and
-    top, with the width sigma of :func:`_peak_widths`: from the last zoom
-    round where one ran and found the peak concave, else from the scan."""
+    per phase.  Records on each panel the highest value found as its peak,
+    its point as the top, and the width sigma of :func:`_peak_widths`, from
+    the last zoom round where one ran and gave one, else from the scan."""
     lo = np.array([p.lo for p in panels])
     hi = np.array([p.hi for p in panels])
     rows = np.arange(len(panels))
@@ -899,132 +894,26 @@ def _scan_panels(specs: _Specs, panels: list[_Panel]):
         sigma[zoom] = np.where(fine < math.inf, fine, sigma[zoom])
     for p, peak, top, width in zip(panels, gmax.tolist(), xmax.tolist(), sigma.tolist()):
         p.peak, p.top, p.sigma = peak, top, width
-    return xs, gs, gmax, xmax
 
 
 def _peak_widths(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    """The width sigma = 1/sqrt(-g'') of the peak of each row of points xs,
-    g'' that of the parabola through the row's argmax and its two neighbours
-    (the first or last three points where the argmax ends the row); inf
-    where that parabola is not concave."""
+    """The width sigma of the peak of each row of points xs: 1/sqrt(-g'')
+    or 1/|g'| at the argmax, the narrower, g' and g'' those of the parabola
+    through the argmax and its two neighbours (the first or last three
+    points where the argmax ends the row); inf where neither is finite and
+    positive.  g' rules at a row's end, where a linear g's curvature is
+    rounding noise of either sign; at a resolved interior peak the argmax
+    lies within half a spacing of the top, and g'' rules."""
     rows = np.arange(len(xs))
-    mid = np.clip(gs.argmax(axis=1), 1, xs.shape[1] - 2)
+    best = gs.argmax(axis=1)
+    mid = np.clip(best, 1, xs.shape[1] - 2)
     (x0, x1, x2), (g0, g1, g2) = ((v[rows, mid - 1], v[rows, mid], v[rows, mid + 1])
                                   for v in (xs, gs))
-    curv = 2.0 * ((g2 - g1) / (x2 - x1) - (g1 - g0) / (x1 - x0)) / (x2 - x0)
-    return np.where(np.isfinite(curv) & (curv < 0.0), 1.0 / np.sqrt(-curv), math.inf)
-
-
-def _bisect_round(above_many: Callable[[np.ndarray], np.ndarray], outer: np.ndarray,
-                  inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_BISECT_STEPS bisection steps of every bracket (outer[i] false, inner[i]
-    true) at once; returns the new (outer, inner).  All midpoints the steps
-    could visit are evaluated in one batch, then the steps are taken on the
-    values."""
-    rows = np.arange(len(outer))
-    parts = 2 ** _BISECT_STEPS
-    grid = np.empty((len(outer), parts + 1))
-    grid[:, 0], grid[:, -1] = outer, inner
-    step = parts // 2
-    while step:  # nested midpoints, rounded as the bisection rounds them
-        grid[:, step::2 * step] = 0.5 * (grid[:, :-1:2 * step] + grid[:, 2 * step::2 * step])
-        step //= 2
-    above = above_many(grid[:, 1:-1])  # column j - 1 holds grid point j
-    o, half = np.zeros_like(rows), parts // 2
-    while half:  # the bracket is grid points o and o + 2 half
-        m = o + half
-        o = np.where(above[rows, m - 1], o, m)
-        half //= 2
-    return grid[rows, o], grid[rows, o + 1]
-
-
-def _going(specs: _Specs, owners: list[int], wide: set):
-    """The edges (of owners) of the live specs in ``wide``: every edge
-    (_ALL), their indices, or None."""
-    keep = [specs.errors[k] is None and k in wide for k in owners]
-    return _ALL if all(keep) else np.flatnonzero(keep) if any(keep) else None
-
-
-def _split_on_live_windows(specs: _Specs, panels: list[_Panel], xs: np.ndarray,
-                           gs: np.ndarray, gmax: np.ndarray, xmax: np.ndarray) -> list[_Panel]:
-    """Cut each panel whose live window (where g is within _TAIL_CUTOFF of the
-    panel's peak) spans at most a quarter of it into the window and the two
-    dead flanks; each piece keeps the panel's top and width (see
-    :func:`_scan_panels`).  A panel whose scanned live points already span
-    more than a quarter stays whole without a search; that test runs over
-    all panels at once.  Where no scanned point is live,
-    only a zoom reached the peak, and the window grows from its point xmax
-    between the two scanned neighbours; kept whole, such a panel can hide
-    the peak between its Gauss-Kronrod nodes, whose flanks alone then seem
-    to converge.  The edges of all others, of every spec, are bisected
-    together in rounds of :func:`_bisect_round`, a spec's edges until each
-    of its brackets is narrower than _EDGE_PRECISION times its panel's
-    live span seen so far, or for at most _BISECT_ROUNDS rounds.  That span
-    runs between the two inner ends of a two-sided window, and from the
-    inner end to the far panel end of a one-sided one.  Both dead flanks are
-    integrated too, so only the window's width needs this precision, not
-    where it is cut; the outer end of each bracket is taken, so the window
-    only widens."""
-    last = xs.shape[1] - 1
-    width = np.array([p.hi - p.lo for p in panels])
-    levels = gmax - _TAIL_CUTOFF
-    live = gs >= levels[:, None]
-    some = live.any(axis=1)
-    first, final = live.argmax(axis=1), last - live[:, ::-1].argmax(axis=1)
-    rows = np.arange(len(panels))
-    whole = some & (xs[rows, final] - xs[rows, first] > 0.25 * width)
-    wins, edges = [None] * len(panels), []  # edges: (row, side, outer, inner, level, far end)
-    for i in np.flatnonzero(~whole).tolist():
-        p, level = panels[i], float(levels[i])
-        if some[i]:  # the live scanned points run from lo_i to hi_i
-            lo_i, hi_i = int(first[i]), int(final[i])
-            left, right = xs[i, lo_i], xs[i, hi_i]
-        else:  # the zoomed peak lies between the dead points hi_i and lo_i
-            top = float(xmax[i])
-            lo_i = int(np.searchsorted(xs[i], top))
-            hi_i, left, right = lo_i - 1, top, top
-        wins[i] = [p.lo, p.hi]
-        if lo_i > 0:
-            edges.append((i, 0, xs[i, lo_i - 1], left, level, p.hi))
-        if hi_i < last:
-            edges.append((i, 1, xs[i, hi_i + 1], right, level, p.lo))
-    if edges:
-        rows, sides, outer, inner, level, far = map(np.array, zip(*edges))
-        owners = [panels[i].owner for i in rows]
-        owner = np.array(owners)
-        own = np.arange(len(rows))
-        pair = own.copy()  # the other edge of a two-sided window, else the edge itself
-        both = np.flatnonzero(rows[1:] == rows[:-1])
-        pair[both], pair[both + 1] = both + 1, both
-        going = _going(specs, owners, set(owners))  # the edges of the specs still bisecting
-        for _ in range(_BISECT_ROUNDS):
-            if going is None:
-                break
-            sub, lv = [panels[i] for i in rows[going]], level[going, None]
-            o, i = _bisect_round(lambda us: _logf_rows(specs, sub, us)[0] >= lv,
-                                 outer[going], inner[going])
-            if going is _ALL:
-                outer, inner = o, i
-            else:
-                outer[going], inner[going] = o, i
-            span = np.abs(np.where(pair == own, far, inner[pair]) - inner)
-            narrow = np.abs(outer - inner) < _EDGE_PRECISION * span
-            going = None if narrow.all() else _going(specs, owners, set(owner[~narrow].tolist()))
-        for i, side, x in zip(rows, sides, outer.tolist()):
-            wins[i][side] = x
-    out = []
-    for p, win in zip(panels, wins):
-        if win is None or win[1] - win[0] > 0.25 * (p.hi - p.lo):
-            out.append(p)
-            continue
-        left, right = win
-        for u, v in ((p.lo, left), (left, right), (right, p.hi)):
-            if v > u:
-                sub = _Panel(u, v, p.side, p.owner, p.grade)
-                sub.peak = p.peak if (u, v) == (left, right) else p.peak - _TAIL_CUTOFF
-                sub.top, sub.sigma = p.top, p.sigma
-                out.append(sub)
-    return out
+    d01 = (g1 - g0) / (x1 - x0)
+    curv = 2.0 * ((g2 - g1) / (x2 - x1) - d01) / (x2 - x0)
+    slope = d01 + 0.5 * curv * (2.0 * xs[rows, best] - x0 - x1)  # the parabola's, at the argmax
+    den = np.maximum(np.sqrt(np.maximum(-curv, 0.0)), np.abs(slope))
+    return np.where(np.isfinite(den) & (den > 0.0), 1.0 / den, math.inf)
 
 
 def _known_peaks(spec: LogIntegrand) -> Optional[tuple]:
@@ -1034,7 +923,8 @@ def _known_peaks(spec: LogIntegrand) -> Optional[tuple]:
     g = a ln|p_n| + b ln h with a > 0 and b >= 0, h the family's weight
     with both end exponents >= 0, and every zero of p_n a breakpoint (see
     :func:`families.critical_points`).  None for any other spec, a raw
-    g_core without peaks or a basis with a pole, which the scan serves."""
+    g_core without peaks or a basis with a pole: the scan and its zooms
+    find one peak per panel instead (:func:`_scan_panels`)."""
     if spec.peaks is not None:
         return (*spec.peaks, 1.0)
     basis = spec.basis
@@ -1447,14 +1337,14 @@ def _log_integrals(specs: _Specs, cfg: QuadratureConfig) -> list:
                     known[k] = peaks
             except (DomainError, NumericalFailure) as exc:
                 specs.errors[k] = exc
-    # the specs with known peaks skip the scan, its zooms and the live windows
-    scan = [p for p in panels if p.owner not in known and specs.errors[p.owner] is None]
-    peaked = [p for p in panels if p.owner in known and specs.errors[p.owner] is None]
-    work = _split_on_live_windows(specs, scan, *_scan_panels(specs, scan)) if scan else []
-    if peaked:
-        _place_peaks(specs, peaked, known)
-        work = sorted(work + peaked, key=lambda p: p.owner) if work else peaked  # spec order
-    work = [p for p in work if specs.errors[p.owner] is None]
+    # each panel's peak: known in closed form, or scanned; the panels stay in spec order
+    panels = [p for p in panels if specs.errors[p.owner] is None]
+    scan = [p for p in panels if p.owner not in known]
+    if scan:
+        _scan_panels(specs, scan)
+    if len(scan) < len(panels):
+        _place_peaks(specs, [p for p in panels if p.owner in known], known)
+    work = [p for p in panels if specs.errors[p.owner] is None]
     peaks = {}
     for p in work:
         peaks.setdefault(p.owner, []).append(p.peak)

@@ -1,7 +1,9 @@
 import math
+import sys
 
 import pytest
 
+from hopnorms import paramasym, quadrature
 from hopnorms.errors import DomainError
 from hopnorms.families import gegenbauer, jacobi, laguerre, norm_constant_log
 from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
@@ -43,6 +45,20 @@ def test_temme_m0_all_orders():
         want = log_gamma(2.5) - 2.5 * math.log(3.0)
         assert v.log_value == pytest.approx(want, rel=1e-14)
         assert temme_I2(0, 50.0, 2.5, 3.0, order=order).value.is_zero
+
+
+@pytest.mark.parametrize("mu, lam", [(1.0, 1.0), (0.3, 2.0), (3.0, 0.5)])
+def test_temme_oracle_meets_its_closed_form_at_m0(mu, lam):
+    # L_0 = 1: the oracle's integrand is x^(mu - 1) e^(-lam x), a pole at
+    # x = 0 for mu = 0.3, whose peaks the engine scans; its integral is
+    # Gamma(mu)/lam^mu, met within the claim plus the rounding of the terms
+    spec = paramasym._temme_spec(0, 50.0, mu, lam, 2.0)
+    assert quadrature._known_peaks(spec) is None
+    res = quadrature.log_integral(spec)
+    terms = (math.lgamma(mu), -mu * math.log(lam))
+    assert res.sign == 1
+    assert (abs(res.log_abs - sum(terms))
+            <= res.rel_err + 4.0 * sys.float_info.epsilon * sum(map(abs, terms)))
 
 
 def test_temme_i2_central_difference_identity():

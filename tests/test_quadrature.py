@@ -4,17 +4,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hopnorms.bell import unweighted_norm_bell
 from hopnorms.errors import DomainError
 from hopnorms.families import gegenbauer, hermite, jacobi, laguerre
 from hopnorms import families, measures, norms, quadrature
 from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
-from hopnorms.quadrature import (_BISECT_ROUNDS, _GRADE, _LEFT, LogIntegrand, QuadratureConfig,
-                                 QuadratureFailure, _bisect_round, _graded, _Panel, _Specs,
-                                 _logf_rows, _power, _scan_panels, _split_on_live_windows,
-                                 log_integral)
+from hopnorms.quadrature import (_GRADE, LogIntegrand, QuadratureConfig, QuadratureFailure,
+                                 _graded, _Panel, _Specs, _power, _scan_panels, log_integral)
 
 
 def test_gaussian_full_line():
@@ -179,8 +177,8 @@ def test_graded_panels_of_a_log_singular_integrand():
 
 
 def test_live_windows_of_several_panels():
-    # one narrow peak per panel, each at its own height: every panel is cut
-    # to its live window, six window edges at three levels in one call
+    # one narrow peak per panel, each at its own height: the scan's zooms
+    # find all three, and the first pass cuts each panel toward its own
     k, centres, heights = 1e4, np.array([0.4, 1.55, 2.7]), np.array([0.0, 3.0, -2.0])
 
     def g(x):
@@ -191,69 +189,6 @@ def test_live_windows_of_several_panels():
     want = 0.5 * math.log(math.pi / k) + math.log(np.exp(heights).sum())
     assert res.sign == 1
     assert math.exp(res.log_abs - want) == pytest.approx(1.0, rel=1e-13)
-
-
-def test_batched_edge_search_is_the_bisection():
-    # reference: the 60-step bisection one point at a time; the batched
-    # search takes the same steps on the same midpoints.  Peaks at 0.06 and
-    # 0.3 put three crossings of -120 in (0, 0.3); bisection finds 0.265
-    spec = LogIntegrand(a=0.0, b=2.0, e_left=-0.5,
-                        g_core_many=lambda x: np.logaddexp(-1e5 * (x - 0.3) ** 2,
-                                                           -1e5 * (x - 0.06) ** 2))
-    plain, left = _Panel(0.0, 2.0), _Panel(0.0, 1.0, _LEFT)
-    edges = [(plain, 0.0, 0.3, -120.0), (plain, 2.0, 0.3, -120.0), (plain, 0.2, 0.3, -20.0),
-             (left, 0.0, 0.55, -120.0), (left, 1.0, 0.55, -120.0)]
-
-    def bisect(panel, outer, inner, level):
-        for _ in range(60):
-            mid = 0.5 * (outer + inner)
-            if _logf_rows(_Specs([spec]), [panel], np.array([[mid]]))[0][0, 0] >= level:
-                inner = mid
-            else:
-                outer = mid
-        return 0.5 * (outer + inner)
-
-    panels, outer, inner, level = zip(*edges)
-    outer, inner = np.array(outer), np.array(inner)
-    with np.errstate(divide="ignore"):
-        for _ in range(_BISECT_ROUNDS):  # the live-window search's rounds, never stopped early
-            outer, inner = _bisect_round(
-                lambda us: _logf_rows(_Specs([spec]), list(panels), us)[0]
-                >= np.array(level)[:, None], outer, inner)
-        want = [bisect(*e) for e in edges]
-    assert (0.5 * (outer + inner)).tolist() == want
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.floats(4.0, 7.0), st.floats(-0.1, 1.1), st.floats(-5.0, 5.0)),
-                min_size=1, max_size=4))
-def test_coarse_edges_lie_just_outside_the_exact_edges(peaks):
-    # one peak h - k (x - c)^2 per unit panel, its centre inside the panel
-    # (two-sided live window) or just beyond an end (one-sided).  The edges
-    # found under the stop rule lie on the outer side of those of the full
-    # 60-step bisection, within 2^-6 of the live span
-    log_k, t, h = map(np.array, zip(*peaks))
-    k, c = 10.0 ** log_k, np.arange(len(peaks)) + t
-
-    def g(x):
-        i = np.clip(np.floor(x), 0, len(peaks) - 1).astype(int)
-        return h[i] - k[i] * (x - c[i]) ** 2
-
-    spec = _Specs([LogIntegrand(a=0.0, b=float(len(peaks)), g_core_many=g)])
-    panels = [_Panel(float(i), float(i + 1)) for i in range(len(peaks))]
-    scan = _scan_panels(spec, panels)
-    coarse = _split_on_live_windows(spec, panels, *scan)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quadrature, "_EDGE_PRECISION", 0.0)  # no bracket settles: all 10 rounds
-        exact = _split_on_live_windows(spec, panels, *scan)
-
-    def window(out, p):  # the sub-panel of p that keeps its peak
-        return next((s.lo, s.hi) for s in out if p.lo <= s.lo and s.hi <= p.hi and s.peak == p.peak)
-
-    for p in panels:
-        (lo, hi), (lo_x, hi_x) = window(coarse, p), window(exact, p)
-        tol = 2.0 ** -6 * (hi_x - lo_x)
-        assert 0.0 <= lo_x - lo <= tol and 0.0 <= hi - hi_x <= tol
 
 
 @pytest.mark.parametrize("a, q", [(2.0, 1e6), (7.0, 1e6)])
@@ -286,8 +221,8 @@ def test_error_covers_the_rounding_of_the_nodes(c, w):
 def test_positive_integrand_that_sums_to_zero_fails():
     # g is 0 at the scan and far below it at every later point, as where
     # the nodes miss a peak the scan saw; that must not read as an integral
-    # of 0.  (A concave peak no longer vanishes: every node of its live
-    # window lies within the cutoff of the peak found.)
+    # of 0.  (A concave peak no longer vanishes: the first pass puts nodes
+    # within 1.5 sigma of the peak found.)
     calls = []
 
     def g(x):
@@ -363,7 +298,8 @@ def gk_batches(monkeypatch):
                          ids=["jacobi-end-mass", "hermite-laplace-peak"])
 def test_peaked_panels_are_cut_toward_their_peaks(gk_batches, fam, n, q, most):
     # Jacobi(1000, 2) at W_2 holds its mass within 0.004 of -1, and Hermite
-    # n = 2 at W_1000 has peaks of width 0.016 in live windows 0.37 wide.
+    # n = 2 at W_1000 has peaks of width 0.016 that stay within 120 nats of
+    # their tops over 0.37.
     # Halved toward the peak one round at a time, they took a first pass and
     # 5 and 3 rounds; cut at the scan's peak widths, they take at most the
     # first pass and one round
@@ -401,12 +337,30 @@ def _degree_zero_weighted_norm(fam, q: float) -> tuple:
                          ids=lambda f: f.label())
 @pytest.mark.parametrize("q", [1.0, 2.0, 10.0, 316.0, 4583.0, 1e4])
 def test_degree_zero_norms_meet_their_closed_forms(fam, q):
-    # within the claim plus the rounding of the terms of the closed form
+    _meets_degree_zero_closed_form(fam, q)
+
+
+def _meets_degree_zero_closed_form(fam, q: float) -> None:
+    """W_q of p_0 meets its closed form within the claim plus the rounding
+    of the terms of the closed form."""
     terms = _degree_zero_weighted_norm(fam, q)
     r = weighted_norm_quad(fam, 0, q)
     assert r.value.sign == 1
     assert (abs(r.value.log_abs - sum(terms))
             <= r.error_estimate + 4.0 * np.finfo(float).eps * sum(map(abs, terms)))
+
+
+@pytest.mark.parametrize("fam", [jacobi(-0.5, 0.3), jacobi(-0.9, -0.9), laguerre(-0.5),
+                                 gegenbauer(0.25)], ids=lambda f: f.label())
+@pytest.mark.parametrize("scale", [0.5, 1.0, 1.05, "pole"])
+def test_degree_zero_pole_norms_meet_their_closed_forms(fam, scale):
+    # a weight with a pole, whose peaks the engine scans: W_q of p_0 from
+    # q = 0.5 up to q = 0.99/|e| for the end exponent e < 0, where h^q is
+    # nearly non-integrable
+    w = fam.weight
+    q = 0.99 / -min(w.e_lo, w.e_hi) if scale == "pole" else scale
+    assert quadrature._known_peaks(norms.norm_spec(("weighted-norm", fam, 0, q, False))) is None
+    _meets_degree_zero_closed_form(fam, q)
 
 
 _PARAMETER = st.floats(-1.0, 4.0).map(lambda e: 10.0 ** e)  # 0.1 to 1e4
@@ -494,12 +448,14 @@ def test_only_unresolved_peaks_are_zoomed():
         return np.where(x < 1.0, -(x - 0.3) ** 2, -1e6 * (x - 1.6) ** 2)
 
     spec = _Specs([LogIntegrand(a=0.0, b=2.0, g_core_many=g)])
-    _, _, gmax, _ = _scan_panels(spec, [_Panel(0.0, 1.0)])
-    assert len(calls) == 1 and gmax[0] > -1e-3
+    panel = _Panel(0.0, 1.0)
+    _scan_panels(spec, [panel])
+    assert len(calls) == 1 and panel.peak > -1e-3
     calls.clear()
-    _, _, gmax, _ = _scan_panels(spec, [_Panel(0.0, 1.0), _Panel(1.0, 2.0)])
+    panels = [_Panel(0.0, 1.0), _Panel(1.0, 2.0)]
+    _scan_panels(spec, panels)
     assert calls == [2 * 33] + [16] * 3  # the scan, then 16 zoom points a round
-    assert gmax[1] > -0.1
+    assert panels[1].peak > -0.1
 
 
 # -- lockstep -------------------------------------------------------------
@@ -516,8 +472,8 @@ _LOCKSTEP_FAMILIES = (hermite(), laguerre(0.5), laguerre(3.0), jacobi(2.0, 1.0),
 def _raw_spec(kind: int, c: float, w: float) -> LogIntegrand:
     """A raw integrand: a Gaussian on the line with a signed phi, a peak
     between finite ends whose weak powers the engine substitutes, or a
-    narrow peak in a wide panel, whose live-window edges take several
-    bisection rounds."""
+    narrow peak in a wide panel, which the scan's zooms find and the
+    first pass cuts toward."""
     if kind == 0:
         return LogIntegrand(a=-math.inf, b=math.inf, g_core_many=lambda x: -((x - c) / w) ** 2,
                             phi_many=lambda x, *_: x ** 3 - c)
@@ -654,12 +610,16 @@ def _family(kind: str, a: float, b: float):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(("hermite", "laguerre", "jacobi", "gegenbauer")), _EXPONENT, _EXPONENT,
        st.integers(0, 12), st.floats(1.0, 1e6), st.booleans())
+@example("laguerre", 0.0, 0.0, 0, 83508.0, True)
 def test_known_peaks_meet_the_scan(kind, a, b, n, q, weighted):
     # a norm spec takes its peaks from one eigenproblem; its raw twin takes
-    # the scan, its zooms and the live windows.  The two agree within the
-    # sum of their claims (a twin that stalls claims its best estimate's).
+    # the scan and its zooms.  The two agree within the sum of their
+    # claims (a twin that stalls claims its best estimate's).
     # Where the scan misses a narrow peak and the twin exceeds the clamp,
-    # as for Jacobi(0, 2390), n = 0, W_4583, the spec still answers
+    # as for Jacobi(0, 2390), n = 0, W_4583, the spec still answers.  The
+    # example's twin falls linearly from its peak at x = 0, where the
+    # scan's parabola is not concave: without a width from g' there, the
+    # first pass did not cut toward the peak and every node underflowed
     spec = norms.density_spec(_family(kind, a, b), n, *((2.0 * q, q) if weighted else (q, 1.0)))
     assert quadrature._known_peaks(spec) is not None
     known, raw = quadrature.log_integrals([spec, _raw_twin(spec)])
@@ -762,7 +722,6 @@ def test_basis_norms_never_scan(monkeypatch):
         raise AssertionError("scanned a spec whose peaks are known")
 
     monkeypatch.setattr(quadrature, "_scan_panels", scan)
-    monkeypatch.setattr(quadrature, "_split_on_live_windows", scan)
     for fam in (hermite(), laguerre(0.0), laguerre(2.5), jacobi(2.5, 1.5), jacobi(3.0, 0.0),
                 gegenbauer(0.5), gegenbauer(1.75)):
         for n in (0, 1, 5):
@@ -801,7 +760,6 @@ def test_fisher_never_scans(monkeypatch):
         raise AssertionError("scanned a spec whose peaks are known")
 
     monkeypatch.setattr(quadrature, "_scan_panels", scan)
-    monkeypatch.setattr(quadrature, "_split_on_live_windows", scan)
     for spec, twin in zip(specs, twins):
         res = quadrature.log_integral(spec)
         assert res.sign == 1 and math.isfinite(res.log_abs)
