@@ -554,14 +554,17 @@ def _zeros(fam: PolynomialFamily, n: int) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=64)
-def critical_points(fam: PolynomialFamily, n: int, ratio: float) -> tuple[float, ...]:
+def critical_points(fam: PolynomialFamily, n: int, ratio: float,
+                    weight: Optional[Weight] = None) -> tuple[float, ...]:
     """The n + 1 zeros, ascending, of N = sigma p_n' + ratio pi p_n, with
     sigma and tau of :func:`_pearson` and pi = tau - sigma' = sigma (ln h)':
-    g = a ln|p_n| + b ln h has g' = a N / (sigma p_n) for ratio = b/a.
-    Where N vanishes, g is flat (p_0 with a flat weight, or b = 0): on a
-    finite support every point is a peak, and the midpoint is returned;
-    where N has a lower degree otherwise (b = 0 on an infinite support, not
-    integrable), ().
+    g = a ln|p_n| + b ln h has g' = a N / (sigma p_n) for ratio = b/a, h
+    the family's weight or ``weight`` on its support.  Where N vanishes, g
+    is flat (p_0 with a flat weight, or b = 0): on a finite support every
+    point is a peak, and the midpoint is returned; where N is a nonzero
+    constant (p_0, an exponent below pi's rounding), the end g rises
+    toward; where N has a lower degree otherwise (b = 0 on an infinite
+    support, not integrable), ().
 
     With ratio >= 0 and both end exponents >= 0, g is strictly concave
     between neighbouring knots (the finite ends and the zeros of p_n), so
@@ -576,15 +579,16 @@ def critical_points(fam: PolynomialFamily, n: int, ratio: float) -> tuple[float,
     sigma p_n' = kappa (tau_n p_n - r_n p_{n+1}), tau_n = tau + n sigma',
     kappa = lambda_n / (n tau_n'), r_n A_n = tau_n' (1 - n^2 sigma_2 / lambda_n),
     lambda_n = -n (tau' + (n - 1) sigma''/2) (Nikiforov & Uvarov 1988).
-    Memoised per (family, n, ratio).
+    Memoised per (family, n, ratio, weight).
     """
     (s0, s1, s2), (t0, t1) = _pearson(fam.weight, float)
-    pi0, pi1 = ratio * (t0 - s1), ratio * (t1 - 2.0 * s2)
+    w = fam.weight if weight is None else weight
+    (_, u1, u2), (v0, v1) = _pearson(w, float)  # sigma is the support's
+    pi0, pi1 = ratio * (v0 - u1), ratio * (v1 - 2.0 * u2)
     a_last = n * s2 + pi1
-    w = fam.weight
-    if a_last == 0.0:
-        mid = 0.5 * (w.lo + w.hi)
-        return (mid,) if n == 0 and pi0 == 0.0 and math.isfinite(mid) else ()
+    if a_last == 0.0:  # at n = 0, N = ratio pi0: g is flat, or rises toward an end
+        top = 0.5 * (w.lo + w.hi) if pi0 == 0.0 else w.hi if pi0 > 0.0 else w.lo
+        return (top,) if n == 0 and math.isfinite(top) else ()
     if n == 0:  # N = ratio pi
         x = np.array([-pi0 / a_last])
     else:
@@ -610,17 +614,18 @@ def critical_points(fam: PolynomialFamily, n: int, ratio: float) -> tuple[float,
     return tuple(x.tolist())
 
 
-def critical_derivatives(fam: PolynomialFamily, n: int, ratio: float,
-                         xs) -> tuple[np.ndarray, np.ndarray]:
-    """(g'/a, g''/a) of g = a ln|p_n| + b ln h, ratio = b/a, at points xs of
-    :func:`critical_points`, in closed form from sigma p'' + tau p' +
-    lambda_n p = 0, with no recurrence.  At an interior point g' = 0, so
+def critical_derivatives(fam: PolynomialFamily, n: int, ratio: float, xs,
+                         weight: Optional[Weight] = None) -> tuple[np.ndarray, np.ndarray]:
+    """(g'/a, g''/a) of g = a ln|p_n| + b ln h, ratio = b/a, h the family's
+    weight or ``weight``, at points xs of :func:`critical_points`, in closed
+    form from sigma p'' + tau p' + lambda_n p = 0, with no recurrence.  At
+    an interior point g' = 0, so
     u = p'/p = -ratio (ln h)' and p''/p = -(tau u + lambda_n)/sigma.  At an
     end, where sigma = 0 and the peak is one-sided, g' need not vanish:
     there u = -lambda_n/tau, and p''/p = -(tau' + lambda_n) u/(sigma' + tau)
     from the derivative of the equation."""
     (s0, s1, s2), (t0, t1) = _pearson(fam.weight, float)
-    w = fam.weight
+    w = fam.weight if weight is None else weight
     wr = Weight(w.lo, w.hi, ratio * w.e_lo, ratio * w.e_hi, ratio * w.c1, ratio * w.c2)  # h^ratio
     x = np.asarray(xs, dtype=float)
     d, r = _numerator_factors(wr, x)
@@ -635,6 +640,70 @@ def critical_derivatives(fam: PolynomialFamily, n: int, ratio: float,
         u = np.where(end, -lam / tau, -l1)
         p2 = np.where(end, -(t1 + lam) * u / (s1 + 2.0 * s2 * x + tau), -(tau * u + lam) / sigma)
     return np.where(end, u + l1, 0.0), p2 - u * u + l2
+
+
+def pole_peaks(fam: PolynomialFamily, n: int, ratio: float, weight: Weight) -> tuple:
+    """(tops, knots, g'/a, g''/a) of g = a ln|p_n| + b ln h, ratio = b/a, h
+    = ``weight`` with a pole (an end exponent in (-1, 0)): a top in each gap
+    between the ends and the knots, the zeros of p_n (at n = 0 between two
+    poles, the midpoint the quadrature splits at), of g without the power
+    of a pole beside the gap.  The tops of g with its pole powers set to 0
+    start Newton steps on g'/a = p_n'/p_n + ratio (ln h)', kept in the
+    bracket where g' falls through 0 and bisected where a step leaves it or
+    g is not concave, as where b |e| > a for a pole's exponent e (N_q at
+    q < |e|), whose humps are broad; a gap end where g' is finite and
+    falls into the gap is its top."""
+    w = weight
+    x = np.array(critical_points(fam, n, ratio, w._replace(e_lo=max(w.e_lo, 0.0),
+                                                            e_hi=max(w.e_hi, 0.0))))
+    zeros = knots = np.array(_zeros(fam, n))
+    if n == 0 and max(w.e_lo, w.e_hi) < 0.0:  # x is the midpoint
+        x, knots = np.repeat(x, 2), x
+    left = np.concatenate(([w.lo], knots))  # gap i runs from left[i] to right[i]
+    right = np.concatenate((knots, [w.hi]))
+    e_lo, e_hi = np.full(x.size, ratio * w.e_lo), np.full(x.size, ratio * w.e_hi)
+    e_lo[0], e_hi[-1] = max(e_lo[0], 0.0), max(e_hi[-1], 0.0)  # a pole beside its gap
+    (s0, s1, s2), (t0, t1) = _pearson(fam.weight, float)
+    lam = -n * (t1 + (n - 1) * s2)
+    rows = _recurrence(fam, n)
+
+    def slopes(i, x):
+        """g'/a and g''/a of gaps i at points x, inside or on an end where sigma = 0."""
+        sigma, tau = s0 + (s1 + s2 * x) * x, t0 + t1 * x
+        end = sigma == 0.0
+        p, (dp,), _ = _eval_many(rows, x, 1)
+        u = np.where(end, -lam / tau, dp / p)
+        p2 = np.where(end, -(t1 + lam) * u / (s1 + 2.0 * s2 * x + tau), -(tau * u + lam) / sigma)
+        g1, g2 = u + ratio * w.core_prime(x), p2 - u * u + 2.0 * ratio * w.c2
+        for e, dist, sign in ((e_lo[i], x - w.lo, 1.0), (e_hi[i], w.hi - x, -1.0)):
+            live = e != 0.0
+            g1 = g1 + np.where(live, sign * e / dist, 0.0)
+            g2 = g2 - np.where(live, e / dist ** 2, 0.0)
+        return g1, g2
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        go = (e_lo < 0.0) | (e_hi < 0.0)  # the gaps whose g keeps a pole's power
+        for side, ends, e, c in ((-1.0, left, e_lo, w.lo), (1.0, right, e_hi, w.hi)):
+            i = np.flatnonzero(go & np.isfinite(ends) & ((ends != c) | (e == 0.0))
+                               & ~np.isin(ends, zeros))  # where g' is finite
+            if i.size:
+                top = side * slopes(i, ends[i])[0] >= 0.0
+                x[i[top]], go[i[top]] = ends[i[top]], False
+        for _ in range(_NEWTON_STEPS):
+            i = np.flatnonzero(go)
+            if not i.size:
+                break
+            g1, g2 = slopes(i, x[i])
+            rise = g1 > 0.0  # the top lies right of x
+            left[i], right[i] = np.where(rise, x[i], left[i]), np.where(rise, right[i], x[i])
+            step = -g1 / g2
+            nx, l, r = x[i] + step, left[i], right[i]
+            newton = (g2 < 0.0) & (l < nx) & (nx < r)
+            # bisect; a width on from x where the bracket is open
+            x[i] = np.where(newton, nx, np.where(np.isfinite(r), 0.5 * (l + r),
+                                                 x[i] + 1.0 + np.abs(x[i])))
+            go[i] = ~(newton & (np.abs(step) <= _NEWTON_TOL / np.sqrt(-g2)))
+        return (x, knots, *slopes(np.arange(x.size), x))
 
 
 def _numerator_slopes(fam: PolynomialFamily, n: int, x, p0, p1, drop: int = 0,

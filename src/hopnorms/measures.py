@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, NumericalFailure, check_order
 from .families import (PolynomialFamily, log_derivative_numerator_many, norm_constant_log,
-                       norm_constant_log_size, numerator_peaks, polynomial_zeros)
+                       norm_constant_log_size, numerator_peaks)
 from .logreal import SignedLogReal
 from .norms import density_integral, density_spec, norm_quads, norm_result, norm_spec
 from .quadrature import (DEFAULT_CONFIG, LogIntegrand, LogQuadResult, QuadratureConfig,
@@ -182,17 +183,16 @@ def functional_I(fam: PolynomialFamily, n: int, cfg: QuadratureConfig = DEFAULT_
     return _as_float(functional_I_log(fam, n, cfg), "functional_I_log")
 
 
-def _fisher_spec(d: DensityHandle) -> LogIntegrand:
-    """The integrand rho'^2 / rho of F, see :func:`fisher_information`.
+def _fisher_spec(d: DensityHandle) -> Optional[LogIntegrand]:
+    """The integrand rho'^2 / rho of F, see :func:`fisher_information`;
+    None for a flat density (p_0 of a flat weight), whose F is 0.
 
     Its g = 2 ln|N| + ln(h/d^2) - ln kappa_n is -inf at the zeros of N,
     the critical points of rho, which break it into panels with one hump
     each, whose peaks :func:`families.numerator_peaks` gives in closed form
-    (the spec names them, so the engine skips its scan).  Where g is not
-    concave on some gap (N = 0: a flat density) the spec breaks at the
-    zeros of p_n, where the integrand is smooth, and the scan serves it.
-    g_core sums the weight's core, 2 ln|N| and -ln kappa_n, each rounded
-    at its own scale, so its size (see :class:`quadrature.LogIntegrand`)
+    (the spec names them).  g_core sums the weight's core, 2 ln|N| and
+    -ln kappa_n, each rounded at its own scale, so its size (see
+    :class:`quadrature.LogIntegrand`)
     is |core| + 2 (|ln|N|| + 1) + the size of ln kappa_n: ln|N| carries the
     rounding of p_n and p_n' as a basis's ln|p_n| does, and ln kappa_n sums
     log-gammas that cancel (:func:`families.norm_constant_log_size`).  With
@@ -209,6 +209,11 @@ def _fisher_spec(d: DensityHandle) -> LogIntegrand:
                 f"{fam.label()}: Fisher integrand has endpoint exponent {a - 2.0:g} <= -1 "
                 f"at the {side} endpoint; integral diverges")
 
+    if n == 0 and w.is_flat:
+        return None
+    peaks = numerator_peaks(fam, n)
+    if peaks is None:
+        raise NumericalFailure(f"{fam.label()} n={n}: the Fisher integrand has no known peaks")
     shift, shift_size = norm_constant_log(fam, n).log_abs, norm_constant_log_size(fam, n)
     core = w.core
 
@@ -216,13 +221,11 @@ def _fisher_spec(d: DensityHandle) -> LogIntegrand:
         h, log_n = core(xs), log_derivative_numerator_many(fam, n, xs)[1]
         return h + 2.0 * log_n - shift, np.abs(h) + 2.0 * (np.abs(log_n) + 1.0) + shift_size
 
-    peaks = numerator_peaks(fam, n)
     # the 1/d^2 of the integrand lowers each nonzero endpoint exponent by 2
     return LogIntegrand(a=w.lo, b=w.hi, g_core_many=g_core_many, sized=True,
                         e_left=w.e_lo - 2.0 if w.e_lo else 0.0,
                         e_right=w.e_hi - 2.0 if w.e_hi else 0.0,
-                        breakpoints=tuple(polynomial_zeros(fam, n) if peaks is None else peaks[1]),
-                        peaks=peaks)
+                        breakpoints=tuple(peaks[1]), peaks=peaks)
 
 
 def fisher_information(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -241,8 +244,11 @@ def fisher_information(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG)
 
 def fisher_integral(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogQuadResult:
     """ln F with its relative error claim, the integral behind
-    :func:`fisher_information`."""
-    return log_integral(_fisher_spec(d), cfg)
+    :func:`fisher_information`; the exact zero for a flat density."""
+    spec = _fisher_spec(d)
+    if spec is None:
+        return LogQuadResult(0, -math.inf, 0.0, 0)
+    return log_integral(spec, cfg)
 
 
 def renyi_length(d: DensityHandle, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -272,14 +278,20 @@ def lmc_plain(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float
 
 def fisher_shannon(d: DensityHandle, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """F * exp(2S) / (2 pi e); equals 1 exactly for a Gaussian density.
-    F and S are integrated in lockstep."""
-    f, s = raise_first(log_integrals([_fisher_spec(d), _shannon_spec(d)], cfg))
+    F and S are integrated in lockstep; 0 for a flat density, whose F is 0."""
+    fisher = _fisher_spec(d)
+    if fisher is None:
+        return 0.0
+    f, s = raise_first(log_integrals([fisher, _shannon_spec(d)], cfg))
     return math.exp(f.log_abs) * math.exp(2.0 * _density_value(d, s)) / (2.0 * math.pi * math.e)
 
 
 def fisher_renyi(d: DensityHandle, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """F * exp(2 R_q) / (2 pi e); F and W_q are integrated in lockstep."""
+    """F * exp(2 R_q) / (2 pi e); F and W_q are integrated in lockstep; 0
+    for a flat density, whose F is 0."""
     fisher, wq = _fisher_spec(d), _renyi_point(d, q)
+    if fisher is None:
+        return 0.0
     f, w = raise_first(log_integrals([fisher, norm_spec(wq)], cfg))
     return math.exp(f.log_abs) * math.exp(2.0 * (norm_result(wq, w).value.log_abs / (1.0 - q))) \
         / (2.0 * math.pi * math.e)

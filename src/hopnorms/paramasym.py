@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DomainError, check_order
-from .families import (PolynomialFamily, eval_log_many, hermite, laguerre,
-                       norm_constant_log, polynomial_zeros)
+from .families import (PolynomialFamily, hermite, laguerre, norm_constant_log,
+                       polynomial_zeros)
 from .logreal import SignedLogReal
 from .norms import NormResult, unweighted_norm_quad
-from .quadrature import DEFAULT_CONFIG, LogIntegrand, QuadratureConfig, log_integral
+from .quadrature import DEFAULT_CONFIG, Basis, LogIntegrand, QuadratureConfig, log_integral
 from .special import digamma, log_gamma
 
 __all__ = [
@@ -144,12 +144,10 @@ def temme_I2(m: int, alpha: float, mu: float, lambda_scale: float,
 
 def _temme_spec(m: int, alpha: float, mu: float, lambda_scale: float, q: float,
                 phi_many=None):
+    """int x^(mu-1) e^(-lambda x) |L_m^(alpha)|^q phi: a basis of Laguerre(alpha)
+    with its own end exponent mu - 1."""
     fam = laguerre(alpha)
-
-    def g_core_many(xs):
-        return q * eval_log_many(fam, m, xs)[1] - lambda_scale * xs
-
-    return LogIntegrand(a=0.0, b=math.inf, g_core_many=g_core_many, e_left=mu - 1.0,
+    return LogIntegrand(a=0.0, b=math.inf, basis=Basis(fam, m, q, lambda_scale), e_left=mu - 1.0,
                         breakpoints=tuple(polynomial_zeros(fam, m)), phi_many=phi_many)
 
 

@@ -22,8 +22,7 @@ The engine:
     power is weak converges slowly: at e = 1.25 its error falls about 5x
     per halving,
   * locates the global maximum M of g from each panel's peak, known in
-    closed form for the norm and density integrands and scanned for the
-    others (below), then integrates exp(g - M) with the 10-21
+    closed form (below), then integrates exp(g - M) with the 10-21
     Gauss-Kronrod pair of QUADPACK's QAGS, refined in rounds (below),
   * returns sign, ln|I| (shift M re-applied) and a relative error bound,
     and fails with QuadratureFailure when a positive integrand (no phi)
@@ -45,30 +44,37 @@ Every other phase is batched too, so the integrand exists only in its
 array form.  The tail walks of both infinite ends evaluate blocks of their
 steps together, and the first Gauss-Kronrod pass of all panels is one call.
 
-Each panel's peak comes one of three ways.  A spec whose g is
-a ln|p_n| + b ln h of its basis (:class:`Basis`), with a > 0, b >= 0 and
-both end exponents >= 0, has g'' = -a sum 1/(x - x_k)^2 + b (ln h)'' < 0:
-g is strictly concave between neighbouring zeros of p_n and ends, so each
-panel holds one peak, at the critical point of its gap, clipped to the
-panel.  :func:`families.critical_points` gives all n + 1 as the
-eigenvalues of one Jacobi matrix, and :func:`families.critical_derivatives`
-g' and g'' there in closed form, with no recurrence; one batch of the tops
-gives the panels' peak values.  Such a spec, every norm and density
-integrand of a weight without a pole, skips the scan and its zooms below:
-its first-pass cuts (below) put nodes on the peak.
-The choice is made spec by spec, so lockstep stays bit-identical.  Over
-the benchmark's pools the integrand points fell by 40% (degree-sweep), 42%
-(q-sweep) and 15% (functionals); Hermite n = 1000, W_50 takes 23,146
-points where the scan's path took 103,352.
+Each panel's peak comes one of two ways.  A basis (:class:`Basis`),
+g = a ln|p_n| + b ln h with a > 0 and b >= 0 on the family's support, h
+the family's weight with the spec's own end exponents (as the Temme
+oracle's x^(mu - 1)), takes its peaks from p_n's differential equation.
+Where both end exponents are >= 0, g'' = -a sum 1/(x - x_k)^2 +
+b (ln h)'' < 0, so each gap between neighbouring zeros of p_n and ends
+holds one peak, clipped to the panel: :func:`families.critical_points`
+gives all n + 1 as the eigenvalues of one Jacobi matrix, and
+:func:`families.critical_derivatives` g' and g'' there, with no
+recurrence; one batch of the tops gives the peak values.  Hermite
+n = 1000, W_50 takes 23,146 points where a Chebyshev scan of every panel
+took 103,352.
 
-A raw g_core may name its peaks (``LogIntegrand.peaks``): the Fisher
+A weight with a pole, an end exponent in (-1, 0), can fail Wendroff's
+condition for that eigenproblem, and g need not be concave there:
+:func:`families.pole_peaks` polishes the tops of g with its pole powers
+set to 0 by bracketed Newton steps on g'.  A pole's end panel,
+substituted in t with j = 0, takes the top of g without that end's power,
+as Fisher's do (below), and is graded (below): in t its integrand is a
+series in powers t^p, with a cusp at t = 0 where p is not an integer,
+and halving the interval next to it cut its error about 5x a round: N_2
+of Gegenbauer(0.25), n = 1, p = 4/3, takes 1 Gauss-Kronrod batch, not 10.
+
+A raw g_core names its peaks (``LogIntegrand.peaks``): the Fisher
 integrand rho'^2/rho = h N^2/(d^2 kappa_n), N = d (2 p_n' + p_n h'/h),
 breaks at the zeros of N, the critical points of the density, where it
 vanishes, so each panel holds one hump on which g is concave (at an end
 pole of h/d^2, once the j = 0 substitution has taken its power out), and
 :func:`families.numerator_peaks` gives each hump's top, g' and g'' in
-closed form; such a spec takes the path of a basis with known peaks.  Two
-rules serve it alone, so the norm and density integrands keep their bits.
+closed form.  Two rules serve a raw spec alone, so the norm and density
+integrands keep their bits.
 A plain panel near an end the spec substitutes, a branch point of its
 integrand, converged slowly: |K21 - G10| is G10's error, which sees that
 point, and Fisher's first inner panel of Jacobi(2.5, 1.5), n = 8, beside
@@ -76,24 +82,9 @@ the pole (1 + x)^(-1/2), took two more rounds.  So such a panel's sigma
 is at most half its distance to that end, and the first pass cuts it
 toward the end.  And no cut falls
 within one sigma of a panel end: Fisher's panels end where the integrand
-vanishes, and a sliver there held nearly nothing at 21 nodes.  Over the
-Fisher requests of the benchmark's functionals pool (fisher,
-fisher_shannon and fisher_renyi, 336 of them) this took the integrand
-points from 635,281 to 309,463, of which the scan's 133,452 are gone, the
-Gauss-Kronrod points from 302,379 to 298,431 and the Gauss-Kronrod
-batches from 516 to 455; Hermite n = 1000 takes 22,328 points in place of
-102,428.
-
-The other specs, a raw g_core without peaks (the Temme oracle) or a basis
-with a pole, where concavity can fail, are scanned: 33 Chebyshev points per
-panel, one call for all.  A panel whose scanned peak has both scanned
-neighbours within _RESOLVED nats of it is resolved to a fraction of a nat,
-and is not zoomed: an underestimated peak only lowers the shift, far
-inside _EXP_CLAMP.  The other panels are zoomed in three rounds, and a
-round with no such panel is skipped.  A scanned peak then takes what a
-known one takes, its top, sigma and the first-pass cuts (below), and
-refinement handles what those misjudge; a second peak in a panel goes
-unseen (see :class:`LogIntegrand`).
+vanishes, and a sliver there held nearly nothing at 21 nodes.  With its
+peaks named, the benchmark's 336 Fisher requests took 309,463 integrand
+points in place of 635,281.
 
 Several integrals run in lockstep (:func:`log_integrals`; a lone one is
 :func:`log_integral`).  Each phase above, and each refinement round, is one
@@ -121,32 +112,28 @@ support (a tail panel, from the outermost breakpoint to the cut, holds its
 mass next to that breakpoint), and refinement would halve its way there
 one round per halving; in a sweep the slowest row sets the rounds of all.
 Each panel knows its peak: its point, the top, and its width sigma.  A
-known peak has sigma = 1/sqrt(-g'') at its critical point, or
+peak has sigma = 1/sqrt(-g'') at its critical point, or
 1/(a |g'| + sqrt(-a g'')) where it sits at an end whose exponent is 0 and
 g' need not vanish; on a substituted panel both map into t, sigma with the
-curvature of the (p - 1) ln t that g gains there, which the scan's
-parabola in t sees too.  A scanned peak's point is the zoomed point where
-a zoom ran, and sigma is 1/sqrt(-g'') or 1/|g'| at the argmax, the
-narrower, of the parabola through the argmax and its two neighbours of the
-last zoom round, or of the scan where no zoom ran or the zoom's gives
-none.  g' serves a peak at an end where g need not level off, as W_q of
-Laguerre(0) at x = 0: without it, such a raw twin took no cuts and every
-node underflowed.  The first pass cuts a panel wider than 5 sigma, whose
-peak lies within 40 nats of its integral's shift, at top +- 1.5 sigma and
-at top +- 4 sigma 2^j, j = 0, 1, ..., inside it; a graded panel adds their
-images to its quarters (below).  The cuts are depth-0 intervals of the one
+curvature of the (p - 1) ln t that g gains there.  g' serves a peak at an
+end where g need not level off, as W_q of Laguerre(0) at x = 0: without
+it, the first pass took no cuts and every node underflowed.  The first
+pass cuts a panel wider than 5 sigma, whose peak lies within 40 nats of
+its integral's shift, at top +- 1.5 sigma and at top +- 4 sigma 2^j,
+j = 0, 1, ..., inside it; a graded panel adds their images to its
+quarters (below).  The cuts are depth-0 intervals of the one
 panel, not panel breakpoints.  On a
 Gaussian the piece (-1.5, 1.5) sigma has
 |K21 - G10| 9e-13 of the mass, below the default tolerance, where (-2, 2)
 sigma has 2.6e-10 and needs one more round; the pieces (1.5, 4) and
 (4, 8) sigma have 3e-15 and 4e-14, where a ratio of 3, (4.5, 13.5), would
-have 1.3e-10.  Over the benchmark's pools, when every peak was scanned,
-Gauss-Kronrod batches per request went from 5.92, 1.93 and 3.29 to 1.17,
-1.03 and 2.10, and the evaluations from 1,138,641, 580,797 and 2,493,876
-to 959,427, 676,263 and 2,386,020.  The alternatives, measured the same
-way: cuts at top +- 2 sigma 2^j took 1.96
-q-sweep batches per request; the scan's sigma alone, without the zoom's,
-1.81; a width of 6 sigma took 1.10 degree-sweep batches, and 4 sigma 1.00
+have 1.3e-10.  Over the benchmark's pools, measured when every peak was
+still found by a scan, Gauss-Kronrod batches per request went from 5.92,
+1.93 and 3.29 to 1.17, 1.03 and 2.10, and the evaluations from 1,138,641,
+580,797 and 2,493,876 to 959,427, 676,263 and 2,386,020.  The
+alternatives, measured the same way: cuts at top +- 2 sigma 2^j took 1.96
+q-sweep batches per request; a width of 6 sigma took 1.10 degree-sweep
+batches, and 4 sigma 1.00
 at 906,045 evaluations, which ran slower.  Cutting the tail panels at the
 tail walk's points, as before, where no peak cut them, cost 19,509 more
 q-sweep evaluations and saved no batch; cutting them there in place of
@@ -163,10 +150,11 @@ entropy and the functional E, whose phi holds -ln|p_n|) behaves like
 (x - x_k)^2 ln|x - x_k| there, and |p_n|^a with a non-integer a like
 |x - x_k|^a times a smooth factor, as in the norms at q = 1 +- h and
 2 +- h of the Richardson stencils.  Every panel that ends at a
-breakpoint is graded, and, for a log-singular phi, so is a substituted
-end panel with j = 0, at a pole of the weight, where the integrand in t
-is a series in powers t^p, times ln t in Shannon's phi: there, halving an
-interval only halved its error, and refinement could run out of depth.
+breakpoint is graded.  So, cusped or not, is a substituted end panel
+with j = 0, at a pole of the weight, of a log-singular phi or a basis
+(:func:`_pole_graded`), where the integrand in t is a series in powers
+t^p, times ln t in Shannon's phi: there, halving an interval only halved
+its error, and refinement could run out of depth.
 Shannon's phi, -ln rho, and I's, -ln h, also hold e ln|x - c| at each
 finite end c of the weight with an exponent e != 0, and their specs say
 so (``log_singular_ends``): on a finite support their end panels are
@@ -263,6 +251,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -271,7 +260,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalFailure
 from .families import (PolynomialFamily, critical_derivatives, critical_points, eval_log_many,
-                       polynomial_zeros)
+                       pole_peaks, polynomial_zeros)
 from .special import log_distance
 
 __all__ = ["QuadratureConfig", "QuadratureFailure", "Basis", "LogIntegrand", "LogQuadResult",
@@ -298,10 +287,6 @@ _WG = np.array(_WG_LEFT + _WG_LEFT[::-1])  # Kronrod nodes 1, 3, ..., 19
 # the two nodes each node's slope is differenced over: its neighbours, at an end itself and one
 _NEXT, _PREV = np.minimum(np.arange(1, 22), 20), np.maximum(np.arange(-1, 20), 0)
 
-_SCAN_POINTS = 33
-_REFINE_ROUNDS = 3
-_REFINE_POINTS = 17
-_RESOLVED = 1.0  # nats: a scanned peak this close to both neighbours needs no zoom
 _SMOOTH_POWER = 6  # a substituted end panel's weakest power of t, at least
 _GRADE = 2  # the power k of a graded panel end, see _graded
 _CUSP_POWER = 3.0  # |p_n|^a, a not an integer, has graded panels below this (see _cusped)
@@ -323,8 +308,8 @@ _MAX_INTERVALS = 40_000
 _MAX_DEPTH = 40
 _TAIL_CUTOFF = 150.0  # nats below the tail walk's best value where it cuts
 _EXP_CLAMP = 500.0
-_ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
-_SHIFT_ROUNDING = 4.0 * np.finfo(float).eps  # relative error of exp(g - M) per nat of g's terms
+_ROUNDING_FLOOR = 50.0 * sys.float_info.epsilon
+_SHIFT_ROUNDING = 4.0 * sys.float_info.epsilon  # relative error of exp(g - M) per nat of g's terms
 
 
 @dataclass(frozen=True)
@@ -370,15 +355,15 @@ class LogIntegrand:
     needed.  ``g_core_many`` maps a 1-d array of points x to g_core(x), or,
     with ``sized``, to (g_core(x), size), size the sum of the magnitudes at
     which its terms are rounded, which the error claim takes in place of
-    |g_core| (see the module docstring).  A raw g_core may name its
-    ``peaks``: (tops, knots, g', g'') with its log-integrand g (in x, end
-    powers included) strictly concave between neighbouring knots, every
-    knot inside the support a breakpoint, and the peak of the gap between
-    knots i - 1 and i (or an end) at tops[i], with g' and g'' there (at an
-    end with a pole, of g without that end's power); the engine then skips
-    the scan (see the module docstring).  A raw g_core without ``peaks``
-    must hold at most one peak per panel: the scan keeps one, and a second
-    can be missed while the error claim stays small.  A ``basis`` names
+    |g_core| (see the module docstring).  A raw g_core must name its
+    ``peaks`` (DomainError otherwise): (tops, knots, g', g'') with its
+    log-integrand g (in x, end powers included) strictly concave between
+    neighbouring knots, every knot inside the support a breakpoint, and the
+    peak of the gap between knots i - 1 and i (or an end) at tops[i], with
+    g' and g'' there (at an end with a pole, of g without that end's
+    power).  The engine puts each panel's peak at its gap's top, clipped
+    to the panel; a second peak in a gap can be missed while the error
+    claim stays small.  A ``basis`` names
     the polynomial instead (see :class:`Basis`), so that specs in lockstep
     whose bases share a degree, a family kind and a weight core have p_n
     evaluated in one recurrence over all their rows (see
@@ -416,6 +401,8 @@ class LogIntegrand:
     def __post_init__(self):
         if (self.g_core_many is None) == (self.basis is None):
             raise DomainError("give exactly one of g_core_many and basis")
+        if self.g_core_many is not None and self.peaks is None:
+            raise DomainError("a raw g_core_many must name its peaks")
 
 
 def _cusped(spec: LogIntegrand) -> bool:
@@ -427,6 +414,13 @@ def _cusped(spec: LogIntegrand) -> bool:
     basis = spec.basis
     return spec.log_singular or (basis is not None and basis.a < _CUSP_POWER
                                  and basis.a != math.floor(basis.a))
+
+
+def _pole_graded(spec: LogIntegrand, subs) -> bool:
+    """Whether a basis or a log-singular phi grades its end panels at a
+    pole, substituted with j = 0 (see the module docstring)."""
+    return ((spec.basis is not None or spec.log_singular)
+            and any(sub is not None and sub.j == 0 for sub in subs))
 
 
 _PLAIN, _LEFT, _RIGHT = 0, 1, -1
@@ -453,7 +447,7 @@ class _Panel:
         self.grade = grade
         self.peak = -math.inf
         self.top = math.nan  # the point of the peak
-        self.sigma = math.inf  # the width of the peak, see _peak_widths
+        self.sigma = math.inf  # the width of the peak, see _place_peaks
 
 
 def _graded(panels: list[_Panel], us: np.ndarray) -> Optional[tuple]:
@@ -568,7 +562,9 @@ class _Specs:
             flags = [math.isfinite(row[c]) and row[e] != 0.0 for row in rows]
             every, some = all(flags), any(flags)
             self.enters[c] = (np.array(flags) if some and not every else None, every, some)
-        self.graded = any(_cusped(s) or s.log_singular_ends for s in self.specs)
+        self.pole_graded = [_pole_graded(s, subs) for s, subs in zip(self.specs, self.subs)]
+        self.graded = any(_cusped(s) or s.log_singular_ends or pole
+                          for s, pole in zip(self.specs, self.pole_graded))
         self.errors: list[Optional[Exception]] = [None] * len(self.specs)
         self.shift = [0.0] * len(self.specs)  # each spec's highest panel peak, once known
 
@@ -849,113 +845,42 @@ def _tail_cuts(specs: _Specs, walks: list[tuple[int, float, int]]) -> list[Optio
     return cuts
 
 
-# ascending Chebyshev scan nodes on [-1, 1] and the zoom steps j = 1..16
-_SCAN_COS = np.array([math.cos(math.pi * (j + 0.5) / _SCAN_POINTS)
-                      for j in range(_SCAN_POINTS - 1, -1, -1)])
-_REFINE_J = np.arange(1.0, _REFINE_POINTS)
-
-
-def _scan_panels(specs: _Specs, panels: list[_Panel]) -> None:
-    """Chebyshev scan of every panel, then zoom rounds around the sampled
-    argmax of each panel whose peak the scan leaves unresolved; one batch
-    per phase.  Records on each panel the highest value found as its peak,
-    its point as the top, and the width sigma of :func:`_peak_widths`, from
-    the last zoom round where one ran and gave one, else from the scan."""
-    lo = np.array([p.lo for p in panels])
-    hi = np.array([p.hi for p in panels])
-    rows = np.arange(len(panels))
-    xs = 0.5 * (lo + hi)[:, None] + (0.5 * (hi - lo))[:, None] * _SCAN_COS
-    gs = _logf_rows(specs, panels, xs)[0]
-    best = gs.argmax(axis=1)
-    gmax, xmax = gs[rows, best], xs[rows, best]
-    # a concave peak whose neighbours at spacing h lie within _RESOLVED
-    # nats of it is within about _RESOLVED / 4 nats of the true one
-    inner = np.clip(best, 1, _SCAN_POINTS - 2)
-    resolved = ((best == inner) & (gs[rows, inner - 1] >= gmax - _RESOLVED)
-                & (gs[rows, inner + 1] >= gmax - _RESOLVED))
-    sigma = _peak_widths(xs, gs)
-    zoom = np.flatnonzero(~resolved)
-    if zoom.size:
-        sub, zrows = [panels[i] for i in zoom], np.arange(zoom.size)
-        lo, hi, xz, gz_max = lo[zoom], hi[zoom], xmax[zoom], gmax[zoom]
-        win = (hi - lo) / _SCAN_POINTS
-        for _ in range(_REFINE_ROUNDS):
-            a = np.maximum(lo, xz - win)
-            b = np.minimum(hi, xz + win)
-            zs = a[:, None] + (b - a)[:, None] * _REFINE_J / _REFINE_POINTS
-            gz = _logf_rows(specs, sub, zs)[0]
-            best = gz.argmax(axis=1)
-            better = gz[zrows, best] > gz_max
-            gz_max = np.where(better, gz[zrows, best], gz_max)
-            xz = np.where(better, zs[zrows, best], xz)
-            win = win / _REFINE_POINTS
-        gmax[zoom], xmax[zoom] = gz_max, xz
-        fine = _peak_widths(zs, gz)
-        sigma[zoom] = np.where(fine < math.inf, fine, sigma[zoom])
-    for p, peak, top, width in zip(panels, gmax.tolist(), xmax.tolist(), sigma.tolist()):
-        p.peak, p.top, p.sigma = peak, top, width
-
-
-def _peak_widths(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    """The width sigma of the peak of each row of points xs: 1/sqrt(-g'')
-    or 1/|g'| at the argmax, the narrower, g' and g'' those of the parabola
-    through the argmax and its two neighbours (the first or last three
-    points where the argmax ends the row); inf where neither is finite and
-    positive.  g' rules at a row's end, where a linear g's curvature is
-    rounding noise of either sign; at a resolved interior peak the argmax
-    lies within half a spacing of the top, and g'' rules."""
-    rows = np.arange(len(xs))
-    best = gs.argmax(axis=1)
-    mid = np.clip(best, 1, xs.shape[1] - 2)
-    (x0, x1, x2), (g0, g1, g2) = ((v[rows, mid - 1], v[rows, mid], v[rows, mid + 1])
-                                  for v in (xs, gs))
-    d01 = (g1 - g0) / (x1 - x0)
-    curv = 2.0 * ((g2 - g1) / (x2 - x1) - d01) / (x2 - x0)
-    slope = d01 + 0.5 * curv * (2.0 * xs[rows, best] - x0 - x1)  # the parabola's, at the argmax
-    den = np.maximum(np.sqrt(np.maximum(-curv, 0.0)), np.abs(slope))
-    return np.where(np.isfinite(den) & (den > 0.0), 1.0 / den, math.inf)
-
-
-def _known_peaks(spec: LogIntegrand) -> Optional[tuple]:
-    """(tops, knots, g'/a, g''/a, a) of a spec whose g is concave on every
-    panel, with its peaks known in closed form: a raw g_core's own
-    ``peaks``, with a = 1, or the :func:`_peak_table` of a basis,
-    g = a ln|p_n| + b ln h with a > 0 and b >= 0, h the family's weight
-    with both end exponents >= 0, and every zero of p_n a breakpoint (see
-    :func:`families.critical_points`).  None for any other spec, a raw
-    g_core without peaks or a basis with a pole: the scan and its zooms
-    find one peak per panel instead (:func:`_scan_panels`)."""
+def _known_peaks(spec: LogIntegrand) -> tuple:
+    """(tops, knots, g'/a, g''/a, a): a raw g_core's own ``peaks``, with
+    a = 1, or the :func:`_peak_table` of a basis (see the module
+    docstring) whose every zero of p_n is a breakpoint; DomainError else."""
     if spec.peaks is not None:
         return (*spec.peaks, 1.0)
-    basis = spec.basis
-    if basis is None or not (basis.a > 0.0 and basis.b >= 0.0):
-        return None
-    w = basis.fam.weight
-    if ((spec.a, spec.b, spec.e_left, spec.e_right) != (w.lo, w.hi, basis.b * w.e_lo,
-                                                        basis.b * w.e_hi)
-            or spec.e_left < 0.0 or spec.e_right < 0.0):
-        return None
-    table = _peak_table(basis.fam, basis.n, basis.b / basis.a)
-    if table is None or not set(table[1]) <= set(spec.breakpoints):
-        return None
-    return (*table, basis.a)
+    (fam, n, a, b), w = spec.basis, spec.basis.fam.weight
+    own = (spec.e_left, spec.e_right) == (b * w.e_lo, b * w.e_hi)  # the family's weight
+    table = None
+    if a > 0.0 and b >= 0.0 and (own or b) and (spec.a, spec.b) == (w.lo, w.hi):
+        weight = None if own else w._replace(e_lo=spec.e_left / b, e_hi=spec.e_right / b)
+        table = _peak_table(fam, n, b / a, weight)
+    if table is None or n and not set(table[1]) <= set(spec.breakpoints):
+        raise DomainError(f"no known peaks for the basis {fam.label()} n={n}, a={a:g}, b={b:g} "
+                          f"on ({spec.a:g}, {spec.b:g})")
+    return (*table, a)
 
 
 @lru_cache(maxsize=64)
-def _peak_table(fam: PolynomialFamily, n: int, ratio: float) -> Optional[tuple]:
-    """(critical points, zeros of p_n, g'/a and g''/a at the points), from
-    :func:`families.critical_points` and :func:`families.critical_derivatives`;
-    None where g has no n + 1 peaks."""
-    crit = critical_points(fam, n, ratio)
+def _peak_table(fam: PolynomialFamily, n: int, ratio: float, weight) -> Optional[tuple]:
+    """(tops, knots, g'/a, g''/a) of g = a ln|p_n| + b ln h, ratio = b/a, h
+    the family's weight or ``weight``: :func:`families.pole_peaks` where h
+    has a pole, else the critical points, None where there are not n + 1."""
+    w = fam.weight if weight is None else weight
+    if min(w.e_lo, w.e_hi) < 0.0:
+        return pole_peaks(fam, n, ratio, w)
+    crit = critical_points(fam, n, ratio, weight)
     if not crit:
         return None
     return (np.array(crit), np.array(polynomial_zeros(fam, n)),
-            *critical_derivatives(fam, n, ratio, crit))
+            *critical_derivatives(fam, n, ratio, crit, weight))
 
 
 def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:
-    """Record on each panel of the specs with known peaks (``known``, spec
-    -> :func:`_known_peaks`) its top, the peak of its gap between knots
+    """Record on each panel of the specs (``known``, spec -> its
+    :func:`_known_peaks`) its top, the peak of its gap between knots
     clipped to the panel, and the width sigma = 1/(a |g'| + sqrt(-a g''))
     there, 1/sqrt(-g'') at an interior peak, both mapped into the panel's
     coordinate (on a substituted panel sigma takes the curvature of the
@@ -1273,8 +1198,8 @@ def _spec_panels(specs: _Specs, k: int, lo: float, hi: float, bps: list[float]
                  ) -> list[_Panel]:
     """Spec k's panels between its (cut) ends lo and hi, split at its
     breakpoints, a substituted end panel in t; a cusped spec's panels
-    (:func:`_cusped`) graded where they end at a breakpoint, a
-    log-singular one's at a pole too, and, with log-singular ends on a
+    (:func:`_cusped`) graded where they end at a breakpoint, those of a
+    basis or a log-singular phi at a pole, and, with log-singular ends on a
     finite support, at an end with a nonzero exponent (see the module
     docstring)."""
     spec = specs.specs[k]
@@ -1282,8 +1207,8 @@ def _spec_panels(specs: _Specs, k: int, lo: float, hi: float, bps: list[float]
         if e <= -1.0:
             raise DomainError(f"non-integrable {name} endpoint exponent {e}")
     edges = [lo] + [x for x in bps if lo < x < hi] + [hi]
-    cusped = _cusped(spec)
-    graded = cusped and len(edges) > 2  # every panel ends at a breakpoint
+    graded = _cusped(spec) and len(edges) > 2  # every panel ends at a breakpoint
+    pole_graded = specs.pole_graded[k]
     # log-singular weight ends, graded on a finite support: a tail panel
     # graded at its cut end too took more evaluations than a plain one
     ends = spec.log_singular_ends and (lo, hi) == (spec.a, spec.b)
@@ -1305,7 +1230,7 @@ def _spec_panels(specs: _Specs, k: int, lo: float, hi: float, bps: list[float]
         else:
             side, v0, v1, pole = _PLAIN, u, v, False
         at_end = u == spec.a and spec.e_left != 0.0 or v == spec.b and spec.e_right != 0.0
-        if graded or spec.log_singular and pole or ends and at_end:
+        if graded or pole_graded and pole or ends and at_end:
             panels.append(_Panel(0.0, 1.0, side, k, (v0, v1)))
         else:
             panels.append(_Panel(v0, v1, side, k))
@@ -1333,17 +1258,13 @@ def _log_integrals(specs: _Specs, cfg: QuadratureConfig) -> list:
         if specs.errors[k] is None:
             try:
                 panels += _spec_panels(specs, k, *ends[k], bps[k])
-                if (peaks := _known_peaks(spec)) is not None:
-                    known[k] = peaks
+                known[k] = _known_peaks(spec)
             except (DomainError, NumericalFailure) as exc:
                 specs.errors[k] = exc
-    # each panel's peak: known in closed form, or scanned; the panels stay in spec order
+    # each panel's peak, known in closed form; the panels stay in spec order
     panels = [p for p in panels if specs.errors[p.owner] is None]
-    scan = [p for p in panels if p.owner not in known]
-    if scan:
-        _scan_panels(specs, scan)
-    if len(scan) < len(panels):
-        _place_peaks(specs, [p for p in panels if p.owner in known], known)
+    if panels:
+        _place_peaks(specs, panels, known)
     work = [p for p in panels if specs.errors[p.owner] is None]
     peaks = {}
     for p in work:
@@ -1355,14 +1276,12 @@ def _log_integrals(specs: _Specs, cfg: QuadratureConfig) -> list:
 
     # the first pass cuts every graded panel into quarters, and every panel
     # whose peak is much narrower than itself geometrically toward that
-    # peak: a graded panel's known peak (a scanned one is in s, and left
-    # alone) in v, at its top too, and the cuts mapped into s
+    # peak: a graded panel's in v, at its top too, and the cuts mapped into s
     panels, los, his = [], [], []
     for p in work:
         lo, hi = p.grade or (p.lo, p.hi)
         cut = []
-        if ((p.grade is None or p.owner in known) and hi - lo > _PEAK_WIDTH * p.sigma
-                and p.peak >= specs.shift[p.owner] - _PEAK_NATS):
+        if hi - lo > _PEAK_WIDTH * p.sigma and p.peak >= specs.shift[p.owner] - _PEAK_NATS:
             cut = _peak_cuts(p, lo, hi, _CUT_MARGIN if specs.specs[p.owner].peaks is not None
                              else 0.0, p.grade is not None)
         if p.grade is not None:

@@ -330,11 +330,11 @@ def test_non_finite_result_is_computation_failure(capsys):
 
 
 def test_sweep_row_with_failed_quadrature_carries_error(capsys):
-    # a pole of (1 - x^2)^(-1/4) at both ends keeps the peak scan: at q = 1e12
-    # the peak is narrower than the zooms resolve, and the nodes that find it
+    # Hermite n = 3 at q = 1e17: the peaks, of width ~ 1e-9 next to |x| ~ 1,
+    # lie below the resolution of their tops, and the nodes that find them
     # exceed the shifted clamp
-    rc, out, _ = run_cli(["sweep", "--family", "gegenbauer", "--lambda", "0.25", "--n", "3",
-                          "--op", "unweighted-norm", "--grid", "q=2,1000000000000",
+    rc, out, _ = run_cli(["sweep", "--family", "hermite", "--n", "3",
+                          "--op", "unweighted-norm", "--grid", "q=2,1e17",
                           "--engine", "quadrature"], capsys)
     assert rc == 3
     rows = out.strip().splitlines()[1:]

@@ -8,12 +8,12 @@ from hopnorms import paramasym
 from hopnorms.errors import DomainError
 from hopnorms.families import (eval_log_many, gegenbauer, gegenbauer_jacobi_factor_log,
                                hermite, jacobi, laguerre, norm_constant_log,
-                               polynomial_zeros, weight_log_many)
+                               polynomial_zeros)
 from hopnorms.norms import (density_integral, unweighted_norm_quad, weight_moment,
                             weight_moment_log, weighted_norm_quad)
 from hopnorms.laplace import unweighted_norm_q_asym, weighted_norm_q_asym
 from hopnorms.measures import DensityHandle, fisher_renyi, lmc_renyi, renyi_entropy, renyi_length
-from hopnorms.quadrature import LogIntegrand, QuadratureConfig, log_integral
+from hopnorms.quadrature import Basis, LogIntegrand, QuadratureConfig, log_integral
 from hopnorms.special import log_gamma
 
 from .helpers import FAMILY_CONFIGS, ONE_PER_FAMILY
@@ -65,17 +65,10 @@ def test_orthogonality():
                 def phi(x, *_, m=m, n=n):
                     (sm, lm), (sn, ln) = eval_log_many(fam, m, x), eval_log_many(fam, n, x)
                     return sm * sn * np.exp(lm + ln)
-                def g(x):
-                    return weight_log_many(fam, x)
-                seeds = None
-                lo, hi = fam.support
-                spec = LogIntegrand(a=lo, b=hi, g_core_many=g, phi_many=phi,
-                                    e_left=0.0, e_right=0.0,
+                w = fam.weight  # the integrand h p_m p_n: the weight's basis, p_0, and phi
+                spec = LogIntegrand(a=w.lo, b=w.hi, basis=Basis(fam, 0, 1.0, 1.0), phi_many=phi,
+                                    e_left=w.e_lo, e_right=w.e_hi,
                                     breakpoints=tuple(polynomial_zeros(fam, n)))
-                if fam.kind in ("jacobi", "gegenbauer"):
-                    spec = LogIntegrand(a=lo, b=hi, g_core_many=np.zeros_like, phi_many=phi,
-                                        e_left=fam.weight.e_lo, e_right=fam.weight.e_hi,
-                                        breakpoints=tuple(polynomial_zeros(fam, n)))
                 res = log_integral(spec)
                 if m == n:
                     assert res.log_abs == pytest.approx(kappa_log, abs=1e-9)
@@ -149,8 +142,8 @@ def _miss(log_value, want):
 ], ids=lambda v: (v.label() if hasattr(v, "label") else f"N={v}" if isinstance(v, Unweighted)
                   else None))
 def test_peaks_narrower_than_the_scan_grid(fam, n, q, want):
-    # the peak of (p_n^2 h)^q, of width ~ 1/sqrt(q), falls between the scan
-    # points and only a zoom reaches it.  Kept whole, its panel raised "a
+    # the peak of (p_n^2 h)^q, of width ~ 1/sqrt(q), fell between the points
+    # of the old scan, and only a zoom reached it.  Kept whole, its panel raised "a
     # positive integrand summed to zero" where every node missed the peak,
     # and Laguerre(7), n = 2 read 64 nats low where nodes met only a flank
     r = (unweighted_norm_quad if isinstance(want, Unweighted) else weighted_norm_quad)(fam, n, q)
@@ -214,11 +207,10 @@ def test_weight_moments_against_quadrature():
     for fam in (jacobi(2.5, 1.5), jacobi(0.3, 1.1), gegenbauer(3.5),
                 jacobi(-0.7, -0.6), gegenbauer(-0.25)):
         for t in (0, 1, 2, 5):
-            lo, hi = fam.support
-            spec = LogIntegrand(a=lo, b=hi, g_core_many=np.zeros_like,
+            w = fam.weight
+            spec = LogIntegrand(a=w.lo, b=w.hi, basis=Basis(fam, 0, 1.0, 1.0),
                                 phi_many=lambda x, *_: x ** t,
-                                e_left=fam.weight.e_lo, e_right=fam.weight.e_hi,
-                                breakpoints=(0.0,))
+                                e_left=w.e_lo, e_right=w.e_hi, breakpoints=(0.0,))
             res = log_integral(spec)
             want = weight_moment_log(fam, t)
             if want.sign == 0:

@@ -50,10 +50,11 @@ def test_temme_m0_all_orders():
 @pytest.mark.parametrize("mu, lam", [(1.0, 1.0), (0.3, 2.0), (3.0, 0.5)])
 def test_temme_oracle_meets_its_closed_form_at_m0(mu, lam):
     # L_0 = 1: the oracle's integrand is x^(mu - 1) e^(-lam x), a pole at
-    # x = 0 for mu = 0.3, whose peaks the engine scans; its integral is
-    # Gamma(mu)/lam^mu, met within the claim plus the rounding of the terms
+    # x = 0 for mu = 0.3; its basis takes its peaks from its own exponent
+    # mu - 1.  Its integral is Gamma(mu)/lam^mu, met within the claim plus
+    # the rounding of the terms
     spec = paramasym._temme_spec(0, 50.0, mu, lam, 2.0)
-    assert quadrature._known_peaks(spec) is None
+    assert quadrature._known_peaks(spec) is not None
     res = quadrature.log_integral(spec)
     terms = (math.lgamma(mu), -mu * math.log(lam))
     assert res.sign == 1

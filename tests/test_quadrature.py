@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hopnorms.bell import unweighted_norm_bell
 from hopnorms.errors import DomainError
@@ -12,20 +12,21 @@ from hopnorms.families import gegenbauer, hermite, jacobi, laguerre
 from hopnorms import families, measures, norms, quadrature
 from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
 from hopnorms.quadrature import (_GRADE, LogIntegrand, QuadratureConfig, QuadratureFailure,
-                                 _graded, _Panel, _Specs, _power, _scan_panels, log_integral)
+                                 _graded, _Panel, _power, log_integral)
+
+from .helpers import grid_peaks, named
 
 
 def test_gaussian_full_line():
-    spec = LogIntegrand(a=-math.inf, b=math.inf, g_core_many=lambda x: -x * x)
+    spec = named(a=-math.inf, b=math.inf, g_core_many=lambda x: -x * x)
     res = log_integral(spec)
     assert res.sign == 1
     assert res.log_abs == pytest.approx(0.5 * math.log(math.pi), abs=1e-12)
 
 
 def test_shifted_narrow_gaussian():
-    # peak at x = 4000 with curvature 1/2000; exercises the peak scan + shift
-    spec = LogIntegrand(a=0.0, b=math.inf,
-                        g_core_many=lambda x: 4000.0 * np.log(x) - x)
+    # peak at x = 4000 with curvature 1/4000; exercises the named peak + shift
+    spec = named(a=0.0, b=math.inf, g_core_many=lambda x: 4000.0 * np.log(x) - x)
     res = log_integral(spec)
     want = math.lgamma(4001.0)
     assert res.log_abs == pytest.approx(want, abs=1e-9)
@@ -33,21 +34,21 @@ def test_shifted_narrow_gaussian():
 
 def test_endpoint_singularity_transform():
     # int_0^1 x^(-1/2) dx = 2, exponent supplied separately from the core
-    spec = LogIntegrand(a=0.0, b=1.0, g_core_many=np.zeros_like, e_left=-0.5)
+    spec = named(a=0.0, b=1.0, g_core_many=np.zeros_like, e_left=-0.5)
     res = log_integral(spec)
     assert math.exp(res.log_abs) == pytest.approx(2.0, rel=1e-11)
 
 
 def test_both_endpoints_singular():
     # int_-1^1 (1-x)^(-0.3) (1+x)^(-0.6) dx (a Beta integral)
-    spec = LogIntegrand(a=-1.0, b=1.0, g_core_many=np.zeros_like, e_left=-0.6, e_right=-0.3)
+    spec = named(a=-1.0, b=1.0, g_core_many=np.zeros_like, e_left=-0.6, e_right=-0.3)
     res = log_integral(spec)
     want = (0.1 * math.log(2.0) + math.lgamma(0.7) + math.lgamma(0.4) - math.lgamma(1.1))
     assert res.log_abs == pytest.approx(want, rel=1e-11)
 
 
 def test_non_integrable_exponent_rejected():
-    spec = LogIntegrand(a=0.0, b=1.0, g_core_many=np.zeros_like, e_left=-1.2)
+    spec = named(a=0.0, b=1.0, g_core_many=np.zeros_like, e_left=-1.2)
     with pytest.raises(DomainError):
         log_integral(spec)
 
@@ -55,15 +56,15 @@ def test_non_integrable_exponent_rejected():
 def test_signed_phi():
     # int_-inf^inf exp(-x^2) (x^3 - x) dx = 0 by parity; converges on the
     # rounding floor of int |f|
-    spec = LogIntegrand(a=-math.inf, b=math.inf, g_core_many=lambda x: -x * x,
-                        phi_many=lambda x, *_: x ** 3 - x)
+    spec = named(a=-math.inf, b=math.inf, g_core_many=lambda x: -x * x,
+                 phi_many=lambda x, *_: x ** 3 - x)
     res = log_integral(spec)
     assert res.sign == 0 or res.log_abs < math.log(1e-11)
 
 
 def test_phi_with_value():
     # int_0^inf e^{-x} x dx = 1 via phi
-    spec = LogIntegrand(a=0.0, b=math.inf, g_core_many=lambda x: -x, phi_many=lambda x, *_: x)
+    spec = named(a=0.0, b=math.inf, g_core_many=lambda x: -x, phi_many=lambda x, *_: x)
     res = log_integral(spec)
     assert res.sign == 1
     assert math.exp(res.log_abs) == pytest.approx(1.0, rel=1e-11)
@@ -71,16 +72,14 @@ def test_phi_with_value():
 
 def test_breakpoint_cusp():
     # int_-1^1 |x|^0.5 dx = 4/3 with a cusp breakpoint at 0
-    spec = LogIntegrand(a=-1.0, b=1.0,
-                        g_core_many=lambda x: 0.5 * np.log(np.abs(x)),
-                        breakpoints=(0.0,))
+    spec = named(a=-1.0, b=1.0, g_core_many=lambda x: 0.5 * np.log(np.abs(x)),
+                 breakpoints=(0.0,))
     res = log_integral(spec)
     assert math.exp(res.log_abs) == pytest.approx(4.0 / 3.0, rel=1e-10)
 
 
 def test_monotone_refinement():
-    spec = LogIntegrand(a=-1.0, b=1.0,
-                        g_core_many=lambda x: 3.0 * np.log(np.abs(np.sin(3 * x) + 1.1)))
+    spec = named(a=-1.0, b=1.0, g_core_many=lambda x: 3.0 * np.log(np.abs(np.sin(3 * x) + 1.1)))
     errs = []
     tol = 1e-6
     for _ in range(6):
@@ -91,7 +90,7 @@ def test_monotone_refinement():
 
 def test_failure_carries_best_estimate(monkeypatch):
     c = 0.3331
-    spec = LogIntegrand(a=0.0, b=1.0, g_core_many=lambda x: 0.5 * np.log(np.abs(x - c)))
+    spec = named(a=0.0, b=1.0, g_core_many=lambda x: 0.5 * np.log(np.abs(x - c)))
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
     with pytest.raises(QuadratureFailure) as exc_info:
         log_integral(spec, QuadratureConfig(rel_tol=1e-30))
@@ -108,9 +107,9 @@ def test_config_validation():
 
 def _laguerre_like():
     # tail walk, a cusp breakpoint, a transformed singular left endpoint and phi
-    spec = LogIntegrand(a=0.0, b=math.inf, e_left=-0.5, breakpoints=(1.5,),
-                        g_core_many=lambda x: 3.0 * np.log(np.abs(x - 1.5)) - x,
-                        phi_many=lambda x, *_: np.log(x + 2.0))
+    spec = named(a=0.0, b=math.inf, e_left=-0.5, breakpoints=(1.5,),
+                 g_core_many=lambda x: 3.0 * np.log(np.abs(x - 1.5)) - x,
+                 phi_many=lambda x, *_: np.log(x + 2.0))
     want = mpmath.quad(lambda x: x ** -0.5 * abs(x - 1.5) ** 3 * mpmath.exp(-x) * mpmath.log(x + 2),
                        [0, 1.5, mpmath.inf])
     return spec, want
@@ -118,8 +117,8 @@ def _laguerre_like():
 
 def _jacobi_like():
     # both endpoints singular and transformed, one interior breakpoint
-    spec = LogIntegrand(a=-1.0, b=1.0, e_left=-0.3, e_right=-0.6, breakpoints=(0.25,),
-                        g_core_many=lambda x: 4.0 * np.log(np.abs(x - 0.25)))
+    spec = named(a=-1.0, b=1.0, e_left=-0.3, e_right=-0.6, breakpoints=(0.25,),
+                 g_core_many=lambda x: 4.0 * np.log(np.abs(x - 0.25)))
     want = mpmath.quad(lambda x: (1 + x) ** -0.3 * (1 - x) ** -0.6 * (x - 0.25) ** 4,
                        [-1, 0.25, 1])
     return spec, want
@@ -156,9 +155,9 @@ def test_graded_panel_map():
 def _log_singular_spec(log_singular: bool) -> LogIntegrand:
     # rho = x^-0.5 (x - 0.7)^2 (x - 1.3)^2 on (0, 2), integrand -rho ln rho:
     # log-singular at both zeros and at the pole x = 0
-    return LogIntegrand(a=0.0, b=2.0, e_left=-0.5, breakpoints=(0.7, 1.3),
-                        g_core_many=lambda x: 2.0 * np.log(np.abs((x - 0.7) * (x - 1.3))),
-                        phi_many=lambda x, core, ends: -(core + ends), log_singular=log_singular)
+    return named(a=0.0, b=2.0, e_left=-0.5, breakpoints=(0.7, 1.3),
+                 g_core_many=lambda x: 2.0 * np.log(np.abs((x - 0.7) * (x - 1.3))),
+                 phi_many=lambda x, core, ends: -(core + ends), log_singular=log_singular)
 
 
 def test_graded_panels_of_a_log_singular_integrand():
@@ -177,15 +176,17 @@ def test_graded_panels_of_a_log_singular_integrand():
 
 
 def test_live_windows_of_several_panels():
-    # one narrow peak per panel, each at its own height: the scan's zooms
-    # find all three, and the first pass cuts each panel toward its own
+    # one narrow peak per panel, each at its own height and named: the
+    # first pass cuts each panel toward its own
     k, centres, heights = 1e4, np.array([0.4, 1.55, 2.7]), np.array([0.0, 3.0, -2.0])
 
     def g(x):
         i = np.clip(np.floor(x), 0, 2).astype(int)
         return heights[i] - k * (x - centres[i]) ** 2
 
-    res = log_integral(LogIntegrand(a=0.0, b=3.0, g_core_many=g, breakpoints=(1.0, 2.0)))
+    peaks = (centres, np.array([1.0, 2.0]), np.zeros(3), np.full(3, -2.0 * k))
+    res = log_integral(LogIntegrand(a=0.0, b=3.0, g_core_many=g, breakpoints=(1.0, 2.0),
+                                    peaks=peaks))
     want = 0.5 * math.log(math.pi / k) + math.log(np.exp(heights).sum())
     assert res.sign == 1
     assert math.exp(res.log_abs - want) == pytest.approx(1.0, rel=1e-13)
@@ -196,8 +197,8 @@ def test_error_covers_the_rounding_of_g_at_its_scale(a, q):
     # int x^(qa) e^(-qx) dx = Gamma(qa + 1) / q^(qa + 1): g peaks near -1e6
     # nats, where its own rounding exceeds rel_tol.  The claim must cover
     # that rounding, and the refinement must stop at it instead of stalling
-    spec = LogIntegrand(a=0.0, b=math.inf, g_core_many=lambda x: q * (a * np.log(x) - x),
-                        breakpoints=(0.98 * a, 1.02 * a))
+    spec = named(a=0.0, b=math.inf, g_core_many=lambda x: q * (a * np.log(x) - x),
+                 breakpoints=(0.98 * a, 1.02 * a))
     res = log_integral(spec)
     with mpmath.workdps(40):
         want = mpmath.loggamma(q * a + 1) - (q * a + 1) * mpmath.log(q)
@@ -210,7 +211,7 @@ def test_error_covers_the_rounding_of_the_nodes(c, w):
     # a peak of width w next to |x| ~ c: each node x rounds by a few eps |x|,
     # which moves g by eps |x| / w, far beyond the rounding of g's own terms.
     # The integral over (c - 1, c + 1) is w sqrt(2 pi) to double precision
-    spec = LogIntegrand(a=c - 1.0, b=c + 1.0, g_core_many=lambda x: -0.5 * ((x - c) / w) ** 2)
+    spec = named(a=c - 1.0, b=c + 1.0, g_core_many=lambda x: -0.5 * ((x - c) / w) ** 2)
     res = log_integral(spec)
     with mpmath.workdps(40):
         want = mpmath.log(mpmath.mpf(w) * mpmath.sqrt(2 * mpmath.pi))
@@ -219,18 +220,19 @@ def test_error_covers_the_rounding_of_the_nodes(c, w):
 
 
 def test_positive_integrand_that_sums_to_zero_fails():
-    # g is 0 at the scan and far below it at every later point, as where
-    # the nodes miss a peak the scan saw; that must not read as an integral
-    # of 0.  (A concave peak no longer vanishes: the first pass puts nodes
-    # within 1.5 sigma of the peak found.)
+    # g is 0 at its named top and far below it at every later point, as
+    # where the nodes miss a peak; that must not read as an integral of 0.
+    # (A concave peak no longer vanishes: the first pass puts nodes within
+    # 1.5 sigma of the peak.)
     calls = []
 
     def g(x):
         calls.append(None)
         return np.full_like(x, 0.0 if len(calls) == 1 else -1e4)
 
+    peaks = (np.array([0.5]), np.array([]), np.zeros(1), np.zeros(1))
     with pytest.raises(QuadratureFailure, match="summed to zero"):
-        log_integral(LogIntegrand(a=0.0, b=1.0, g_core_many=g))
+        log_integral(LogIntegrand(a=0.0, b=1.0, g_core_many=g, peaks=peaks))
 
 
 def test_gauss_kronrod_table():
@@ -301,7 +303,7 @@ def test_peaked_panels_are_cut_toward_their_peaks(gk_batches, fam, n, q, most):
     # n = 2 at W_1000 has peaks of width 0.016 that stay within 120 nats of
     # their tops over 0.37.
     # Halved toward the peak one round at a time, they took a first pass and
-    # 5 and 3 rounds; cut at the scan's peak widths, they take at most the
+    # 5 and 3 rounds; cut at their peaks' widths, they take at most the
     # first pass and one round
     r = weighted_norm_quad(fam, n, q)
     assert len(gk_batches) <= most
@@ -354,12 +356,12 @@ def _meets_degree_zero_closed_form(fam, q: float) -> None:
                                  gegenbauer(0.25)], ids=lambda f: f.label())
 @pytest.mark.parametrize("scale", [0.5, 1.0, 1.05, "pole"])
 def test_degree_zero_pole_norms_meet_their_closed_forms(fam, scale):
-    # a weight with a pole, whose peaks the engine scans: W_q of p_0 from
+    # a weight with a pole, whose peaks the pole rule names: W_q of p_0 from
     # q = 0.5 up to q = 0.99/|e| for the end exponent e < 0, where h^q is
     # nearly non-integrable
     w = fam.weight
     q = 0.99 / -min(w.e_lo, w.e_hi) if scale == "pole" else scale
-    assert quadrature._known_peaks(norms.norm_spec(("weighted-norm", fam, 0, q, False))) is None
+    assert quadrature._known_peaks(norms.norm_spec(("weighted-norm", fam, 0, q, False))) is not None
     _meets_degree_zero_closed_form(fam, q)
 
 
@@ -437,27 +439,6 @@ def test_weak_endpoint_powers_cost_few_batches(batches, fam, n, q, most):
     assert r.error_estimate <= 1e-11
 
 
-def test_only_unresolved_peaks_are_zoomed():
-    # a broad peak is resolved by the scan alone: one batch.  A peak
-    # narrower than the scan's spacing takes the three zoom rounds, and
-    # only its own panel is zoomed
-    calls = []
-
-    def g(x):
-        calls.append(x.size)
-        return np.where(x < 1.0, -(x - 0.3) ** 2, -1e6 * (x - 1.6) ** 2)
-
-    spec = _Specs([LogIntegrand(a=0.0, b=2.0, g_core_many=g)])
-    panel = _Panel(0.0, 1.0)
-    _scan_panels(spec, [panel])
-    assert len(calls) == 1 and panel.peak > -1e-3
-    calls.clear()
-    panels = [_Panel(0.0, 1.0), _Panel(1.0, 2.0)]
-    _scan_panels(spec, panels)
-    assert calls == [2 * 33] + [16] * 3  # the scan, then 16 zoom points a round
-    assert panels[1].peak > -0.1
-
-
 # -- lockstep -------------------------------------------------------------
 
 def _outcome(res):
@@ -470,18 +451,18 @@ _LOCKSTEP_FAMILIES = (hermite(), laguerre(0.5), laguerre(3.0), jacobi(2.0, 1.0),
 
 
 def _raw_spec(kind: int, c: float, w: float) -> LogIntegrand:
-    """A raw integrand: a Gaussian on the line with a signed phi, a peak
-    between finite ends whose weak powers the engine substitutes, or a
-    narrow peak in a wide panel, which the scan's zooms find and the
-    first pass cuts toward."""
+    """A raw integrand with named peaks: a Gaussian on the line with a
+    signed phi, a peak between finite ends whose weak powers the engine
+    substitutes, or a narrow peak in a wide panel, which the first pass
+    cuts toward."""
     if kind == 0:
-        return LogIntegrand(a=-math.inf, b=math.inf, g_core_many=lambda x: -((x - c) / w) ** 2,
-                            phi_many=lambda x, *_: x ** 3 - c)
+        return named(a=-math.inf, b=math.inf, g_core_many=lambda x: -((x - c) / w) ** 2,
+                     phi_many=lambda x, *_: x ** 3 - c)
     if kind == 1:
-        return LogIntegrand(a=-1.0, b=2.0, e_left=w - 0.5, e_right=0.25,
-                            g_core_many=lambda x: -((x - c) / w) ** 2,
-                            phi_many=lambda x, core, ends: core + ends + 1.0)
-    return LogIntegrand(a=0.0, b=1e4, g_core_many=lambda x: -((x - 5e3 * (1.0 + c)) / w) ** 2)
+        return named(a=-1.0, b=2.0, e_left=w - 0.5, e_right=0.25,
+                     g_core_many=lambda x: -((x - c) / w) ** 2,
+                     phi_many=lambda x, core, ends: core + ends + 1.0)
+    return named(a=0.0, b=1e4, g_core_many=lambda x: -((x - 5e3 * (1.0 + c)) / w) ** 2)
 
 
 _spec_strategy = st.one_of(
@@ -534,21 +515,23 @@ def test_lockstep_rows_match_their_lone_integrals(specs, data):
 
 
 def _raw_twin(spec: LogIntegrand) -> LogIntegrand:
-    """The spec of a basis with its g_core as a raw g_core_many, which the
-    scan serves."""
+    """The spec of a basis with its g_core as a raw g_core_many, whose
+    peaks a dense grid names (:func:`helpers.grid_peaks`): a reference that
+    shares no peak placement with the basis."""
     fam, n, a, b = spec.basis
-    return LogIntegrand(a=spec.a, b=spec.b, e_left=spec.e_left, e_right=spec.e_right,
-                        breakpoints=spec.breakpoints, phi_many=spec.phi_many,
-                        g_core_many=lambda x: a * families.eval_log_many(fam, n, x)[1]
-                        + b * fam.weight.core(x))
+    return named(a=spec.a, b=spec.b, e_left=spec.e_left, e_right=spec.e_right,
+                 breakpoints=spec.breakpoints, phi_many=spec.phi_many,
+                 g_core_many=lambda x: a * families.eval_log_many(fam, n, x)[1]
+                 + b * fam.weight.core(x))
 
 
 def test_failing_rows_do_not_stop_the_lockstep():
-    # q = 1e12 through the scan: the nodes that find the narrow peak exceed
-    # the shifted clamp; an exponent of -1.2 is not integrable; the third
-    # row passes
-    specs = [_raw_twin(norms.density_spec(hermite(), 2, 2e12, 1e12)),
-             LogIntegrand(a=0.0, b=1.0, g_core_many=np.zeros_like, e_left=-1.2),
+    # N_q of Hermite n = 3 at q = 1e17: the peaks, of width ~ 1e-9 next to
+    # |x| ~ 1, lie below the resolution of their tops, and the nodes that
+    # find them exceed the shifted clamp; an exponent of -1.2 is not
+    # integrable; the third row passes
+    specs = [norms.density_spec(hermite(), 3, 1e17, 1.0),
+             named(a=0.0, b=1.0, g_core_many=np.zeros_like, e_left=-1.2),
              norms.density_spec(jacobi(2.0, 1.0), 4, 6.0, 3.0)]
     alone = [quadrature.log_integrals([s])[0] for s in specs]
     together = quadrature.log_integrals(specs)
@@ -611,17 +594,22 @@ def _family(kind: str, a: float, b: float):
 @given(st.sampled_from(("hermite", "laguerre", "jacobi", "gegenbauer")), _EXPONENT, _EXPONENT,
        st.integers(0, 12), st.floats(1.0, 1e6), st.booleans())
 @example("laguerre", 0.0, 0.0, 0, 83508.0, True)
-def test_known_peaks_meet_the_scan(kind, a, b, n, q, weighted):
+def test_known_peaks_meet_the_grid_reference(kind, a, b, n, q, weighted):
     # a norm spec takes its peaks from one eigenproblem; its raw twin takes
-    # the scan and its zooms.  The two agree within the sum of their
+    # them from a dense grid.  The two agree within the sum of their
     # claims (a twin that stalls claims its best estimate's).
-    # Where the scan misses a narrow peak and the twin exceeds the clamp,
-    # as for Jacobi(0, 2390), n = 0, W_4583, the spec still answers.  The
-    # example's twin falls linearly from its peak at x = 0, where the
-    # scan's parabola is not concave: without a width from g' there, the
+    # Where the twin's top misses a narrow peak and exceeds the clamp, the
+    # spec still answers.  The example's twin falls linearly from its peak
+    # at x = 0, where g is not concave: without a width from g' there, the
     # first pass did not cut toward the peak and every node underflowed
     spec = norms.density_spec(_family(kind, a, b), n, *((2.0 * q, q) if weighted else (q, 1.0)))
     assert quadrature._known_peaks(spec) is not None
+    _meets_its_raw_twin(spec)
+
+
+def _meets_its_raw_twin(spec: LogIntegrand) -> None:
+    """The spec and its raw twin, in lockstep, agree within the sum of their
+    claims; a twin that exceeds the clamp is let pass."""
     known, raw = quadrature.log_integrals([spec, _raw_twin(spec)])
     assert known.sign == 1 and math.isfinite(known.log_abs) and math.isfinite(known.rel_err)
     if isinstance(raw, Exception) and not isinstance(raw, QuadratureFailure):
@@ -636,10 +624,11 @@ def test_known_peaks_meet_the_scan(kind, a, b, n, q, weighted):
 @given(st.sampled_from(("hermite", "laguerre", "jacobi", "gegenbauer")), _EXPONENT, _EXPONENT,
        st.integers(1, 12), st.floats(1e-3, 3.0, exclude_max=True).filter(lambda p: p % 1.0),
        st.booleans())
-def test_cusped_norms_meet_the_scan(kind, a, b, n, power, weighted):
+def test_cusped_norms_meet_the_grid_reference(kind, a, b, n, power, weighted):
     # |p_n|^power with a non-integer power below 3 has a cusp at every zero,
     # where the spec's panels are graded; its raw twin takes plain panels
-    # and the scan.  The two agree within the sum of their claims
+    # and peaks named from a dense grid.  The two agree within the sum of
+    # their claims
     spec = norms.density_spec(_family(kind, a, b), n, power, 0.5 * power if weighted else 1.0)
     assert quadrature._cusped(spec)
     graded, raw = quadrature.log_integrals([spec, _raw_twin(spec)])
@@ -647,6 +636,39 @@ def test_cusped_norms_meet_the_scan(kind, a, b, n, power, weighted):
     raw = raw.best if isinstance(raw, QuadratureFailure) else raw
     assert raw.sign == 1
     assert abs(math.expm1(graded.log_abs - raw.log_abs)) <= graded.rel_err + raw.rel_err
+
+
+# a pole: an end exponent in (-1, 0); Gegenbauer's lambda - 1/2 = e/2
+_POLE = st.floats(-0.99, -0.01)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("laguerre", "jacobi", "gegenbauer")), _POLE, st.one_of(_POLE, _EXPONENT),
+       st.booleans(), st.integers(0, 12), st.floats(0.05, 1e4), st.booleans())
+def test_pole_norms_meet_the_grid_reference(kind, e, other, swap, n, q, weighted):
+    # one or both end exponents in (-1, 0): the pole rule names the peaks
+    # (families.pole_peaks), its raw twin's come from a dense grid, and the
+    # two agree within the sum of their claims
+    fam = {"laguerre": lambda: laguerre(e), "gegenbauer": lambda: gegenbauer(0.5 + 0.5 * e),
+           "jacobi": lambda: jacobi(*((other, e) if swap else (e, other)))}[kind]()
+    w = fam.weight
+    assume(not weighted or q * min(w.e_lo, w.e_hi) > -1.0)
+    spec = norms.density_spec(fam, n, *((2.0 * q, q) if weighted else (q, 1.0)))
+    _meets_its_raw_twin(spec)
+
+
+@pytest.mark.parametrize("fam, q, want", [
+    (jacobi(-0.5, 0.3), 0.05, "1.01619420898474006848314828603"),
+    (jacobi(-0.9, -0.9), 0.3, "1.59014239609231104988997051058"),
+], ids=["wendroff-fails", "three-critical-points"])
+def test_pole_norms_meet_mpmath(fam, q, want):
+    # ln N_q of p_2, to 40 digits by mpmath with the pole end substituted,
+    # u = (x - c)^(1 + e).  At b/a = 1/q = 20 the eigenproblem of
+    # families.critical_points fails Wendroff's condition for Jacobi(-0.5,
+    # 0.3); Jacobi(-0.9, -0.9) at b/a = 3.33 has three critical points in
+    # its middle gap, where g is not concave
+    r = unweighted_norm_quad(fam, 2, q)
+    assert abs(r.log_value - float(want)) <= r.error_estimate
 
 
 # ln of int |p_n|^a h^b over the support, to 40 digits: mpmath.quad split
@@ -717,11 +739,11 @@ def test_critical_points_put_one_peak_in_each_gap(kind, a, b, n):
 
 def test_basis_norms_never_scan(monkeypatch):
     # norms, entropies and a lockstep q grid: every spec with a basis and
-    # exponents >= 0 takes its peaks from the eigenproblem
-    def scan(*args):
-        raise AssertionError("scanned a spec whose peaks are known")
+    # exponents >= 0 takes its peaks from the eigenproblem, not the pole rule
+    def pole_peaks(*args):
+        raise AssertionError("the pole rule served a weight without a pole")
 
-    monkeypatch.setattr(quadrature, "_scan_panels", scan)
+    monkeypatch.setattr(quadrature, "pole_peaks", pole_peaks)
     for fam in (hermite(), laguerre(0.0), laguerre(2.5), jacobi(2.5, 1.5), jacobi(3.0, 0.0),
                 gegenbauer(0.5), gegenbauer(1.75)):
         for n in (0, 1, 5):
@@ -745,27 +767,55 @@ _FISHER_DENSITIES = (
     + [(hermite(), n) for n in range(100, 112)])
 
 
-def test_fisher_never_scans(monkeypatch):
-    # Fisher's spec names its peaks (families.numerator_peaks), so neither it
-    # nor its partner in fisher_shannon or fisher_renyi is scanned.  Each value
-    # lies within the sum of its claim and that of its scanned twin, the spec
-    # broken at the zeros of p_n as before it named its peaks
+def test_fisher_never_scans():
+    # Fisher's spec names its peaks in closed form (families.numerator_peaks).
+    # Each value lies within the sum of its claim and that of its twin, whose
+    # peaks a dense grid names over the same breakpoints
     densities = [measures.DensityHandle(fam, n) for fam, n in _FISHER_DENSITIES]
     specs = [measures._fisher_spec(d) for d in densities]
-    twins = [quadrature.log_integral(dataclasses.replace(
-        spec, peaks=None, breakpoints=tuple(families.polynomial_zeros(d.family, d.n))))
-        for spec, d in zip(specs, densities)]
-
-    def scan(*args):
-        raise AssertionError("scanned a spec whose peaks are known")
-
-    monkeypatch.setattr(quadrature, "_scan_panels", scan)
+    twins = [quadrature.log_integral(dataclasses.replace(spec, peaks=grid_peaks(
+        lambda x, g=spec.g_core_many: g(x)[0], spec.a, spec.b, spec.e_left, spec.e_right,
+        spec.breakpoints))) for spec in specs]
     for spec, twin in zip(specs, twins):
         res = quadrature.log_integral(spec)
         assert res.sign == 1 and math.isfinite(res.log_abs)
         assert abs(math.expm1(res.log_abs - twin.log_abs)) <= res.rel_err + twin.rel_err
     for d in densities[:27]:
         assert measures.fisher_shannon(d) > 0.0 and measures.fisher_renyi(d, 2.0) > 0.0
+
+
+@pytest.mark.parametrize("fam", [jacobi(0.0, 0.0), gegenbauer(0.5)], ids=lambda f: f.label())
+def test_flat_fisher_is_zero_without_quadrature(gk_batches, fam):
+    # p_0 of the flat weight: rho is constant, N = 0, and F is exactly 0,
+    # as are the products with F (the parent integrated it, one batch)
+    d = measures.DensityHandle(fam, 0)
+    assert measures.fisher_integral(d) == (0, -math.inf, 0.0, 0)
+    assert measures.fisher_information(d) == 0.0
+    assert measures.fisher_shannon(d) == 0.0 and measures.fisher_renyi(d, 2.0) == 0.0
+    assert not gk_batches
+
+
+def _two_gaussians(x):
+    return np.logaddexp(-0.5 * ((x - 0.3) / 1e-4) ** 2, -0.5 * ((x - 0.7) / 1e-4) ** 2)
+
+
+def test_a_raw_integrand_names_its_peaks():
+    # two Gaussians of width 1e-4 at 0.3 and 0.7 on (0, 1): without its
+    # peaks a raw g_core once kept one per panel and returned ln W - ln 2
+    # claiming 4.9e-12; now it must name them, one per panel of a breakpoint
+    with pytest.raises(DomainError, match="must name its peaks"):
+        log_integral(LogIntegrand(a=0.0, b=1.0, g_core_many=_two_gaussians))
+    peaks = (np.array([0.3, 0.7]), np.array([0.5]), np.zeros(2), np.full(2, -1e8))
+    res = log_integral(LogIntegrand(a=0.0, b=1.0, g_core_many=_two_gaussians, breakpoints=(0.5,),
+                                    peaks=peaks))
+    want = math.log(2.0 * 1e-4 * math.sqrt(2.0 * math.pi))  # -7.5983
+    assert res.sign == 1 and abs(res.log_abs - want) <= res.rel_err
+
+
+def test_error_claims_are_python_floats():
+    # the rounding terms, where they win, were numpy scalars
+    assert type(weighted_norm_quad(laguerre(1e4), 2, 50.0).error_estimate) is float
+    assert type(measures.fisher_integral(measures.DensityHandle(laguerre(2.0), 60)).rel_err) is float
 
 
 def test_known_peaks_cut_the_points_of_a_large_degree(monkeypatch):
