@@ -1,16 +1,29 @@
 #!/usr/bin/env python3
-"""Count Gauss-Kronrod batches and points per request over a benchmark pool.
+"""Count Gauss-Kronrod batches and points per request over a benchmark pool
+or a case set.
 
 Runs every request of a pool of perfbench/workloads.py once, in process,
-through perfbench/worker.execute, with a wrapper on quadrature._gk_rows
-that counts its calls (batches) and rows x 21 (points), and prints one JSON
-object: per request kind (the functional's name, or the norm's engine and
-op, or "sweep"), the number of requests and the batches and points per
-request.  Counts do not depend on the hardware, so two trees compare
-exactly.  With --outputs, every request's output is written as JSON lines,
-so that two trees' outputs can be compared bit for bit.
+through perfbench/worker.execute, or every integral of a case set defined
+below, with a wrapper on quadrature._gk_rows that counts its calls
+(batches) and rows x 21 (points), and prints one JSON object: per request
+kind (the functional's name, or the norm's engine and op, or "sweep"; in
+a case set, the integral's kind), the number of requests, the failures
+and the batches and points per request.  Counts do not depend on the
+hardware, so two trees compare exactly.  With --outputs, every request's
+output is written as JSON lines, so that two trees' outputs can be
+compared bit for bit.
 
     python scripts/gk_counts.py --pool functionals [--outputs out.jsonl]
+    python scripts/gk_counts.py --cases poles [--outputs out.jsonl]
+
+The case set "poles" holds 200 integrals whose peaks the pole rule or the
+spec's own end exponent names, none of which a benchmark pool reaches:
+N_q at q in {0.5, 2, 10, 100, 1e4}, W_q at q in {0.5, 1, 1.05, 2, 10, 100}
+where integrable, and Shannon, of Jacobi(-0.5, 0.3), Jacobi(-0.9, -0.9),
+Jacobi(-0.5, 2), Laguerre(-0.5) and Gegenbauer(0.25) at n in {0, 1, 3, 8};
+and the Temme oracle int x^(mu - 1) e^(-lambda x) |L_m^(alpha)|^q dx at
+alpha = 50, m in {0, 1, 3, 6}, (mu, lambda, q) in {(0.3, 2, 2), (1, 1, 3),
+(3, 0.5, 2), (2.5, 3, 100)}.
 """
 import argparse
 import json
@@ -20,6 +33,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+from hopnorms import jacobi, laguerre, gegenbauer, measures, norms, paramasym  # noqa: E402
 from hopnorms import quadrature  # noqa: E402
 from workloads import POOLS  # noqa: E402
 from worker import execute  # noqa: E402
@@ -33,9 +47,36 @@ def kind_of(req: dict) -> str:
     return req["kind"]
 
 
+def pole_cases() -> list[tuple]:
+    """The "poles" case set (see the module docstring): (kind, label, the
+    integral's spec as a thunk) for each of its 200 integrals."""
+    cases = []
+    for fam in (jacobi(-0.5, 0.3), jacobi(-0.9, -0.9), jacobi(-0.5, 2.0), laguerre(-0.5),
+                gegenbauer(0.25)):
+        pole = min(fam.weight.e_lo, fam.weight.e_hi)
+        for n in (0, 1, 3, 8):
+            for q in (0.5, 2.0, 10.0, 100.0, 1e4):
+                cases.append(("N", f"{fam.label()} n={n} q={q:g}",
+                              lambda f=fam, n=n, q=q: norms.density_spec(f, n, q, 1.0)))
+            for q in (0.5, 1.0, 1.05, 2.0, 10.0, 100.0):
+                if q * pole > -1.0:
+                    cases.append(("W", f"{fam.label()} n={n} q={q:g}",
+                                  lambda f=fam, n=n, q=q: norms.density_spec(f, n, 2.0 * q, q)))
+            cases.append(("shannon", f"{fam.label()} n={n}", lambda f=fam, n=n:
+                          measures._shannon_spec(measures.DensityHandle(f, n))))
+    for m in (0, 1, 3, 6):
+        for mu, lam, q in ((0.3, 2.0, 2.0), (1.0, 1.0, 3.0), (3.0, 0.5, 2.0), (2.5, 3.0, 100.0)):
+            cases.append(("temme", f"m={m} mu={mu:g} lambda={lam:g} q={q:g}",
+                          lambda m=m, mu=mu, lam=lam, q=q:
+                          paramasym._temme_spec(m, 50.0, mu, lam, q)))
+    return cases
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pool", choices=sorted(POOLS), default="functionals")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--pool", choices=sorted(POOLS), default="functionals")
+    source.add_argument("--cases", choices=["poles"])
     parser.add_argument("--outputs", help="write each request's output here, one JSON line each")
     args = parser.parse_args(argv)
 
@@ -47,17 +88,25 @@ def main(argv=None) -> int:
         count["points"] += 21 * len(panels)
         return gk_rows(specs, panels, *rest, **kw)
 
+    if args.cases:
+        requests = [(kind, label, lambda spec=spec: list(quadrature.log_integral(spec())))
+                    for kind, label, spec in pole_cases()]
+    else:
+        requests = [(kind_of(req), req, lambda req=req: execute(req))
+                    for req in POOLS[args.pool]()]
     quadrature._gk_rows = counted
     kinds = {}
     out = open(args.outputs, "w") if args.outputs else None
     try:
-        for req in POOLS[args.pool]():
+        for kind, req, run in requests:
             before = dict(count)
+            row = kinds.setdefault(kind, {"requests": 0, "failures": 0, "batches": 0,
+                                          "points": 0})
             try:
-                result = execute(req)
+                result = run()
             except Exception as exc:  # a failed request is reported, not fatal
                 result = {"error": f"{type(exc).__name__}: {exc}"}
-            row = kinds.setdefault(kind_of(req), {"requests": 0, "batches": 0, "points": 0})
+                row["failures"] += 1
             row["requests"] += 1
             for key in ("batches", "points"):
                 row[key] += count[key] - before[key]
@@ -67,15 +116,14 @@ def main(argv=None) -> int:
         quadrature._gk_rows = gk_rows
         if out is not None:
             out.close()
-    total = {key: sum(row[key] for row in kinds.values()) for key in ("requests", "batches",
-                                                                      "points")}
+    keys = ("requests", "failures", "batches", "points")
+    total = {key: sum(row[key] for row in kinds.values()) for key in keys}
     report = {}
     for name, row in sorted(kinds.items()) + [("all", total)]:
         m = row["requests"]
-        report[name] = {"requests": m, "batches": row["batches"], "points": row["points"],
-                        "batches_per_request": round(row["batches"] / m, 3),
+        report[name] = {**row, "batches_per_request": round(row["batches"] / m, 3),
                         "points_per_request": round(row["points"] / m, 1)}
-    print(json.dumps({"pool": args.pool, "kinds": report}, indent=1))
+    print(json.dumps({"pool": args.cases or args.pool, "kinds": report}, indent=1))
     return 0
 
 

@@ -553,6 +553,12 @@ def _zeros(fam: PolynomialFamily, n: int) -> tuple[float, ...]:
         return tuple((x - np.where(dp != 0.0, p / dp, 0.0)).tolist())
 
 
+def _eigenvalue(fam: PolynomialFamily, n: int) -> float:
+    """lambda_n = -n (tau' + (n - 1) sigma''/2) of :func:`_equation`."""
+    (_, _, s2), (_, t1) = _pearson(fam.weight, float)
+    return -n * (t1 + (n - 1) * s2)
+
+
 @lru_cache(maxsize=64)
 def critical_points(fam: PolynomialFamily, n: int, ratio: float,
                     weight: Optional[Weight] = None) -> tuple[float, ...]:
@@ -592,7 +598,7 @@ def critical_points(fam: PolynomialFamily, n: int, ratio: float,
     if n == 0:  # N = ratio pi
         x = np.array([-pi0 / a_last])
     else:
-        lam, tau_n = -n * (t1 + (n - 1) * s2), t1 + 2.0 * n * s2
+        lam, tau_n = _eigenvalue(fam, n), t1 + 2.0 * n * s2
         kappa = lam / (n * tau_n)
         A, B, C = _rows(fam, n + 1, float, start=n)[0]
         r = tau_n * (1.0 - n * n * s2 / lam) / A
@@ -617,14 +623,9 @@ def critical_points(fam: PolynomialFamily, n: int, ratio: float,
 def critical_derivatives(fam: PolynomialFamily, n: int, ratio: float, xs,
                          weight: Optional[Weight] = None) -> tuple[np.ndarray, np.ndarray]:
     """(g'/a, g''/a) of g = a ln|p_n| + b ln h, ratio = b/a, h the family's
-    weight or ``weight``, at points xs of :func:`critical_points`, in closed
-    form from sigma p'' + tau p' + lambda_n p = 0, with no recurrence.  At
-    an interior point g' = 0, so
-    u = p'/p = -ratio (ln h)' and p''/p = -(tau u + lambda_n)/sigma.  At an
-    end, where sigma = 0 and the peak is one-sided, g' need not vanish:
-    there u = -lambda_n/tau, and p''/p = -(tau' + lambda_n) u/(sigma' + tau)
-    from the derivative of the equation."""
-    (s0, s1, s2), (t0, t1) = _pearson(fam.weight, float)
+    weight or ``weight``, at points xs of :func:`critical_points`, from
+    :func:`_equation`, with no recurrence: inside, g' = 0, so p'/p =
+    -ratio (ln h)'; at an end, where the peak is one-sided, g' need not vanish."""
     w = fam.weight if weight is None else weight
     wr = Weight(w.lo, w.hi, ratio * w.e_lo, ratio * w.e_hi, ratio * w.c1, ratio * w.c2)  # h^ratio
     x = np.asarray(xs, dtype=float)
@@ -633,27 +634,76 @@ def critical_derivatives(fam: PolynomialFamily, n: int, ratio: float, xs,
     for e, dist in ((wr.e_lo, x - w.lo), (wr.e_hi, w.hi - x)):
         if e != 0.0:
             l2 = l2 - e / dist ** 2
-    lam = -n * (t1 + (n - 1) * s2)
-    sigma, tau = s0 + (s1 + s2 * x) * x, t0 + t1 * x
-    end = sigma == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(end, -lam / tau, -l1)
-        p2 = np.where(end, -(t1 + lam) * u / (s1 + 2.0 * s2 * x + tau), -(tau * u + lam) / sigma)
-    return np.where(end, u + l1, 0.0), p2 - u * u + l2
+        u, p2, _ = _equation(fam, n, x, 1.0, -l1)
+    return u + l1, p2 - u * u + l2  # u + l1 is exactly 0 inside
 
 
-def pole_peaks(fam: PolynomialFamily, n: int, ratio: float, weight: Weight) -> tuple:
+def _equation(fam: PolynomialFamily, n: int, x, p0, p1) -> tuple:
+    """(p', p'', p''') of p = c p_n at points x where p = p0 and p' = p1,
+    from sigma p'' + tau p' + lambda_n p = 0 (:func:`_eigenvalue`) and its
+    derivatives; at an end, where sigma = 0 and p1 is unused, p' =
+    -lambda_n p/tau, p'' = -(tau' + lambda_n) p'/(sigma' + tau) and p''' =
+    -(sigma'' + 2 tau' + lambda_n) p''/(2 sigma' + tau).  Use np.errstate."""
+    (s0, s1, s2), (t0, t1) = _pearson(fam.weight, float)
+    lam = _eigenvalue(fam, n)
+    sigma, sigma1, tau = s0 + (s1 + s2 * x) * x, s1 + 2.0 * s2 * x, t0 + t1 * x
+    end = sigma == 0.0
+    p1 = np.where(end, -lam * p0 / tau, p1)
+    p2 = np.where(end, -(t1 + lam) * p1 / (sigma1 + tau), -(tau * p1 + lam * p0) / sigma)
+    p3 = np.where(end, -(2.0 * s2 + 2.0 * t1 + lam) * p2 / (2.0 * sigma1 + tau),
+                  -((sigma1 + tau) * p2 + (t1 + lam) * p1) / sigma)
+    return p1, p2, p3
+
+
+_NEWTON_STEPS = 40
+_NEWTON_TOL = 1e-4  # of the peak's width
+
+
+def _gap_tops(slopes, x, left, right, go) -> np.ndarray:
+    """Newton steps on g' from x[i] to the top of g in each gap i where
+    go[i], bracketed by left[i] and right[i], where g' falls through 0;
+    slopes(i, x) gives g' and g'' of gaps i at points x.  A step that
+    leaves the bracket, or where g'' >= 0, bisects it (goes 1 + |x| on
+    where it is open); one that rounds to 0 stands.  A gap stops once its
+    step is within _NEWTON_TOL of 1/sqrt(-g''), its peak's width.  Updates
+    all four in place and returns go, set where a gap has not stopped."""
+    for _ in range(_NEWTON_STEPS):
+        if not (i := np.flatnonzero(go)).size:
+            break
+        xi = x[i]
+        g1, g2 = slopes(i, xi)
+        rise = g1 > 0.0  # the top lies right of x
+        left[i] = l = np.where(rise, xi, left[i])
+        right[i] = r = np.where(rise, right[i], xi)
+        step = -g1 / g2
+        nx = xi + step
+        newton = (g2 < 0.0) & ((l < nx) & (nx < r) | (nx == xi))
+        mid, s = 0.5 * (l + r), np.sign(l + r)  # s = +-1 where the bracket is open
+        x[i] = np.where(newton, nx, np.where(np.isfinite(mid), mid, xi + s + s * np.abs(xi)))
+        go[i] = ~(newton & (np.abs(step) <= _NEWTON_TOL / np.sqrt(-g2)))
+    return go
+
+
+@lru_cache(maxsize=64)
+def basis_peaks(fam: PolynomialFamily, n: int, ratio: float,
+                weight: Optional[Weight] = None) -> Optional[tuple]:
     """(tops, knots, g'/a, g''/a) of g = a ln|p_n| + b ln h, ratio = b/a, h
-    = ``weight`` with a pole (an end exponent in (-1, 0)): a top in each gap
-    between the ends and the knots, the zeros of p_n (at n = 0 between two
-    poles, the midpoint the quadrature splits at), of g without the power
-    of a pole beside the gap.  The tops of g with its pole powers set to 0
-    start Newton steps on g'/a = p_n'/p_n + ratio (ln h)', kept in the
-    bracket where g' falls through 0 and bisected where a step leaves it or
-    g is not concave, as where b |e| > a for a pole's exponent e (N_q at
-    q < |e|), whose humps are broad; a gap end where g' is finite and
-    falls into the gap is its top."""
-    w = weight
+    the family's weight or ``weight``: a top in each gap between the ends
+    and the knots, the zeros of p_n; None where there are not n + 1.  With
+    end exponents >= 0, the :func:`critical_points`.  With a pole (an end
+    exponent in (-1, 0)), g without the power of a pole beside the gap (at
+    n = 0 between two poles, the midpoint the quadrature splits at is a
+    knot): the tops with the poles' powers set to 0 start :func:`_gap_tops`
+    on g'/a = p_n'/p_n + ratio (ln h)', which bisect where g is not
+    concave, as where b |e| > a for a pole's exponent e (N_q at q < |e|);
+    a gap end where g' is finite and falls into the gap is its top.
+    Memoised per (family, n, ratio, weight)."""
+    w = fam.weight if weight is None else weight
+    if min(w.e_lo, w.e_hi) >= 0.0:
+        crit = critical_points(fam, n, ratio, weight)
+        return (np.array(crit), np.array(_zeros(fam, n)),
+                *critical_derivatives(fam, n, ratio, crit, weight)) if crit else None
     x = np.array(critical_points(fam, n, ratio, w._replace(e_lo=max(w.e_lo, 0.0),
                                                             e_hi=max(w.e_hi, 0.0))))
     zeros = knots = np.array(_zeros(fam, n))
@@ -663,22 +713,15 @@ def pole_peaks(fam: PolynomialFamily, n: int, ratio: float, weight: Weight) -> t
     right = np.concatenate((knots, [w.hi]))
     e_lo, e_hi = np.full(x.size, ratio * w.e_lo), np.full(x.size, ratio * w.e_hi)
     e_lo[0], e_hi[-1] = max(e_lo[0], 0.0), max(e_hi[-1], 0.0)  # a pole beside its gap
-    (s0, s1, s2), (t0, t1) = _pearson(fam.weight, float)
-    lam = -n * (t1 + (n - 1) * s2)
-    rows = _recurrence(fam, n)
 
     def slopes(i, x):
         """g'/a and g''/a of gaps i at points x, inside or on an end where sigma = 0."""
-        sigma, tau = s0 + (s1 + s2 * x) * x, t0 + t1 * x
-        end = sigma == 0.0
-        p, (dp,), _ = _eval_many(rows, x, 1)
-        u = np.where(end, -lam / tau, dp / p)
-        p2 = np.where(end, -(t1 + lam) * u / (s1 + 2.0 * s2 * x + tau), -(tau * u + lam) / sigma)
+        p, (dp,), _ = _eval_many(_recurrence(fam, n), x, 1)
+        u, p2, _ = _equation(fam, n, x, 1.0, dp / p)
         g1, g2 = u + ratio * w.core_prime(x), p2 - u * u + 2.0 * ratio * w.c2
         for e, dist, sign in ((e_lo[i], x - w.lo, 1.0), (e_hi[i], w.hi - x, -1.0)):
-            live = e != 0.0
-            g1 = g1 + np.where(live, sign * e / dist, 0.0)
-            g2 = g2 - np.where(live, e / dist ** 2, 0.0)
+            g1 = g1 + np.where(e != 0.0, sign * e / dist, 0.0)
+            g2 = g2 - np.where(e != 0.0, e / dist ** 2, 0.0)
         return g1, g2
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -689,43 +732,18 @@ def pole_peaks(fam: PolynomialFamily, n: int, ratio: float, weight: Weight) -> t
             if i.size:
                 top = side * slopes(i, ends[i])[0] >= 0.0
                 x[i[top]], go[i[top]] = ends[i[top]], False
-        for _ in range(_NEWTON_STEPS):
-            i = np.flatnonzero(go)
-            if not i.size:
-                break
-            g1, g2 = slopes(i, x[i])
-            rise = g1 > 0.0  # the top lies right of x
-            left[i], right[i] = np.where(rise, x[i], left[i]), np.where(rise, right[i], x[i])
-            step = -g1 / g2
-            nx, l, r = x[i] + step, left[i], right[i]
-            newton = (g2 < 0.0) & (l < nx) & (nx < r)
-            # bisect; a width on from x where the bracket is open
-            x[i] = np.where(newton, nx, np.where(np.isfinite(r), 0.5 * (l + r),
-                                                 x[i] + 1.0 + np.abs(x[i])))
-            go[i] = ~(newton & (np.abs(step) <= _NEWTON_TOL / np.sqrt(-g2)))
+        _gap_tops(slopes, x, left, right, go)
         return (x, knots, *slopes(np.arange(x.size), x))
 
 
-def _numerator_slopes(fam: PolynomialFamily, n: int, x, p0, p1, drop: int = 0,
-                      end: bool = False) -> tuple:
+def _numerator_slopes(fam: PolynomialFamily, n: int, x, p0, p1, drop=0) -> tuple:
     """(g', g'', (d N)'/(d N)) of g = 2 ln|N| + ln(h/d^2), N and d of
-    :func:`log_derivative_numerator_many`, at points x (an array, or a
-    float inside the support) where (p0, p1) is proportional to
-    (p_n, p_n'); drop, -1 or 1, leaves the power of h/d^2 at the lower or
-    upper end out of g.  p_n'' and p_n''' come from sigma p'' + tau p' + lambda_n p = 0 and its
-    derivative; at an end (``end``), where sigma = 0, from the forms of
-    :func:`critical_derivatives`, one derivative higher.  Call it under
-    np.errstate(divide="ignore", invalid="ignore")."""
+    :func:`log_derivative_numerator_many`, at points x where (p0, p1) is
+    proportional to (p_n, p_n'), p_n'' and p_n''' from :func:`_equation`;
+    drop, -1 or 1 (or one of them per point), leaves the power of h/d^2
+    at the lower or upper end out of g."""
     w = fam.weight
-    (s0, s1, s2), (t0, t1) = _pearson(w, float)
-    lam = -n * (t1 + (n - 1) * s2)
-    sigma, sigma1, tau = s0 + (s1 + s2 * x) * x, s1 + 2.0 * s2 * x, t0 + t1 * x
-    if end:
-        p2 = -(t1 + lam) * p1 / (sigma1 + tau)
-        p3 = -(2.0 * s2 + 2.0 * t1 + lam) * p2 / (2.0 * sigma1 + tau)
-    else:
-        p2 = -(tau * p1 + lam * p0) / sigma
-        p3 = -((sigma1 + tau) * p2 + (t1 + lam) * p1) / sigma
+    p1, p2, p3 = _equation(fam, n, x, p0, p1)
     # d = d_lo d_hi and r = d (ln h)' of _numerator_factors, with their derivatives
     lo1, hi1 = float(w.e_lo != 0.0), -float(w.e_hi != 0.0)
     d_lo = x - w.lo if lo1 else 1.0
@@ -740,14 +758,10 @@ def _numerator_slopes(fam: PolynomialFamily, n: int, x, p0, p1, drop: int = 0,
     n2 = (2.0 * d2 * p1 + 4.0 * d1 * p2 + 2.0 * d * p3 + r2 * p0 + 2.0 * r1 * p1 + r * p2) / big_n
     l1, l2 = c, c1  # (ln h/d^2)' and (ln h/d^2)''
     for e, dist, sign, side in ((w.e_lo, x - w.lo, 1.0, -1), (w.e_hi, w.hi - x, -1.0, 1)):
-        if e != 0.0 and e != 2.0 and drop != side:  # the exponent e - 2 of h/d^2
-            l1 = l1 + sign * (e - 2.0) / dist
-            l2 = l2 - (e - 2.0) / dist ** 2
-    return l1 + 2.0 * n1, l2 + 2.0 * (n2 - n1 * n1), None if end else d1 / d + n1
-
-
-_NEWTON_STEPS = 40
-_NEWTON_TOL = 1e-4  # of the density's width at the knot
+        if e != 0.0 and e != 2.0:  # the exponent e - 2 of h/d^2
+            l1 = l1 + np.where(drop != side, sign * (e - 2.0) / dist, 0.0)
+            l2 = l2 - np.where(drop != side, (e - 2.0) / dist ** 2, 0.0)
+    return l1 + 2.0 * n1, l2 + 2.0 * (n2 - n1 * n1), d1 / d + n1
 
 
 @lru_cache(maxsize=64)
@@ -763,20 +777,19 @@ def numerator_peaks(fam: PolynomialFamily, n: int) -> Optional[tuple]:
     Once an end pole of h/d^2 is left out, g'' = -2 sum 1/(x - x_k)^2 over
     the zeros of N plus that of ln(h/d^2), which is concave, so each gap
     has one peak, the root of M = d N g', a polynomial where N vanishes
-    nowhere inside it.  With sigma p'' + tau p' + lambda_n p = 0, M = A p +
-    B p' with A and B closed forms, so the peak of gap i, 1 <= i <= n, which
-    holds the zero x_i of p_n, is one Newton step on M from x_i, where p'
-    cancels: x_i - M/M' = x_i - g'/(g'' + g' (d N)'/(d N)), each term at
-    p = 0.  For Hermite M = 4 (x^2 - 2n - 1) p_n, so the step is 0.  A
-    finite end where h/d^2 has exponent <= 0 is its gap's peak where g
-    rises toward it (at a pole, g without the end's power).  The two end
-    gaps, 0 and n + 1, hold no zero of p_n; there Newton steps on g',
-    bracketed and bisected where a step leaves the bracket, take
-    p'/p = sum 1/(x - x_k) over the zeros of p_n, with no recurrence,
-    from the knot plus sqrt(2) times the density's width there, the peak
-    of a Gaussian's Fisher integrand.  An interior peak has g' = 0 and g''
-    at its zero of p_n (gaps 1..n) or at the peak; an end peak both at the
-    end.  Memoised per (family, n)."""
+    nowhere inside it.  With :func:`_equation`, M = A p + B p' with A and
+    B closed forms, so the peak of gap i, 1 <= i <= n, which holds the
+    zero x_i of p_n, is one Newton step on M from x_i, where p' cancels:
+    x_i - M/M' = x_i - g'/(g'' + g' (d N)'/(d N)), each term at p = 0.
+    For Hermite M = 4 (x^2 - 2n - 1) p_n, so the step is 0.  A finite end
+    where h/d^2 has exponent <= 0 is its gap's peak where g rises toward
+    it (at a pole, g without the end's power).  The two end gaps, 0 and
+    n + 1, hold no zero of p_n; there :func:`_gap_tops` takes Newton
+    steps on g', with p'/p = sum 1/(x - x_k) over the zeros of p_n and no
+    recurrence, from the knot plus sqrt(2) times the density's width
+    there, the peak of a Gaussian's Fisher integrand.  An interior peak
+    has g' = 0 and g'' at its zero of p_n (gaps 1..n) or at the peak; an
+    end peak both at the end.  Memoised per (family, n)."""
     crit = critical_points(fam, n, 0.5)
     if not crit:
         return None
@@ -786,8 +799,7 @@ def numerator_peaks(fam: PolynomialFamily, n: int) -> Optional[tuple]:
     hi = np.concatenate((knots, [w.hi]))
     live = hi > lo
     tops, g1, g2 = np.full(n + 2, math.nan), np.zeros(n + 2), np.full(n + 2, math.nan)
-    (_, _, s2), (t0, t1) = _pearson(w, float)
-    lam = -n * (t1 + (n - 1) * s2)
+    go, drop = np.zeros(n + 2, dtype=bool), np.zeros(n + 2, dtype=int)
     with np.errstate(divide="ignore", invalid="ignore"):
         if n:
             d1, d2, q = _numerator_slopes(fam, n, zeros, 0.0, 1.0)
@@ -795,47 +807,29 @@ def numerator_peaks(fam: PolynomialFamily, n: int) -> Optional[tuple]:
             g2[1:-1] = d2
         # the curvature of ln rho at the outer knots, for the Newton steps' start
         curv = critical_derivatives(fam, n, 0.5, [crit[0], crit[-1]])[1].tolist()
-        ends = ((-1, w.lo, w.e_lo, 0, 0), (1, w.hi, w.e_hi, n + 1, -1))
-        for side, end, e, i, _ in ends:
-            if math.isfinite(end) and e <= 2.0:  # p'/p = -lambda_n/tau at an end
-                x = np.float64(end)
-                e1, e2, _ = _numerator_slopes(fam, n, x, t0 + t1 * x, -lam, side, end=True)
+        for side, end, e, i, knot in ((-1, w.lo, w.e_lo, 0, 0), (1, w.hi, w.e_hi, n + 1, -1)):
+            if math.isfinite(end) and e <= 2.0:  # p'/p is the equation's at an end
+                e1, e2, _ = _numerator_slopes(fam, n, np.float64(end), 1.0, 0.0, side)
                 if side * e1 >= 0.0:
                     j = i if live[i] else i - side  # an empty end gap: the end's knot
-                    tops[j], g1[j], g2[j] = end, e1, e2
-        for side, end, e, i, knot in ends:
+                    tops[j], g1[j], g2[j], go[j] = end, e1, e2, False
             if not live[i] or not math.isnan(tops[i]):
                 continue
-            pole = side if 0.0 < e < 2.0 else 0  # the power of h/d^2 left out
-            # Newton on g' in the bracket (left, right) of the gap, from the
-            # knot where N vanishes, else (n = 0 beside an end) from the middle
-            left, right = lo[i], hi[i]
-            x, width = 0.5 * (left + right), right - left
+            go[i], drop[i] = True, side if 0.0 < e < 2.0 else 0  # a pole of h/d^2 left out
+            x = math.nan  # Newton from the knot where N vanishes, else the middle
             if w.lo < crit[knot] < w.hi:
                 if not curv[knot] < 0.0:  # no peak of the density: N = 0
                     return None
-                width = 1.0 / math.sqrt(-2.0 * curv[knot])
-                x = crit[knot] + side * math.sqrt(2.0) * width
-            if not left < x < right:
-                x = 0.5 * (left + right)
-            for _ in range(_NEWTON_STEPS):
-                u = float((1.0 / (x - zeros)).sum())
-                e1, e2, _ = _numerator_slopes(fam, n, x, 1.0, u, pole)
-                if e1 > 0.0:  # g' falls through the gap: the peak lies right of x
-                    left = x
-                else:
-                    right = x
-                step = -e1 / e2
-                x += step
-                if abs(step) <= _NEWTON_TOL * width:
-                    break
-                if not left < x < right:  # bisect; a width on where the bracket is open
-                    x = (0.5 * (left + right) if math.isfinite(left + right) else
-                         left + width if math.isinf(right) else right - width)
-            else:
-                return None
-            u = float((1.0 / (x - zeros)).sum())
-            tops[i], g2[i] = x, _numerator_slopes(fam, n, x, 1.0, u, pole)[1]
+                x = crit[knot] + side * math.sqrt(-1.0 / curv[knot])
+            tops[i] = x if lo[i] < x < hi[i] else 0.5 * (lo[i] + hi[i])
+
+        def slopes(i, x):
+            u = (1.0 / (x[:, None] - zeros)).sum(axis=1)
+            return _numerator_slopes(fam, n, x, 1.0, u, drop[i])[:2]
+
+        i = np.flatnonzero(go)
+        tops[_gap_tops(slopes, tops, lo, hi, go)] = math.nan  # no convergence: None below
+        g2[i] = slopes(i, tops[i])[1]
     if not (np.isfinite(tops[live]).all() and (g2[live] <= 0.0).all()):
         return None
     return tops, knots, g1, g2

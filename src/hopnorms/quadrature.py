@@ -47,25 +47,25 @@ steps together, and the first Gauss-Kronrod pass of all panels is one call.
 Each panel's peak comes one of two ways.  A basis (:class:`Basis`),
 g = a ln|p_n| + b ln h with a > 0 and b >= 0 on the family's support, h
 the family's weight with the spec's own end exponents (as the Temme
-oracle's x^(mu - 1)), takes its peaks from p_n's differential equation.
-Where both end exponents are >= 0, g'' = -a sum 1/(x - x_k)^2 +
-b (ln h)'' < 0, so each gap between neighbouring zeros of p_n and ends
-holds one peak, clipped to the panel: :func:`families.critical_points`
-gives all n + 1 as the eigenvalues of one Jacobi matrix, and
-:func:`families.critical_derivatives` g' and g'' there, with no
-recurrence; one batch of the tops gives the peak values.  Hermite
-n = 1000, W_50 takes 23,146 points where a Chebyshev scan of every panel
-took 103,352.
+oracle's x^(mu - 1)), takes its peaks from :func:`families.basis_peaks`,
+which alone chooses how, with g' and g'' from p_n's differential
+equation (``families._equation``).  Where both end exponents are >= 0,
+g'' = -a sum 1/(x - x_k)^2 + b (ln h)'' < 0, so each gap between
+neighbouring zeros of p_n and ends holds one peak, clipped to the panel:
+:func:`families.critical_points` gives all n + 1 as the eigenvalues of
+one Jacobi matrix, with no recurrence; one batch of the tops gives the
+peak values.  Hermite n = 1000, W_50 takes 23,146 points where a
+Chebyshev scan of every panel took 103,352.
 
 A weight with a pole, an end exponent in (-1, 0), can fail Wendroff's
-condition for that eigenproblem, and g need not be concave there:
-:func:`families.pole_peaks` polishes the tops of g with its pole powers
-set to 0 by bracketed Newton steps on g'.  A pole's end panel,
-substituted in t with j = 0, takes the top of g without that end's power,
-as Fisher's do (below), and is graded (below): in t its integrand is a
-series in powers t^p, with a cusp at t = 0 where p is not an integer,
-and halving the interval next to it cut its error about 5x a round: N_2
-of Gegenbauer(0.25), n = 1, p = 4/3, takes 1 Gauss-Kronrod batch, not 10.
+condition for that eigenproblem, and g need not be concave there: the
+tops of g with its pole powers set to 0 start bracketed Newton steps on
+g' (``families._gap_tops``).  A pole's end panel, substituted in t with
+j = 0, takes the top of g without that end's power, as Fisher's do
+(below), and is graded (below): in t its integrand is a series in powers
+t^p, with a cusp at t = 0 where p is not an integer, and halving the
+interval next to it cut its error about 5x a round: N_2 of
+Gegenbauer(0.25), n = 1, p = 4/3, takes 1 Gauss-Kronrod batch, not 10.
 
 A raw g_core names its peaks (``LogIntegrand.peaks``): the Fisher
 integrand rho'^2/rho = h N^2/(d^2 kappa_n), N = d (2 p_n' + p_n h'/h),
@@ -73,8 +73,8 @@ breaks at the zeros of N, the critical points of the density, where it
 vanishes, so each panel holds one hump on which g is concave (at an end
 pole of h/d^2, once the j = 0 substitution has taken its power out), and
 :func:`families.numerator_peaks` gives each hump's top, g' and g'' in
-closed form.  Two rules serve a raw spec alone, so the norm and density
-integrands keep their bits.
+closed form, the end humps' by the same Newton steps.  Two rules serve
+a raw spec alone, so the norm and density integrands keep their bits.
 A plain panel near an end the spec substitutes, a branch point of its
 integrand, converged slowly: |K21 - G10| is G10's error, which sees that
 point, and Fisher's first inner panel of Jacobi(2.5, 1.5), n = 8, beside
@@ -253,14 +253,12 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .families import (PolynomialFamily, critical_derivatives, critical_points, eval_log_many,
-                       pole_peaks, polynomial_zeros)
+from .families import PolynomialFamily, basis_peaks, eval_log_many
 from .special import log_distance
 
 __all__ = ["QuadratureConfig", "QuadratureFailure", "Basis", "LogIntegrand", "LogQuadResult",
@@ -847,7 +845,7 @@ def _tail_cuts(specs: _Specs, walks: list[tuple[int, float, int]]) -> list[Optio
 
 def _known_peaks(spec: LogIntegrand) -> tuple:
     """(tops, knots, g'/a, g''/a, a): a raw g_core's own ``peaks``, with
-    a = 1, or the :func:`_peak_table` of a basis (see the module
+    a = 1, or the :func:`families.basis_peaks` of a basis (see the module
     docstring) whose every zero of p_n is a breakpoint; DomainError else."""
     if spec.peaks is not None:
         return (*spec.peaks, 1.0)
@@ -856,26 +854,11 @@ def _known_peaks(spec: LogIntegrand) -> tuple:
     table = None
     if a > 0.0 and b >= 0.0 and (own or b) and (spec.a, spec.b) == (w.lo, w.hi):
         weight = None if own else w._replace(e_lo=spec.e_left / b, e_hi=spec.e_right / b)
-        table = _peak_table(fam, n, b / a, weight)
+        table = basis_peaks(fam, n, b / a, weight)
     if table is None or n and not set(table[1]) <= set(spec.breakpoints):
         raise DomainError(f"no known peaks for the basis {fam.label()} n={n}, a={a:g}, b={b:g} "
                           f"on ({spec.a:g}, {spec.b:g})")
     return (*table, a)
-
-
-@lru_cache(maxsize=64)
-def _peak_table(fam: PolynomialFamily, n: int, ratio: float, weight) -> Optional[tuple]:
-    """(tops, knots, g'/a, g''/a) of g = a ln|p_n| + b ln h, ratio = b/a, h
-    the family's weight or ``weight``: :func:`families.pole_peaks` where h
-    has a pole, else the critical points, None where there are not n + 1."""
-    w = fam.weight if weight is None else weight
-    if min(w.e_lo, w.e_hi) < 0.0:
-        return pole_peaks(fam, n, ratio, w)
-    crit = critical_points(fam, n, ratio, weight)
-    if not crit:
-        return None
-    return (np.array(crit), np.array(polynomial_zeros(fam, n)),
-            *critical_derivatives(fam, n, ratio, crit, weight))
 
 
 def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:

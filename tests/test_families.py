@@ -9,7 +9,7 @@ from scipy import special
 
 from hopnorms.errors import DomainError, SingularEvaluation
 from hopnorms.families import (FAMILY_PARAMS, CoefficientList, PolynomialFamily, _eval_scaled,
-                               coefficients, eval_derivative, moment_ratios,
+                               basis_peaks, coefficients, eval_derivative, moment_ratios,
                                eval_log, eval_log_many, eval_poly, gegenbauer,
                                gegenbauer_jacobi_factor_log, hermite, jacobi, laguerre,
                                log_derivative_numerator_many, norm_constant_log,
@@ -511,3 +511,33 @@ def test_flat_fisher_integrands_have_no_peaks():
     # Legendre p_0: N = 0, rho'^2/rho vanishes everywhere
     assert numerator_peaks(jacobi(0.0, 0.0), 0) is None
     assert numerator_peaks(gegenbauer(0.5), 0) is None
+
+
+@pytest.mark.parametrize("fam", [jacobi(-0.5, 0.3), jacobi(-0.9, -0.9), laguerre(-0.5),
+                                 gegenbauer(0.25)], ids=lambda f: f.label())
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 20.0])
+def test_pole_peaks_meet_a_fine_grid(fam, n, ratio):
+    # a weight with a pole: each gap between the knots (the zeros of p_n,
+    # and the midpoint at n = 0 between two poles) peaks within 0.2 sigma
+    # of the best of 20,001 points of g = ln|p_n| + ratio ln h without the
+    # power of a pole at the gap's end; Newton steps from the eigenproblem
+    # without the poles, bisected where g is not concave, or the gap's end
+    tops, knots, g1, g2 = basis_peaks(fam, n, ratio)
+    w = fam.weight
+    lo, hi = np.concatenate(([w.lo], knots)), np.concatenate((knots, [w.hi]))
+    assert tops.size == lo.size
+    for i in range(tops.size):
+        assert lo[i] <= tops[i] <= hi[i]
+        sigma = 1.0 / (abs(g1[i]) + math.sqrt(max(-g2[i], 0.0)))
+        a = lo[i] if math.isfinite(lo[i]) else tops[i] - 80.0 * sigma
+        b = hi[i] if math.isfinite(hi[i]) else tops[i] + 80.0 * sigma
+        xs = np.linspace(a, b, 20001)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = eval_log_many(fam, n, xs)[1] + ratio * weight_log_many(fam, xs)
+            for c, end, e, dist in ((w.lo, lo[i], w.e_lo, xs - w.lo),
+                                    (w.hi, hi[i], w.e_hi, w.hi - xs)):
+                if e < 0.0 and end == c:  # the pole beside the gap
+                    g = g - ratio * e * np.log(dist)
+        best = xs[np.argmax(np.where(np.isfinite(g), g, -np.inf))]
+        assert abs(tops[i] - best) <= 0.2 * sigma + (b - a) / 20000

@@ -647,7 +647,7 @@ _POLE = st.floats(-0.99, -0.01)
        st.booleans(), st.integers(0, 12), st.floats(0.05, 1e4), st.booleans())
 def test_pole_norms_meet_the_grid_reference(kind, e, other, swap, n, q, weighted):
     # one or both end exponents in (-1, 0): the pole rule names the peaks
-    # (families.pole_peaks), its raw twin's come from a dense grid, and the
+    # (families.basis_peaks), its raw twin's come from a dense grid, and the
     # two agree within the sum of their claims
     fam = {"laguerre": lambda: laguerre(e), "gegenbauer": lambda: gegenbauer(0.5 + 0.5 * e),
            "jacobi": lambda: jacobi(*((other, e) if swap else (e, other)))}[kind]()
@@ -737,13 +737,15 @@ def test_critical_points_put_one_peak_in_each_gap(kind, a, b, n):
         assert left * right == -1
 
 
-def test_basis_norms_never_scan(monkeypatch):
+def test_basis_norms_without_a_pole_take_no_newton_steps(monkeypatch):
     # norms, entropies and a lockstep q grid: every spec with a basis and
-    # exponents >= 0 takes its peaks from the eigenproblem, not the pole rule
-    def pole_peaks(*args):
-        raise AssertionError("the pole rule served a weight without a pole")
+    # exponents >= 0 takes its peaks from the eigenproblem, not the pole
+    # rule's Newton steps
+    def gap_tops(*args):
+        raise AssertionError("Newton steps served a weight without a pole")
 
-    monkeypatch.setattr(quadrature, "pole_peaks", pole_peaks)
+    families.basis_peaks.cache_clear()
+    monkeypatch.setattr(families, "_gap_tops", gap_tops)
     for fam in (hermite(), laguerre(0.0), laguerre(2.5), jacobi(2.5, 1.5), jacobi(3.0, 0.0),
                 gegenbauer(0.5), gegenbauer(1.75)):
         for n in (0, 1, 5):
@@ -767,7 +769,7 @@ _FISHER_DENSITIES = (
     + [(hermite(), n) for n in range(100, 112)])
 
 
-def test_fisher_never_scans():
+def test_fisher_meets_its_grid_reference_twin():
     # Fisher's spec names its peaks in closed form (families.numerator_peaks).
     # Each value lies within the sum of its claim and that of its twin, whose
     # peaks a dense grid names over the same breakpoints
