@@ -15,6 +15,7 @@ compared bit for bit.
 
     python scripts/gk_counts.py --pool functionals [--outputs out.jsonl]
     python scripts/gk_counts.py --cases poles [--outputs out.jsonl]
+    python scripts/gk_counts.py --cases cusps [--outputs out.jsonl]
 
 The case set "poles" holds 200 integrals whose peaks the pole rule or the
 spec's own end exponent names, none of which a benchmark pool reaches:
@@ -24,6 +25,12 @@ Jacobi(-0.5, 2), Laguerre(-0.5) and Gegenbauer(0.25) at n in {0, 1, 3, 8};
 and the Temme oracle int x^(mu - 1) e^(-lambda x) |L_m^(alpha)|^q dx at
 alpha = 50, m in {0, 1, 3, 6}, (mu, lambda, q) in {(0.3, 2, 2), (1, 1, 3),
 (3, 0.5, 2), (2.5, 3, 100)}.
+
+The case set "cusps" holds 128 integrals whose |p_n|^a has a cusp
+|x - x_k|^a at every zero x_k, where the engine grades their panels:
+N_a = int |p_n|^a h and W = int |p_n|^a h^(a/2) at a in {0.1, 0.3, 0.5,
+0.7, 0.9, 1.1, 1.9, 2.5}, of Hermite, Laguerre(1.5), Jacobi(1.5, 2.5) and
+Gegenbauer(1.75) at n in {1, 6}.
 """
 import argparse
 import json
@@ -33,7 +40,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from hopnorms import jacobi, laguerre, gegenbauer, measures, norms, paramasym  # noqa: E402
+from hopnorms import hermite, jacobi, laguerre, gegenbauer, measures, norms, paramasym  # noqa: E402
 from hopnorms import quadrature  # noqa: E402
 from workloads import POOLS  # noqa: E402
 from worker import execute  # noqa: E402
@@ -72,11 +79,27 @@ def pole_cases() -> list[tuple]:
     return cases
 
 
+def cusp_cases() -> list[tuple]:
+    """The "cusps" case set (see the module docstring): (kind, label, the
+    integral's spec as a thunk) for each of its 128 integrals."""
+    cases = []
+    for fam in (hermite(), laguerre(1.5), jacobi(1.5, 2.5), gegenbauer(1.75)):
+        for n in (1, 6):
+            for a in (0.1, 0.3, 0.5, 0.7, 0.9, 1.1, 1.9, 2.5):
+                for kind, b in (("N", 1.0), ("W", 0.5 * a)):
+                    cases.append((kind, f"{fam.label()} n={n} a={a:g}",
+                                  lambda f=fam, n=n, a=a, b=b: norms.density_spec(f, n, a, b)))
+    return cases
+
+
+CASES = {"poles": pole_cases, "cusps": cusp_cases}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--pool", choices=sorted(POOLS), default="functionals")
-    source.add_argument("--cases", choices=["poles"])
+    source.add_argument("--cases", choices=sorted(CASES))
     parser.add_argument("--outputs", help="write each request's output here, one JSON line each")
     args = parser.parse_args(argv)
 
@@ -90,7 +113,7 @@ def main(argv=None) -> int:
 
     if args.cases:
         requests = [(kind, label, lambda spec=spec: list(quadrature.log_integral(spec())))
-                    for kind, label, spec in pole_cases()]
+                    for kind, label, spec in CASES[args.cases]()]
     else:
         requests = [(kind_of(req), req, lambda req=req: execute(req))
                     for req in POOLS[args.pool]()]

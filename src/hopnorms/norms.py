@@ -51,9 +51,10 @@ def density_spec(fam: PolynomialFamily, n: int, pol_power: float, weight_power: 
                  log_singular: bool = False, log_singular_ends: bool = False) -> LogIntegrand:
     """The integrand of :func:`density_integral`, as a LogIntegrand;
     ``log_singular`` marks a phi with a log singularity at the zeros of
-    p_n, where the engine then grades its panels, as at a pole of h, and
-    ``log_singular_ends`` one at the finite ends of h too (see
-    :class:`quadrature.LogIntegrand`)."""
+    p_n, and ``log_singular_ends`` one at the finite ends of h with a
+    nonzero exponent.  The engine grades each panel with a power taken
+    from pol_power at the zeros, from the exponents of h^weight_power at
+    the ends, and from these logs (see :class:`quadrature.LogIntegrand`)."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
     w = fam.weight

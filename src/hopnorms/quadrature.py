@@ -62,9 +62,9 @@ condition for that eigenproblem, and g need not be concave there: the
 tops of g with its pole powers set to 0 start bracketed Newton steps on
 g' (``families._gap_tops``).  A pole's end panel, substituted in t with
 j = 0, takes the top of g without that end's power, as Fisher's do
-(below), and is graded (below): in t its integrand is a series in powers
-t^p, with a cusp at t = 0 where p is not an integer, and halving the
-interval next to it cut its error about 5x a round: N_2 of
+(below), and is graded with its own power (below): in t its integrand is
+a series in powers t^p, with a cusp at t = 0 where p is not an integer,
+and halving the interval next to it cut its error about 5x a round: N_2 of
 Gegenbauer(0.25), n = 1, p = 4/3, takes 1 Gauss-Kronrod batch, not 10.
 
 A raw g_core names its peaks (``LogIntegrand.peaks``): the Fisher
@@ -143,50 +143,70 @@ misjudges, and the error is still |K21 - G10| per interval.  Each spec's
 cuts come from its own rows, so lockstep stays bit-identical to
 integrating alone.
 
-A cusped spec (:func:`_cusped`) has graded panels.  Its integrand is not
-smooth at the zeros x_k of p_n, where the 10-21 rule converges slowly:
-a log-singular phi (``LogIntegrand.log_singular``, set by the Shannon
-entropy and the functional E, whose phi holds -ln|p_n|) behaves like
-(x - x_k)^2 ln|x - x_k| there, and |p_n|^a with a non-integer a like
-|x - x_k|^a times a smooth factor, as in the norms at q = 1 +- h and
-2 +- h of the Richardson stencils.  Every panel that ends at a
-breakpoint is graded.  So, cusped or not, is a substituted end panel
-with j = 0, at a pole of the weight, of a log-singular phi or a basis
-(:func:`_pole_graded`), where the integrand in t is a series in powers
-t^p, times ln t in Shannon's phi: there, halving an interval only halved
-its error, and refinement could run out of depth.
-Shannon's phi, -ln rho, and I's, -ln h, also hold e ln|x - c| at each
-finite end c of the weight with an exponent e != 0, and their specs say
-so (``log_singular_ends``): on a finite support their end panels are
-graded too, so that at n = 0, with no zero to grade at, Shannon of
-Gegenbauer(2.5) takes 84 evaluations in place of 651 and Jacobi(2, 1.25)
-126 in place of 483, and I of Jacobi(2, 1.25), n = 8, takes one
-Gauss-Kronrod batch in place of 8.  Graded at its tail cut too,
-Laguerre's end panel took 252 in place of 168.  E's phi is smooth there.
-A graded panel has the coordinate s over (0, 1), and its coordinate v
-(x, or t on a substituted panel) is v0 + (v1 - v0) tau(s),
-tau(s) = s^k/(s^k + (1 - s)^k), graded at both ends.  Over the Shannon
-and E requests of the benchmark's functionals pool, grading a panel's
-other end too (a weight end or a tail cut) took 5% fewer evaluations
-than a one-sided s^k.  g gains ln dv/ds, as a substituted end's g gains
-ln p + j ln t, and phi still gets x.  k = 2 was measured best: Shannon
-of Hermite n = 16 takes 1,680 Gauss-Kronrod points with k = 2, 2,898
-with k = 3, 3,024 with k = 4 and 8,841 on plain panels.  In s a cusp
-|x - x_k|^a becomes s^(2a + 1), an integer power at a = 0.5.  Grading
-pays below a = _CUSP_POWER = 3.  Gauss-Kronrod batches/points of N_a of
-Hermite n = 6 and Jacobi(1.5, 2.5) n = 5 together:
+A panel is graded where its integrand is not smooth at an end, where the
+10-21 rule converges slowly: halving the interval next to a pole of the
+weight only halved its error, and refinement could run out of depth.  A
+graded panel has the coordinate s over (0, 1), and its coordinate v (x,
+or t on a substituted panel) is v0 + (v1 - v0) tau(s),
+tau(s) = s^k/(s^k + (1 - s)^k), graded at both ends with one integer
+power k.  g gains ln dv/ds, as a substituted end's g gains ln p + j ln t,
+and phi still gets x.  Over the Shannon and E requests of the benchmark's
+functionals pool, grading a panel's other end too (a weight end or a
+tail cut) took 5% fewer evaluations than a one-sided s^k.
 
-    a        0.3       0.5       0.9       1.7      2.001     2.7      3.3      4.5
-    plain    49/17703  42/15183  28/10353  19/6405  12/2751  8/2289   5/1365   2/1071
-    graded   16/6006    2/1407    8/2667    2/1470   2/1470  2/2058   2/2079   3/2226
+Each panel takes its k from the local exponents at its two ends
+(:func:`_grade`).  Where the integrand behaves like |v - c|^a next to an
+end c, times ln|v - c| where phi is log-singular there, v - c ~ s^k
+turns it into s^(k(a + 1) - 1).  That is smooth where k(a + 1) is an
+integer, the rule :func:`_power` applies to j at an end exponent (Davis &
+Rabinowitz 1984, sec. 2.12), and Sidi (Numerical Integration IV, ISNM
+112, 1993) likewise chooses the order of his sin^m transformations from
+the strength of the end singularity.  An end takes the least integer
+k >= 1 at which that power reaches _GRADE_POWER = 4 or, with no log,
+k(a + 1) is an integer; a log is smooth at no k, and takes k >= 2.  A
+panel takes the larger k of its two ends, and k = 1 leaves it plain.  The
+local exponent a of each kind of panel end:
 
-Above 3 grading costs about twice the points, and best-of-7 timings of
-those two norms and four more (Laguerre(1.5), Gegenbauer(1.75), Hermite
-n = 15, Jacobi(2, 1.25)) favour it up to a ~ 3.3 and no further.
-Integer a keeps plain panels and its bits, as do Fisher and the moments:
-their integrands are smooth at their breakpoints (Fisher's zeros of N,
-where it vanishes like (x - x_k)^2), and grading costs a smooth integrand
-about 3-6 times the nodes.
+  * a zero x_k of a basis's p_n: the a of |p_n|^a, as in the norms at
+    q = 1 +- h and 2 +- h of the Richardson stencils, with a log where
+    phi is ``log_singular`` (the Shannon entropy and the functional E,
+    whose phi holds -ln|p_n|: (x - x_k)^2 ln|x - x_k|, k = 2).  A raw
+    spec's knot has a = 0, as Fisher's, where its integrand vanishes
+    like (x - x_k)^2;
+  * a substituted end, in t: j + p, the first power of the series that
+    is not an integer, or j with a log where phi is ``log_singular_ends``
+    (Shannon's -ln rho and I's -ln h hold e ln|x - c| = e p ln t there).
+    At a pole, j = 0, so a = p: N_2 of Gegenbauer(0.25) (p = 4/3) takes
+    k = 3, Fisher's pole ends are graded as a basis's are, and a
+    log-singular pole takes k = 5;
+  * another finite end with an exponent e != 0: a = e, with that log, so
+    Shannon of Gegenbauer(2.5) at n = 0, with no zero to grade at, takes
+    84 evaluations in place of 651;
+  * a tail cut, the point that splits a support with two substituted
+    ends, or an end with exponent 0: smooth.
+
+Integer a keeps plain panels and its bits, as do the moments and every
+norm of the degree and q sweeps.  Gauss-Kronrod batches/points under the
+earlier rules (one k = 2 for every graded panel; cusps of |p_n|^a graded
+only below a = 3; the poles of a raw spec, and the weight end of an
+infinite support, never) against each end's own k; the pole/Temme and
+cusp sets are those of scripts/gk_counts.py:
+
+    integrals                              k = 2             own k
+    Shannon Jacobi(-0.5, 0.3), n = 0       12/630            2/294
+    N_0.1 Hermite n = 6                    10/4,032          2/1,344
+    Fisher Jacobi(1.3, 1.7), n = 3          8/567            1/378
+    pole/Temme set, 200 integrals         515/88,116       326/70,245
+    cusp set, 128 integrals               497/142,065      205/82,719
+    functionals pool, 1,149 requests    1,172/1,482,285  1,168/1,484,469
+
+A threshold of 3 took 358/71,715 on the pole/Temme set and 222/82,719 on
+the cusp set; 5 gave Shannon's zeros k = 3 and took 1,312/1,677,963 on
+the functionals pool and 222/92,379 on the cusp set.  A log end that
+reaches the threshold at k = 1 and stays plain, as the e = 2.5 end of
+Jacobi(1.5, 2.5) with j = 5 (t^5 ln t, where Shannon's zeros are
+s^5 ln s on graded quarters), took 3 batches for Shannon at n = 0 in
+place of 1, and the functionals pool 1,174.
 
 The first pass takes a graded panel as four intervals: refinement halved
 every graded panel at least twice anyway, and the quarters skip the two
@@ -286,8 +306,7 @@ _WG = np.array(_WG_LEFT + _WG_LEFT[::-1])  # Kronrod nodes 1, 3, ..., 19
 _NEXT, _PREV = np.minimum(np.arange(1, 22), 20), np.maximum(np.arange(-1, 20), 0)
 
 _SMOOTH_POWER = 6  # a substituted end panel's weakest power of t, at least
-_GRADE = 2  # the power k of a graded panel end, see _graded
-_CUSP_POWER = 3.0  # |p_n|^a, a not an integer, has graded panels below this (see _cusped)
+_GRADE_POWER = 4.0  # the power in s a graded panel end reaches, at least (see _grade)
 # a peaked panel's first pass: cuts at top +- 1.5 sigma and top +- 4 sigma 2^j,
 # where the panel is wider than 5 sigma and its peak within 40 nats of the
 # shift (see the module docstring)
@@ -374,13 +393,11 @@ class LogIntegrand:
     substituted end panel x may round to the endpoint, but the engine
     takes that endpoint's log from t exactly, so ends stays finite where x
     alone would give ln 0.  ``log_singular`` marks a phi that is
-    log-singular at the breakpoints; the engine then grades the panels
-    that end at a breakpoint or at a pole of the weight (see the module
-    docstring), as it grades those that end at a breakpoint wherever a
-    basis's |p_n|^a has a cusp there (:func:`_cusped`).
-    ``log_singular_ends``, with or without it, marks a phi that is
-    log-singular at each finite end with a nonzero exponent, where the
-    engine then grades the end panels of a finite support.
+    log-singular at the breakpoints, and ``log_singular_ends`` one that is
+    log-singular at each finite end with a nonzero exponent: facts about
+    phi that the engine cannot see.  It grades each panel with a power
+    taken from the local exponents at its two ends, these logs among them
+    (see :func:`_spec_panels` and the module docstring).
     """
 
     a: float
@@ -403,22 +420,17 @@ class LogIntegrand:
             raise DomainError("a raw g_core_many must name its peaks")
 
 
-def _cusped(spec: LogIntegrand) -> bool:
-    """Whether the spec's integrand is not smooth at its breakpoints, where
-    the engine grades its panels: phi is log-singular there, or g_core is
-    a ln|p_n| + b core_h of a basis with a non-integer a below
-    _CUSP_POWER, so that |p_n|^a is |x - x_k|^a times a smooth factor at
-    each zero x_k (see the module docstring)."""
-    basis = spec.basis
-    return spec.log_singular or (basis is not None and basis.a < _CUSP_POWER
-                                 and basis.a != math.floor(basis.a))
-
-
-def _pole_graded(spec: LogIntegrand, subs) -> bool:
-    """Whether a basis or a log-singular phi grades its end panels at a
-    pole, substituted with j = 0 (see the module docstring)."""
-    return ((spec.basis is not None or spec.log_singular)
-            and any(sub is not None and sub.j == 0 for sub in subs))
+def _grade(a: float, log: bool) -> int:
+    """The power k of a graded panel end where the integrand behaves like
+    |v - c|^a, times ln|v - c| where ``log``: v - c ~ s^k turns it into
+    s^(k(a + 1) - 1), so k is the least integer >= 1 at which that power
+    reaches _GRADE_POWER or, with no log, is an integer, where it is
+    smooth; a log is smooth at no k, and takes k >= 2 (see the module
+    docstring).  k = 1 leaves the end plain."""
+    k = 1 + log
+    while k * (a + 1.0) - 1.0 < _GRADE_POWER and (log or k * (a + 1.0) % 1.0):
+        k += 1
+    return k
 
 
 _PLAIN, _LEFT, _RIGHT = 0, 1, -1
@@ -430,9 +442,9 @@ class _Panel:
 
     A plain panel has u = x.  A panel at a substituted endpoint c (``side``
     _LEFT for a, _RIGHT for b) has u = t with |x - c| = t^p, see
-    :func:`_power`.  A graded panel (``grade`` = (v0, v1)) has
+    :func:`_power`.  A graded panel (``grade`` = (v0, v1, k)) has
     u = s over (0, 1), mapped onto (v0, v1) of that coordinate, x or t,
-    graded at both ends, see :func:`_graded`.
+    graded at both ends with the power k, see :func:`_graded`.
     """
 
     __slots__ = ("lo", "hi", "side", "owner", "grade", "peak", "top", "sigma")
@@ -450,22 +462,26 @@ class _Panel:
 
 def _graded(panels: list[_Panel], us: np.ndarray) -> Optional[tuple]:
     """(rows, v, ln dv/ds) of the graded panels' rows of points s = us:
-    v = v0 + (v1 - v0) tau(s), tau(s) = s^k/(s^k + (1 - s)^k), k = _GRADE;
-    None where no row is graded."""
+    v = v0 + (v1 - v0) tau(s), tau(s) = s^k/(s^k + (1 - s)^k), with each
+    panel's own k; None where no row is graded."""
     grades = [p.grade for p in panels]
+    if not any(grades):
+        return None
     rows = _ALL
     if None in grades:
         rows = np.array([grade is not None for grade in grades])
-        if not rows.any():
-            return None
         grades = [grade for grade in grades if grade is not None]
         us = us[rows]
-    v0, v1 = np.array(grades).T[:, :, None]
-    span = v1 - v0
-    a, b = us ** _GRADE, (1.0 - us) ** _GRADE
+    v0, v1, k = np.array(grades).T[:, :, None]
+    a, b, c = np.empty((3, *us.shape))
+    # each row's powers of its own k, an int: x ** 2 is x*x, where pow(x, 2.0) can differ
+    for power in (powers := {grade[2] for grade in grades}):
+        r = _ALL if len(powers) == 1 else k[:, 0] == power
+        s = us[r]
+        a[r], b[r], c[r] = s ** power, (1.0 - s) ** power, (s * (1.0 - s)) ** (power - 1)
     den = a + b
-    v = v0 + span * (a / den)
-    jac = np.log(_GRADE * span * (us * (1.0 - us)) ** (_GRADE - 1) / (den * den))
+    v = v0 + (v1 - v0) * (a / den)
+    jac = np.log(k * (v1 - v0) * c / (den * den))
     return rows, v, jac
 
 
@@ -560,9 +576,6 @@ class _Specs:
             flags = [math.isfinite(row[c]) and row[e] != 0.0 for row in rows]
             every, some = all(flags), any(flags)
             self.enters[c] = (np.array(flags) if some and not every else None, every, some)
-        self.pole_graded = [_pole_graded(s, subs) for s, subs in zip(self.specs, self.subs)]
-        self.graded = any(_cusped(s) or s.log_singular_ends or pole
-                          for s, pole in zip(self.specs, self.pole_graded))
         self.errors: list[Optional[Exception]] = [None] * len(self.specs)
         self.shift = [0.0] * len(self.specs)  # each spec's highest panel peak, once known
 
@@ -729,7 +742,7 @@ def _logf_rows(specs: _Specs, panels: list[_Panel], us: np.ndarray, sizes: bool 
         return v if v is not None else const[r, j, None]
 
     sides = np.array([p.side for p in panels])
-    graded = _graded(panels, us) if specs.graded else None
+    graded = _graded(panels, us)
     vs = us  # the points in x, or in t on a substituted panel
     if graded is not None:
         r, v, _ = graded
@@ -885,7 +898,8 @@ def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:
     over its ``grade``, not in s; the first pass maps its cuts into s
     (:func:`_ungraded`)."""
     owner, blocks = _blocks(specs, panels)
-    v = np.array([p.grade or (p.lo, p.hi) for p in panels])  # in x, or in t at a substituted end
+    # each panel's span in x, or in t at a substituted end
+    v = np.array([(p.grade or (p.lo, p.hi))[:2] for p in panels])
     subs = [(i, specs.subs[p.owner][p.side == _RIGHT]) for i, p in enumerate(panels) if p.side]
     x = v.copy()
     for i, sub in subs:
@@ -948,11 +962,13 @@ def _peak_cuts(p: _Panel, lo: float, hi: float, margin: float = 0.0,
     return sorted({x for d in offsets for x in (top - d, top + d) if lo < x < hi})
 
 
-def _ungraded(v0: float, v1: float, vs: list[float]) -> list[float]:
-    """The points s in (0, 1) of a graded panel over (v0, v1) whose images
-    are vs, points inside it: the inverse of :func:`_graded`,
-    s = r/(1 + r), r = (tau/(1 - tau))^(1/k) = ((v - v0)/(v1 - v))^(1/k)."""
-    rs = (((v - v0) / (v1 - v)) ** (1.0 / _GRADE) for v in vs)
+def _ungraded(grade: tuple, vs: list[float]) -> list[float]:
+    """The points s in (0, 1) of a graded panel over (v0, v1) with power k,
+    its ``grade``, whose images are vs, points inside it: the inverse of
+    :func:`_graded`, s = r/(1 + r),
+    r = (tau/(1 - tau))^(1/k) = ((v - v0)/(v1 - v))^(1/k)."""
+    v0, v1, k = grade
+    rs = (((v - v0) / (v1 - v)) ** (1.0 / k) for v in vs)
     return [s for s in (r / (1.0 + r) for r in rs) if 0.0 < s < 1.0]
 
 
@@ -1180,24 +1196,29 @@ def log_integrals(specs: list[LogIntegrand], cfg: QuadratureConfig = DEFAULT_CON
 def _spec_panels(specs: _Specs, k: int, lo: float, hi: float, bps: list[float]
                  ) -> list[_Panel]:
     """Spec k's panels between its (cut) ends lo and hi, split at its
-    breakpoints, a substituted end panel in t; a cusped spec's panels
-    (:func:`_cusped`) graded where they end at a breakpoint, those of a
-    basis or a log-singular phi at a pole, and, with log-singular ends on a
-    finite support, at an end with a nonzero exponent (see the module
-    docstring)."""
+    breakpoints, a substituted end panel in t, each graded with the larger
+    :func:`_grade` of its two ends' local exponents: at a zero of a
+    basis's p_n, its a (0 at a raw spec's knot), with a log where phi is
+    ``log_singular``; at a substituted end, j + p in t, or j with a log
+    where phi is ``log_singular_ends``; at another finite end, its
+    exponent e with that log; 0 at a tail cut or where e = 0 (see the
+    module docstring)."""
     spec = specs.specs[k]
     for e, name in ((spec.e_left, "left"), (spec.e_right, "right")):
         if e <= -1.0:
             raise DomainError(f"non-integrable {name} endpoint exponent {e}")
     edges = [lo] + [x for x in bps if lo < x < hi] + [hi]
-    graded = _cusped(spec) and len(edges) > 2  # every panel ends at a breakpoint
-    pole_graded = specs.pole_graded[k]
-    # log-singular weight ends, graded on a finite support: a tail panel
-    # graded at its cut end too took more evaluations than a plain one
-    ends = spec.log_singular_ends and (lo, hi) == (spec.a, spec.b)
     left, right = specs.subs[k]
+    log = spec.log_singular_ends
+    # the power at each edge: lo's, every knot's, hi's, and 1 at a split point
+    powers = [1 if x != end or e == 0.0 else  # a tail cut, or a smooth end
+              _grade(e if sub is None else sub.j + (0.0 if log else sub.p), log)
+              for x, end, e, sub in ((lo, spec.a, spec.e_left, left),
+                                     (hi, spec.b, spec.e_right, right))]
+    knot = _grade(0.0 if spec.basis is None else spec.basis.a, spec.log_singular)
+    powers[1:1] = [knot] * (len(edges) - 2)
     if len(edges) == 2 and left is not None and right is not None:
-        edges = [lo, 0.5 * (lo + hi), hi]
+        edges, powers = [lo, 0.5 * (lo + hi), hi], [powers[0], 1, powers[1]]
     panels = []
     for i in range(len(edges) - 1):
         u, v = edges[i], edges[i + 1]
@@ -1206,17 +1227,13 @@ def _spec_panels(specs: _Specs, k: int, lo: float, hi: float, bps: list[float]
         # t = |x - c|^(1/p), with 1/p = 1 + e exactly where j = 0, a pole
         if i == 0 and left is not None and u == spec.a:
             side, v0, v1 = _LEFT, 0.0, (v - u) ** ((1.0 + left.e) / (left.j + 1))
-            pole = left.j == 0
         elif i == len(edges) - 2 and right is not None and v == spec.b:
             side, v0, v1 = _RIGHT, 0.0, (v - u) ** ((1.0 + right.e) / (right.j + 1))
-            pole = right.j == 0
         else:
-            side, v0, v1, pole = _PLAIN, u, v, False
-        at_end = u == spec.a and spec.e_left != 0.0 or v == spec.b and spec.e_right != 0.0
-        if graded or pole_graded and pole or ends and at_end:
-            panels.append(_Panel(0.0, 1.0, side, k, (v0, v1)))
-        else:
-            panels.append(_Panel(v0, v1, side, k))
+            side, v0, v1 = _PLAIN, u, v
+        power = max(powers[i], powers[i + 1])
+        panels.append(_Panel(0.0, 1.0, side, k, (v0, v1, power)) if power > 1 else
+                      _Panel(v0, v1, side, k))
     if not panels:
         raise DomainError(f"empty domain ({lo}, {hi})")
     return panels
@@ -1239,9 +1256,9 @@ def _log_integrals(specs: _Specs, cfg: QuadratureConfig) -> list:
     panels, known = [], {}
     for k, spec in enumerate(specs.specs):
         if specs.errors[k] is None:
-            try:
-                panels += _spec_panels(specs, k, *ends[k], bps[k])
+            try:  # the peaks first: they refuse a basis with a <= 0, which _grade cannot grade
                 known[k] = _known_peaks(spec)
+                panels += _spec_panels(specs, k, *ends[k], bps[k])
             except (DomainError, NumericalFailure) as exc:
                 specs.errors[k] = exc
     # each panel's peak, known in closed form; the panels stay in spec order
@@ -1262,14 +1279,14 @@ def _log_integrals(specs: _Specs, cfg: QuadratureConfig) -> list:
     # peak: a graded panel's in v, at its top too, and the cuts mapped into s
     panels, los, his = [], [], []
     for p in work:
-        lo, hi = p.grade or (p.lo, p.hi)
+        lo, hi = (p.grade or (p.lo, p.hi))[:2]
         cut = []
         if hi - lo > _PEAK_WIDTH * p.sigma and p.peak >= specs.shift[p.owner] - _PEAK_NATS:
             cut = _peak_cuts(p, lo, hi, _CUT_MARGIN if specs.specs[p.owner].peaks is not None
                              else 0.0, p.grade is not None)
         if p.grade is not None:
             mid = 0.5 * (p.lo + p.hi)
-            cut = sorted({0.5 * (p.lo + mid), mid, 0.5 * (mid + p.hi), *_ungraded(lo, hi, cut)})
+            cut = sorted({0.5 * (p.lo + mid), mid, 0.5 * (mid + p.hi), *_ungraded(p.grade, cut)})
         edges = [p.lo] + cut + [p.hi]
         panels += [p] * (len(edges) - 1)
         los += edges[:-1]

@@ -5,6 +5,7 @@ import numpy as np
 
 from hopnorms.families import gegenbauer, hermite, jacobi, laguerre
 from hopnorms.quadrature import LogIntegrand
+from hopnorms.special import digamma
 from hopnorms.validate import FAMILY_GRID as FAMILY_CONFIGS
 
 ONE_PER_FAMILY = (hermite(), laguerre(2.5), jacobi(2.5, 1.5), gegenbauer(3.5))
@@ -13,6 +14,14 @@ ONE_PER_FAMILY = (hermite(), laguerre(2.5), jacobi(2.5, 1.5), gegenbauer(3.5))
 def rel_err(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0 else 0.0
+
+
+def beta_entropy(a: float, b: float) -> float:
+    """Shannon entropy of rho-hat_0 of Jacobi(a, b), the Beta(b + 1, a + 1)
+    density on [-1, 1]."""
+    p, q = b + 1.0, a + 1.0
+    return (math.log(2.0) + math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+            - (p - 1.0) * digamma(p) - (q - 1.0) * digamma(q) + (p + q - 2.0) * digamma(p + q))
 
 
 def log_ratio_err(log_a: float, log_b: float) -> float:

@@ -17,7 +17,7 @@ from hopnorms.measures import (DensityHandle, density_moment, fisher_information
 from hopnorms.norms import weighted_norm_quad
 from hopnorms.special import digamma
 
-from .helpers import FAMILY_CONFIGS, ONE_PER_FAMILY
+from .helpers import FAMILY_CONFIGS, ONE_PER_FAMILY, beta_entropy
 
 GAUSS = DensityHandle(hermite(), 0, normalized=True)
 
@@ -245,21 +245,13 @@ def test_functional_I_at_an_endpoint_pole():
     assert functional_I(jacobi(0.5, -0.5), 2) == pytest.approx(float(want), rel=1e-11)
 
 
-def _beta_entropy(a, b):
-    """Shannon entropy of rho-hat_0 of Jacobi(a, b), the Beta(b + 1, a + 1)
-    density on [-1, 1]."""
-    p, q = b + 1.0, a + 1.0
-    return (math.log(2.0) + math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
-            - (p - 1.0) * digamma(p) - (q - 1.0) * digamma(q) + (p + q - 2.0) * digamma(p + q))
-
-
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(st.floats(-0.95, 3.0), st.floats(-0.95, 3.0))
 def test_shannon_of_the_beta_densities(a, b):
     # a result is right, or it is refused loudly: a phi that is log-singular
     # at an end can stall the refinement (see CHANGES.md), but no value may
     # come back wrong
-    want = _beta_entropy(a, b)
+    want = beta_entropy(a, b)
     try:
         s = shannon_entropy(DensityHandle(jacobi(a, b), 0))
     except NumericalFailure:
@@ -272,7 +264,7 @@ def test_shannon_at_an_endpoint_pole_converges(a, b):
     # the end panel at the pole carries phi's ln t against t^0, and halving
     # it only halves its error: with a 7-15 rule these ran out of depth
     s = shannon_entropy(DensityHandle(jacobi(a, b), 0))
-    assert s == pytest.approx(_beta_entropy(a, b), abs=1e-12)
+    assert s == pytest.approx(beta_entropy(a, b), abs=1e-12)
 
 
 @pytest.mark.parametrize("fam", [jacobi(0.5, 0.5), gegenbauer(1.0)], ids=lambda f: f.label())
@@ -317,7 +309,7 @@ def test_shannon_grades_its_log_singular_weight_ends(fam, a, b, parent):
     # 84 and 126 evaluations where plain ones took the parent's
     res = quadrature.log_integral(measures._shannon_spec(DensityHandle(fam, 0)))
     assert res.neval <= 250 < parent
-    assert shannon_entropy(DensityHandle(fam, 0)) == pytest.approx(_beta_entropy(a, b),
+    assert shannon_entropy(DensityHandle(fam, 0)) == pytest.approx(beta_entropy(a, b),
                                                                    abs=1e-12)
 
 

@@ -11,10 +11,10 @@ from hopnorms.errors import DomainError
 from hopnorms.families import gegenbauer, hermite, jacobi, laguerre
 from hopnorms import families, measures, norms, quadrature
 from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
-from hopnorms.quadrature import (_GRADE, LogIntegrand, QuadratureConfig, QuadratureFailure,
-                                 _graded, _Panel, _power, log_integral)
+from hopnorms.quadrature import (LogIntegrand, QuadratureConfig, QuadratureFailure, _graded,
+                                 _Panel, _power, _ungraded, log_integral)
 
-from .helpers import grid_peaks, named
+from .helpers import beta_entropy, grid_peaks, named
 
 
 def test_gaussian_full_line():
@@ -133,14 +133,15 @@ def test_against_mpmath_reference(make):
     assert math.exp(res.log_abs) == pytest.approx(float(want), rel=1e-12)
 
 
-def test_graded_panel_map():
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_graded_panel_map(k):
     # v = v0 + (v1 - v0) tau(s), tau(s) = s^k/(s^k + (1 - s)^k), to a few
     # ulps of v1, and ln dv/ds to a few ulps of its terms; next to v0, v
     # carries only its own rounding
     v0, v1 = 0.3, 2.2
     s = np.array([[1e-12, 1e-6, 1e-3, 0.2, 0.5, 0.7, 1.0 - 1e-3, 1.0 - 2.0 ** -40]])
-    _, v, jac = _graded([_Panel(0.0, 1.0, grade=(v0, v1))], s)
-    k, eps = _GRADE, np.finfo(float).eps
+    _, v, jac = _graded([_Panel(0.0, 1.0, grade=(v0, v1, k))], s)
+    eps = np.finfo(float).eps
     with mpmath.workdps(40):
         for si, vi, ji in zip(s[0].tolist(), v[0].tolist(), jac[0].tolist()):
             si = mpmath.mpf(si)
@@ -150,6 +151,68 @@ def test_graded_panel_map():
             assert abs(vi - want) <= (eps * abs(want) if si < 1e-3 else 4.0 * eps * v1)
             assert abs(ji - mpmath.log(dv)) <= 1e-13
     assert np.all(np.diff(v[0]) >= 0.0) and v0 <= v[0, 0] and v[0, -1] <= v1
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_ungraded_inverts_the_graded_map(k):
+    # the first pass maps its cuts into s with _ungraded: mapped back by
+    # _graded they land on the points they came from
+    grade = (0.3, 2.2, k)
+    vs = [0.30001, 0.4, 1.0, 1.7, 2.19]
+    s = _ungraded(grade, vs)
+    assert len(s) == len(vs) and all(0.0 < si < 1.0 for si in s)
+    _, v, _ = _graded([_Panel(0.0, 1.0, grade=grade)], np.array([s]))
+    assert v[0] == pytest.approx(vs, rel=1e-14)
+
+
+def _cut_ends(spec: LogIntegrand) -> tuple[float, float]:
+    """The spec's ends, an infinite one cut 1 beyond the outermost breakpoint."""
+    bps = sorted(spec.breakpoints)
+    return (spec.a if math.isfinite(spec.a) else bps[0] - 1.0,
+            spec.b if math.isfinite(spec.b) else bps[-1] + 1.0)
+
+
+def _panel_powers(spec: LogIntegrand, lo: float, hi: float) -> list[int]:
+    """The power k of each of the spec's panels between its (cut) ends lo
+    and hi, 1 where plain."""
+    panels = quadrature._spec_panels(quadrature._Specs([spec]), 0, lo, hi,
+                                     sorted(spec.breakpoints))
+    return [p.grade[2] if p.grade else 1 for p in panels]
+
+
+# a raw spec on (0, 2) whose panels are only looked at, never integrated
+_RAW = dict(a=0.0, b=2.0, g_core_many=np.zeros_like, peaks=((), (), (), ()))
+
+
+@pytest.mark.parametrize("spec, ends, powers", [
+    # a zero of p_n: a = 0.1 in |p_n|^0.1, s^(5.5 - 1) reaches 4 at k = 5
+    (norms.density_spec(hermite(), 2, 0.1, 1.0), (-5.0, 5.0), [5, 5, 5]),
+    # a zero of p_n under Shannon's phi, (x - x_k)^2 ln|x - x_k|; the tail cuts are smooth
+    (measures._shannon_spec(measures.DensityHandle(hermite(), 2)), (-5.0, 5.0), [2, 2, 2]),
+    # a zero of p_n in |p_n|^0.5: s^(1.5k - 1) is smooth at k = 2
+    (norms.density_spec(hermite(), 2, 0.5, 1.0), (-5.0, 5.0), [2, 2, 2]),
+    # a raw spec's knot has a = 0: smooth, or s^(k - 1) ln s under a log
+    (LogIntegrand(**_RAW, breakpoints=(1.0,)), (0.0, 2.0), [1, 1]),
+    (LogIntegrand(**_RAW, breakpoints=(1.0,), log_singular=True), (0.0, 2.0), [5, 5]),
+    # a substituted end, e = 1.25: j = 4, a = j + p >= 6, or j = 4 under a log
+    (LogIntegrand(**_RAW, e_left=1.25), (0.0, 2.0), [1]),
+    (LogIntegrand(**_RAW, e_left=1.25, log_singular_ends=True), (0.0, 2.0), [2]),
+    # a pole, e = -0.25: j = 0, a = p = 4/3, s^(7k/3 - 1) smooth at k = 3; a = 0 under a log
+    (LogIntegrand(**_RAW, e_left=-0.25), (0.0, 2.0), [3]),
+    (LogIntegrand(**_RAW, e_left=-0.25, log_singular_ends=True), (0.0, 2.0), [5]),
+    # an unsubstituted end, a = e = 2: smooth, or graded under a log
+    (LogIntegrand(**_RAW, e_left=2.0), (0.0, 2.0), [1]),
+    (LogIntegrand(**_RAW, e_left=2.0, log_singular_ends=True), (0.0, 2.0), [2]),
+    # an end with exponent 0, and tail cuts, are smooth under any log
+    (LogIntegrand(**_RAW, log_singular=True, log_singular_ends=True), (0.0, 2.0), [1]),
+    (measures._shannon_spec(measures.DensityHandle(hermite(), 0)), (-5.0, 5.0), [1]),
+], ids=["zero", "zero-log", "zero-smooth-at-2", "knot", "knot-log", "end", "end-log", "pole",
+        "pole-log", "plain-end", "plain-end-log", "smooth-end", "tail-cut"])
+def test_each_panel_takes_its_power_from_its_ends(spec, ends, powers):
+    # k is the least integer >= 1 at which s^(k(a + 1) - 1), a the local
+    # exponent at a panel end, reaches 4 (with a log, k >= 2) or, with no
+    # log, is smooth; a panel takes the larger k of its two ends
+    assert _panel_powers(spec, *ends) == powers
 
 
 def _log_singular_spec(log_singular: bool) -> LogIntegrand:
@@ -630,7 +693,7 @@ def test_cusped_norms_meet_the_grid_reference(kind, a, b, n, power, weighted):
     # and peaks named from a dense grid.  The two agree within the sum of
     # their claims
     spec = norms.density_spec(_family(kind, a, b), n, power, 0.5 * power if weighted else 1.0)
-    assert quadrature._cusped(spec)
+    assert 1 not in _panel_powers(spec, *_cut_ends(spec))
     graded, raw = quadrature.log_integrals([spec, _raw_twin(spec)])
     assert graded.sign == 1 and math.isfinite(graded.log_abs)
     raw = raw.best if isinstance(raw, QuadratureFailure) else raw
@@ -688,7 +751,7 @@ _CUSP_VALUES = [
                          ids=[f"{c[0].label()}-n{c[1]}-a{c[2]}" for c in _CUSP_VALUES])
 def test_cusped_norms_meet_mpmath(fam, n, a, b, want):
     spec = norms.density_spec(fam, n, a, b)
-    assert quadrature._cusped(spec)
+    assert 1 not in _panel_powers(spec, *_cut_ends(spec))
     res = log_integral(spec)
     assert res.sign == 1
     assert abs(res.log_abs - float(want)) <= res.rel_err
@@ -709,6 +772,33 @@ def test_graded_panels_finish_in_their_first_pass(gk_batches, integral, parent):
     # before I's log-singular weight ends were graded
     integral()
     assert len(gk_batches) == 1 < parent
+
+
+def test_a_log_singular_pole_takes_its_own_power(gk_batches):
+    # Shannon of the Beta density of Jacobi(-0.5, 0.3): in t, phi = -ln rho
+    # holds ln t at the pole x = 1, which the one power k = 2 of every
+    # graded panel left as s ln s, 12 batches; its own power k = 5 leaves
+    # s^4 ln s
+    d = measures.DensityHandle(jacobi(-0.5, 0.3), 0)
+    res = log_integral(measures._shannon_spec(d))
+    assert len(gk_batches) <= 3
+    s, want = measures._density_value(d, res), beta_entropy(-0.5, 0.3)
+    assert abs(s - want) <= res.rel_err * abs(s)
+
+
+def test_a_weak_cusp_takes_its_own_power(gk_batches):
+    # N_0.1 of Hermite n = 6: |x - x_k|^0.1 at each zero became s^1.2 under
+    # k = 2, 10 batches; its own power k = 5 makes it s^4.5
+    unweighted_norm_quad(hermite(), 6, 0.1)
+    assert len(gk_batches) <= 3
+
+
+def test_fisher_grades_its_pole_ends(gk_batches):
+    # Fisher of Jacobi(1.3, 1.7), n = 3: h/d^2 has the poles (1 -+ x)^(-0.7)
+    # and ^(-0.3), p = 10/3 and 10/7 in t, which plain end panels halved
+    # toward for 8 batches; graded with k = 2 and 3 they finish in the first
+    measures.fisher_integral(measures.DensityHandle(jacobi(1.3, 1.7), 3))
+    assert len(gk_batches) == 1
 
 
 @settings(max_examples=60, deadline=None)
