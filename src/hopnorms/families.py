@@ -692,9 +692,8 @@ def basis_peaks(fam: PolynomialFamily, n: int, ratio: float,
     the family's weight or ``weight``: a top in each gap between the ends
     and the knots, the zeros of p_n; None where there are not n + 1.  With
     end exponents >= 0, the :func:`critical_points`.  With a pole (an end
-    exponent in (-1, 0)), g without the power of a pole beside the gap (at
-    n = 0 between two poles, the midpoint the quadrature splits at is a
-    knot): the tops with the poles' powers set to 0 start :func:`_gap_tops`
+    exponent in (-1, 0)), g without the power of a pole beside the gap:
+    the tops with the poles' powers set to 0 start :func:`_gap_tops`
     on g'/a = p_n'/p_n + ratio (ln h)', which bisect where g is not
     concave, as where b |e| > a for a pole's exponent e (N_q at q < |e|);
     a gap end where g' is finite and falls into the gap is its top.
@@ -707,8 +706,6 @@ def basis_peaks(fam: PolynomialFamily, n: int, ratio: float,
     x = np.array(critical_points(fam, n, ratio, w._replace(e_lo=max(w.e_lo, 0.0),
                                                             e_hi=max(w.e_hi, 0.0))))
     zeros = knots = np.array(_zeros(fam, n))
-    if n == 0 and max(w.e_lo, w.e_hi) < 0.0:  # x is the midpoint
-        x, knots = np.repeat(x, 2), x
     left = np.concatenate(([w.lo], knots))  # gap i runs from left[i] to right[i]
     right = np.concatenate((knots, [w.hi]))
     e_lo, e_hi = np.full(x.size, ratio * w.e_lo), np.full(x.size, ratio * w.e_hi)

@@ -13,14 +13,11 @@ The engine:
     outermost breakpoint, or from 0 where it lies further out),
   * splits the domain at caller-supplied breakpoints (polynomial zeros,
     where |p|^q has cusps and log factors have singularities),
-  * substitutes |x - c| = t^p at a finite endpoint c whose exponent e is
-    not an integer and below 6, with p = (j + 1)/(1 + e), which turns
-    |x - c|^e dx into p t^j dt (Davis & Rabinowitz 1984, sec. 2.12): j = 0
-    for e in (-1, 0) removes the singularity, and for e >= 0 the least j
-    with j + p >= 6 leaves the smooth rest of the integrand, a series in
-    t^p, no term weaker than t^6.  Without it, an end interval whose
-    power is weak converges slowly: at e = 1.25 its error falls about 5x
-    per halving,
+  * grades each panel whose integrand is not smooth at an end, a finite
+    end of the support among them, with its own power k: x - c ~ s^k
+    turns |x - c|^e dx into s^(k(e + 1) - 1) ds (below).  Without it, an
+    end interval whose power is weak converges slowly: at e = 1.25 its
+    error falls about 5x per halving,
   * locates the global maximum M of g from each panel's peak, known in
     closed form (below), then integrates exp(g - M) with the 10-21
     Gauss-Kronrod pair of QUADPACK's QAGS, refined in rounds (below),
@@ -60,27 +57,27 @@ Chebyshev scan of every panel took 103,352.
 A weight with a pole, an end exponent in (-1, 0), can fail Wendroff's
 condition for that eigenproblem, and g need not be concave there: the
 tops of g with its pole powers set to 0 start bracketed Newton steps on
-g' (``families._gap_tops``).  A pole's end panel, substituted in t with
-j = 0, takes the top of g without that end's power, as Fisher's do
-(below), and is graded with its own power (below): in t its integrand is
-a series in powers t^p, with a cusp at t = 0 where p is not an integer,
-and halving the interval next to it cut its error about 5x a round: N_2 of
-Gegenbauer(0.25), n = 1, p = 4/3, takes 1 Gauss-Kronrod batch, not 10.
+g' (``families._gap_tops``).  A pole's end panel takes its top, and its
+peak value, from g without that end's power, as Fisher's do (below), and
+is graded with its own power (below), which takes the pole out: N_2 of
+Gegenbauer(0.25), n = 1, takes 1 Gauss-Kronrod batch, where plain end
+panels, halved toward the pole, took 10.
 
 A raw g_core names its peaks (``LogIntegrand.peaks``): the Fisher
 integrand rho'^2/rho = h N^2/(d^2 kappa_n), N = d (2 p_n' + p_n h'/h),
 breaks at the zeros of N, the critical points of the density, where it
 vanishes, so each panel holds one hump on which g is concave (at an end
-pole of h/d^2, once the j = 0 substitution has taken its power out), and
+pole of h/d^2, without that end's power), and
 :func:`families.numerator_peaks` gives each hump's top, g' and g'' in
 closed form, the end humps' by the same Newton steps.  Two rules serve
 a raw spec alone, so the norm and density integrands keep their bits.
-A plain panel near an end the spec substitutes, a branch point of its
+A plain panel near a graded finite end, a branch point of its
 integrand, converged slowly: |K21 - G10| is G10's error, which sees that
 point, and Fisher's first inner panel of Jacobi(2.5, 1.5), n = 8, beside
 the pole (1 + x)^(-1/2), took two more rounds.  So such a panel's sigma
 is at most half its distance to that end, and the first pass cuts it
-toward the end.  And no cut falls
+toward the end: without that, the functionals pool took 1,424 batches in
+place of 1,168.  And no cut falls
 within one sigma of a panel end: Fisher's panels end where the integrand
 vanishes, and a sliver there held nearly nothing at 21 nodes.  With its
 peaks named, the benchmark's 336 Fisher requests took 309,463 integrand
@@ -89,8 +86,8 @@ points in place of 635,281.
 Several integrals run in lockstep (:func:`log_integrals`; a lone one is
 :func:`log_integral`).  Each phase above, and each refinement round, is one
 batch over the rows of every integral still running, each integral's rows
-contiguous.  A row carries its integral's constants (ends, exponents,
-substitution and shift), so everything but phi and a raw g_core is
+contiguous.  A row carries its integral's constants (ends, exponents
+and shift), so everything but phi and a raw g_core is
 evaluated for all rows at once and elementwise.  That includes the
 polynomial of the integrals whose g_core names a basis (see
 :class:`Basis`): one recurrence serves the rows of all the integrals
@@ -114,14 +111,13 @@ one round per halving; in a sweep the slowest row sets the rounds of all.
 Each panel knows its peak: its point, the top, and its width sigma.  A
 peak has sigma = 1/sqrt(-g'') at its critical point, or
 1/(a |g'| + sqrt(-a g'')) where it sits at an end whose exponent is 0 and
-g' need not vanish; on a substituted panel both map into t, sigma with the
-curvature of the (p - 1) ln t that g gains there.  g' serves a peak at an
-end where g need not level off, as W_q of Laguerre(0) at x = 0: without
-it, the first pass took no cuts and every node underflowed.  The first
+g' need not vanish.  g' serves a peak at an end where g need not level
+off, as W_q of Laguerre(0) at x = 0: without it, the first pass took no
+cuts and every node underflowed.  The first
 pass cuts a panel wider than 5 sigma, whose peak lies within 40 nats of
 its integral's shift, at top +- 1.5 sigma and at top +- 4 sigma 2^j,
-j = 0, 1, ..., inside it; a graded panel adds their images to its
-quarters (below).  The cuts are depth-0 intervals of the one
+j = 0, 1, ..., inside it; a graded panel adds their images in s to its
+own cuts (below).  The cuts are depth-0 intervals of the one
 panel, not panel breakpoints.  On a
 Gaussian the piece (-1.5, 1.5) sigma has
 |K21 - G10| 9e-13 of the mass, below the default tolerance, where (-2, 2)
@@ -146,26 +142,37 @@ integrating alone.
 A panel is graded where its integrand is not smooth at an end, where the
 10-21 rule converges slowly: halving the interval next to a pole of the
 weight only halved its error, and refinement could run out of depth.  A
-graded panel has the coordinate s over (0, 1), and its coordinate v (x,
-or t on a substituted panel) is v0 + (v1 - v0) tau(s),
-tau(s) = s^k/(s^k + (1 - s)^k), graded at both ends with one integer
-power k.  g gains ln dv/ds, as a substituted end's g gains ln p + j ln t,
-and phi still gets x.  Over the Shannon and E requests of the benchmark's
+graded panel has the coordinate s over (0, 1), and
+x = v0 + (v1 - v0) tau(s), tau(s) = s^k/(s^k + (1 - s)^k), graded at both
+ends with one integer power k.  g gains ln dx/ds, and phi still gets x.
+The map and ln dx/ds are formed in logs, ln tau = k ln s -
+ln(s^k + (1 - s)^k) by logaddexp, so that no power of s underflows, as
+s^k would at k = 50,001.  A graded panel takes the log of a finite end it
+reaches from s, ln(x - v0) = ln(v1 - v0) + ln tau, or ln(v1 - x) from
+ln(1 - tau): Shannon of Jacobi(-0.9999, 0.5) holds its mass within
+exp(-1e4) of x = 1, where x rounds onto the end and ln(1 - x) from x
+would be -inf.  Over the Shannon and E requests of the benchmark's
 functionals pool, grading a panel's other end too (a weight end or a
 tail cut) took 5% fewer evaluations than a one-sided s^k.
 
 Each panel takes its k from the local exponents at its two ends
-(:func:`_grade`).  Where the integrand behaves like |v - c|^a next to an
-end c, times ln|v - c| where phi is log-singular there, v - c ~ s^k
+(:func:`_grade`).  Where the integrand behaves like |x - c|^a next to an
+end c, times ln|x - c| where phi is log-singular there, x - c ~ s^k
 turns it into s^(k(a + 1) - 1).  That is smooth where k(a + 1) is an
-integer, the rule :func:`_power` applies to j at an end exponent (Davis &
-Rabinowitz 1984, sec. 2.12), and Sidi (Numerical Integration IV, ISNM
-112, 1993) likewise chooses the order of his sin^m transformations from
-the strength of the end singularity.  An end takes the least integer
-k >= 1 at which that power reaches _GRADE_POWER = 4 or, with no log,
-k(a + 1) is an integer; a log is smooth at no k, and takes k >= 2.  A
-panel takes the larger k of its two ends, and k = 1 leaves it plain.  The
-local exponent a of each kind of panel end:
+integer, the rule of the substitution |x - c| = t^p this grading
+replaces (Davis & Rabinowitz 1984, sec. 2.12), and Sidi (Numerical
+Integration IV, ISNM 112, 1993) likewise chooses the order of his sin^m
+transformations from the strength of the end singularity.  An end takes
+the least integer k >= 1 at which that power reaches _GRADE_POWER = 4 or,
+with no log, k(a + 1) is an integer, allowing for the rounding of a + 1:
+a = -0.9 gives 0.09999999999999998, smooth at k = 10, where k = 51 would
+reach 4.  A log is smooth at no k: it takes k >= 2, and its power must
+pass 4, since s^4 ln s left 1e-10 of the integral on the end quarter of
+Shannon of Jacobi(1.5, 2.5) at n = 0, and the functionals pool took 1,205
+batches in place of 1,168.  k comes in closed form, not by a loop: a
+log-singular pole at e = -0.999 takes k = 5,000.  A panel takes the
+larger k of its two ends, and k = 1 leaves it plain.  The local exponent
+a of each kind of panel end:
 
   * a zero x_k of a basis's p_n: the a of |p_n|^a, as in the norms at
     q = 1 +- h and 2 +- h of the Richardson stencils, with a log where
@@ -173,49 +180,65 @@ local exponent a of each kind of panel end:
     whose phi holds -ln|p_n|: (x - x_k)^2 ln|x - x_k|, k = 2).  A raw
     spec's knot has a = 0, as Fisher's, where its integrand vanishes
     like (x - x_k)^2;
-  * a substituted end, in t: j + p, the first power of the series that
-    is not an integer, or j with a log where phi is ``log_singular_ends``
-    (Shannon's -ln rho and I's -ln h hold e ln|x - c| = e p ln t there).
-    At a pole, j = 0, so a = p: N_2 of Gegenbauer(0.25) (p = 4/3) takes
-    k = 3, Fisher's pole ends are graded as a basis's are, and a
-    log-singular pole takes k = 5;
-  * another finite end with an exponent e != 0: a = e, with that log, so
-    Shannon of Gegenbauer(2.5) at n = 0, with no zero to grade at, takes
-    84 evaluations in place of 651;
-  * a tail cut, the point that splits a support with two substituted
-    ends, or an end with exponent 0: smooth.
+  * a finite end with an exponent e != 0: a = e, with a log where phi is
+    ``log_singular_ends`` (Shannon's -ln rho and I's -ln h hold
+    e ln|x - c| there).  A pole, e in (-1, 0), is graded smooth: N_2 of
+    Gegenbauer(0.25) takes k = 4, the s^4 that the substitution
+    (p = 4/3) and then its grading in t (k = 3) gave.  Shannon of
+    Gegenbauer(2.5) at n = 0, with no zero to grade at, takes 84
+    evaluations in place of 651;
+  * a tail cut, or an end with exponent 0: smooth.
 
-Integer a keeps plain panels and its bits, as do the moments and every
-norm of the degree and q sweeps.  Gauss-Kronrod batches/points under the
-earlier rules (one k = 2 for every graded panel; cusps of |p_n|^a graded
-only below a = 3; the poles of a raw spec, and the weight end of an
-infinite support, never) against each end's own k; the pole/Temme and
-cusp sets are those of scripts/gk_counts.py:
+Integer a keeps plain panels and its bits, as do the moments and many
+norms of the degree and q sweeps.  Gauss-Kronrod batches/points under
+one k = 2 for every graded panel (cusps of |p_n|^a graded only below
+a = 3; the poles of a raw spec, and the weight end of an infinite
+support, never), then under each end's own k on top of the substitution
+in t, then under the one map here; the pole/Temme and cusp sets are
+those of scripts/gk_counts.py:
 
-    integrals                              k = 2             own k
-    Shannon Jacobi(-0.5, 0.3), n = 0       12/630            2/294
-    N_0.1 Hermite n = 6                    10/4,032          2/1,344
-    Fisher Jacobi(1.3, 1.7), n = 3          8/567            1/378
-    pole/Temme set, 200 integrals         515/88,116       326/70,245
-    cusp set, 128 integrals               497/142,065      205/82,719
-    functionals pool, 1,149 requests    1,172/1,482,285  1,168/1,484,469
+    integrals                          k = 2            t, own k         one map
+    Shannon Jacobi(-0.5, 0.3), n = 0   12/630           2/294            1/210
+    N_0.1 Hermite n = 6                10/4,032         2/1,344          1/1,680
+    Fisher Jacobi(1.3, 1.7), n = 3      8/567           1/378            1/546
+    Fisher Jacobi(1.5, 2.5), n = 0      3/126           3/126            1/168
+    pole/Temme set, 200 integrals     515/88,116       326/70,245       299/91,140
+    cusp set, 128 integrals           497/142,065      205/82,719       130/83,097
+    functionals pool                1,172/1,482,285  1,168/1,484,469  1,168/1,479,177
+    degree-sweep pool                 381/677,628      381/677,628      381/708,120
+    q-sweep pool                      331/994,497      331/994,497      321/1,028,685
 
 A threshold of 3 took 358/71,715 on the pole/Temme set and 222/82,719 on
 the cusp set; 5 gave Shannon's zeros k = 3 and took 1,312/1,677,963 on
-the functionals pool and 222/92,379 on the cusp set.  A log end that
-reaches the threshold at k = 1 and stays plain, as the e = 2.5 end of
-Jacobi(1.5, 2.5) with j = 5 (t^5 ln t, where Shannon's zeros are
-s^5 ln s on graded quarters), took 3 batches for Shannon at n = 0 in
-place of 1, and the functionals pool 1,174.
+the functionals pool and 222/92,379 on the cusp set (both under the
+substitution).  A log end left plain where its power reached the
+threshold at k = 1, as t^5 ln t at the e = 2.5 end of Jacobi(1.5, 2.5)
+under the substitution, took 3 batches for Shannon at n = 0 in place of
+1.  Splitting a support with a pole at each end and no zero (n = 0) at
+its midpoint, as the substitution needed, took the same 299 batches on
+the pole/Temme set and 3,444 more points, so the one panel stays whole.
 
-The first pass takes a graded panel as four intervals: refinement halved
-every graded panel at least twice anyway, and the quarters skip the two
-coarser passes, whose sums it discarded.  Over the Shannon and E
-requests of the functionals pool, that cut the evaluations from 264,852
-to 162,666 and the refinement rounds per integral from 3.0 to 1.2.  A
-graded panel whose peak is known keeps its top and sigma in v, and the
-first pass adds to its quarters the images in s of the peak cuts above,
-s = r/(1 + r), r = ((v - v0)/(v1 - v))^(1/k), and of the top itself: the
+The first pass cuts a graded panel about s = 1/2 as about a peak
+(above) of width near/3, where 1/2 +- i near, near = tan(pi/(2k))/2, are
+the poles of tau nearest (0, 1).  The integrand's singularities beyond
+the panel, the other zeros of p_n and the other end, map to about the
+same distance from s = 1/2, and the middle of the panel in x shrinks
+into s within a few near of 1/2: near = 0.5 at k = 2, 0.29 at k = 3,
+0.21 at k = 4 and about pi/(4k) at large k.  At k = 2 the cuts are the
+quarters, 1/4, 1/2 and 3/4: refinement halved every graded panel at
+least twice anyway, and the quarters skip the two coarser passes, whose
+sums it discarded; over the Shannon and E requests of the functionals
+pool, that cut the evaluations from 264,852 to 162,666 and the
+refinement rounds per integral from 3.0 to 1.2.  Quarters at every k took
+1,383 batches over the functionals pool and 217 over the cusp set, where
+a k = 3 end panel held a peak of width 0.09 in s beside the poles of
+tau; cuts about 1/2 only at k >= 4, where near < 1/4, took 1,337 and 180;
+at every k, 1,205 and 130.  On quarters alone, Shannon of
+Jacobi(-0.9999, 0.5) (k = 50,001) missed the Beta form by 5e-4, every
+node of the first pass beside the x-middle of its panel.  A graded panel
+whose peak is known keeps its top and sigma in x, and the first pass
+adds to those cuts the images in s of the peak cuts above,
+s = r/(1 + r), r = ((x - v0)/(v1 - x))^(1/k), and of the top itself: the
 map bends the core (-1.5, 1.5) sigma in s, and without the top's cut the
 tail pieces of Shannon of Hermite n = 15 missed the tolerance by a
 quarter.  The tail panel of Hermite and Laguerre runs from the outermost
@@ -225,16 +248,15 @@ batches per request went from 2.24 (Shannon), 1.75 (E), 3.21 (I), 5.37
 (E by the q-derivative) and 5.57 (Shannon by the q-derivative) to 1.20,
 1.00, 1.05, 1.00 and 1.00, and the pool's Gauss-Kronrod points from
 2,409,414 to 1,482,285; cuts without the top took 1.60, 1.31, 1.06, 1.21
-and 1.21 batches.  The node-rounding
-term below covers x formed from s.  The node s
-is rounded, which moves g by eps |s dg/ds|.  Then v is rounded as it is
-formed, by a few eps |v|, which moves g by eps |v dg_v/dv|, with
-g_v = g - ln dv/ds the log-integrand in v.  Both terms enter the size of
-a graded node.  Likewise x = c +- t^p on a substituted panel is rounded at
-the scale of |x|, not of |x - c|, which moves g_core by
-eps |x dg_core/dx|: without it, N_q of Jacobi(0.055, 0.055) at n = 12 and
-q = 8.7e5, whose mass lies within 1e-7 of the ends, missed by 5e-9 while
-claiming 1.3e-10.
+and 1.21 batches.  The node-rounding term below covers x formed from s.
+The node s is rounded, which moves g by eps |s dg/ds|.  Then x is
+rounded as it is formed, by a few eps |x|, not |x - c|, which moves g
+by eps |x dg_x/dx|, with g_x = g - ln dx/ds the log-integrand in x less
+the end logs taken from s, which that rounding leaves alone.  Both terms
+enter the size of a graded node.  Without the second, N_q of
+Jacobi(0.055, 0.055) at n = 12 and q = 8.7e5, whose mass lies within
+1e-7 of the ends, missed by 5e-9 while claiming 1.3e-10 (with x formed
+from t, as it then was).
 
 The sum is accepted when its error estimate E meets
 
@@ -268,11 +290,13 @@ the roundings remain.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -305,7 +329,6 @@ _WG = np.array(_WG_LEFT + _WG_LEFT[::-1])  # Kronrod nodes 1, 3, ..., 19
 # the two nodes each node's slope is differenced over: its neighbours, at an end itself and one
 _NEXT, _PREV = np.minimum(np.arange(1, 22), 20), np.maximum(np.arange(-1, 20), 0)
 
-_SMOOTH_POWER = 6  # a substituted end panel's weakest power of t, at least
 _GRADE_POWER = 4.0  # the power in s a graded panel end reaches, at least (see _grade)
 # a peaked panel's first pass: cuts at top +- 1.5 sigma and top +- 4 sigma 2^j,
 # where the panel is wider than 5 sigma and its peak within 40 nats of the
@@ -315,7 +338,7 @@ _PEAK_STEP = 4.0
 _PEAK_WIDTH = 5.0
 _PEAK_NATS = 40.0
 # a spec that names its own peaks (see LogIntegrand): each panel's sigma at
-# most 1/_BRANCH_SPAN of its distance to a substituted end, and no cut
+# most 1/_BRANCH_SPAN of its distance to a graded finite end, and no cut
 # within _CUT_MARGIN sigma of a panel end (see the module docstring)
 _BRANCH_SPAN = 2.0
 _CUT_MARGIN = 1.0
@@ -390,9 +413,9 @@ class LogIntegrand:
     the points, the values of g_core there and the endpoint powers
     ends = e_left ln(x - a) + e_right ln(b - x), so that phi can be built
     from the logs the engine already holds.  On a
-    substituted end panel x may round to the endpoint, but the engine
-    takes that endpoint's log from t exactly, so ends stays finite where x
-    alone would give ln 0.  ``log_singular`` marks a phi that is
+    graded end panel x may round to the endpoint, but the engine takes
+    that endpoint's log from the panel's coordinate s, so ends stays
+    finite where x alone would give ln 0.  ``log_singular`` marks a phi that is
     log-singular at the breakpoints, and ``log_singular_ends`` one that is
     log-singular at each finite end with a nonzero exponent: facts about
     phi that the engine cannot see.  It grades each panel with a power
@@ -420,39 +443,47 @@ class LogIntegrand:
             raise DomainError("a raw g_core_many must name its peaks")
 
 
+@functools.lru_cache(maxsize=256)
 def _grade(a: float, log: bool) -> int:
     """The power k of a graded panel end where the integrand behaves like
     |v - c|^a, times ln|v - c| where ``log``: v - c ~ s^k turns it into
     s^(k(a + 1) - 1), so k is the least integer >= 1 at which that power
     reaches _GRADE_POWER or, with no log, is an integer, where it is
-    smooth; a log is smooth at no k, and takes k >= 2 (see the module
-    docstring).  k = 1 leaves the end plain."""
-    k = 1 + log
-    while k * (a + 1.0) - 1.0 < _GRADE_POWER and (log or k * (a + 1.0) % 1.0):
-        k += 1
-    return k
+    smooth; a log is smooth at no k, and takes k >= 2 and a power above
+    _GRADE_POWER (see the module docstring).  k = 1 leaves the end plain.
+    a + 1 is taken as the fraction it was meant to be, to within the
+    rounding of a and of a + 1: a = -0.9 gives 0.09999999999999998, which
+    is 1/10, smooth at k = 10; 3 - 4e-16, an ulp from 3, is no integer."""
+    x = Fraction(a + 1.0)
+    near = x.limit_denominator(math.ceil((_GRADE_POWER + 1.0) / (a + 1.0)) + 1)
+    if abs(x - near) < 0.5 * (math.ulp(a) + math.ulp(a + 1.0)):
+        x = near
+    need = Fraction(_GRADE_POWER + 1.0) / x  # the k at which the power is _GRADE_POWER
+    return max(2, math.floor(need) + 1) if log else max(1, min(math.ceil(need), x.denominator))
 
 
-_PLAIN, _LEFT, _RIGHT = 0, 1, -1
+def _end_powers(spec: LogIntegrand) -> list[tuple[float, int]]:
+    """(c, k) of each end c of the spec, a then b: k the :func:`_grade` of
+    its exponent e, with a log where phi is ``log_singular_ends``, or 1
+    where c is infinite or e = 0."""
+    return [(c, _grade(e, spec.log_singular_ends) if math.isfinite(c) and e != 0.0 else 1)
+            for c, e in ((spec.a, spec.e_left), (spec.b, spec.e_right))]
 
 
 class _Panel:
     """One integration panel of spec ``owner`` in its own coordinate u over
     (lo, hi).
 
-    A plain panel has u = x.  A panel at a substituted endpoint c (``side``
-    _LEFT for a, _RIGHT for b) has u = t with |x - c| = t^p, see
-    :func:`_power`.  A graded panel (``grade`` = (v0, v1, k)) has
-    u = s over (0, 1), mapped onto (v0, v1) of that coordinate, x or t,
-    graded at both ends with the power k, see :func:`_graded`.
+    A plain panel has u = x.  A graded panel (``grade`` = (v0, v1, k)) has
+    u = s over (0, 1), mapped onto (v0, v1) of x, graded at both ends with
+    the power k, see :func:`_graded`.
     """
 
-    __slots__ = ("lo", "hi", "side", "owner", "grade", "peak", "top", "sigma")
+    __slots__ = ("lo", "hi", "owner", "grade", "peak", "top", "sigma")
 
-    def __init__(self, lo, hi, side=_PLAIN, owner=0, grade=None):
+    def __init__(self, lo, hi, owner=0, grade=None):
         self.lo = lo
         self.hi = hi
-        self.side = side
         self.owner = owner
         self.grade = grade
         self.peak = -math.inf
@@ -461,9 +492,12 @@ class _Panel:
 
 
 def _graded(panels: list[_Panel], us: np.ndarray) -> Optional[tuple]:
-    """(rows, v, ln dv/ds) of the graded panels' rows of points s = us:
+    """(rows, v, parts) of the graded panels' rows of points s = us:
     v = v0 + (v1 - v0) tau(s), tau(s) = s^k/(s^k + (1 - s)^k), with each
-    panel's own k; None where no row is graded."""
+    panel's own k, and parts = (v0, v1, ln(v1 - v0), ln tau, ln(1 - tau),
+    ln k - ln s - ln(1 - s)), whose sum less v0 and v1 is ln dv/ds (see
+    :func:`_lifted`); formed in logs, so that no power of s underflows at
+    large k.  None where no row is graded."""
     grades = [p.grade for p in panels]
     if not any(grades):
         return None
@@ -473,82 +507,29 @@ def _graded(panels: list[_Panel], us: np.ndarray) -> Optional[tuple]:
         grades = [grade for grade in grades if grade is not None]
         us = us[rows]
     v0, v1, k = np.array(grades).T[:, :, None]
-    a, b, c = np.empty((3, *us.shape))
-    # each row's powers of its own k, an int: x ** 2 is x*x, where pow(x, 2.0) can differ
-    for power in (powers := {grade[2] for grade in grades}):
-        r = _ALL if len(powers) == 1 else k[:, 0] == power
-        s = us[r]
-        a[r], b[r], c[r] = s ** power, (1.0 - s) ** power, (s * (1.0 - s)) ** (power - 1)
-    den = a + b
-    v = v0 + (v1 - v0) * (a / den)
-    jac = np.log(k * (v1 - v0) * c / (den * den))
-    return rows, v, jac
+    ls, l1s = np.log(us), np.log1p(-us)
+    den = np.logaddexp(k * ls, k * l1s)  # ln(s^k + (1 - s)^k)
+    a = k * ls - den
+    parts = (v0, v1, np.log(v1 - v0), a, k * l1s - den, np.log(k) - ls - l1s)
+    return rows, v0 + (v1 - v0) * np.exp(a), parts
 
 
-def _power(e: float) -> Optional[tuple[float, int]]:
-    """(p, j) of the substitution |x - c| = t^p, p = (j + 1)/(1 + e), which
-    turns |x - c|^e dx into p t^j dt; None where the end stays plain.
-
-    j = 0 for e in (-1, 0).  For e >= 0 the smooth rest F of the integrand
-    becomes F(c +- t^p), a series in t^p, and j is the least integer with
-    j + p >= _SMOOTH_POWER.  An integer e, or one of at least
-    _SMOOTH_POWER, is smooth enough as it stands."""
-    if not -1.0 < e < _SMOOTH_POWER or e == math.floor(e):
-        return None
-    j = 0
-    if e > 0.0:
-        while j + (j + 1) / (1.0 + e) < _SMOOTH_POWER:
-            j += 1
-    return (j + 1) / (1.0 + e), j
+def _lifted(parts: tuple, e0=0.0, e1=0.0) -> tuple:
+    """(ln dv/ds + e0 ln(v - v0) + e1 ln(v1 - v), the sum of the magnitudes
+    of its terms) at rows of a graded panel's points, from the ``parts`` of
+    :func:`_graded`.  A finite end's power enters as (e + 1) ln tau, one
+    product: ln tau and e ln tau apart are each about -k ln s, and their
+    sum would carry eps k |ln s| where e is near -1 and k large."""
+    _, _, span, a, b, rest = parts
+    terms = ((1.0 + e0 + e1) * span, (1.0 + e0) * a, (1.0 + e1) * b, rest)
+    return sum(terms), sum(np.abs(t) for t in terms)
 
 
-class _Sub(NamedTuple):
-    """A substituted end: its exponent e, p and j of :func:`_power`, and
-    the other end with its exponent."""
-
-    end: float
-    e: float
-    p: float
-    j: int
-    other: float
-    e_other: float
-
-
-def _substituted(spec: LogIntegrand, side: int) -> Optional[_Sub]:
-    """The substitution at end ``side`` of the spec, or None."""
-    if side == _LEFT:
-        end, e, other, e_other = spec.a, spec.e_left, spec.b, spec.e_right
-    else:
-        end, e, other, e_other = spec.b, spec.e_right, spec.a, spec.e_left
-    power = _power(e) if math.isfinite(end) else None
-    if power is None:
-        return None
-    return _Sub(end, e, *power, other, e_other)
-
-
-# columns of _Specs.table: the ends and their exponents, then per
-# substituted side (from column _SUB[side]) the fields of _Sub with e p for
-# e and ln p added, NaN where that end stays plain
+# columns of _Specs.table: the ends and their exponents
 _A, _B, _E_LEFT, _E_RIGHT = range(4)
-_END, _EP, _P, _J, _LOG_P, _OTHER, _E_OTHER = range(7)
-_SUB = {_LEFT: 4, _RIGHT: 11}
-# (column of an end, column of its exponent) of the plain ends and of the
-# other end of each substituted side
-_END_EXPONENTS = ((_B, _E_RIGHT), (_A, _E_LEFT), *((base + _OTHER, base + _E_OTHER)
-                                                   for base in _SUB.values()))
 
 
 _ALL = slice(None)  # every row of a batch
-
-
-def _constants(spec: LogIntegrand, subs: tuple[Optional[_Sub], Optional[_Sub]]) -> list[float]:
-    """The spec's row of _Specs.table, given its substitutions (left, right)."""
-    row = [float(spec.a), float(spec.b), float(spec.e_left), float(spec.e_right)]
-    for sub in subs:
-        row += ([math.nan] * 7 if sub is None else
-                [sub.end, sub.e * sub.p, sub.p, float(sub.j), math.log(sub.p), sub.other,
-                 sub.e_other])
-    return row
 
 
 class _Specs:
@@ -563,31 +544,29 @@ class _Specs:
 
     def __init__(self, specs):
         self.specs = list(specs)
-        self.subs = [(_substituted(s, _LEFT), _substituted(s, _RIGHT)) for s in self.specs]
-        rows = [_constants(s, subs) for s, subs in zip(self.specs, self.subs)]
-        self.table = np.array(rows).reshape(len(rows), 18) if len(rows) > 1 else None
-        self.shared = rows[0] if len(rows) == 1 else [
-            v[0] if all(x == v[0] or (x != x and v[0] != v[0]) for x in v) else None
-            for v in zip(*rows)]
+        rows = [[float(s.a), float(s.b), float(s.e_left), float(s.e_right)] for s in self.specs]
+        self.table = np.array(rows) if len(rows) > 1 else None
+        self.shared = [v[0] if v.count(v[0]) == len(v) else None for v in zip(*rows)]
         # per end (column of the end, column of its exponent): which specs'
         # g hold its power, whether all do, and whether any does
         self.enters = {}
-        for c, e in _END_EXPONENTS:
+        for c, e in ((_B, _E_RIGHT), (_A, _E_LEFT)):
             flags = [math.isfinite(row[c]) and row[e] != 0.0 for row in rows]
             every, some = all(flags), any(flags)
             self.enters[c] = (np.array(flags) if some and not every else None, every, some)
         self.errors: list[Optional[Exception]] = [None] * len(self.specs)
         self.shift = [0.0] * len(self.specs)  # each spec's highest panel peak, once known
+        self.graded = [False] * len(self.specs)  # whether a panel of the spec is graded
 
-    def entering(self, c: int, owner: Optional[np.ndarray], r=_ALL):
-        """The rows (of rows r) whose end in column c is finite with a
-        nonzero exponent: None, every one (_ALL) or a row mask."""
+    def entering(self, c: int, owner: Optional[np.ndarray]):
+        """The rows whose end in column c is finite with a nonzero exponent:
+        None, every one (_ALL) or a row mask."""
         flags, every, some = self.enters[c]
         if every:
             return _ALL
         if not some:
             return None
-        act = flags[owner[r]]
+        act = flags[owner]
         return _ALL if act.all() else act if act.any() else None
 
 
@@ -602,25 +581,6 @@ def _blocks(specs: _Specs, panels: list[_Panel]
         return owner, []
     cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), len(panels)]
     return owner, [(int(owner[i]), slice(i, j)) for i, j in zip(cuts, cuts[1:])]
-
-
-def _pick(v, r):
-    """Rows r of v, a float or a column."""
-    return v if isinstance(v, float) or r is _ALL else v[r]
-
-
-def _ln0_times(e):
-    """e ln 0 for e != 0, a float or a column."""
-    if isinstance(e, float):
-        return -math.inf if e > 0 else math.inf
-    return np.copysign(math.inf, -e)
-
-
-def _scaled(j, v: np.ndarray) -> Optional[np.ndarray]:
-    """j v, 0 where j = 0, for j a float or a column; None for j = 0.0."""
-    if isinstance(j, float):
-        return j * v if j else None
-    return np.where(j != 0.0, j * v, 0.0)
 
 
 def _log_distances(c, xs: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -723,16 +683,18 @@ def _logf_rows(specs: _Specs, panels: list[_Panel], us: np.ndarray, sizes: bool 
     """(g, x, core, ends, size, graded) at the points us[i] of panels[i],
     with one call of each spec's core over its rows: g is the log-integrand
     in the panels' own coordinates, core = g_core(x), ends the endpoint
-    powers e_left ln(x - a) + e_right ln(b - x), a substituted end's log
-    taken from t, size, if asked for, the sum of the magnitudes of the
-    terms of g, each rounded at its own scale (g_core's from
-    :func:`_core_rows`), and graded the
-    :func:`_graded` (rows, v, ln dv/ds) of the batch, or None.  Everything
-    but the core is computed for all rows at once, each row with its
-    spec's constants, and elementwise, so a row's values do not depend on
-    the other rows.  A spec whose core raises is marked failed, and its
-    rows, like those of specs that failed before, hold NaN.  ``layout`` is
-    the batch's :func:`_blocks`, where the caller has it."""
+    powers e_left ln(x - a) + e_right ln(b - x), size, if asked for, the
+    sum of the magnitudes of the terms of g, each rounded at its own scale
+    (g_core's from :func:`_core_rows`), and graded (rows, v, jac) of the
+    batch's graded rows, or None.  A graded panel takes the log of a
+    finite end it reaches from s, so ends stays finite where x rounds onto
+    that end, and g takes that end's power with ln dv/ds, as jac (see
+    :func:`_lifted`).
+    Everything but the core is computed for all rows at once, each row
+    with its spec's constants, and elementwise, so a row's values do not
+    depend on the other rows.  A spec whose core raises is marked failed,
+    and its rows, like those of specs that failed before, hold NaN.
+    ``layout`` is the batch's :func:`_blocks`, where the caller has it."""
     owner, blocks = layout or _blocks(specs, panels)
     const = None if owner is None else specs.table[owner]
 
@@ -741,76 +703,47 @@ def _logf_rows(specs: _Specs, panels: list[_Panel], us: np.ndarray, sizes: bool 
         v = specs.shared[j]
         return v if v is not None else const[r, j, None]
 
-    sides = np.array([p.side for p in panels])
-    graded = _graded(panels, us)
-    vs = us  # the points in x, or in t on a substituted panel
+    graded = _graded(panels, us) if any(specs.graded[k] for k, _ in blocks) else None
+    xs = us
     if graded is not None:
-        r, v, _ = graded
-        if r is _ALL:
-            vs = v
+        rg, v, parts = graded
+        if rg is _ALL:
+            xs = v
         else:
-            vs = us.copy()
-            vs[r] = v
-    xs = vs.copy()
-    rows = []  # (side, row mask, ln t) per substituted side
-    for side in (_LEFT, _RIGHT):
-        r = sides == side
-        if r.any():
-            t, end = vs[r], col(_SUB[side] + _END, r)
-            lt = np.log(t)
-            xs[r] = np.where(t > 0.0, end + side * np.exp(col(_SUB[side] + _P, r) * lt), end)
-            rows.append((side, r, lt))
+            xs = us.copy()
+            xs[rg] = v
     core, core_size = _core_rows(specs, blocks, xs, sizes)
     ends = np.zeros_like(xs)
+    g_ends = ends if graded is None else np.zeros_like(xs)  # the terms of ends taken from x
     size = core_size.copy() if sizes else None
-    for c_col, e_col, right in ((_B, _E_RIGHT, True), (_A, _E_LEFT, False)):
+    lift = {}  # per end: each row's exponent of it, where its log comes from s
+    for c_col, e_col, side in ((_B, _E_RIGHT, 1), (_A, _E_LEFT, 0)):
         r = specs.entering(c_col, owner)
         if r is None:
             continue
         c, e = col(c_col, r), col(e_col, r)
         x = xs if r is _ALL else xs[r]
-        dist = c - x if right else x - c
-        term = e * _log_distances(c, x, dist)
-        dead = _ln0_times(e)  # at a point on or beyond the end
-        if r is _ALL:
-            ends = np.where(dist > 0.0, ends + term, dead)
-            if sizes:
-                size += np.abs(term)
-        else:
-            ends[r] = np.where(dist > 0.0, ends[r] + term, dead)
-            if sizes:
-                size[r] += np.abs(term)
-    g = core + ends
-    for side, r, lt in rows:
-        base = _SUB[side]
-        # the substituted end's e ln|x - c|, with dx = p t^(p-1) dt, is ln p + j ln t
-        gr = core[r] + col(base + _LOG_P, r)
-        j = col(base + _J, r)
-        j_lt = _scaled(j, lt)
-        if j_lt is not None:
-            gr += j_lt
-        other = 0.0
-        o = specs.entering(base + _OTHER, owner, r)
-        if o is not None:
-            c, e = _pick(col(base + _OTHER, r), o), _pick(col(base + _E_OTHER, r), o)
-            x = xs[r][o]
-            term = e * _log_distances(c, x, side * (c - x))
-            if o is _ALL:
-                other = term
-            else:
-                other = np.zeros_like(lt)
-                other[o] = term
-            gr += other
-        g[r] = gr
-        ends[r] = col(base + _EP, r) * lt + other
+        dist = c - x if side else x - c
+        # ln 0 on or beyond c
+        term = e * np.where(dist > 0.0, _log_distances(c, x, dist), -math.inf)
+        if graded is not None:  # a graded row that reaches c takes ln|x - c| from s
+            reach, log_s = np.zeros((len(panels), 1), dtype=bool), np.zeros_like(xs)
+            reach[rg], log_s[rg] = parts[side] == col(c_col, rg), parts[2] + parts[3 + side]
+            reach, log_s = (reach, log_s) if r is _ALL else (reach[r], log_s[r])
+            ends[r] += np.where(reach, e * log_s, term)
+            term = np.where(reach, 0.0, term)
+            lift[side] = np.zeros((len(panels), 1))
+            lift[side][r] = np.where(reach, e, 0.0)
+        g_ends[r] += term
         if sizes:
-            j_abs = _scaled(j, np.abs(lt))
-            size[r] = core_size[r] + np.abs(other) + (0.0 if j_abs is None else j_abs)
+            size[r] += np.abs(term)
+    g = core + g_ends
     if graded is not None:
-        r, _, jac = graded
-        g[r] += jac
+        jac, jac_size = _lifted(parts, *(lift[i][rg] if i in lift else 0.0 for i in (0, 1)))
+        g[rg] += jac
         if sizes:
-            size[r] += np.abs(jac)
+            size[rg] += jac_size
+        graded = rg, v, jac
     return g, xs, core, ends, size, graded
 
 
@@ -878,82 +811,56 @@ def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:
     """Record on each panel of the specs (``known``, spec -> its
     :func:`_known_peaks`) its top, the peak of its gap between knots
     clipped to the panel, and the width sigma = 1/(a |g'| + sqrt(-a g''))
-    there, 1/sqrt(-g'') at an interior peak, both mapped into the panel's
-    coordinate (on a substituted panel sigma takes the curvature of the
-    (p - 1) ln t that g gains in t); and its peak, g at the top in x, from
-    one batch over all of them.  A top on an end where the exponent is
-    positive, where g is -inf, moves one ulp inward.  A spec that names its
-    own peaks has each sigma at most 1/_BRANCH_SPAN of the panel's distance
-    to an end it substitutes (see the module docstring).  At a pole (j = 0)
-    the table's g leaves the end's power out, and in t the integrand is
-    that g plus ln p, with no power of t: sigma maps into t without the
-    (p - 1) ln t, and the peak is g at the top in t.  Where that top is
-    the end itself, g(t^p) is flat in t up to t = x^(1/p) for x near
-    sigma, where a nat is lost, and falls there over about t/p, across
-    which x moves by a factor e: the cuts center there with that width.
-    At p = 2 that is near a Gaussian of width 0.7 t; at p = 1e4 (Fisher of
-    Laguerre(1.0001)) all that g varies lies within some 40/p of the
-    panel's end in t, which cuts about t = 0 left unresolved, 1.7e-4 off.
-    A graded panel records its top and sigma in its coordinate v, x or t
-    over its ``grade``, not in s; the first pass maps its cuts into s
-    (:func:`_ungraded`)."""
+    there, 1/sqrt(-g'') at an interior peak; and its peak, g at the top,
+    from one batch over all of them.  g is -inf (+inf at a pole) on an
+    end with a nonzero exponent, so a top there takes its value one ulp
+    inward.  At a pole the table's g leaves the end's power out, and so
+    does the peak of the pole's end panel.  A spec that names its own
+    peaks has each sigma at most 1/_BRANCH_SPAN of the panel's distance to
+    a graded finite end (see the module docstring).  A graded panel
+    records its top and sigma in x over its ``grade``, not in s; the first
+    pass maps its cuts into s (:func:`_ungraded`)."""
     owner, blocks = _blocks(specs, panels)
-    # each panel's span in x, or in t at a substituted end
-    v = np.array([(p.grade or (p.lo, p.hi))[:2] for p in panels])
-    subs = [(i, specs.subs[p.owner][p.side == _RIGHT]) for i, p in enumerate(panels) if p.side]
-    x = v.copy()
-    for i, sub in subs:
-        x[i] = sorted(sub.end + panels[i].side * v[i] ** sub.p)
+    x = np.array([(p.grade or (p.lo, p.hi))[:2] for p in panels])  # each panel's span in x
     mid = 0.5 * (x[:, 0] + x[:, 1])
-    peak, g1, g2, a, lo_end, hi_end = np.empty((6, len(panels)))
+    peak, g1, g2, a, lo_end, hi_end, lo_pole, hi_pole = np.empty((8, len(panels)))
     for k, r in blocks:
         tops, knots, d1, d2, a[r] = known[k]
         i = np.searchsorted(knots, mid[r])
         spec = specs.specs[k]
         peak[r], g1[r], g2[r] = tops[i], d1[i], d2[i]
-        lo_end[r] = spec.a if spec.e_left > 0.0 else math.nan
-        hi_end[r] = spec.b if spec.e_right > 0.0 else math.nan
+        lo_end[r] = spec.a if spec.e_left != 0.0 else math.nan
+        hi_end[r] = spec.b if spec.e_right != 0.0 else math.nan
+        # the exponent of a pole at a panel's end, whose power its peak leaves out
+        lo_pole[r] = np.where(x[r, 0] == spec.a, min(spec.e_left, 0.0), 0.0)
+        hi_pole[r] = np.where(x[r, 1] == spec.b, min(spec.e_right, 0.0), 0.0)
     top = np.clip(peak, x[:, 0], x[:, 1])
-    on_end = (top == lo_end) | (top == hi_end)  # where g is -inf
-    top[on_end] = np.nextafter(top[on_end], mid[on_end])
+    on_end = (top == lo_end) | (top == hi_end)
+    at = np.where(on_end, np.nextafter(top, mid), top)  # where each peak value is taken
     den = a * np.abs(g1) + np.sqrt(np.maximum(-a * g2, 0.0))
     sigma = np.where(np.isfinite(den) & (den > 0.0), 1.0 / den, math.inf)
-    for k, r in blocks:  # a spec's own peaks: narrower near an end it substitutes
-        for sub in specs.subs[k] if specs.specs[k].peaks is not None else ():
-            if sub is not None:
-                near = np.abs(x[r] - sub.end).min(axis=1)  # 0 on the end panel itself
+    for k, r in blocks:  # a spec's own peaks: narrower near a graded finite end
+        for c, power in _end_powers(specs.specs[k]) if specs.specs[k].peaks is not None else ():
+            if power > 1:
+                near = np.abs(x[r] - c).min(axis=1)  # 0 on the end panel itself
                 sigma[r] = np.where(near > 0.0, np.minimum(sigma[r], near / _BRANCH_SPAN), sigma[r])
-    u = top.copy()
     plain = {k: _Panel(-math.inf, math.inf, owner=k) for k, _ in blocks}
     rows = [plain[0]] * len(panels) if owner is None else [plain[k] for k in owner.tolist()]
-    at = top.copy()  # where each peak value is taken: in x, or in t at a pole
-    for i, sub in subs:  # t = d^(1/p) at the distance d from the end, dx/dt = p d/t
-        d = abs(top[i] - sub.end)
-        u[i] = d ** (1.0 / sub.p)
-        if sub.j:  # in t, g gains (p - 1) ln t: -g_t'' = (p d/t)^2 / sigma^2 + (p - 1)/t^2
-            sigma[i] = u[i] / math.sqrt((sub.p * d / sigma[i]) ** 2 + sub.p - 1.0)
-            continue
-        p = panels[i]
-        rows[i], at[i] = _Panel(p.lo, p.hi, p.side, p.owner), u[i]
-        if d == 0.0:  # cut about x = sigma, where g has fallen a nat; x moves by e over t/p
-            u[i] = sigma[i] ** (1.0 / sub.p)
-            sigma[i] = u[i] / sub.p
-        else:
-            sigma[i] = u[i] * sigma[i] / (sub.p * d)
-    for p, t, width in zip(panels, u.tolist(), sigma.tolist()):
-        p.top, p.sigma = t, width
     g = _logf_rows(specs, rows, at[:, None])[0][:, 0]
-    for p, value in zip(panels, g.tolist()):
-        p.peak = value
+    for c, e, dist in ((lo_end, lo_pole, at - lo_end), (hi_end, hi_pole, hi_end - at)):
+        pole = e < 0.0
+        if pole.any():
+            g[pole] -= e[pole] * _log_distances(c[pole], at[pole], dist[pole])
+    for p, t, width, value in zip(panels, top.tolist(), sigma.tolist(), g.tolist()):
+        p.top, p.sigma, p.peak = t, width, value
 
 
-def _peak_cuts(p: _Panel, lo: float, hi: float, margin: float = 0.0,
+def _peak_cuts(top: float, sigma: float, lo: float, hi: float, margin: float = 0.0,
                at_top: bool = False) -> list[float]:
     """The points top +- _PEAK_CORE sigma and top +- _PEAK_STEP sigma 2^j,
-    j = 0, 1, ..., and the top itself if ``at_top``, of the panel p over
-    (lo, hi) that lie inside it, more than margin sigma from its ends,
+    j = 0, 1, ..., and the top itself if ``at_top``, of a peak in a panel
+    over (lo, hi) that lie inside it, more than margin sigma from its ends,
     ascending."""
-    top, sigma = p.top, p.sigma
     offsets, step = [0.0] * at_top + [_PEAK_CORE * sigma], _PEAK_STEP * sigma
     while top - step > lo or top + step < hi:
         offsets.append(step)
@@ -1004,12 +911,9 @@ def _gk_rows(specs: _Specs, panels: list[_Panel], a: list[float], b: list[float]
     g, xs, core, ends, size, graded = _logf_rows(specs, panels, us, sizes, layout)
     if sizes:  # the node's own rounding, |u dg/du|, by differences along each row
         size = size + _node_rounding(g, us)
-        if graded is not None:  # and that of v formed from s
+        if graded is not None:  # and that of x formed from s, which moves g but the logs from s
             r, v, jac = graded
             size[r] += _node_rounding(g[r] - jac, v)
-        r = np.array([p.side != _PLAIN for p in panels])
-        if r.any():  # and that of x formed from t, which moves g_core
-            size[r] += _node_rounding(core[r], xs[r])
     g = g - (specs.shift[0] if owner is None else np.array(specs.shift)[owner, None])
     over = _owners(owner, g > _EXP_CLAMP)
     w = np.where(g > -math.inf, np.exp(g), 0.0)
@@ -1196,46 +1100,30 @@ def log_integrals(specs: list[LogIntegrand], cfg: QuadratureConfig = DEFAULT_CON
 def _spec_panels(specs: _Specs, k: int, lo: float, hi: float, bps: list[float]
                  ) -> list[_Panel]:
     """Spec k's panels between its (cut) ends lo and hi, split at its
-    breakpoints, a substituted end panel in t, each graded with the larger
-    :func:`_grade` of its two ends' local exponents: at a zero of a
-    basis's p_n, its a (0 at a raw spec's knot), with a log where phi is
-    ``log_singular``; at a substituted end, j + p in t, or j with a log
-    where phi is ``log_singular_ends``; at another finite end, its
-    exponent e with that log; 0 at a tail cut or where e = 0 (see the
-    module docstring)."""
+    breakpoints, each graded with the larger :func:`_grade` of its two
+    ends' local exponents: at a zero of a basis's p_n, its a (0 at a raw
+    spec's knot), with a log where phi is ``log_singular``; at a finite
+    end, its exponent e, with a log where phi is ``log_singular_ends``; 0
+    at a tail cut or where e = 0 (see the module docstring)."""
     spec = specs.specs[k]
     for e, name in ((spec.e_left, "left"), (spec.e_right, "right")):
         if e <= -1.0:
             raise DomainError(f"non-integrable {name} endpoint exponent {e}")
     edges = [lo] + [x for x in bps if lo < x < hi] + [hi]
-    left, right = specs.subs[k]
-    log = spec.log_singular_ends
-    # the power at each edge: lo's, every knot's, hi's, and 1 at a split point
-    powers = [1 if x != end or e == 0.0 else  # a tail cut, or a smooth end
-              _grade(e if sub is None else sub.j + (0.0 if log else sub.p), log)
-              for x, end, e, sub in ((lo, spec.a, spec.e_left, left),
-                                     (hi, spec.b, spec.e_right, right))]
+    # the power at each edge: lo's, every knot's, hi's
+    powers = [power if x == end else 1 for x, (end, power) in zip((lo, hi), _end_powers(spec))]
     knot = _grade(0.0 if spec.basis is None else spec.basis.a, spec.log_singular)
     powers[1:1] = [knot] * (len(edges) - 2)
-    if len(edges) == 2 and left is not None and right is not None:
-        edges, powers = [lo, 0.5 * (lo + hi), hi], [powers[0], 1, powers[1]]
     panels = []
     for i in range(len(edges) - 1):
         u, v = edges[i], edges[i + 1]
         if not v > u:
             continue
-        # t = |x - c|^(1/p), with 1/p = 1 + e exactly where j = 0, a pole
-        if i == 0 and left is not None and u == spec.a:
-            side, v0, v1 = _LEFT, 0.0, (v - u) ** ((1.0 + left.e) / (left.j + 1))
-        elif i == len(edges) - 2 and right is not None and v == spec.b:
-            side, v0, v1 = _RIGHT, 0.0, (v - u) ** ((1.0 + right.e) / (right.j + 1))
-        else:
-            side, v0, v1 = _PLAIN, u, v
         power = max(powers[i], powers[i + 1])
-        panels.append(_Panel(0.0, 1.0, side, k, (v0, v1, power)) if power > 1 else
-                      _Panel(v0, v1, side, k))
+        panels.append(_Panel(0.0, 1.0, k, (u, v, power)) if power > 1 else _Panel(u, v, k))
     if not panels:
         raise DomainError(f"empty domain ({lo}, {hi})")
+    specs.graded[k] = any(p.grade for p in panels)
     return panels
 
 
@@ -1274,19 +1162,21 @@ def _log_integrals(specs: _Specs, cfg: QuadratureConfig) -> list:
         specs.shift[k] = shift = max(spec_peaks)
         sums[k] = _Sum(shift, cfg.rel_tol)
 
-    # the first pass cuts every graded panel into quarters, and every panel
-    # whose peak is much narrower than itself geometrically toward that
-    # peak: a graded panel's in v, at its top too, and the cuts mapped into s
+    # the first pass cuts every graded panel about s = 1/2 (into quarters at
+    # k = 2), and every panel whose peak is much narrower than itself
+    # geometrically toward that peak: a graded panel's in x, at its top too,
+    # and the cuts mapped into s
     panels, los, his = [], [], []
     for p in work:
         lo, hi = (p.grade or (p.lo, p.hi))[:2]
         cut = []
         if hi - lo > _PEAK_WIDTH * p.sigma and p.peak >= specs.shift[p.owner] - _PEAK_NATS:
-            cut = _peak_cuts(p, lo, hi, _CUT_MARGIN if specs.specs[p.owner].peaks is not None
-                             else 0.0, p.grade is not None)
+            cut = _peak_cuts(p.top, p.sigma, lo, hi, _CUT_MARGIN if specs.specs[p.owner].peaks
+                             is not None else 0.0, p.grade is not None)
         if p.grade is not None:
-            mid = 0.5 * (p.lo + p.hi)
-            cut = sorted({0.5 * (p.lo + mid), mid, 0.5 * (mid + p.hi), *_ungraded(p.grade, cut)})
+            near = 0.5 * math.tan(0.5 * math.pi / p.grade[2])  # the map's poles: 1/2 +- i near
+            cut = sorted({*_peak_cuts(0.5, near / 3.0, 0.0, 1.0, at_top=True),
+                          *_ungraded(p.grade, cut)})
         edges = [p.lo] + cut + [p.hi]
         panels += [p] * (len(edges) - 1)
         los += edges[:-1]

@@ -199,8 +199,8 @@ def test_float_functionals_refuse_values_outside_float_range():
 def test_shannon_of_the_chebyshev_third_kind_density():
     # rho-hat of P_n^(1/2, -1/2) has S = ln pi - 1 for every n (Dehesa,
     # Martinez-Finkelshtein & Sanchez-Ruiz 2001).  Its weight has a pole at
-    # x = -1, where the substituted panel's x rounds to -1: phi must take
-    # ln h from t, not from x, or S reads -inf
+    # x = -1, where a graded panel's x rounds to -1: phi must take ln h
+    # from s, not from x, or S reads -inf
     for n in (0, 1, 2, 3, 4, 5, 20):
         s = shannon_entropy(DensityHandle(jacobi(0.5, -0.5), n))
         assert abs(s - (math.log(math.pi) - 1.0)) <= 1e-11, n

@@ -12,7 +12,7 @@ from hopnorms.families import gegenbauer, hermite, jacobi, laguerre
 from hopnorms import families, measures, norms, quadrature
 from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
 from hopnorms.quadrature import (LogIntegrand, QuadratureConfig, QuadratureFailure, _graded,
-                                 _Panel, _power, _ungraded, log_integral)
+                                 _Panel, _ungraded, log_integral)
 
 from .helpers import beta_entropy, grid_peaks, named
 
@@ -140,7 +140,8 @@ def test_graded_panel_map(k):
     # carries only its own rounding
     v0, v1 = 0.3, 2.2
     s = np.array([[1e-12, 1e-6, 1e-3, 0.2, 0.5, 0.7, 1.0 - 1e-3, 1.0 - 2.0 ** -40]])
-    _, v, jac = _graded([_Panel(0.0, 1.0, grade=(v0, v1, k))], s)
+    _, v, parts = _graded([_Panel(0.0, 1.0, grade=(v0, v1, k))], s)
+    jac = quadrature._lifted(parts)[0]
     eps = np.finfo(float).eps
     with mpmath.workdps(40):
         for si, vi, ji in zip(s[0].tolist(), v[0].tolist(), jac[0].tolist()):
@@ -191,27 +192,30 @@ _RAW = dict(a=0.0, b=2.0, g_core_many=np.zeros_like, peaks=((), (), (), ()))
     (measures._shannon_spec(measures.DensityHandle(hermite(), 2)), (-5.0, 5.0), [2, 2, 2]),
     # a zero of p_n in |p_n|^0.5: s^(1.5k - 1) is smooth at k = 2
     (norms.density_spec(hermite(), 2, 0.5, 1.0), (-5.0, 5.0), [2, 2, 2]),
-    # a raw spec's knot has a = 0: smooth, or s^(k - 1) ln s under a log
+    # a raw spec's knot has a = 0: smooth, or s^(k - 1) ln s under a log, above s^4 at k = 6
     (LogIntegrand(**_RAW, breakpoints=(1.0,)), (0.0, 2.0), [1, 1]),
-    (LogIntegrand(**_RAW, breakpoints=(1.0,), log_singular=True), (0.0, 2.0), [5, 5]),
-    # a substituted end, e = 1.25: j = 4, a = j + p >= 6, or j = 4 under a log
-    (LogIntegrand(**_RAW, e_left=1.25), (0.0, 2.0), [1]),
-    (LogIntegrand(**_RAW, e_left=1.25, log_singular_ends=True), (0.0, 2.0), [2]),
-    # a pole, e = -0.25: j = 0, a = p = 4/3, s^(7k/3 - 1) smooth at k = 3; a = 0 under a log
-    (LogIntegrand(**_RAW, e_left=-0.25), (0.0, 2.0), [3]),
-    (LogIntegrand(**_RAW, e_left=-0.25, log_singular_ends=True), (0.0, 2.0), [5]),
-    # an unsubstituted end, a = e = 2: smooth, or graded under a log
+    (LogIntegrand(**_RAW, breakpoints=(1.0,), log_singular=True), (0.0, 2.0), [6, 6]),
+    # a finite end, e = 1.25: s^(2.25k - 1) passes 4 at k = 3, with or without a log
+    (LogIntegrand(**_RAW, e_left=1.25), (0.0, 2.0), [3]),
+    (LogIntegrand(**_RAW, e_left=1.25, log_singular_ends=True), (0.0, 2.0), [3]),
+    # a pole, e = -0.25: s^(0.75k - 1) is smooth at k = 4, and passes 4 at k = 7 under a log
+    (LogIntegrand(**_RAW, e_left=-0.25), (0.0, 2.0), [4]),
+    (LogIntegrand(**_RAW, e_left=-0.25, log_singular_ends=True), (0.0, 2.0), [7]),
+    # a pole, e = -0.9: s^(0.1k - 1) is smooth at k = 10, though e + 1 rounds
+    # to 0.09999999999999998, where k = 51 would reach 4
+    (LogIntegrand(**_RAW, e_left=-0.9), (0.0, 2.0), [10]),
+    # an integer end exponent, e = 2: smooth, or graded under a log
     (LogIntegrand(**_RAW, e_left=2.0), (0.0, 2.0), [1]),
     (LogIntegrand(**_RAW, e_left=2.0, log_singular_ends=True), (0.0, 2.0), [2]),
     # an end with exponent 0, and tail cuts, are smooth under any log
     (LogIntegrand(**_RAW, log_singular=True, log_singular_ends=True), (0.0, 2.0), [1]),
     (measures._shannon_spec(measures.DensityHandle(hermite(), 0)), (-5.0, 5.0), [1]),
 ], ids=["zero", "zero-log", "zero-smooth-at-2", "knot", "knot-log", "end", "end-log", "pole",
-        "pole-log", "plain-end", "plain-end-log", "smooth-end", "tail-cut"])
+        "pole-log", "pole-rounded", "plain-end", "plain-end-log", "smooth-end", "tail-cut"])
 def test_each_panel_takes_its_power_from_its_ends(spec, ends, powers):
     # k is the least integer >= 1 at which s^(k(a + 1) - 1), a the local
-    # exponent at a panel end, reaches 4 (with a log, k >= 2) or, with no
-    # log, is smooth; a panel takes the larger k of its two ends
+    # exponent at a panel end, reaches 4 or, with no log, is smooth; with a
+    # log it must pass 4; a panel takes the larger k of its two ends
     assert _panel_powers(spec, *ends) == powers
 
 
@@ -452,24 +456,10 @@ def test_norms_of_narrow_peaks_are_finite_and_meet_bell(kind, a, b, n, q):
                 <= unweighted.error_estimate + bell.error_estimate)
 
 
-def test_substitution_powers():
-    # |x - c| = t^p turns |x - c|^e dx into p t^j dt with p = (j + 1)/(1 + e)
-    assert _power(-0.5) == (2.0, 0)
-    for e in (-0.25, 0.25, 0.5, 0.75, 1.25, 2.5, 3.75, 5.5, 5.999):
-        p, j = _power(e)
-        assert p == pytest.approx((j + 1) / (1 + e), rel=1e-15)
-        if e > 0:  # the least j whose t^(j + p) is no weaker than t^6
-            assert j + p >= 6 > (j - 1) + j / (1 + e)
-        else:
-            assert j == 0
-    for e in (0.0, 1.0, 3.0, 6.0, 7.5, 100.0):  # integer, or smooth enough as it is
-        assert _power(e) is None
-
-
 _ENDPOINT_EXPONENTS = (-0.5, -0.25, 0.25, 0.5, 0.75, 1.25, 2.5, 3.75, 5.5)
 
 
-def _substituted_families():
+def _end_power_families():
     fams = [hermite()]  # no finite end: the plain panels alone
     for i, e in enumerate(_ENDPOINT_EXPONENTS):
         fams += [laguerre(e), jacobi(e, _ENDPOINT_EXPONENTS[(i + 4) % 9])]
@@ -478,9 +468,9 @@ def _substituted_families():
     return fams
 
 
-@pytest.mark.parametrize("fam", _substituted_families(), ids=lambda f: f.label())
+@pytest.mark.parametrize("fam", _end_power_families(), ids=lambda f: f.label())
 def test_substituted_norms_against_the_exact_engine(fam):
-    # N_2 and N_4 with every endpoint exponent substituted (or, for Hermite,
+    # N_2 and N_4 with every endpoint exponent graded (or, for Hermite,
     # none) meet the exact rational moment sum within their claimed error
     for n in (0, 1, 5, 20):
         for q in (2, 4):
@@ -495,8 +485,8 @@ def test_weak_endpoint_powers_cost_few_batches(batches, fam, n, q, most):
     # (1 - x)^1.25 at both ends of Gegenbauer(1.75) N_4, and x^0.5 at the
     # left end of Laguerre(0.5) N_2, once took 19 and 23 integrand batches:
     # their end intervals were halved a dozen times, the error falling about
-    # 5x per round.  Substituted, they take 5 and 8 (3 and 3 with the 10-21
-    # rule)
+    # 5x per round.  Substituted in t, they took 5 and 8 (3 and 3 with the
+    # 10-21 rule); graded with k = 3 and 2, they take 2 and 3
     r = unweighted_norm_quad(fam, n, q)
     assert len(batches) <= most
     assert r.error_estimate <= 1e-11
@@ -516,7 +506,7 @@ _LOCKSTEP_FAMILIES = (hermite(), laguerre(0.5), laguerre(3.0), jacobi(2.0, 1.0),
 def _raw_spec(kind: int, c: float, w: float) -> LogIntegrand:
     """A raw integrand with named peaks: a Gaussian on the line with a
     signed phi, a peak between finite ends whose weak powers the engine
-    substitutes, or a narrow peak in a wide panel, which the first pass
+    grades, or a narrow peak in a wide panel, which the first pass
     cuts toward."""
     if kind == 0:
         return named(a=-math.inf, b=math.inf, g_core_many=lambda x: -((x - c) / w) ** 2,
@@ -775,14 +765,26 @@ def test_graded_panels_finish_in_their_first_pass(gk_batches, integral, parent):
 
 
 def test_a_log_singular_pole_takes_its_own_power(gk_batches):
-    # Shannon of the Beta density of Jacobi(-0.5, 0.3): in t, phi = -ln rho
-    # holds ln t at the pole x = 1, which the one power k = 2 of every
-    # graded panel left as s ln s, 12 batches; its own power k = 5 leaves
-    # s^4 ln s
+    # Shannon of the Beta density of Jacobi(-0.5, 0.3): phi = -ln rho holds
+    # ln(1 - x) at the pole x = 1, which the one power k = 2 of every graded
+    # panel left as s ln s, 12 batches; its own power k = 11 leaves
+    # s^4.5 ln s
     d = measures.DensityHandle(jacobi(-0.5, 0.3), 0)
     res = log_integral(measures._shannon_spec(d))
     assert len(gk_batches) <= 3
     s, want = measures._density_value(d, res), beta_entropy(-0.5, 0.3)
+    assert abs(s - want) <= res.rel_err * abs(s)
+
+
+@pytest.mark.parametrize("b", [0.5, -0.9999])
+def test_shannon_next_to_a_near_integrable_pole_meets_its_claim(b):
+    # Shannon of Jacobi(-0.9999, b), n = 0: phi = -ln rho holds -0.9999 ln(1 - x)
+    # at x = 1, graded with k = 50,001, where nearly all the mass lies within
+    # exp(-1e4) of the end and x rounds onto it; the end's log comes from s.
+    # The substitution in t once missed the Beta form by 2e-4 here
+    d = measures.DensityHandle(jacobi(-0.9999, b), 0)
+    res = log_integral(measures._shannon_spec(d))
+    s, want = measures._density_value(d, res), beta_entropy(-0.9999, b)
     assert abs(s - want) <= res.rel_err * abs(s)
 
 
@@ -795,10 +797,18 @@ def test_a_weak_cusp_takes_its_own_power(gk_batches):
 
 def test_fisher_grades_its_pole_ends(gk_batches):
     # Fisher of Jacobi(1.3, 1.7), n = 3: h/d^2 has the poles (1 -+ x)^(-0.7)
-    # and ^(-0.3), p = 10/3 and 10/7 in t, which plain end panels halved
-    # toward for 8 batches; graded with k = 2 and 3 they finish in the first
+    # and ^(-0.3), which plain end panels halved toward for 8 batches;
+    # graded with k = 10 and 8 they finish in the first
     measures.fisher_integral(measures.DensityHandle(jacobi(1.3, 1.7), 3))
     assert len(gk_batches) == 1
+
+
+def test_fisher_grades_a_weak_end_power(gk_batches):
+    # Fisher of Jacobi(1.5, 2.5), n = 0: h/d^2 has (1 + x)^0.5 at x = -1,
+    # graded with k = 2; plain in t, its end panel took 3 batches, halved
+    # toward the density's peak rather than the end
+    measures.fisher_integral(measures.DensityHandle(jacobi(1.5, 2.5), 0))
+    assert len(gk_batches) <= 1
 
 
 @settings(max_examples=60, deadline=None)
