@@ -31,7 +31,7 @@ __all__ = [
     "eval_poly", "eval_log", "eval_log_many", "eval_derivative",
     "norm_constant_log", "norm_constant_log_error", "norm_constant_log_size", "coefficients",
     "weight_log", "weight_log_many", "weight_log_derivative", "gegenbauer_jacobi_factor_log",
-    "Weight", "log_derivative_numerator_many", "critical_points", "critical_derivatives",
+    "Weight", "log_derivative_numerator_many", "critical_points",
     "numerator_peaks", "moment_ratios", "power_basis",
 ]
 
@@ -554,7 +554,9 @@ def _zeros(fam: PolynomialFamily, n: int) -> tuple[float, ...]:
 
 
 def _eigenvalue(fam: PolynomialFamily, n: int) -> float:
-    """lambda_n = -n (tau' + (n - 1) sigma''/2) of :func:`_equation`."""
+    """lambda_n = -n (tau' + (n - 1) sigma''/2) of sigma p_n'' + tau p_n' +
+    lambda_n p_n = 0, sigma and tau of :func:`_pearson`, for the last row
+    of :func:`critical_points`."""
     (_, _, s2), (_, t1) = _pearson(fam.weight, float)
     return -n * (t1 + (n - 1) * s2)
 
@@ -620,40 +622,31 @@ def critical_points(fam: PolynomialFamily, n: int, ratio: float,
     return tuple(x.tolist())
 
 
-def critical_derivatives(fam: PolynomialFamily, n: int, ratio: float, xs,
-                         weight: Optional[Weight] = None) -> tuple[np.ndarray, np.ndarray]:
-    """(g'/a, g''/a) of g = a ln|p_n| + b ln h, ratio = b/a, h the family's
-    weight or ``weight``, at points xs of :func:`critical_points`, from
-    :func:`_equation`, with no recurrence: inside, g' = 0, so p'/p =
-    -ratio (ln h)'; at an end, where the peak is one-sided, g' need not vanish."""
-    w = fam.weight if weight is None else weight
-    wr = Weight(w.lo, w.hi, ratio * w.e_lo, ratio * w.e_hi, ratio * w.c1, ratio * w.c2)  # h^ratio
-    x = np.asarray(xs, dtype=float)
-    d, r = _numerator_factors(wr, x)
-    l1, l2 = r / d, 2.0 * wr.c2  # ratio (ln h)' and ratio (ln h)''
-    for e, dist in ((wr.e_lo, x - w.lo), (wr.e_hi, w.hi - x)):
-        if e != 0.0:
-            l2 = l2 - e / dist ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u, p2, _ = _equation(fam, n, x, 1.0, -l1)
-    return u + l1, p2 - u * u + l2  # u + l1 is exactly 0 inside
+_SUM_BLOCK = 1 << 16  # entries of the largest array of a sum over zeros
 
 
-def _equation(fam: PolynomialFamily, n: int, x, p0, p1) -> tuple:
-    """(p', p'', p''') of p = c p_n at points x where p = p0 and p' = p1,
-    from sigma p'' + tau p' + lambda_n p = 0 (:func:`_eigenvalue`) and its
-    derivatives; at an end, where sigma = 0 and p1 is unused, p' =
-    -lambda_n p/tau, p'' = -(tau' + lambda_n) p'/(sigma' + tau) and p''' =
-    -(sigma'' + 2 tau' + lambda_n) p''/(2 sigma' + tau).  Use np.errstate."""
-    (s0, s1, s2), (t0, t1) = _pearson(fam.weight, float)
-    lam = _eigenvalue(fam, n)
-    sigma, sigma1, tau = s0 + (s1 + s2 * x) * x, s1 + 2.0 * s2 * x, t0 + t1 * x
-    end = sigma == 0.0
-    p1 = np.where(end, -lam * p0 / tau, p1)
-    p2 = np.where(end, -(t1 + lam) * p1 / (sigma1 + tau), -(tau * p1 + lam * p0) / sigma)
-    p3 = np.where(end, -(2.0 * s2 + 2.0 * t1 + lam) * p2 / (2.0 * sigma1 + tau),
-                  -((sigma1 + tau) * p2 + (t1 + lam) * p1) / sigma)
-    return p1, p2, p3
+def _slopes(x: np.ndarray, zeros: np.ndarray, a: float, w: Weight, e_lo, e_hi) -> tuple:
+    """(g', g'', S) at the points x of g = a sum ln|x - c| + core +
+    e_lo ln(x - lo) + e_hi ln(hi - x), summed over the points c of zeros,
+    with the core and the ends of w and the exponents e_lo and e_hi, one
+    per point or one for all; an exponent 0 adds nothing, even at its own
+    end.  S = sum 1/(x - c).  Every g whose peaks are named has this form:
+    the log-derivatives of a polynomial are sums over its zeros (Szego
+    1975, sec. 6.7).  The sums run over blocks of points, so no array
+    holds more than about 2^16 entries.  Use np.errstate."""
+    s1, s2 = np.empty_like(x), np.empty_like(x)
+    step = max(1, _SUM_BLOCK // max(zeros.size, 1))
+    for k in range(0, x.size, step):
+        u = x[k:k + step, None] - zeros
+        np.divide(1.0, u, out=u)
+        s1[k:k + step] = u.sum(axis=1)
+        u *= u
+        s2[k:k + step] = u.sum(axis=1)
+    g1, g2 = a * s1 + w.core_prime(x), 2.0 * w.c2 - a * s2
+    for e, dist, sign in ((e_lo, x - w.lo, 1.0), (e_hi, w.hi - x, -1.0)):
+        g1 = g1 + np.where(e != 0.0, sign * e / dist, 0.0)
+        g2 = g2 - np.where(e != 0.0, e / dist ** 2, 0.0)
+    return g1, g2, s1
 
 
 _NEWTON_STEPS = 40
@@ -690,75 +683,44 @@ def basis_peaks(fam: PolynomialFamily, n: int, ratio: float,
                 weight: Optional[Weight] = None) -> Optional[tuple]:
     """(tops, knots, g'/a, g''/a) of g = a ln|p_n| + b ln h, ratio = b/a, h
     the family's weight or ``weight``: a top in each gap between the ends
-    and the knots, the zeros of p_n; None where there are not n + 1.  With
-    end exponents >= 0, the :func:`critical_points`.  With a pole (an end
-    exponent in (-1, 0)), g without the power of a pole beside the gap:
-    the tops with the poles' powers set to 0 start :func:`_gap_tops`
-    on g'/a = p_n'/p_n + ratio (ln h)', which bisect where g is not
+    and the knots, the zeros of p_n; None where there are not n + 1.  The
+    slopes are :func:`_slopes` over the knots, with no recurrence.  With
+    end exponents >= 0, the tops are the :func:`critical_points`, where
+    g' = 0 inside.  With a pole (an end exponent in (-1, 0)), g without
+    the power of a pole beside the gap: the tops with the poles' powers
+    set to 0 start :func:`_gap_tops`, which bisect where g is not
     concave, as where b |e| > a for a pole's exponent e (N_q at q < |e|);
     a gap end where g' is finite and falls into the gap is its top.
     Memoised per (family, n, ratio, weight)."""
     w = fam.weight if weight is None else weight
-    if min(w.e_lo, w.e_hi) >= 0.0:
-        crit = critical_points(fam, n, ratio, weight)
-        return (np.array(crit), np.array(_zeros(fam, n)),
-                *critical_derivatives(fam, n, ratio, crit, weight)) if crit else None
-    x = np.array(critical_points(fam, n, ratio, w._replace(e_lo=max(w.e_lo, 0.0),
-                                                            e_hi=max(w.e_hi, 0.0))))
-    zeros = knots = np.array(_zeros(fam, n))
-    left = np.concatenate(([w.lo], knots))  # gap i runs from left[i] to right[i]
-    right = np.concatenate((knots, [w.hi]))
-    e_lo, e_hi = np.full(x.size, ratio * w.e_lo), np.full(x.size, ratio * w.e_hi)
-    e_lo[0], e_hi[-1] = max(e_lo[0], 0.0), max(e_hi[-1], 0.0)  # a pole beside its gap
-
-    def slopes(i, x):
-        """g'/a and g''/a of gaps i at points x, inside or on an end where sigma = 0."""
-        p, (dp,), _ = _eval_many(_recurrence(fam, n), x, 1)
-        u, p2, _ = _equation(fam, n, x, 1.0, dp / p)
-        g1, g2 = u + ratio * w.core_prime(x), p2 - u * u + 2.0 * ratio * w.c2
-        for e, dist, sign in ((e_lo[i], x - w.lo, 1.0), (e_hi[i], w.hi - x, -1.0)):
-            g1 = g1 + np.where(e != 0.0, sign * e / dist, 0.0)
-            g2 = g2 - np.where(e != 0.0, e / dist ** 2, 0.0)
-        return g1, g2
-
+    wr = Weight(w.lo, w.hi, ratio * w.e_lo, ratio * w.e_hi, ratio * w.c1, ratio * w.c2)  # h^ratio
+    knots = np.array(_zeros(fam, n))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if min(w.e_lo, w.e_hi) >= 0.0:
+            x = np.array(critical_points(fam, n, ratio, weight))
+            if not x.size:
+                return None
+            g1, g2, _ = _slopes(x, knots, 1.0, wr, wr.e_lo, wr.e_hi)
+            return x, knots, np.where((w.lo < x) & (x < w.hi), 0.0, g1), g2
+        x = np.array(critical_points(fam, n, ratio, w._replace(e_lo=max(w.e_lo, 0.0),
+                                                                e_hi=max(w.e_hi, 0.0))))
+        left = np.concatenate(([w.lo], knots))  # gap i runs from left[i] to right[i]
+        right = np.concatenate((knots, [w.hi]))
+        e_lo, e_hi = np.full(x.size, wr.e_lo), np.full(x.size, wr.e_hi)
+        e_lo[0], e_hi[-1] = max(e_lo[0], 0.0), max(e_hi[-1], 0.0)  # a pole beside its gap
+
+        def slopes(i, x):
+            return _slopes(x, knots, 1.0, wr, e_lo[i], e_hi[i])[:2]
+
         go = (e_lo < 0.0) | (e_hi < 0.0)  # the gaps whose g keeps a pole's power
         for side, ends, e, c in ((-1.0, left, e_lo, w.lo), (1.0, right, e_hi, w.hi)):
             i = np.flatnonzero(go & np.isfinite(ends) & ((ends != c) | (e == 0.0))
-                               & ~np.isin(ends, zeros))  # where g' is finite
+                               & ~np.isin(ends, knots))  # where g' is finite
             if i.size:
                 top = side * slopes(i, ends[i])[0] >= 0.0
                 x[i[top]], go[i[top]] = ends[i[top]], False
         _gap_tops(slopes, x, left, right, go)
         return (x, knots, *slopes(np.arange(x.size), x))
-
-
-def _numerator_slopes(fam: PolynomialFamily, n: int, x, p0, p1, drop=0) -> tuple:
-    """(g', g'', (d N)'/(d N)) of g = 2 ln|N| + ln(h/d^2), N and d of
-    :func:`log_derivative_numerator_many`, at points x where (p0, p1) is
-    proportional to (p_n, p_n'), p_n'' and p_n''' from :func:`_equation`;
-    drop, -1 or 1 (or one of them per point), leaves the power of h/d^2
-    at the lower or upper end out of g."""
-    w = fam.weight
-    p1, p2, p3 = _equation(fam, n, x, p0, p1)
-    # d = d_lo d_hi and r = d (ln h)' of _numerator_factors, with their derivatives
-    lo1, hi1 = float(w.e_lo != 0.0), -float(w.e_hi != 0.0)
-    d_lo = x - w.lo if lo1 else 1.0
-    d_hi = w.hi - x if hi1 else 1.0
-    d, d1, d2 = d_lo * d_hi, lo1 * d_hi + hi1 * d_lo, 2.0 * lo1 * hi1
-    c, c1 = w.core_prime(x), 2.0 * w.c2
-    r = d * c + w.e_lo * d_hi - w.e_hi * d_lo
-    r1 = d1 * c + d * c1 + w.e_lo * hi1 - w.e_hi * lo1
-    r2 = d2 * c + 2.0 * d1 * c1
-    big_n = 2.0 * d * p1 + r * p0
-    n1 = (2.0 * d1 * p1 + 2.0 * d * p2 + r1 * p0 + r * p1) / big_n
-    n2 = (2.0 * d2 * p1 + 4.0 * d1 * p2 + 2.0 * d * p3 + r2 * p0 + 2.0 * r1 * p1 + r * p2) / big_n
-    l1, l2 = c, c1  # (ln h/d^2)' and (ln h/d^2)''
-    for e, dist, sign, side in ((w.e_lo, x - w.lo, 1.0, -1), (w.e_hi, w.hi - x, -1.0, 1)):
-        if e != 0.0 and e != 2.0:  # the exponent e - 2 of h/d^2
-            l1 = l1 + np.where(drop != side, sign * (e - 2.0) / dist, 0.0)
-            l2 = l2 - np.where(drop != side, (e - 2.0) / dist ** 2, 0.0)
-    return l1 + 2.0 * n1, l2 + 2.0 * (n2 - n1 * n1), d1 / d + n1
 
 
 @lru_cache(maxsize=64)
@@ -769,64 +731,68 @@ def numerator_peaks(fam: PolynomialFamily, n: int) -> Optional[tuple]:
     at those inside the support), split the support into n + 2 gaps: gap i
     runs from knot i - 1 (or the lower end) to knot i (or the upper end),
     and g peaks at tops[i], with g' and g'' there; NaN marks an empty gap.
-    None where g is not concave on every gap, as where N = 0.
+    None where g is not concave on every gap, or where N = 0 (p_0 of a
+    flat weight).
 
-    Once an end pole of h/d^2 is left out, g'' = -2 sum 1/(x - x_k)^2 over
-    the zeros of N plus that of ln(h/d^2), which is concave, so each gap
-    has one peak, the root of M = d N g', a polynomial where N vanishes
-    nowhere inside it.  With :func:`_equation`, M = A p + B p' with A and
-    B closed forms, so the peak of gap i, 1 <= i <= n, which holds the
-    zero x_i of p_n, is one Newton step on M from x_i, where p' cancels:
-    x_i - M/M' = x_i - g'/(g'' + g' (d N)'/(d N)), each term at p = 0.
-    For Hermite M = 4 (x^2 - 2n - 1) p_n, so the step is 0.  A finite end
-    where h/d^2 has exponent <= 0 is its gap's peak where g rises toward
-    it (at a pole, g without the end's power).  The two end gaps, 0 and
-    n + 1, hold no zero of p_n; there :func:`_gap_tops` takes Newton
-    steps on g', with p'/p = sum 1/(x - x_k) over the zeros of p_n and no
-    recurrence, from the knot plus sqrt(2) times the density's width
-    there, the peak of a Gaussian's Fisher integrand.  An interior peak
-    has g' = 0 and g'' at its zero of p_n (gaps 1..n) or at the peak; an
-    end peak both at the end.  Memoised per (family, n)."""
-    crit = critical_points(fam, n, 0.5)
-    if not crit:
-        return None
+    N's zeros are the knots but one pinned to an end where h has exponent
+    0, so g' and g'' are :func:`_slopes` over them.  Once an end pole of
+    h/d^2 is left out, g'' = -2 sum 1/(x - c)^2 plus that of ln(h/d^2) is
+    negative, so each gap has one peak, the root of M = d N g', a
+    polynomial where N vanishes nowhere inside it.  The peak of gap i,
+    1 <= i <= n, which holds the zero x_i of p_n, is one Newton step on M
+    from x_i, x_i - g'/(g'' + g' (d N)'/(d N)), taken where it exceeds
+    _NEWTON_TOL of the peak's width 1/sqrt(-g''): for Hermite M =
+    4 (x^2 - 2n - 1) p_n, so the tops are the zeros.  A finite end where
+    h/d^2 has exponent <= 0 is its gap's peak where g rises toward it (at
+    a pole, g without the end's power).  The two end gaps, 0 and n + 1,
+    hold no zero of p_n; there :func:`_gap_tops` takes Newton steps on g'
+    from the knot plus sqrt(2) times the density's width there, the peak
+    of a Gaussian's Fisher integrand.  An interior peak has g' = 0 and g''
+    at its zero of p_n (gaps 1..n) or at the peak; an end peak both at the
+    end.  Memoised per (family, n)."""
     w = fam.weight
-    knots, zeros = np.array(crit), np.array(_zeros(fam, n))
+    peaks = basis_peaks(fam, n, 0.5)
+    if peaks is None or n == 0 and w.is_flat:  # N = 0 for p_0 of a flat weight
+        return None
+    knots, zeros, _, curv = peaks  # curv: half the curvature of ln rho at the knots
+    # N's zeros: a knot pinned to an end where h has exponent 0 is not one
+    roots = knots[((knots != w.lo) | (w.e_lo != 0.0)) & ((knots != w.hi) | (w.e_hi != 0.0))]
+    e_lo, e_hi = (e - 2.0 if e else 0.0 for e in (w.e_lo, w.e_hi))  # the exponents of h/d^2
     lo = np.concatenate(([w.lo], knots))  # gap i runs from lo[i] to hi[i]
     hi = np.concatenate((knots, [w.hi]))
     live = hi > lo
     tops, g1, g2 = np.full(n + 2, math.nan), np.zeros(n + 2), np.full(n + 2, math.nan)
     go, drop = np.zeros(n + 2, dtype=bool), np.zeros(n + 2, dtype=int)
+
+    def slopes(x, drop):
+        """g', g'' and S of :func:`_slopes` at x; drop, -1 or 1 (or one of
+        them per point), leaves the power of h/d^2 at that end out of g."""
+        return _slopes(x, roots, 2.0, w, np.where(drop == -1, 0.0, e_lo),
+                       np.where(drop == 1, 0.0, e_hi))
+
     with np.errstate(divide="ignore", invalid="ignore"):
         if n:
-            d1, d2, q = _numerator_slopes(fam, n, zeros, 0.0, 1.0)
-            tops[1:-1] = np.clip(zeros - d1 / (d2 + d1 * q), lo[1:-1], hi[1:-1])
+            d1, d2, s = slopes(zeros, 0)
+            q = s + (w.e_lo != 0.0) / (zeros - w.lo) - (w.e_hi != 0.0) / (w.hi - zeros)
+            step = -d1 / (d2 + d1 * q)
+            step[np.abs(step) <= _NEWTON_TOL / np.sqrt(-d2)] = 0.0
+            tops[1:-1] = np.clip(zeros + step, lo[1:-1], hi[1:-1])
             g2[1:-1] = d2
-        # the curvature of ln rho at the outer knots, for the Newton steps' start
-        curv = critical_derivatives(fam, n, 0.5, [crit[0], crit[-1]])[1].tolist()
         for side, end, e, i, knot in ((-1, w.lo, w.e_lo, 0, 0), (1, w.hi, w.e_hi, n + 1, -1)):
-            if math.isfinite(end) and e <= 2.0:  # p'/p is the equation's at an end
-                e1, e2, _ = _numerator_slopes(fam, n, np.float64(end), 1.0, 0.0, side)
+            if math.isfinite(end) and e <= 2.0:
+                (e1,), (e2,), _ = slopes(np.array([end]), side)
                 if side * e1 >= 0.0:
                     j = i if live[i] else i - side  # an empty end gap: the end's knot
                     tops[j], g1[j], g2[j], go[j] = end, e1, e2, False
             if not live[i] or not math.isnan(tops[i]):
                 continue
             go[i], drop[i] = True, side if 0.0 < e < 2.0 else 0  # a pole of h/d^2 left out
-            x = math.nan  # Newton from the knot where N vanishes, else the middle
-            if w.lo < crit[knot] < w.hi:
-                if not curv[knot] < 0.0:  # no peak of the density: N = 0
-                    return None
-                x = crit[knot] + side * math.sqrt(-1.0 / curv[knot])
-            tops[i] = x if lo[i] < x < hi[i] else 0.5 * (lo[i] + hi[i])
-
-        def slopes(i, x):
-            u = (1.0 / (x[:, None] - zeros)).sum(axis=1)
-            return _numerator_slopes(fam, n, x, 1.0, u, drop[i])[:2]
-
-        i = np.flatnonzero(go)
-        tops[_gap_tops(slopes, tops, lo, hi, go)] = math.nan  # no convergence: None below
-        g2[i] = slopes(i, tops[i])[1]
+            x = knots[knot] + side * np.sqrt(-1.0 / curv[knot])  # Newton from the knot
+            inside = lo[i] < x < hi[i] and w.lo < knots[knot] < w.hi
+            tops[i] = x if inside else 0.5 * (lo[i] + hi[i])  # else from the middle
+        i = np.flatnonzero(go)  # no convergence: NaN, and None below
+        tops[_gap_tops(lambda i, x: slopes(x, drop[i])[:2], tops, lo, hi, go)] = math.nan
+        g2[i] = slopes(tops[i], drop[i])[1]
     if not (np.isfinite(tops[live]).all() and (g2[live] <= 0.0).all()):
         return None
     return tops, knots, g1, g2

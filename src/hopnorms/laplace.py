@@ -9,9 +9,10 @@ The maximizers are zeros of the polynomial numerator N of f' (see
 :func:`families.log_derivative_numerator_many`).  Under the weight-exponent
 precondition N has exactly one zero between each pair of neighbouring
 zeros of p_n or ends of the support; all n + 1 are the eigenvalues of one
-Jacobi matrix (:func:`families.critical_points`).  f''(x0) comes from the
-differential equation of p_n in closed form
-(:func:`families.critical_derivatives`).
+Jacobi matrix (:func:`families.critical_points`).  f''(x0) is a sum over
+the zeros of p_n, -2 sum 1/(x0 - x_k)^2 plus (ln h)''(x0), with no
+recurrence; both come from :func:`families.basis_peaks` at b/a = 1/2, the
+table every W_q integral reads.
 Unweighted norms: Watson-type endpoint expansion, available for the
 bounded-support families only (|H_n| and |L_n| have no global maximum on
 their supports, so no leading term exists there).
@@ -25,8 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericalFailure, UnsupportedAsymptotics, check_order
-from .families import (PolynomialFamily, critical_derivatives, critical_points, eval_log_many,
-                       gegenbauer_jacobi_factor_log, weight_log_many)
+from .families import (PolynomialFamily, basis_peaks, eval_log_many, gegenbauer_jacobi_factor_log,
+                       weight_log_many)
 from .logreal import SignedLogReal
 from .norms import NormResult
 from .special import log_gamma, log_pochhammer
@@ -64,26 +65,26 @@ def locate_density_maximum(fam: PolynomialFamily, n: int) -> LaplacePoint:
     """All interior critical points of f; returns the global maximum.
 
     The critical points are the zeros of the numerator N of f', one in each
-    gap between neighbouring zeros of p_n or ends of the support, the
-    eigenvalues of :func:`families.critical_points` at b/a = 1/2.  Every one
-    is a maximum of the density; f is evaluated at all of them as one
+    gap between neighbouring zeros of p_n or ends of the support, the tops
+    of :func:`families.basis_peaks` at b/a = 1/2, with f''/2 there.  Every
+    one is a maximum of the density; f is evaluated at all of them as one
     batch.  Memoised per (family, n).
     """
     _check_preconditions(fam)
-    crits = np.array(critical_points(fam, n, 0.5))
+    crits, _, _, curv = basis_peaks(fam, n, 0.5)
     log_h, size = weight_log_many(fam, crits, sizes=True)
     log_p2 = 2.0 * eval_log_many(fam, n, crits)[1]
     fvals = (log_h + log_p2).tolist()
     fmax = max(fvals)
     # f(x0) sums terms that each round at their own scale
     f_error = float(_F_ROUNDING * (size + np.abs(log_p2))[fvals.index(fmax)])
-    winners = [x for x, fv in zip(crits.tolist(), fvals) if fv >= fmax - _TIE_TOL]
-    x0 = max(winners)  # deterministic representative
-    f2 = 2.0 * float(critical_derivatives(fam, n, 0.5, x0)[1])  # f = 2 (ln|p_n| + ln h / 2)
+    winners = [i for i, fv in enumerate(fvals) if fv >= fmax - _TIE_TOL]
+    x0 = float(crits[winners[-1]])  # deterministic representative: the largest
+    f2 = 2.0 * float(curv[winners[-1]])  # f = 2 (ln|p_n| + ln h / 2)
     if not f2 < 0:
         raise NumericalFailure(f"second derivative not negative at x0={x0}")
     return LaplacePoint(x0=x0, f_at_x0=fmax, f2_at_x0=f2, multiplicity=len(winners),
-                        maximizers=tuple(sorted(winners)), f_error=f_error)
+                        maximizers=tuple(crits[winners].tolist()), f_error=f_error)
 
 
 def weighted_norm_q_asym(fam: PolynomialFamily, n: int, q: float) -> NormResult:

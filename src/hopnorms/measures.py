@@ -189,8 +189,8 @@ def _fisher_spec(d: DensityHandle) -> Optional[LogIntegrand]:
 
     Its g = 2 ln|N| + ln(h/d^2) - ln kappa_n is -inf at the zeros of N,
     the critical points of rho, which break it into panels with one hump
-    each, whose peaks :func:`families.numerator_peaks` gives in closed form
-    (the spec names them).  g_core sums the weight's core, 2 ln|N| and
+    each, whose peaks :func:`families.numerator_peaks` gives from sums over
+    the zeros of N and of p_n, with no recurrence (the spec names them).  g_core sums the weight's core, 2 ln|N| and
     -ln kappa_n, each rounded at its own scale, so its size (see
     :class:`quadrature.LogIntegrand`)
     is |core| + 2 (|ln|N|| + 1) + the size of ln kappa_n: ln|N| carries the

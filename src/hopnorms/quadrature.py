@@ -45,14 +45,15 @@ Each panel's peak comes one of two ways.  A basis (:class:`Basis`),
 g = a ln|p_n| + b ln h with a > 0 and b >= 0 on the family's support, h
 the family's weight with the spec's own end exponents (as the Temme
 oracle's x^(mu - 1)), takes its peaks from :func:`families.basis_peaks`,
-which alone chooses how, with g' and g'' from p_n's differential
-equation (``families._equation``).  Where both end exponents are >= 0,
-g'' = -a sum 1/(x - x_k)^2 + b (ln h)'' < 0, so each gap between
-neighbouring zeros of p_n and ends holds one peak, clipped to the panel:
-:func:`families.critical_points` gives all n + 1 as the eigenvalues of
-one Jacobi matrix, with no recurrence; one batch of the tops gives the
-peak values.  Hermite n = 1000, W_50 takes 23,146 points where a
-Chebyshev scan of every panel took 103,352.
+which alone chooses how, with g' and g'' as sums over the zeros x_k of
+p_n, g'/a = sum 1/(x - x_k) + (b/a) (ln h)' and g''/a = -sum 1/(x - x_k)^2
++ (b/a) (ln h)'' (``families._slopes``).  Where both end exponents are
+>= 0, g'' < 0, so each gap between neighbouring zeros of p_n and ends
+holds one peak, clipped to the panel: :func:`families.critical_points`
+gives all n + 1 as the eigenvalues of one Jacobi matrix, with no
+recurrence; one batch of the tops gives the peak values.  Hermite
+n = 1000, W_50 takes 23,146 points where a Chebyshev scan of every panel
+took 103,352.
 
 A weight with a pole, an end exponent in (-1, 0), can fail Wendroff's
 condition for that eigenproblem, and g need not be concave there: the
@@ -68,8 +69,9 @@ integrand rho'^2/rho = h N^2/(d^2 kappa_n), N = d (2 p_n' + p_n h'/h),
 breaks at the zeros of N, the critical points of the density, where it
 vanishes, so each panel holds one hump on which g is concave (at an end
 pole of h/d^2, without that end's power), and
-:func:`families.numerator_peaks` gives each hump's top, g' and g'' in
-closed form, the end humps' by the same Newton steps.  Two rules serve
+:func:`families.numerator_peaks` gives each hump's top, g' and g'', the
+same sums over the zeros of N: one Newton step from each zero of p_n,
+and the end humps' by the same bracketed Newton steps.  Two rules serve
 a raw spec alone, so the norm and density integrands keep their bits.
 A plain panel near a graded finite end, a branch point of its
 integrand, converged slowly: |K21 - G10| is G10's error, which sees that

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
+from hopnorms import families
 from hopnorms.errors import DomainError, SingularEvaluation
 from hopnorms.families import (FAMILY_PARAMS, CoefficientList, PolynomialFamily, _eval_scaled,
                                basis_peaks, coefficients, eval_derivative, moment_ratios,
@@ -545,3 +547,41 @@ def test_pole_peaks_meet_a_fine_grid(fam, n, ratio):
                     g = g - ratio * e * np.log(dist)
         best = xs[np.argmax(np.where(np.isfinite(g), g, -np.inf))]
         assert abs(tops[i] - best) <= 0.2 * sigma + (b - a) / 20000
+
+
+def test_peak_tables_run_no_recurrence(monkeypatch):
+    # g' and g'' of every peak table are sums over the zeros of p_n or of N:
+    # once the zeros are known, no recurrence runs, in the pole rule's
+    # Newton steps and Fisher's neither
+    bases = [(fam, n, ratio) for fam in (jacobi(-0.5, 0.3), laguerre(-0.5), gegenbauer(0.25))
+             for n in (1, 5) for ratio in (0.5, 20.0)]
+    fishers = [(laguerre(1.5), 5), (jacobi(2.0, 1.25), 1), (gegenbauer(1.75), 5)]
+    for fam, n in {args[:2] for args in bases} | set(fishers):
+        polynomial_zeros(fam, n)  # warms the zeros, the one use of the recurrence
+    basis_peaks.cache_clear()
+    numerator_peaks.cache_clear()
+
+    def recurrence(*args, **kwargs):
+        raise AssertionError("a peak table ran the recurrence")
+
+    monkeypatch.setattr(families, "_eval_many", recurrence)
+    for args in bases:
+        assert basis_peaks(*args) is not None
+    for args in fishers:
+        assert numerator_peaks(*args) is not None
+
+
+def test_peak_tables_stay_small_at_large_degree():
+    # the sums over the zeros run over blocks of points: at n = 1000 one
+    # n x n array of them would hold 8 MB
+    numerator_peaks(hermite(), 1000)  # warms the zeros and the critical points
+    basis_peaks.cache_clear()
+    numerator_peaks.cache_clear()
+    tracemalloc.start()
+    try:
+        numerator_peaks(hermite(), 1000)
+        basis_peaks(hermite(), 1000, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
