@@ -61,9 +61,10 @@ class SignedLogReal:
         """Nearest float; overflows to +-inf, underflows to 0.0."""
         if self.sign == 0:
             return 0.0
-        if self.log_abs > 709.0:
+        try:
+            return self.sign * math.exp(self.log_abs)
+        except OverflowError:
             return math.inf * self.sign
-        return self.sign * math.exp(self.log_abs)
 
     @property
     def is_zero(self) -> bool:

@@ -122,6 +122,21 @@ def test_error_estimate_covers_mu0_at_large_parameters(fam, a, b):
     assert abs(r.log_value - float(want)) <= r.error_estimate < 1e-8
 
 
+@pytest.mark.parametrize("fam", [f(eps) for eps in (1e-3, 1e-6, 1.234567e-9) for f in (
+    lambda eps: jacobi(-1.0 + eps, -1.0 + eps), lambda eps: gegenbauer(-0.5 + eps))],
+    ids=lambda fam: fam.label())
+def test_quadrature_meets_bell_near_the_parameter_limits(fam):
+    # the recurrence rows group their sums, so 2k + a + b does not cancel as
+    # a + b -> -2 (ungrouped, N_4 of Jacobi(-1 + 1.234567e-9, same), n = 2,
+    # missed by 2.1e-7 claiming 1.1e-14), and the Bell engine's mu_0 is that
+    # of the weight its moments use, whose exponent lambda - 1/2 is rounded
+    for n in (2, 3, 5, 8):
+        for q in (4, 6):
+            g, b = unweighted_norm_quad(fam, n, float(q)), unweighted_norm_bell(fam, n, q)
+            miss = abs(math.expm1(g.log_value - b.log_value))
+            assert miss <= g.error_estimate + b.error_estimate, (n, q)
+
+
 def test_bell_polynomial_gives_power_coefficients():
     # [x^t] p^q = q!/(t+q)! B_{t+q,q}(1! c_0, 2! c_1, ..., (t+1)! c_t)
     for fam in FAMILY_CONFIGS:

@@ -15,6 +15,7 @@ from hopnorms.families import (FAMILY_PARAMS, CoefficientList, PolynomialFamily,
                                eval_log, eval_log_many, eval_poly, gegenbauer,
                                gegenbauer_jacobi_factor_log, hermite, jacobi, laguerre,
                                log_derivative_numerator_many, norm_constant_log,
+                               norm_constant_log_error,
                                numerator_peaks, polynomial_zeros, weight_log,
                                weight_log_derivative, weight_log_many)
 from hopnorms.norms import unweighted_norm_quad
@@ -335,6 +336,44 @@ def test_norm_constants_near_the_parameter_limits(fam):
         assert abs(norm_constant_log(fam, n).log_abs - want) < 1e-11, n
 
 
+def _mp_kappa_log(fam, n):
+    """ln kappa_n from its closed form, in mpmath at the caller's precision."""
+    import mpmath
+    f = mpmath.mpf
+    if fam.kind == "hermite":
+        return mpmath.log(mpmath.sqrt(mpmath.pi) * 2 ** n * mpmath.factorial(n))
+    if fam.kind == "laguerre":
+        return mpmath.loggamma(n + f(fam.alpha) + 1) - mpmath.loggamma(n + 1)
+    if fam.kind == "jacobi":
+        a, b = f(fam.alpha), f(fam.beta)
+        return mpmath.log(2 ** (a + b + 1) * mpmath.gamma(n + a + 1) * mpmath.gamma(n + b + 1)
+                          / ((2 * n + a + b + 1) * mpmath.gamma(n + a + b + 1)
+                             * mpmath.factorial(n)))
+    lam = f(fam.lam)
+    return mpmath.log(mpmath.pi * 2 ** (1 - 2 * lam) * mpmath.gamma(n + 2 * lam)
+                      / (mpmath.factorial(n) * (n + lam) * mpmath.gamma(lam) ** 2))
+
+
+_NEAR = -1.0 + 1.234567e-9
+
+
+@pytest.mark.parametrize("fam, n", [
+    (hermite(), 0), (hermite(), 1000), (hermite(), 3000),
+    (laguerre(2.0), 60), (laguerre(0.5), 3000), (laguerre(1e4), 2), (laguerre(_NEAR), 50),
+    (jacobi(2.5, 1.5), 500), (jacobi(1e4, 1e4), 1000), (jacobi(_NEAR, _NEAR), 50),
+    (jacobi(-0.7, -0.6), 0), (jacobi(-0.7, -0.6), 5),
+    (gegenbauer(1e-8), 50), (gegenbauer(-1e-8), 50), (gegenbauer(1e4), 1000),
+    (gegenbauer(1e-200), 3),
+], ids=lambda v: v.label() if hasattr(v, "label") else str(v))
+def test_norm_constant_meets_mpmath(fam, n):
+    # ln kappa_n sums the logs of the rows: ungrouped rows missed by 5e-9 at
+    # Gegenbauer(1e-8), and one log of C_1 A_0 = 2e-400 fails at Gegenbauer(1e-200)
+    import mpmath
+    with mpmath.workdps(40):
+        want = _mp_kappa_log(fam, n)
+    assert abs(norm_constant_log(fam, n).log_abs - float(want)) <= norm_constant_log_error(fam, n)
+
+
 def test_weight_log():
     v = weight_log(hermite(), 2.0)
     assert (v.sign, v.log_abs) == (1, -4.0)
@@ -431,6 +470,37 @@ def test_polynomial_zeros():
                 # and lies within 1e-10 relative of one (log space)
                 h = 1e-10 * max(1.0, abs(z))
                 assert eval_log(fam, n, z - h).sign * eval_log(fam, n, z + h).sign == -1
+
+
+def _mp_root(fam, n, z):
+    """The zero of p_n next to z: Newton steps from z on the exact rows, in
+    mpmath at 45 digits, until a step is below 1e-40 relative."""
+    import mpmath
+    with mpmath.workdps(45):
+        rows = [tuple(mpmath.mpf(v.numerator) / v.denominator for v in row)
+                for row in families._rows(fam, n, Fraction)]
+        x = mpmath.mpf(z)
+        for _ in range(8):
+            p0, p1, d0, d1 = 0, 1, 0, 0
+            for A, B, C in rows:
+                t = A * x + B
+                p0, p1, d0, d1 = p1, t * p1 - C * p0, d1, A * p1 + t * d1 - C * d0
+            step = p1 / d1
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** -40 * max(1, abs(x)):
+                return x
+    raise AssertionError(f"no root next to {z}")
+
+
+@pytest.mark.parametrize("fam", [hermite(), laguerre(1.25), laguerre(1e4), jacobi(2.5, 1.5),
+                                 jacobi(1e4, 0.5), gegenbauer(-0.25), gegenbauer(3.5)],
+                         ids=lambda fam: fam.label())
+def test_zeros_meet_mpmath_roots(fam):
+    # the eigenvalues need no Newton step on the float recurrence
+    for n in (7, 200):
+        zs = polynomial_zeros(fam, n)
+        for i in (0, n // 2, n - 1):
+            assert abs(zs[i] - float(_mp_root(fam, n, zs[i]))) <= 2e-14 * max(1.0, abs(zs[i]))
 
 
 def _rising(a, k):
@@ -550,16 +620,15 @@ def test_pole_peaks_meet_a_fine_grid(fam, n, ratio):
 
 
 def test_peak_tables_run_no_recurrence(monkeypatch):
+    # the zeros and the critical points are eigenvalues of the rows, and
     # g' and g'' of every peak table are sums over the zeros of p_n or of N:
-    # once the zeros are known, no recurrence runs, in the pole rule's
+    # cold tables, zeros included, run no recurrence, in the pole rule's
     # Newton steps and Fisher's neither
     bases = [(fam, n, ratio) for fam in (jacobi(-0.5, 0.3), laguerre(-0.5), gegenbauer(0.25))
              for n in (1, 5) for ratio in (0.5, 20.0)]
     fishers = [(laguerre(1.5), 5), (jacobi(2.0, 1.25), 1), (gegenbauer(1.75), 5)]
-    for fam, n in {args[:2] for args in bases} | set(fishers):
-        polynomial_zeros(fam, n)  # warms the zeros, the one use of the recurrence
-    basis_peaks.cache_clear()
-    numerator_peaks.cache_clear()
+    for cached in (families._zeros, families.critical_points, basis_peaks, numerator_peaks):
+        cached.cache_clear()
 
     def recurrence(*args, **kwargs):
         raise AssertionError("a peak table ran the recurrence")

@@ -73,6 +73,14 @@ def test_overflow_range():
     assert (big / big).to_float() == 1.0
 
 
+def test_to_float_overflows_where_exp_does():
+    # doubles reach e^709.78: a cut at ln|x| = 709 sent e^709.34 to inf, so
+    # eval_poly(hermite(), 150, 57.25) gave inf for 1.156e308
+    assert SignedLogReal(1, 709.3413034531691).to_float() == pytest.approx(1.1561e308, rel=1e-4)
+    assert SignedLogReal(-1, 709.5).to_float() == -math.exp(709.5)
+    assert SignedLogReal(1, 709.79).to_float() == math.inf
+
+
 def test_invalid_sign_rejected():
     with pytest.raises(ValueError):
         SignedLogReal(2, 0.0)
