@@ -12,13 +12,15 @@ Weight functions:
 Each family is stated by two facts only, its weight and its recurrence
 rows; everything else is derived from them: the norm constant kappa_n
 from the rows and the weight's mass, the moments from the weight's
-Pearson equation, and the zeros and the critical points as eigenvalues of
-the rows' Jacobi matrix.
+Pearson equation, the zeros and the critical points as eigenvalues of
+the rows' Jacobi matrix, and p_n' as a multiple of p_{n-1} of the family
+of the weight sigma h, each parameter raised by 1, evaluated by the same
+order-0 recurrence as p_n.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple, Optional, Sequence
@@ -255,9 +257,12 @@ def _eval_scaled(fam: PolynomialFamily, n: int, x: float) -> tuple[float, float]
     """(v, s) with p_n(x) = v e^s; s == 0.0 when the recurrence was never
     rescaled.  The values are rescaled to magnitude 1 before a step whose
     products could pass 1e280, and when they fall below 1e-280, so no
-    product overflows unless A x + B itself does."""
+    product overflows unless A x + B itself does.  DomainError at a
+    negative degree or a non-finite x."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
+    if not math.isfinite(x):
+        raise DomainError(f"p_n is evaluated at finite x, not at {x}")
     p0, p1, scale = 0.0, 1.0, 0.0
     for A, B, C in _recurrence(fam, n):
         mag = max(abs(p0), abs(p1))
@@ -313,7 +318,7 @@ def eval_log_many(fam: PolynomialFamily | Sequence[PolynomialFamily], n: int, xs
         values = iter(differ[:, at])
         rows = [tuple(next(values) if v is None else v for v in row) for row in rows]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p, _, scale = _eval_many(rows, x, 0, columns=differ is not None)
+        p, scale = _eval_many(rows, x, columns=differ is not None)
         log_abs = np.log(np.abs(p)) + scale * _LN2
     return np.sign(p).astype(int), log_abs
 
@@ -331,77 +336,68 @@ def _row_columns(fams: tuple[PolynomialFamily, ...], n: int) -> tuple[list, Opti
     return rows, None if same.all() else table[:, ~same].T.copy()
 
 
-def _eval_many(rows, x: np.ndarray, order: int, every: int = _RESCALE_EVERY,
-               columns: bool = False) -> tuple[np.ndarray, list, np.ndarray]:
-    """(p, [p', ..., p^(order)], scale): the polynomial of the recurrence
-    rows and its derivatives at the points of x, each equal to its column
-    times 2^scale.
+def _eval_many(rows, x: np.ndarray, every: int = _RESCALE_EVERY,
+               columns: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(p, scale): the polynomial of the recurrence rows at the points of x,
+    equal to p times 2^scale.
 
     Each of A_k, B_k and C_k in ``rows`` (as :func:`_rows` orders them) is
     a float, or, with ``columns``, may be an array of one value per point
     of x; a B or C of 0.0 is skipped, but with columns every one is
-    applied.  The j-th derivative obeys
-    p^(j)_{k+1} = (A_k x + B_k) p^(j)_k + j A_k p^(j-1)_k - C_k p^(j)_{k-1}.
-    All columns are rescaled together by exact powers of two every `every`
+    applied.  The values are rescaled by exact powers of two every `every`
     steps; points where a block overflows are redone with a rescale after
     every step.  Call it under np.errstate(over="ignore", invalid="ignore").
     """
     p0, p1, t = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
-    # p^(j)_{k-1} and p^(j)_k, j = 1..order
-    d0 = [np.zeros_like(x) for _ in range(order)] if order else []
-    d1 = [np.zeros_like(x) for _ in range(order)] if order else []
-    scale = np.zeros_like(x)  # binary exponent taken out of every column
+    scale = np.zeros_like(x)  # binary exponent taken out of p0 and p1
     for k, (A, B, C) in enumerate(rows, 1):
         # t = (A x + B) p1 - C p0, in place: the loop is bound by numpy's
         # per-call overhead, not by the arithmetic
         np.multiply(x, A, out=t)
         if columns or B != 0.0:
             t += B
-        if order:  # t holds A x + B; d0 takes the new columns
-            for j, (u0, u1, v1) in enumerate(zip(d0, d1, [p1] + d1), 1):
-                u0 *= -C
-                u0 += t * u1
-                u0 += (j * A) * v1
-            d0, d1 = d1, d0
         t *= p1
         if columns or C != 0.0:
             p0 *= C
             t -= p0
         p0, p1, t = p1, t, p0
         if k % every == 0:
-            m = np.maximum(np.abs(p0), np.abs(p1))
-            for u in d0 + d1:
-                m = np.maximum(m, np.abs(u))
-            _, ex = np.frexp(m)
+            _, ex = np.frexp(np.maximum(np.abs(p0), np.abs(p1)))
             scale += ex
-            ex = -ex
-            for u in [p0, p1] + d0 + d1:  # in place, so a 0-d x stays an array
-                np.ldexp(u, ex, out=u)
+            for u in (p0, p1):  # in place, so a 0-d x stays an array
+                np.ldexp(u, -ex, out=u)
     bad = ~np.isfinite(p1)
-    for u in d1:
-        bad |= ~np.isfinite(u)
     if every > 1 and bad.any():  # overflow inside one block: redo those points
         if columns:
             rows = [tuple(v if isinstance(v, float) else v[bad] for v in row) for row in rows]
-        p, d, redo_scale = _eval_many(rows, x[bad], order, 1, columns)
-        for u, v in zip([p1] + d1, [p] + d):
-            u[bad] = v
-        scale[bad] = redo_scale
-    return p1, d1, scale
+        p1[bad], scale[bad] = _eval_many(rows, x[bad], 1, columns)
+    return p1, scale
+
+
+@lru_cache(maxsize=256)
+def _derivative(fam: PolynomialFamily, n: int) -> tuple[PolynomialFamily, float]:
+    """(up, c) with p_n' = c q_{n-1}, q the polynomials of up, the family of
+    the weight sigma h: each parameter raised by 1 (Szego 1975, (4.21.7),
+    (5.1.14), (4.7.14), (5.5.10)).  The leading coefficient of p_n is the
+    product of A_0..A_{n-1}, so c = n k_n / k'_{n-1} is summed as logs of
+    the rows' |A_k| with fsum, their signs counted apart (A_0 < 0 for
+    Gegenbauer with lambda < 0); c = 0 at n = 0.  Memoised per (family, n)."""
+    if n < 0:
+        raise DomainError("degree must be nonnegative")
+    up = replace(fam, **{_FIELDS[p]: v + 1.0 for p, v in zip(FAMILY_PARAMS[fam.kind], fam.params)})
+    a, b = ([A for A, _, _ in _recurrence(f, m)] for f, m in ((fam, n), (up, max(n - 1, 0))))
+    sign = math.prod(math.copysign(1.0, A) for A in a + b)
+    return up, n * sign * math.exp(math.fsum([math.log(abs(A)) for A in a]
+                                             + [-math.log(abs(A)) for A in b]))
 
 
 def eval_derivative(fam: PolynomialFamily, n: int, x: float) -> float:
-    """p_n'(x) as a float, +-inf where it overflows.  It runs the array
-    recurrence on one point, so it is slow; batch points where it matters."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, (dp,), scale = _eval_many(_recurrence(fam, n), np.array([float(x)]), 1)
-    v, e = float(dp[0]), int(scale[0])
-    try:
-        return math.ldexp(v, e)
-    except OverflowError:
-        return math.copysign(math.inf, v)
+    """p_n'(x) = c q_{n-1}(x) as a float, +-inf where it overflows; q and c
+    of :func:`_derivative`, q by the scalar recurrence of :func:`eval_log`."""
+    up, c = _derivative(fam, n)
+    v, scale = _eval_scaled(up, max(n - 1, 0), x)
+    v *= c  # c = 0 at n = 0, once x is checked
+    return v if scale == 0.0 else _logreal(v, scale).to_float()
 
 
 def _mass_log(w: Weight) -> float:
@@ -505,8 +501,13 @@ def weight_log_many(fam: PolynomialFamily, xs, sizes: bool = False):
 
 
 def weight_log_derivative(fam: PolynomialFamily, x: float) -> float:
-    """h'(x)/h(x) at interior points, r/d of :func:`_numerator_factors`."""
-    d, r = _numerator_factors(fam.weight, x)
+    """h'(x)/h(x) at finite points of the support, r/d of
+    :func:`_numerator_factors`; signals SingularEvaluation at an end with a
+    nonzero exponent."""
+    w = fam.weight
+    if not (w.lo <= x <= w.hi and math.isfinite(x)):
+        raise DomainError(f"{fam.label()} h'/h defined at finite x in [{w.lo:g}, {w.hi:g}]")
+    d, r = _numerator_factors(w, x)
     if d == 0.0:
         raise SingularEvaluation(f"h'/h pole at x = {x:g}")
     return r / d
@@ -533,12 +534,18 @@ def log_derivative_numerator_many(fam: PolynomialFamily, n: int,
     the zeros of p_n; when every finite-endpoint exponent is positive these
     are its n + 1 maxima, one between each pair of neighbouring zeros of
     p_n or ends of the support.
+
+    p_n' = c q_{n-1} of :func:`_derivative`: p_n and q_{n-1} take one
+    order-0 pass each, combined at the larger of their power-of-two scales.
     """
     x = np.asarray(xs, dtype=float)
     d, r = _numerator_factors(fam.weight, x)
+    up, c = _derivative(fam, n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p, (dp,), scale = _eval_many(_recurrence(fam, n), x, 1)
-        v = 2.0 * d * dp + r * p
+        p, sp = _eval_many(_recurrence(fam, n), x)
+        q, sq = _eval_many(_recurrence(up, max(n - 1, 0)), x)
+        scale = np.maximum(sp, sq)
+        v = (2.0 * c) * d * (q * np.exp2(sq - scale)) + r * (p * np.exp2(sp - scale))
         return np.sign(v).astype(int), np.log(np.abs(v)) + scale * _LN2
 
 

@@ -123,14 +123,20 @@ def functional_E_qderiv_log(fam: PolynomialFamily, n: int,
     (The derivative identity holds with this sign: dN_q/dq = int |p|^q ln|p| h,
     which equals -E/2 at q = 2.)  The four N_q are integrated in lockstep.
     """
+    return _q_derivative(lambda q: ("unweighted-norm", fam, n, q, False), 2.0, cfg).scaled(-2.0)
+
+
+def _q_derivative(point, q0: float, cfg: QuadratureConfig) -> SignedLogReal:
+    """d/dq at q0 of the norm of :func:`norms.norm_quads` point(q): central
+    differences d_1 over q0 +- h and d_2 over q0 +- h/2, Richardson-
+    extrapolated to (4 d_2 - d_1)/3, in log space.  The four norms are
+    integrated in lockstep."""
     h = _RICHARDSON_H
-    qs = (2.0 + h, 2.0 - h, 2.0 + 0.5 * h, 2.0 - 0.5 * h)
-    norms = raise_first(norm_quads([("unweighted-norm", fam, n, q, False) for q in qs], cfg))
-    hi1, lo1, hi2, lo2 = (SignedLogReal(1, r.value.log_abs) for r in norms)
+    qs = (q0 + h, q0 - h, q0 + 0.5 * h, q0 - 0.5 * h)
+    hi1, lo1, hi2, lo2 = (r.value for r in raise_first(norm_quads([point(q) for q in qs], cfg)))
     d1 = (hi1 - lo1).scaled(1.0 / (2.0 * h))
-    d2 = (hi2 - lo2).scaled(1.0 / (2.0 * (0.5 * h)))
-    extrap = (d2.scaled(4.0) - d1).scaled(1.0 / 3.0)
-    return extrap.scaled(-2.0)
+    d2 = (hi2 - lo2).scaled(1.0 / h)
+    return (d2.scaled(4.0) - d1).scaled(1.0 / 3.0)
 
 
 def _as_float(v: SignedLogReal, log_form: str) -> float:
@@ -190,12 +196,14 @@ def _fisher_spec(d: DensityHandle) -> Optional[LogIntegrand]:
     Its g = 2 ln|N| + ln(h/d^2) - ln kappa_n is -inf at the zeros of N,
     the critical points of rho, which break it into panels with one hump
     each, whose peaks :func:`families.numerator_peaks` gives from sums over
-    the zeros of N and of p_n, with no recurrence (the spec names them).  g_core sums the weight's core, 2 ln|N| and
-    -ln kappa_n, each rounded at its own scale, so its size (see
-    :class:`quadrature.LogIntegrand`)
-    is |core| + 2 (|ln|N|| + 1) + the size of ln kappa_n: ln|N| carries the
-    rounding of p_n and p_n' as a basis's ln|p_n| does, and ln kappa_n sums
-    log-gammas that cancel (:func:`families.norm_constant_log_size`).  With
+    the zeros of N and of p_n, with no recurrence (the spec names them).
+    g_core sums the weight's core, 2 ln|N| and -ln kappa_n, each rounded at
+    its own scale, so its size (see :class:`quadrature.LogIntegrand`) is
+    |core| + 2 (|ln|N|| + 1) + the size of ln kappa_n: ln|N| carries the
+    rounding of p_n and of p_n' = c q_{n-1}, two order-0 recurrences (q of
+    the raised family of :func:`families._derivative`), as a basis's ln|p_n|
+    does, and ln kappa_n sums log-gammas that cancel
+    (:func:`families.norm_constant_log_size`).  With
     |g_core| alone the claim missed: at Laguerre(2), n = 60, ln kappa_n is
     off by 5e-14, and F missed its closed form by 4.4e-14 claiming
     1.1e-14."""
@@ -302,13 +310,8 @@ def shannon_from_Wq_derivative(d: DensityHandle, cfg: QuadratureConfig = DEFAULT
     the four W_q are integrated in lockstep."""
     if not d.normalized:
         raise DomainError("identity requires the unit-mass density")
-    h = _RICHARDSON_H
-    qs = (1.0 + h, 1.0 - h, 1.0 + 0.5 * h, 1.0 - 0.5 * h)
-    ws = raise_first(norm_quads([("weighted-norm", d.family, d.n, q, True) for q in qs], cfg))
-    hi1, lo1, hi2, lo2 = (w.to_float() for w in ws)
-    d1 = (hi1 - lo1) / (2.0 * h)
-    d2 = (hi2 - lo2) / (2.0 * (0.5 * h))
-    return -(4.0 * d2 - d1) / 3.0
+    return -_q_derivative(lambda q: ("weighted-norm", d.family, d.n, q, True), 1.0,
+                          cfg).to_float()
 
 
 def density_moment(d: DensityHandle, k: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

@@ -258,7 +258,7 @@ def test_eval_poly_overflow_is_signed_inf():
 
 @pytest.mark.parametrize("fam", FAMILY_CONFIGS, ids=lambda fam: fam.label())
 def test_derivative_matches_the_shifted_parameter_identities(fam):
-    # p_n' and N = 2 d p_n' + r p_n from the differentiated recurrence,
+    # p_n' and N = 2 d p_n' + r p_n from the raised family's recurrence,
     # against scipy.special through the shifted-parameter identities
     rng = random.Random(11)
     lo, hi = fam.support
@@ -291,6 +291,86 @@ def test_log_derivative_numerator_extreme_parameters():
         signs, log_abs = log_derivative_numerator_many(fam, n, [x])
         assert signs[0] == want_sign
         assert log_abs[0] == pytest.approx(want_log, rel=1e-13)
+
+
+@pytest.mark.parametrize("fam", FAMILY_CONFIGS + (
+    gegenbauer(-0.25), jacobi(-0.5, 0.3), laguerre(1e4), jacobi(1e4, 3.0), jacobi(0.5, 1e4),
+    gegenbauer(1e4)), ids=lambda fam: fam.label())
+def test_the_raised_family_is_the_family_of_sigma_h(fam):
+    # p_n' = c q_{n-1}, q of the family whose weight is sigma h: each
+    # finite-end exponent raised by 1, the core kept.  c q_{n-1} meets
+    # p_n' of 40-digit mpmath, differentiated numerically, so the shifted-
+    # parameter identities are not assumed
+    import mpmath
+    w = fam.weight
+    up, c = families._derivative(fam, 0)
+    assert c == 0.0
+    assert up.weight == w._replace(e_lo=w.e_lo + (1.0 if math.isfinite(w.lo) else 0.0),
+                                   e_hi=w.e_hi + (1.0 if math.isfinite(w.hi) else 0.0))
+    lo, hi = (e if math.isfinite(e) else math.copysign(3.0, e) for e in fam.support)
+    for n in (1, 7, 60, 200):
+        up, c = families._derivative(fam, n)
+        for x in (0.11, 0.73 * hi + 0.27 * lo):
+            with mpmath.workdps(40):
+                want = mpmath.diff(lambda t: mp_reference_value(fam, n, t), mpmath.mpf(x))
+                want_sign, want_log = int(mpmath.sign(want)), float(mpmath.log(abs(want)))
+            q = eval_log(up, n - 1, x)
+            assert q.sign * math.copysign(1, c) == want_sign, (n, x)
+            assert abs(q.log_abs + math.log(abs(c)) - want_log) <= 1e-13 * max(1.0, abs(want_log))
+
+
+# families with a finite end of exponent 0 (where d differs from sigma),
+# and with positive, negative and mixed end exponents
+_END_CASES = ((laguerre(0.0), 40), (jacobi(0.0, 2.5), 8), (jacobi(3.0, 0.0), 30),
+              (gegenbauer(0.5), 60), (laguerre(2.5), 100), (jacobi(2.5, 1.5), 7),
+              (gegenbauer(3.5), 30), (jacobi(-0.5, 0.3), 5), (gegenbauer(-0.25), 9))
+
+
+@pytest.mark.parametrize("fam,n", _END_CASES,
+                         ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_derivative_and_numerator_meet_mpmath_at_the_ends(fam, n):
+    # at each finite end c and at distances 1e-300, 1e-12 and 1e-6 from it
+    # (c itself where c +- t rounds to c): a structure relation
+    # sigma p_n' = (.) p_n + (.) p_{n-1} cancels there, the raised family
+    # does not
+    import mpmath
+    w = fam.weight
+    for c, side in ((w.lo, 1.0), (w.hi, -1.0)):
+        if not math.isfinite(c):
+            continue
+        for x in {c + side * t for t in (0.0, 1e-300, 1e-12, 1e-6)}:
+            with mpmath.workdps(40):
+                xm = mpmath.mpf(x)
+                dp = reference_derivative(fam, n, xm, mp_reference_value)
+                two_d, r = reference_numerator_terms(fam, xm)
+                big_n = two_d * dp + r * mp_reference_value(fam, n, xm)
+                want_sign, want_log = int(mpmath.sign(big_n)), float(mpmath.log(abs(big_n)))
+                dp = float(dp)
+            got = eval_derivative(fam, n, x)
+            assert math.copysign(1.0, got) == math.copysign(1.0, dp), (c, x)
+            assert abs(got - dp) <= 1e-12 * abs(dp), (c, x)
+            signs, log_abs = log_derivative_numerator_many(fam, n, [x])
+            assert signs[0] == want_sign, (c, x)
+            assert abs(log_abs[0] - want_log) <= 1e-13 * max(1.0, abs(want_log)), (c, x)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_scalar_functions_of_x_reject_points_outside_the_domain(x):
+    # p_n, ln|p_n| and p_n' gave NaN (or p_0' = 0) at x = +-inf or NaN, and
+    # h'/h gave NaN there and a number outside the support, where
+    # weight_log raises
+    for fam in FAMILY_CONFIGS:
+        for f in (eval_poly, eval_log, eval_derivative):
+            for n in (0, 3):
+                with pytest.raises(DomainError):
+                    f(fam, n, x)
+        with pytest.raises(DomainError):
+            weight_log_derivative(fam, x)
+    for fam, y in ((jacobi(2.5, 1.5), 3.0), (laguerre(1.0), -0.5), (gegenbauer(3.5), -1.5)):
+        with pytest.raises(DomainError):
+            weight_log(fam, y)
+        with pytest.raises(DomainError):
+            weight_log_derivative(fam, y)
 
 
 def test_coefficients_known():
