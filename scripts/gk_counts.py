@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Count Gauss-Kronrod batches and points per request over a benchmark pool
-or a case set.
+"""Count evaluation batches, and Gauss-Kronrod batches and points, per
+request over a benchmark pool or a case set.
 
 Runs every request of a pool of perfbench/workloads.py once, in process,
 through perfbench/worker.execute, or every integral of a case set defined
-below, with a wrapper on quadrature._gk_rows that counts its calls
-(batches) and rows x 21 (points), and prints one JSON object: per request
-kind (the functional's name, or the norm's engine and op, or "sweep"; in
-a case set, the integral's kind), the number of requests, the failures
-and the batches and points per request.  Counts do not depend on the
-hardware, so two trees compare exactly.  With --outputs, every request's
+below, with wrappers on quadrature._logf_rows, which counts its calls
+(evaluation batches: the peak tables' batch and every Gauss-Kronrod batch),
+and on quadrature._gk_rows, which counts its calls (Gauss-Kronrod batches)
+and rows x 21 (points), and prints one JSON object: per request kind (the
+functional's name, or the norm's engine and op, or "sweep"; in a case set,
+the integral's kind), the number of requests, the failures, the evaluation
+batches, and the Gauss-Kronrod batches and points per request.  Counts do
+not depend on the hardware, so two trees compare exactly.  With --outputs, every request's
 output is written as JSON lines, so that two trees' outputs can be
 compared bit for bit.
 
@@ -103,13 +105,17 @@ def main(argv=None) -> int:
     parser.add_argument("--outputs", help="write each request's output here, one JSON line each")
     args = parser.parse_args(argv)
 
-    count = {"batches": 0, "points": 0}
-    gk_rows = quadrature._gk_rows
+    count = {"eval_batches": 0, "batches": 0, "points": 0}
+    gk_rows, logf_rows = quadrature._gk_rows, quadrature._logf_rows
 
     def counted(specs, panels, *rest, **kw):
         count["batches"] += 1
         count["points"] += 21 * len(panels)
         return gk_rows(specs, panels, *rest, **kw)
+
+    def evaluated(*args, **kw):
+        count["eval_batches"] += 1
+        return logf_rows(*args, **kw)
 
     if args.cases:
         requests = [(kind, label, lambda spec=spec: list(quadrature.log_integral(spec())))
@@ -117,29 +123,29 @@ def main(argv=None) -> int:
     else:
         requests = [(kind_of(req), req, lambda req=req: execute(req))
                     for req in POOLS[args.pool]()]
-    quadrature._gk_rows = counted
+    quadrature._gk_rows, quadrature._logf_rows = counted, evaluated
     kinds = {}
     out = open(args.outputs, "w") if args.outputs else None
     try:
         for kind, req, run in requests:
             before = dict(count)
-            row = kinds.setdefault(kind, {"requests": 0, "failures": 0, "batches": 0,
-                                          "points": 0})
+            row = kinds.setdefault(kind, {"requests": 0, "failures": 0, "eval_batches": 0,
+                                          "batches": 0, "points": 0})
             try:
                 result = run()
             except Exception as exc:  # a failed request is reported, not fatal
                 result = {"error": f"{type(exc).__name__}: {exc}"}
                 row["failures"] += 1
             row["requests"] += 1
-            for key in ("batches", "points"):
+            for key in count:
                 row[key] += count[key] - before[key]
             if out is not None:
                 out.write(json.dumps({"request": req, "output": result}) + "\n")
     finally:
-        quadrature._gk_rows = gk_rows
+        quadrature._gk_rows, quadrature._logf_rows = gk_rows, logf_rows
         if out is not None:
             out.close()
-    keys = ("requests", "failures", "batches", "points")
+    keys = ("requests", "failures", "eval_batches", "batches", "points")
     total = {key: sum(row[key] for row in kinds.values()) for key in keys}
     report = {}
     for name, row in sorted(kinds.items()) + [("all", total)]:

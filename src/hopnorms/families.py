@@ -295,7 +295,7 @@ def _logreal(v: float, scale: float) -> SignedLogReal:
 def eval_log_many(fam: PolynomialFamily | Sequence[PolynomialFamily], n: int, xs,
                   at: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """p_n at every point of xs as (signs, log_abs) arrays; a zero gives
-    sign 0 and log_abs -inf.
+    sign 0 and log_abs -inf, and a point that is not finite DomainError.
 
     The recurrence of :func:`eval_log` runs over the whole array and is
     rescaled by exact powers of two every 16 steps.  Its cost is dominated
@@ -312,7 +312,7 @@ def eval_log_many(fam: PolynomialFamily | Sequence[PolynomialFamily], n: int, xs
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    x = np.asarray(xs, dtype=float)
+    x = _finite(xs)
     rows, differ = (_recurrence(fam, n), None) if at is None else _row_columns(tuple(fam), n)
     if differ is not None:  # one column per entry the families differ on
         values = iter(differ[:, at])
@@ -321,6 +321,15 @@ def eval_log_many(fam: PolynomialFamily | Sequence[PolynomialFamily], n: int, xs
         p, scale = _eval_many(rows, x, columns=differ is not None)
         log_abs = np.log(np.abs(p)) + scale * _LN2
     return np.sign(p).astype(int), log_abs
+
+
+def _finite(xs) -> np.ndarray:
+    """xs as a float array; DomainError where a point is not finite, as in
+    :func:`_eval_scaled`."""
+    x = np.asarray(xs, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError(f"p_n is evaluated at finite x, not at {x[~np.isfinite(x)][0]}")
+    return x
 
 
 @lru_cache(maxsize=1024)
@@ -525,8 +534,9 @@ def _numerator_factors(w: Weight, x):
 def log_derivative_numerator_many(fam: PolynomialFamily, n: int,
                                   xs) -> tuple[np.ndarray, np.ndarray]:
     """N = d (2 p_n' + p_n h'/h) at every point of xs, as the (signs, log_abs)
-    arrays of :func:`eval_log_many`; d is the product of the distances to the
-    endpoints where h has a nonzero exponent.
+    arrays of :func:`eval_log_many`, DomainError at a point that is not
+    finite; d is the product of the distances to the endpoints where h has
+    a nonzero exponent.
 
     N is a polynomial, so it has no poles at the zeros of p_n or at the
     endpoints, and the log-derivative of the density p_n^2 h is N / (d p_n).
@@ -538,7 +548,7 @@ def log_derivative_numerator_many(fam: PolynomialFamily, n: int,
     p_n' = c q_{n-1} of :func:`_derivative`: p_n and q_{n-1} take one
     order-0 pass each, combined at the larger of their power-of-two scales.
     """
-    x = np.asarray(xs, dtype=float)
+    x = _finite(xs)
     d, r = _numerator_factors(fam.weight, x)
     up, c = _derivative(fam, n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

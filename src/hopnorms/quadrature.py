@@ -8,9 +8,13 @@ where g may swing over thousands of nats (weights like x^alpha e^(-x) with
 alpha ~ 1e4) and phi is an optional signed factor (entropy integrands).
 The engine:
 
-  * truncates infinite tails where g falls _TAIL_CUTOFF nats below
-    the running peak (walk with geometrically growing steps, from the
-    outermost breakpoint, or from 0 where it lies further out),
+  * cuts each infinite end where g lies _TAIL_CUTOFF nats below the peak
+    of its end panel, at a bound from that peak's top and width sigma: a
+    probe at top +- sqrt(2 _TAIL_CUTOFF) sigma, where a Gaussian has
+    fallen that far, and the secant from the top to it, past which the
+    concave g falls at least as fast (:func:`_cut_tail`; where a pole
+    lies beyond the outer gap, top and sigma are those of g without the
+    pole's power),
   * splits the domain at caller-supplied breakpoints (polynomial zeros,
     where |p|^q has cusps and log factors have singularities),
   * grades each panel whose integrand is not smooth at an end, a finite
@@ -38,8 +42,12 @@ reported error estimate is monotone under tolerance halving for the
 integrands used here.
 
 Every other phase is batched too, so the integrand exists only in its
-array form.  The tail walks of both infinite ends evaluate blocks of their
-steps together, and the first Gauss-Kronrod pass of all panels is one call.
+array form.  The peak values of all panels and the probes of all infinite
+ends are one call, and the first Gauss-Kronrod pass of all panels is
+another: before it, an integral takes that one batch.  A walk outward in
+growing steps, which found the tail cuts before, took one more, and over
+the benchmark's degree-sweep, q-sweep and functionals pools 911, 725 and
+2,763 batches in all, where the probes take 752, 615 and 2,284.
 
 Each panel's peak comes one of two ways.  A basis (:class:`Basis`),
 g = a ln|p_n| + b ln h with a > 0 and b >= 0 on the family's support, h
@@ -131,15 +139,10 @@ still found by a scan, Gauss-Kronrod batches per request went from 5.92,
 580,797 and 2,493,876 to 959,427, 676,263 and 2,386,020.  The
 alternatives, measured the same way: cuts at top +- 2 sigma 2^j took 1.96
 q-sweep batches per request; a width of 6 sigma took 1.10 degree-sweep
-batches, and 4 sigma 1.00
-at 906,045 evaluations, which ran slower.  Cutting the tail panels at the
-tail walk's points, as before, where no peak cut them, cost 19,509 more
-q-sweep evaluations and saved no batch; cutting them there in place of
-the peak cuts took 1.62 q-sweep batches and left Hermite n = 2 at
-q = 1000 with 3 rounds.  Refinement still handles any peak the width
-misjudges, and the error is still |K21 - G10| per interval.  Each spec's
-cuts come from its own rows, so lockstep stays bit-identical to
-integrating alone.
+batches, and 4 sigma 1.00 at 906,045 evaluations, which ran slower.
+Refinement still handles any peak the width misjudges, and the error is
+still |K21 - G10| per interval.  Each spec's cuts come from its own rows,
+so lockstep stays bit-identical to integrating alone.
 
 A panel is graded where its integrand is not smooth at an end, where the
 10-21 rule converges slowly: halving the interval next to a pole of the
@@ -344,11 +347,11 @@ _PEAK_NATS = 40.0
 # within _CUT_MARGIN sigma of a panel end (see the module docstring)
 _BRANCH_SPAN = 2.0
 _CUT_MARGIN = 1.0
-_TAIL_STEPS = 500
-_TAIL_BLOCK = 16
 _MAX_INTERVALS = 40_000
 _MAX_DEPTH = 40
-_TAIL_CUTOFF = 150.0  # nats below the tail walk's best value where it cuts
+# nats below its panel's peak where an infinite end is cut (see _cut_tail): past
+# the cut, exp(g) integrates to at most exp(peak - 150)/|s|, s the slope of its bound
+_TAIL_CUTOFF = 150.0
 _EXP_CLAMP = 500.0
 _ROUNDING_FLOOR = 50.0 * sys.float_info.epsilon
 _SHIFT_ROUNDING = 4.0 * sys.float_info.epsilon  # relative error of exp(g - M) per nat of g's terms
@@ -405,7 +408,11 @@ class LogIntegrand:
     g' and g'' there (at an end with a pole, of g without that end's
     power).  The engine puts each panel's peak at its gap's top, clipped
     to the panel; a second peak in a gap can be missed while the error
-    claim stays small.  A ``basis`` names
+    claim stays small.  The cut of an infinite end relies on g being
+    concave on the outer gap, from its top outward, once the powers of the
+    poles at the finite ends are left out: g is then bounded by its secant
+    from the top (of a basis, the top of g without those powers) to a
+    probe past it (see :func:`_cut_tail`).  A ``basis`` names
     the polynomial instead (see :class:`Basis`), so that specs in lockstep
     whose bases share a degree, a family kind and a weight core have p_n
     evaluated in one recurrence over all their rows (see
@@ -749,64 +756,29 @@ def _logf_rows(specs: _Specs, panels: list[_Panel], us: np.ndarray, sizes: bool 
     return g, xs, core, ends, size, graded
 
 
-def _walk(start: float, direction: int):
-    """The tail walk's points: start, then _TAIL_STEPS steps growing by 1.35."""
-    x, step = start, 1.0 + 0.05 * abs(start)
-    yield x
-    for _ in range(_TAIL_STEPS):
-        x += direction * step
-        yield x
-        step *= 1.35
-
-
-def _tail_cuts(specs: _Specs, walks: list[tuple[int, float, int]]) -> list[Optional[float]]:
-    """For each walk (owner, start, direction), the first point where g
-    lies _TAIL_CUTOFF nats below the best value met so far, from the
-    third step on.  The walks still going are evaluated together, one row
-    each, in batches of _TAIL_BLOCK points.  A spec whose walk finds no
-    decay fails."""
-    points = [_walk(start, direction) for _, start, direction in walks]
-    plain = [_Panel(-math.inf, math.inf, owner=k) for k, _, _ in walks]
-    best, cuts = [-math.inf] * len(walks), [None] * len(walks)
-    k0 = -1  # k counts steps; the start is step -1
-    while live := [i for i, (k, _, _) in enumerate(walks)
-                   if cuts[i] is None and specs.errors[k] is None]:
-        blocks = [list(itertools.islice(points[i], _TAIL_BLOCK)) for i in live]
-        if not blocks[0]:  # every walk has the same length
-            for i in live:
-                specs.errors[walks[i][0]] = NumericalFailure(
-                    f"tail walk found no decay within {_TAIL_STEPS} steps")
-            break
-        gs = _logf_rows(specs, [plain[i] for i in live], np.array(blocks))[0]
-        for i, block, row in zip(live, blocks, gs.tolist()):
-            for k, (x, gv) in enumerate(zip(block, row), k0):
-                if k < 0:
-                    best[i] = gv if math.isfinite(gv) else -math.inf
-                elif gv > best[i]:
-                    best[i] = gv
-                elif k >= 2 and gv < best[i] - _TAIL_CUTOFF:
-                    cuts[i] = x
-                    break
-        k0 += _TAIL_BLOCK
-    return cuts
-
-
 def _known_peaks(spec: LogIntegrand) -> tuple:
-    """(tops, knots, g'/a, g''/a, a): a raw g_core's own ``peaks``, with
-    a = 1, or the :func:`families.basis_peaks` of a basis (see the module
-    docstring) whose every zero of p_n is a breakpoint; DomainError else."""
+    """(tops, knots, g'/a, g''/a, a, bare): a raw g_core's own ``peaks``,
+    with a = 1, or the :func:`families.basis_peaks` of a basis (see the
+    module docstring) whose every zero of p_n is a breakpoint; DomainError
+    else.  bare is None but for a basis with an infinite end and a pole
+    beyond its outer gap, n >= 1: there it is the basis_peaks of g without
+    the poles' powers, whose outer tops place the tail probes (see
+    :func:`_place_peaks`)."""
     if spec.peaks is not None:
-        return (*spec.peaks, 1.0)
+        return (*spec.peaks, 1.0, None)
     (fam, n, a, b), w = spec.basis, spec.basis.fam.weight
     own = (spec.e_left, spec.e_right) == (b * w.e_lo, b * w.e_hi)  # the family's weight
-    table = None
+    table = bare = None
     if a > 0.0 and b >= 0.0 and (own or b) and (spec.a, spec.b) == (w.lo, w.hi):
         weight = None if own else w._replace(e_lo=spec.e_left / b, e_hi=spec.e_right / b)
         table = basis_peaks(fam, n, b / a, weight)
+        if n and min(spec.e_left, spec.e_right) < 0.0 and math.isinf(spec.b - spec.a):
+            w = weight or w
+            bare = basis_peaks(fam, n, b / a, w._replace(e_lo=max(w.e_lo, 0.0), e_hi=max(w.e_hi, 0.0)))
     if table is None or n and not set(table[1]) <= set(spec.breakpoints):
         raise DomainError(f"no known peaks for the basis {fam.label()} n={n}, a={a:g}, b={b:g} "
                           f"on ({spec.a:g}, {spec.b:g})")
-    return (*table, a)
+    return (*table, a, bare)
 
 
 def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:
@@ -814,7 +786,8 @@ def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:
     :func:`_known_peaks`) its top, the peak of its gap between knots
     clipped to the panel, and the width sigma = 1/(a |g'| + sqrt(-a g''))
     there, 1/sqrt(-g'') at an interior peak; and its peak, g at the top,
-    from one batch over all of them.  g is -inf (+inf at a pole) on an
+    from one batch over all of them, which also cuts each infinite end
+    (:func:`_cut_tail`).  g is -inf (+inf at a pole) on an
     end with a nonzero exponent, so a top there takes its value one ulp
     inward.  At a pole the table's g leaves the end's power out, and so
     does the peak of the pole's end panel.  A spec that names its own
@@ -825,17 +798,20 @@ def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:
     owner, blocks = _blocks(specs, panels)
     x = np.array([(p.grade or (p.lo, p.hi))[:2] for p in panels])  # each panel's span in x
     mid = 0.5 * (x[:, 0] + x[:, 1])
-    peak, g1, g2, a, lo_end, hi_end, lo_pole, hi_pole = np.empty((8, len(panels)))
+    # row 1: of the table without the far poles' powers, where a basis has one
+    peak, g1, g2 = np.empty((3, 2, len(panels)))
+    a, lo_end, hi_end, lo_pole, hi_pole = np.empty((5, len(panels)))
     for k, r in blocks:
-        tops, knots, d1, d2, a[r] = known[k]
+        tops, knots, d1, d2, a[r], bare = known[k]
+        bare_tops, _, bare_d1, bare_d2 = bare or (tops, knots, d1, d2)
         i = np.searchsorted(knots, mid[r])
         spec = specs.specs[k]
-        peak[r], g1[r], g2[r] = tops[i], d1[i], d2[i]
+        peak[:, r], g1[:, r], g2[:, r] = (tops[i], bare_tops[i]), (d1[i], bare_d1[i]), (d2[i], bare_d2[i])
         lo_end[r] = spec.a if spec.e_left != 0.0 else math.nan
         hi_end[r] = spec.b if spec.e_right != 0.0 else math.nan
-        # the exponent of a pole at a panel's end, whose power its peak leaves out
-        lo_pole[r] = np.where(x[r, 0] == spec.a, min(spec.e_left, 0.0), 0.0)
-        hi_pole[r] = np.where(x[r, 1] == spec.b, min(spec.e_right, 0.0), 0.0)
+        # the exponent of each end's pole: the peak of a panel at that end, and
+        # every tail cut, leave its power out
+        lo_pole[r], hi_pole[r] = min(spec.e_left, 0.0), min(spec.e_right, 0.0)
     top = np.clip(peak, x[:, 0], x[:, 1])
     on_end = (top == lo_end) | (top == hi_end)
     at = np.where(on_end, np.nextafter(top, mid), top)  # where each peak value is taken
@@ -845,16 +821,73 @@ def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:
         for c, power in _end_powers(specs.specs[k]) if specs.specs[k].peaks is not None else ():
             if power > 1:
                 near = np.abs(x[r] - c).min(axis=1)  # 0 on the end panel itself
-                sigma[r] = np.where(near > 0.0, np.minimum(sigma[r], near / _BRANCH_SPAN), sigma[r])
+                sigma[:, r] = np.where(near > 0.0, np.minimum(sigma[:, r], near / _BRANCH_SPAN),
+                                       sigma[:, r])
+    # each infinite end's anchor, its top in row 1, and a probe past it where a
+    # Gaussian of the anchor's width has fallen _TAIL_CUTOFF nats (see _cut_tail)
+    ends = [(i, d) for d, col in ((-1, 0), (1, 1)) for i in np.flatnonzero(np.isinf(x[:, col]))]
+    tails = [i for i, _ in ends]
+    probes = [float(top[1, i] + d * math.sqrt(2.0 * _TAIL_CUTOFF) * sigma[1, i]) for i, d in ends]
+    # the tops, the anchors, then the probes, each point's panel; evaluated with
+    # each spec's rows together
+    of = np.array([*range(len(panels)), *tails, *tails], dtype=int)
+    points = np.concatenate([at[0], at[1, tails], probes])
+    order = _ALL if owner is None else np.argsort(owner[of], kind="stable")
     plain = {k: _Panel(-math.inf, math.inf, owner=k) for k, _ in blocks}
-    rows = [plain[0]] * len(panels) if owner is None else [plain[k] for k in owner.tolist()]
-    g = _logf_rows(specs, rows, at[:, None])[0][:, 0]
-    for c, e, dist in ((lo_end, lo_pole, at - lo_end), (hi_end, hi_pole, hi_end - at)):
+    rows = ([plain[0]] * len(points) if owner is None
+            else [plain[k] for k in owner[of][order].tolist()])
+    g = np.empty_like(points)
+    g[order] = _logf_rows(specs, rows, points[order][:, None])[0][:, 0]
+    bare = g.copy()  # g without the powers of the poles
+    for c, e, dist, touch in ((lo_end[of], lo_pole[of], points - lo_end[of], x[:, 0] == lo_end),
+                              (hi_end[of], hi_pole[of], hi_end[of] - points, x[:, 1] == hi_end)):
         pole = e < 0.0
         if pole.any():
-            g[pole] -= e[pole] * _log_distances(c[pole], at[pole], dist[pole])
-    for p, t, width, value in zip(panels, top.tolist(), sigma.tolist(), g.tolist()):
+            power = np.zeros_like(points)
+            power[pole] = e[pole] * _log_distances(c[pole], points[pole], dist[pole])
+            bare -= power
+            g[:len(panels)] -= np.where(touch, power[:len(panels)], 0.0)
+    g, bare = g.tolist(), bare.tolist()
+    for p, t, width, value in zip(panels, top[0].tolist(), sigma[0].tolist(), g):
         p.top, p.sigma, p.peak = t, width, value
+    for j, (i, d), y in zip(range(len(panels), len(points)), ends, probes):
+        k = j + len(ends)  # the probe's point
+        _cut_tail(specs, panels[i], d, float(top[1, i]), y, g[k], bare[k] - bare[j])
+
+
+def _cut_tail(specs: _Specs, p: _Panel, d: int, t: float, y: float, at_y: float, fall: float):
+    """Cut panel p's infinite end in direction d (-1 left, 1 right) where g
+    lies _TAIL_CUTOFF nats below the panel's peak, from the probe y past
+    the anchor t: g(y) = at_y, and g without the powers of the poles
+    changes by fall from t to y.  A basis's form a ln|p_n| + b core_h, or
+    a raw spec's ``peaks`` contract, makes g without them concave on the
+    outer gap from its top outward, and a pole's power e ln|x - c|, e < 0,
+    only falls past y, so beyond y, g(x) <= g(y) + s |x - y| with
+    s = fall/|y - t| the secant slope: where s < 0, the cut
+    y + d max(0, g(y) - (peak - _TAIL_CUTOFF))/|s| is a bound.  A pole at
+    the other end of the support counts too: its power is convex, and with
+    it in the secant, g at the cut of N_q of Laguerre(-0.9), n = 1,
+    q = 1/16, lay 46 nats below the top, not 150.  It also moves the top
+    of g toward the pole, so a basis anchors at the top of g without it
+    (:func:`_known_peaks`): from the top of g, the probe of N_q of
+    Laguerre(-0.96875), n = 1, q = 1/2, at 1.04, lay where g without the
+    power still stood above its value at that top.  A raw spec anchors at
+    its own top.  A probe at or above the anchor's value, or no decay,
+    fails the spec."""
+    if specs.errors[p.owner] is not None:
+        return
+    s = fall / abs(y - t)
+    if not s < 0.0:
+        specs.errors[p.owner] = NumericalFailure(
+            "integrand exceeds shifted clamp; the peak search missed the maximum" if fall >= 0.0
+            else f"no decay past the outer peak at x={t}")
+        return
+    span = list((p.grade or (p.lo, p.hi))[:2])
+    span[d > 0] = y + d * max(0.0, at_y - (p.peak - _TAIL_CUTOFF)) / -s
+    if p.grade:
+        p.grade = (*span, p.grade[2])
+    else:
+        p.lo, p.hi = span
 
 
 def _peak_cuts(top: float, sigma: float, lo: float, hi: float, margin: float = 0.0,
@@ -1101,12 +1134,14 @@ def log_integrals(specs: list[LogIntegrand], cfg: QuadratureConfig = DEFAULT_CON
 
 def _spec_panels(specs: _Specs, k: int, lo: float, hi: float, bps: list[float]
                  ) -> list[_Panel]:
-    """Spec k's panels between its (cut) ends lo and hi, split at its
-    breakpoints, each graded with the larger :func:`_grade` of its two
-    ends' local exponents: at a zero of a basis's p_n, its a (0 at a raw
-    spec's knot), with a log where phi is ``log_singular``; at a finite
-    end, its exponent e, with a log where phi is ``log_singular_ends``; 0
-    at a tail cut or where e = 0 (see the module docstring)."""
+    """Spec k's panels between lo and hi, its ends or points inside them,
+    split at its breakpoints, each graded with the larger :func:`_grade`
+    of its two ends' local exponents: at a zero of a basis's p_n, its a (0
+    at a raw spec's knot), with a log where phi is ``log_singular``; at a
+    finite end, its exponent e, with a log where phi is
+    ``log_singular_ends``; 0 at an infinite end, which :func:`_cut_tail`
+    cuts later, at a point inside an end, or where e = 0 (see the module
+    docstring)."""
     spec = specs.specs[k]
     for e, name in ((spec.e_left, "left"), (spec.e_right, "right")):
         if e <= -1.0:
@@ -1130,27 +1165,13 @@ def _spec_panels(specs: _Specs, k: int, lo: float, hi: float, bps: list[float]
 
 
 def _log_integrals(specs: _Specs, cfg: QuadratureConfig) -> list:
-    bps, walks = [], []
-    for k, spec in enumerate(specs.specs):
-        bps.append(sorted(x for x in spec.breakpoints if spec.a < x < spec.b))
-        # direction: start of the tail walk, the outermost of 0 and the breakpoints
-        for d, end, start in ((-1, spec.a, min([0.0] + bps[k])), (1, spec.b, max([0.0] + bps[k]))):
-            if not math.isfinite(end):
-                walks.append((k, start, d))
-    cuts = _tail_cuts(specs, walks)
-    ends = [[spec.a, spec.b] for spec in specs.specs]
-    for (k, _, d), cut in zip(walks, cuts):
-        if cut is not None:
-            ends[k][d > 0] = cut
-
     panels, known = [], {}
     for k, spec in enumerate(specs.specs):
-        if specs.errors[k] is None:
-            try:  # the peaks first: they refuse a basis with a <= 0, which _grade cannot grade
-                known[k] = _known_peaks(spec)
-                panels += _spec_panels(specs, k, *ends[k], bps[k])
-            except (DomainError, NumericalFailure) as exc:
-                specs.errors[k] = exc
+        try:  # the peaks first: they refuse a basis with a <= 0, which _grade cannot grade
+            known[k] = _known_peaks(spec)
+            panels += _spec_panels(specs, k, spec.a, spec.b, sorted(spec.breakpoints))
+        except (DomainError, NumericalFailure) as exc:
+            specs.errors[k] = exc
     # each panel's peak, known in closed form; the panels stay in spec order
     panels = [p for p in panels if specs.errors[p.owner] is None]
     if panels:

@@ -390,7 +390,7 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 @pytest.mark.parametrize("engine, alpha", [
-    ("quadrature", "1"),  # exited 3: tail walk found no decay
+    ("quadrature", "1"),  # exited 3: no decay past the outer peak to cut the tail at
     ("asymptotic-q", "1"),  # exited 3: a NaN log_value
     ("asymptotic-parameter", "50"),
 ])

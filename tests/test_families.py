@@ -373,6 +373,20 @@ def test_scalar_functions_of_x_reject_points_outside_the_domain(x):
             weight_log_derivative(fam, y)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_batched_functions_of_x_reject_points_that_are_not_finite(x):
+    # eval_log_many(hermite(), 2, [nan]) and eval_log_many(laguerre(1.0), 3,
+    # [-inf]) gave sign -9223372036854775808 with ln NaN, where the scalar
+    # evaluators raise; one bad point among good ones is enough
+    for fam in FAMILY_CONFIGS:
+        for n in (0, 2, 3):
+            for f in (eval_log_many, log_derivative_numerator_many):
+                with pytest.raises(DomainError):
+                    f(fam, n, [0.5, x])
+        with pytest.raises(DomainError):
+            eval_log_many([fam, fam], 2, np.array([0.5, x]), np.array([0, 1]))
+
+
 def test_coefficients_known():
     assert coefficients(hermite(), 2).coeffs == (-2.0, 0.0, 4.0)
     a = 1.7

@@ -105,8 +105,9 @@ def _laguerre_0_log(a, q):
 
 @pytest.mark.parametrize("q", [1.0, 2.0])
 def test_tail_walk_climbs_from_zero_to_a_far_peak(q):
-    # p_0 has no zero to start the tail walk from, so it starts at 0 and
-    # must climb to the peak of (x^alpha e^-x)^q at x = alpha = 1e4
+    # p_0 has no zero, so one panel (0, inf) holds the peak of
+    # (x^alpha e^-x)^q at x = alpha = 1e4, and its tail cut follows from
+    # that peak's top and width
     r = weighted_norm_quad(laguerre(1e4), 0, q)
     assert _miss(r.value.log_abs, _laguerre_0_log(1e4, q)) <= r.error_estimate <= 1e-9
 
@@ -131,8 +132,8 @@ def _miss(log_value, want):
     (laguerre(7.0), 2, 3e5, "2998925.8154806390995"),
     *[(laguerre(a), 0, q, _laguerre_0_log(a, q))
       for a, q in ((0.5, 1e5), (2.0, 1e5), (3.0, 1e5), (1.0, 1e6), (2.0, 1e6), (7.0, 1e6))],
-    # Hermite n = 4, W and N; the tail walks start at the outermost zeros,
-    # and N's peaks lie near x = +-sqrt(2q)
+    # Hermite n = 4, W and N; the tail cuts follow from the outer peaks'
+    # tops and widths, and N's peaks lie near x = +-sqrt(2q)
     (hermite(), 4, 1e4, "54103.14076624098747647"),
     (hermite(), 4, 1e5, "541065.4834786723119001"),
     (hermite(), 4, 1e6, "5410699.27220483165617"),

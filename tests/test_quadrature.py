@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hopnorms.bell import unweighted_norm_bell
 from hopnorms.errors import DomainError
 from hopnorms.families import gegenbauer, hermite, jacobi, laguerre
-from hopnorms import families, measures, norms, quadrature
+from hopnorms import families, measures, norms, paramasym, quadrature
 from hopnorms.norms import unweighted_norm_quad, weighted_norm_quad
 from hopnorms.quadrature import (LogIntegrand, QuadratureConfig, QuadratureFailure, _graded,
                                  _Panel, _ungraded, log_integral)
@@ -106,7 +106,7 @@ def test_config_validation():
 
 
 def _laguerre_like():
-    # tail walk, a cusp breakpoint, a transformed singular left endpoint and phi
+    # a tail cut, a cusp breakpoint, a transformed singular left endpoint and phi
     spec = named(a=0.0, b=math.inf, e_left=-0.5, breakpoints=(1.5,),
                  g_core_many=lambda x: 3.0 * np.log(np.abs(x - 1.5)) - x,
                  phi_many=lambda x, *_: np.log(x + 2.0))
@@ -341,8 +341,8 @@ def test_refinement_splits_in_rounds(batches):
 def test_first_gauss_kronrod_pass_leaves_little_to_refine(batches, fam, n, q, most):
     # a 7-15 rule, with each tail panel halved toward its mass next to the
     # outermost zero one pass at a time, took 8, 9 and 6 integrand batches
-    # here; the 10-21 rule over tail panels cut at the tail walk's points
-    # takes 3, 4 and 4
+    # here; the 10-21 rule over tail panels cut from the outer peaks' tops
+    # and widths takes 2, 2 and 2: the peak batch and the first pass
     r = weighted_norm_quad(fam, n, q)
     assert len(batches) <= most
     assert r.error_estimate <= 1e-11
@@ -934,3 +934,94 @@ def test_known_peaks_cut_the_points_of_a_large_degree(monkeypatch):
     r = weighted_norm_quad(hermite(), 1000, 1.0)
     assert sum(points) <= 25_000
     assert r.error_estimate <= 1e-11
+
+
+# -- tail cuts derived from the peak table ------------------------------------
+
+def _first_pass(monkeypatch, specs):
+    """Integrate the specs in lockstep and return the batches in order ("eval"
+    for each evaluation batch, "gk" for each Gauss-Kronrod batch, whose rows
+    are one evaluation batch of their own) and the specs and panels of the
+    first Gauss-Kronrod pass."""
+    events, first = [], []
+    logf_rows, gk_rows = quadrature._logf_rows, quadrature._gk_rows
+
+    def evaluated(*args, **kwargs):
+        events.append("eval")
+        return logf_rows(*args, **kwargs)
+
+    def passed(lockstep, panels, *args, **kwargs):
+        events.append("gk")
+        if not first:
+            first.extend((lockstep, panels))
+        return gk_rows(lockstep, panels, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_logf_rows", evaluated)
+    monkeypatch.setattr(quadrature, "_gk_rows", passed)
+    results = quadrature.log_integrals(specs)
+    monkeypatch.undo()
+    return results, events, first
+
+
+def test_one_evaluation_batch_comes_before_the_first_pass(monkeypatch):
+    # the peak tables' batch also probes each infinite end, so the tail
+    # cuts take no batch of their own: a walk outward from the outermost
+    # breakpoint took one more batch before the first Gauss-Kronrod pass
+    specs = [norms.density_spec(hermite(), 4, 2.0, 1.0), norms.density_spec(hermite(), 0, 1.0, 1.0),
+             norms.density_spec(laguerre(2.5), 3, 2.0, 1.0),
+             norms.density_spec(laguerre(-0.5), 1, 0.25, 1.0),
+             norms.density_spec(jacobi(2.5, 1.5), 5, 4.0, 2.0),
+             measures._shannon_spec(measures.DensityHandle(hermite(), 3))]
+    results, events, _ = _first_pass(monkeypatch, specs)
+    assert all(isinstance(r, quadrature.LogQuadResult) for r in results)
+    assert events.index("gk") == 1
+
+
+# Hermite and Laguerre far out at large q or alpha, poles of Laguerre at the
+# other end of the support, and the Temme oracle's own end exponent -0.7
+_TAILS = [*[norms.density_spec(hermite(), n, 2.0 * q, q) for n in (0, 4) for q in (1.0, 1e4)],
+          norms.density_spec(laguerre(1e4), 0, 2.0, 1.0),
+          *[norms.density_spec(laguerre(e), n, q, 1.0)
+            for e in (-0.5, -0.9) for n in (0, 1, 2) for q in (0.0625, 0.25)],
+          norms.density_spec(laguerre(-0.96875), 1, 0.5, 1.0),
+          *[paramasym._temme_spec(m, 50.0, 0.3, 2.0, 2.0) for m in (0, 3)]]
+
+
+def test_tail_cuts_lie_150_nats_below_their_outer_tops(monkeypatch):
+    # each infinite end is cut from an anchor t and a width: the panel's top
+    # and sigma, or, where a pole lies beyond the outer gap, the top of g
+    # without its power, which lies further out.  Past a probe
+    # y = t +- sqrt(300) width, g without its pole powers falls at least as
+    # fast as its secant s from t, so g at the cut lies at least
+    # _TAIL_CUTOFF nats below the outer top (below g at the top without the
+    # power of a pole at the panel's end), and the cut lies no further out
+    # than y + max(0, g(y) - (g(top) - _TAIL_CUTOFF))/|s|.  A walk outward from
+    # the outermost breakpoint in growing steps cut Hermite n = 0 at q = 1e4
+    # at x = 4.17, where g lay 174,098 nats below its top, in place of 0.12;
+    # a probe from the top of g for Laguerre(-0.96875), n = 1, q = 1/2 lay
+    # where g without the pole's power still rose
+    for spec in _TAILS:
+        (result,), _, (lockstep, panels) = _first_pass(monkeypatch, [spec])
+        assert isinstance(result, quadrature.LogQuadResult)
+        pole = min(spec.e_left, 0.0)  # Laguerre's: the left end, x = 0
+        *_, a, bare = quadrature._known_peaks(spec)
+
+        def g(x, bare=False):
+            line = _Panel(-math.inf, math.inf)
+            value = float(quadrature._logf_rows(lockstep, [line], np.array([[x]]))[0][0, 0])
+            return value - pole * math.log(x) if bare and pole else value
+
+        for d, p in ((-1, panels[0]), (1, panels[-1])):
+            if math.isfinite((spec.a, spec.b)[d > 0]):
+                continue
+            t, width = p.top, p.sigma
+            if bare is not None:
+                j = 0 if d < 0 else -1
+                t, width = bare[0][j], 1.0 / (a * abs(bare[2][j]) + math.sqrt(-a * bare[3][j]))
+            cut = (p.grade or (p.lo, p.hi))[d > 0]
+            y = t + d * math.sqrt(2.0 * quadrature._TAIL_CUTOFF) * width
+            at = t if t != spec.a else math.nextafter(t, math.inf)
+            s = (g(y, True) - g(at, True)) / abs(y - t)
+            reach = abs(y - t) + max(0.0, g(y) - (p.peak - quadrature._TAIL_CUTOFF)) / -s
+            assert g(cut) <= p.peak - quadrature._TAIL_CUTOFF, (spec, d)
+            assert 0.0 < d * (cut - p.top) and d * (cut - t) <= reach * (1.0 + 1e-12), (spec, d)
