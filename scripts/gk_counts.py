@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Count evaluation batches, and Gauss-Kronrod batches and points, per
-request over a benchmark pool or a case set.
+"""Count evaluation batches, recurrence passes, and Gauss-Kronrod batches
+and points, per request over a benchmark pool or a case set.
 
 Runs every request of a pool of perfbench/workloads.py once, in process,
 through perfbench/worker.execute, or every integral of a case set defined
 below, with wrappers on quadrature._logf_rows, which counts its calls
 (evaluation batches: the peak tables' batch and every Gauss-Kronrod batch),
-and on quadrature._gk_rows, which counts its calls (Gauss-Kronrod batches)
-and rows x 21 (points), and prints one JSON object: per request kind (the
+on families._eval_many, which counts its top-level calls (recurrence
+passes; the redo of a block that overflowed is part of its call), and on
+quadrature._gk_rows, which counts its calls (Gauss-Kronrod batches) and
+rows x 21 (points), and prints one JSON object: per request kind (the
 functional's name, or the norm's engine and op, or "sweep"; in a case set,
 the integral's kind), the number of requests, the failures, the evaluation
-batches, and the Gauss-Kronrod batches and points per request.  Counts do
+batches, the recurrence passes, and the Gauss-Kronrod batches and points
+per request.  Counts do
 not depend on the hardware, so two trees compare exactly.  With --outputs, every request's
 output is written as JSON lines, so that two trees' outputs can be
 compared bit for bit.
@@ -43,7 +46,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 from hopnorms import hermite, jacobi, laguerre, gegenbauer, measures, norms, paramasym  # noqa: E402
-from hopnorms import quadrature  # noqa: E402
+from hopnorms import families, quadrature  # noqa: E402
 from workloads import POOLS  # noqa: E402
 from worker import execute  # noqa: E402
 
@@ -105,8 +108,9 @@ def main(argv=None) -> int:
     parser.add_argument("--outputs", help="write each request's output here, one JSON line each")
     args = parser.parse_args(argv)
 
-    count = {"eval_batches": 0, "batches": 0, "points": 0}
-    gk_rows, logf_rows = quadrature._gk_rows, quadrature._logf_rows
+    count = {"eval_batches": 0, "recurrences": 0, "batches": 0, "points": 0}
+    gk_rows, logf_rows, eval_many = quadrature._gk_rows, quadrature._logf_rows, families._eval_many
+    depth = []  # the _eval_many calls running: a redo of overflowing points calls it again
 
     def counted(specs, panels, *rest, **kw):
         count["batches"] += 1
@@ -117,6 +121,14 @@ def main(argv=None) -> int:
         count["eval_batches"] += 1
         return logf_rows(*args, **kw)
 
+    def recurred(*args, **kw):
+        count["recurrences"] += not depth
+        depth.append(None)
+        try:
+            return eval_many(*args, **kw)
+        finally:
+            depth.pop()
+
     if args.cases:
         requests = [(kind, label, lambda spec=spec: list(quadrature.log_integral(spec())))
                     for kind, label, spec in CASES[args.cases]()]
@@ -124,13 +136,14 @@ def main(argv=None) -> int:
         requests = [(kind_of(req), req, lambda req=req: execute(req))
                     for req in POOLS[args.pool]()]
     quadrature._gk_rows, quadrature._logf_rows = counted, evaluated
+    families._eval_many = recurred
     kinds = {}
     out = open(args.outputs, "w") if args.outputs else None
     try:
         for kind, req, run in requests:
             before = dict(count)
             row = kinds.setdefault(kind, {"requests": 0, "failures": 0, "eval_batches": 0,
-                                          "batches": 0, "points": 0})
+                                          "recurrences": 0, "batches": 0, "points": 0})
             try:
                 result = run()
             except Exception as exc:  # a failed request is reported, not fatal
@@ -143,9 +156,10 @@ def main(argv=None) -> int:
                 out.write(json.dumps({"request": req, "output": result}) + "\n")
     finally:
         quadrature._gk_rows, quadrature._logf_rows = gk_rows, logf_rows
+        families._eval_many = eval_many
         if out is not None:
             out.close()
-    keys = ("requests", "failures", "eval_batches", "batches", "points")
+    keys = ("requests", "failures", "eval_batches", "recurrences", "batches", "points")
     total = {key: sum(row[key] for row in kinds.values()) for key in keys}
     report = {}
     for name, row in sorted(kinds.items()) + [("all", total)]:

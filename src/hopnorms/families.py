@@ -35,7 +35,7 @@ from .special import log_distance, log_gamma
 __all__ = [
     "PolynomialFamily", "CoefficientList", "FAMILY_PARAMS",
     "hermite", "laguerre", "jacobi", "gegenbauer",
-    "eval_poly", "eval_log", "eval_log_many", "eval_derivative",
+    "eval_poly", "eval_log", "eval_log_many", "log_abs_by_zeros", "eval_derivative",
     "norm_constant_log", "norm_constant_log_error", "norm_constant_log_size", "coefficients",
     "weight_log", "weight_log_many", "weight_log_derivative", "gegenbauer_jacobi_factor_log",
     "Weight", "log_derivative_numerator_many", "critical_points",
@@ -383,21 +383,30 @@ def _eval_many(rows, x: np.ndarray, every: int = _RESCALE_EVERY,
     return p1, scale
 
 
+@lru_cache(maxsize=64)
+def _log_leads(fam: PolynomialFamily, n: int) -> list[float]:
+    """ln|A_k|, k < n, of the rows of p_n, whose product A_0..A_{n-1} is
+    the leading coefficient k_n of p_n.  Memoised per (family, n), as
+    many as :func:`_zeros` keeps; the list is shared, so callers must not
+    change it."""
+    return [math.log(abs(A)) for A, _, _ in _recurrence(fam, n)]
+
+
 @lru_cache(maxsize=256)
 def _derivative(fam: PolynomialFamily, n: int) -> tuple[PolynomialFamily, float]:
     """(up, c) with p_n' = c q_{n-1}, q the polynomials of up, the family of
     the weight sigma h: each parameter raised by 1 (Szego 1975, (4.21.7),
-    (5.1.14), (4.7.14), (5.5.10)).  The leading coefficient of p_n is the
-    product of A_0..A_{n-1}, so c = n k_n / k'_{n-1} is summed as logs of
-    the rows' |A_k| with fsum, their signs counted apart (A_0 < 0 for
-    Gegenbauer with lambda < 0); c = 0 at n = 0.  Memoised per (family, n)."""
+    (5.1.14), (4.7.14), (5.5.10)).  c = n k_n / k'_{n-1}, with the leading
+    coefficients of :func:`_log_leads`, is summed as their logs with fsum,
+    the signs of the rows' A_k counted apart (A_0 < 0 for Gegenbauer with
+    lambda < 0); c = 0 at n = 0.  Memoised per (family, n)."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
     up = replace(fam, **{_FIELDS[p]: v + 1.0 for p, v in zip(FAMILY_PARAMS[fam.kind], fam.params)})
-    a, b = ([A for A, _, _ in _recurrence(f, m)] for f, m in ((fam, n), (up, max(n - 1, 0))))
-    sign = math.prod(math.copysign(1.0, A) for A in a + b)
-    return up, n * sign * math.exp(math.fsum([math.log(abs(A)) for A in a]
-                                             + [-math.log(abs(A)) for A in b]))
+    rows = ((fam, n), (up, max(n - 1, 0)))
+    sign = math.prod(math.copysign(1.0, A) for f, m in rows for A, _, _ in _recurrence(f, m))
+    a, b = (_log_leads(f, m) for f, m in rows)
+    return up, n * sign * math.exp(math.fsum(a + [-v for v in b]))
 
 
 def eval_derivative(fam: PolynomialFamily, n: int, x: float) -> float:
@@ -665,6 +674,63 @@ def critical_points(fam: PolynomialFamily, n: int, ratio: float,
 _SUM_BLOCK = 1 << 16  # entries of the largest array of a sum over zeros
 
 
+def _differences(x: np.ndarray, zeros: np.ndarray, at: Optional[np.ndarray] = None):
+    """(rows, x[rows] - c) over blocks of the points x, c the zeros, a 1-d
+    array, or with ``at`` a table of one row of zeros per family, each
+    point taking row at[point]; a block holds at most about _SUM_BLOCK
+    differences, so no array of a sum over zeros grows with points x zeros."""
+    step = max(1, _SUM_BLOCK // max(zeros.shape[-1], 1))
+    for k in range(0, x.size, step):
+        rows = slice(k, k + step)
+        yield rows, x[rows, None] - (zeros if at is None else zeros[at[rows]])
+
+
+@lru_cache(maxsize=1024)
+def _zero_table(fams: tuple[PolynomialFamily, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(zeros, leads) of p_n of several families, for :func:`log_abs_by_zeros`:
+    a row of zeros and ln|k_n| of each family, or of the one family where
+    all are one.  Memoised per (families, n), as :func:`_row_columns`; the
+    arrays are shared and read-only."""
+    if fams.count(fams[0]) == len(fams):
+        fams = fams[:1]
+    zeros = np.array([_zeros(f, n) for f in fams]).reshape(len(fams), n)
+    lead = np.array([math.fsum(_log_leads(f, n)) for f in fams])
+    zeros.flags.writeable = lead.flags.writeable = False
+    return zeros, lead
+
+
+def log_abs_by_zeros(fam: PolynomialFamily | Sequence[PolynomialFamily], n: int, xs,
+                     at: Optional[np.ndarray] = None) -> np.ndarray:
+    """ln|p_n| at every point of xs, as the log_abs of :func:`eval_log_many`
+    takes it (``at`` too), from the zeros x_k of p_n and its leading
+    coefficient k_n: ln|p_n(x)| = ln|k_n| + sum_k ln|x - x_k| (Szego 1975,
+    sec. 6.7), the form of :func:`_slopes`' sums; -inf at a zero, and
+    DomainError at a point that is not finite.
+
+    The sum costs O(points x n) in one chain of numpy calls per block of
+    :func:`_differences`, where the recurrence takes O(n) numpy calls over
+    all the points: it pays off over a few dozen points, as the peak values
+    of a quadrature, and not over thousands.  Next to a zero, its rounding
+    grows like dx_k/|x - x_k|, dx_k the zero's, which the recurrence does
+    not carry."""
+    if n < 0:
+        raise DomainError("degree must be nonnegative")
+    x = _finite(xs)
+    if at is None:
+        zeros, out = np.array(_zeros(fam, n)), np.full(x.size, math.fsum(_log_leads(fam, n)))
+    else:
+        zeros, lead = _zero_table(tuple(fam), n)
+        if lead.size == 1:  # one family: as alone
+            zeros, out, at = zeros[0], np.full(x.size, lead[0]), None
+        else:  # each point gathers its family's zeros and ln|k_n|
+            at = np.asarray(at).ravel()
+            out = lead[at]
+    with np.errstate(divide="ignore"):
+        for rows, u in _differences(x.ravel(), zeros, at):
+            out[rows] += np.log(np.abs(u)).sum(axis=1)
+    return out.reshape(x.shape)
+
+
 def _slopes(x: np.ndarray, zeros: np.ndarray, a: float, w: Weight, e_lo, e_hi) -> tuple:
     """(g', g'', S) at the points x of g = a sum ln|x - c| + core +
     e_lo ln(x - lo) + e_hi ln(hi - x), summed over the points c of zeros,
@@ -672,16 +738,14 @@ def _slopes(x: np.ndarray, zeros: np.ndarray, a: float, w: Weight, e_lo, e_hi) -
     per point or one for all; an exponent 0 adds nothing, even at its own
     end.  S = sum 1/(x - c).  Every g whose peaks are named has this form:
     the log-derivatives of a polynomial are sums over its zeros (Szego
-    1975, sec. 6.7).  The sums run over blocks of points, so no array
-    holds more than about 2^16 entries.  Use np.errstate."""
+    1975, sec. 6.7).  The sums run over the blocks of :func:`_differences`.
+    Use np.errstate."""
     s1, s2 = np.empty_like(x), np.empty_like(x)
-    step = max(1, _SUM_BLOCK // max(zeros.size, 1))
-    for k in range(0, x.size, step):
-        u = x[k:k + step, None] - zeros
+    for rows, u in _differences(x, zeros):
         np.divide(1.0, u, out=u)
-        s1[k:k + step] = u.sum(axis=1)
+        s1[rows] = u.sum(axis=1)
         u *= u
-        s2[k:k + step] = u.sum(axis=1)
+        s2[rows] = u.sum(axis=1)
     g1, g2 = a * s1 + w.core_prime(x), 2.0 * w.c2 - a * s2
     for e, dist, sign in ((e_lo, x - w.lo, 1.0), (e_hi, w.hi - x, -1.0)):
         g1 = g1 + np.where(e != 0.0, sign * e / dist, 0.0)

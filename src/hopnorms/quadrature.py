@@ -49,6 +49,23 @@ growing steps, which found the tail cuts before, took one more, and over
 the benchmark's degree-sweep, q-sweep and functionals pools 911, 725 and
 2,763 batches in all, where the probes take 752, 615 and 2,284.
 
+That peak batch takes a basis's ln|p_n| from the zeros x_k of p_n, not
+from the three-term recurrence: ln|p_n(x)| = ln|k_n| + sum_k ln|x - x_k|
+(:func:`families.log_abs_by_zeros`), the sums over the zeros that already
+give the tables' g' and g''.  It holds a few dozen points, over which the
+recurrence's O(n) numpy calls were all overhead, and the sum is O(points
+n) in one chain of calls; so the recurrence runs only at the Gauss-Kronrod
+nodes, and the recurrence passes over the three pools went from 752, 685
+and 3,371 to 381, 391 and 2,387 (a raw spec, Fisher's, still evaluates
+its own g_core at its tops).  The peak values only set the shift M, which
+cancels, the 40-nat rule of the first pass and the 150-nat tail cut, and
+there the two agree within 5e-11 (1 + |ln|p_n||) up to n = 1000.  The
+nodes keep the recurrence: next to a zero the sum's rounding grows like
+dx_k/|x - x_k|, dx_k the zero's own, outside the size |a| (|ln|p_n|| + 1)
+of the error claim below, and over a batch of 2,016 nodes at n = 38 the
+sum takes 2.2 to 2.7 times as long as the recurrence (Jacobi(2.5, 1.5)
+and Hermite, 860 and 940 us against 390 and 350 us).
+
 Each panel's peak comes one of two ways.  A basis (:class:`Basis`),
 g = a ln|p_n| + b ln h with a > 0 and b >= 0 on the family's support, h
 the family's weight with the spec's own end exponents (as the Temme
@@ -59,7 +76,8 @@ p_n, g'/a = sum 1/(x - x_k) + (b/a) (ln h)' and g''/a = -sum 1/(x - x_k)^2
 >= 0, g'' < 0, so each gap between neighbouring zeros of p_n and ends
 holds one peak, clipped to the panel: :func:`families.critical_points`
 gives all n + 1 as the eigenvalues of one Jacobi matrix, with no
-recurrence; one batch of the tops gives the peak values.  Hermite
+recurrence; one batch of the tops gives the peak values, from the same
+zeros (above).  Hermite
 n = 1000, W_50 takes 23,146 points where a Chebyshev scan of every panel
 took 103,352.
 
@@ -100,10 +118,12 @@ contiguous.  A row carries its integral's constants (ends, exponents
 and shift), so everything but phi and a raw g_core is
 evaluated for all rows at once and elementwise.  That includes the
 polynomial of the integrals whose g_core names a basis (see
-:class:`Basis`): one recurrence serves the rows of all the integrals
+:class:`Basis`): one recurrence serves the nodes of all the integrals
 whose bases share a degree, a family kind and a weight core, as in a
 sweep over q or over a weight parameter, since at low degree a
-recurrence costs about the same over any number of points.  The sums over
+recurrence costs about the same over any number of points; in the peak
+batch, one sum over the zeros serves their tops, each point taking the
+zeros of its own family.  The sums over
 the nodes, whose BLAS rounding depends on the other rows of a call, are
 taken over each integral's rows alone.  Each integral keeps its own heap,
 tolerance, stopping rounds and error claim, so its result is bit-identical
@@ -307,7 +327,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .families import PolynomialFamily, basis_peaks, eval_log_many
+from .families import PolynomialFamily, basis_peaks, eval_log_many, log_abs_by_zeros
 from .special import log_distance
 
 __all__ = ["QuadratureConfig", "QuadratureFailure", "Basis", "LogIntegrand", "LogQuadResult",
@@ -415,9 +435,9 @@ class LogIntegrand:
     probe past it (see :func:`_cut_tail`).  A ``basis`` names
     the polynomial instead (see :class:`Basis`), so that specs in lockstep
     whose bases share a degree, a family kind and a weight core have p_n
-    evaluated in one recurrence over all their rows (see
-    :func:`families.eval_log_many`), each row with the bits its spec alone
-    would give it.
+    evaluated once over all their rows (see :func:`families.eval_log_many`
+    and :func:`families.log_abs_by_zeros`), each row with the bits its
+    spec alone would give it.
     ``phi_many(x, core, ends)`` is optional (without it phi = 1); it gets
     the points, the values of g_core there and the endpoint powers
     ends = e_left ln(x - a) + e_right ln(b - x), so that phi can be built
@@ -609,11 +629,15 @@ def _log_distances(c, xs: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 
 def _core_rows(specs: _Specs, blocks: list[tuple[int, slice]], xs: np.ndarray,
-               sizes: bool = False) -> tuple[np.ndarray, Optional[np.ndarray]]:
+               sizes: bool = False, by_zeros: bool = False
+               ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(g_core, size) at the rows of points xs: one call of each raw spec's
     g_core_many over its block, and one polynomial evaluation over the
     points of the specs whose bases share a degree, a family kind and a
-    weight core, each spec's a ln|p_n| + b core_h on its own points.  size,
+    weight core, each spec's a ln|p_n| + b core_h on its own points: the
+    recurrence of :func:`families.eval_log_many`, or, ``by_zeros``, the
+    sum over the zeros of :func:`families.log_abs_by_zeros`, which the
+    peak batch takes (see :func:`_place_peaks`).  size,
     if asked for, is the magnitude at which g_core is rounded: |g_core| of
     a raw spec, or the size a ``sized`` one gives, and |a| (|ln|p_n|| + 1)
     + |b core_h| of a basis, whose a ln|p_n| carries the rounding of p_n,
@@ -644,16 +668,17 @@ def _core_rows(specs: _Specs, blocks: list[tuple[int, slice]], xs: np.ndarray,
         bases = [specs.specs[k].basis for k, _ in group]
         rows = [xs if block is _ALL else xs[block] for _, block in group]
         whole = len(group) == len(blocks)  # the group holds every row
-        if len(group) == 1:  # as a lone spec: its own recurrence over its points
+        if len(group) == 1:  # as a lone spec: its own evaluation over its points
             u, fams, at = rows[0].ravel(), bases[0].fam, None
             a, b = bases[0].a, bases[0].b
-        else:  # one recurrence over all the points, each with the basis at[point]
+        else:  # one evaluation over all the points, each with the basis at[point]
             u = (xs if whole else np.concatenate(rows)).ravel()
             fams = [basis.fam for basis in bases]
             at = np.repeat(np.arange(len(group)), [r.size for r in rows])
             a, b = (_per_point([getattr(basis, f) for basis in bases], at) for f in "ab")
         try:
-            log_p = eval_log_many(fams, n, u, at)[1]
+            log_p = (log_abs_by_zeros(fams, n, u, at) if by_zeros
+                     else eval_log_many(fams, n, u, at)[1])
         except (DomainError, NumericalFailure) as exc:
             for k, _ in group:
                 specs.errors[k] = exc
@@ -688,7 +713,7 @@ def _per_point(values: list[float], at: np.ndarray):
 
 
 def _logf_rows(specs: _Specs, panels: list[_Panel], us: np.ndarray, sizes: bool = False,
-               layout=None) -> tuple:
+               layout=None, by_zeros: bool = False) -> tuple:
     """(g, x, core, ends, size, graded) at the points us[i] of panels[i],
     with one call of each spec's core over its rows: g is the log-integrand
     in the panels' own coordinates, core = g_core(x), ends the endpoint
@@ -703,7 +728,8 @@ def _logf_rows(specs: _Specs, panels: list[_Panel], us: np.ndarray, sizes: bool 
     with its spec's constants, and elementwise, so a row's values do not
     depend on the other rows.  A spec whose core raises is marked failed,
     and its rows, like those of specs that failed before, hold NaN.
-    ``layout`` is the batch's :func:`_blocks`, where the caller has it."""
+    ``layout`` is the batch's :func:`_blocks`, where the caller has it;
+    ``by_zeros`` is :func:`_core_rows`'."""
     owner, blocks = layout or _blocks(specs, panels)
     const = None if owner is None else specs.table[owner]
 
@@ -721,7 +747,7 @@ def _logf_rows(specs: _Specs, panels: list[_Panel], us: np.ndarray, sizes: bool 
         else:
             xs = us.copy()
             xs[rg] = v
-    core, core_size = _core_rows(specs, blocks, xs, sizes)
+    core, core_size = _core_rows(specs, blocks, xs, sizes, by_zeros)
     ends = np.zeros_like(xs)
     g_ends = ends if graded is None else np.zeros_like(xs)  # the terms of ends taken from x
     size = core_size.copy() if sizes else None
@@ -787,9 +813,10 @@ def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:
     clipped to the panel, and the width sigma = 1/(a |g'| + sqrt(-a g''))
     there, 1/sqrt(-g'') at an interior peak; and its peak, g at the top,
     from one batch over all of them, which also cuts each infinite end
-    (:func:`_cut_tail`).  g is -inf (+inf at a pole) on an
-    end with a nonzero exponent, so a top there takes its value one ulp
-    inward.  At a pole the table's g leaves the end's power out, and so
+    (:func:`_cut_tail`), and in which a basis's ln|p_n| is the sum over
+    its zeros, ``by_zeros`` (see the module docstring).  g is -inf (+inf
+    at a pole) on an end with a nonzero exponent, so a top there takes
+    its value one ulp inward.  At a pole the table's g leaves the end's power out, and so
     does the peak of the pole's end panel.  A spec that names its own
     peaks has each sigma at most 1/_BRANCH_SPAN of the panel's distance to
     a graded finite end (see the module docstring).  A graded panel
@@ -837,7 +864,7 @@ def _place_peaks(specs: _Specs, panels: list[_Panel], known: dict) -> None:
     rows = ([plain[0]] * len(points) if owner is None
             else [plain[k] for k in owner[of][order].tolist()])
     g = np.empty_like(points)
-    g[order] = _logf_rows(specs, rows, points[order][:, None])[0][:, 0]
+    g[order] = _logf_rows(specs, rows, points[order][:, None], by_zeros=True)[0][:, 0]
     bare = g.copy()  # g without the powers of the poles
     for c, e, dist, touch in ((lo_end[of], lo_pole[of], points - lo_end[of], x[:, 0] == lo_end),
                               (hi_end[of], hi_pole[of], hi_end[of] - points, x[:, 1] == hi_end)):
@@ -1001,15 +1028,18 @@ class _Sum:
         self.stalled = False
 
     def first_pass(self, rows: list[tuple]) -> None:
-        """Add the first-pass intervals, rows of (panel, a, b, I, err, A)."""
+        """Add the first-pass intervals, rows of (panel, a, b, I, err, A),
+        then heapify once: the keys (-err, tick) are unique, so the heap
+        pops them in the order one push each would."""
         heap, tick = self.heap, self.tick
         total_i, total_err, total_abs = self.total_i, self.total_err, self.total_abs
         for p, a, b, I, err, A in rows:
-            heapq.heappush(heap, (-err, tick, p, a, b, I, err, A, 0))
+            heap.append((-err, tick, p, a, b, I, err, A, 0))
             tick += 1
             total_i += I
             total_err += err
             total_abs += A
+        heapq.heapify(heap)
         self.tick, self.neval = tick, self.neval + _XK.size * len(rows)
         self.total_i, self.total_err, self.total_abs = total_i, total_err, total_abs
 

@@ -605,14 +605,15 @@ def test_failing_rows_do_not_stop_the_lockstep():
 def test_lockstep_rows_share_one_polynomial_evaluation_per_batch(specs, monkeypatch):
     # the rows of a q grid share p_n; those of a lambda grid differ only in
     # their recurrence rows, which become per-point columns: either way one
-    # recurrence per integrand batch serves every row
+    # recurrence per Gauss-Kronrod batch serves every row (the peak batch
+    # takes its values from the zeros, with none)
     alone = [_outcome(quadrature.log_integrals([s])[0]) for s in specs]
     batches, evals, depth = [], [], []
-    logf_rows, eval_many = quadrature._logf_rows, families._eval_many
+    gk_rows, eval_many = quadrature._gk_rows, families._eval_many
 
     def counted_rows(*args, **kwargs):
         batches.append(None)
-        return logf_rows(*args, **kwargs)
+        return gk_rows(*args, **kwargs)
 
     def counted_eval(*args, **kwargs):
         if not depth:  # a redo of overflowing points is part of its call
@@ -623,7 +624,7 @@ def test_lockstep_rows_share_one_polynomial_evaluation_per_batch(specs, monkeypa
         finally:
             depth.pop()
 
-    monkeypatch.setattr(quadrature, "_logf_rows", counted_rows)
+    monkeypatch.setattr(quadrature, "_gk_rows", counted_rows)
     monkeypatch.setattr(families, "_eval_many", counted_eval)
     together = quadrature.log_integrals(specs)
     assert [_outcome(r) for r in together] == alone
@@ -975,6 +976,44 @@ def test_one_evaluation_batch_comes_before_the_first_pass(monkeypatch):
     results, events, _ = _first_pass(monkeypatch, specs)
     assert all(isinstance(r, quadrature.LogQuadResult) for r in results)
     assert events.index("gk") == 1
+
+
+def test_the_peak_batch_runs_no_recurrence(monkeypatch):
+    # the peak values of a basis are sums over the zeros of p_n: no
+    # recurrence runs before the first Gauss-Kronrod batch, over a lone
+    # basis, a lambda grid whose families differ, and Shannon's phi alike.
+    # A raw spec (Fisher's) still has its own g_core_many called at its tops
+    specs = [norms.density_spec(hermite(), 4, 2.0, 1.0),
+             norms.density_spec(laguerre(2.5), 3, 2.0, 1.0),
+             norms.density_spec(laguerre(-0.5), 1, 0.25, 1.0),
+             norms.density_spec(jacobi(2.5, 1.5), 5, 4.0, 2.0),
+             *[norms.density_spec(gegenbauer(lam), 4, 4.0, 2.0) for lam in (10, 32, 100)],
+             measures._shannon_spec(measures.DensityHandle(hermite(), 3))]
+    fisher = measures._fisher_spec(measures.DensityHandle(jacobi(2.5, 1.5), 3))
+    events = []
+    gk_rows, eval_many, core = quadrature._gk_rows, families._eval_many, fisher.g_core_many
+
+    def passed(*args, **kwargs):
+        events.append("gk")
+        return gk_rows(*args, **kwargs)
+
+    def recurrence(*args, **kwargs):
+        events.append("recurrence")
+        return eval_many(*args, **kwargs)
+
+    def fisher_core(x):
+        events.append("fisher")
+        return core(x)
+
+    monkeypatch.setattr(quadrature, "_gk_rows", passed)
+    monkeypatch.setattr(families, "_eval_many", recurrence)
+    results = quadrature.log_integrals(specs)
+    assert all(isinstance(r, quadrature.LogQuadResult) for r in results)
+    assert events[0] == "gk" and "recurrence" in events
+    events.clear()
+    results = quadrature.log_integrals([*specs, dataclasses.replace(fisher, g_core_many=fisher_core)])
+    assert all(isinstance(r, quadrature.LogQuadResult) for r in results)
+    assert events.index("fisher") < events.index("gk")
 
 
 # Hermite and Laguerre far out at large q or alpha, poles of Laguerre at the
